@@ -1,8 +1,8 @@
 //! Self-measuring performance baseline for the simulator itself.
 //!
 //! Every other binary in this crate measures the *simulated* machine;
-//! this one measures the *simulator*: how many events per wall-clock
-//! second the driver loop sustains on the collaborative workloads. Run
+//! this one measures the *simulator*: how long the driver loop takes on
+//! the collaborative workloads, and how many events a second that is. Run
 //! it before and after a change to the hot path (counter bumps, the
 //! event queue, message delivery) to see whether the change paid for
 //! itself — DESIGN.md's "Performance" section explains what those hot
@@ -29,8 +29,12 @@
 //!
 //! The JSON (written with [`hsc_obs::json`], like every artifact in
 //! this workspace) is append-friendly evidence: commit one per
-//! optimization PR and the history of `events_per_sec` tells you
-//! whether the simulator is getting faster.
+//! optimization PR and the history of `total.wall_ms_min_sum` — the
+//! wall-clock of the fixed workload set — tells you whether the
+//! simulator is getting faster. `events_per_sec` is only comparable
+//! between records with equal `events`: a change that removes cheap
+//! events shortens every run while lowering it (`perf_trend` compares
+//! wall-clock for that reason).
 
 use std::time::Instant;
 

@@ -1,15 +1,20 @@
-//! Simulator-throughput trajectory: every committed perf baseline next to
+//! Simulator-speed trajectory: every committed perf baseline next to
 //! a fresh measurement of this tree.
 //!
 //! Reads all `BENCH_*.json` files (the `hsc-perf-baseline/v1` records
 //! `perf_baseline` writes, one committed per optimization PR), measures
 //! the current tree on the quick workload pair (`tq`, `hsti`), and prints
-//! the events-per-second trajectory. Every comparison uses
-//! **min-of-reps** wall-clock only (`wall_ms_min`): the minimum is the
-//! run least disturbed by scheduler noise, so it is the only statistic
-//! comparable across records taken with different rep counts. Each row
-//! prints its rep count so a 3-rep quick record is never mistaken for a
-//! committed 5-rep baseline.
+//! the trajectory. The compared quantity is the **wall-clock of that fixed
+//! workload pair** (`wall_ms`, lower is better), not events per second: a
+//! change that removes cheap events (duplicate wake-ups, say) makes every
+//! run shorter while *lowering* events/s, because the events that remain
+//! are the expensive ones. Events/s stays printed as a secondary column —
+//! it is comparable only between records with equal event counts. Every
+//! comparison uses **min-of-reps** wall-clock only (`wall_ms_min`): the
+//! minimum is the run least disturbed by scheduler noise, so it is the
+//! only statistic comparable across records taken with different rep
+//! counts. Each row prints its rep count so a 3-rep quick record is never
+//! mistaken for a committed 5-rep baseline.
 //!
 //! The trend itself is **serial-engine only**: records whose `shards`
 //! field says they were measured on the sharded engine
@@ -21,18 +26,18 @@
 //!
 //! Two modes:
 //!
-//! * **Trend (default)** — exits non-zero if the fresh measurement is
-//!   more than `--threshold` percent (default 15%) below the **best**
-//!   committed baseline. Committed baselines come from other machines,
-//!   so CI treats this as a warning; locally it is the quickest "did my
-//!   change cost throughput?" answer.
+//! * **Trend (default)** — exits non-zero if the fresh wall-clock is
+//!   more than `--threshold` percent (default 15%) above the **best**
+//!   (shortest) committed baseline. Committed baselines come from other
+//!   machines, so CI treats this as a warning; locally it is the quickest
+//!   "did my change cost time?" answer.
 //! * **Gate (`--gate <pct> --against <path>`)** — compares the fresh
 //!   measurement against a baseline record produced moments earlier *on
 //!   the same runner* (CI builds the PR's base revision and runs
 //!   `perf_baseline --quick` on it first). Like-for-like hardware makes
 //!   this comparison meaningful, so it is gating: exits non-zero only if
-//!   the fresh min-of-reps rate is more than `<pct>` percent below the
-//!   same-runner baseline. The cross-machine `--threshold` check is
+//!   the fresh min-of-reps wall-clock is more than `<pct>` percent above
+//!   the same-runner baseline's. The cross-machine `--threshold` check is
 //!   informational in this mode.
 //!
 //! Flags:
@@ -304,13 +309,13 @@ fn main() -> ExitCode {
         opts.reps
     );
     let fresh = measure_fresh(opts.reps);
-    // Only serial records compete for "best": a 4-shard wall clock is a
-    // different quantity, not a faster simulator.
+    // Only serial records of the whole pair compete for "best": a 4-shard
+    // wall clock is a different quantity, and half the pair is half the work.
     let best = rows
         .iter()
-        .filter(|r| r.shards.unwrap_or(1) == 1)
-        .map(Row::events_per_sec)
-        .fold(0.0f64, f64::max);
+        .filter(|r| r.shards.unwrap_or(1) == 1 && r.workloads_present == QUICK_WORKLOADS.len())
+        .map(|r| r.wall_ms)
+        .fold(f64::INFINITY, f64::min);
 
     println!(
         "{:<24} {:<12} {:>4} {:>9} {:>10} {:>8}  note",
@@ -325,8 +330,8 @@ fn main() -> ExitCode {
             None => " (pre-shards record)",
         };
         let note = if row.label == "(this tree)" {
-            let delta = if best > 0.0 {
-                format!("{:+.1}% vs best", 100.0 * (row.events_per_sec() / best - 1.0))
+            let delta = if best.is_finite() {
+                format!("{:+.1}% wall_ms vs best", 100.0 * (row.wall_ms / best - 1.0))
             } else {
                 "no baseline to compare".to_owned()
             };
@@ -352,40 +357,30 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    // Same-runner gate: the only throughput comparison trustworthy enough
-    // to fail CI on.
+    // Same-runner gate: the only speed comparison trustworthy enough to
+    // fail CI on.
     if let (Some(gate_pct), Some(gate)) = (opts.gate_pct, &gate_row) {
-        let (old, new) = (gate.events_per_sec(), fresh.events_per_sec());
+        let (old, new) = (gate.wall_ms, fresh.wall_ms);
         let delta_pct = if old > 0.0 { 100.0 * (new / old - 1.0) } else { 0.0 };
-        if old > 0.0 && new < old * (1.0 - gate_pct / 100.0) {
+        if old > 0.0 && new > old * (1.0 + gate_pct / 100.0) {
             println!(
-                "perf_trend: GATE FAILED — {:.2} M events/s is {:.1}% below the same-runner baseline {:.2} M events/s (gate: {:.0}%)",
-                new / 1e6,
-                -delta_pct,
-                old / 1e6,
-                gate_pct
+                "perf_trend: GATE FAILED — {new:.2} ms is {delta_pct:.1}% above the same-runner baseline {old:.2} ms (gate: {gate_pct:.0}%)"
             );
             return ExitCode::FAILURE;
         }
         println!(
-            "perf_trend: gate ok — {:.2} vs {:.2} M events/s same-runner ({:+.1}%, gate {:.0}%)",
-            new / 1e6,
-            old / 1e6,
-            delta_pct,
-            gate_pct
+            "perf_trend: gate ok — {new:.2} vs {old:.2} ms same-runner ({delta_pct:+.1}%, gate {gate_pct:.0}%)"
         );
     }
 
-    if best > 0.0 {
-        let floor = best * (1.0 - opts.threshold_pct / 100.0);
-        if fresh.events_per_sec() < floor {
+    if best.is_finite() {
+        let ceiling = best * (1.0 + opts.threshold_pct / 100.0);
+        if fresh.wall_ms > ceiling {
             // Cross-machine trajectory check: gating locally, advisory
             // when a same-runner gate is in charge.
             println!(
-                "perf_trend: REGRESSION — {:.2} M events/s is more than {:.0}% below the best baseline ({:.2} M events/s)",
-                fresh.events_per_sec() / 1e6,
-                opts.threshold_pct,
-                best / 1e6
+                "perf_trend: REGRESSION — {:.2} ms is more than {:.0}% above the best baseline ({best:.2} ms)",
+                fresh.wall_ms, opts.threshold_pct
             );
             if opts.gate_pct.is_none() {
                 return ExitCode::FAILURE;
@@ -393,10 +388,8 @@ fn main() -> ExitCode {
             println!("perf_trend: (informational under --gate: baselines are cross-machine)");
         } else {
             println!(
-                "perf_trend: ok — within {:.0}% of the best baseline ({:.2} vs {:.2} M events/s)",
-                opts.threshold_pct,
-                fresh.events_per_sec() / 1e6,
-                best / 1e6
+                "perf_trend: ok — within {:.0}% of the best baseline ({:.2} vs {best:.2} ms)",
+                opts.threshold_pct, fresh.wall_ms
             );
         }
     } else {

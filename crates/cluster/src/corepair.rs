@@ -1,6 +1,6 @@
 use hsc_mem::{Addr, CacheArray, CacheGeometry, LineAddr, LineData, Mshr, VictimBuffer};
 use hsc_noc::{
-    AgentId, ClassCounters, Message, MsgKind, Outbox, ProbeKind, RetryPolicy, RetryTracker,
+    AgentId, ClassCounters, Message, MsgKind, Outbox, ProbeKind, RetryPolicy, RetryTracker, WakeArm,
 };
 use hsc_sim::{CounterId, Counters, StatSet, Tick, TransitionMatrix};
 
@@ -154,6 +154,10 @@ pub struct CorePair {
     mshr: Mshr<L2Txn>,
     victims: VictimBuffer,
     retry: RetryTracker,
+    /// Every self-wake after `start` is staged through this, so the pair
+    /// never has two wake-ups pending at one tick. Timing, not protocol
+    /// state: excluded from `hash_state`.
+    wakes: WakeArm,
     counters: Counters,
     ids: CpIds,
     /// MOESI state-transition analytics; disabled (and free) by default,
@@ -265,6 +269,7 @@ impl CorePair {
             mshr: Mshr::new(cfg.mshr_capacity),
             victims: VictimBuffer::new(),
             retry: RetryTracker::maybe(cfg.retry),
+            wakes: WakeArm::default(),
             counters,
             ids,
             transitions: TransitionMatrix::new("moesi-l2", MOESI_STATES, MOESI_CAUSES),
@@ -433,6 +438,7 @@ impl CorePair {
     /// Advances both cores as far as the current tick allows and re-sends
     /// any timed-out requests (when a retry policy is configured).
     pub fn on_wake(&mut self, now: Tick, out: &mut Outbox) {
+        self.wakes.delivered(now);
         self.service_retries(now, out);
         self.step_cores(now, out);
     }
@@ -447,8 +453,8 @@ impl CorePair {
             self.counters.bump(self.ids.retries);
             out.send(msg);
         }
-        if let Some(d) = self.retry.wake_needed() {
-            out.wake_at(d);
+        if let Some(d) = self.retry.next_deadline() {
+            self.wakes.arm(d, out);
         }
     }
 
@@ -459,8 +465,8 @@ impl CorePair {
             return;
         }
         self.retry.track(out.now(), msg);
-        if let Some(d) = self.retry.wake_needed() {
-            out.wake_at(d);
+        if let Some(d) = self.retry.next_deadline() {
+            self.wakes.arm(d, out);
         }
     }
 
@@ -546,7 +552,7 @@ impl CorePair {
             .filter(|&t| t > now)
             .min();
         if let Some(t) = next {
-            out.wake_at(t);
+            self.wakes.arm(t, out);
         }
     }
 

@@ -1,7 +1,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use hsc_mem::{Addr, LineAddr, LineData, WORDS_PER_LINE};
-use hsc_noc::{AgentId, Message, MsgKind, Outbox, RetryPolicy, RetryTracker, WordMask};
+use hsc_noc::{AgentId, Message, MsgKind, Outbox, RetryPolicy, RetryTracker, WakeArm, WordMask};
 use hsc_sim::{CounterId, Counters, StatSet, Tick};
 
 /// One DMA transfer, issued when simulated time reaches `at`.
@@ -57,6 +57,10 @@ pub struct DmaEngine {
     pending_lines: VecDeque<(LineAddr, Option<(LineData, WordMask)>)>,
     read_data: BTreeMap<LineAddr, LineData>,
     retry: RetryTracker,
+    /// Every self-wake after `start` is staged through this, so the engine
+    /// never has two wake-ups pending at one tick. Timing, not protocol
+    /// state: excluded from `hash_state`.
+    wakes: WakeArm,
     counters: Counters,
     ids: DmaIds,
     started: bool,
@@ -111,6 +115,7 @@ impl DmaEngine {
             pending_lines: VecDeque::new(),
             read_data: BTreeMap::new(),
             retry: RetryTracker::maybe(None),
+            wakes: WakeArm::default(),
             counters,
             ids,
             started: false,
@@ -220,6 +225,7 @@ impl DmaEngine {
 
     /// Advances the engine: expands due commands and issues line requests.
     pub fn on_wake(&mut self, now: Tick, out: &mut Outbox) {
+        self.wakes.delivered(now);
         self.service_retries(now, out);
         self.pump(now, out);
     }
@@ -234,8 +240,8 @@ impl DmaEngine {
             self.counters.bump(self.ids.retries);
             out.send(msg);
         }
-        if let Some(d) = self.retry.wake_needed() {
-            out.wake_at(d);
+        if let Some(d) = self.retry.next_deadline() {
+            self.wakes.arm(d, out);
         }
     }
 
@@ -295,8 +301,8 @@ impl DmaEngine {
             out.send(msg);
             if self.retry.enabled() {
                 self.retry.track(now, msg);
-                if let Some(d) = self.retry.wake_needed() {
-                    out.wake_at(d);
+                if let Some(d) = self.retry.next_deadline() {
+                    self.wakes.arm(d, out);
                 }
             }
         }
@@ -304,7 +310,7 @@ impl DmaEngine {
         // us, schedule a wake at the next command time.
         if self.in_flight.is_empty() && self.pending_lines.is_empty() {
             if let Some(c) = self.commands.front() {
-                out.wake_at(c.at().max(now));
+                self.wakes.arm(c.at().max(now), out);
             }
         }
     }

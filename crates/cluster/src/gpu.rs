@@ -4,7 +4,7 @@ use hsc_mem::Mshr;
 use hsc_mem::{Addr, CacheArray, CacheGeometry, LineAddr, LineData};
 use hsc_noc::{
     AgentId, ClassCounters, Message, MsgKind, Outbox, ProbeKind, RetryPolicy, RetryTracker,
-    WordMask,
+    WakeArm, WordMask,
 };
 use hsc_sim::{CounterId, Counters, StatSet, Tick, TransitionMatrix};
 
@@ -191,6 +191,10 @@ pub struct GpuCluster {
     flush_waiters: BTreeMap<LineAddr, VecDeque<(usize, usize)>>,
     sqc: CacheArray<()>,
     retry: RetryTracker,
+    /// Every self-wake after `start` is staged through this, so the TCC
+    /// never has two wake-ups pending at one tick. Timing, not protocol
+    /// state: excluded from `hash_state`.
+    wakes: WakeArm,
     /// TCC transition analytics; disabled (and free) unless the
     /// observability layer enables it. Excluded from `hash_state` and
     /// `stats` by construction.
@@ -328,6 +332,7 @@ impl GpuCluster {
             flush_waiters: BTreeMap::new(),
             sqc: CacheArray::new(CacheGeometry::new(cfg.sqc_bytes, cfg.sqc_ways)),
             retry: RetryTracker::maybe(cfg.retry),
+            wakes: WakeArm::default(),
             transitions: TransitionMatrix::new("viper-tcc", VIPER_STATES, VIPER_CAUSES),
             counters,
             ids,
@@ -472,6 +477,7 @@ impl GpuCluster {
     /// Advances every wavefront as far as the current tick allows and
     /// re-sends any timed-out requests (when a retry policy is configured).
     pub fn on_wake(&mut self, now: Tick, out: &mut Outbox) {
+        self.wakes.delivered(now);
         self.service_retries(now, out);
         self.step_all(now, out);
     }
@@ -486,8 +492,8 @@ impl GpuCluster {
             self.counters.bump(self.ids.retries);
             out.send(msg);
         }
-        if let Some(d) = self.retry.wake_needed() {
-            out.wake_at(d);
+        if let Some(d) = self.retry.next_deadline() {
+            self.wakes.arm(d, out);
         }
     }
 
@@ -498,8 +504,8 @@ impl GpuCluster {
             return;
         }
         self.retry.track(out.now(), msg);
-        if let Some(d) = self.retry.wake_needed() {
-            out.wake_at(d);
+        if let Some(d) = self.retry.next_deadline() {
+            self.wakes.arm(d, out);
         }
     }
 
@@ -518,7 +524,7 @@ impl GpuCluster {
             .filter(|&t| t > now)
             .min();
         if let Some(t) = next {
-            out.wake_at(t);
+            self.wakes.arm(t, out);
         }
     }
 

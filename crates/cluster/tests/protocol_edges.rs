@@ -6,7 +6,7 @@ use hsc_cluster::{
     CorePair, CoreProgram, CpuConfig, CpuOp, DmaCommand, DmaEngine, GpuCluster, GpuConfig, GpuOp,
     GpuWritePolicy, WavefrontProgram,
 };
-use hsc_mem::{Addr, LineData, MainMemory};
+use hsc_mem::{Addr, LineAddr, LineData, MainMemory};
 use hsc_noc::{Action, AgentId, Grant, Message, MsgKind, Outbox, ProbeKind, WordMask};
 use hsc_sim::{Tick, WheelQueue};
 
@@ -27,30 +27,61 @@ impl CoreProgram for Script {
     }
 }
 
-/// Steps a CorePair until it emits a directory request of the given class.
-fn run_until_request(pair: &mut CorePair, class: &str, limit: u64) -> Message {
-    run_until_request_from(pair, class, limit, Tick(0))
-}
+/// The wake half of a stub driver for one CorePair: the test plays the
+/// directory by hand, this delivers the pair's wake-ups. Every wake the pair
+/// stages must end up here — agents arm each tick once (`WakeArm`) and never
+/// ask again, so a driver that throws one away leaves the pair asleep.
+struct WakePump(WheelQueue<()>);
 
-/// Like [`run_until_request`] but starting the wake pump at `start`.
-fn run_until_request_from(pair: &mut CorePair, class: &str, limit: u64, start: Tick) -> Message {
-    let mut q: WheelQueue<Tick> = WheelQueue::new();
-    q.schedule(start, start);
-    let mut steps = 0;
-    while let Some((now, _)) = q.pop() {
-        steps += 1;
-        assert!(steps < limit, "no {class} request emitted");
-        let mut out = Outbox::new(now);
-        pair.on_wake(now, &mut out);
+impl WakePump {
+    /// A pump holding the initial wake-up at tick 0.
+    fn new() -> Self {
+        let mut q = WheelQueue::new();
+        q.schedule(Tick(0), ());
+        WakePump(q)
+    }
+
+    /// Queues the wakes `out` staged and returns the messages it sent.
+    fn forward(&mut self, out: Outbox) -> Vec<Message> {
+        let mut sent = Vec::new();
         for act in out.into_actions() {
             match act {
-                Action::Send(m) if m.kind.class_name() == class => return m,
-                Action::Send(_) | Action::SendLater(..) => {}
-                Action::Wake(t) => q.schedule(t, t),
+                Action::Send(m) | Action::SendLater(_, m) => sent.push(m),
+                Action::Wake(t) => self.0.schedule(t, ()),
             }
         }
+        sent
     }
-    panic!("ran dry without a {class} request");
+
+    /// Delivers wakes until the pair emits a directory request of the
+    /// given class.
+    fn run_until_request(&mut self, pair: &mut CorePair, class: &str, limit: u64) -> Message {
+        let mut steps = 0;
+        while let Some((now, ())) = self.0.pop() {
+            steps += 1;
+            assert!(steps < limit, "no {class} request emitted");
+            let mut out = Outbox::new(now);
+            pair.on_wake(now, &mut out);
+            if let Some(m) = self.forward(out).into_iter().find(|m| m.kind.class_name() == class) {
+                return m;
+            }
+        }
+        panic!("ran dry without a {class} request");
+    }
+
+    /// Delivers `msg` from the directory at `now`, queues the wakes the
+    /// handler staged and returns what it sent.
+    fn deliver(
+        &mut self,
+        pair: &mut CorePair,
+        now: Tick,
+        kind: MsgKind,
+        line: LineAddr,
+    ) -> Vec<Message> {
+        let mut out = Outbox::new(now);
+        pair.on_message(now, &Message::new(AgentId::Directory, pair.agent(), line, kind), &mut out);
+        self.forward(out)
+    }
 }
 
 #[test]
@@ -67,46 +98,19 @@ fn inv_probe_during_pending_upgrade_invalidates_the_s_copy() {
         ))],
         CpuConfig::default(),
     );
+    let mut pump = WakePump::new();
     // Load miss → RdBlk.
-    let req = run_until_request(&mut pair, "RdBlk", 1000);
+    let req = pump.run_until_request(&mut pair, "RdBlk", 1000);
     assert_eq!(req.line, a.line());
-    // Grant Shared (someone else has it).
-    let mut out = Outbox::new(Tick(100));
-    pair.on_message(
-        Tick(100),
-        &Message::new(
-            AgentId::Directory,
-            pair.agent(),
-            a.line(),
-            MsgKind::Resp { data: data(1), grant: Grant::Shared },
-        ),
-        &mut out,
-    );
-    // Drain the fill's actions (Unblock, wake), then pump until the store
-    // re-attempts and issues its upgrade.
-    drop(out);
-    let up = run_until_request_from(&mut pair, "RdBlkM", 1000, Tick(101));
+    // Grant Shared (someone else has it); the fill's wake lets the store
+    // re-attempt and issue its upgrade.
+    let shared = MsgKind::Resp { data: data(1), grant: Grant::Shared };
+    pump.deliver(&mut pair, Tick(100), shared, a.line());
+    let up = pump.run_until_request(&mut pair, "RdBlkM", 1000);
     assert_eq!(up.line, a.line(), "upgrade issued for the stored line");
     // Before the response, an invalidating probe lands.
-    let mut out = Outbox::new(Tick(200));
-    pair.on_message(
-        Tick(200),
-        &Message::new(
-            AgentId::Directory,
-            pair.agent(),
-            a.line(),
-            MsgKind::Probe { kind: ProbeKind::Invalidate },
-        ),
-        &mut out,
-    );
-    let acks: Vec<Message> = out
-        .into_actions()
-        .into_iter()
-        .filter_map(|a| match a {
-            Action::Send(m) => Some(m),
-            _ => None,
-        })
-        .collect();
+    let probe = MsgKind::Probe { kind: ProbeKind::Invalidate };
+    let acks = pump.deliver(&mut pair, Tick(200), probe, a.line());
     match acks[0].kind {
         MsgKind::ProbeAck { dirty, had_copy, .. } => {
             assert!(had_copy, "the S copy was present");
@@ -115,19 +119,8 @@ fn inv_probe_during_pending_upgrade_invalidates_the_s_copy() {
         ref k => panic!("expected ProbeAck, got {}", k.class_name()),
     }
     // Now the directory answers the upgrade with full data + M.
-    let mut out = Outbox::new(Tick(300));
-    pair.on_message(
-        Tick(300),
-        &Message::new(
-            AgentId::Directory,
-            pair.agent(),
-            a.line(),
-            MsgKind::Resp { data: data(9), grant: Grant::Modified },
-        ),
-        &mut out,
-    );
-    let mut out2 = Outbox::new(Tick(301));
-    pair.on_wake(Tick(301), &mut out2);
+    let modified = MsgKind::Resp { data: data(9), grant: Grant::Modified };
+    pump.deliver(&mut pair, Tick(300), modified, a.line());
     // The store applied over the fresh data: line is dirty with 5.
     let dirty = pair.peek_dirty(a.line()).expect("line must be Modified");
     assert_eq!(dirty.word_at(a), 5);
@@ -145,58 +138,17 @@ fn upgrade_ack_preserves_the_owned_lines_local_stores() {
         ))],
         CpuConfig::default(),
     );
-    let _ = run_until_request(&mut pair, "RdBlkM", 1000);
-    let mut out = Outbox::new(Tick(10));
-    pair.on_message(
-        Tick(10),
-        &Message::new(
-            AgentId::Directory,
-            pair.agent(),
-            a.line(),
-            MsgKind::Resp { data: data(0), grant: Grant::Modified },
-        ),
-        &mut out,
-    );
+    let mut pump = WakePump::new();
+    let _ = pump.run_until_request(&mut pair, "RdBlkM", 1000);
+    let modified = MsgKind::Resp { data: data(0), grant: Grant::Modified };
+    pump.deliver(&mut pair, Tick(10), modified, a.line());
     // First store applied; now a downgrade probe turns M into O.
-    let mut out = Outbox::new(Tick(20));
-    pair.on_message(
-        Tick(20),
-        &Message::new(
-            AgentId::Directory,
-            pair.agent(),
-            a.line(),
-            MsgKind::Probe { kind: ProbeKind::Downgrade },
-        ),
-        &mut out,
-    );
+    pump.deliver(&mut pair, Tick(20), MsgKind::Probe { kind: ProbeKind::Downgrade }, a.line());
     // Let the second store run: O can't write, so an upgrade goes out.
-    let mut q: WheelQueue<()> = WheelQueue::new();
-    q.schedule(Tick(21), ());
-    let mut got_upgrade = false;
-    while let Some((now, ())) = q.pop() {
-        let mut out = Outbox::new(now);
-        pair.on_wake(now, &mut out);
-        for act in out.into_actions() {
-            match act {
-                Action::Send(m) if matches!(m.kind, MsgKind::RdBlkM) => got_upgrade = true,
-                Action::Wake(t) => q.schedule(t, ()),
-                _ => {}
-            }
-        }
-        if got_upgrade {
-            break;
-        }
-    }
-    assert!(got_upgrade, "store to an O line must request an upgrade");
+    let up = pump.run_until_request(&mut pair, "RdBlkM", 1000);
+    assert_eq!(up.line, a.line(), "store to an O line must request an upgrade");
     // The tracked directory answers with a data-less UpgradeAck.
-    let mut out = Outbox::new(Tick(50));
-    pair.on_message(
-        Tick(50),
-        &Message::new(AgentId::Directory, pair.agent(), a.line(), MsgKind::UpgradeAck),
-        &mut out,
-    );
-    let mut out2 = Outbox::new(Tick(51));
-    pair.on_wake(Tick(51), &mut out2);
+    pump.deliver(&mut pair, Tick(50), MsgKind::UpgradeAck, a.line());
     let dirty = pair.peek_dirty(a.line()).expect("line Modified again");
     assert_eq!(dirty.word_at(a), 7, "first store survived the downgrade + upgrade");
     assert_eq!(dirty.word_at(a.word(1)), 8, "second store applied after UpgradeAck");

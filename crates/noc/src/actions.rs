@@ -11,7 +11,10 @@ pub enum Action {
     /// controller's own access latency, e.g. the directory's 20-cycle
     /// lookup before its probes leave).
     SendLater(Tick, Message),
-    /// Re-invoke this controller's `on_wake` at the given tick.
+    /// Re-invoke this controller's `on_wake` at the given tick. A staged
+    /// wake is always delivered: drivers (the engines, test pumps, stub
+    /// peers) must forward every one into their queue, because agents arm
+    /// each tick once ([`WakeArm`]) and will not ask again.
     Wake(Tick),
 }
 
@@ -83,6 +86,12 @@ impl Outbox {
 
     /// Stages a wake-up at an absolute tick.
     ///
+    /// The contract with the driver: a staged wake is always delivered;
+    /// agents arm each tick once. A requester that may ask for the same
+    /// tick from several handlers stages through [`WakeArm::arm`], which
+    /// refuses the second request, so a driver that throws a staged wake
+    /// away leaves the agent asleep.
+    ///
     /// # Panics
     ///
     /// Panics if `at` is in the past.
@@ -115,6 +124,69 @@ impl Outbox {
     }
 }
 
+/// Keeps "at most one pending [`Action::Wake`] per (agent, tick)": the
+/// set of ticks an agent already has a wake-up staged for.
+///
+/// A requester recomputes "when do I next have work" in every handler. If
+/// each of them staged its own wake-up, every delivery at a tick that
+/// already had one would be a no-op that stages yet another duplicate,
+/// and the chains never die while the agent has work. Staging through
+/// [`WakeArm::arm`] keeps the *first-staged* wake of each tick and drops
+/// the rest, which removes only no-op events and so preserves the
+/// `(tick, seq)` order of every event that survives. It must never skip a
+/// tick because an *earlier* one is armed: that would move the wake
+/// behind same-tick messages.
+///
+/// # Examples
+///
+/// ```
+/// use hsc_noc::{Outbox, WakeArm};
+/// use hsc_sim::Tick;
+///
+/// let mut wakes = WakeArm::default();
+/// let mut out = Outbox::new(Tick(0));
+/// wakes.arm(Tick(40), &mut out);
+/// wakes.arm(Tick(40), &mut out); // already armed: nothing staged
+/// wakes.arm(Tick(80), &mut out); // a different tick is its own wake
+/// assert_eq!(out.actions().len(), 2);
+///
+/// // `on_wake(40)`: the wake at 40 is spent, the one at 80 still pending.
+/// let mut out = Outbox::new(Tick(40));
+/// wakes.delivered(Tick(40));
+/// wakes.arm(Tick(80), &mut out);
+/// assert!(out.is_empty());
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct WakeArm {
+    /// Ticks with a staged, not yet delivered wake-up. A handful at most
+    /// (next op, next retry deadline), so a linear scan beats any set.
+    armed: Vec<Tick>,
+}
+
+impl WakeArm {
+    /// Stages `out.wake_at(at)` unless a wake-up at `at` is already armed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if it stages and `at` is in the past (see [`Outbox::wake_at`]).
+    #[inline]
+    pub fn arm(&mut self, at: Tick, out: &mut Outbox) {
+        if !self.armed.contains(&at) {
+            self.armed.push(at);
+            out.wake_at(at);
+        }
+    }
+
+    /// Forgets every armed tick up to `now`; call first thing in
+    /// `on_wake(now)`. (`<=` rather than `==`: the model checker may
+    /// deliver a late wake-up before an earlier one, and nothing arms a
+    /// tick that is already in the past.)
+    #[inline]
+    pub fn delivered(&mut self, now: Tick) {
+        self.armed.retain(|&t| t > now);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,6 +211,29 @@ mod tests {
     fn waking_in_the_past_panics() {
         let mut out = Outbox::new(Tick(5));
         out.wake_at(Tick(4));
+    }
+
+    #[test]
+    fn wake_arm_stages_each_tick_once_until_delivered() {
+        let mut wakes = WakeArm::default();
+        let mut out = Outbox::new(Tick(5));
+        wakes.arm(Tick(9), &mut out);
+        wakes.arm(Tick(7), &mut out);
+        wakes.arm(Tick(9), &mut out);
+        // An earlier armed tick never suppresses a later one, or vice versa.
+        assert_eq!(out.actions(), [Action::Wake(Tick(9)), Action::Wake(Tick(7))]);
+        // Delivery of tick 7 leaves tick 9 armed.
+        wakes.delivered(Tick(7));
+        let mut out = Outbox::new(Tick(7));
+        wakes.arm(Tick(9), &mut out);
+        assert!(out.is_empty());
+        wakes.arm(Tick(7), &mut out);
+        assert_eq!(out.actions(), [Action::Wake(Tick(7))]);
+        // A late delivery forgets every tick it passed.
+        wakes.delivered(Tick(20));
+        let mut out = Outbox::new(Tick(20));
+        wakes.arm(Tick(20), &mut out);
+        assert_eq!(out.actions(), [Action::Wake(Tick(20))]);
     }
 
     #[test]

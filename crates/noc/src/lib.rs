@@ -29,7 +29,7 @@ mod message;
 mod network;
 mod retry;
 
-pub use actions::{Action, Outbox};
+pub use actions::{Action, Outbox, WakeArm};
 pub use agent::AgentId;
 pub use classctr::ClassCounters;
 pub use fault::{Delivery, FaultPlan, FaultTargets, FaultyNetwork};

@@ -76,7 +76,6 @@ struct PendingRetry {
 pub struct RetryTracker {
     policy: Option<RetryPolicy>,
     pending: BTreeMap<u64, PendingRetry>,
-    armed: Option<Tick>,
     resent: u64,
     gave_up: u64,
 }
@@ -92,7 +91,7 @@ impl RetryTracker {
     /// call becomes a no-op, so disabled retry costs nothing).
     #[must_use]
     pub fn maybe(policy: Option<RetryPolicy>) -> RetryTracker {
-        RetryTracker { policy, pending: BTreeMap::new(), armed: None, resent: 0, gave_up: 0 }
+        RetryTracker { policy, pending: BTreeMap::new(), resent: 0, gave_up: 0 }
     }
 
     /// Whether a policy is configured at all.
@@ -147,28 +146,12 @@ impl RetryTracker {
         out
     }
 
-    /// The earliest deadline among tracked requests, for scheduling the
-    /// next retry wake-up.
+    /// The earliest deadline among tracked requests: the tick the owner
+    /// arms its next retry wake-up for (through [`crate::WakeArm`], which
+    /// stages each distinct deadline once however often it is asked).
     #[must_use]
     pub fn next_deadline(&self) -> Option<Tick> {
         self.pending.values().map(|p| p.deadline).min()
-    }
-
-    /// The earliest deadline *if a wake-up still needs scheduling for it*.
-    ///
-    /// Controllers often get woken every cycle for unrelated reasons;
-    /// scheduling a `wake_at(deadline)` on each of those wake-ups piles up
-    /// duplicate events (each of which would schedule more), snowballing
-    /// into an event storm. This arms each distinct deadline exactly once:
-    /// the caller MUST schedule a wake-up when `Some` is returned.
-    #[must_use]
-    pub fn wake_needed(&mut self) -> Option<Tick> {
-        let d = self.next_deadline()?;
-        if self.armed == Some(d) {
-            return None;
-        }
-        self.armed = Some(d);
-        Some(d)
     }
 
     /// Whether nothing is tracked.
@@ -265,21 +248,5 @@ mod tests {
         assert!(rt.is_empty());
         assert!(rt.due(Tick(1_000_000)).is_empty());
         assert_eq!(rt.next_deadline(), None);
-    }
-
-    #[test]
-    fn wake_needed_arms_each_deadline_once() {
-        let mut rt = RetryTracker::new(RetryPolicy { timeout: 100, max_retries: 3 });
-        rt.track(Tick(0), m(1));
-        assert_eq!(rt.wake_needed(), Some(Tick(100)));
-        // Asked again (e.g. by an unrelated per-cycle wake-up): already armed.
-        assert_eq!(rt.wake_needed(), None);
-        // The retry fires and re-arms; the new deadline needs one wake-up.
-        assert_eq!(rt.due(Tick(100)), vec![m(1)]);
-        assert_eq!(rt.wake_needed(), Some(Tick(300)));
-        assert_eq!(rt.wake_needed(), None);
-        // A new earlier deadline re-arms immediately.
-        rt.track(Tick(110), m(2));
-        assert_eq!(rt.wake_needed(), Some(Tick(210)));
     }
 }
