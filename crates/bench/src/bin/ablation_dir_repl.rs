@@ -9,10 +9,10 @@
 use hsc_bench::par::{expect_all, parse_sweep_cli, Campaign};
 use hsc_bench::{mean, pct_saved};
 use hsc_core::{CoherenceConfig, DirReplacementPolicy, SystemConfig};
-use hsc_workloads::{try_run_workload_sharded_on, Cedd, RunResult, Sc, Tq, Trns, Workload};
+use hsc_workloads::{run_workload_on, Cedd, RunResult, Sc, Tq, Trns, Workload};
 
 fn main() {
-    let cli = parse_sweep_cli("ablation_dir_repl");
+    let par = parse_sweep_cli("ablation_dir_repl");
     println!("================================================================");
     println!("Ablation (§VII future work): directory replacement policy");
     println!("Tree-PLRU vs state-aware, 512-entry directory, sharer tracking");
@@ -33,12 +33,11 @@ fn main() {
                 let mut cfg = SystemConfig::scaled(CoherenceConfig::sharer_tracking());
                 cfg.coherence.dir_replacement = policy;
                 cfg.uncore.dir_entries = 512;
-                try_run_workload_sharded_on(w, cfg, cli.shards)
-                    .unwrap_or_else(|e| panic!("workload {} failed: {e}", w.name()))
+                run_workload_on(w, cfg)
             });
         }
     }
-    let results = expect_all("ablation_dir_repl", campaign.run(cli.par));
+    let results = expect_all("ablation_dir_repl", campaign.run(par));
 
     println!(
         "{:8} {:>12} {:>12} {:>10} {:>12} {:>12}",

@@ -14,14 +14,14 @@
 //! `--trace-gen <spec>` (generate one from a traffic spec, see
 //! `trace_gen --list`), the campaign characterizes that single traced
 //! workload instead of the CHAI suite — same tables, same report schema,
-//! same byte-identity guarantees under `--jobs`/`--shards`.
+//! same byte-identity guarantee under `--jobs`.
 
 use hsc_bench::par::{expect_all, Campaign};
 use hsc_bench::reporting::{parse_cli, write_report, REPORT_EPOCH_TICKS};
 use hsc_core::{CoherenceConfig, ObsConfig, SystemConfig};
 use hsc_obs::{RunRecord, RunReport};
 use hsc_sim::StatSet;
-use hsc_workloads::{all_workloads, run_workload_observed_sharded, Workload};
+use hsc_workloads::{all_workloads, run_workload_observed, Workload};
 
 struct Row {
     workload: &'static str,
@@ -33,15 +33,11 @@ struct Row {
 fn main() {
     let opts = parse_cli("characterize");
     let par = opts.parallelism("characterize");
-    let shards = opts.shards();
     let cfg = SystemConfig::scaled(CoherenceConfig::baseline());
-    // A sharded run reproduces counters, latency percentiles, and the
-    // agent profile byte-identically, but epoch time-series sampling is
-    // serial-only — so `--shards N` reports drop the time series.
-    let obs = match (&opts.report, shards) {
-        (None, _) => ObsConfig::off(),
-        (Some(_), 1) => ObsConfig::report(REPORT_EPOCH_TICKS),
-        (Some(_), _) => ObsConfig::report_sharded(),
+    let obs = if opts.report.is_some() {
+        ObsConfig::report(REPORT_EPOCH_TICKS)
+    } else {
+        ObsConfig::off()
     };
 
     let workloads: Vec<Box<dyn Workload>> = match opts.trace_workload("characterize") {
@@ -52,7 +48,7 @@ fn main() {
     for w in &workloads {
         let w = w.as_ref();
         campaign.push(w.name(), move || {
-            let run = run_workload_observed_sharded(w, cfg, obs, shards);
+            let run = run_workload_observed(w, cfg, obs);
             let r = match &run.outcome {
                 Ok(r) => r,
                 Err(e) => panic!("workload {} failed: {e}", w.name()),

@@ -8,15 +8,10 @@
 use hsc_bench::par::{expect_all, parse_sweep_cli, Campaign};
 use hsc_bench::{mean, pct_saved};
 use hsc_core::{CoherenceConfig, SystemConfig};
-use hsc_workloads::{extension_workloads, try_run_workload_sharded_on, RunResult, Workload};
-
-fn run_sharded(w: &dyn Workload, cfg: SystemConfig, shards: usize) -> RunResult {
-    try_run_workload_sharded_on(w, cfg, shards)
-        .unwrap_or_else(|e| panic!("workload {} failed: {e}", w.name()))
-}
+use hsc_workloads::{extension_workloads, run_workload_on, RunResult};
 
 fn main() {
-    let cli = parse_sweep_cli("extension_benchmarks");
+    let par = parse_sweep_cli("extension_benchmarks");
     println!("================================================================");
     println!("Extension: CHAI benchmarks unavailable to the paper, reproduced");
     println!("================================================================");
@@ -35,15 +30,15 @@ fn main() {
     for w in &workloads {
         let w = w.as_ref();
         campaign.push(format!("{}/reference", w.name()), move || {
-            run_sharded(w, SystemConfig::scaled(CoherenceConfig::baseline()), cli.shards)
+            run_workload_on(w, SystemConfig::scaled(CoherenceConfig::baseline()))
         });
         for (name, cfg) in configs {
             campaign.push(format!("{}/{name}", w.name()), move || {
-                run_sharded(w, SystemConfig::scaled(cfg), cli.shards)
+                run_workload_on(w, SystemConfig::scaled(cfg))
             });
         }
     }
-    let results = expect_all("extension_benchmarks", campaign.run(cli.par));
+    let results = expect_all("extension_benchmarks", campaign.run(par));
 
     for (w, chunk) in workloads.iter().zip(results.chunks(configs.len() + 1)) {
         println!("--- {}: {} ---", w.name(), w.description());

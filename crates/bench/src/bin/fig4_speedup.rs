@@ -3,12 +3,12 @@
 //! ten benchmarks.
 
 use hsc_bench::par::parse_sweep_cli;
-use hsc_bench::{header, mean, paper, pct_saved, sweep_sharded};
+use hsc_bench::{header, mean, paper, pct_saved, sweep};
 use hsc_core::CoherenceConfig;
 use hsc_workloads::all_workloads;
 
 fn main() {
-    let cli = parse_sweep_cli("fig4_speedup");
+    let par = parse_sweep_cli("fig4_speedup");
     header(
         "Figure 4",
         "%saved simulated cycles per optimization vs baseline",
@@ -21,7 +21,7 @@ fn main() {
         ("llcWB", CoherenceConfig::llc_write_back()),
     ];
     let workloads = all_workloads();
-    let cells = sweep_sharded(&workloads, &configs, cli.par, cli.shards);
+    let cells = sweep(&workloads, &configs, par);
     println!("{:8} {:>12} {:>14} {:>10}", "bench", "earlyResp%", "noWBcleanVic%", "llcWB%");
     let mut all = Vec::new();
     for chunk in cells.chunks(configs.len()) {

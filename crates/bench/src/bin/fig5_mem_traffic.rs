@@ -3,12 +3,12 @@
 //! bars), plus the §III-B1 "drop clean victims" ablation column.
 
 use hsc_bench::par::parse_sweep_cli;
-use hsc_bench::{header, mean, paper, pct_saved, sweep_sharded};
+use hsc_bench::{header, mean, paper, pct_saved, sweep};
 use hsc_core::CoherenceConfig;
 use hsc_workloads::all_workloads;
 
 fn main() {
-    let cli = parse_sweep_cli("fig5_mem_traffic");
+    let par = parse_sweep_cli("fig5_mem_traffic");
     header(
         "Figure 5",
         "#memory reads/writes from the directory per configuration",
@@ -22,7 +22,7 @@ fn main() {
         ("llcWB+useL3OnWT", CoherenceConfig::llc_write_back_l3_on_wt()),
     ];
     let workloads = all_workloads();
-    let cells = sweep_sharded(&workloads, &configs, cli.par, cli.shards);
+    let cells = sweep(&workloads, &configs, par);
     println!("{:8} {:>16} {:>7} {:>7} {:>10}", "bench", "config", "memRd", "memWr", "saved%");
     let mut best_saved = Vec::new();
     for chunk in cells.chunks(configs.len()) {

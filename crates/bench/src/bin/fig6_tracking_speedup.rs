@@ -4,12 +4,12 @@
 //! see EXPERIMENTS.md for the selection rationale).
 
 use hsc_bench::par::parse_sweep_cli;
-use hsc_bench::{header, mean, paper, pct_saved, sweep_sharded};
+use hsc_bench::{header, mean, paper, pct_saved, sweep};
 use hsc_core::CoherenceConfig;
 use hsc_workloads::collaborative_workloads;
 
 fn main() {
-    let cli = parse_sweep_cli("fig6_tracking_speedup");
+    let par = parse_sweep_cli("fig6_tracking_speedup");
     header(
         "Figure 6",
         "%saved simulated cycles with §IV state tracking vs baseline",
@@ -21,7 +21,7 @@ fn main() {
         ("sharerTracking", CoherenceConfig::sharer_tracking()),
     ];
     let workloads = collaborative_workloads();
-    let cells = sweep_sharded(&workloads, &configs, cli.par, cli.shards);
+    let cells = sweep(&workloads, &configs, par);
     println!("{:8} {:>14} {:>15}", "bench", "owner%", "sharers%");
     let mut avgs = Vec::new();
     for chunk in cells.chunks(configs.len()) {

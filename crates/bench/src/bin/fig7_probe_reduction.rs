@@ -3,12 +3,12 @@
 //! benchmarks.
 
 use hsc_bench::par::parse_sweep_cli;
-use hsc_bench::{header, mean, paper, pct_saved, sweep_sharded};
+use hsc_bench::{header, mean, paper, pct_saved, sweep};
 use hsc_core::CoherenceConfig;
 use hsc_workloads::collaborative_workloads;
 
 fn main() {
-    let cli = parse_sweep_cli("fig7_probe_reduction");
+    let par = parse_sweep_cli("fig7_probe_reduction");
     header(
         "Figure 7",
         "% reduction in directory probes with §IV state tracking",
@@ -20,7 +20,7 @@ fn main() {
         ("sharerTracking", CoherenceConfig::sharer_tracking()),
     ];
     let workloads = collaborative_workloads();
-    let cells = sweep_sharded(&workloads, &configs, cli.par, cli.shards);
+    let cells = sweep(&workloads, &configs, par);
     println!(
         "{:8} {:>10} {:>10} {:>10} {:>9} {:>10}",
         "bench", "base#", "owner#", "sharer#", "owner%", "sharers%"

@@ -18,12 +18,6 @@
 //! * `--quick` — only the two CI workloads (`tq`, `hsti`) instead of
 //!   the full collaborative suite.
 //! * `--reps <N>` — timed repetitions per workload (default 5).
-//! * `--shards <N>` — drive every run on `N` parallel event wheels
-//!   (`System::run_sharded`; default 1 = the serial engine). Results are
-//!   byte-identical at any shard count, so the `events` column never
-//!   moves — only the wall clock does. The record's `shards` field says
-//!   which engine produced it, because sharded and serial wall-clock
-//!   numbers are not comparable.
 //! * `--out <path>` — where to write the JSON record (default
 //!   `BENCH_<rev>.json` with `<rev>` from `git describe`).
 //!
@@ -38,29 +32,25 @@
 
 use std::time::Instant;
 
-use hsc_bench::reporting::parse_shards_value;
 use hsc_core::{CoherenceConfig, SystemConfig};
 use hsc_obs::git_describe;
 use hsc_obs::json::JsonWriter;
-use hsc_workloads::{
-    collaborative_workloads, try_run_workload_sharded_on, Hsti, RunResult, Tq, Workload,
-};
+use hsc_workloads::{collaborative_workloads, run_workload_on, Hsti, Tq, Workload};
 
 struct Options {
     quick: bool,
     reps: u32,
-    shards: usize,
     out: Option<String>,
 }
 
 fn usage_exit(message: &str) -> ! {
     eprintln!("perf_baseline: {message}");
-    eprintln!("usage: perf_baseline [--quick] [--reps <N>] [--shards <N>] [--out <path>]");
+    eprintln!("usage: perf_baseline [--quick] [--reps <N>] [--out <path>]");
     std::process::exit(2);
 }
 
 fn parse_args(args: impl Iterator<Item = String>) -> Result<Options, String> {
-    let mut opts = Options { quick: false, reps: 5, shards: 1, out: None };
+    let mut opts = Options { quick: false, reps: 5, out: None };
     let mut args = args.peekable();
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -72,10 +62,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Options, String> {
                     .ok()
                     .filter(|&n| n >= 1)
                     .ok_or_else(|| format!("--reps: '{raw}' is not a positive integer"))?;
-            }
-            "--shards" => {
-                let raw = args.next().ok_or("--shards requires a shard count operand")?;
-                opts.shards = parse_shards_value(&raw)?;
             }
             "--out" => {
                 opts.out = Some(args.next().ok_or("--out requires a path operand")?);
@@ -104,24 +90,16 @@ impl Measurement {
     }
 }
 
-fn run_sharded(w: &dyn Workload, config: SystemConfig, shards: usize) -> RunResult {
-    match try_run_workload_sharded_on(w, config, shards) {
-        Ok(r) => r,
-        Err(e) => panic!("workload {} failed: {e}", w.name()),
-    }
-}
-
-fn measure(w: &dyn Workload, reps: u32, shards: usize) -> Measurement {
+fn measure(w: &dyn Workload, reps: u32) -> Measurement {
     let cfg = || SystemConfig::scaled(CoherenceConfig::baseline());
     // Warm-up rep: faults the binary in, fills the allocator's free
     // lists, and verifies the workload once so a broken protocol fails
-    // here rather than mid-measurement. It uses the same engine as the
-    // timed reps so the sharded path's thread pool is warm too.
-    let warm = run_sharded(w, cfg(), shards);
+    // here rather than mid-measurement.
+    let warm = run_workload_on(w, cfg());
     let mut wall_ms = Vec::with_capacity(reps as usize);
     for _ in 0..reps {
         let start = Instant::now();
-        let r = run_sharded(w, cfg(), shards);
+        let r = run_workload_on(w, cfg());
         wall_ms.push(start.elapsed().as_secs_f64() * 1000.0);
         assert_eq!(
             r.metrics.events,
@@ -152,8 +130,6 @@ fn write_json(path: &str, opts: &Options, rev: &str, rows: &[Measurement]) {
     w.boolean(opts.quick);
     w.key("reps");
     w.uint(u64::from(opts.reps));
-    w.key("shards");
-    w.uint(opts.shards as u64);
     w.key("workloads");
     w.begin_array();
     for m in rows {
@@ -202,19 +178,14 @@ fn main() {
         collaborative_workloads()
     };
 
-    // `--shards 1` stdout stays byte-identical to the serial engine's;
-    // a sharded run says so up front because its wall-clock numbers are
-    // not comparable to serial ones.
-    let engine =
-        if opts.shards > 1 { format!(" on {} shards", opts.shards) } else { String::new() };
     println!(
-        "perf_baseline: {} workload(s), {} timed rep(s) each{engine}, rev {rev}",
+        "perf_baseline: {} workload(s), {} timed rep(s) each, rev {rev}",
         workloads.len(),
         opts.reps
     );
     let mut rows = Vec::with_capacity(workloads.len());
     for w in &workloads {
-        let m = measure(w.as_ref(), opts.reps, opts.shards);
+        let m = measure(w.as_ref(), opts.reps);
         println!(
             "  {:<6} {:>9} events  min {:>8.2} ms  mean {:>8.2} ms  {:>6.2} M events/s",
             m.name,

@@ -16,13 +16,10 @@
 //! counts. Each row prints its rep count so a 3-rep quick record is never
 //! mistaken for a committed 5-rep baseline.
 //!
-//! The trend itself is **serial-engine only**: records whose `shards`
-//! field says they were measured on the sharded engine
-//! (`perf_baseline --shards N`) are printed and labelled but excluded
-//! from the best-baseline comparison, because sharded and serial
-//! wall-clock numbers are different quantities. Records predating the
-//! `shards` field were all serial and are treated (and labelled) as
-//! such.
+//! Records written while `perf_baseline` had a `--shards` flag carry a
+//! `shards` field. `1` (or no field) is the engine this tree still has;
+//! any other value was measured on the removed sharded engine and is
+//! rejected by name rather than compared with serial numbers.
 //!
 //! Two modes:
 //!
@@ -132,9 +129,6 @@ struct Row {
     /// Timed reps behind each `wall_ms_min` ("?" for records predating
     /// the explicit `reps` field).
     reps: String,
-    /// Event-wheel count the record was measured with: `None` for
-    /// records predating the `shards` field (all of which were serial).
-    shards: Option<u64>,
     /// `(events, wall_ms_min)` summed over the quick pair.
     events: u64,
     wall_ms: f64,
@@ -166,11 +160,13 @@ fn parse_baseline(name: &str, text: &str) -> Result<Row, String> {
         Some(_) => return Err("field 'reps' must be a positive count".to_owned()),
         None => "?".to_owned(),
     };
-    let shards = match doc.get("shards").and_then(Value::as_f64) {
-        Some(s) if s >= 1.0 => Some(s as u64),
-        Some(_) => return Err("field 'shards' must be a positive count".to_owned()),
-        None => None, // predates the sharded engine: serial by construction
-    };
+    match doc.get("shards").map(Value::as_f64) {
+        None | Some(Some(1.0)) => {}
+        Some(Some(n)) => {
+            return Err(format!("field 'shards' is {n}: measured on the removed sharded engine"))
+        }
+        Some(None) => return Err("field 'shards' must be a number".to_owned()),
+    }
     let workloads = doc
         .get("workloads")
         .and_then(Value::as_array)
@@ -198,15 +194,7 @@ fn parse_baseline(name: &str, text: &str) -> Result<Row, String> {
     if present == 0 {
         return Err(format!("record contains none of {QUICK_WORKLOADS:?}"));
     }
-    Ok(Row {
-        label: name.to_owned(),
-        rev,
-        reps,
-        shards,
-        events,
-        wall_ms,
-        workloads_present: present,
-    })
+    Ok(Row { label: name.to_owned(), rev, reps, events, wall_ms, workloads_present: present })
 }
 
 /// Measures the quick pair on this tree, `reps` timed runs each after one
@@ -238,7 +226,6 @@ fn measure_fresh(reps: u32) -> Row {
         label: "(this tree)".to_owned(),
         rev: git_describe(),
         reps: reps.to_string(),
-        shards: Some(1),
         events,
         wall_ms,
         workloads_present: QUICK_WORKLOADS.len(),
@@ -286,13 +273,6 @@ fn main() -> ExitCode {
     let gate_row = match &opts.against {
         Some(path) => match std::fs::read_to_string(path) {
             Ok(text) => match parse_baseline("(gate baseline)", &text) {
-                // The fresh measurement is serial, so a sharded gate
-                // record would compare different engines — refuse it
-                // rather than gate on an apples-to-oranges ratio.
-                Ok(row) if row.shards.unwrap_or(1) > 1 => usage_exit(&format!(
-                    "--against {path}: record was measured with {} shards; the gate compares serial throughput",
-                    row.shards.unwrap_or(1)
-                )),
                 Ok(row) => Some(row),
                 Err(e) => usage_exit(&format!("--against {path}: {e}")),
             },
@@ -309,11 +289,11 @@ fn main() -> ExitCode {
         opts.reps
     );
     let fresh = measure_fresh(opts.reps);
-    // Only serial records of the whole pair compete for "best": a 4-shard
-    // wall clock is a different quantity, and half the pair is half the work.
+    // Only records of the whole pair compete for "best": half the pair is
+    // half the work.
     let best = rows
         .iter()
-        .filter(|r| r.shards.unwrap_or(1) == 1 && r.workloads_present == QUICK_WORKLOADS.len())
+        .filter(|r| r.workloads_present == QUICK_WORKLOADS.len())
         .map(|r| r.wall_ms)
         .fold(f64::INFINITY, f64::min);
 
@@ -324,11 +304,6 @@ fn main() -> ExitCode {
     for row in rows.iter().chain(gate_row.iter()).chain(std::iter::once(&fresh)) {
         let partial =
             if row.workloads_present < QUICK_WORKLOADS.len() { " (partial pair)" } else { "" };
-        let engine = match row.shards {
-            Some(1) => "",
-            Some(_) => " (sharded: not in trend)",
-            None => " (pre-shards record)",
-        };
         let note = if row.label == "(this tree)" {
             let delta = if best.is_finite() {
                 format!("{:+.1}% wall_ms vs best", 100.0 * (row.wall_ms / best - 1.0))
@@ -339,7 +314,7 @@ fn main() -> ExitCode {
         } else if row.label == "(gate baseline)" {
             format!("same runner{partial}")
         } else {
-            format!("{partial}{engine}").trim_start().to_owned()
+            partial.trim_start().to_owned()
         };
         println!(
             "{:<24} {:<12} {:>4} {:>9} {:>10.2} {:>8.2}  {note}",
@@ -396,4 +371,43 @@ fn main() -> ExitCode {
         println!("perf_trend: ok — no committed baselines to compare against");
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn record(extra: &str, workloads: &str) -> String {
+        format!(
+            r#"{{"schema":"hsc-perf-baseline/v1","git":"abc1234","quick":true,"reps":5{extra},"workloads":[{workloads}]}}"#
+        )
+    }
+
+    const PAIR: &str = r#"{"name":"tq","events":100,"wall_ms_min":1.5},{"name":"hsti","events":50,"wall_ms_min":2.0},{"name":"sc","events":7,"wall_ms_min":9.0}"#;
+
+    #[test]
+    fn parse_baseline_sums_the_quick_pair_with_or_without_a_serial_shards_field() {
+        for extra in ["", r#","shards":1"#] {
+            let row = parse_baseline("BENCH_x.json", &record(extra, PAIR)).unwrap();
+            assert_eq!((row.rev.as_str(), row.reps.as_str()), ("abc1234", "5"));
+            assert_eq!((row.events, row.workloads_present), (150, 2));
+            assert!((row.wall_ms - 3.5).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn parse_baseline_rejects_sharded_records_by_name() {
+        let err = parse_baseline("BENCH_x.json", &record(r#","shards":4"#, PAIR)).err().unwrap();
+        assert!(err.contains("'shards' is 4"), "{err}");
+        assert!(err.contains("removed sharded engine"), "{err}");
+        assert!(parse_baseline("BENCH_x.json", &record(r#","shards":"two""#, PAIR)).is_err());
+    }
+
+    #[test]
+    fn parse_baseline_rejects_wrong_schema_and_records_without_the_quick_pair() {
+        let wrong = record("", PAIR).replace("baseline/v1", "baseline/v9");
+        assert!(parse_baseline("BENCH_x.json", &wrong).err().unwrap().contains("schema"));
+        let none = record("", r#"{"name":"sc","events":7,"wall_ms_min":9.0}"#);
+        assert!(parse_baseline("BENCH_x.json", &none).err().unwrap().contains("none of"));
+    }
 }

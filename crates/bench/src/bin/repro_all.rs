@@ -26,31 +26,24 @@
 //!   the machine's available parallelism). Forwarded to every sweep
 //!   child binary. Stdout and the report are **byte-identical at any
 //!   worker count**; only wall-clock changes.
-//! * `--shards <N>` — event wheels per run (`System::run_sharded`,
-//!   default 1 = serial), forwarded to every sweep child binary.
-//!   Stdout is byte-identical at any shard count; the `--report` JSON
-//!   drops its (serial-only) epoch time series when `N > 1` but keeps
-//!   counters, latency percentiles, and the agent profile
-//!   byte-identical.
 
 use std::process::Command;
 
 use hsc_bench::par::Campaign;
-use hsc_bench::reporting::{observed_record_sharded, parse_cli, write_report, REPORT_EPOCH_TICKS};
+use hsc_bench::reporting::{observed_record, parse_cli, write_report, REPORT_EPOCH_TICKS};
 use hsc_core::{CoherenceConfig, SystemConfig};
 use hsc_obs::{ObsConfig, RunRecord, RunReport};
 use hsc_workloads::{
-    collaborative_workloads, run_workload_observed, try_run_workload_sharded_on, Hsti, Tq, Workload,
+    collaborative_workloads, run_workload_observed, try_run_workload_on, Hsti, Tq, Workload,
 };
 
 fn main() {
     let opts = parse_cli("repro_all");
     let par = opts.parallelism("repro_all");
-    let shards = opts.shards();
     let traced = opts.trace_workload("repro_all");
 
     if !opts.quick && traced.is_none() {
-        // (bin, whether it takes the campaign `--jobs`/`--shards` flags)
+        // (bin, whether it takes the campaign `--jobs` flag)
         let bins = [
             ("table2_cache_config", false),
             ("table3_system_config", false),
@@ -70,9 +63,6 @@ fn main() {
             let mut cmd = Command::new(&path);
             if takes_jobs {
                 cmd.args(["--jobs", &par.jobs().to_string()]);
-                if shards > 1 {
-                    cmd.args(["--shards", &shards.to_string()]);
-                }
             }
             let status =
                 cmd.status().unwrap_or_else(|e| panic!("failed to run {}: {e}", path.display()));
@@ -87,8 +77,7 @@ fn main() {
     if let Some(tw) = &traced {
         // Replay the trace once on the evaluation system so `--trace`
         // has a visible outcome even without `--report`.
-        let r = try_run_workload_sharded_on(tw, cfg, shards)
-            .unwrap_or_else(|e| panic!("trace replay failed: {e}"));
+        let r = try_run_workload_on(tw, cfg).unwrap_or_else(|e| panic!("trace replay failed: {e}"));
         println!(
             "trace replayed and verified: {} ticks, {} GPU cycles",
             r.metrics.ticks, r.metrics.gpu_cycles
@@ -105,19 +94,11 @@ fn main() {
         };
         let mut report = RunReport::new("repro_all");
         report.fingerprint_config(&cfg);
-        // Epoch time-series sampling is serial-only, so a sharded
-        // report uses the sharded-reproducible config (counters,
-        // latency percentiles, agent profile — all byte-identical).
-        let obs = if shards > 1 {
-            ObsConfig::report_sharded()
-        } else {
-            ObsConfig::report(REPORT_EPOCH_TICKS)
-        };
+        let obs = ObsConfig::report(REPORT_EPOCH_TICKS);
         let mut campaign: Campaign<'_, RunRecord> = Campaign::new("repro_all/report");
         for w in &workloads {
             let w = w.as_ref();
-            campaign
-                .push(w.name(), move || observed_record_sharded(w, "baseline", cfg, obs, shards));
+            campaign.push(w.name(), move || observed_record(w, "baseline", cfg, obs));
         }
         // Records land in submission order, so the report JSON is
         // byte-identical to a serial run's.

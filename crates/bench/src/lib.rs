@@ -10,7 +10,7 @@
 pub mod par;
 
 use hsc_core::{CoherenceConfig, Metrics, SystemConfig};
-use hsc_workloads::{try_run_workload_sharded_on, Workload};
+use hsc_workloads::{run_workload_on, Workload};
 
 use crate::par::{expect_all, Campaign, Parallelism};
 
@@ -55,32 +55,12 @@ pub fn sweep(
     configs: &[(&'static str, CoherenceConfig)],
     par: Parallelism,
 ) -> Vec<Cell> {
-    sweep_sharded(workloads, configs, par, 1)
-}
-
-/// [`sweep`] with each run driven on `shards` parallel event wheels
-/// ([`hsc_core::System::run_sharded`]); `shards <= 1` is exactly the
-/// serial sweep. Metrics — and therefore every printed table — are
-/// byte-identical at any shard count, so `--shards` composes freely with
-/// `--jobs`: one parallelizes inside a run, the other across runs.
-///
-/// # Panics
-///
-/// Panics naming the `workload/config` job if any run fails.
-#[must_use]
-pub fn sweep_sharded(
-    workloads: &[Box<dyn Workload>],
-    configs: &[(&'static str, CoherenceConfig)],
-    par: Parallelism,
-    shards: usize,
-) -> Vec<Cell> {
     let mut campaign = Campaign::new("sweep");
     for w in workloads {
         for (name, cfg) in configs {
             let w = w.as_ref();
             campaign.push(format!("{}/{name}", w.name()), move || {
-                let r = try_run_workload_sharded_on(w, SystemConfig::scaled(*cfg), shards)
-                    .unwrap_or_else(|e| panic!("workload {} failed: {e}", w.name()));
+                let r = run_workload_on(w, SystemConfig::scaled(*cfg));
                 Cell { workload: r.workload, config: name, metrics: r.metrics }
             });
         }
@@ -126,7 +106,7 @@ pub mod reporting {
     use hsc_obs::{ObsConfig, RunRecord, RunReport};
     use hsc_sim::SimError;
     use hsc_workloads::trace::{StreamKind, TraceProgram, TraceWorkload, TrafficSpec};
-    use hsc_workloads::{run_workload_observed_sharded, Workload, WorkloadError};
+    use hsc_workloads::{run_workload_observed, Workload, WorkloadError};
 
     /// Epoch width (ticks) used by report runs: fine enough to show
     /// bursts on the scaled evaluation system (runs are a few million
@@ -150,18 +130,9 @@ pub mod reporting {
         pub trace_gen: Option<String>,
         /// Explicit `--jobs <N>` campaign worker count.
         pub jobs: Option<usize>,
-        /// Explicit `--shards <N>` parallel event-wheel count for single
-        /// runs (`hsc_core::System::run_sharded`).
-        pub shards: Option<usize>,
     }
 
     impl CliOptions {
-        /// The effective shard count: the `--shards` flag, defaulting to
-        /// 1 (the serial engine).
-        #[must_use]
-        pub fn shards(&self) -> usize {
-            self.shards.unwrap_or(1)
-        }
         /// Resolves the campaign worker count for this invocation:
         /// `--jobs` flag, then `HSC_JOBS`, then the machine's available
         /// parallelism. Exits with usage on an invalid `HSC_JOBS` value.
@@ -216,13 +187,13 @@ pub mod reporting {
     }
 
     /// Parses `--report <path>`, `--quick`, `--perfetto <path>`,
-    /// `--trace <file>`, `--trace-gen <spec>`, `--jobs <N>` and
-    /// `--shards <N>` from the process arguments.
+    /// `--trace <file>`, `--trace-gen <spec>` and `--jobs <N>` from the
+    /// process arguments.
     ///
-    /// An unknown flag, a missing operand, or a non-numeric `--jobs` /
-    /// `--shards` value prints the offending argument plus usage text to
-    /// stderr and exits with status 2 — so a typo fails a CI job with a
-    /// readable message instead of silently dropping the report.
+    /// An unknown flag, a missing operand, or a non-numeric `--jobs` value
+    /// prints the offending argument plus usage text to stderr and exits
+    /// with status 2 — so a typo fails a CI job with a readable message
+    /// instead of silently dropping the report.
     #[must_use]
     pub fn parse_cli(command: &str) -> CliOptions {
         match parse_args(std::env::args().skip(1)) {
@@ -234,24 +205,9 @@ pub mod reporting {
     fn cli_usage_exit(command: &str, message: &str) -> ! {
         eprintln!("{command}: {message}");
         eprintln!(
-            "usage: {command} [--quick] [--report <path>] [--perfetto <path>] [--trace <file>] [--trace-gen <spec>] [--jobs <N>] [--shards <N>]"
+            "usage: {command} [--quick] [--report <path>] [--perfetto <path>] [--trace <file>] [--trace-gen <spec>] [--jobs <N>]"
         );
         std::process::exit(2);
-    }
-
-    /// Parses the operand of a `--shards` flag (same contract as
-    /// `par::parse_jobs_value`: a positive integer or a usage error).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the bad value if it is not a positive
-    /// integer — `--shards 0` is rejected rather than silently meaning
-    /// "serial"; serial is spelled `--shards 1` (or omitting the flag).
-    pub fn parse_shards_value(raw: &str) -> Result<usize, String> {
-        match raw.parse::<usize>() {
-            Ok(n) if n > 0 => Ok(n),
-            _ => Err(format!("--shards operand {raw:?} is not a positive integer")),
-        }
     }
 
     fn parse_args(args: impl Iterator<Item = String>) -> Result<CliOptions, String> {
@@ -278,10 +234,6 @@ pub mod reporting {
                 "--jobs" => {
                     let raw = args.next().ok_or("--jobs requires a thread count operand")?;
                     opts.jobs = Some(crate::par::parse_jobs_value(&raw)?);
-                }
-                "--shards" => {
-                    let raw = args.next().ok_or("--shards requires a shard count operand")?;
-                    opts.shards = Some(parse_shards_value(&raw)?);
                 }
                 "--quick" => opts.quick = true,
                 other => return Err(format!("unknown argument '{other}'")),
@@ -319,23 +271,7 @@ pub mod reporting {
         cfg: SystemConfig,
         obs: ObsConfig,
     ) -> RunRecord {
-        observed_record_sharded(w, config_label, cfg, obs, 1)
-    }
-
-    /// Like [`observed_record`], but runs on `shards` parallel event
-    /// wheels. With `shards > 1` the observability config must be one a
-    /// sharded run reproduces byte-identically (use
-    /// [`ObsConfig::report_sharded`]); `shards <= 1` is exactly the
-    /// serial [`observed_record`] path.
-    #[must_use]
-    pub fn observed_record_sharded(
-        w: &dyn Workload,
-        config_label: &str,
-        cfg: SystemConfig,
-        obs: ObsConfig,
-        shards: usize,
-    ) -> RunRecord {
-        let run = run_workload_observed_sharded(w, cfg, obs, shards);
+        let run = run_workload_observed(w, cfg, obs);
         let mut rec = RunRecord {
             workload: w.name().to_owned(),
             config: config_label.to_owned(),
@@ -390,8 +326,6 @@ pub mod reporting {
                 "/tmp/t.trace",
                 "--jobs",
                 "4",
-                "--shards",
-                "2",
             ])
             .unwrap();
             assert!(o.quick);
@@ -399,7 +333,6 @@ pub mod reporting {
             assert_eq!(o.perfetto.unwrap().to_str(), Some("/tmp/p.json"));
             assert_eq!(o.trace.unwrap().to_str(), Some("/tmp/t.trace"));
             assert_eq!(o.jobs, Some(4));
-            assert_eq!(o.shards, Some(2));
         }
 
         #[test]
@@ -411,16 +344,12 @@ pub mod reporting {
         }
 
         #[test]
-        fn cli_shards_defaults_to_serial() {
-            assert_eq!(parse(&[]).unwrap().shards(), 1);
-            assert_eq!(parse(&["--shards", "4"]).unwrap().shards(), 4);
-        }
-
-        #[test]
         fn cli_rejects_unknown_flags_with_the_flag_named() {
-            let err = parse(&["--frobnicate"]).unwrap_err();
-            assert!(err.contains("unknown argument"));
-            assert!(err.contains("--frobnicate"));
+            for junk in [&["--frobnicate"][..], &["--shards", "2"]] {
+                let err = parse(junk).unwrap_err();
+                assert!(err.contains("unknown argument"));
+                assert!(err.contains(junk[0]));
+            }
         }
 
         #[test]
@@ -430,7 +359,6 @@ pub mod reporting {
             assert!(parse(&["--trace"]).unwrap_err().contains("--trace"));
             assert!(parse(&["--trace-gen"]).unwrap_err().contains("--trace-gen"));
             assert!(parse(&["--jobs"]).unwrap_err().contains("--jobs"));
-            assert!(parse(&["--shards"]).unwrap_err().contains("--shards"));
         }
 
         #[test]
@@ -438,18 +366,6 @@ pub mod reporting {
             assert!(parse(&["--jobs", "0"]).is_err());
             assert!(parse(&["--jobs", "-2"]).is_err());
             assert!(parse(&["--jobs", "many"]).is_err());
-        }
-
-        #[test]
-        fn cli_rejects_bad_shards_values() {
-            // Same contract as --jobs: zero, negatives and non-numbers
-            // all name the offending operand (the caller turns that into
-            // usage text + exit 2).
-            for bad in ["0", "-2", "many", "4.5", ""] {
-                let err = parse(&["--shards", bad]).unwrap_err();
-                assert!(err.contains("--shards"), "error names the flag: {err}");
-                assert!(err.contains("positive integer"), "error explains: {err}");
-            }
         }
     }
 }

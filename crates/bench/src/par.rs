@@ -250,41 +250,21 @@ pub fn expect_all<T>(label: &str, results: Vec<JobResult<T>>) -> Vec<T> {
     values
 }
 
-/// A figure binary's command line: campaign worker threads plus the
-/// per-run event-wheel count.
-///
-/// The two axes compose but are orthogonal: `--jobs` parallelizes
-/// *across* runs (one `System` per job), `--shards` parallelizes
-/// *inside* each run (`System::run_sharded`). Both leave stdout
-/// byte-identical; only wall-clock moves.
-#[derive(Debug, Clone, Copy)]
-pub struct SweepCli {
-    /// Campaign worker threads.
-    pub par: Parallelism,
-    /// Event wheels per run (`System::run_sharded`); 1 = the serial
-    /// engine.
-    pub shards: usize,
-}
-
-/// Parses a `--jobs <N> --shards <N>` command line (the figure
-/// binaries), erroring on any other flag, and resolves the worker count.
+/// Parses a `--jobs <N>`-only command line (the figure binaries), erroring
+/// on any other flag, and resolves the worker count.
 ///
 /// Exits with status 2 and usage text on stderr for an unknown flag, a
 /// missing or non-numeric operand, or an invalid `HSC_JOBS` value.
 #[must_use]
-pub fn parse_sweep_cli(command: &str) -> SweepCli {
+pub fn parse_sweep_cli(command: &str) -> Parallelism {
     match parse_sweep_args(std::env::args().skip(1)) {
-        Ok((flag, shards)) => SweepCli {
-            par: Parallelism::resolve(flag).unwrap_or_else(|msg| usage_exit(command, &msg)),
-            shards,
-        },
+        Ok(flag) => Parallelism::resolve(flag).unwrap_or_else(|msg| usage_exit(command, &msg)),
         Err(msg) => usage_exit(command, &msg),
     }
 }
 
-fn parse_sweep_args(args: impl Iterator<Item = String>) -> Result<(Option<usize>, usize), String> {
+fn parse_sweep_args(args: impl Iterator<Item = String>) -> Result<Option<usize>, String> {
     let mut jobs = None;
-    let mut shards = 1;
     let mut args = args.peekable();
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -292,14 +272,10 @@ fn parse_sweep_args(args: impl Iterator<Item = String>) -> Result<(Option<usize>
                 let raw = args.next().ok_or("--jobs requires a thread count operand")?;
                 jobs = Some(parse_jobs_value(&raw)?);
             }
-            "--shards" => {
-                let raw = args.next().ok_or("--shards requires a shard count operand")?;
-                shards = crate::reporting::parse_shards_value(&raw)?;
-            }
             other => return Err(format!("unknown argument '{other}'")),
         }
     }
-    Ok((jobs, shards))
+    Ok(jobs)
 }
 
 /// Parses the operand of a `--jobs` flag.
@@ -314,11 +290,11 @@ pub fn parse_jobs_value(raw: &str) -> Result<usize, String> {
     }
 }
 
-/// Prints `message` and usage text for a `--jobs`/`--shards` binary to
-/// stderr, then exits with status 2.
+/// Prints `message` and usage text for a `--jobs`-only binary to stderr,
+/// then exits with status 2.
 pub fn usage_exit(command: &str, message: &str) -> ! {
     eprintln!("{command}: {message}");
-    eprintln!("usage: {command} [--jobs <N>] [--shards <N>]");
+    eprintln!("usage: {command} [--jobs <N>]");
     std::process::exit(2);
 }
 
@@ -403,17 +379,15 @@ mod tests {
     #[test]
     fn sweep_cli_parses_flags_and_rejects_junk() {
         let parse = |args: &[&str]| parse_sweep_args(args.iter().map(|s| (*s).to_owned()));
-        assert_eq!(parse(&[]), Ok((None, 1)));
-        assert_eq!(parse(&["--jobs", "4"]), Ok((Some(4), 1)));
-        assert_eq!(parse(&["--jobs", "4", "--shards", "2"]), Ok((Some(4), 2)));
-        assert_eq!(parse(&["--shards", "8"]), Ok((None, 8)));
+        assert_eq!(parse(&[]), Ok(None));
+        assert_eq!(parse(&["--jobs", "4"]), Ok(Some(4)));
         assert!(parse(&["--jobs"]).is_err());
         assert!(parse(&["--jobs", "zero"]).is_err());
         assert!(parse(&["--jobs", "0"]).is_err());
-        assert!(parse(&["--shards"]).is_err());
-        assert!(parse(&["--shards", "0"]).unwrap_err().contains("--shards"));
-        assert!(parse(&["--shards", "many"]).is_err());
-        assert!(parse(&["--frobnicate"]).unwrap_err().contains("unknown argument"));
+        for junk in [&["--frobnicate"][..], &["--shards", "2"]] {
+            let err = parse(junk).unwrap_err();
+            assert!(err.contains("unknown argument") && err.contains(junk[0]), "{err}");
+        }
     }
 
     #[test]

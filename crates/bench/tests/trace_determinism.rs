@@ -4,31 +4,30 @@
 //! The trace pipeline (generate → replay → report) must keep the same
 //! byte-identity guarantees the figure binaries give: the `RunReport`
 //! JSON and the rendered metrics table for a traced run must not move by
-//! a byte between `--shards 1`, `2`, and `4`, nor between campaign
-//! worker counts 1 and 4 (`--jobs`). And the five generator presets must
-//! all replay to a **verified** final memory — the self-computed
-//! expectation from the trace alone matches what the coherent system
-//! actually did. A separate process-level test pins the `--trace`
-//! operand contract: a nonexistent path is usage text + exit 2, not a
-//! panic.
+//! a byte between campaign worker counts 1 and 4 (`--jobs`). And the five
+//! generator presets must all replay to a **verified** final memory — the
+//! self-computed expectation from the trace alone matches what the
+//! coherent system actually did. Separate process-level tests pin the
+//! command-line contract: a nonexistent `--trace` path or an unknown flag
+//! is usage text + exit 2, not a panic.
 
 use std::fmt::Write as _;
 
 use hsc_bench::par::{expect_all, Campaign, Parallelism};
-use hsc_bench::reporting::observed_record_sharded;
+use hsc_bench::reporting::{observed_record, REPORT_EPOCH_TICKS};
 use hsc_core::{CoherenceConfig, ObsConfig, SystemConfig};
 use hsc_obs::RunReport;
 use hsc_workloads::trace::{presets, TraceWorkload, TrafficSpec};
-use hsc_workloads::try_run_workload_sharded_on;
+use hsc_workloads::try_run_workload_on;
 
 fn preset_workload(name: &str) -> TraceWorkload {
     TraceWorkload::new(TrafficSpec::parse(name).expect("preset spec").generate())
 }
 
-/// One traced-run pass at the given shard and worker count: report JSON
-/// plus a golden-stdout-style metrics table, both strings so a mismatch
-/// is a byte diff.
-fn traced_artifacts(shards: usize, jobs: usize) -> (String, String) {
+/// One traced-run pass at the given worker count: report JSON plus a
+/// golden-stdout-style metrics table, both strings so a mismatch is a
+/// byte diff.
+fn traced_artifacts(jobs: usize) -> (String, String) {
     let cfg = SystemConfig::scaled(CoherenceConfig::baseline());
     let mut report = RunReport::new("trace_determinism");
     report.git = "golden".to_owned();
@@ -40,12 +39,12 @@ fn traced_artifacts(shards: usize, jobs: usize) -> (String, String) {
     for _ in 0..2 {
         let w = &w;
         campaign.push("trace", move || {
-            observed_record_sharded(w, "baseline", cfg, ObsConfig::report_sharded(), shards)
+            observed_record(w, "baseline", cfg, ObsConfig::report(REPORT_EPOCH_TICKS))
         });
     }
     let mut table = String::new();
     for rec in expect_all("trace_determinism", campaign.run(Parallelism::of(jobs))) {
-        assert_eq!(rec.outcome, "completed", "traced run at {shards} shard(s)");
+        assert_eq!(rec.outcome, "completed", "traced run at {jobs} job(s)");
         writeln!(table, "== {} ==", rec.workload).unwrap();
         writeln!(table, "ticks        {}", rec.ticks).unwrap();
         writeln!(table, "gpu_cycles   {}", rec.gpu_cycles).unwrap();
@@ -58,48 +57,58 @@ fn traced_artifacts(shards: usize, jobs: usize) -> (String, String) {
 }
 
 /// Report JSON and metrics tables for a traced run are byte-identical at
-/// shards 1, 2, 4 and at campaign worker counts 1 vs 4.
+/// campaign worker counts 1 vs 4.
 #[test]
-fn traced_artifacts_identical_across_shards_and_jobs() {
-    let (ref_json, ref_table) = traced_artifacts(1, 1);
+fn traced_artifacts_identical_across_jobs() {
+    let (ref_json, ref_table) = traced_artifacts(1);
     assert!(ref_json.contains("\"trace\""), "report carries the traced workload");
-    for (shards, jobs) in [(1usize, 4usize), (2, 1), (2, 4), (4, 1)] {
-        let (json, table) = traced_artifacts(shards, jobs);
-        assert_eq!(ref_table, table, "metrics diverged at shards={shards} jobs={jobs}");
-        assert_eq!(ref_json, json, "report JSON diverged at shards={shards} jobs={jobs}");
-    }
+    let (json, table) = traced_artifacts(4);
+    assert_eq!(ref_table, table, "metrics diverged at jobs=4");
+    assert_eq!(ref_json, json, "report JSON diverged at jobs=4");
 }
 
 /// Every generator preset replays through the coherent system and passes
-/// its own self-verification (`TraceWorkload::verify`), serial and
-/// sharded.
+/// its own self-verification (`TraceWorkload::verify`).
 #[test]
 fn all_presets_replay_and_verify() {
     let cfg = SystemConfig::scaled(CoherenceConfig::baseline());
     for (name, _, spec) in presets() {
         let w = TraceWorkload::new(spec.generate());
-        for shards in [1usize, 2] {
-            let r = try_run_workload_sharded_on(&w, cfg, shards)
-                .unwrap_or_else(|e| panic!("preset {name} at {shards} shard(s): {e}"));
-            assert!(r.metrics.ticks > 0, "preset {name} actually ran");
-        }
+        let r = try_run_workload_on(&w, cfg).unwrap_or_else(|e| panic!("preset {name}: {e}"));
+        assert!(r.metrics.ticks > 0, "preset {name} actually ran");
     }
 }
 
-/// `--trace` on a nonexistent path is a usage error (exit 2 with the
-/// path named), matching the `--shards`/`--jobs` operand convention —
-/// not a panic, not a silent fallback to the benchmark suite.
-#[test]
-fn characterize_rejects_unreadable_trace_path_with_usage() {
+/// Spawns `characterize` with arguments it must refuse and checks the
+/// usage-error contract: exit 2, usage text on stderr, nothing on stdout.
+/// Returns stderr so the caller can check what it names.
+fn characterize_usage_error(args: &[&str]) -> String {
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_characterize"))
-        .args(["--trace", "/nonexistent/corpus/missing.trace"])
+        .args(args)
         .output()
         .expect("characterize spawns");
     assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("missing.trace"), "stderr names the path: {stderr}");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert!(stderr.contains("usage: characterize"), "stderr shows usage: {stderr}");
     assert!(out.stdout.is_empty(), "no tables are printed on a usage error");
+    stderr
+}
+
+/// `--trace` on a nonexistent path is a usage error (exit 2 with the
+/// path named), matching the `--jobs` operand convention — not a panic,
+/// not a silent fallback to the benchmark suite.
+#[test]
+fn characterize_rejects_unreadable_trace_path_with_usage() {
+    let stderr = characterize_usage_error(&["--trace", "/nonexistent/corpus/missing.trace"]);
+    assert!(stderr.contains("missing.trace"), "stderr names the path: {stderr}");
+}
+
+/// A flag the binaries no longer have is an unknown flag like any other,
+/// not silently accepted.
+#[test]
+fn characterize_rejects_a_removed_flag_with_usage() {
+    let stderr = characterize_usage_error(&["--shards", "2"]);
+    assert!(stderr.contains("unknown argument '--shards'"), "stderr names the flag: {stderr}");
 }
 
 /// A malformed trace file is rejected the same way, with the parse

@@ -38,7 +38,6 @@ mod config;
 mod directory;
 mod llc;
 mod memctl;
-mod shard;
 mod system;
 pub mod tracking;
 
@@ -50,7 +49,6 @@ pub use directory::{Directory, DEFAULT_WATCHDOG_TICKS};
 pub use hsc_obs::{ObsConfig, ObsData};
 pub use llc::{Llc, LlcEviction, LlcLine};
 pub use memctl::MemoryController;
-pub use shard::ShardPlan;
 pub use system::{Metrics, System, SystemBuilder, TraceConfig};
 pub use tracking::{DirEntry, DirState, SharerSet};
 

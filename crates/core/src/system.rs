@@ -15,7 +15,7 @@ use crate::{Directory, MemoryController, SystemConfig};
 /// How often (in processed events) the run loop polls the directory
 /// watchdog. Purely an inspection cadence — it schedules no events, so it
 /// cannot perturb simulated behaviour.
-pub(crate) const WATCHDOG_POLL_EVENTS: u64 = 1024;
+const WATCHDOG_POLL_EVENTS: u64 = 1024;
 
 /// Message tracing for the event loop, configured through the builder.
 ///
@@ -246,14 +246,12 @@ impl SystemBuilder {
             observer: Observer::new(self.obs),
             flight: FlightRecorder::default(),
             gauge_labels: GaugeLabels::new(cfg.corepairs, n_gpus),
-            obs_cfg: self.obs,
-            sharded_obs: None,
         }
     }
 }
 
 #[derive(Debug)]
-pub(crate) enum Ev {
+enum Ev {
     Deliver(Message),
     Wake(AgentId),
 }
@@ -267,31 +265,23 @@ pub(crate) enum Ev {
 #[derive(Debug)]
 pub struct System {
     config: SystemConfig,
-    pub(crate) corepairs: Vec<CorePair>,
-    pub(crate) gpus: Vec<GpuCluster>,
-    pub(crate) dma: DmaEngine,
-    pub(crate) directory: Directory,
-    pub(crate) memctl: MemoryController,
-    pub(crate) network: FaultyNetwork,
-    pub(crate) queue: WheelQueue<Ev>,
-    pub(crate) now: Tick,
-    pub(crate) events_processed: u64,
-    pub(crate) started: bool,
-    pub(crate) trace_line: Option<u64>,
+    corepairs: Vec<CorePair>,
+    gpus: Vec<GpuCluster>,
+    dma: DmaEngine,
+    directory: Directory,
+    memctl: MemoryController,
+    network: FaultyNetwork,
+    queue: WheelQueue<Ev>,
+    now: Tick,
+    events_processed: u64,
+    started: bool,
+    trace_line: Option<u64>,
     tracer: Box<dyn Tracer>,
-    pub(crate) observer: Observer,
+    observer: Observer,
     /// Always-on post-mortem ring of the last delivered events: two plain
     /// stores per delivery, rendered only when a run fails.
-    pub(crate) flight: FlightRecorder,
+    flight: FlightRecorder,
     gauge_labels: GaugeLabels,
-    /// The observability config the system was built with; the sharded
-    /// run engine reads it to configure per-shard observers and reject
-    /// pillars that cannot be reproduced distributed.
-    pub(crate) obs_cfg: ObsConfig,
-    /// Merged observer output stashed by a sharded run; consumed by
-    /// [`System::take_obs_data`] in place of the (then-inert) serial
-    /// observer.
-    pub(crate) sharded_obs: Option<ObsData>,
 }
 
 /// Per-agent gauge label strings for the epoch sampler, formatted once at
@@ -350,19 +340,17 @@ impl System {
 
         while let Some((t, ev)) = self.queue.pop() {
             debug_assert!(t >= self.now, "time went backwards");
-            self.now = t;
-            self.events_processed += 1;
-            if self.events_processed > max_events {
-                return Err(SimError::EventBudgetExceeded { budget: max_events, now: self.now });
+            let nth = self.events_processed + 1;
+            if nth > max_events {
+                return Err(SimError::EventBudgetExceeded { budget: max_events, now: t });
             }
-            if self.events_processed.is_multiple_of(WATCHDOG_POLL_EVENTS)
-                && self.directory.watchdog().expired(self.now)
-            {
+            if nth.is_multiple_of(WATCHDOG_POLL_EVENTS) && self.directory.watchdog().expired(t) {
+                // The snapshot ages stuck lines against the event that
+                // found them, not the last one dispatched.
+                self.now = t;
                 return Err(self.deadlock());
             }
-            out.reset(t);
-            let agent = self.handle(t, ev, &mut out);
-            self.apply(agent, &mut out)?;
+            self.step(t, ev, &mut out)?;
             if self.observer.sample_due(self.now) {
                 self.sample_observer();
             }
@@ -398,9 +386,20 @@ impl System {
         Ok(())
     }
 
-    /// Routes one event to its controller: the shared body of the `run`
-    /// loop and [`System::step_choice`]. Returns the agent whose staged
-    /// actions the caller must `apply`.
+    /// Processes one event at time `t`: advances the clock, counts the
+    /// event, hands it to its controller and applies what that staged.
+    /// The `run` loop and [`System::step_choice`] both dispatch through
+    /// here and nowhere else.
+    fn step(&mut self, t: Tick, ev: Ev, out: &mut Outbox) -> Result<(), SimError> {
+        self.now = t;
+        self.events_processed += 1;
+        out.reset(t);
+        let agent = self.handle(t, ev, out);
+        self.apply(agent, out)
+    }
+
+    /// Routes one event to its controller. Returns the agent whose staged
+    /// actions [`System::step`] must `apply`.
     fn handle(&mut self, t: Tick, ev: Ev, out: &mut Outbox) -> AgentId {
         match ev {
             Ev::Deliver(msg) => {
@@ -494,16 +493,7 @@ impl System {
                 Err(i) => out.insert(i, m.clone()),
             }
         }
-        let mut data = match self.sharded_obs.take() {
-            // A sharded run already merged its per-shard observers; the
-            // serial observer never collected anything, but take it anyway
-            // so repeated calls stay consistent with the serial contract.
-            Some(d) => {
-                let _ = std::mem::take(&mut self.observer);
-                d
-            }
-            None => std::mem::take(&mut self.observer).into_data(),
-        };
+        let mut data = std::mem::take(&mut self.observer).into_data();
         let mut transitions = Vec::new();
         for cp in &self.corepairs {
             add_matrix(&mut transitions, cp.transitions());
@@ -630,11 +620,8 @@ impl System {
             snap.get(i).unwrap_or_else(|| panic!("choice index {i} out of range")).1
         };
         let (t, ev) = self.queue.remove_seq(seq).expect("snapshot seq must be removable");
-        self.now = self.now.max(t);
-        self.events_processed += 1;
         let mut out = Outbox::new(self.now);
-        let agent = self.handle(self.now, ev, &mut out);
-        self.apply(agent, &mut out)
+        self.step(self.now.max(t), ev, &mut out)
     }
 
     /// A compact FNV-1a fingerprint of all protocol-visible state:

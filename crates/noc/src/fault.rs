@@ -300,25 +300,6 @@ impl FaultyNetwork {
     pub fn network(&self) -> &Network {
         &self.inner
     }
-
-    /// A fresh fault-free sibling: same latency map, zeroed counters, no
-    /// plan. The sharded run engine gives each shard one of these for its
-    /// intra-shard traffic (fault decisions, when a plan exists, are made
-    /// centrally on the original so the RNG stream matches the serial
-    /// run's send order).
-    #[must_use]
-    pub fn sibling(&self) -> FaultyNetwork {
-        FaultyNetwork::new(self.inner.latency_map(), None)
-    }
-
-    /// Adds another instance's traffic and fault counters into this one
-    /// (see [`Network::absorb`]); injection counts sum too. The RNG state
-    /// and plan are untouched.
-    pub fn absorb(&mut self, other: &FaultyNetwork) {
-        self.inner.absorb(other.network());
-        self.counters.absorb(&other.counters);
-        self.injected += other.injected;
-    }
 }
 
 #[cfg(test)]

@@ -65,25 +65,6 @@ impl LatencyMap {
             (src, dst) => Err(WiringError { src, dst }),
         }
     }
-
-    /// The minimum one-way latency over every edge of the topology: the
-    /// conservative PDES lookahead when shard boundaries could cut *any*
-    /// edge (the sharded engine's fault mode, where all sends are decided
-    /// at the barrier).
-    #[must_use]
-    pub fn min_one_way(&self) -> u64 {
-        self.cache_dir.min(self.dir_mem)
-    }
-
-    /// The minimum one-way latency over edges that cross between the
-    /// cache/DMA side and the directory side — the edges a shard plan that
-    /// keeps directory and memory together can cut. Every such edge is a
-    /// cache↔directory hop in this star topology, so the lookahead is
-    /// `cache_dir`.
-    #[must_use]
-    pub fn min_cross_one_way(&self) -> u64 {
-        self.cache_dir
-    }
 }
 
 /// The system interconnect: timestamps deliveries and counts every message
@@ -190,14 +171,6 @@ impl Network {
     #[must_use]
     pub fn latency_map(&self) -> LatencyMap {
         self.latency
-    }
-
-    /// Adds another network's traffic counters into this one. The sharded
-    /// run engine counts each shard's local traffic on a private clone and
-    /// folds the clones back here at the end of the run; clones share one
-    /// registration order, so the fold is an index-wise sum.
-    pub fn absorb(&mut self, other: &Network) {
-        self.counters.absorb(&other.counters);
     }
 }
 

@@ -76,24 +76,6 @@ impl ObsConfig {
         ObsConfig { perfetto: false, protocol_analytics: false, ..ObsConfig::full(epoch_ticks) }
     }
 
-    /// The report pillars a sharded (`--shards N`) run can reproduce
-    /// byte-identically: latency tracking and agent profiling, but no
-    /// epoch time series. Epoch gauges (queue depth, per-agent in-flight
-    /// counts) are instantaneous snapshots of *global* state at an exact
-    /// serial event, which a run distributed over per-shard virtual clocks
-    /// cannot observe; the sharded engine therefore refuses a sampling
-    /// config rather than emit series that silently differ from serial.
-    #[must_use]
-    pub fn report_sharded() -> Self {
-        ObsConfig {
-            track_transactions: true,
-            sample_epoch_ticks: None,
-            perfetto: false,
-            profile_agents: true,
-            protocol_analytics: false,
-        }
-    }
-
     /// Whether any observer-hook subsystem is on. Protocol analytics are
     /// engine-side (recorded inside the controllers, not the observer
     /// hooks) and deliberately not part of this predicate.

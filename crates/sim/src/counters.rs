@@ -156,23 +156,6 @@ impl Counters {
         self.values.is_empty()
     }
 
-    /// Folds another registry's values into this one by key name: each of
-    /// `other`'s slots is interned here (keeping its visibility, with
-    /// visible winning over hidden) and its value added. The sharded run
-    /// engine uses this to merge per-shard network counter stores — which
-    /// are clones of one registry, so the fold is a pure index-wise sum —
-    /// but name-based matching keeps it correct for any pair of stores.
-    pub fn absorb(&mut self, other: &Counters) {
-        for (name, &slot) in &other.index {
-            let id = if other.visible[slot as usize] {
-                self.register(name)
-            } else {
-                self.register_hidden(name)
-            };
-            self.values[id.0 as usize] += other.values[slot as usize];
-        }
-    }
-
     /// Materializes the report-time [`StatSet`]: every visible slot plus
     /// every hidden slot that fired, in sorted key order — byte-identical
     /// to what the string-keyed implementation accumulated.
@@ -261,22 +244,6 @@ mod tests {
 
         assert_eq!(c.export(), s);
         assert_eq!(c.export().to_string(), s.to_string());
-    }
-
-    #[test]
-    fn absorb_sums_by_name_and_keeps_visibility() {
-        let mut a = Counters::new();
-        let x = a.register("x");
-        a.add(x, 3);
-        let mut b = a.clone(); // identically-registered sibling
-        b.add(x, 4);
-        let b_only = b.register_hidden("b.only");
-        b.bump(b_only);
-        a.absorb(&b);
-        assert_eq!(a.value("x"), 10);
-        assert_eq!(a.value("b.only"), 1);
-        // Visibility survives: x still exports, a zeroed hidden key would not.
-        assert_eq!(a.export().get("x"), 10);
     }
 
     #[test]

@@ -19,14 +19,12 @@
 //! * [`FlightRecorder`] — an always-on fixed-size ring of compact recent
 //!   events, dumped into diagnostics when a run fails.
 //!
-//! The simulator is deterministic by design: the test-suite asserts exact
-//! probe/memory-access counts against golden values. Parallelism comes in
-//! two forms, neither of which may perturb results: `hsc_bench::par` runs
-//! whole independent simulations as campaign jobs (each worker owns its
-//! engine; only plain-data results cross threads, merged in job-submission
-//! order), and the [`pdes`] module provides the conservative-lookahead
-//! building blocks `hsc_core` uses to shard a *single* run across threads
-//! while reproducing the serial event order bit for bit.
+//! The simulator is single-threaded by design: determinism is what lets the
+//! test-suite assert exact probe/memory-access counts against golden values.
+//! Parallelism lives one layer up, in `hsc_bench::par`, which runs whole
+//! independent simulations as campaign jobs — each worker owns its engine;
+//! only plain-data results ([`StatSet`], [`Histogram`], [`SimError`]) cross
+//! threads, merged deterministically in job-submission order.
 //!
 //! # Examples
 //!
@@ -47,7 +45,6 @@ mod counters;
 mod flight;
 mod fnv;
 mod outcome;
-pub mod pdes;
 #[cfg(test)]
 mod queue;
 mod rng;

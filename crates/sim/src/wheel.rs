@@ -246,26 +246,6 @@ impl<E> WheelQueue<E> {
     pub fn schedule(&mut self, tick: Tick, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.insert(tick, seq, event);
-    }
-
-    /// Schedules `event` at `tick` under a caller-chosen ordering key
-    /// instead of the internal sequence counter. Pops drain `(tick, key)`
-    /// ascending, and `key` doubles as the [`remove_seq`](Self::remove_seq)
-    /// handle.
-    ///
-    /// Contract: for any given tick, keys must be inserted in increasing
-    /// order over the queue's lifetime (the slot lists are append-only
-    /// FIFOs, so a late small key would pop after an earlier large one).
-    /// The sharded run engine satisfies this by construction — barrier
-    /// buckets arrive pre-sorted with globally monotone keys, and
-    /// intra-round keys have the high bit set, sorting after every bucket
-    /// key. Do not mix with [`schedule`](Self::schedule) on one queue.
-    pub fn schedule_keyed(&mut self, tick: Tick, key: u64, event: E) {
-        self.insert(tick, key, event);
-    }
-
-    fn insert(&mut self, tick: Tick, seq: u64, event: E) {
         let idx = match self.free.pop() {
             Some(idx) => {
                 self.meta[idx as usize] = Meta { tick: tick.0, seq, next: NIL };
@@ -374,14 +354,10 @@ impl<E> WheelQueue<E> {
     }
 
     /// Removes and returns the earliest event, or `None` if empty.
+    // `System::run` is the one hot caller; out of line, every iteration
+    // hands the event back through a return slot (cedd.base +3 %, measured).
+    #[inline]
     pub fn pop(&mut self) -> Option<(Tick, E)> {
-        self.pop_keyed().map(|(t, _, e)| (t, e))
-    }
-
-    /// Like [`pop`](Self::pop), but also returns the event's ordering key
-    /// (the internal seq for [`schedule`](Self::schedule)d events, the
-    /// caller's key for [`schedule_keyed`](Self::schedule_keyed) ones).
-    pub fn pop_keyed(&mut self) -> Option<(Tick, u64, E)> {
         if self.len == 0 {
             return None;
         }
@@ -390,7 +366,7 @@ impl<E> WheelQueue<E> {
             self.len -= 1;
             let event = self.payload[e.idx as usize].take().expect("slab slot vacated early");
             self.free.push(e.idx);
-            return Some((Tick(e.tick), e.seq, event));
+            return Some((Tick(e.tick), event));
         }
         self.advance();
         let c0 = (self.base & (SIZE[0] as u64 - 1)) as usize;
@@ -407,7 +383,7 @@ impl<E> WheelQueue<E> {
         self.len -= 1;
         let event = self.payload[idx as usize].take().expect("slab slot vacated early");
         self.free.push(idx);
-        Some((Tick(m.tick), m.seq, event))
+        Some((Tick(m.tick), event))
     }
 
     /// The tick of the earliest pending event, if any.
@@ -542,77 +518,6 @@ impl<E> WheelQueue<E> {
         None
     }
 
-    /// Removes and returns every pending event whose ordering key is
-    /// `>= min_key`, in no particular order.
-    ///
-    /// This is the sharded engine's end-of-round survivor sweep: events
-    /// scheduled mid-round carry high-bit keys (above every coordinator
-    /// sequence number), and any still pending at the barrier are pulled
-    /// out to be re-keyed globally. The walk visits only occupied slots
-    /// (via the occupancy bitmap) plus the two heaps, so its cost scales
-    /// with pending events, not wheel size.
-    pub fn extract_keyed_at_or_above(&mut self, min_key: u64) -> Vec<(Tick, u64, E)> {
-        let mut out = Vec::new();
-        if self.len == 0 {
-            return out;
-        }
-        for w in 0..OCC_WORDS {
-            let mut bits = self.occupancy[w];
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let si = w * 64 + b;
-                let mut prev = NIL;
-                let mut idx = self.slots[si].head;
-                while idx != NIL {
-                    let m = self.meta[idx as usize];
-                    if m.seq >= min_key {
-                        if prev == NIL {
-                            self.slots[si].head = m.next;
-                        } else {
-                            self.meta[prev as usize].next = m.next;
-                        }
-                        if m.next == NIL {
-                            self.slots[si].tail = prev;
-                        }
-                        let (t, e) = self.release(m.tick, idx);
-                        out.push((t, m.seq, e));
-                    } else {
-                        prev = idx;
-                    }
-                    idx = m.next;
-                }
-                if self.slots[si].head == NIL {
-                    self.occupancy[w] &= !(1u64 << b);
-                }
-            }
-        }
-        for past in [true, false] {
-            let taken = if past { &self.past } else { &self.overflow };
-            if !taken.iter().any(|e| e.seq >= min_key) {
-                continue;
-            }
-            let entries =
-                std::mem::take(if past { &mut self.past } else { &mut self.overflow }).into_vec();
-            let mut keep = Vec::with_capacity(entries.len());
-            for e in entries {
-                if e.seq >= min_key {
-                    let (t, ev) = self.release(e.tick, e.idx);
-                    out.push((t, e.seq, ev));
-                } else {
-                    keep.push(e);
-                }
-            }
-            let rebuilt = BinaryHeap::from(keep);
-            if past {
-                self.past = rebuilt;
-            } else {
-                self.overflow = rebuilt;
-            }
-        }
-        out
-    }
-
     /// Frees slab entry `idx` and returns its `(tick, payload)`.
     fn release(&mut self, tick: u64, idx: u32) -> (Tick, E) {
         self.len -= 1;
@@ -706,9 +611,12 @@ mod tests {
         q.schedule(Tick(1), 'a');
         q.schedule(Tick(2), 'b');
         q.schedule(Tick(3), 'c');
-        let seq_b = q.snapshot()[1].1;
+        q.schedule(Tick(1 << 40), 'o'); // beyond the wheel: overflow heap
+        let snap = q.snapshot();
+        let (seq_b, seq_o) = (snap[1].1, snap[3].1);
         assert_eq!(q.remove_seq(seq_b), Some((Tick(2), 'b')));
         assert_eq!(q.remove_seq(seq_b), None, "already removed");
+        assert_eq!(q.remove_seq(seq_o), Some((Tick(1 << 40), 'o')));
         assert_eq!(q.remove_seq(999), None, "unknown seq is a no-op");
         // Remaining events still drain in order, and the slab slot is reused.
         q.schedule(Tick(0), 'z');
@@ -716,48 +624,6 @@ mod tests {
         assert_eq!(q.pop(), Some((Tick(1), 'a')));
         assert_eq!(q.pop(), Some((Tick(3), 'c')));
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn keyed_scheduling_orders_by_caller_key() {
-        let mut q = WheelQueue::new();
-        q.schedule_keyed(Tick(5), 10, 'b');
-        q.schedule_keyed(Tick(5), 1 << 63, 'c'); // high-bit key: after every plain key
-        q.schedule_keyed(Tick(2), 7, 'a');
-        assert_eq!(q.pop_keyed(), Some((Tick(2), 7, 'a')));
-        assert_eq!(q.pop_keyed(), Some((Tick(5), 10, 'b')));
-        assert_eq!(q.pop_keyed(), Some((Tick(5), 1 << 63, 'c')));
-        assert_eq!(q.pop_keyed(), None);
-    }
-
-    #[test]
-    fn keyed_events_are_removable_by_key() {
-        let mut q = WheelQueue::new();
-        q.schedule_keyed(Tick(4), 100, 'x');
-        q.schedule_keyed(Tick(4), 200, 'y');
-        q.schedule_keyed(Tick(1 << 40), 300, 'z'); // overflow heap
-        assert_eq!(q.remove_seq(200), Some((Tick(4), 'y')));
-        assert_eq!(q.remove_seq(300), Some((Tick(1 << 40), 'z')));
-        assert_eq!(q.pop_keyed(), Some((Tick(4), 100, 'x')));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn extract_keyed_sweeps_high_keys_from_every_home() {
-        let mut q = WheelQueue::new();
-        q.schedule_keyed(Tick(4), 1, 'a'); // low key: stays
-        q.schedule_keyed(Tick(4), 1 << 63, 'm'); // level-0 slot
-        q.schedule_keyed(Tick(100_000), (1 << 63) | 1, 'n'); // higher level
-        q.schedule_keyed(Tick(1 << 40), (1 << 63) | 2, 'o'); // overflow heap
-        q.schedule_keyed(Tick(1 << 40), 2, 'b'); // overflow, low key: stays
-        let mut got = q.extract_keyed_at_or_above(1 << 63);
-        got.sort_unstable_by_key(|&(t, k, _)| (t, k));
-        let got: Vec<(u64, char)> = got.into_iter().map(|(t, _, e)| (t.0, e)).collect();
-        assert_eq!(got, [(4, 'm'), (100_000, 'n'), (1 << 40, 'o')]);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop_keyed(), Some((Tick(4), 1, 'a')));
-        assert_eq!(q.pop_keyed(), Some((Tick(1 << 40), 2, 'b')));
-        assert!(q.extract_keyed_at_or_above(0).is_empty(), "empty queue sweeps nothing");
     }
 
     #[test]

@@ -117,23 +117,7 @@ pub fn try_run_workload_on(
     w: &dyn Workload,
     config: SystemConfig,
 ) -> Result<RunResult, WorkloadError> {
-    let (outcome, _) = observe_workload_on(w, config, ObsConfig::off(), 1);
-    outcome
-}
-
-/// Like [`try_run_workload_on`], but drives the run on `shards` parallel
-/// event wheels via [`System::run_sharded`]. `shards <= 1` is exactly the
-/// serial path; any higher count produces byte-identical metrics.
-///
-/// # Errors
-///
-/// Same contract as [`try_run_workload_on`].
-pub fn try_run_workload_sharded_on(
-    w: &dyn Workload,
-    config: SystemConfig,
-    shards: usize,
-) -> Result<RunResult, WorkloadError> {
-    let (outcome, _) = observe_workload_on(w, config, ObsConfig::off(), shards);
+    let (outcome, _) = observe_workload_on(w, config, ObsConfig::off());
     outcome
 }
 
@@ -160,23 +144,7 @@ pub fn run_workload_observed(
     config: SystemConfig,
     obs: ObsConfig,
 ) -> ObservedRun {
-    let (outcome, obs) = observe_workload_on(w, config, obs, 1);
-    ObservedRun { outcome, obs }
-}
-
-/// Runs `w` observed on `shards` parallel event wheels. The observability
-/// config must be one a sharded run can reproduce byte-identically (e.g.
-/// [`ObsConfig::report_sharded`]) when `shards > 1`; epoch sampling and
-/// Perfetto capture are serial-only and make [`System::run_sharded`]
-/// panic.
-#[must_use]
-pub fn run_workload_observed_sharded(
-    w: &dyn Workload,
-    config: SystemConfig,
-    obs: ObsConfig,
-    shards: usize,
-) -> ObservedRun {
-    let (outcome, obs) = observe_workload_on(w, config, obs, shards);
+    let (outcome, obs) = observe_workload_on(w, config, obs);
     ObservedRun { outcome, obs }
 }
 
@@ -193,13 +161,12 @@ fn observe_workload_on(
     w: &dyn Workload,
     config: SystemConfig,
     obs: ObsConfig,
-    shards: usize,
 ) -> (Result<RunResult, WorkloadError>, ObsData) {
     let mut b = SystemBuilder::new(config);
     b.with_observability(obs);
     w.build(&mut b);
     let mut sys = b.build();
-    let run = sys.run_sharded(DEFAULT_EVENT_BUDGET, shards);
+    let run = sys.run(DEFAULT_EVENT_BUDGET);
     let mut data = sys.take_obs_data();
     if run.is_err() {
         // Post-mortem: a failed run's Perfetto trace ends with the

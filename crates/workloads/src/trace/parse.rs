@@ -165,12 +165,14 @@ fn parse_op<'a>(
                 "and" => AtomicKind::FetchAnd(parse_value(line_no, tok.next(), "and operand")?),
                 "or" => AtomicKind::FetchOr(parse_value(line_no, tok.next(), "or operand")?),
                 "xor" => AtomicKind::FetchXor(parse_value(line_no, tok.next(), "xor operand")?),
-                other => return Err(TraceError::new(
-                    line_no,
-                    format!(
+                other => {
+                    return Err(TraceError::new(
+                        line_no,
+                        format!(
                         "unknown atomic kind {other:?} (expected add|exch|cas|max|min|and|or|xor)"
                     ),
-                )),
+                    ))
+                }
             };
             let expect = parse_expect(line_no, kind, tok)?;
             Ok(TraceOp::Atomic { addr, kind: atomic, expect })
