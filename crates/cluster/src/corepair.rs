@@ -627,20 +627,17 @@ impl CorePair {
     /// Returns `true` if the core is now waiting (hit latency or miss).
     fn access_load(&mut self, i: usize, a: Addr, now: Tick, out: &mut Outbox) -> bool {
         let la = a.line();
-        if let Some(line) = self.l2.get(la) {
-            let v = line.data.word_at(a);
-            let l1_hit = self.l1d[i].contains(la);
-            let lat = if l1_hit {
+        if let Some(way) = self.l2.lookup(la) {
+            let v = self.l2.meta(way).data.word_at(a);
+            let lat = if fill_tag(&mut self.l1d[i], la) {
                 self.counters.bump(self.ids.l1d_hits);
-                self.l1d[i].touch(la);
                 cpu_cycles(self.cfg.l1_cycles)
             } else {
                 self.counters.bump(self.ids.l1d_misses);
-                fill_tag(&mut self.l1d[i], la);
                 cpu_cycles(self.cfg.l1_cycles + self.cfg.l2_cycles)
             };
             self.counters.bump(self.ids.l2_hits);
-            self.l2.touch(la);
+            self.l2.touch_way(way);
             let c = &mut self.cores[i];
             c.last_value = Some(v);
             c.ready_at = now + lat;
@@ -663,10 +660,9 @@ impl CorePair {
         out: &mut Outbox,
     ) -> bool {
         let la = a.line();
-        let writable = self.l2.get(la).map(|l| l.state.can_write());
-        match writable {
-            Some(true) => {
-                let line = self.l2.get_mut(la).unwrap();
+        match self.l2.lookup(la).map(|w| (w, self.l2.meta(w).state.can_write())) {
+            Some((way, true)) => {
+                let line = self.l2.meta_mut(way);
                 if line.state == MoesiState::Exclusive {
                     line.state = MoesiState::Modified; // silent E→M (§II-B)
                     self.counters.bump(self.ids.silent_e_to_m);
@@ -685,19 +681,16 @@ impl CorePair {
                     _ => unreachable!("access_store only handles stores/atomics"),
                 }
                 self.counters.bump(self.ids.l2_hits);
-                let l1_hit = self.l1d[i].contains(la);
-                let lat = if l1_hit {
-                    self.l1d[i].touch(la);
+                let lat = if fill_tag(&mut self.l1d[i], la) {
                     cpu_cycles(self.cfg.l1_cycles)
                 } else {
-                    fill_tag(&mut self.l1d[i], la);
                     cpu_cycles(self.cfg.l1_cycles + self.cfg.l2_cycles)
                 };
-                self.l2.touch(la);
+                self.l2.touch_way(way);
                 self.cores[i].ready_at = now + lat;
                 true
             }
-            Some(false) => {
+            Some((_, false)) => {
                 // Present but S/O: upgrade.
                 self.counters.bump(self.ids.upgrades);
                 self.miss(i, la, TxnKind::Write, op, out);
@@ -712,17 +705,17 @@ impl CorePair {
     }
 
     fn access_ifetch(&mut self, i: usize, la: LineAddr, now: Tick, out: &mut Outbox) {
-        if self.l1i.contains(la) {
+        if let Some(way) = self.l1i.lookup(la) {
             self.counters.bump(self.ids.l1i_hits);
-            self.l1i.touch(la);
+            self.l1i.touch_way(way);
             self.cores[i].ready_at = now + cpu_cycles(self.cfg.l1_cycles);
             return;
         }
-        if self.l2.contains(la) {
+        if let Some(way) = self.l2.lookup(la) {
             self.counters.bump(self.ids.l1i_misses);
             self.counters.bump(self.ids.l2_hits);
-            fill_tag(&mut self.l1i, la);
-            self.l2.touch(la);
+            let _ = self.l1i.insert(la, ());
+            self.l2.touch_way(way);
             self.cores[i].ready_at = now + cpu_cycles(self.cfg.l1_cycles + self.cfg.l2_cycles);
             return;
         }
@@ -768,7 +761,8 @@ impl CorePair {
     }
 
     fn fill_line(&mut self, la: LineAddr, state: MoesiState, data: LineData, out: &mut Outbox) {
-        if let Some(line) = self.l2.get_mut(la) {
+        if let Some(way) = self.l2.lookup(la) {
+            let line = self.l2.meta_mut(way);
             self.transitions.record(st(line.state), st(state), CAUSE_FILL);
             // Upgrade response for a line still held (S/O → M). An Owned
             // line is *dirtier* than anything the directory can send (the
@@ -780,17 +774,14 @@ impl CorePair {
                 line.data = data;
             }
             line.state = state;
-            self.l2.touch(la);
+            self.l2.touch_way(way);
             return;
         }
-        if self.l2.set_is_full(la) {
-            // Victimize, avoiding lines with in-flight transactions.
-            let mshr = &self.mshr;
-            let (vtag, _) = self
-                .l2
-                .would_evict_scored(la, |tag, _| u32::from(mshr.contains(tag)))
-                .expect("set is full, so some line must be evictable");
-            let vline = self.l2.invalidate(vtag).unwrap();
+        // A full set victimizes, avoiding lines with in-flight transactions.
+        let mshr = &self.mshr;
+        if let Some(victim) = self.l2.victim_scored(la, |tag, _| u32::from(mshr.contains(tag))) {
+            let vtag = self.l2.tag(victim);
+            let vline = self.l2.invalidate_way(victim);
             self.transitions.record(st(vline.state), ST_I, CAUSE_EVICT);
             let dirty = vline.state.forwards_dirty();
             let kind = if dirty {
@@ -811,7 +802,6 @@ impl CorePair {
         }
         self.transitions.record(ST_I, st(state), CAUSE_FILL);
         self.l2.insert(la, L2Line { state, data });
-        self.l2.touch(la);
     }
 
     fn on_probe(&mut self, la: LineAddr, kind: ProbeKind, out: &mut Outbox) {
@@ -839,7 +829,8 @@ impl CorePair {
                     }
                 }
             }
-        } else if let Some(line) = self.l2.get_mut(la) {
+        } else if let Some(way) = self.l2.lookup(la) {
+            let line = self.l2.meta_mut(way);
             had_copy = true;
             let from = st(line.state);
             // `mutation`: suppressing this forward is the seeded coherence
@@ -849,7 +840,7 @@ impl CorePair {
             }
             match kind {
                 ProbeKind::Invalidate => {
-                    self.l2.invalidate(la);
+                    self.l2.invalidate_way(way);
                     for l1 in &mut self.l1d {
                         l1.invalidate(la);
                     }
@@ -858,7 +849,6 @@ impl CorePair {
                     self.transitions.record(from, ST_I, CAUSE_PROBE_INV);
                 }
                 ProbeKind::Downgrade => {
-                    let line = self.l2.get_mut(la).unwrap();
                     line.state = line.state.after_downgrade();
                     let to = st(line.state);
                     self.transitions.record(from, to, CAUSE_PROBE_DOWN);
@@ -874,13 +864,17 @@ impl CorePair {
     }
 }
 
-/// Fills a tag-only L1, silently dropping any displaced tag (the L2 holds
-/// the data, so L1 evictions need no protocol action).
-fn fill_tag(l1: &mut CacheArray<()>, la: LineAddr) {
-    if !l1.contains(la) {
+/// Makes `la` the most-recently-used tag of a tag-only L1, filling it on a
+/// miss and silently dropping any displaced tag (the L2 holds the data, so
+/// L1 evictions need no protocol action). Returns whether it was a hit.
+fn fill_tag(l1: &mut CacheArray<()>, la: LineAddr) -> bool {
+    if let Some(way) = l1.lookup(la) {
+        l1.touch_way(way);
+        true
+    } else {
         let _ = l1.insert(la, ());
+        false
     }
-    l1.touch(la);
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use hsc_mem::Mshr;
-use hsc_mem::{Addr, CacheArray, CacheGeometry, LineAddr, LineData};
+use hsc_mem::{Addr, CacheArray, CacheGeometry, LineAddr, LineData, Way};
 use hsc_noc::{
     AgentId, ClassCounters, Message, MsgKind, Outbox, ProbeKind, RetryPolicy, RetryTracker,
     WakeArm, WordMask,
@@ -599,11 +599,7 @@ impl GpuCluster {
                 GpuOp::Acquire => {
                     self.counters.bump(self.ids.acquires);
                     // VIPER acquire: bulk-invalidate this CU's TCP.
-                    let tcp = &mut self.cus[cu].tcp;
-                    let lines: Vec<LineAddr> = tcp.iter().map(|(la, _)| la).collect();
-                    for la in lines {
-                        tcp.invalidate(la);
-                    }
+                    self.cus[cu].tcp.invalidate_all();
                     self.cus[cu].wfs[wf].ready_at = now + gpu_cycles(self.cfg.tcp_cycles);
                     return;
                 }
@@ -632,19 +628,19 @@ impl GpuCluster {
         let mut needs_tcc = false;
         let mut missing: Vec<LineAddr> = Vec::new();
         for &la in &lines {
-            if self.cus[cu].tcp.contains(la) {
+            let tcp = &mut self.cus[cu].tcp;
+            if let Some(way) = tcp.lookup(la) {
                 self.counters.bump(self.ids.tcp_hits);
-                self.cus[cu].tcp.touch(la);
+                tcp.touch_way(way);
             } else {
                 self.counters.bump(self.ids.tcp_misses);
                 needs_tcc = true;
                 // Try the TCC.
-                let usable = self.tcc.get(la).is_some_and(TccLine::fully_valid);
-                if usable {
+                if let Some(way) = fully_valid_way(&self.tcc, la) {
                     self.counters.bump(self.ids.tcc_hits);
-                    self.tcc.touch(la);
-                    let data = self.tcc.get(la).unwrap().data;
-                    fill_tcp(&mut self.cus[cu].tcp, la, data);
+                    self.tcc.touch_way(way);
+                    let data = self.tcc.meta(way).data;
+                    let _ = tcp.insert(la, TcpLine { data });
                 } else {
                     self.counters.bump(self.ids.tcc_misses);
                     missing.push(la);
@@ -734,7 +730,9 @@ impl GpuCluster {
                     // Update the TCC copy if present, then write through.
                     let mut data = LineData::zeroed();
                     let mut mask = WordMask::empty();
-                    if let Some(l) = self.tcc.get_mut(la) {
+                    let way = self.tcc.lookup(la);
+                    if let Some(way) = way {
+                        let l = self.tcc.meta_mut(way);
                         for &(a, v) in &writes {
                             l.data.set_word_at(a, v);
                             l.valid.set(a.word_index());
@@ -744,21 +742,23 @@ impl GpuCluster {
                         data.set_word_at(a, v);
                         mask.set(a.word_index());
                     }
-                    let retains = self.tcc.contains(la);
-                    self.send_wt(la, data, mask, Some((cu, wf)), retains, out);
+                    self.send_wt(la, data, mask, Some((cu, wf)), way.is_some(), out);
                 }
                 GpuWritePolicy::WriteBack => {
                     // Allocate-without-fetch; dirty words accumulate.
-                    let from = self.tcc.get(la).map_or(VT_I, vt);
-                    if !self.tcc.contains(la) {
-                        self.tcc_insert(la, TccLine::empty(), out);
-                    }
-                    let l = self.tcc.get_mut(la).unwrap();
+                    let (from, way) = match self.tcc.lookup(la) {
+                        Some(way) => (vt(self.tcc.meta(way)), way),
+                        None => {
+                            self.tcc_insert(la, TccLine::empty(), out);
+                            (VT_I, self.tcc.lookup(la).expect("just inserted"))
+                        }
+                    };
+                    let l = self.tcc.meta_mut(way);
                     for &(a, v) in &writes {
                         l.write_word(a, v);
                     }
                     self.transitions.record(from, vt(l), VC_WB_STORE);
-                    self.tcc.touch(la);
+                    self.tcc.touch_way(way);
                     self.cus[cu].wfs[wf].last_wt_line = Some(la);
                     self.counters.bump(self.ids.wb_store_lines);
                 }
@@ -806,18 +806,19 @@ impl GpuCluster {
         out: &mut Outbox,
     ) -> bool {
         let la = a.line();
-        let usable = self.tcc.get(la).is_some_and(|l| l.valid.contains(a.word_index()));
-        if usable {
-            let l = self.tcc.get_mut(la).unwrap();
+        let usable =
+            self.tcc.lookup(la).filter(|&w| self.tcc.meta(w).valid.contains(a.word_index()));
+        if let Some(way) = usable {
+            let l = self.tcc.meta_mut(way);
             let old = l.data.apply_atomic(a, k);
             l.valid.set(a.word_index());
-            self.tcc.touch(la);
+            let new = l.data.word_at(a);
+            self.tcc.touch_way(way);
             self.counters.bump(self.ids.glc_atomics);
             match self.cfg.tcc_policy {
                 GpuWritePolicy::WriteThrough => {
-                    let l = self.tcc.get(la).unwrap();
                     let mut data = LineData::zeroed();
-                    data.set_word_at(a, l.data.word_at(a));
+                    data.set_word_at(a, new);
                     self.send_wt(
                         la,
                         data,
@@ -828,8 +829,7 @@ impl GpuCluster {
                     );
                 }
                 GpuWritePolicy::WriteBack => {
-                    let l = self.tcc.get_mut(la).unwrap();
-                    l.dirty.set(a.word_index());
+                    self.tcc.meta_mut(way).dirty.set(a.word_index());
                     self.cus[cu].wfs[wf].last_wt_line = Some(la);
                 }
             }
@@ -860,10 +860,9 @@ impl GpuCluster {
         let la = a.line();
         // SLC requests bypass the TCC (§II-C); drop any local copies so we
         // cannot read stale data afterwards.
-        if let Some(from) = self.tcc.get(la).map(vt) {
-            self.transitions.record(from, VT_I, VC_ATOMIC_SELF_INVAL);
+        if let Some(l) = self.tcc.invalidate(la) {
+            self.transitions.record(vt(&l), VT_I, VC_ATOMIC_SELF_INVAL);
         }
-        self.tcc.invalidate(la);
         self.cus[cu].tcp.invalidate(la);
         self.counters.bump(self.ids.req_atomic);
         self.slc_waiters.entry(la).or_default().push_back((cu, wf));
@@ -891,8 +890,7 @@ impl GpuCluster {
                 l.clean();
                 let to = vt(l);
                 self.transitions.record(VT_D, to, VC_FLUSH);
-                let retains = self.tcc.contains(la);
-                self.send_wt(la, data, mask, Some((cu, wf)), retains, out);
+                self.send_wt(la, data, mask, Some((cu, wf)), true, out);
                 self.counters.bump(self.ids.flush_writebacks);
             }
         }
@@ -920,18 +918,17 @@ impl GpuCluster {
     }
 
     fn access_ifetch(&mut self, cu: usize, wf: usize, la: LineAddr, now: Tick, out: &mut Outbox) {
-        if self.sqc.contains(la) {
+        if let Some(way) = self.sqc.lookup(la) {
             self.counters.bump(self.ids.sqc_hits);
-            self.sqc.touch(la);
+            self.sqc.touch_way(way);
             self.cus[cu].wfs[wf].ready_at = now + gpu_cycles(self.cfg.sqc_cycles);
             return;
         }
         self.counters.bump(self.ids.sqc_misses);
-        let usable = self.tcc.get(la).is_some_and(TccLine::fully_valid);
-        if usable {
+        if let Some(way) = fully_valid_way(&self.tcc, la) {
             self.counters.bump(self.ids.tcc_hits);
-            self.tcc.touch(la);
-            fill_tag(&mut self.sqc, la);
+            self.tcc.touch_way(way);
+            let _ = self.sqc.insert(la, ());
             self.cus[cu].wfs[wf].ready_at =
                 now + gpu_cycles(self.cfg.sqc_cycles + self.cfg.tcc_cycles);
             return;
@@ -945,13 +942,10 @@ impl GpuCluster {
     }
 
     fn tcc_insert(&mut self, la: LineAddr, line: TccLine, out: &mut Outbox) {
-        if self.tcc.set_is_full(la) {
-            let mshr = &self.tcc_mshr;
-            let (vtag, _) = self
-                .tcc
-                .would_evict_scored(la, |tag, _| u32::from(mshr.contains(tag)))
-                .expect("full set has an evictable way");
-            let victim = self.tcc.invalidate(vtag).unwrap();
+        let mshr = &self.tcc_mshr;
+        if let Some(way) = self.tcc.victim_scored(la, |tag, _| u32::from(mshr.contains(tag))) {
+            let vtag = self.tcc.tag(way);
+            let victim = self.tcc.invalidate_way(way);
             if victim.is_dirty() {
                 // WT doubles as the write-back request (§II-A).
                 self.counters.bump(self.ids.evict_dirty);
@@ -963,7 +957,6 @@ impl GpuCluster {
             }
         }
         self.tcc.insert(la, line);
-        self.tcc.touch(la);
     }
 
     fn on_fill(&mut self, now: Tick, la: LineAddr, data: LineData, out: &mut Outbox) {
@@ -976,17 +969,19 @@ impl GpuCluster {
             self.counters.bump(self.ids.stale_resps);
             return;
         };
-        if let Some(l) = self.tcc.get_mut(la) {
+        let full = if let Some(way) = self.tcc.lookup(la) {
+            let l = self.tcc.meta_mut(way);
             let from = vt(l);
             l.merge_fill(data);
-            let to = vt(l);
+            let (to, merged) = (vt(l), l.data);
             self.transitions.record(from, to, VC_FILL);
-            self.tcc.touch(la);
+            self.tcc.touch_way(way);
+            merged
         } else {
             self.tcc_insert(la, TccLine::filled(data), out);
             self.transitions.record(VT_I, VT_V, VC_FILL);
-        }
-        let full = self.tcc.get(la).unwrap().data;
+            data
+        };
         for waiter in txn.waiters {
             match waiter {
                 Some((cu, wf)) => {
@@ -1075,10 +1070,10 @@ impl GpuCluster {
         self.counters.bump(self.ids.probes_received);
         // §II-C: the TCC never forwards modified data on probes but does
         // invalidate itself.
-        let had_copy = self.tcc.contains(la);
-        if kind == ProbeKind::Invalidate && had_copy {
-            let from = vt(self.tcc.get(la).unwrap());
-            self.tcc.invalidate(la);
+        let way = self.tcc.lookup(la);
+        let had_copy = way.is_some();
+        if let (ProbeKind::Invalidate, Some(way)) = (kind, way) {
+            let from = vt(&self.tcc.invalidate_way(way));
             self.transitions.record(from, VT_I, VC_PROBE_INV);
             self.counters.bump(self.ids.probe_invalidations);
         }
@@ -1091,20 +1086,28 @@ impl GpuCluster {
     }
 }
 
+/// The TCC way holding `la` with every word valid, if there is one.
+fn fully_valid_way(tcc: &CacheArray<TccLine>, la: LineAddr) -> Option<Way> {
+    tcc.lookup(la).filter(|&w| tcc.meta(w).fully_valid())
+}
+
+/// Leaves `la` in the TCP with `data`, most-recently used.
 fn fill_tcp(tcp: &mut CacheArray<TcpLine>, la: LineAddr, data: LineData) {
-    if let Some(l) = tcp.get_mut(la) {
-        l.data = data;
+    if let Some(way) = tcp.lookup(la) {
+        tcp.meta_mut(way).data = data;
+        tcp.touch_way(way);
     } else {
         let _ = tcp.insert(la, TcpLine { data });
     }
-    tcp.touch(la);
 }
 
+/// Leaves `la` in a tag-only cache, most-recently used.
 fn fill_tag(c: &mut CacheArray<()>, la: LineAddr) {
-    if !c.contains(la) {
+    if let Some(way) = c.lookup(la) {
+        c.touch_way(way);
+    } else {
         let _ = c.insert(la, ());
     }
-    c.touch(la);
 }
 
 #[cfg(test)]

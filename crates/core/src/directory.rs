@@ -156,7 +156,21 @@ pub struct Directory {
     n_tcc: usize,
     llc: Llc,
     entries: CacheArray<DirEntry>,
-    txns: BTreeMap<LineAddr, DirTxn>,
+    /// In-flight transactions by line — the order `hash_state` and the
+    /// deadlock dumps walk them in — as indexes into `txn_slab`. The
+    /// ~450-byte `DirTxn`s stay out of the tree, and a handler that has
+    /// found its transaction once passes the index on instead of looking
+    /// the line up again in each of `try_complete`, `apply_transition` and
+    /// `finish_txn` (which `BTreeMap<LineAddr, Box<DirTxn>>` has to:
+    /// measured 14–22 % slower per directory message, EXPERIMENTS.md
+    /// "Cache array layout"). An index is good from `open_txn` until
+    /// `finish_txn` and must not be used after it.
+    txns: BTreeMap<LineAddr, usize>,
+    /// Grows to the most transactions ever in flight at once; a finished
+    /// slot keeps its last `DirTxn` (queues emptied) until it is reused.
+    txn_slab: Vec<DirTxn>,
+    /// `txn_slab` slots whose transaction has finished.
+    free_txns: Vec<usize>,
     stale_vics: BTreeSet<(LineAddr, AgentId)>,
     internal: WheelQueue<LineAddr>,
     watchdog: Watchdog,
@@ -251,6 +265,8 @@ impl Directory {
                 uncore.dir_ways,
             )),
             txns: BTreeMap::new(),
+            txn_slab: Vec::new(),
+            free_txns: Vec::new(),
             stale_vics: BTreeSet::new(),
             internal: WheelQueue::new(),
             watchdog: Watchdog::new(DEFAULT_WATCHDOG_TICKS),
@@ -325,8 +341,7 @@ impl Directory {
     #[must_use]
     pub fn stuck_lines(&self, now: Tick) -> Vec<StuckLine> {
         let mut v: Vec<StuckLine> = self
-            .txns
-            .iter()
+            .live_txns()
             .map(|(la, t)| StuckLine {
                 line: la.0,
                 age: now.delta_since(t.arrived),
@@ -401,7 +416,7 @@ impl Directory {
         use std::hash::Hash;
         self.llc.hash_state(h);
         self.entries.hash_state(h);
-        for (la, t) in &self.txns {
+        for (la, t) in self.live_txns() {
             la.hash(h);
             t.kind.hash(h);
             t.origin.hash(h);
@@ -439,8 +454,7 @@ impl Directory {
     /// Human-readable dump of in-flight transactions (deadlock triage).
     #[must_use]
     pub fn pending_transactions(&self) -> Vec<String> {
-        self.txns
-            .iter()
+        self.live_txns()
             .map(|(la, t)| {
                 format!(
                     "{la}: {:?} {} acks={} unblock={} llc_sched={} llc_ready={} mem_req={} responded={} queued={} state={:?}",
@@ -457,6 +471,24 @@ impl Directory {
                 )
             })
             .collect()
+    }
+
+    /// In-flight transactions in line order.
+    fn live_txns(&self) -> impl Iterator<Item = (LineAddr, &DirTxn)> {
+        self.txns.iter().map(|(&la, &id)| (la, &self.txn_slab[id]))
+    }
+
+    /// Files `txn` as the transaction in flight on `line`.
+    fn open_txn(&mut self, line: LineAddr, txn: DirTxn) -> usize {
+        let id = if let Some(id) = self.free_txns.pop() {
+            self.txn_slab[id] = txn;
+            id
+        } else {
+            self.txn_slab.push(txn);
+            self.txn_slab.len() - 1
+        };
+        self.txns.insert(line, id);
+        id
     }
 
     /// Handles a message delivered to the directory.
@@ -482,10 +514,11 @@ impl Directory {
     pub fn on_wake(&mut self, now: Tick, out: &mut Outbox) {
         while self.internal.peek_tick().is_some_and(|t| t <= now) {
             let (_, line) = self.internal.pop().unwrap();
-            if let Some(txn) = self.txns.get_mut(&line) {
+            if let Some(&id) = self.txns.get(&line) {
+                let txn = &mut self.txn_slab[id];
                 if !txn.llc_ready {
                     txn.llc_ready = true;
-                    self.try_complete(now, line, out);
+                    self.try_complete(now, id, out);
                 }
             }
         }
@@ -496,8 +529,8 @@ impl Directory {
     // ------------------------------------------------------------------
 
     fn handle_request(&mut self, now: Tick, msg: Message, out: &mut Outbox) {
-        if let Some(txn) = self.txns.get_mut(&msg.line) {
-            txn.queued.push_back(msg);
+        if let Some(&id) = self.txns.get(&msg.line) {
+            self.txn_slab[id].queued.push_back(msg);
             self.counters.bump(self.ids.queued_requests);
             return;
         }
@@ -523,12 +556,16 @@ impl Directory {
             return;
         }
 
+        // The one scan of the entry set this request pays for; everything
+        // below works from the copy. (Stateless runs keep no entries.)
+        let tracks = self.cfg.directory.tracks();
+        let entry =
+            if tracks { self.entries.get(msg.line).filter(|e| !e.reserved).copied() } else { None };
+        let is_owner = entry.is_some_and(|e| e.state == DirState::O && e.owner == Some(msg.src));
+
         // Tracking-mode stale VicDirty from a non-owner: ack, no write.
-        if self.cfg.directory.tracks() {
+        if tracks {
             if let MsgKind::VicDirty { .. } = msg.kind {
-                let is_owner = self
-                    .entry_of(msg.line)
-                    .is_some_and(|e| e.state == DirState::O && e.owner == Some(msg.src));
                 if !is_owner {
                     self.counters.bump(self.ids.stale_vics_dropped);
                     out.send_after(
@@ -543,21 +580,17 @@ impl Directory {
 
         // Tracking mode: make room in the directory cache if this request
         // will allocate an entry.
-        if self.cfg.directory.tracks()
-            && self.request_allocates(&msg)
-            && self.entry_of(msg.line).is_none()
-            && self.entries.set_is_full(msg.line)
-        {
+        let allocates = tracks && self.request_allocates(&msg) && entry.is_none();
+        if allocates && self.entries.set_is_full(msg.line) {
             self.begin_entry_eviction(now, msg, carry, out);
             return;
         }
 
-        let role = self.role_of(&msg);
-        let start_state = self.dir_state(msg.line);
-        if self.sharing.is_some() {
-            let sharers = self
-                .entry_of(msg.line)
-                .map_or(0, |e| e.sharers.len() as usize + usize::from(e.owner.is_some()));
+        let role = Self::role_of(&msg, is_owner);
+        let start_state = entry.map_or(DirState::I, |e| e.state);
+        if let Some(sh) = &mut self.sharing {
+            let sharers =
+                entry.map_or(0, |e| e.sharers.len() as usize + usize::from(e.owner.is_some()));
             let access = match msg.kind {
                 MsgKind::RdBlk | MsgKind::RdBlkS | MsgKind::DmaRd => Some(false),
                 MsgKind::RdBlkM
@@ -566,13 +599,9 @@ impl Directory {
                 | MsgKind::DmaWr { .. } => Some(true),
                 _ => None,
             };
-            // Fresh borrow: the sharer count above needs `entry_of`
-            // while the tracker needs `self.sharing` mutably.
-            if let Some(sh) = &mut self.sharing {
-                sh.on_lookup(sharers);
-                if let Some(is_write) = access {
-                    sh.on_access(msg.line.0, msg.src.flight_code(), is_write);
-                }
+            sh.on_lookup(sharers);
+            if let Some(is_write) = access {
+                sh.on_access(msg.line.0, msg.src.flight_code(), is_write);
             }
         }
         let mut txn = DirTxn::new(TxnKind::Request, msg, role, start_state);
@@ -581,10 +610,7 @@ impl Directory {
 
         // Reserve the directory way so concurrent allocations in the same
         // set cannot oversubscribe it.
-        if self.cfg.directory.tracks()
-            && self.request_allocates(&msg)
-            && self.entry_of(msg.line).is_none()
-        {
+        if allocates {
             let outcome = self.entries.insert(msg.line, DirEntry::reserved());
             debug_assert!(
                 matches!(outcome, hsc_mem::InsertOutcome::Inserted),
@@ -593,11 +619,11 @@ impl Directory {
         }
 
         // Decide probes + data plan.
-        let (targets, probe_kind, data_plan) = if self.cfg.directory.tracks() {
+        let (targets, probe_kind, data_plan) = if tracks {
             let req = Self::plan_req(&msg.kind);
             let tr = plan(self.cfg.directory, start_state, req, role);
             txn.planned = Some(tr);
-            let targets = self.resolve_probe_targets(msg.line, msg.src, tr.probes);
+            let targets = self.resolve_probe_targets(entry, msg.src, tr.probes);
             let kind = match tr.probes {
                 ProbePlan::DowngradeOwner => ProbeKind::Downgrade,
                 _ => ProbeKind::Invalidate,
@@ -637,8 +663,8 @@ impl Directory {
         }
 
         self.watchdog.begin(msg.line.0, now);
-        self.txns.insert(msg.line, txn);
-        self.try_complete(now, msg.line, out);
+        let id = self.open_txn(msg.line, txn);
+        self.try_complete(now, id, out);
     }
 
     /// Whether this request class allocates/uses a tracked entry.
@@ -666,12 +692,10 @@ impl Directory {
         }
     }
 
-    fn role_of(&self, msg: &Message) -> Requester {
+    /// `is_owner`: the tracked entry names `msg.src` as the line's owner.
+    fn role_of(msg: &Message, is_owner: bool) -> Requester {
         match msg.src {
             AgentId::CorePairL2(_) => {
-                let is_owner = self
-                    .entry_of(msg.line)
-                    .is_some_and(|e| e.state == DirState::O && e.owner == Some(msg.src));
                 if is_owner {
                     Requester::CpuOwner
                 } else {
@@ -684,29 +708,22 @@ impl Directory {
         }
     }
 
-    fn entry_of(&self, la: LineAddr) -> Option<&DirEntry> {
-        self.entries.get(la).filter(|e| !e.reserved)
-    }
-
-    fn dir_state(&self, la: LineAddr) -> DirState {
-        self.entry_of(la).map_or(DirState::I, |e| e.state)
-    }
-
     fn all_caches(&self) -> impl Iterator<Item = AgentId> + '_ {
         (0..self.n_l2).map(AgentId::CorePairL2).chain((0..self.n_tcc).map(AgentId::Tcc))
     }
 
+    /// `entry`: the requested line's tracked entry as the transaction
+    /// found it.
     fn resolve_probe_targets(
         &self,
-        la: LineAddr,
+        entry: Option<DirEntry>,
         requester: AgentId,
         probes: ProbePlan,
     ) -> Vec<AgentId> {
         match probes {
             ProbePlan::None => Vec::new(),
             ProbePlan::DowngradeOwner => {
-                let owner = self
-                    .entry_of(la)
+                let owner = entry
                     .and_then(|e| e.owner)
                     .expect("DowngradeOwner plan requires a tracked owner");
                 debug_assert_ne!(owner, requester);
@@ -714,7 +731,7 @@ impl Directory {
             }
             ProbePlan::InvalidateTracked => {
                 if self.cfg.directory.tracks_sharers() {
-                    let entry = self.entry_of(la).expect("tracked plan requires an entry");
+                    let entry = entry.expect("tracked plan requires an entry");
                     let mut v: Vec<AgentId> =
                         entry.sharers.iter().filter(|&a| a != requester).collect();
                     if let Some(owner) = entry.owner {
@@ -768,7 +785,7 @@ impl Directory {
         // Victim among non-blocked, non-reserved entries of the set.
         let txns = &self.txns;
         let repl = self.cfg.dir_replacement;
-        let pick = self.entries.would_evict_scored(parked.line, |tag, e| {
+        let pick = self.entries.victim_scored(parked.line, |tag, e| {
             if txns.contains_key(&tag) || e.reserved {
                 1_000_000
             } else {
@@ -778,29 +795,27 @@ impl Directory {
                 }
             }
         });
-        let Some((victim, ventry)) = pick else {
+        let Some(way) = pick else {
             unreachable!("set_is_full was checked");
         };
+        let victim = self.entries.tag(way);
+        let ventry = *self.entries.meta(way);
         if self.txns.contains_key(&victim) || ventry.reserved {
-            // Every way is busy: park on one of the active transactions.
-            let any_busy = self
+            // Every way is busy: park on the first active transaction in
+            // way order.
+            let busy = self
                 .entries
-                .iter()
-                .find(|(tag, _)| {
-                    self.entries.set_of(*tag) == self.entries.set_of(parked.line)
-                        && self.txns.contains_key(tag)
-                })
-                .map(|(tag, _)| tag)
+                .iter_set(parked.line)
+                .find_map(|(tag, _)| self.txns.get(&tag))
                 .expect("a full set with no evictable way has a busy transaction");
             self.counters.bump(self.ids.alloc_park_on_busy);
-            let busy = self.txns.get_mut(&any_busy).unwrap();
+            let busy = &mut self.txn_slab[*busy];
             busy.parked_allocs.push(parked);
             busy.parked_allocs.extend(carry);
             return;
         }
         // Start the backward invalidation (transient B state).
         self.counters.bump(self.ids.entry_evictions);
-        let ventry = *ventry;
         self.transitions.record(dt(ventry.state), DT_B, DC_BACK_INVAL);
         let origin = Message::new(AgentId::Directory, AgentId::Directory, victim, MsgKind::Flush);
         let mut txn = DirTxn::new(TxnKind::BackInval, origin, Requester::Dma, ventry.state);
@@ -833,8 +848,8 @@ impl Directory {
         txn.pending_acks = targets.len() as u32;
         txn.llc_ready = true; // back-invals need no LLC slot of their own
         self.watchdog.begin(victim.0, now);
-        self.txns.insert(victim, txn);
-        self.try_complete(now, victim, out);
+        let id = self.open_txn(victim, txn);
+        self.try_complete(now, id, out);
     }
 
     // ------------------------------------------------------------------
@@ -851,13 +866,14 @@ impl Directory {
         out: &mut Outbox,
     ) {
         let line = msg.line;
-        let Some(txn) = self.txns.get_mut(&line) else {
+        let Some(&id) = self.txns.get(&line) else {
             // A duplicated probe ack (fault injection) or an ack that
             // arrived after an early response + prompt unblock finished
             // the transaction.
             self.counters.bump(self.ids.stale_probe_acks);
             return;
         };
+        let txn = &mut self.txn_slab[id];
         if txn.pending_acks == 0 {
             // Extra ack for a transaction that already collected its
             // round (duplication fault); ignore it.
@@ -892,16 +908,17 @@ impl Directory {
                 out.send(Message::new(AgentId::Directory, origin.src, line, kind));
             }
         }
-        self.try_complete(now, line, out);
+        self.try_complete(now, id, out);
     }
 
     fn on_mem_data(&mut self, now: Tick, line: LineAddr, data: LineData, out: &mut Outbox) {
-        let Some(txn) = self.txns.get_mut(&line) else {
+        let Some(&id) = self.txns.get(&line) else {
             // The transaction already finished (an early response plus a
             // prompt unblock can beat the memory reply home).
             self.counters.bump(self.ids.stale_mem_resps);
             return;
         };
+        let txn = &mut self.txn_slab[id];
         if !txn.mem_requested || txn.mem_data.is_some() {
             // A duplicated memory response (fault injection), or a reply
             // outliving its transaction into a successor on the same line
@@ -910,22 +927,17 @@ impl Directory {
             return;
         }
         txn.mem_data = Some(data);
-        self.try_complete(now, line, out);
+        self.try_complete(now, id, out);
     }
 
     fn on_unblock(&mut self, now: Tick, line: LineAddr, out: &mut Outbox) {
-        let finish = match self.txns.get(&line) {
+        match self.txns.get(&line) {
             // Only an unblock the current transaction is waiting for may
             // finish it; anything else is a stale duplicate (the requester
             // answers even duplicated responses with an unblock, so under
             // fault injection extras are expected).
-            Some(txn) => txn.awaiting_unblock,
-            None => false,
-        };
-        if finish {
-            self.finish_txn(now, line, out);
-        } else {
-            self.counters.bump(self.ids.stale_unblocks);
+            Some(&id) if self.txn_slab[id].awaiting_unblock => self.finish_txn(now, id, out),
+            _ => self.counters.bump(self.ids.stale_unblocks),
         }
     }
 
@@ -934,10 +946,9 @@ impl Directory {
     // ------------------------------------------------------------------
 
     #[allow(clippy::too_many_lines)]
-    fn try_complete(&mut self, now: Tick, line: LineAddr, out: &mut Outbox) {
-        let Some(txn) = self.txns.get_mut(&line) else {
-            return;
-        };
+    fn try_complete(&mut self, now: Tick, id: usize, out: &mut Outbox) {
+        let txn = &mut self.txn_slab[id];
+        let line = txn.origin.line;
         if txn.pending_acks > 0 {
             return;
         }
@@ -954,7 +965,7 @@ impl Directory {
             }
             self.entries.invalidate(line);
             self.transitions.record(DT_B, DT_I, DC_BACK_INVAL);
-            self.finish_txn(now, line, out);
+            self.finish_txn(now, id, out);
             return;
         }
 
@@ -1028,13 +1039,16 @@ impl Directory {
 
         // All inputs ready: perform the action and respond.
         let dirty_ack = txn.dirty_data;
-        let copies = txn.copies_found;
         let responded = txn.responded;
-        let role = txn.requester_role;
         match origin.kind {
             MsgKind::RdBlk | MsgKind::RdBlkS | MsgKind::RdBlkM => {
-                let grant = self.read_grant(&origin, dirty_ack.is_some(), copies, role);
-                let txn = self.txns.get_mut(&line).unwrap();
+                let grant = match txn.planned {
+                    Some(tr) => tr.grant,
+                    None => Self::stateless_read_grant(
+                        &origin,
+                        dirty_ack.is_some() || txn.copies_found > 0,
+                    ),
+                };
                 if grant == GrantPlan::Upgrade {
                     txn.awaiting_unblock = true;
                     out.send(Message::new(
@@ -1062,17 +1076,16 @@ impl Directory {
                     // Early response already sent; CPU unblock pending.
                     txn.awaiting_unblock = origin.src.is_cpu_cache();
                 }
-                self.apply_transition(line, &origin, role);
-                let txn = self.txns.get_mut(&line).unwrap();
-                if !txn.awaiting_unblock {
-                    self.finish_txn(now, line, out);
+                self.apply_transition(id);
+                if !self.txn_slab[id].awaiting_unblock {
+                    self.finish_txn(now, id, out);
                 }
             }
             MsgKind::VicDirty { data } => {
                 self.write_victim(line, data, true, out);
-                self.apply_transition(line, &origin, role);
+                self.apply_transition(id);
                 out.send(Message::new(AgentId::Directory, origin.src, line, MsgKind::VicAck));
-                self.finish_txn(now, line, out);
+                self.finish_txn(now, id, out);
             }
             MsgKind::VicClean { data } => {
                 match self.cfg.clean_victims {
@@ -1087,21 +1100,21 @@ impl Directory {
                         self.mem_write(line, data, out);
                     }
                 }
-                self.apply_transition(line, &origin, role);
+                self.apply_transition(id);
                 out.send(Message::new(AgentId::Directory, origin.src, line, MsgKind::VicAck));
-                self.finish_txn(now, line, out);
+                self.finish_txn(now, id, out);
             }
             MsgKind::WriteThrough { data: wt_data, mask, .. } => {
                 self.perform_system_write(line, &wt_data, mask, dirty_ack, out);
-                self.apply_transition(line, &origin, role);
+                self.apply_transition(id);
                 out.send(Message::new(AgentId::Directory, origin.src, line, MsgKind::WtAck));
-                self.finish_txn(now, line, out);
+                self.finish_txn(now, id, out);
             }
             MsgKind::AtomicReq { word, op } => {
                 let mut base = data.expect("atomics resolve data");
                 let old = base.apply_atomic(line.word_addr(word as usize), op);
                 self.perform_system_write(line, &base, WordMask::full(), None, out);
-                self.apply_transition(line, &origin, role);
+                self.apply_transition(id);
                 self.counters.bump(self.ids.atomics);
                 out.send(Message::new(
                     AgentId::Directory,
@@ -1109,11 +1122,11 @@ impl Directory {
                     line,
                     MsgKind::AtomicResp { old },
                 ));
-                self.finish_txn(now, line, out);
+                self.finish_txn(now, id, out);
             }
             MsgKind::Flush => {
                 out.send(Message::new(AgentId::Directory, origin.src, line, MsgKind::FlushAck));
-                self.finish_txn(now, line, out);
+                self.finish_txn(now, id, out);
             }
             MsgKind::DmaRd => {
                 if !responded {
@@ -1125,8 +1138,8 @@ impl Directory {
                         MsgKind::DmaRdResp { data },
                     ));
                 }
-                self.apply_transition(line, &origin, role);
-                self.finish_txn(now, line, out);
+                self.apply_transition(id);
+                self.finish_txn(now, id, out);
             }
             MsgKind::DmaWr { data: dma_data, mask } => {
                 // "DMA accesses do not update the L3": merge over the
@@ -1139,57 +1152,43 @@ impl Directory {
                     self.mem_write_masked(line, dma_data, mask, out);
                 }
                 self.llc.invalidate(line);
-                self.apply_transition(line, &origin, role);
+                self.apply_transition(id);
                 out.send(Message::new(AgentId::Directory, origin.src, line, MsgKind::DmaWrAck));
-                self.finish_txn(now, line, out);
+                self.finish_txn(now, id, out);
             }
             ref other => panic!("{} is not a directory request", other.class_name()),
         }
     }
 
-    fn read_grant(
-        &self,
-        origin: &Message,
-        got_dirty: bool,
-        copies: u32,
-        role: Requester,
-    ) -> GrantPlan {
-        if self.cfg.directory.tracks() {
-            let tr = plan(
-                self.cfg.directory,
-                self.txns.get(&origin.line).expect("txn live during grant").start_state,
-                Self::plan_req(&origin.kind),
-                role,
-            );
-            tr.grant
-        } else {
-            match origin.kind {
-                MsgKind::RdBlkS => GrantPlan::Shared,
-                MsgKind::RdBlkM => GrantPlan::Modified,
-                MsgKind::RdBlk => {
-                    if origin.src.is_gpu_cache() || got_dirty || copies > 0 {
-                        GrantPlan::Shared
-                    } else {
-                        GrantPlan::Exclusive
-                    }
+    /// The baseline directory's grant for a read; `others_hold` = a probe
+    /// found a copy or brought back dirty data.
+    fn stateless_read_grant(origin: &Message, others_hold: bool) -> GrantPlan {
+        match origin.kind {
+            MsgKind::RdBlkS => GrantPlan::Shared,
+            MsgKind::RdBlkM => GrantPlan::Modified,
+            MsgKind::RdBlk => {
+                if origin.src.is_gpu_cache() || others_hold {
+                    GrantPlan::Shared
+                } else {
+                    GrantPlan::Exclusive
                 }
-                _ => GrantPlan::None,
             }
+            _ => GrantPlan::None,
         }
     }
 
     /// Applies the §IV next-state transition once a transaction's effects
     /// are decided.
-    fn apply_transition(&mut self, line: LineAddr, origin: &Message, _role: Requester) {
-        if !self.cfg.directory.tracks() {
-            return;
-        }
-        let txn = &self.txns[&line];
+    fn apply_transition(&mut self, id: usize) {
+        let txn = &self.txn_slab[id];
+        // Stateless transactions carry no plan and keep no entries.
         let Some(tr) = txn.planned else {
             return;
         };
-        let requester = origin.src;
-        let current = self.entries.get(line).copied();
+        let line = txn.origin.line;
+        let requester = txn.origin.src;
+        let way = self.entries.lookup(line);
+        let current = way.map(|w| *self.entries.meta(w));
         let base = current.filter(|e| !e.reserved);
         let next: Option<DirEntry> = match tr.next {
             NextState::Unchanged => return,
@@ -1268,23 +1267,23 @@ impl Directory {
         };
         let from = base.map_or(DT_I, |e| dt(e.state));
         let to = next.as_ref().map_or(DT_I, |e| dt(e.state));
-        self.transitions.record(from, to, dir_cause(&origin.kind));
-        match (current.is_some(), next) {
-            (true, Some(e)) => {
-                *self.entries.get_mut(line).unwrap() = e;
-                self.entries.touch(line);
+        self.transitions.record(from, to, dir_cause(&txn.origin.kind));
+        match (way, next) {
+            (Some(w), Some(e)) => {
+                *self.entries.meta_mut(w) = e;
+                self.entries.touch_way(w);
             }
-            (true, None) => {
-                self.entries.invalidate(line);
+            (Some(w), None) => {
+                self.entries.invalidate_way(w);
             }
-            (false, Some(e)) => {
+            (None, Some(e)) => {
                 // Reserved at start for allocating requests; others (e.g.
                 // a WT that retains) may allocate here. The way is free
                 // because request_allocates() reserved it or the set has
                 // room (eviction handled at start).
                 let _ = self.entries.insert(line, e);
             }
-            (false, None) => {}
+            (None, None) => {}
         }
     }
 
@@ -1386,17 +1385,26 @@ impl Directory {
     // teardown / queue resumption
     // ------------------------------------------------------------------
 
-    fn finish_txn(&mut self, now: Tick, line: LineAddr, out: &mut Outbox) {
-        let txn = self.txns.remove(&line).expect("finishing a live transaction");
-        self.watchdog.end(line.0);
+    /// Retires transaction `id` and restarts what waited on it. `id` is
+    /// dead once this returns: the slot is on the free list before the
+    /// parked and queued requests are re-dispatched, and one of them may
+    /// already have taken it.
+    fn finish_txn(&mut self, now: Tick, id: usize, out: &mut Outbox) {
+        let txn = &mut self.txn_slab[id];
+        let line = txn.origin.line;
+        let parked_allocs = std::mem::take(&mut txn.parked_allocs);
+        let queued = std::mem::take(&mut txn.queued);
         if txn.kind == TxnKind::Request {
             self.latency.record(now.delta_since(txn.arrived));
         }
+        self.txns.remove(&line).expect("finishing a live transaction");
+        self.free_txns.push(id);
+        self.watchdog.end(line.0);
         // Re-dispatch requests that were waiting for a directory way.
-        for parked in txn.parked_allocs {
+        for parked in parked_allocs {
             self.handle_request(now, parked, out);
         }
-        self.resume_queue(now, line, txn.queued, out);
+        self.resume_queue(now, line, queued, out);
     }
 
     fn resume_queue(

@@ -114,11 +114,10 @@ impl Llc {
 
     /// Looks up `la`, updating recency and hit/miss statistics.
     pub fn read(&mut self, la: LineAddr) -> Option<LineData> {
-        if let Some(l) = self.lines.get(la) {
-            let data = l.data;
-            self.lines.touch(la);
+        if let Some(way) = self.lines.lookup(la) {
+            self.lines.touch_way(way);
             self.counters.bump(self.ids.hits);
-            Some(data)
+            Some(self.lines.meta(way).data)
         } else {
             self.counters.bump(self.ids.misses);
             None
@@ -138,18 +137,19 @@ impl Llc {
     /// Returns the eviction the insert caused, if any.
     pub fn write(&mut self, la: LineAddr, data: LineData, dirty: bool) -> Option<LlcEviction> {
         self.counters.bump(self.ids.writes);
-        if let Some(l) = self.lines.get_mut(la) {
+        if let Some(way) = self.lines.lookup(la) {
+            let l = self.lines.meta_mut(way);
             let from = lst(l.dirty);
             l.data = data;
             l.dirty |= dirty;
             let to = lst(l.dirty);
             self.transitions.record(from, to, LC_UPDATE);
-            self.lines.touch(la);
+            self.lines.touch_way(way);
             return None;
         }
+        // The insert leaves the new line most-recently used.
         let out = self.lines.insert(la, LlcLine { data, dirty });
         self.transitions.record(LL_I, lst(dirty), LC_INSERT);
-        self.lines.touch(la);
         match out {
             InsertOutcome::Inserted => None,
             InsertOutcome::Evicted(ev) => {
@@ -167,18 +167,18 @@ impl Llc {
     /// `useL3OnWT`). Returns `false` if the line is absent — the caller
     /// decides whether to allocate via [`Llc::write`] or bypass to memory.
     pub fn merge(&mut self, la: LineAddr, data: &LineData, mask: WordMask, dirty: bool) -> bool {
-        if let Some(l) = self.lines.get_mut(la) {
-            let from = lst(l.dirty);
-            mask.apply(&mut l.data, data);
-            l.dirty |= dirty;
-            let to = lst(l.dirty);
-            self.transitions.record(from, to, LC_MERGE);
-            self.lines.touch(la);
-            self.counters.bump(self.ids.merges);
-            true
-        } else {
-            false
-        }
+        let Some(way) = self.lines.lookup(la) else {
+            return false;
+        };
+        let l = self.lines.meta_mut(way);
+        let from = lst(l.dirty);
+        mask.apply(&mut l.data, data);
+        l.dirty |= dirty;
+        let to = lst(l.dirty);
+        self.transitions.record(from, to, LC_MERGE);
+        self.lines.touch_way(way);
+        self.counters.bump(self.ids.merges);
+        true
     }
 
     /// Drops `la` (DMA writes and non-`useL3OnWT` write-throughs keep the

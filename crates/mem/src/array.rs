@@ -1,4 +1,5 @@
 use std::fmt;
+use std::ops::Range;
 
 use crate::{LineAddr, TreePlru, BLOCK_BYTES};
 
@@ -81,16 +82,6 @@ impl CacheGeometry {
     }
 }
 
-/// One valid line in a [`CacheArray`]: its tag and caller-defined metadata.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Line<S> {
-    /// The cache line this way currently holds.
-    pub tag: LineAddr,
-    /// Protocol-defined per-line state (MOESI state, dirty bit, sharer
-    /// bitmap, data…).
-    pub meta: S,
-}
-
 /// A line pushed out of the array to make room for an insertion.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Eviction<S> {
@@ -109,6 +100,19 @@ pub enum InsertOutcome<S> {
     Evicted(Eviction<S>),
 }
 
+/// Handle to the way a resident line occupies, from [`CacheArray::lookup`].
+///
+/// It lets a controller scan a set once per access and then read, update,
+/// touch or drop the line without searching again. A handle stays good
+/// until the array next inserts or invalidates, so do not hold one across
+/// either: a handle to a way that was freed and refilled names the new
+/// line. On a way that is still free, [`CacheArray::meta`],
+/// [`CacheArray::meta_mut`] and [`CacheArray::invalidate_way`] panic in
+/// every build; [`CacheArray::tag`] and [`CacheArray::touch_way`] check in
+/// debug builds only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Way(usize);
+
 /// A set-associative tag array with Tree-PLRU replacement and per-line
 /// metadata of type `S`.
 ///
@@ -117,10 +121,24 @@ pub enum InsertOutcome<S> {
 /// directory entry with a sharer bitmap, an LLC line with data and a dirty
 /// bit, …) and drive insert/evict decisions.
 ///
-/// Insertions pick an invalid way if one exists, otherwise the Tree-PLRU
-/// victim; [`CacheArray::insert_scored`] restricts the victim choice to the
-/// ways minimizing a caller-supplied score first (the future-work
-/// state-aware directory replacement policy), with Tree-PLRU breaking ties.
+/// Storage is *tag-major*: the tags of a set are contiguous `u64`s, one
+/// validity word per set says which ways hold a line, the Tree-PLRU bits
+/// of a set are one more word, and the metadata lives in a parallel slab
+/// that a lookup never reads. A lookup is a mask for the set index and a
+/// compare over `ways` adjacent words; "is the set full" and "which way is
+/// free" are tests of the validity word.
+///
+/// Placement and replacement are simulated behaviour and are fixed:
+/// insertions fill the lowest-index invalid way if one exists, otherwise
+/// the Tree-PLRU victim; [`CacheArray::insert_scored`] restricts the victim
+/// choice to the ways minimizing a caller-supplied score first (the
+/// future-work state-aware directory replacement policy), with Tree-PLRU
+/// breaking ties. Invalidation never moves the replacement bits.
+///
+/// Every lookup-by-address method ([`CacheArray::get`],
+/// [`CacheArray::touch`], …) scans the set; a controller that needs
+/// several of them on one line takes a [`Way`] from [`CacheArray::lookup`]
+/// once and uses the by-way forms.
 ///
 /// # Examples
 ///
@@ -133,27 +151,41 @@ pub enum InsertOutcome<S> {
 /// assert!(matches!(c.insert(LineAddr(1), 11), InsertOutcome::Inserted));
 /// let out = c.insert(LineAddr(2), 12);
 /// assert!(matches!(out, InsertOutcome::Evicted(_)));
+///
+/// // One scan, then by-way access.
+/// let way = c.lookup(LineAddr(2)).unwrap();
+/// *c.meta_mut(way) += 1;
+/// c.touch_way(way);
+/// assert_eq!(c.get(LineAddr(2)), Some(&13));
 /// ```
 pub struct CacheArray<S> {
     geometry: CacheGeometry,
-    sets: usize,
+    set_mask: u64,
     ways: usize,
-    lines: Vec<Option<Line<S>>>,
+    /// `log2(ways)`: a slot index is `set << way_shift | way`.
+    way_shift: u32,
+    /// Tag of every slot, set-major; meaningful only where `valid` says so.
+    tags: Vec<u64>,
+    /// Per set, bit `w` is set iff way `w` holds a line.
+    valid: Vec<u64>,
+    /// Metadata of every slot; `Some` exactly where `valid` says so (the
+    /// mutators `debug_assert` that the two agree).
+    meta: Vec<Option<S>>,
     plru: TreePlru,
-    valid: usize,
+    len: usize,
 }
 
 impl<S: fmt::Debug> fmt::Debug for CacheArray<S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CacheArray")
             .field("geometry", &self.geometry)
-            .field("valid", &self.valid)
+            .field("valid", &self.len)
             .finish_non_exhaustive()
     }
 }
 
-/// Upper bound on associativity, sized for the stack buffers used during
-/// victim selection (the largest config in this repo is 32 ways).
+/// Upper bound on associativity: a set's validity and Tree-PLRU bits are
+/// one `u64` each (the largest config in this repo is 32 ways).
 const MAX_WAYS: usize = 64;
 
 impl<S> CacheArray<S> {
@@ -169,11 +201,14 @@ impl<S> CacheArray<S> {
         assert!(ways <= MAX_WAYS, "associativity {ways} exceeds supported maximum {MAX_WAYS}");
         CacheArray {
             geometry,
-            sets,
+            set_mask: sets as u64 - 1,
             ways,
-            lines: std::iter::repeat_with(|| None).take(sets * ways).collect(),
+            way_shift: ways.trailing_zeros(),
+            tags: vec![0; sets * ways],
+            valid: vec![0; sets],
+            meta: std::iter::repeat_with(|| None).take(sets * ways).collect(),
             plru: TreePlru::new(sets, ways),
-            valid: 0,
+            len: 0,
         }
     }
 
@@ -186,45 +221,115 @@ impl<S> CacheArray<S> {
     /// Set index for a line address (low-order line-number bits).
     #[must_use]
     pub fn set_of(&self, la: LineAddr) -> usize {
-        (la.0 % self.sets as u64) as usize
+        (la.0 & self.set_mask) as usize
     }
 
-    fn slot(&self, set: usize, way: usize) -> usize {
-        set * self.ways + way
+    /// The slots of `set`, in way order.
+    fn slots(&self, set: usize) -> Range<usize> {
+        let base = set << self.way_shift;
+        base..base + self.ways
     }
 
-    fn find_way(&self, la: LineAddr) -> Option<usize> {
+    /// The `(set, way)` a handle stands for.
+    fn set_and_way(&self, way: Way) -> (usize, usize) {
+        (way.0 >> self.way_shift, way.0 & (self.ways - 1))
+    }
+
+    /// The way of `set` holding `la`: the one scan behind every lookup,
+    /// over the set's contiguous tags. A freed way keeps its stale tag, so
+    /// a tag match counts only where the validity word agrees.
+    fn find(&self, set: usize, la: LineAddr) -> Option<usize> {
+        let valid = self.valid[set];
+        self.tags[self.slots(set)]
+            .iter()
+            .enumerate()
+            .find(|&(way, &tag)| tag == la.0 && valid >> way & 1 != 0)
+            .map(|(way, _)| way)
+    }
+
+    /// Whether the validity word says the slot behind `way` holds a line.
+    fn holds_line(&self, way: Way) -> bool {
+        let (set, way) = self.set_and_way(way);
+        self.valid[set] >> way & 1 != 0
+    }
+
+    /// The way holding `la`, if it is present: one scan of the set.
+    #[must_use]
+    pub fn lookup(&self, la: LineAddr) -> Option<Way> {
         let set = self.set_of(la);
-        (0..self.ways)
-            .find(|&w| self.lines[self.slot(set, w)].as_ref().is_some_and(|l| l.tag == la))
+        self.find(set, la).map(|way| Way(self.slots(set).start + way))
+    }
+
+    /// The line address held in `way`.
+    #[must_use]
+    pub fn tag(&self, way: Way) -> LineAddr {
+        debug_assert!(self.holds_line(way), "way handle outlived its line");
+        LineAddr(self.tags[way.0])
+    }
+
+    /// Shared access to the metadata in `way`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the way has been freed since the handle was taken.
+    #[must_use]
+    pub fn meta(&self, way: Way) -> &S {
+        self.meta[way.0].as_ref().expect("way handle outlived its line")
+    }
+
+    /// Exclusive access to the metadata in `way`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the way has been freed since the handle was taken.
+    pub fn meta_mut(&mut self, way: Way) -> &mut S {
+        self.meta[way.0].as_mut().expect("way handle outlived its line")
+    }
+
+    /// Marks the line in `way` as most-recently used.
+    pub fn touch_way(&mut self, way: Way) {
+        debug_assert!(self.holds_line(way), "way handle outlived its line");
+        let (set, way) = self.set_and_way(way);
+        self.plru.touch(set, way);
+    }
+
+    /// Frees `way`, returning its metadata. The replacement bits stay as
+    /// they are.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the way has already been freed.
+    pub fn invalidate_way(&mut self, way: Way) -> S {
+        let meta = self.meta[way.0].take().expect("way handle outlived its line");
+        debug_assert!(self.holds_line(way), "validity word out of step with metadata");
+        let (set, way) = self.set_and_way(way);
+        self.valid[set] &= !(1 << way);
+        self.len -= 1;
+        meta
     }
 
     /// Whether `la` is present.
     #[must_use]
     pub fn contains(&self, la: LineAddr) -> bool {
-        self.find_way(la).is_some()
+        self.lookup(la).is_some()
     }
 
     /// Shared access to the metadata of `la`, if present. Does not update
     /// recency; pair with [`CacheArray::touch`] on protocol-visible hits.
     #[must_use]
     pub fn get(&self, la: LineAddr) -> Option<&S> {
-        self.find_way(la).map(|w| &self.lines[self.slot(self.set_of(la), w)].as_ref().unwrap().meta)
+        self.lookup(la).map(|w| self.meta(w))
     }
 
     /// Exclusive access to the metadata of `la`, if present.
     pub fn get_mut(&mut self, la: LineAddr) -> Option<&mut S> {
-        let set = self.set_of(la);
-        let way = self.find_way(la)?;
-        let slot = self.slot(set, way);
-        Some(&mut self.lines[slot].as_mut().unwrap().meta)
+        self.lookup(la).map(|w| self.meta_mut(w))
     }
 
     /// Marks `la` as most-recently used. No-op if absent.
     pub fn touch(&mut self, la: LineAddr) {
-        if let Some(way) = self.find_way(la) {
-            let set = self.set_of(la);
-            self.plru.touch(set, way);
+        if let Some(w) = self.lookup(la) {
+            self.touch_way(w);
         }
     }
 
@@ -235,7 +340,14 @@ impl<S> CacheArray<S> {
     /// Panics if `la` is already present — double-insertion is always a
     /// protocol bug.
     pub fn insert(&mut self, la: LineAddr, meta: S) -> InsertOutcome<S> {
-        self.insert_scored(la, meta, |_, _| 0)
+        // Not `insert_scored` with a constant score: that scan would read
+        // every way's metadata to learn nothing.
+        let set = self.set_of(la);
+        if self.find(set, la).is_some() {
+            double_insert(la);
+        }
+        let way = self.free_way(set).unwrap_or_else(|| self.plru.victim(set));
+        self.place(set, way, la, meta)
     }
 
     /// Inserts `la`; when eviction is needed, victimizes among the ways
@@ -254,40 +366,67 @@ impl<S> CacheArray<S> {
         meta: S,
         score: impl Fn(LineAddr, &S) -> u32,
     ) -> InsertOutcome<S> {
-        assert!(!self.contains(la), "insert of already-present line {la} (protocol bug)");
         let set = self.set_of(la);
-        // Prefer an invalid way.
-        if let Some(way) = (0..self.ways).find(|&w| self.lines[self.slot(set, w)].is_none()) {
-            let slot = self.slot(set, way);
-            self.lines[slot] = Some(Line { tag: la, meta });
-            self.plru.touch(set, way);
-            self.valid += 1;
-            return InsertOutcome::Inserted;
-        }
-        let way = self.scored_victim_way(set, &score);
-        let slot = self.slot(set, way);
-        let old = self.lines[slot].replace(Line { tag: la, meta }).unwrap();
-        self.plru.touch(set, way);
-        InsertOutcome::Evicted(Eviction { tag: old.tag, meta: old.meta })
+        let way = match self.free_way(set) {
+            Some(_) if self.find(set, la).is_some() => double_insert(la),
+            Some(way) => way,
+            // The scoring scan visits every tag anyway and reports `la`.
+            None => self.scored_victim(set, la, &score).unwrap_or_else(|| double_insert(la)),
+        };
+        self.place(set, way, la, meta)
     }
 
-    fn scored_victim_way(&self, set: usize, score: &impl Fn(LineAddr, &S) -> u32) -> usize {
-        // Fixed stack buffers: victim choice runs on every miss in a full
-        // set, so it must not allocate. MAX_WAYS bounds associativity
-        // (checked in `new`); every config in this repo is ≤32 ways.
-        let mut scores = [0u32; MAX_WAYS];
-        for (w, s) in scores.iter_mut().enumerate().take(self.ways) {
-            let l = self.lines[self.slot(set, w)].as_ref().unwrap();
-            *s = score(l.tag, &l.meta);
+    /// The lowest-index invalid way of `set`, if any.
+    fn free_way(&self, set: usize) -> Option<usize> {
+        let free = !self.valid[set] & (u64::MAX >> (64 - self.ways));
+        (free != 0).then(|| free.trailing_zeros() as usize)
+    }
+
+    /// Writes `la` into `way` of `set` and makes it most-recently used,
+    /// handing back whatever the way held.
+    fn place(&mut self, set: usize, way: usize, la: LineAddr, meta: S) -> InsertOutcome<S> {
+        let slot = self.slots(set).start + way;
+        let old_tag = LineAddr(std::mem::replace(&mut self.tags[slot], la.0));
+        let old = self.meta[slot].replace(meta);
+        debug_assert_eq!(
+            old.is_some(),
+            self.valid[set] >> way & 1 != 0,
+            "validity word out of step with metadata"
+        );
+        self.plru.touch(set, way);
+        match old {
+            Some(meta) => InsertOutcome::Evicted(Eviction { tag: old_tag, meta }),
+            None => {
+                self.valid[set] |= 1 << way;
+                self.len += 1;
+                InsertOutcome::Inserted
+            }
         }
-        let min = *scores[..self.ways].iter().min().unwrap();
-        let mut mask = [false; MAX_WAYS];
-        for (m, s) in mask.iter_mut().zip(&scores).take(self.ways) {
-            *m = *s == min;
+    }
+
+    /// Victim way of a *full* `set`: Tree-PLRU among the minimum-score
+    /// ways. `None` if one of the ways already holds `la`.
+    fn scored_victim(
+        &self,
+        set: usize,
+        la: LineAddr,
+        score: &impl Fn(LineAddr, &S) -> u32,
+    ) -> Option<usize> {
+        let slots = self.slots(set);
+        let mut min = u32::MAX;
+        let mut lowest = 0u64;
+        for (way, (&tag, meta)) in
+            self.tags[slots.clone()].iter().zip(&self.meta[slots]).enumerate()
+        {
+            if tag == la.0 {
+                return None;
+            }
+            let s = score(LineAddr(tag), meta.as_ref().expect("set is full"));
+            // A new minimum restarts the mask; an equal score joins it.
+            lowest = if s < min { 0 } else { lowest } | u64::from(s <= min) << way;
+            min = min.min(s);
         }
-        self.plru
-            .victim_among(set, &mask[..self.ways])
-            .expect("at least one way has the minimum score")
+        self.plru.victim_among(set, lowest)
     }
 
     /// The line that would be displaced if `la` were inserted now, or
@@ -304,49 +443,65 @@ impl<S> CacheArray<S> {
         la: LineAddr,
         score: impl Fn(LineAddr, &S) -> u32,
     ) -> Option<(LineAddr, &S)> {
-        if self.contains(la) {
-            return None;
-        }
+        self.victim_scored(la, score).map(|w| (self.tag(w), self.meta(w)))
+    }
+
+    /// [`CacheArray::would_evict_scored`] as a way handle, for callers that
+    /// go on to [`CacheArray::invalidate_way`] the victim themselves.
+    #[must_use]
+    pub fn victim_scored(&self, la: LineAddr, score: impl Fn(LineAddr, &S) -> u32) -> Option<Way> {
         let set = self.set_of(la);
-        if (0..self.ways).any(|w| self.lines[self.slot(set, w)].is_none()) {
+        if self.free_way(set).is_some() {
             return None;
         }
-        let way = self.scored_victim_way(set, &score);
-        let l = self.lines[self.slot(set, way)].as_ref().unwrap();
-        Some((l.tag, &l.meta))
+        self.scored_victim(set, la, &score).map(|way| Way(self.slots(set).start + way))
     }
 
     /// Removes `la`, returning its metadata if it was present.
     pub fn invalidate(&mut self, la: LineAddr) -> Option<S> {
-        let way = self.find_way(la)?;
-        let set = self.set_of(la);
-        let slot = self.slot(set, way);
-        self.valid -= 1;
-        self.lines[slot].take().map(|l| l.meta)
+        self.lookup(la).map(|w| self.invalidate_way(w))
+    }
+
+    /// Removes every line. Like [`CacheArray::invalidate`], leaves the
+    /// replacement bits alone.
+    pub fn invalidate_all(&mut self) {
+        for (word, meta) in self.valid.iter_mut().zip(self.meta.chunks_exact_mut(self.ways)) {
+            let mut ways = std::mem::take(word);
+            while ways != 0 {
+                meta[ways.trailing_zeros() as usize] = None;
+                ways &= ways - 1;
+            }
+        }
+        self.len = 0;
     }
 
     /// Whether the set that `la` maps to has no free way.
     #[must_use]
     pub fn set_is_full(&self, la: LineAddr) -> bool {
-        let set = self.set_of(la);
-        (0..self.ways).all(|w| self.lines[self.slot(set, w)].is_some())
+        self.free_way(self.set_of(la)).is_none()
     }
 
     /// Number of valid lines.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.valid
+        self.len
     }
 
     /// Whether no line is valid.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.valid == 0
+        self.len == 0
     }
 
     /// Iterates over all valid lines in set/way order.
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &S)> {
-        self.lines.iter().filter_map(|l| l.as_ref().map(|l| (l.tag, &l.meta)))
+        lines(&self.tags, &self.meta)
+    }
+
+    /// Iterates over the valid lines of the set `la` maps to, in way order.
+    pub fn iter_set(&self, la: LineAddr) -> impl Iterator<Item = (LineAddr, &S)> {
+        let slots = self.slots(self.set_of(la));
+        lines(&self.tags[slots.clone()], &self.meta[slots])
     }
 
     /// Folds the complete array state — every valid line *with its slot*
@@ -361,13 +516,23 @@ impl<S> CacheArray<S> {
         S: std::hash::Hash,
     {
         use std::hash::Hash;
-        for (slot, l) in self.lines.iter().enumerate() {
-            if let Some(l) = l.as_ref() {
-                (slot, l.tag, &l.meta).hash(h);
+        for (slot, (&tag, meta)) in self.tags.iter().zip(&self.meta).enumerate() {
+            if let Some(meta) = meta {
+                (slot, LineAddr(tag), meta).hash(h);
             }
         }
-        self.plru.raw_bits().hash(h);
+        self.plru.hash_state(h);
     }
+}
+
+/// The valid lines among parallel tag/metadata slices, in slot order.
+fn lines<'a, S>(tags: &'a [u64], meta: &'a [Option<S>]) -> impl Iterator<Item = (LineAddr, &'a S)> {
+    tags.iter().zip(meta).filter_map(|(&tag, meta)| meta.as_ref().map(|m| (LineAddr(tag), m)))
+}
+
+#[cold]
+fn double_insert(la: LineAddr) -> ! {
+    panic!("insert of already-present line {la} (protocol bug)")
 }
 
 #[cfg(test)]
@@ -499,6 +664,107 @@ mod tests {
         let mut seen: Vec<(LineAddr, u32)> = c.iter().map(|(t, &m)| (t, m)).collect();
         seen.sort_by_key(|&(t, _)| t);
         assert_eq!(seen, vec![(LineAddr(0), 10), (LineAddr(1), 11), (LineAddr(3), 13)]);
+    }
+
+    #[test]
+    fn way_handles_reach_the_line_without_a_second_scan() {
+        let mut c: CacheArray<u32> = CacheArray::new(CacheGeometry::new(256, 2)); // 2 sets
+        c.insert(LineAddr(1), 11);
+        c.insert(LineAddr(3), 13);
+        assert_eq!(c.lookup(LineAddr(5)), None);
+        let way = c.lookup(LineAddr(3)).unwrap();
+        assert_eq!(c.tag(way), LineAddr(3));
+        *c.meta_mut(way) += 1;
+        assert_eq!(c.meta(way), &14);
+        c.touch_way(way); // 1 is now the colder line of set 1
+        assert_eq!(c.would_evict(LineAddr(5)).map(|(t, _)| t), Some(LineAddr(1)));
+        assert_eq!(c.invalidate_way(way), 14);
+        assert!(!c.contains(LineAddr(3)));
+        assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "outlived its line")]
+    fn stale_way_handle_panics() {
+        let mut c = tiny();
+        c.insert(LineAddr(0), 0);
+        let way = c.lookup(LineAddr(0)).unwrap();
+        c.invalidate(LineAddr(0));
+        let _ = c.meta(way);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "outlived its line")]
+    fn tag_of_a_freed_way_panics_in_debug_builds() {
+        let mut c = tiny();
+        c.insert(LineAddr(0), 0);
+        let way = c.lookup(LineAddr(0)).unwrap();
+        c.invalidate(LineAddr(0));
+        let _ = c.tag(way);
+    }
+
+    #[test]
+    fn a_freed_way_does_not_match_its_stale_tag() {
+        let mut c = tiny();
+        c.insert(LineAddr(0), 0);
+        c.invalidate(LineAddr(0));
+        assert!(!c.contains(LineAddr(0)));
+        assert!(matches!(c.insert(LineAddr(0), 1), InsertOutcome::Inserted));
+    }
+
+    #[test]
+    fn victim_scored_is_would_evict_scored_by_handle() {
+        let mut c = tiny();
+        assert_eq!(c.victim_scored(LineAddr(4), |_, &m| m), None, "free way");
+        c.insert(LineAddr(0), 100);
+        c.insert(LineAddr(2), 1);
+        assert_eq!(c.victim_scored(LineAddr(0), |_, &m| m), None, "already present");
+        let way = c.victim_scored(LineAddr(4), |_, &m| m).unwrap();
+        assert_eq!((c.tag(way), *c.meta(way)), (LineAddr(2), 1));
+    }
+
+    fn digest(c: &CacheArray<u32>) -> u64 {
+        use std::hash::Hasher;
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        c.hash_state(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn invalidate_all_empties_the_array_and_keeps_the_replacement_bits() {
+        let filled = || {
+            let mut c: CacheArray<u32> = CacheArray::new(CacheGeometry::new(512, 4));
+            for l in 0..8 {
+                c.insert(LineAddr(l), l as u32);
+            }
+            c.touch(LineAddr(2));
+            c
+        };
+        let mut all = filled();
+        all.invalidate_all();
+        assert!(all.is_empty());
+        assert_eq!(all.iter().count(), 0);
+        assert!(!all.set_is_full(LineAddr(0)));
+        // Same state as dropping the lines one by one — which `invalidate`
+        // does without touching recency — and not that of a fresh array.
+        let mut one_by_one = filled();
+        for l in 0..8 {
+            one_by_one.invalidate(LineAddr(l));
+        }
+        assert_eq!(digest(&all), digest(&one_by_one));
+        assert_ne!(digest(&all), digest(&CacheArray::new(CacheGeometry::new(512, 4))));
+    }
+
+    #[test]
+    fn iter_set_walks_one_set_in_way_order() {
+        let mut c: CacheArray<u32> = CacheArray::new(CacheGeometry::new(512, 4)); // 2 sets
+        for l in [1, 3, 0, 5] {
+            c.insert(LineAddr(l), l as u32 * 10);
+        }
+        c.invalidate(LineAddr(3));
+        let set1: Vec<(LineAddr, u32)> = c.iter_set(LineAddr(7)).map(|(t, &m)| (t, m)).collect();
+        assert_eq!(set1, vec![(LineAddr(1), 10), (LineAddr(5), 50)]);
     }
 
     #[test]

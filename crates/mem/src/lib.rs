@@ -37,7 +37,7 @@ mod repl;
 mod victim;
 
 pub use addr::{Addr, LineAddr, BLOCK_BYTES, WORDS_PER_LINE};
-pub use array::{CacheArray, CacheGeometry, Eviction, InsertOutcome, Line};
+pub use array::{CacheArray, CacheGeometry, Eviction, InsertOutcome, Way};
 pub use data::{AtomicKind, LineData};
 pub use memory::MainMemory;
 pub use mshr::{Mshr, MshrFullError};

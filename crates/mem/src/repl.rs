@@ -1,15 +1,19 @@
+use std::hash::Hasher;
+
 /// Per-set Tree-PLRU replacement state, the default policy of every cache
 /// in the paper's Table II.
 ///
-/// Each set of `W` ways (W a power of two) keeps `W-1` direction bits in an
-/// implicit binary tree. [`TreePlru::touch`] flips the bits on the path to a
-/// way so they point *away* from it; [`TreePlru::victim`] follows the bits
-/// down to the pseudo-least-recently-used way.
+/// Each set of `W` ways (W a power of two, at most 64) keeps `W-1`
+/// direction bits in an implicit binary tree, packed into one `u64` per
+/// set: bit `n` is heap node `n` (root 0, children `2n+1`/`2n+2`), `0` =
+/// left, `1` = right. [`TreePlru::touch`] walks from the way's leaf to the
+/// root pointing every bit on the path *away* from it; [`TreePlru::victim`]
+/// follows the bits down to the pseudo-least-recently-used way.
 ///
-/// [`TreePlru::victim_among`] restricts the walk to a candidate mask. It is
-/// the hook used by the future-work *state-aware* directory replacement
-/// policy (§VII): the directory first filters candidates by state score and
-/// lets Tree-PLRU break ties.
+/// [`TreePlru::victim_among`] restricts the walk to a candidate mask (bit
+/// `w` = way `w`). It is the hook used by the future-work *state-aware*
+/// directory replacement policy (§VII): the directory first filters
+/// candidates by state score and lets Tree-PLRU break ties.
 ///
 /// # Examples
 ///
@@ -21,13 +25,13 @@
 /// p.touch(0, 1);
 /// // ways 2/3 are now colder than 0/1
 /// assert!(p.victim(0) >= 2);
+/// assert_eq!(p.victim_among(0, 0b0011), Some(0));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TreePlru {
-    sets: usize,
     ways: usize,
-    /// `sets * (ways - 1)` direction bits; `false` = left, `true` = right.
-    bits: Vec<bool>,
+    /// One word of direction bits per set.
+    bits: Vec<u64>,
 }
 
 impl TreePlru {
@@ -35,7 +39,8 @@ impl TreePlru {
     ///
     /// # Panics
     ///
-    /// Panics if `ways` is zero or not a power of two, or `sets` is zero.
+    /// Panics if `ways` is zero, not a power of two or above 64, or `sets`
+    /// is zero.
     #[must_use]
     pub fn new(sets: usize, ways: usize) -> Self {
         assert!(sets > 0, "TreePlru needs at least one set");
@@ -43,20 +48,8 @@ impl TreePlru {
             ways > 0 && ways.is_power_of_two(),
             "TreePlru ways must be a power of two (got {ways})"
         );
-        TreePlru { sets, ways, bits: vec![false; sets * (ways - 1)] }
-    }
-
-    fn nodes_per_set(&self) -> usize {
-        self.ways - 1
-    }
-
-    fn bit(&self, set: usize, node: usize) -> bool {
-        self.bits[set * self.nodes_per_set() + node]
-    }
-
-    fn set_bit(&mut self, set: usize, node: usize, v: bool) {
-        let n = self.nodes_per_set();
-        self.bits[set * n + node] = v;
+        assert!(ways <= 64, "TreePlru packs a set into one word: at most 64 ways (got {ways})");
+        TreePlru { ways, bits: vec![0; sets] }
     }
 
     /// Marks `way` as most-recently used in `set`.
@@ -65,26 +58,18 @@ impl TreePlru {
     ///
     /// Panics if `set` or `way` is out of range.
     pub fn touch(&mut self, set: usize, way: usize) {
-        assert!(set < self.sets && way < self.ways, "touch({set},{way}) out of range");
-        if self.ways == 1 {
-            return;
+        assert!(way < self.ways, "touch({set},{way}) out of range");
+        let mut bits = self.bits[set];
+        // The way's leaf sits at heap index `ways - 1 + way`. A right
+        // child has an even index; point its parent at the *other* half.
+        let mut node = self.ways - 1 + way;
+        while node > 0 {
+            let parent = (node - 1) / 2;
+            let came_from_right = node & 1 == 0;
+            bits = bits & !(1 << parent) | u64::from(!came_from_right) << parent;
+            node = parent;
         }
-        // Walk from the root; at each node the touched way lies in either
-        // the left or right half. Point the bit at the *other* half.
-        let mut node = 0;
-        let mut lo = 0;
-        let mut hi = self.ways;
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            let right = way >= mid;
-            self.set_bit(set, node, !right);
-            node = 2 * node + if right { 2 } else { 1 };
-            if right {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
+        self.bits[set] = bits;
     }
 
     /// The way Tree-PLRU would evict from `set`.
@@ -94,40 +79,41 @@ impl TreePlru {
     /// Panics if `set` is out of range.
     #[must_use]
     pub fn victim(&self, set: usize) -> usize {
-        let all = vec![true; self.ways];
-        self.victim_among(set, &all).expect("victim_among with full mask always finds a way")
+        self.victim_among(set, u64::MAX).expect("a full mask always holds a candidate")
     }
 
-    /// The coldest way among those with `candidates[way] == true`.
+    /// The coldest way among those whose bit is set in `candidates` (bits
+    /// at or above `ways` are ignored).
     ///
     /// Walks the tree preferring the PLRU direction whenever that subtree
     /// still contains a candidate. Returns `None` if no way is a candidate.
     ///
     /// # Panics
     ///
-    /// Panics if `set` is out of range or `candidates.len() != ways`.
+    /// Panics if `set` is out of range.
     #[must_use]
-    pub fn victim_among(&self, set: usize, candidates: &[bool]) -> Option<usize> {
-        assert!(set < self.sets, "set {set} out of range");
-        assert_eq!(candidates.len(), self.ways, "candidate mask length mismatch");
-        if !candidates.iter().any(|&c| c) {
+    pub fn victim_among(&self, set: usize, candidates: u64) -> Option<usize> {
+        let bits = self.bits[set];
+        let candidates = candidates & (u64::MAX >> (64 - self.ways));
+        if candidates == 0 {
             return None;
         }
         let mut node = 0;
         let mut lo = 0;
-        let mut hi = self.ways;
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            let prefer_right = self.bit(set, node);
-            let right_has = candidates[mid..hi].iter().any(|&c| c);
-            let left_has = candidates[lo..mid].iter().any(|&c| c);
-            let go_right = if prefer_right { right_has } else { !left_has };
-            node = 2 * node + if go_right { 2 } else { 1 };
-            if go_right {
-                lo = mid;
+        let mut half = self.ways / 2;
+        while half > 0 {
+            let left = ((1u64 << half) - 1) << lo;
+            let prefer_right = bits >> node & 1 != 0;
+            let go_right = if prefer_right {
+                candidates & (left << half) != 0
             } else {
-                hi = mid;
+                candidates & left == 0
+            };
+            node = 2 * node + 1 + usize::from(go_right);
+            if go_right {
+                lo += half;
             }
+            half /= 2;
         }
         Some(lo)
     }
@@ -141,15 +127,24 @@ impl TreePlru {
     /// Number of sets.
     #[must_use]
     pub fn sets(&self) -> usize {
-        self.sets
+        self.bits.len()
     }
 
-    /// The raw direction bits, set-major (for state fingerprints: the
+    /// Folds the direction bits into `h` (for state fingerprints: the
     /// replacement state decides future victims, so two cache states that
     /// differ only here can still diverge).
-    #[must_use]
-    pub fn raw_bits(&self) -> &[bool] {
-        &self.bits
+    ///
+    /// Feeds exactly what hashing the set-major `[bool]` of direction bits
+    /// would — a length prefix, then one byte per node — so fingerprints
+    /// do not depend on the packing.
+    pub fn hash_state<H: Hasher>(&self, h: &mut H) {
+        let nodes = self.ways - 1;
+        h.write_usize(self.bits.len() * nodes);
+        for &bits in &self.bits {
+            for node in 0..nodes {
+                h.write_u8((bits >> node & 1) as u8);
+            }
+        }
     }
 }
 
@@ -200,16 +195,17 @@ mod tests {
         p.touch(0, 2);
         p.touch(0, 3);
         // PLRU prefers ways 0/1; masked out, so it must pick among 2/3.
-        let v = p.victim_among(0, &[false, false, true, true]).unwrap();
+        let v = p.victim_among(0, 0b1100).unwrap();
         assert!(v == 2 || v == 3);
         // Only one candidate.
-        assert_eq!(p.victim_among(0, &[false, false, false, true]), Some(3));
+        assert_eq!(p.victim_among(0, 0b1000), Some(3));
     }
 
     #[test]
     fn victim_among_empty_mask_is_none() {
         let p = TreePlru::new(1, 4);
-        assert_eq!(p.victim_among(0, &[false; 4]), None);
+        assert_eq!(p.victim_among(0, 0), None);
+        assert_eq!(p.victim_among(0, 0b1_0000), None, "bits above `ways` are not candidates");
     }
 
     #[test]
@@ -217,6 +213,7 @@ mod tests {
         let mut p = TreePlru::new(3, 1);
         p.touch(2, 0);
         assert_eq!(p.victim(2), 0);
+        assert_eq!(p.victim_among(2, 1), Some(0));
     }
 
     #[test]
@@ -235,14 +232,29 @@ mod tests {
     }
 
     #[test]
-    fn large_assoc_32_ways_works() {
-        // The directory cache in Table II is 32-way.
-        let mut p = TreePlru::new(4, 32);
-        for w in 0..32 {
-            p.touch(1, w);
+    #[should_panic(expected = "at most 64 ways")]
+    fn more_than_64_ways_rejected() {
+        let _ = TreePlru::new(1, 128);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn touch_of_a_way_past_the_set_panics() {
+        TreePlru::new(1, 4).touch(0, 4);
+    }
+
+    #[test]
+    fn large_assoc_32_and_64_ways_work() {
+        // The directory cache in Table II is 32-way; 64 fills the word.
+        for ways in [32, 64] {
+            let mut p = TreePlru::new(4, ways);
+            for w in 0..ways {
+                p.touch(1, w);
+            }
+            assert_eq!(p.victim(1), 0);
+            p.touch(1, 0);
+            assert_ne!(p.victim(1), 0);
+            assert_eq!(p.victim_among(1, 1 << (ways - 1)), Some(ways - 1));
         }
-        assert_eq!(p.victim(1), 0);
-        p.touch(1, 0);
-        assert_ne!(p.victim(1), 0);
     }
 }

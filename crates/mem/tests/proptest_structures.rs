@@ -97,11 +97,10 @@ fn tree_plru_victim_among_respects_mask() {
         for _ in 0..rng.next_below(32) {
             p.touch(0, rng.next_below(4) as usize);
         }
-        let mask_bits = rng.next_below(16) as u8;
-        let mask: Vec<bool> = (0..4).map(|i| mask_bits & (1 << i) != 0).collect();
-        match p.victim_among(0, &mask) {
-            Some(v) => assert!(mask[v], "victim outside the candidate mask"),
-            None => assert!(mask.iter().all(|&m| !m)),
+        let mask = rng.next_below(16);
+        match p.victim_among(0, mask) {
+            Some(v) => assert!(mask >> v & 1 != 0, "victim outside the candidate mask"),
+            None => assert_eq!(mask, 0),
         }
     }
 }
