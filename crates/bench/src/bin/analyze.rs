@@ -17,8 +17,8 @@
 //!   `cedd`);
 //! * `--config <baseline|sharer_tracking>` — coherence configuration
 //!   (default `sharer_tracking`, the paper's §IV directory);
-//! * `--report <path>` — additionally write a schema-v2 run report
-//!   carrying the same matrices and sharing sections.
+//! * `--report <path>` — additionally write a run report carrying the
+//!   same matrices and sharing sections.
 
 use hsc_bench::reporting::{outcome_label, write_report, REPORT_EPOCH_TICKS};
 use hsc_core::{CoherenceConfig, ObsConfig, SystemConfig};

@@ -27,6 +27,7 @@
 //!   child binary. Stdout and the report are **byte-identical at any
 //!   worker count**; only wall-clock changes.
 
+use std::path::Path;
 use std::process::Command;
 
 use hsc_bench::par::Campaign;
@@ -37,28 +38,46 @@ use hsc_workloads::{
     collaborative_workloads, run_workload_observed, try_run_workload_on, Hsti, Tq, Workload,
 };
 
+/// The figure/table child binaries, in the paper's order, and whether
+/// each takes the campaign `--jobs` flag.
+const CHILD_BINS: [(&str, bool); 10] = [
+    ("table2_cache_config", false),
+    ("table3_system_config", false),
+    ("fig4_speedup", true),
+    ("fig5_mem_traffic", true),
+    ("fig6_tracking_speedup", true),
+    ("fig7_probe_reduction", true),
+    ("table1_transitions", false),
+    ("ablation_dir_repl", true),
+    ("characterize", true),
+    ("extension_benchmarks", true),
+];
+
+/// The child binaries that are not built next to this one. `cargo run
+/// --bin repro_all` builds only `repro_all`, so on a fresh checkout this
+/// is all ten.
+fn missing_bins(dir: &Path) -> Vec<&'static str> {
+    CHILD_BINS.iter().map(|&(bin, _)| bin).filter(|bin| !dir.join(bin).is_file()).collect()
+}
+
 fn main() {
     let opts = parse_cli("repro_all");
     let par = opts.parallelism("repro_all");
     let traced = opts.trace_workload("repro_all");
 
     if !opts.quick && traced.is_none() {
-        // (bin, whether it takes the campaign `--jobs` flag)
-        let bins = [
-            ("table2_cache_config", false),
-            ("table3_system_config", false),
-            ("fig4_speedup", true),
-            ("fig5_mem_traffic", true),
-            ("fig6_tracking_speedup", true),
-            ("fig7_probe_reduction", true),
-            ("table1_transitions", false),
-            ("ablation_dir_repl", true),
-            ("characterize", true),
-            ("extension_benchmarks", true),
-        ];
         let me = std::env::current_exe().expect("current exe path");
         let dir = me.parent().expect("exe directory");
-        for (bin, takes_jobs) in bins {
+        let missing = missing_bins(dir);
+        if !missing.is_empty() {
+            eprintln!(
+                "repro_all: not built in {}: {}; run `cargo build --release -p hsc-bench` first",
+                dir.display(),
+                missing.join(", ")
+            );
+            std::process::exit(1);
+        }
+        for (bin, takes_jobs) in CHILD_BINS {
             let path = dir.join(bin);
             let mut cmd = Command::new(&path);
             if takes_jobs {
@@ -125,5 +144,28 @@ fn main() {
             trace.len(),
             path.display()
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_empty_directory_is_missing_every_child_bin() {
+        let dir = std::env::temp_dir().join("hsc_repro_all_missing_bins_test");
+        let _ = std::fs::remove_dir_all(&dir); // what an earlier run left
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let missing = missing_bins(&dir);
+        assert_eq!(missing.len(), CHILD_BINS.len());
+        assert_eq!(missing[0], "table2_cache_config", "reported in run order");
+
+        // A directory is not a binary; a file is.
+        std::fs::create_dir_all(dir.join("fig4_speedup")).expect("decoy dir");
+        std::fs::write(dir.join("characterize"), "").expect("stand-in bin");
+        let missing = missing_bins(&dir);
+        assert!(missing.contains(&"fig4_speedup"));
+        assert!(!missing.contains(&"characterize"));
+        assert_eq!(missing.len(), CHILD_BINS.len() - 1);
     }
 }

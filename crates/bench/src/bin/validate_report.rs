@@ -1,17 +1,19 @@
 //! Validates a machine-readable run report against the `hsc-run-report`
-//! schema: JSON well-formedness, envelope field presence, a schema
-//! version this tree understands (1, or 2 when analytics sections are
-//! present), and per-run structure (counters, latency summaries, at
-//! least two sampled time series somewhere in the report, and — at v2 —
-//! well-formed transition-matrix, sharing, and flight-recorder
-//! sections). Every violation is accumulated and reported, never just
-//! the first. CI runs this on the artifacts `repro_all --report` and
-//! `analyze --report` emit.
+//! schema: JSON well-formedness, envelope field presence, the one schema
+//! version this tree writes, and per-run structure (counters, latency
+//! summaries, at least two sampled time series somewhere in the report,
+//! and — where a run carries them — well-formed transition-matrix,
+//! sharing, and flight-recorder sections). Every violation is accumulated
+//! and reported, never just the first. CI runs this on the artifacts
+//! `repro_all --report` and `analyze --report` emit.
+//!
+//! Exit status: 0 valid, 1 schema violations, 2 bad invocation or a path
+//! that cannot be read as JSON (usage on stderr).
 
 use std::process::ExitCode;
 
 use hsc_obs::json::{parse, Value};
-use hsc_obs::{REPORT_SCHEMA, REPORT_SCHEMA_VERSION, REPORT_SCHEMA_VERSION_V2};
+use hsc_obs::{REPORT_SCHEMA, REPORT_SCHEMA_VERSION};
 
 /// The sharing-classification keys, in emission order.
 const SHARING_CLASSES: [&str; 4] = ["private", "read_shared", "migratory", "ping_pong"];
@@ -20,13 +22,6 @@ fn check(errors: &mut Vec<String>, ok: bool, what: &str) {
     if !ok {
         errors.push(what.to_owned());
     }
-}
-
-/// Whether this run record carries any schema-v2 analytics section.
-fn has_analytics(run: &Value) -> bool {
-    run.get("transitions").is_some()
-        || run.get("sharing").is_some()
-        || run.get("flight_recorder").is_some()
 }
 
 /// Validates one `transitions` object: per-protocol state/cause
@@ -160,12 +155,10 @@ fn validate(doc: &Value) -> Vec<String> {
         doc.get("schema").and_then(Value::as_str) == Some(REPORT_SCHEMA),
         "field 'schema' must be \"hsc-run-report\"",
     );
-    let version = doc.get("schema_version").and_then(Value::as_f64);
     check(
         &mut errors,
-        version == Some(REPORT_SCHEMA_VERSION as f64)
-            || version == Some(REPORT_SCHEMA_VERSION_V2 as f64),
-        "field 'schema_version' must be a version this tree understands (1 or 2)",
+        doc.get("schema_version").and_then(Value::as_f64) == Some(REPORT_SCHEMA_VERSION as f64),
+        &format!("field 'schema_version' must be {REPORT_SCHEMA_VERSION}"),
     );
     for field in ["command", "git"] {
         check(
@@ -241,50 +234,32 @@ fn validate(doc: &Value) -> Vec<String> {
         }
     }
     check(&mut errors, total_series >= 2, "report must contain at least two sampled time series");
-    // The version and the sections must agree in both directions: a v2
-    // envelope without analytics is as wrong as analytics under a v1 one.
-    let any_analytics = runs.iter().any(has_analytics);
-    if version == Some(REPORT_SCHEMA_VERSION_V2 as f64) {
-        check(
-            &mut errors,
-            any_analytics,
-            "a v2 report must carry at least one transitions/sharing/flight_recorder section",
-        );
-    } else if version == Some(REPORT_SCHEMA_VERSION as f64) {
-        check(
-            &mut errors,
-            !any_analytics,
-            "a report with analytics sections must declare schema_version 2",
-        );
-    }
     errors
+}
+
+fn usage_exit(message: &str) -> ExitCode {
+    eprintln!("validate_report: {message}");
+    eprintln!("usage: validate_report <report.json>");
+    ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let (Some(path), None) = (args.next(), args.next()) else {
-        eprintln!("usage: validate_report <report.json>");
-        return ExitCode::FAILURE;
+        return usage_exit("expected exactly one report path");
     };
     let text = match std::fs::read_to_string(&path) {
         Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return usage_exit(&format!("cannot read {path}: {e}")),
     };
     let doc = match parse(&text) {
         Ok(d) => d,
-        Err(e) => {
-            eprintln!("{path} is not valid JSON: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return usage_exit(&format!("{path} is not valid JSON: {e}")),
     };
     let errors = validate(&doc);
     if errors.is_empty() {
         let runs = doc.get("runs").and_then(Value::as_array).map_or(0, <[Value]>::len);
-        let version = doc.get("schema_version").and_then(Value::as_f64).unwrap_or(0.0);
-        println!("{path}: valid {REPORT_SCHEMA} v{version:.0} ({runs} run(s))");
+        println!("{path}: valid {REPORT_SCHEMA} v{REPORT_SCHEMA_VERSION} ({runs} run(s))");
         ExitCode::SUCCESS
     } else {
         for e in &errors {

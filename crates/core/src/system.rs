@@ -778,15 +778,9 @@ impl System {
     pub fn metrics(&self) -> Metrics {
         let mut stats = StatSet::new();
         for (i, cp) in self.corepairs.iter().enumerate() {
-            let mut s = StatSet::new();
             for (k, v) in cp.stats().iter() {
-                let key = format!("cp{i}.{k}");
-                // touch + add so pre-registered zero counters keep their
-                // per-pair prefix instead of being dropped by `add(_, 0)`.
-                s.touch(&key);
-                s.add(&key, v);
+                stats.set(&format!("cp{i}.{k}"), v);
             }
-            stats.merge(&s);
         }
         for g in &self.gpus {
             stats.merge(&g.stats());

@@ -43,8 +43,7 @@ impl ClassCounters {
     }
 
     /// Interns `prefix.{class}` for every class, marking the classes
-    /// named in `visible` as export-at-zero (the old `StatSet::touch`
-    /// pre-registration) and the rest hidden.
+    /// named in `visible` as export-at-zero and the rest hidden.
     ///
     /// # Panics
     ///

@@ -33,7 +33,7 @@ pub struct ObsConfig {
     pub profile_agents: bool,
     /// Enable the engine-side protocol analytics: per-protocol
     /// state-transition matrices and directory sharing-pattern tracking.
-    /// Reports carrying these sections are emitted at schema version 2.
+    /// A report then carries the optional `transitions`/`sharing` sections.
     pub protocol_analytics: bool,
 }
 
@@ -64,9 +64,9 @@ impl ObsConfig {
     /// Latency tracking, sampling, and agent profiling — everything the
     /// run report needs — without the (much larger) Perfetto event stream.
     ///
-    /// Protocol analytics stay off: `report()` is the schema-version-1
-    /// baseline config and its output (including the golden fixtures) must
-    /// not change shape when new analytics pillars are added.
+    /// Protocol analytics stay off: `report()` is the baseline config and
+    /// its output (including the golden fixtures) must not change shape
+    /// when new analytics pillars are added.
     ///
     /// # Panics
     ///

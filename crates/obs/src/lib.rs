@@ -49,7 +49,6 @@ pub use observer::{AgentProfile, ObsData, Observer};
 pub use perfetto::{PerfettoTrace, PerfettoTracer};
 pub use report::{
     git_describe, LatencySummary, RunRecord, RunReport, REPORT_SCHEMA, REPORT_SCHEMA_VERSION,
-    REPORT_SCHEMA_VERSION_V2,
 };
 pub use sampler::{EpochSampler, TimeSeries};
 pub use span::{ClosedSpan, TxnTracker};

@@ -19,17 +19,10 @@ use crate::sampler::TimeSeries;
 /// The schema identifier every report carries.
 pub const REPORT_SCHEMA: &str = "hsc-run-report";
 
-/// Baseline schema version: the shape reports have had since the report
-/// layer existed. Reports whose runs carry none of the protocol-analytics
-/// sections still serialize at this version, byte-identical to before
-/// those sections existed.
-pub const REPORT_SCHEMA_VERSION: u64 = 1;
-
-/// Schema version stamped when any run carries a protocol-analytics
-/// section (`transitions`, `sharing`, `flight_recorder`). Version-2
-/// reports are a strict superset of version 1: every v1 field keeps its
-/// meaning and position.
-pub const REPORT_SCHEMA_VERSION_V2: u64 = 2;
+/// The one schema version. The protocol-analytics sections
+/// (`transitions`, `sharing`, `flight_recorder`) are optional parts of it:
+/// a run that collected none simply omits them.
+pub const REPORT_SCHEMA_VERSION: u64 = 2;
 
 /// Latency percentiles for one request class, precomputed from its
 /// [`Histogram`] so report consumers need no bucket math.
@@ -88,14 +81,14 @@ pub struct RunRecord {
     pub time_series: Vec<TimeSeries>,
     /// Per-agent engine profile.
     pub agents: Vec<AgentProfile>,
-    /// Per-protocol state-transition matrices (schema v2; empty on v1
-    /// records).
+    /// Per-protocol state-transition matrices (empty unless protocol
+    /// analytics were on).
     pub transitions: Vec<TransitionMatrix>,
-    /// Directory sharing-pattern summary (schema v2; absent on v1
-    /// records).
+    /// Directory sharing-pattern summary (absent unless protocol
+    /// analytics were on).
     pub sharing: Option<SharingReport>,
     /// Flight-recorder tail, attached only to failed runs
-    /// ([`RunRecord::attach_flight`]) so clean reports stay version 1.
+    /// ([`RunRecord::attach_flight`]).
     pub flight: Vec<FlightEntry>,
 }
 
@@ -120,12 +113,6 @@ impl RunRecord {
     /// Attaches a flight-recorder tail (the post-mortem of a failed run).
     pub fn attach_flight(&mut self, tail: &[FlightEntry]) {
         self.flight = tail.to_vec();
-    }
-
-    /// Whether this record carries any schema-v2 analytics section.
-    #[must_use]
-    pub fn has_analytics(&self) -> bool {
-        !self.transitions.is_empty() || self.sharing.is_some() || !self.flight.is_empty()
     }
 }
 
@@ -160,18 +147,6 @@ impl RunReport {
         self.config_summary = rendered;
     }
 
-    /// The schema version this report serializes at: version 2 as soon as
-    /// any run carries an analytics section, the byte-stable version 1
-    /// otherwise.
-    #[must_use]
-    pub fn schema_version(&self) -> u64 {
-        if self.runs.iter().any(RunRecord::has_analytics) {
-            REPORT_SCHEMA_VERSION_V2
-        } else {
-            REPORT_SCHEMA_VERSION
-        }
-    }
-
     /// Serializes the report to its JSON schema.
     #[must_use]
     pub fn to_json_string(&self) -> String {
@@ -180,7 +155,7 @@ impl RunReport {
         w.key("schema");
         w.string(REPORT_SCHEMA);
         w.key("schema_version");
-        w.uint(self.schema_version());
+        w.uint(REPORT_SCHEMA_VERSION);
         w.key("command");
         w.string(&self.command);
         w.key("git");
@@ -287,8 +262,7 @@ fn write_run(w: &mut JsonWriter, run: &RunRecord) {
         w.end_object();
     }
     w.end_object();
-    // Schema-v2 sections, emitted only when present so v1 reports stay
-    // byte-identical to pre-analytics builds.
+    // The analytics sections, emitted only when collected.
     if !run.transitions.is_empty() {
         w.key("transitions");
         w.begin_object();
@@ -452,7 +426,7 @@ mod tests {
     }
 
     #[test]
-    fn analytics_sections_bump_schema_version() {
+    fn analytics_sections_are_optional_within_the_one_schema_version() {
         let mut report = RunReport::new("unit-test");
         let mut run = RunRecord {
             workload: "tq".into(),
@@ -460,8 +434,8 @@ mod tests {
             ..RunRecord::default()
         };
         report.runs.push(run.clone());
-        assert_eq!(report.schema_version(), REPORT_SCHEMA_VERSION);
         let json = report.to_json_string();
+        assert!(json.contains("\"schema_version\":2"));
         assert!(!json.contains("\"transitions\""));
         assert!(!json.contains("\"flight_recorder\""));
 
@@ -482,11 +456,10 @@ mod tests {
             kind: "RdBlk",
             line: 0x40,
         }]);
-        let mut v2 = RunReport::new("unit-test");
-        v2.runs.push(run);
-        assert_eq!(v2.schema_version(), REPORT_SCHEMA_VERSION_V2);
-        let v = parse(&v2.to_json_string()).expect("v2 JSON parses");
-        assert_eq!(v.get("schema_version").unwrap().as_f64(), Some(2.0));
+        let mut with_sections = RunReport::new("unit-test");
+        with_sections.runs.push(run);
+        let v = parse(&with_sections.to_json_string()).expect("report JSON parses");
+        assert_eq!(v.get("schema_version").unwrap().as_f64(), Some(REPORT_SCHEMA_VERSION as f64));
         let run = &v.get("runs").unwrap().as_array().unwrap()[0];
         let moesi = run.get("transitions").unwrap().get("moesi-l2").unwrap();
         assert_eq!(moesi.get("total").unwrap().as_f64(), Some(1.0));

@@ -1,25 +1,22 @@
-//! Interned counter storage for the per-event hot path.
+//! Interned counter storage: the one way the simulator counts.
 //!
-//! [`StatSet`] is the right interface at report time — string keys, sorted
-//! iteration, cheap merging — but a terrible one per event: every
-//! `bump("dir.probes_sent")` walks a `BTreeMap<String, u64>` comparing
-//! strings, and per-class keys (`net.msg.RdBlk`, …) used to be built with
-//! `format!` on every message. [`Counters`] splits the two concerns:
+//! [`StatSet`] is the right shape at report time — string keys, sorted
+//! iteration, cheap merging — but a terrible one per event: a
+//! string-keyed bump walks a `BTreeMap<String, u64>` comparing strings,
+//! and per-class keys (`net.msg.RdBlk`, …) would have to be built with
+//! `format!` on every message. So nothing counts through a `StatSet`;
+//! [`Counters`] owns every count and a `StatSet` is only what it exports:
 //!
 //! * **Construction time** — each controller interns its key names once
 //!   via [`Counters::register`] / [`Counters::register_hidden`], getting
-//!   back a copyable [`CounterId`] per key. Registration subsumes the old
-//!   `StatSet::touch` ritual: a `register`ed key appears in exports even
-//!   at zero, a `register_hidden` one only once it fires — exactly the
-//!   two behaviors the string-keyed controllers had (`touch`ed keys vs.
-//!   keys that only ever existed because `add` created them).
+//!   back a copyable [`CounterId`] per key. A `register`ed key appears in
+//!   exports even at zero, a `register_hidden` one only once it fires.
 //! * **Hot path** — [`Counters::bump`] / [`Counters::add`] are a
 //!   bounds-checked add into a dense `Vec<u64>` slot. No hashing, no
 //!   string comparison, no allocation.
-//! * **Report time** — [`Counters::export`] materializes a [`StatSet`]
-//!   with byte-identical keys, values and ordering to what the old
-//!   string-keyed code produced, so every stdout table and `RunReport`
-//!   JSON built on top is unchanged (asserted by the golden fixtures in
+//! * **Report time** — [`Counters::export`] materializes a [`StatSet`] in
+//!   sorted key order; every stdout table and `RunReport` JSON is built
+//!   from those (pinned by the golden fixtures in
 //!   `crates/bench/tests/golden_counters.rs`).
 //!
 //! # Examples
@@ -64,7 +61,7 @@ pub struct CounterId(u32);
 pub struct Counters {
     /// Slot values, indexed by `CounterId`.
     values: Vec<u64>,
-    /// Whether the slot exports even at zero (old `touch` semantics).
+    /// Whether the slot exports even at zero.
     visible: Vec<bool>,
     /// Interned name → slot. Only walked at registration and export.
     index: BTreeMap<String, u32>,
@@ -78,9 +75,9 @@ impl Counters {
     }
 
     /// Interns `name` and returns its id, marking it **visible**: the key
-    /// appears in [`Counters::export`] even while its value is 0, like a
-    /// `StatSet::touch`ed key. Registering an existing name returns the
-    /// same id (and upgrades a hidden slot to visible).
+    /// appears in [`Counters::export`] even while its value is 0.
+    /// Registering an existing name returns the same id (and upgrades a
+    /// hidden slot to visible).
     pub fn register(&mut self, name: &str) -> CounterId {
         let id = self.intern(name);
         self.visible[id.0 as usize] = true;
@@ -88,9 +85,9 @@ impl Counters {
     }
 
     /// Interns `name` and returns its id, leaving it **hidden**: the key
-    /// appears in [`Counters::export`] only once its value is nonzero,
-    /// like a key the old code only ever `add`ed to. Registering an
-    /// existing name returns the same id (a visible slot stays visible).
+    /// appears in [`Counters::export`] only once its value is nonzero.
+    /// Registering an existing name returns the same id (a visible slot
+    /// stays visible).
     pub fn register_hidden(&mut self, name: &str) -> CounterId {
         self.intern(name)
     }
@@ -116,11 +113,8 @@ impl Counters {
         self.values[id.0 as usize] += 1;
     }
 
-    /// Increments the slot by `amount`.
-    ///
-    /// Unlike `StatSet::add` there is no zero-drop special case: the slot
-    /// already exists, and whether it exports at zero is decided by how
-    /// it was registered.
+    /// Increments the slot by `amount`. Adding 0 changes nothing: whether
+    /// the slot exports at zero is decided by how it was registered.
     ///
     /// # Panics
     ///
@@ -157,8 +151,7 @@ impl Counters {
     }
 
     /// Materializes the report-time [`StatSet`]: every visible slot plus
-    /// every hidden slot that fired, in sorted key order — byte-identical
-    /// to what the string-keyed implementation accumulated.
+    /// every hidden slot that fired, in sorted key order.
     #[must_use]
     pub fn export(&self) -> StatSet {
         let mut out = StatSet::new();
@@ -221,9 +214,9 @@ mod tests {
         assert_eq!(c.export().len(), 1);
     }
 
-    /// Export ordering must match what the same sequence of string-keyed
-    /// `StatSet` operations produces — sorted keys, zero-valued touched
-    /// keys included — regardless of registration order.
+    /// The export is exactly the visible and the fired slots at their
+    /// values — sorted keys, zero-valued visible keys included —
+    /// regardless of registration order.
     #[test]
     fn export_matches_equivalent_statset_byte_for_byte() {
         let mut c = Counters::new();
@@ -236,14 +229,14 @@ mod tests {
         c.add(alpha, 0);
 
         let mut s = StatSet::new();
-        s.touch("zebra");
-        s.touch("alpha");
-        s.add("zebra", 7);
-        s.bump("mid.fired");
-        s.add("alpha", 0);
+        s.set("zebra", 7);
+        s.set("mid.fired", 1);
+        s.set("alpha", 0);
 
         assert_eq!(c.export(), s);
         assert_eq!(c.export().to_string(), s.to_string());
+        let keys: Vec<&str> = s.iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, ["alpha", "mid.fired", "zebra"]);
     }
 
     #[test]

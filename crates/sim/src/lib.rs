@@ -7,11 +7,11 @@
 //! * [`WheelQueue`] — a hierarchical timing wheel of timestamped events
 //!   with deterministic FIFO tie-breaking and O(1) insert/pop for the
 //!   small fixed deltas the simulator overwhelmingly schedules,
-//! * [`StatSet`] and [`Histogram`] — the statistics containers from which
-//!   every figure of the paper is regenerated,
-//! * [`Counters`] — interned-name counter slots for the per-event hot
-//!   path; controllers bump dense [`CounterId`]s and export a [`StatSet`]
-//!   only at report time,
+//! * [`Counters`] — the one way anything is counted: interned-name slots
+//!   that controllers bump by dense [`CounterId`],
+//! * [`StatSet`] and [`Histogram`] — what a run exports: the string-keyed
+//!   counter set [`Counters::export`] writes at report time, and latency
+//!   distributions; every figure of the paper is regenerated from them,
 //! * [`DetRng`] — a small, seedable, splittable PRNG so that workload
 //!   generation is reproducible bit-for-bit across runs and platforms,
 //! * [`TransitionMatrix`] — dense `[from][to][cause]` protocol-transition
@@ -45,8 +45,6 @@ mod counters;
 mod flight;
 mod fnv;
 mod outcome;
-#[cfg(test)]
-mod queue;
 mod rng;
 mod stats;
 mod tick;

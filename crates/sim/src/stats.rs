@@ -1,13 +1,14 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// A named set of monotonically increasing counters.
+/// The string-keyed export of a run's counters.
 ///
-/// Every controller in the simulator (directory, LLC, L2s, TCC, network)
-/// owns a `StatSet`; at the end of a run they are merged into one report
-/// from which the paper's figures are regenerated. Keys are free-form
-/// strings, kept in a `BTreeMap` so iteration (and therefore every printed
-/// report) is deterministic.
+/// Nothing counts through a `StatSet`: every controller counts in dense
+/// [`Counters`](crate::Counters) slots, and
+/// [`Counters::export`](crate::Counters::export) writes a `StatSet` at
+/// report time, exact values and zero-valued visible keys included. From
+/// there the sets are only merged into one report and read. Keys live in a `BTreeMap`, so
+/// iteration (and therefore every printed report) is deterministic.
 ///
 /// # Examples
 ///
@@ -15,11 +16,13 @@ use std::fmt;
 /// use hsc_sim::StatSet;
 ///
 /// let mut s = StatSet::new();
-/// s.bump("dir.probes_sent");
-/// s.add("dir.mem_reads", 3);
-/// assert_eq!(s.get("dir.probes_sent"), 1);
+/// s.set("dir.probes_sent", 1);
+/// s.set("dir.mem_reads", 3);
+/// s.set("l2.retries", 0); // a counter that never fired is still a key
 /// assert_eq!(s.get("dir.mem_reads"), 3);
-/// assert_eq!(s.get("never_touched"), 0);
+/// assert_eq!(s.sum_prefix("dir."), 4);
+/// assert_eq!(s.len(), 3);
+/// assert_eq!(s.get("never_set"), 0);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StatSet {
@@ -33,51 +36,14 @@ impl StatSet {
         StatSet::default()
     }
 
-    /// Increments `key` by one.
-    pub fn bump(&mut self, key: &str) {
-        self.add(key, 1);
-    }
-
-    /// Increments `key` by `amount`.
-    pub fn add(&mut self, key: &str, amount: u64) {
-        if amount == 0 {
-            return;
-        }
-        *self.counters.entry(key.to_owned()).or_insert(0) += amount;
-    }
-
-    /// Registers `key` at 0 without incrementing it.
-    ///
-    /// [`StatSet::add`] deliberately drops zero amounts, so a counter that
-    /// never fires is absent from reports. Controllers call `touch` on
-    /// their counter keys at construction so zero-valued counters show up
-    /// deterministically in merged reports and time series.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use hsc_sim::StatSet;
-    ///
-    /// let mut s = StatSet::new();
-    /// s.touch("l2.retries");
-    /// assert_eq!(s.len(), 1);
-    /// assert_eq!(s.get("l2.retries"), 0);
-    /// ```
-    pub fn touch(&mut self, key: &str) {
-        self.counters.entry(key.to_owned()).or_insert(0);
-    }
-
-    /// Sets `key` to `value`, registering it even when `value` is 0.
-    ///
-    /// This is the export-time complement of [`StatSet::touch`]: the
-    /// interned [`Counters`](crate::Counters) store uses it to materialize
-    /// a visible slot at its exact value — including pre-registered slots
-    /// that never fired — in one insertion.
+    /// Sets `key` to `value`, registering it even when `value` is 0, so
+    /// a counter that never fired still shows up in merged reports and
+    /// time series.
     pub fn set(&mut self, key: &str, value: u64) {
         self.counters.insert(key.to_owned(), value);
     }
 
-    /// Current value of `key` (0 if never incremented).
+    /// Current value of `key` (0 if absent).
     #[must_use]
     pub fn get(&self, key: &str) -> u64 {
         self.counters.get(key).copied().unwrap_or(0)
@@ -95,39 +61,14 @@ impl StatSet {
 
     /// Adds every counter of `other` into `self`.
     ///
-    /// Merging is commutative and associative (counters add, touched
-    /// zero keys survive), so a campaign folding per-job `StatSet`s gets
-    /// the same aggregate in whatever order the folds happen — the
-    /// property `hsc_bench::par` relies on for deterministic summaries.
+    /// Merging is commutative and associative (counters add, zero-valued
+    /// keys survive), so a campaign folding per-job `StatSet`s gets the
+    /// same aggregate in whatever order the folds happen — the property
+    /// `hsc_bench::par` relies on for deterministic summaries.
     pub fn merge(&mut self, other: &StatSet) {
         for (k, v) in &other.counters {
             *self.counters.entry(k.clone()).or_insert(0) += v;
         }
-    }
-
-    /// Folds any number of `StatSet`s into one aggregate.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use hsc_sim::StatSet;
-    ///
-    /// let mut a = StatSet::new();
-    /// a.add("x", 1);
-    /// let mut b = StatSet::new();
-    /// b.add("x", 2);
-    /// b.add("y", 5);
-    /// let all = StatSet::merge_all([&a, &b]);
-    /// assert_eq!(all.get("x"), 3);
-    /// assert_eq!(all.get("y"), 5);
-    /// ```
-    #[must_use]
-    pub fn merge_all<'a>(sets: impl IntoIterator<Item = &'a StatSet>) -> StatSet {
-        let mut out = StatSet::new();
-        for s in sets {
-            out.merge(s);
-        }
-        out
     }
 
     /// Iterates over `(key, value)` pairs in key order.
@@ -141,7 +82,7 @@ impl StatSet {
         self.counters.len()
     }
 
-    /// Whether no counter was ever incremented.
+    /// Whether the set has no keys.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty()
@@ -154,22 +95,6 @@ impl fmt::Display for StatSet {
             writeln!(f, "{k:<40} {v}")?;
         }
         Ok(())
-    }
-}
-
-impl Extend<(String, u64)> for StatSet {
-    fn extend<I: IntoIterator<Item = (String, u64)>>(&mut self, iter: I) {
-        for (k, v) in iter {
-            self.add(&k, v);
-        }
-    }
-}
-
-impl FromIterator<(String, u64)> for StatSet {
-    fn from_iter<I: IntoIterator<Item = (String, u64)>>(iter: I) -> Self {
-        let mut s = StatSet::new();
-        s.extend(iter);
-        s
     }
 }
 
@@ -318,43 +243,40 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bump_and_add_accumulate() {
+    fn set_registers_exact_values_and_zero_keys() {
         let mut s = StatSet::new();
-        s.bump("x");
-        s.bump("x");
-        s.add("x", 3);
+        s.set("x", 5);
+        s.set("quiet", 0);
         assert_eq!(s.get("x"), 5);
-    }
-
-    #[test]
-    fn zero_add_does_not_create_key() {
-        let mut s = StatSet::new();
-        s.add("ghost", 0);
-        assert!(s.is_empty());
+        assert_eq!(s.get("quiet"), 0);
         assert_eq!(s.get("ghost"), 0);
+        assert_eq!(s.len(), 2, "a zero value is still a key; an unset one is not");
     }
 
     #[test]
-    fn merge_sums_counters() {
+    fn merge_sums_counters_and_keeps_zero_keys() {
         let mut a = StatSet::new();
-        a.add("k1", 2);
-        a.add("k2", 1);
+        a.set("k1", 2);
+        a.set("k2", 1);
         let mut b = StatSet::new();
-        b.add("k1", 5);
-        b.add("k3", 7);
+        b.set("k1", 5);
+        b.set("k3", 7);
+        b.set("quiet", 0);
         a.merge(&b);
         assert_eq!(a.get("k1"), 7);
         assert_eq!(a.get("k2"), 1);
         assert_eq!(a.get("k3"), 7);
+        let keys: Vec<&str> = a.iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, ["k1", "k2", "k3", "quiet"], "merge must preserve zero keys");
     }
 
     #[test]
     fn sum_prefix_groups_related_counters() {
         let mut s = StatSet::new();
-        s.add("dir.probes.inv", 3);
-        s.add("dir.probes.downgrade", 4);
-        s.add("dir.mem_reads", 9);
-        s.add("dirty", 100); // must NOT match "dir." prefix
+        s.set("dir.probes.inv", 3);
+        s.set("dir.probes.downgrade", 4);
+        s.set("dir.mem_reads", 9);
+        s.set("dirty", 100); // must NOT match "dir." prefix
         assert_eq!(s.sum_prefix("dir.probes."), 7);
         assert_eq!(s.sum_prefix("dir."), 16);
     }
@@ -362,9 +284,9 @@ mod tests {
     #[test]
     fn iteration_is_sorted_by_key() {
         let mut s = StatSet::new();
-        s.add("b", 1);
-        s.add("a", 1);
-        s.add("c", 1);
+        s.set("b", 1);
+        s.set("a", 1);
+        s.set("c", 1);
         let keys: Vec<&str> = s.iter().map(|(k, _)| k).collect();
         assert_eq!(keys, ["a", "b", "c"]);
     }
@@ -372,17 +294,11 @@ mod tests {
     #[test]
     fn display_lists_all_counters() {
         let mut s = StatSet::new();
-        s.add("alpha", 1);
-        s.add("beta", 2);
+        s.set("alpha", 1);
+        s.set("beta", 2);
         let text = s.to_string();
         assert!(text.contains("alpha"));
         assert!(text.contains("beta"));
-    }
-
-    #[test]
-    fn collect_from_iterator() {
-        let s: StatSet = vec![("a".to_owned(), 1), ("a".to_owned(), 2)].into_iter().collect();
-        assert_eq!(s.get("a"), 3);
     }
 
     #[test]
@@ -416,31 +332,6 @@ mod tests {
     #[test]
     fn empty_histogram_mean_is_zero() {
         assert_eq!(Histogram::new().mean(), 0.0);
-    }
-
-    #[test]
-    fn touch_registers_key_at_zero_and_survives_merge() {
-        let mut s = StatSet::new();
-        s.touch("quiet");
-        s.touch("quiet"); // idempotent
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.get("quiet"), 0);
-        s.add("quiet", 0); // zero add still dropped, key stays
-        assert_eq!(s.get("quiet"), 0);
-
-        let mut merged = StatSet::new();
-        merged.merge(&s);
-        assert_eq!(merged.len(), 1, "merge must preserve touched zero keys");
-        let keys: Vec<&str> = merged.iter().map(|(k, _)| k).collect();
-        assert_eq!(keys, ["quiet"]);
-    }
-
-    #[test]
-    fn touch_does_not_reset_existing_counter() {
-        let mut s = StatSet::new();
-        s.add("k", 5);
-        s.touch("k");
-        assert_eq!(s.get("k"), 5);
     }
 
     #[test]

@@ -56,8 +56,9 @@ const LEVEL_OF_BIT: [u8; 64] = {
     t
 };
 
-/// A hierarchical timing wheel with the exact delivery order of the old
-/// binary-heap `EventQueue`: earliest tick first, FIFO within a tick.
+/// A hierarchical timing wheel with the delivery order of a queue kept
+/// sorted by `(tick, schedule order)`: earliest tick first, FIFO within a
+/// tick.
 ///
 /// Nearly every event the simulator schedules lands a small fixed delta
 /// ahead of now (NoC per-hop latency, memory latency, retry backoff) —
@@ -72,10 +73,11 @@ const LEVEL_OF_BIT: [u8; 64] = {
 ///
 /// Two small heaps handle the uncommon regimes: `overflow` holds events
 /// scheduled further than the wheel's horizon ahead, and `past` holds
-/// events scheduled before the wheel's current position (the queue, like
-/// its predecessor, does not enforce monotonicity — the driver does).
+/// events scheduled before the wheel's current position (the queue does
+/// not enforce monotonicity — the driver does).
 ///
-/// Delivery order is identical to the old queue by construction:
+/// Delivery order holds by construction (and against a sorted-`Vec`
+/// oracle in this module's differential fuzz tests):
 ///
 /// * within a slot, events append in `seq` order and cascades preserve
 ///   list order, so same-tick FIFO never breaks;
@@ -85,8 +87,8 @@ const LEVEL_OF_BIT: [u8; 64] = {
 /// * both heaps order by `(tick, seq)`.
 ///
 /// `snapshot`/`remove_seq` — the model checker's choice-set view — are
-/// O(n) walks, exactly as before: the exhaustive explorer runs on tiny
-/// queues and the simulation hot path never calls them.
+/// O(n) walks: the exhaustive explorer runs on tiny queues and the
+/// simulation hot path never calls them.
 ///
 /// # Examples
 ///
@@ -536,8 +538,36 @@ impl<E> Default for WheelQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::EventQueue;
     use crate::DetRng;
+
+    /// The differential fuzz's oracle: every pending `(tick, seq, event)`
+    /// in one `Vec` kept in delivery order. `seq` only grows, so a new
+    /// event goes after the last entry whose tick is not later.
+    #[derive(Default)]
+    struct SortedOracle {
+        pending: Vec<(Tick, u64, u64)>,
+        next_seq: u64,
+    }
+
+    impl SortedOracle {
+        fn schedule(&mut self, tick: Tick, event: u64) {
+            let at = self.pending.partition_point(|&(t, _, _)| t <= tick);
+            self.pending.insert(at, (tick, self.next_seq, event));
+            self.next_seq += 1;
+        }
+
+        fn pop(&mut self) -> Option<(Tick, u64)> {
+            if self.pending.is_empty() {
+                return None;
+            }
+            let (tick, _, event) = self.pending.remove(0);
+            Some((tick, event))
+        }
+
+        fn peek_tick(&self) -> Option<Tick> {
+            self.pending.first().map(|&(tick, _, _)| tick)
+        }
+    }
 
     #[test]
     fn pops_in_time_order() {
@@ -695,15 +725,15 @@ mod tests {
         assert_eq!(q.pop(), Some((Tick(u64::MAX), 'z')));
     }
 
-    /// One seeded differential step sequence: drives the wheel and the old
-    /// binary-heap queue (the oracle) through an identical random mix of
-    /// schedules (same-tick bursts, small deltas, far-future overflow,
-    /// occasional past ticks), pops and `remove_seq` cancellations, and
-    /// asserts identical observable behaviour throughout.
+    /// One seeded differential step sequence: drives the wheel and the
+    /// sorted-`Vec` oracle through an identical random mix of schedules
+    /// (same-tick bursts, small deltas, far-future overflow, occasional
+    /// past ticks), pops and `remove_seq` cancellations, and asserts
+    /// identical observable behaviour throughout.
     fn differential_run(seed: u64, ops: usize) {
         let mut rng = DetRng::new(seed);
         let mut wheel: WheelQueue<u64> = WheelQueue::new();
-        let mut oracle: EventQueue<u64> = EventQueue::new();
+        let mut oracle = SortedOracle::default();
         let mut now = 0u64;
         let mut payload = 0u64;
         for op in 0..ops {
@@ -736,19 +766,19 @@ mod tests {
                 }
                 // Cancel a random pending event by its seq handle (10%).
                 _ => {
-                    let snap = oracle.snapshot();
-                    if snap.is_empty() {
+                    if oracle.pending.is_empty() {
                         continue;
                     }
-                    let pick = snap[rng.next_below(snap.len() as u64) as usize].1;
+                    let i = rng.next_below(oracle.pending.len() as u64) as usize;
+                    let (tick, pick, event) = oracle.pending.remove(i);
                     assert_eq!(
                         wheel.remove_seq(pick),
-                        oracle.remove_seq(pick),
+                        Some((tick, event)),
                         "remove_seq({pick}) diverged at op {op} (seed {seed})"
                     );
                 }
             }
-            assert_eq!(wheel.len(), oracle.len(), "len diverged at op {op} (seed {seed})");
+            assert_eq!(wheel.len(), oracle.pending.len(), "len diverged at op {op} (seed {seed})");
             assert_eq!(
                 wheel.peek_tick(),
                 oracle.peek_tick(),
@@ -757,9 +787,7 @@ mod tests {
             if op % 64 == 0 {
                 let ws: Vec<(Tick, u64, u64)> =
                     wheel.snapshot().into_iter().map(|(t, s, &e)| (t, s, e)).collect();
-                let os: Vec<(Tick, u64, u64)> =
-                    oracle.snapshot().into_iter().map(|(t, s, &e)| (t, s, e)).collect();
-                assert_eq!(ws, os, "snapshot diverged at op {op} (seed {seed})");
+                assert_eq!(ws, oracle.pending, "snapshot diverged at op {op} (seed {seed})");
             }
         }
         // Drain both completely: every remaining event must match.
@@ -773,7 +801,7 @@ mod tests {
     }
 
     #[test]
-    fn differential_fuzz_vs_binary_heap_oracle() {
+    fn differential_fuzz_vs_sorted_vec_oracle() {
         for seed in 0..32 {
             differential_run(0xC0FFEE ^ seed, 2_000);
         }
