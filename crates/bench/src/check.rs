@@ -10,22 +10,18 @@
 //! * **sweep** — timed runs under seeded probabilistic message loss with
 //!   retries enabled.
 //!
-//! Output is submission-ordered and byte-identical at any `--jobs` count,
+//! Output is submission-ordered and byte-identical at any worker count,
 //! including the per-scenario distinct-state counts — CI compares those
-//! across runs to pin down state-hash determinism. On a violation the
-//! minimized counterexample is printed as a numbered event sequence and
-//! exported as a Perfetto trace under `target/check/` (or the
-//! `--perfetto` directory), then the process exits non-zero.
-//!
-//! `--quick` shrinks the sweep seed range.
+//! across runs to pin down state-hash determinism.
 
-use std::path::PathBuf;
+use std::io::{self, Write};
+use std::path::Path;
 use std::process::ExitCode;
 
-use hsc_bench::par::Campaign;
-use hsc_bench::reporting::parse_cli;
 use hsc_check::litmus::{Litmus, LitmusReport, SweepSummary};
 use hsc_check::CheckConfig;
+
+use crate::par::{Campaign, Parallelism};
 
 /// Seeds per scenario sweep (full / `--quick`).
 const SWEEP_SEEDS: u64 = 20;
@@ -36,19 +32,23 @@ enum ModeResult {
     Sweep(SweepSummary),
 }
 
-fn main() -> ExitCode {
-    let opts = parse_cli("model_check");
-    // Litmus scenarios are fixed protocol stressors; replay traces have
-    // no meaning here.
-    opts.forbid_trace("model_check");
-    let par = opts.parallelism("model_check");
-    let sweep_seeds = if opts.quick { SWEEP_SEEDS_QUICK } else { SWEEP_SEEDS };
-    let trace_dir = opts.perfetto.clone().unwrap_or_else(|| PathBuf::from("target/check"));
+/// Checks the catalog; `quick` shrinks the sweep seed range. A violation
+/// fails the run: its minimized counterexample is printed as a numbered
+/// event sequence and exported as a Perfetto trace under `trace_dir`
+/// (default `target/check/`).
+pub fn check(
+    par: Parallelism,
+    quick: bool,
+    trace_dir: Option<&Path>,
+    out: &mut dyn Write,
+) -> io::Result<ExitCode> {
+    let sweep_seeds = if quick { SWEEP_SEEDS_QUICK } else { SWEEP_SEEDS };
+    let trace_dir = trace_dir.unwrap_or(Path::new("target/check"));
 
     let catalog = Litmus::catalog();
-    println!("model_check: {} scenarios, {} sweep seeds each", catalog.len(), sweep_seeds);
+    writeln!(out, "model_check: {} scenarios, {} sweep seeds each", catalog.len(), sweep_seeds)?;
 
-    let mut campaign = Campaign::new("model_check");
+    let mut campaign = Campaign::new("check");
     for l in Litmus::catalog() {
         let name = l.name;
         campaign.push(format!("{name}/exhaustive"), move || {
@@ -66,7 +66,7 @@ fn main() -> ExitCode {
         let r = match result {
             Ok(r) => r,
             Err(e) => {
-                println!("{:<22} PANIC: {e}", l.name);
+                writeln!(out, "{:<22} PANIC: {e}", l.name)?;
                 failed = true;
                 continue;
             }
@@ -83,37 +83,39 @@ fn main() -> ExitCode {
                     ),
                     None => "-".to_owned(),
                 };
-                println!(
+                writeln!(
+                    out,
                     "{:<22} exhaustive  fault-free: {:<40} faulty: {}",
                     rep.name,
                     summarize(&rep.fault_free),
                     summarize(&rep.faulty),
-                );
+                )?;
                 if let Some(cx) = rep.counterexample() {
                     failed = true;
-                    println!("{cx}");
-                    if std::fs::create_dir_all(&trace_dir).is_ok() {
+                    writeln!(out, "{cx}")?;
+                    if std::fs::create_dir_all(trace_dir).is_ok() {
                         let path = trace_dir.join(format!("counterexample_{}.json", rep.name));
                         match cx.to_perfetto().write_to(&path) {
-                            Ok(()) => println!("  trace written to {}", path.display()),
+                            Ok(()) => writeln!(out, "  trace written to {}", path.display())?,
                             Err(e) => eprintln!("  trace write failed: {e}"),
                         }
                     }
                 }
             }
             ModeResult::Sweep(s) => {
-                println!(
+                writeln!(
+                    out,
                     "{:<22} sweep       {} runs: {} completed, {} deadlocked, {} failed",
                     l.name,
                     s.runs,
                     s.completed,
                     s.deadlocked,
                     s.failures.len()
-                );
+                )?;
                 if !s.passed() {
                     failed = true;
                     for f in &s.failures {
-                        println!("  FAIL: {f}");
+                        writeln!(out, "  FAIL: {f}")?;
                     }
                 }
             }
@@ -121,10 +123,10 @@ fn main() -> ExitCode {
     }
 
     if failed {
-        println!("model_check: FAILED");
-        ExitCode::FAILURE
+        writeln!(out, "model_check: FAILED")?;
+        Ok(ExitCode::FAILURE)
     } else {
-        println!("model_check: all scenarios passed");
-        ExitCode::SUCCESS
+        writeln!(out, "model_check: all scenarios passed")?;
+        Ok(ExitCode::SUCCESS)
     }
 }

@@ -1,0 +1,224 @@
+//! Fault-injection campaign: robustness evidence for the retry layer and
+//! the protocol watchdog.
+//!
+//! Sweeps message-drop rates over the given workloads — two collaborative
+//! benchmarks (`hsti`, `tq`), or a single replayed `hsc-trace v1`
+//! workload whose self-computed expected final memory plays the role of
+//! the golden answer — with requester-side retries enabled. Every run
+//! must end in one of exactly two ways:
+//!
+//! * **completed** — the run reached quiescence and the workload's
+//!   functional verification passed, i.e. final memory matches the
+//!   fault-free golden run;
+//! * **diagnosed deadlock** — the run returned [`SimError::Deadlock`]
+//!   with a structured snapshot naming the stuck lines (expected when an
+//!   unretryable message class, e.g. a probe, is dropped).
+//!
+//! A panic, a wiring error, an exhausted event budget or a wrong answer
+//! all fail the campaign. A worker panic is captured per-job by the
+//! campaign runner and reported as a named failure while sibling runs
+//! complete.
+
+use std::io::{self, Write};
+use std::process::ExitCode;
+
+use hsc_core::{CoherenceConfig, ObsConfig, ObsData, SystemConfig};
+use hsc_noc::{FaultPlan, FaultTargets, RetryPolicy};
+use hsc_obs::RunRecord;
+use hsc_sim::{SimError, StatSet};
+use hsc_workloads::{
+    run_workload_observed, try_run_workload_on, ObservedRun, Workload, WorkloadError,
+};
+
+use crate::cli::OutFile;
+use crate::par::{Campaign, Parallelism};
+use crate::reporting::{run_record, write_report, REPORT_EPOCH_TICKS};
+
+/// Drop rates in parts-per-million per message. 0 checks that an armed
+/// but never-firing plan stays transparent.
+const DROP_PPM: [u32; 4] = [0, 200, 1_000, 5_000];
+
+/// The sweep drops only *retryable* request classes — the ones the
+/// requester-side retry layer re-sends — so recovery is possible. A final
+/// all-classes stress row additionally drops responses/probes/unblocks,
+/// which no retry covers: those runs exercise the watchdog diagnosis path.
+const STRESS_ALL_PPM: u32 = 2_000;
+
+/// The per-workload fault plans, labelled as printed.
+fn fault_plans() -> Vec<(String, FaultPlan)> {
+    let mut plans: Vec<(String, FaultPlan)> = DROP_PPM
+        .iter()
+        .enumerate()
+        .map(|(i, &ppm)| {
+            let plan = FaultPlan::drops(0xFA17 + i as u64, ppm)
+                .with_targets(FaultTargets::RetryableRequests);
+            (format!("{ppm}"), plan)
+        })
+        .collect();
+    plans.push((format!("{STRESS_ALL_PPM}*"), FaultPlan::drops(0xA11, STRESS_ALL_PPM)));
+    plans
+}
+
+/// One row of the campaign table; a run without `(dropped, retries)`
+/// counts prints dashes.
+fn write_row(
+    out: &mut dyn Write,
+    bench: &str,
+    drop_ppm: &str,
+    counts: Option<(u64, u64)>,
+    outcome: &str,
+) -> io::Result<()> {
+    let dash = || "-".to_owned();
+    let (dropped, retries) =
+        counts.map_or((dash(), dash()), |(d, r)| (d.to_string(), r.to_string()));
+    writeln!(out, "{bench:8} {drop_ppm:>9} {dropped:>9} {retries:>9}  {outcome}")
+}
+
+/// Runs the campaign over `workloads` as parallel campaigns; output and
+/// report order is submission order, identical at any worker count.
+/// With a `report`, the report additionally carries one `workload="all",
+/// config="aggregate"` record: the deterministic merge (counter sums,
+/// per-class histogram merges, epoch-aligned time-series sums) of every
+/// *completed* faulted run.
+///
+/// Returns failure if any run ended in neither completion nor a
+/// diagnosed deadlock.
+pub fn faults(
+    workloads: &[Box<dyn Workload>],
+    par: Parallelism,
+    report_file: Option<OutFile>,
+    out: &mut dyn Write,
+) -> io::Result<ExitCode> {
+    let obs = if report_file.is_some() {
+        ObsConfig::report(REPORT_EPOCH_TICKS)
+    } else {
+        ObsConfig::off()
+    };
+    let base = SystemConfig::scaled(CoherenceConfig::sharer_tracking());
+    let mut records = Vec::new();
+
+    // Phase 1 — golden, fault-free runs: prove each workload passes on
+    // this config before any faults are injected.
+    let mut goldens = Campaign::new("faults/golden");
+    for w in workloads {
+        let w = w.as_ref();
+        goldens.push(format!("{}/golden", w.name()), move || try_run_workload_on(w, base));
+    }
+    let golden_results = goldens.run(par);
+
+    // Phase 2 — the drop-rate sweep, only for workloads whose golden run
+    // passed. Job order is workload-major, plan-minor: exactly the order
+    // the serial campaign printed in.
+    let plans = fault_plans();
+    let mut sweep: Campaign<'_, ObservedRun> = Campaign::new("faults/sweep");
+    for (w, golden) in workloads.iter().zip(&golden_results) {
+        if !matches!(golden, Ok(Ok(_))) {
+            continue;
+        }
+        let w = w.as_ref();
+        for (label, plan) in &plans {
+            let cfg = base.with_retry_everywhere(RetryPolicy::default()).with_faults(*plan);
+            sweep.push(format!("{}/drop={label}", w.name()), move || {
+                run_workload_observed(w, cfg, obs)
+            });
+        }
+    }
+    let mut sweep_results = sweep.run(par).into_iter();
+
+    writeln!(out, "Fault-injection campaign: drop rates × workloads, retries on")?;
+    writeln!(out, "{:8} {:>9} {:>9} {:>9}  outcome", "bench", "drop_ppm", "dropped", "retries")?;
+
+    // Campaign-level aggregate of every completed faulted run, built by
+    // the deterministic merges (StatSet/Histogram/TimeSeries); the merge
+    // happens in submission order, so the record is identical at any
+    // worker count.
+    let mut agg_stats = StatSet::new();
+    let mut agg_obs = ObsData::default();
+    let mut agg = RunRecord {
+        workload: "all".to_owned(),
+        config: "aggregate".to_owned(),
+        outcome: "aggregate".to_owned(),
+        ..RunRecord::default()
+    };
+
+    let mut failures = 0;
+    for (w, golden) in workloads.iter().zip(&golden_results) {
+        let golden_failure = match golden {
+            Ok(Ok(_)) => None,
+            Ok(Err(e)) => Some(format!("GOLDEN RUN FAILED: {e}")),
+            Err(e) => Some(format!("GOLDEN RUN PANICKED: {e}")),
+        };
+        if let Some(outcome) = golden_failure {
+            write_row(out, w.name(), "-", None, &outcome)?;
+            failures += 1;
+            continue;
+        }
+        for (label, _) in &plans {
+            let run = match sweep_results.next().expect("one sweep result per plan") {
+                Ok(run) => run,
+                Err(e) => {
+                    write_row(out, w.name(), label, None, &format!("UNEXPECTED PANIC: {e}"))?;
+                    failures += 1;
+                    continue;
+                }
+            };
+            if report_file.is_some() {
+                let config = format!("sharer_tracking drop_ppm={label}");
+                records.push(run_record(w.name(), &config, &run));
+                if let Ok(r) = &run.outcome {
+                    agg_stats.merge(&r.metrics.stats);
+                    agg_obs.absorb(&run.obs);
+                    agg.ticks += r.metrics.ticks;
+                    agg.gpu_cycles += r.metrics.gpu_cycles;
+                }
+            }
+            match &run.outcome {
+                Ok(r) => {
+                    let stats = &r.metrics.stats;
+                    let retries =
+                        ["cp0.l2.retries", "cp1.l2.retries", "tcc.retries", "dma.retries"];
+                    let counts = (
+                        stats.get("faults.dropped"),
+                        retries.iter().map(|key| stats.get(key)).sum(),
+                    );
+                    write_row(out, w.name(), label, Some(counts), "completed, matches golden")?;
+                }
+                Err(WorkloadError::Sim(SimError::Deadlock { snapshot })) => {
+                    let outcome = format!(
+                        "diagnosed deadlock: {} stuck line(s), {} busy agent(s)",
+                        snapshot.lines.len(),
+                        snapshot.agents.len()
+                    );
+                    write_row(out, w.name(), label, None, &outcome)?;
+                    for l in snapshot.lines.iter().take(3) {
+                        writeln!(out, "{:40}• {l}", "")?;
+                    }
+                }
+                Err(e) => {
+                    write_row(out, w.name(), label, None, &format!("UNEXPECTED FAILURE: {e}"))?;
+                    failures += 1;
+                }
+            }
+        }
+    }
+
+    if let Some(file) = report_file {
+        agg.counters = agg_stats.iter().map(|(k, v)| (k.to_owned(), v)).collect();
+        agg.attach_obs(&agg_obs);
+        records.push(agg);
+        write_report("faults", &base, records, file, out)?;
+    }
+    if failures > 0 {
+        writeln!(
+            out,
+            "campaign FAILED: {failures} run(s) ended in neither completion nor a diagnosed \
+             deadlock"
+        )?;
+        return Ok(ExitCode::FAILURE);
+    }
+    writeln!(
+        out,
+        "campaign passed: every run completed golden-equivalent or was cleanly diagnosed"
+    )?;
+    Ok(ExitCode::SUCCESS)
+}

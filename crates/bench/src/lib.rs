@@ -1,13 +1,28 @@
-//! Shared harness for the figure/table-regeneration binaries.
+//! The paper's evaluation as library functions, and the `hsc` command
+//! line over them.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md's per-experiment index). This library holds the
-//! sweep driver and the paper's reported aggregate values, so each binary
-//! prints its measured series next to the number it is reproducing.
+//! Every table, figure and campaign is one function that writes to a
+//! `&mut dyn Write`; [`cli`] parses the command line and maps each
+//! sub-command to its function (`hsc help` prints the index). This root
+//! holds the sweep driver and the paper's reported aggregate values, so
+//! each section prints its measured series next to the number it is
+//! reproducing.
 
 #![warn(missing_docs)]
 
+pub mod analyze;
+pub mod characterize;
+pub mod check;
+pub mod cli;
+pub mod faults;
+pub mod figures;
 pub mod par;
+pub mod repro;
+pub mod tables;
+pub mod trace_gen;
+pub mod validate;
+
+use std::io::{self, Write};
 
 use hsc_core::{CoherenceConfig, Metrics, SystemConfig};
 use hsc_workloads::{run_workload_on, Workload};
@@ -88,194 +103,58 @@ pub fn mean(values: &[f64]) -> f64 {
     }
 }
 
-/// Prints a standard figure header.
-pub fn header(figure: &str, what: &str, paper_avg: f64) {
-    println!("================================================================");
-    println!("{figure}: {what}");
-    println!("(paper reports an average of {paper_avg:.2}% — the shape, not the");
-    println!(" absolute value, is the reproduction target; see EXPERIMENTS.md)");
-    println!("================================================================");
+/// The 64-column rule that frames every section header.
+pub(crate) const RULE: &str = "================================================================";
+/// The thinner rule above a section's summary line.
+pub(crate) const THIN_RULE: &str =
+    "----------------------------------------------------------------";
+
+/// Writes a standard figure header.
+pub(crate) fn header(
+    out: &mut dyn Write,
+    figure: &str,
+    what: &str,
+    paper_avg: f64,
+) -> io::Result<()> {
+    writeln!(out, "{RULE}")?;
+    writeln!(out, "{figure}: {what}")?;
+    writeln!(out, "(paper reports an average of {paper_avg:.2}% — the shape, not the")?;
+    writeln!(out, " absolute value, is the reproduction target; see EXPERIMENTS.md)")?;
+    writeln!(out, "{RULE}")
 }
 
-/// Shared `--report` plumbing for the bench binaries.
+/// Run-report records and files, shared by every report-emitting
+/// sub-command.
 pub mod reporting {
-    use std::path::PathBuf;
+    use std::io::{self, Write};
 
-    use crate::par::Parallelism;
+    use crate::cli::OutFile;
     use hsc_core::SystemConfig;
     use hsc_obs::{ObsConfig, RunRecord, RunReport};
     use hsc_sim::SimError;
-    use hsc_workloads::trace::{StreamKind, TraceProgram, TraceWorkload, TrafficSpec};
-    use hsc_workloads::{run_workload_observed, Workload, WorkloadError};
+    use hsc_workloads::{run_workload_observed, ObservedRun, Workload, WorkloadError};
 
     /// Epoch width (ticks) used by report runs: fine enough to show
     /// bursts on the scaled evaluation system (runs are a few million
     /// ticks), coarse enough to keep reports small.
     pub const REPORT_EPOCH_TICKS: u64 = 50_000;
 
-    /// Command-line options common to the report-emitting binaries.
-    #[derive(Debug, Clone, Default, PartialEq, Eq)]
-    pub struct CliOptions {
-        /// Write a machine-readable run report here.
-        pub report: Option<PathBuf>,
-        /// Skip the expensive full regeneration, keep the report runs.
-        pub quick: bool,
-        /// Write a Perfetto (Chrome-trace) JSON of one seeded run here.
-        pub perfetto: Option<PathBuf>,
-        /// Replay this `hsc-trace v1` file instead of the built-in
-        /// benchmarks (`--trace <file>`).
-        pub trace: Option<PathBuf>,
-        /// Generate-and-replay a synthetic trace from this traffic spec
-        /// (`--trace-gen <spec>`, see `hsc_workloads::trace::TrafficSpec`).
-        pub trace_gen: Option<String>,
-        /// Explicit `--jobs <N>` campaign worker count.
-        pub jobs: Option<usize>,
-    }
-
-    impl CliOptions {
-        /// Resolves the campaign worker count for this invocation:
-        /// `--jobs` flag, then `HSC_JOBS`, then the machine's available
-        /// parallelism. Exits with usage on an invalid `HSC_JOBS` value.
-        #[must_use]
-        pub fn parallelism(&self, command: &str) -> Parallelism {
-            Parallelism::resolve(self.jobs).unwrap_or_else(|msg| cli_usage_exit(command, &msg))
-        }
-
-        /// Resolves `--trace` / `--trace-gen` into the replay workload,
-        /// or `None` when neither was given.
-        ///
-        /// Any way the trace can be unusable — an unreadable path, a
-        /// malformed file (reported with its line number), a bad spec, or
-        /// a program that needs more CPU streams than the evaluation
-        /// system has — prints usage text and exits with status 2, the
-        /// same contract as every other operand error.
-        #[must_use]
-        pub fn trace_workload(&self, command: &str) -> Option<TraceWorkload> {
-            let program = match (&self.trace, &self.trace_gen) {
-                (None, None) => return None,
-                (Some(path), _) => {
-                    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                        cli_usage_exit(command, &format!("--trace {}: {e}", path.display()))
-                    });
-                    TraceProgram::parse(&text).unwrap_or_else(|e| {
-                        cli_usage_exit(command, &format!("--trace {}: {e}", path.display()))
-                    })
-                }
-                (None, Some(spec)) => TrafficSpec::parse(spec)
-                    .unwrap_or_else(|e| cli_usage_exit(command, &format!("--trace-gen: {e}")))
-                    .generate(),
-            };
-            let cpu_cap = SystemConfig::default().corepairs * 2;
-            let cpu = program.stream_count(StreamKind::Cpu);
-            if cpu > cpu_cap {
-                cli_usage_exit(
-                    command,
-                    &format!("trace has {cpu} cpu streams; the system hosts at most {cpu_cap}"),
-                );
-            }
-            Some(TraceWorkload::new(program))
-        }
-
-        /// Exits with usage if `--trace`/`--trace-gen` was given — for
-        /// binaries whose experiment is defined over the paper's fixed
-        /// benchmark suite and cannot meaningfully replay a trace.
-        pub fn forbid_trace(&self, command: &str) {
-            if self.trace.is_some() || self.trace_gen.is_some() {
-                cli_usage_exit(command, "--trace/--trace-gen are not supported by this command");
-            }
-        }
-    }
-
-    /// Parses `--report <path>`, `--quick`, `--perfetto <path>`,
-    /// `--trace <file>`, `--trace-gen <spec>` and `--jobs <N>` from the
-    /// process arguments.
-    ///
-    /// An unknown flag, a missing operand, or a non-numeric `--jobs` value
-    /// prints the offending argument plus usage text to stderr and exits
-    /// with status 2 — so a typo fails a CI job with a readable message
-    /// instead of silently dropping the report.
+    /// Turns one observed run into a report record. Failed runs keep
+    /// their time series and agent profile; their counters are simply
+    /// absent.
     #[must_use]
-    pub fn parse_cli(command: &str) -> CliOptions {
-        match parse_args(std::env::args().skip(1)) {
-            Ok(opts) => opts,
-            Err(msg) => cli_usage_exit(command, &msg),
-        }
-    }
-
-    fn cli_usage_exit(command: &str, message: &str) -> ! {
-        eprintln!("{command}: {message}");
-        eprintln!(
-            "usage: {command} [--quick] [--report <path>] [--perfetto <path>] [--trace <file>] [--trace-gen <spec>] [--jobs <N>]"
-        );
-        std::process::exit(2);
-    }
-
-    fn parse_args(args: impl Iterator<Item = String>) -> Result<CliOptions, String> {
-        let mut opts = CliOptions::default();
-        let mut args = args.peekable();
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--report" => {
-                    let path = args.next().ok_or("--report requires a path operand")?;
-                    opts.report = Some(PathBuf::from(path));
-                }
-                "--perfetto" => {
-                    let path = args.next().ok_or("--perfetto requires a path operand")?;
-                    opts.perfetto = Some(PathBuf::from(path));
-                }
-                "--trace" => {
-                    let path = args.next().ok_or("--trace requires a trace file operand")?;
-                    opts.trace = Some(PathBuf::from(path));
-                }
-                "--trace-gen" => {
-                    let spec = args.next().ok_or("--trace-gen requires a spec operand")?;
-                    opts.trace_gen = Some(spec);
-                }
-                "--jobs" => {
-                    let raw = args.next().ok_or("--jobs requires a thread count operand")?;
-                    opts.jobs = Some(crate::par::parse_jobs_value(&raw)?);
-                }
-                "--quick" => opts.quick = true,
-                other => return Err(format!("unknown argument '{other}'")),
-            }
-        }
-        if opts.trace.is_some() && opts.trace_gen.is_some() {
-            return Err("--trace and --trace-gen are mutually exclusive".into());
-        }
-        Ok(opts)
-    }
-
-    /// Canonical rendering of a run outcome for the report's `outcome`
-    /// field: `"completed"`, `"deadlock"`, `"budget-exceeded"`,
-    /// `"wiring-error"`, or `"verification-failed"`.
-    #[must_use]
-    pub fn outcome_label(
-        outcome: &Result<hsc_workloads::RunResult, WorkloadError>,
-    ) -> &'static str {
-        match outcome {
+    pub fn run_record(workload: &str, config_label: &str, run: &ObservedRun) -> RunRecord {
+        let outcome = match &run.outcome {
             Ok(_) => "completed",
             Err(WorkloadError::Sim(SimError::Deadlock { .. })) => "deadlock",
             Err(WorkloadError::Sim(SimError::EventBudgetExceeded { .. })) => "budget-exceeded",
             Err(WorkloadError::Sim(SimError::Wiring { .. })) => "wiring-error",
             Err(WorkloadError::Verification(_)) => "verification-failed",
-        }
-    }
-
-    /// Runs `w` once with observability on and turns the outcome into a
-    /// report record. Failed runs keep their time series and agent
-    /// profile; their counters are simply absent.
-    #[must_use]
-    pub fn observed_record(
-        w: &dyn Workload,
-        config_label: &str,
-        cfg: SystemConfig,
-        obs: ObsConfig,
-    ) -> RunRecord {
-        let run = run_workload_observed(w, cfg, obs);
+        };
         let mut rec = RunRecord {
-            workload: w.name().to_owned(),
+            workload: workload.to_owned(),
             config: config_label.to_owned(),
-            outcome: outcome_label(&run.outcome).to_owned(),
+            outcome: outcome.to_owned(),
             ..RunRecord::default()
         };
         if let Ok(r) = &run.outcome {
@@ -292,81 +171,31 @@ pub mod reporting {
         rec
     }
 
-    /// Writes `report` to `path`, then prints where it went.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the file cannot be written — a report run that loses its
-    /// report must fail loudly.
-    pub fn write_report(report: &RunReport, path: &std::path::Path) {
-        report
-            .write_to(path)
-            .unwrap_or_else(|e| panic!("cannot write report to {}: {e}", path.display()));
-        println!("run report written to {}", path.display());
+    /// Runs `w` once with observability on and turns the outcome into a
+    /// report record (see [`run_record`]).
+    #[must_use]
+    pub fn observed_record(
+        w: &dyn Workload,
+        config_label: &str,
+        cfg: SystemConfig,
+        obs: ObsConfig,
+    ) -> RunRecord {
+        run_record(w.name(), config_label, &run_workload_observed(w, cfg, obs))
     }
 
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        fn parse(args: &[&str]) -> Result<CliOptions, String> {
-            parse_args(args.iter().map(|s| (*s).to_owned()))
-        }
-
-        #[test]
-        fn cli_parses_all_flags() {
-            assert_eq!(parse(&[]).unwrap(), CliOptions::default());
-            let o = parse(&[
-                "--quick",
-                "--report",
-                "/tmp/r.json",
-                "--perfetto",
-                "/tmp/p.json",
-                "--trace",
-                "/tmp/t.trace",
-                "--jobs",
-                "4",
-            ])
-            .unwrap();
-            assert!(o.quick);
-            assert_eq!(o.report.unwrap().to_str(), Some("/tmp/r.json"));
-            assert_eq!(o.perfetto.unwrap().to_str(), Some("/tmp/p.json"));
-            assert_eq!(o.trace.unwrap().to_str(), Some("/tmp/t.trace"));
-            assert_eq!(o.jobs, Some(4));
-        }
-
-        #[test]
-        fn cli_parses_trace_gen_and_rejects_the_combination() {
-            let o = parse(&["--trace-gen", "hotspot,seed=7"]).unwrap();
-            assert_eq!(o.trace_gen.as_deref(), Some("hotspot,seed=7"));
-            let err = parse(&["--trace", "a.trace", "--trace-gen", "hotspot"]).unwrap_err();
-            assert!(err.contains("mutually exclusive"), "{err}");
-        }
-
-        #[test]
-        fn cli_rejects_unknown_flags_with_the_flag_named() {
-            for junk in [&["--frobnicate"][..], &["--shards", "2"]] {
-                let err = parse(junk).unwrap_err();
-                assert!(err.contains("unknown argument"));
-                assert!(err.contains(junk[0]));
-            }
-        }
-
-        #[test]
-        fn cli_rejects_missing_operands() {
-            assert!(parse(&["--report"]).unwrap_err().contains("--report"));
-            assert!(parse(&["--perfetto"]).unwrap_err().contains("--perfetto"));
-            assert!(parse(&["--trace"]).unwrap_err().contains("--trace"));
-            assert!(parse(&["--trace-gen"]).unwrap_err().contains("--trace-gen"));
-            assert!(parse(&["--jobs"]).unwrap_err().contains("--jobs"));
-        }
-
-        #[test]
-        fn cli_rejects_bad_jobs_values() {
-            assert!(parse(&["--jobs", "0"]).is_err());
-            assert!(parse(&["--jobs", "-2"]).is_err());
-            assert!(parse(&["--jobs", "many"]).is_err());
-        }
+    /// Writes the run report of `command` — `runs` measured on `config` —
+    /// into `file`, then says on `out` where it went.
+    pub fn write_report(
+        command: &str,
+        config: &SystemConfig,
+        runs: Vec<RunRecord>,
+        file: OutFile,
+        out: &mut dyn Write,
+    ) -> io::Result<()> {
+        let mut report = RunReport { runs, ..RunReport::new(command) };
+        report.fingerprint_config(config);
+        let path = file.write(&report.to_json_string())?;
+        writeln!(out, "run report written to {}", path.display())
     }
 }
 

@@ -250,54 +250,6 @@ pub fn expect_all<T>(label: &str, results: Vec<JobResult<T>>) -> Vec<T> {
     values
 }
 
-/// Parses a `--jobs <N>`-only command line (the figure binaries), erroring
-/// on any other flag, and resolves the worker count.
-///
-/// Exits with status 2 and usage text on stderr for an unknown flag, a
-/// missing or non-numeric operand, or an invalid `HSC_JOBS` value.
-#[must_use]
-pub fn parse_sweep_cli(command: &str) -> Parallelism {
-    match parse_sweep_args(std::env::args().skip(1)) {
-        Ok(flag) => Parallelism::resolve(flag).unwrap_or_else(|msg| usage_exit(command, &msg)),
-        Err(msg) => usage_exit(command, &msg),
-    }
-}
-
-fn parse_sweep_args(args: impl Iterator<Item = String>) -> Result<Option<usize>, String> {
-    let mut jobs = None;
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--jobs" => {
-                let raw = args.next().ok_or("--jobs requires a thread count operand")?;
-                jobs = Some(parse_jobs_value(&raw)?);
-            }
-            other => return Err(format!("unknown argument '{other}'")),
-        }
-    }
-    Ok(jobs)
-}
-
-/// Parses the operand of a `--jobs` flag.
-///
-/// # Errors
-///
-/// Returns a message naming the bad value if it is not a positive integer.
-pub fn parse_jobs_value(raw: &str) -> Result<usize, String> {
-    match raw.parse::<usize>() {
-        Ok(n) if n > 0 => Ok(n),
-        _ => Err(format!("--jobs operand {raw:?} is not a positive integer")),
-    }
-}
-
-/// Prints `message` and usage text for a `--jobs`-only binary to stderr,
-/// then exits with status 2.
-pub fn usage_exit(command: &str, message: &str) -> ! {
-    eprintln!("{command}: {message}");
-    eprintln!("usage: {command} [--jobs <N>]");
-    std::process::exit(2);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,20 +326,6 @@ mod tests {
         assert_eq!(Parallelism::of(0).jobs(), 1, "zero clamps to serial");
         // No flag: env or available_parallelism, but always >= 1.
         assert!(Parallelism::resolve(None).map_or(true, |p| p.jobs() >= 1));
-    }
-
-    #[test]
-    fn sweep_cli_parses_flags_and_rejects_junk() {
-        let parse = |args: &[&str]| parse_sweep_args(args.iter().map(|s| (*s).to_owned()));
-        assert_eq!(parse(&[]), Ok(None));
-        assert_eq!(parse(&["--jobs", "4"]), Ok(Some(4)));
-        assert!(parse(&["--jobs"]).is_err());
-        assert!(parse(&["--jobs", "zero"]).is_err());
-        assert!(parse(&["--jobs", "0"]).is_err());
-        for junk in [&["--frobnicate"][..], &["--shards", "2"]] {
-            let err = parse(junk).unwrap_err();
-            assert!(err.contains("unknown argument") && err.contains(junk[0]), "{err}");
-        }
     }
 
     #[test]

@@ -1,19 +1,19 @@
-//! Validates a machine-readable run report against the `hsc-run-report`
-//! schema: JSON well-formedness, envelope field presence, the one schema
-//! version this tree writes, and per-run structure (counters, latency
-//! summaries, at least two sampled time series somewhere in the report,
-//! and — where a run carries them — well-formed transition-matrix,
-//! sharing, and flight-recorder sections). Every violation is accumulated
-//! and reported, never just the first. CI runs this on the artifacts
-//! `repro_all --report` and `analyze --report` emit.
-//!
-//! Exit status: 0 valid, 1 schema violations, 2 bad invocation or a path
-//! that cannot be read as JSON (usage on stderr).
+//! `hsc report validate`: checks a machine-readable run report against
+//! the `hsc-run-report` schema — JSON well-formedness, envelope field
+//! presence, the one schema version this tree writes, and per-run
+//! structure (counters, latency summaries, at least two sampled time
+//! series somewhere in the report, and — where a run carries them —
+//! well-formed transition-matrix, sharing, and flight-recorder sections).
+//! Every violation is accumulated and reported, never just the first. CI
+//! runs this on every report artifact it archives.
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use hsc_obs::json::{parse, Value};
 use hsc_obs::{REPORT_SCHEMA, REPORT_SCHEMA_VERSION};
+
+use crate::cli::usage_error;
 
 /// The sharing-classification keys, in emission order.
 const SHARING_CLASSES: [&str; 4] = ["private", "read_shared", "migratory", "ping_pong"];
@@ -237,35 +237,26 @@ fn validate(doc: &Value) -> Vec<String> {
     errors
 }
 
-fn usage_exit(message: &str) -> ExitCode {
-    eprintln!("validate_report: {message}");
-    eprintln!("usage: validate_report <report.json>");
-    ExitCode::from(2)
-}
-
-fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    let (Some(path), None) = (args.next(), args.next()) else {
-        return usage_exit("expected exactly one report path");
-    };
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => return usage_exit(&format!("cannot read {path}: {e}")),
-    };
-    let doc = match parse(&text) {
-        Ok(d) => d,
-        Err(e) => return usage_exit(&format!("{path} is not valid JSON: {e}")),
-    };
+/// Validates the report at `path` and writes the verdict: a `valid` line
+/// on `out` (success), or every violation on stderr (failure).
+///
+/// A `path` that cannot be read as JSON is a [`usage_error`]: "the tool
+/// was not given a report" is a different answer from "the report is
+/// wrong".
+pub fn validate_file(path: &str, out: &mut dyn Write) -> io::Result<ExitCode> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| usage_error(format!("cannot read {path}: {e}")))?;
+    let doc = parse(&text).map_err(|e| usage_error(format!("{path} is not valid JSON: {e}")))?;
     let errors = validate(&doc);
     if errors.is_empty() {
         let runs = doc.get("runs").and_then(Value::as_array).map_or(0, <[Value]>::len);
-        println!("{path}: valid {REPORT_SCHEMA} v{REPORT_SCHEMA_VERSION} ({runs} run(s))");
-        ExitCode::SUCCESS
+        writeln!(out, "{path}: valid {REPORT_SCHEMA} v{REPORT_SCHEMA_VERSION} ({runs} run(s))")?;
+        Ok(ExitCode::SUCCESS)
     } else {
         for e in &errors {
             eprintln!("{path}: {e}");
         }
         eprintln!("{path}: INVALID ({} error(s))", errors.len());
-        ExitCode::FAILURE
+        Ok(ExitCode::FAILURE)
     }
 }

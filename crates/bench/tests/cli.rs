@@ -1,0 +1,136 @@
+//! Process-level contract of the `hsc` command line, for every
+//! sub-command: a flag the sub-command does not use, or an output path it
+//! cannot create, is a usage error — the message and the usage line on
+//! stderr, exit status 2, nothing on stdout, and no simulation run first.
+
+use std::process::{Command, Output};
+
+/// Every sub-command, as typed.
+const SUB_COMMANDS: [&str; 16] = [
+    "table 1",
+    "table 2",
+    "table 3",
+    "fig 4",
+    "fig 5",
+    "fig 6",
+    "fig 7",
+    "ablation",
+    "extension",
+    "characterize",
+    "faults",
+    "check",
+    "trace-gen",
+    "report validate",
+    "report analyze",
+    "repro",
+];
+
+fn hsc(sub_command: &str, args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_hsc"))
+        .args(sub_command.split(' '))
+        .args(args)
+        .output()
+        .expect("hsc spawns")
+}
+
+/// Asserts the usage-error contract and returns stderr.
+fn usage_error(sub_command: &str, args: &[&str]) -> String {
+    let out = hsc(sub_command, args);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(2), "hsc {sub_command} {args:?} must exit 2: {stderr}");
+    assert!(
+        stderr.contains(&format!("usage: hsc {sub_command}")),
+        "hsc {sub_command} {args:?} shows its usage: {stderr}"
+    );
+    assert!(out.stdout.is_empty(), "hsc {sub_command} {args:?} prints nothing on stdout");
+    stderr
+}
+
+/// Flags that exist — on some other sub-command. The first five used to
+/// be accepted and silently ignored.
+#[test]
+fn a_flag_the_sub_command_does_not_use_is_rejected() {
+    let pairs: [(&str, &[&str]); 14] = [
+        ("check", &["--report", "x.json"]),
+        ("characterize", &["--quick", "--perfetto", "p.json"]),
+        ("faults", &["--quick"]),
+        ("table 2", &["--bogus"]),
+        ("table 3", &["--bogus"]),
+        ("characterize", &["--perfetto", "p.json"]),
+        ("faults", &["--perfetto", "p.json"]),
+        ("check", &["--trace-gen", "pingpong"]),
+        ("fig 4", &["--quick"]),
+        ("table 1", &["--jobs", "2"]),
+        ("ablation", &["--report", "x.json"]),
+        ("trace-gen", &["--jobs", "2"]),
+        ("report analyze", &["--jobs", "2"]),
+        ("repro", &["--observed"]),
+    ];
+    for (sub_command, args) in pairs {
+        let stderr = usage_error(sub_command, args);
+        assert!(
+            stderr.contains(&format!("unknown argument '{}'", args[0])),
+            "hsc {sub_command} names the flag: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn every_sub_command_rejects_an_unknown_flag_and_a_stray_operand() {
+    for sub_command in SUB_COMMANDS {
+        let stderr = usage_error(sub_command, &["--shards", "2"]);
+        assert!(stderr.contains("unknown argument '--shards'"), "{sub_command}: {stderr}");
+        let stderr = usage_error(sub_command, &["one", "two"]);
+        assert!(stderr.contains("unknown argument"), "{sub_command}: {stderr}");
+    }
+}
+
+/// An output path that cannot be created is reported before the campaign
+/// runs, as `<command>: <path>: <os error>` — not as a panic after it.
+#[test]
+fn an_unwritable_output_path_is_a_usage_error_before_any_work() {
+    let report = "/nonexistent/dir/r.json";
+    let cases: [(&str, &[&str]); 8] = [
+        ("repro", &["--quick", "--report", report]),
+        ("repro", &["--quick", "--perfetto", report]),
+        ("characterize", &["--report", report]),
+        ("faults", &["--report", report]),
+        ("report analyze", &["--report", report]),
+        ("trace-gen", &["--spec", "pingpong", "--out", report]),
+        // A directory cannot be created below a file.
+        ("trace-gen", &["--corpus", concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/corpus")]),
+        ("check", &["--perfetto", concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/traces")]),
+    ];
+    for (sub_command, args) in cases {
+        // `usage_error` checks that stdout is empty: no table was written,
+        // so no campaign ran.
+        let stderr = usage_error(sub_command, args);
+        let path = args.last().expect("the path operand");
+        assert!(
+            stderr.starts_with(&format!("hsc {sub_command}: {path}: ")),
+            "hsc {sub_command} names the path and the OS error: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn bare_hsc_and_help_print_the_index_and_an_unknown_sub_command_is_an_error() {
+    for args in [&[][..], &["help"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_hsc")).args(args).output().expect("hsc spawns");
+        assert_eq!(out.status.code(), Some(0));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        for sub_command in SUB_COMMANDS {
+            assert!(
+                stdout.contains(&format!("\n  hsc {sub_command}")),
+                "index lists {sub_command}"
+            );
+        }
+    }
+    for args in [&["frobnicate"][..], &["fig"], &["fig", "9"], &["--jobs", "2"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_hsc")).args(args).output().expect("hsc spawns");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown sub-command") && stderr.contains("\n  hsc repro"));
+    }
+}

@@ -20,7 +20,7 @@ use hsc_obs::{ObsConfig, RunReport};
 use hsc_workloads::{run_workload_observed, Hsti, Tq, Workload};
 
 fn quick_workloads() -> Vec<Box<dyn Workload>> {
-    // Mirrors `repro_all --quick`'s report set.
+    // Mirrors `hsc repro --quick`'s report set.
     vec![Box::new(Tq::default()), Box::new(Hsti::default())]
 }
 
@@ -59,7 +59,7 @@ fn check_golden(name: &str, got: &str) {
     }
 }
 
-/// `repro_all --quick --jobs 1 --report` JSON must be byte-identical
+/// `hsc repro --quick --jobs 1 --report` JSON must be byte-identical
 /// across the interning refactor. The `git` field necessarily varies per
 /// commit, so it is pinned to a fixed value before serialization; all
 /// counter keys, values, orderings, latency percentiles and time series
@@ -67,7 +67,7 @@ fn check_golden(name: &str, got: &str) {
 #[test]
 fn quick_report_json_matches_golden() {
     let cfg = SystemConfig::scaled(CoherenceConfig::baseline());
-    let mut report = RunReport::new("repro_all");
+    let mut report = RunReport::new("repro");
     report.git = "golden".to_owned();
     report.fingerprint_config(&cfg);
     for w in &quick_workloads() {

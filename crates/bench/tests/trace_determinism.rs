@@ -2,7 +2,7 @@
 //! built-in benchmarks.
 //!
 //! The trace pipeline (generate → replay → report) must keep the same
-//! byte-identity guarantees the figure binaries give: the `RunReport`
+//! byte-identity guarantees the figure sub-commands give: the `RunReport`
 //! JSON and the rendered metrics table for a traced run must not move by
 //! a byte between campaign worker counts 1 and 4 (`--jobs`). And the five
 //! generator presets must all replay to a **verified** final memory — the
@@ -79,17 +79,18 @@ fn all_presets_replay_and_verify() {
     }
 }
 
-/// Spawns `characterize` with arguments it must refuse and checks the
+/// Spawns `hsc characterize` with arguments it must refuse and checks the
 /// usage-error contract: exit 2, usage text on stderr, nothing on stdout.
 /// Returns stderr so the caller can check what it names.
 fn characterize_usage_error(args: &[&str]) -> String {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_characterize"))
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_hsc"))
+        .arg("characterize")
         .args(args)
         .output()
-        .expect("characterize spawns");
+        .expect("hsc spawns");
     assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-    assert!(stderr.contains("usage: characterize"), "stderr shows usage: {stderr}");
+    assert!(stderr.contains("usage: hsc characterize"), "stderr shows usage: {stderr}");
     assert!(out.stdout.is_empty(), "no tables are printed on a usage error");
     stderr
 }
@@ -103,7 +104,7 @@ fn characterize_rejects_unreadable_trace_path_with_usage() {
     assert!(stderr.contains("missing.trace"), "stderr names the path: {stderr}");
 }
 
-/// A flag the binaries no longer have is an unknown flag like any other,
+/// A flag the command line no longer has is an unknown flag like any other,
 /// not silently accepted.
 #[test]
 fn characterize_rejects_a_removed_flag_with_usage() {
@@ -119,12 +120,7 @@ fn characterize_rejects_malformed_trace_with_line_number() {
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("bad.trace");
     std::fs::write(&path, "hsc-trace v1\nstream cpu\nread 0x1001\n").expect("write trace");
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_characterize"))
-        .args(["--trace", path.to_str().unwrap()])
-        .output()
-        .expect("characterize spawns");
-    assert_eq!(out.status.code(), Some(2), "parse errors exit 2");
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let stderr = characterize_usage_error(&["--trace", path.to_str().unwrap()]);
     assert!(stderr.contains("line 3"), "stderr carries the line number: {stderr}");
     assert!(stderr.contains("not 8-byte aligned"), "stderr carries the cause: {stderr}");
 }

@@ -1,4 +1,4 @@
-//! Process-level contract of `validate_report`: one schema version, and
+//! Process-level contract of `hsc report validate`: one schema version, and
 //! exit statuses that tell "the report is wrong" (1) apart from "the
 //! tool was not given a report it could read" (2, with usage).
 
@@ -11,10 +11,11 @@ use hsc_obs::RunReport;
 use hsc_workloads::Hsti;
 
 fn validate(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_validate_report"))
+    Command::new(env!("CARGO_BIN_EXE_hsc"))
+        .args(["report", "validate"])
         .args(args)
         .output()
-        .expect("validate_report spawns")
+        .expect("hsc spawns")
 }
 
 /// Writes `text` under a per-test name in the temp dir and returns the path.
@@ -40,7 +41,7 @@ fn bad_invocations_are_usage_errors_not_invalid_reports() {
         let out = validate(args);
         assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("usage: validate_report"), "{args:?} shows usage: {stderr}");
+        assert!(stderr.contains("usage: hsc report validate"), "{args:?} shows usage: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?} prints no verdict");
     }
 }
@@ -61,7 +62,7 @@ fn the_golden_report_is_valid_and_the_retired_version_is_not() {
     assert!(stderr.contains("INVALID (1 error(s))"), "and nothing else is wrong: {stderr}");
 }
 
-/// What `analyze --report` writes: the same version, with the optional
+/// What `hsc report analyze --report` writes: the same version, with the optional
 /// `transitions` and `sharing` sections present.
 #[test]
 fn a_report_with_analytics_sections_is_valid_at_the_same_version() {

@@ -21,8 +21,8 @@ const WATCHDOG_POLL_EVENTS: u64 = 1024;
 ///
 /// The builder is the *only* source of truth: the old `HSC_TRACE_LINE`
 /// environment path is gone. Tools that want an environment knob parse it
-/// themselves and call [`TraceConfig::line`] (see `repro_all`'s flags for
-/// the pattern).
+/// themselves and call [`TraceConfig::line`] (see `--trace-line` in
+/// `examples/quickstart.rs` for the pattern).
 ///
 /// Every delivery whose line number matches is recorded through an
 /// [`hsc_sim::Tracer`] — [`StderrTracer`] by default, or whatever

@@ -4,7 +4,7 @@
 //! [`plan`] maps `(directory state, incoming request, requester role)` to a
 //! [`Transition`]: which probes to send, where the data comes from, what
 //! permission to grant and the next directory state. The directory
-//! controller executes these plans; the `table1_transitions` bench binary
+//! controller executes these plans; `hsc table 1`
 //! pretty-prints the same function, regenerating the paper's Table I.
 
 use std::fmt;

@@ -2,7 +2,7 @@
 //!
 //! The workspace deliberately has no external dependencies, so the report
 //! and trace exporters hand-write their JSON through [`JsonWriter`], and
-//! `validate_report` / the test-suite check it back with [`parse`]. Both
+//! `hsc report validate` / the test-suite check it back with [`parse`]. Both
 //! sides cover exactly the subset the exporters produce: objects, arrays,
 //! strings, booleans, null, and numbers (unsigned integers and finite
 //! floats).

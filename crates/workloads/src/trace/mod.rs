@@ -21,7 +21,7 @@
 //! * [`gen`] — a deterministic seeded traffic generator (zipf-distributed
 //!   addresses, tunable read/write/atomic mix, sharing-degree and
 //!   ping-pong knobs) that emits the same format, so scenario count is
-//!   unbounded; the `trace_gen` binary writes corpus files.
+//!   unbounded; `hsc trace-gen` writes corpus files.
 //!
 //! # Format
 //!

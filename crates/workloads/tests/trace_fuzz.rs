@@ -4,7 +4,7 @@
 //! the corpus covers stream mixes, skews, and sharing degrees), the
 //! in-memory program, its canonical text, and the re-parsed program must
 //! agree exactly — and re-serializing must reproduce the text
-//! byte-for-byte. This is the contract that lets `trace_gen` corpora be
+//! byte-for-byte. This is the contract that lets `hsc trace-gen` corpora be
 //! checked into CI and replayed with byte-identity guarantees: the file
 //! *is* the program.
 

@@ -1,13 +1,13 @@
 //! The parallel campaign runner must be invisible in the results: a sweep
-//! executed on 4 worker threads renders the same tables and the same
+//! executed on 4 worker threads renders the same figure and the same
 //! `RunReport` JSON, byte for byte, as the serial run — only wall-clock
 //! may differ. A panicking job must surface as a named `JobError` while
 //! its sibling jobs complete, and the cross-job statistics merges must be
 //! order-independent.
 
+use hsc_repro::bench::figures::{fig6, tracking_sweep};
 use hsc_repro::bench::par::{expect_all, Campaign, Parallelism};
 use hsc_repro::bench::reporting::{observed_record, REPORT_EPOCH_TICKS};
-use hsc_repro::bench::sweep;
 use hsc_repro::obs::TimeSeries;
 use hsc_repro::prelude::*;
 use hsc_repro::sim::StatSet;
@@ -28,37 +28,18 @@ fn seeded_workloads() -> Vec<Box<dyn Workload>> {
     ]
 }
 
-type ConfigCtor = fn() -> CoherenceConfig;
-const CONFIGS: [(&str, ConfigCtor); 2] =
-    [("baseline", CoherenceConfig::baseline), ("sharer", CoherenceConfig::sharer_tracking)];
-
-/// Renders a sweep result the way the figure bins do: a deterministic
-/// table string.
-fn render_sweep(par: Parallelism) -> String {
-    let workloads = seeded_workloads();
-    let configs: Vec<(&'static str, CoherenceConfig)> =
-        CONFIGS.iter().map(|(n, f)| (*n, f())).collect();
-    let cells = sweep(&workloads, &configs, par);
-    let mut out = String::new();
-    for c in &cells {
-        out.push_str(&format!(
-            "{:8} {:>16} {:>10} {:>8} {:>6} {:>6}\n",
-            c.workload,
-            c.config,
-            c.metrics.gpu_cycles,
-            c.metrics.probes_sent,
-            c.metrics.mem_reads,
-            c.metrics.mem_writes
-        ));
-    }
-    out
+/// Fig. 6 as `hsc fig 6` prints it: the real sweep, the real renderer.
+fn render_fig6(par: Parallelism) -> String {
+    let mut out = Vec::new();
+    fig6(&tracking_sweep(par), &mut out).expect("writing to a Vec");
+    String::from_utf8(out).expect("figures write UTF-8")
 }
 
 #[test]
 fn sweep_table_is_byte_identical_across_worker_counts() {
-    let serial = render_sweep(Parallelism::of(1));
-    let parallel = render_sweep(Parallelism::of(4));
-    assert!(!serial.is_empty());
+    let serial = render_fig6(Parallelism::of(1));
+    let parallel = render_fig6(Parallelism::of(4));
+    assert!(serial.contains("average (sharer tracking)"));
     assert_eq!(serial, parallel, "table output must not depend on the worker count");
 }
 
