@@ -95,11 +95,9 @@ impl MemoryController {
                     ),
                 );
             }
-            MsgKind::MemWr { data, mask } => {
+            MsgKind::MemWr { ref data, mask } => {
                 self.counters.bump(self.writes);
-                let mut line = self.mem.read_line(msg.line);
-                mask.apply(&mut line, &data);
-                self.mem.write_line(msg.line, line);
+                mask.apply(self.mem.line_mut(msg.line), data);
                 // Posted write: no response.
             }
             ref other => panic!("memory controller got {}", other.class_name()),

@@ -6,8 +6,8 @@ use hsc_mem::{Addr, LineAddr, LineData, MainMemory, VictimEntry};
 use hsc_noc::{Action, AgentId, Delivery, FaultyNetwork, Message, MsgKind, Outbox};
 use hsc_obs::{ObsConfig, ObsData, Observer};
 use hsc_sim::{
-    DeadlockSnapshot, FlightEntry, FlightRecorder, Fnv1a, NullTracer, PendingEvent, PendingKind,
-    SimError, StatSet, StderrTracer, Tick, Tracer, TransitionMatrix, WheelQueue,
+    DeadlockSnapshot, FlightEntry, FlightRecorder, Fnv1a, Held, NullTracer, PendingEvent,
+    PendingKind, SimError, StatSet, StderrTracer, Tick, Tracer, TransitionMatrix, WheelQueue,
 };
 
 use crate::{Directory, MemoryController, SystemConfig};
@@ -338,19 +338,27 @@ impl System {
         let mut out = Outbox::new(self.now);
         self.start(&mut out)?;
 
-        while let Some((t, ev)) = self.queue.pop() {
-            debug_assert!(t >= self.now, "time went backwards");
+        loop {
+            // Both stop conditions are judged against the next event while
+            // it is still queued, so a stopped run can be resumed and its
+            // snapshot names the event that tripped it. The peek is paid
+            // only when the budget is spent or on the poll cadence.
             let nth = self.events_processed + 1;
-            if nth > max_events {
-                return Err(SimError::EventBudgetExceeded { budget: max_events, now: t });
+            if nth > max_events || nth.is_multiple_of(WATCHDOG_POLL_EVENTS) {
+                let Some(t) = self.queue.peek_tick() else { break };
+                if nth > max_events {
+                    return Err(SimError::EventBudgetExceeded { budget: max_events, now: t });
+                }
+                if self.directory.watchdog().expired(t) {
+                    // The snapshot ages stuck lines against the event that
+                    // found them, not the last one dispatched.
+                    self.now = t;
+                    return Err(self.deadlock());
+                }
             }
-            if nth.is_multiple_of(WATCHDOG_POLL_EVENTS) && self.directory.watchdog().expired(t) {
-                // The snapshot ages stuck lines against the event that
-                // found them, not the last one dispatched.
-                self.now = t;
-                return Err(self.deadlock());
-            }
-            self.step(t, ev, &mut out)?;
+            let Some((t, held)) = self.queue.unlink_next() else { break };
+            debug_assert!(t >= self.now, "time went backwards");
+            self.step(t, held, &mut out)?;
             if self.observer.sample_due(self.now) {
                 self.sample_observer();
             }
@@ -386,22 +394,21 @@ impl System {
         Ok(())
     }
 
-    /// Processes one event at time `t`: advances the clock, counts the
-    /// event, hands it to its controller and applies what that staged.
+    /// Processes one unlinked event at time `t`: advances the clock, counts
+    /// the event, hands it to its controller and applies what that staged.
     /// The `run` loop and [`System::step_choice`] both dispatch through
     /// here and nowhere else.
-    fn step(&mut self, t: Tick, ev: Ev, out: &mut Outbox) -> Result<(), SimError> {
+    ///
+    /// The event is read where the queue stored it. That is sound because
+    /// controllers only stage into `out` and never see the queue, so
+    /// nothing can schedule over the slot while a handler holds `&Message`;
+    /// the slot is freed once the handler returns, and only then do the
+    /// staged sends go into the queue.
+    fn step(&mut self, t: Tick, held: Held, out: &mut Outbox) -> Result<(), SimError> {
         self.now = t;
         self.events_processed += 1;
         out.reset(t);
-        let agent = self.handle(t, ev, out);
-        self.apply(agent, out)
-    }
-
-    /// Routes one event to its controller. Returns the agent whose staged
-    /// actions [`System::step`] must `apply`.
-    fn handle(&mut self, t: Tick, ev: Ev, out: &mut Outbox) -> AgentId {
-        match ev {
+        let agent = match self.queue.get(&held) {
             Ev::Deliver(msg) => {
                 self.flight.push(
                     t,
@@ -413,22 +420,19 @@ impl System {
                     self.tracer.record(t, msg.to_string());
                 }
                 if self.observer.is_enabled() {
-                    self.observer.on_deliver(t, &msg);
+                    self.observer.on_deliver(t, msg);
                     self.observer.on_event(t, msg.dst);
                 }
-                let dst = msg.dst;
-                match dst {
-                    AgentId::CorePairL2(i) => {
-                        self.corepairs[i].on_message(t, &msg, out);
-                    }
-                    AgentId::Tcc(g) => self.gpus[g].on_message(t, &msg, out),
-                    AgentId::Dma => self.dma.on_message(t, &msg, out),
-                    AgentId::Directory => self.directory.on_message(t, &msg, out),
-                    AgentId::Memory => self.memctl.on_message(t, &msg, out),
+                match msg.dst {
+                    AgentId::CorePairL2(i) => self.corepairs[i].on_message(t, msg, out),
+                    AgentId::Tcc(g) => self.gpus[g].on_message(t, msg, out),
+                    AgentId::Dma => self.dma.on_message(t, msg, out),
+                    AgentId::Directory => self.directory.on_message(t, msg, out),
+                    AgentId::Memory => self.memctl.on_message(t, msg, out),
                 }
-                dst
+                msg.dst
             }
-            Ev::Wake(agent) => {
+            &Ev::Wake(agent) => {
                 if self.observer.is_enabled() {
                     self.observer.on_event(t, agent);
                 }
@@ -441,7 +445,9 @@ impl System {
                 }
                 agent
             }
-        }
+        };
+        self.queue.free(held);
+        self.apply(agent, out)
     }
 
     /// Takes one epoch snapshot of every occupancy gauge and cumulative
@@ -619,9 +625,9 @@ impl System {
             let snap = self.queue.snapshot();
             snap.get(i).unwrap_or_else(|| panic!("choice index {i} out of range")).1
         };
-        let (t, ev) = self.queue.remove_seq(seq).expect("snapshot seq must be removable");
+        let (t, held) = self.queue.unlink_seq(seq).expect("snapshot seq must be removable");
         let mut out = Outbox::new(self.now);
-        self.step(self.now.max(t), ev, &mut out)
+        self.step(self.now.max(t), held, &mut out)
     }
 
     /// A compact FNV-1a fingerprint of all protocol-visible state:
@@ -734,30 +740,33 @@ impl System {
         SimError::Deadlock { snapshot: Box::new(self.deadlock_snapshot()) }
     }
 
-    fn apply(&mut self, agent: AgentId, out: &mut Outbox) -> Result<(), SimError> {
-        for act in out.drain_actions() {
+    /// Puts what a handler staged into the queue. `out` is only read:
+    /// every caller `reset`s it before the next handler runs.
+    fn apply(&mut self, agent: AgentId, out: &Outbox) -> Result<(), SimError> {
+        for act in out.actions() {
             match act {
                 Action::Send(m) => self.dispatch(self.now, m)?,
-                Action::SendLater(t, m) => self.dispatch(t, m)?,
-                Action::Wake(t) => self.queue.schedule(t, Ev::Wake(agent)),
+                Action::SendLater(t, m) => self.dispatch(*t, m)?,
+                Action::Wake(t) => self.queue.schedule(*t, Ev::Wake(agent)),
             }
         }
         Ok(())
     }
 
     /// One seam for all outbound traffic: the faulty network decides
-    /// whether the message arrives once, twice, or never.
-    fn dispatch(&mut self, at: Tick, m: Message) -> Result<(), SimError> {
+    /// whether the message arrives once, twice, or never. The copy into
+    /// the queue is the only one a message makes on its way to a handler.
+    fn dispatch(&mut self, at: Tick, m: &Message) -> Result<(), SimError> {
         let delivery =
-            self.network.send(at, &m).map_err(|e| SimError::Wiring { detail: e.to_string() })?;
+            self.network.send(at, m).map_err(|e| SimError::Wiring { detail: e.to_string() })?;
         if self.observer.is_enabled() {
-            self.observer.on_send(at, &m, &delivery);
+            self.observer.on_send(at, m, &delivery);
         }
         match delivery {
-            Delivery::Deliver(t) => self.queue.schedule(t, Ev::Deliver(m)),
+            Delivery::Deliver(t) => self.queue.schedule(t, Ev::Deliver(*m)),
             Delivery::Twice(t1, t2) => {
-                self.queue.schedule(t1, Ev::Deliver(m));
-                self.queue.schedule(t2, Ev::Deliver(m));
+                self.queue.schedule(t1, Ev::Deliver(*m));
+                self.queue.schedule(t2, Ev::Deliver(*m));
             }
             Delivery::Dropped => {}
         }

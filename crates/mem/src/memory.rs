@@ -2,11 +2,30 @@ use std::collections::BTreeMap;
 
 use crate::{Addr, LineAddr, LineData};
 
-/// The functional backing store: a sparse map from line address to data.
+/// Lines per [`Page`]: 64 lines = 4 KiB of data, and one `u64` holds the
+/// page's written-bitmap.
+const PAGE_LINES: u64 = 64;
+
+/// `PAGE_LINES` consecutive lines and which of them were ever written.
+/// A line whose bit is clear holds zeros, so the derived `==` compares
+/// exactly "same lines written, same contents".
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Page {
+    written: u64,
+    lines: [LineData; PAGE_LINES as usize],
+}
+
+/// The functional backing store: a sparse, paged map from line address to
+/// data.
 ///
 /// Unwritten lines read as zero, like freshly mapped anonymous memory.
 /// Timing is *not* modelled here — the directory's memory port schedules
 /// latency; this type only answers "what bytes live at this line".
+///
+/// Lines live in fixed-size pages keyed by page number in an ordered map,
+/// so a lookup walks a tree 64× smaller than one entry per line would
+/// need and neighbouring lines share a node; a page remembers which of
+/// its lines were written, which keeps "touched" distinct from "zero".
 ///
 /// # Examples
 ///
@@ -20,7 +39,7 @@ use crate::{Addr, LineAddr, LineData};
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MainMemory {
-    lines: BTreeMap<LineAddr, LineData>,
+    pages: BTreeMap<u64, Box<Page>>,
 }
 
 impl MainMemory {
@@ -33,12 +52,26 @@ impl MainMemory {
     /// Reads a whole line (zero if never written).
     #[must_use]
     pub fn read_line(&self, la: LineAddr) -> LineData {
-        self.lines.get(&la).copied().unwrap_or_default()
+        match self.pages.get(&(la.0 / PAGE_LINES)) {
+            Some(page) => page.lines[(la.0 % PAGE_LINES) as usize],
+            None => LineData::zeroed(),
+        }
+    }
+
+    /// The stored line `la` for writing in place, marked written (a
+    /// never-written line starts as zeros). Every write goes through here.
+    pub fn line_mut(&mut self, la: LineAddr) -> &mut LineData {
+        let page = self.pages.entry(la.0 / PAGE_LINES).or_insert_with(|| {
+            Box::new(Page { written: 0, lines: [LineData::zeroed(); PAGE_LINES as usize] })
+        });
+        let i = la.0 % PAGE_LINES;
+        page.written |= 1 << i;
+        &mut page.lines[i as usize]
     }
 
     /// Writes a whole line.
     pub fn write_line(&mut self, la: LineAddr, data: LineData) {
-        self.lines.insert(la, data);
+        *self.line_mut(la) = data;
     }
 
     /// Reads the 64-bit word at byte address `a`.
@@ -53,29 +86,31 @@ impl MainMemory {
     /// and by tests to inspect results after it drains; during simulation
     /// all traffic goes through the coherence protocol.
     pub fn write_word(&mut self, a: Addr, value: u64) {
-        let la = a.line();
-        let mut line = self.read_line(la);
-        line.set_word_at(a, value);
-        self.lines.insert(la, line);
+        self.line_mut(a.line()).set_word_at(a, value);
     }
 
     /// Number of lines ever written.
     #[must_use]
     pub fn touched_lines(&self) -> usize {
-        self.lines.len()
+        self.pages.values().map(|p| p.written.count_ones() as usize).sum()
     }
 
     /// All written lines in address order (for state fingerprints and
     /// memory-wide coherence checks). Never-written lines are implicitly
     /// zero and not iterated.
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &LineData)> + '_ {
-        self.lines.iter().map(|(&la, d)| (la, d))
+        self.pages.iter().flat_map(|(&number, page)| {
+            (0..PAGE_LINES)
+                .filter(|i| page.written >> i & 1 != 0)
+                .map(move |i| (LineAddr(number * PAGE_LINES + i), &page.lines[i as usize]))
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hsc_sim::DetRng;
 
     #[test]
     fn unwritten_memory_is_zero() {
@@ -102,5 +137,73 @@ mod tests {
         mem.write_line(LineAddr(4), d);
         assert_eq!(mem.read_line(LineAddr(4)).word(7), 77);
         assert_eq!(mem.read_word(LineAddr(4).word_addr(7)), 77);
+    }
+
+    /// Drives `MainMemory` in lock-step with the `BTreeMap<LineAddr,
+    /// LineData>` it replaced. The address pool mixes the first and last
+    /// lines of neighbouring pages, a few dense windows, and the top of
+    /// the address space; a third of the writes store the value already
+    /// there, which is a no-op on a written line and a zero-valued first
+    /// write — "touched" — on a fresh one.
+    #[test]
+    fn paged_store_matches_the_per_line_map_it_replaced() {
+        const TOP: u64 = u64::MAX / 64; // the line holding Addr(u64::MAX)
+        let mut pool: Vec<u64> = vec![0, 1, 62, 63, 64, 65, 127, 128, 4095, 4096];
+        pool.extend([TOP, TOP - 1, TOP - 62, TOP - 63, TOP - 64, TOP - 65]);
+        pool.extend((0..48).map(|i| 0x4000 + i * 3));
+        pool.extend((0..48).map(|i| 0x7_0000_0000 + i * 61));
+
+        let mut rng = DetRng::new(0x9A6E);
+        let mut mem = MainMemory::new();
+        let mut reference: BTreeMap<LineAddr, LineData> = BTreeMap::new();
+        let (mut mem_then, mut reference_then) = (mem.clone(), reference.clone());
+        const OPS: u32 = 20_000;
+        let (mut equal_seen, mut zero_first_writes) = (0, 0);
+        for op in 0..OPS {
+            let la = LineAddr(pool[rng.next_below(pool.len() as u64) as usize]);
+            let a = la.word_addr(rng.next_below(8) as usize);
+            let old = reference.get(&la).copied().unwrap_or_default();
+            match rng.next_below(6) {
+                0 => assert_eq!(mem.read_line(la), old, "read_line({la}) at op {op}"),
+                1 => assert_eq!(mem.read_word(a), old.word_at(a), "read_word({a}) at op {op}"),
+                kind => {
+                    let keep = rng.chance(1, 3);
+                    zero_first_writes += u32::from(keep && !reference.contains_key(&la));
+                    if kind < 4 {
+                        let value = if keep { old.word_at(a) } else { rng.next_below(4) };
+                        mem.write_word(a, value);
+                        reference.entry(la).or_default().set_word_at(a, value);
+                    } else {
+                        let mut data = old;
+                        if !keep {
+                            data.set_word(rng.next_below(8) as usize, rng.next_u64());
+                        }
+                        mem.write_line(la, data);
+                        reference.insert(la, data);
+                    }
+                }
+            }
+            assert_eq!(mem.touched_lines(), reference.len(), "touched_lines at op {op}");
+            // `==` must agree with the map's: same written set, same data.
+            let equal = reference == reference_then;
+            assert_eq!(mem == mem_then, equal, "== against the op-{} clone at op {op}", op & !7);
+            equal_seen += u32::from(equal);
+            if op % 8 == 7 {
+                (mem_then, reference_then) = (mem.clone(), reference.clone());
+                assert_eq!(mem_then, mem, "a clone equals its source");
+            }
+            if op % 256 == 0 {
+                let lines: Vec<(LineAddr, LineData)> = mem.iter().map(|(la, d)| (la, *d)).collect();
+                let want: Vec<(LineAddr, LineData)> =
+                    reference.iter().map(|(&la, &d)| (la, d)).collect();
+                assert_eq!(lines, want, "iter() at op {op}");
+            }
+        }
+        assert_eq!(reference.len(), pool.len(), "the run touched every pool line");
+        assert!(
+            (1000..OPS - 1000).contains(&equal_seen),
+            "`==` must be seen both ways: true at {equal_seen} of {OPS} ops"
+        );
+        assert!(zero_first_writes > 10, "{zero_first_writes} zero-valued first writes");
     }
 }

@@ -194,6 +194,15 @@ mod tests {
     use hsc_mem::LineAddr;
 
     #[test]
+    fn hot_path_copy_sizes_are_pinned() {
+        use std::mem::size_of;
+        const WHY: &str = "every queued event costs that many bytes twice (staged in the Outbox, \
+                           then copied into the queue's slab); a deliberate growth edits this pin";
+        assert!(size_of::<Message>() <= 120, "Message is {} B: {WHY}", size_of::<Message>());
+        assert!(size_of::<Action>() <= 128, "Action is {} B: {WHY}", size_of::<Action>());
+    }
+
+    #[test]
     fn actions_preserve_order() {
         let mut out = Outbox::new(Tick(5));
         out.wake_after(1);

@@ -63,7 +63,7 @@ pub use stats::{Histogram, StatSet};
 pub use tick::Tick;
 pub use trace::{format_trace_line, NullTracer, StderrTracer, Tracer, VecTracer};
 pub use transition::TransitionMatrix;
-pub use wheel::WheelQueue;
+pub use wheel::{Held, WheelQueue};
 
 // Compile-time proof that campaign job results built from this crate's
 // statistics and outcome types cross threads (`hsc_bench::par`).

@@ -66,10 +66,10 @@ const LEVEL_OF_BIT: [u8; 64] = {
 /// heap sifts. The structure is data-oriented: slot membership is an
 /// intrusive linked list threaded through a contiguous `meta` array of
 /// 24-byte `(tick, seq, next)` records, while event payloads live in a
-/// parallel slab that only `schedule` and `pop` touch. Cascades (moving
-/// a higher-level slot's events down when the wheel turns) therefore
-/// never move or even read a payload, and a flat occupancy bitmap finds
-/// the next non-empty slot with a handful of word scans.
+/// parallel slab that only `schedule` and the removals touch. Cascades
+/// (moving a higher-level slot's events down when the wheel turns)
+/// therefore never move or even read a payload, and a flat occupancy
+/// bitmap finds the next non-empty slot with a handful of word scans.
 ///
 /// Two small heaps handle the uncommon regimes: `overflow` holds events
 /// scheduled further than the wheel's horizon ahead, and `past` holds
@@ -86,9 +86,16 @@ const LEVEL_OF_BIT: [u8; 64] = {
 ///   never breaks;
 /// * both heaps order by `(tick, seq)`.
 ///
-/// `snapshot`/`remove_seq` — the model checker's choice-set view — are
-/// O(n) walks: the exhaustive explorer runs on tiny queues and the
-/// simulation hot path never calls them.
+/// `snapshot`/`unlink_seq`/`remove_seq` — the model checker's choice-set
+/// view — are O(n) walks: the exhaustive explorer runs on tiny queues and
+/// the simulation hot path never calls them.
+///
+/// Every removal is an unlink: [`unlink_next`](Self::unlink_next) (the
+/// earliest event) or [`unlink_seq`](Self::unlink_seq) (a chosen one)
+/// takes the event out of the ordering structure and hands back a
+/// [`Held`] slot. The run loop reads the payload there and frees it;
+/// [`pop`](Self::pop) and [`remove_seq`](Self::remove_seq) are the same
+/// unlinks followed by a move out of the slot.
 ///
 /// # Examples
 ///
@@ -121,11 +128,22 @@ pub struct WheelQueue<E> {
     overflow: BinaryHeap<HeapEntry>,
     /// Ordering metadata, contiguous: all the pop/cascade loops touch.
     meta: Vec<Meta>,
-    /// Event payloads, parallel to `meta`; only schedule/pop touch these.
+    /// Event payloads, parallel to `meta`; only `schedule` writes them and
+    /// only `get`/`take` read them.
     payload: Vec<Option<E>>,
-    /// Free slab indices for reuse.
+    /// Free slab indices for reuse. A [`Held`] slot is in no list and not
+    /// here either, which is what keeps `schedule` off it.
     free: Vec<u32>,
 }
+
+/// An event that [`WheelQueue::unlink_next`] or
+/// [`WheelQueue::unlink_seq`] took out of the queue and whose payload is
+/// still in its slab slot. Neither `Copy` nor `Clone`: the one handle is
+/// spent by [`WheelQueue::free`]. A handle that is dropped instead only
+/// leaves its slot unused.
+#[derive(Debug)]
+#[must_use = "an unlinked event keeps its slab slot until it is freed"]
+pub struct Held(u32);
 
 #[derive(Debug, Clone, Copy)]
 struct Slot {
@@ -355,20 +373,25 @@ impl<E> WheelQueue<E> {
         }
     }
 
-    /// Removes and returns the earliest event, or `None` if empty.
-    // `System::run` is the one hot caller; out of line, every iteration
-    // hands the event back through a return slot (cedd.base +3 %, measured).
+    /// Unlinks the earliest event and returns its tick and a handle to its
+    /// slab slot, or `None` if empty. The payload stays where `schedule`
+    /// put it: read it with [`get`](Self::get), then hand the handle to
+    /// [`free`](Self::free). Until then the event is out of the queue —
+    /// `len`, `peek_tick`, `snapshot` and `remove_seq` no longer see it —
+    /// and `schedule` cannot reuse its slot, so a handler may be given
+    /// `&E` while the driver keeps scheduling.
+    ///
+    /// This is the run loop's removal: a 128-byte event is read in place
+    /// instead of being moved out through a return slot and again into
+    /// the handler's frame. [`pop`](Self::pop) is this plus a take.
     #[inline]
-    pub fn pop(&mut self) -> Option<(Tick, E)> {
+    pub fn unlink_next(&mut self) -> Option<(Tick, Held)> {
         if self.len == 0 {
             return None;
         }
         // Past events (tick < base) always precede everything in the wheel.
         if let Some(e) = self.past.pop() {
-            self.len -= 1;
-            let event = self.payload[e.idx as usize].take().expect("slab slot vacated early");
-            self.free.push(e.idx);
-            return Some((Tick(e.tick), event));
+            return Some(self.hold(e.tick, e.idx));
         }
         self.advance();
         let c0 = (self.base & (SIZE[0] as u64 - 1)) as usize;
@@ -382,10 +405,45 @@ impl<E> WheelQueue<E> {
             self.occ_clear(0, c0);
         }
         debug_assert_eq!(m.tick, self.base, "level-0 slot holds exactly one tick");
+        Some(self.hold(m.tick, idx))
+    }
+
+    /// Removes and returns the earliest event, or `None` if empty.
+    // Out of line, the event goes back through a return slot on every call
+    // (cedd.base +3 %, measured when `System::run` still popped).
+    #[inline]
+    pub fn pop(&mut self) -> Option<(Tick, E)> {
+        let (tick, held) = self.unlink_next()?;
+        Some((tick, self.take(held)))
+    }
+
+    /// The last step of every unlink: slab entry `idx` is out of its list
+    /// or heap, so it stops counting as pending.
+    #[inline]
+    fn hold(&mut self, tick: u64, idx: u32) -> (Tick, Held) {
         self.len -= 1;
-        let event = self.payload[idx as usize].take().expect("slab slot vacated early");
-        self.free.push(idx);
-        Some((Tick(m.tick), event))
+        (Tick(tick), Held(idx))
+    }
+
+    /// The payload of an unlinked event, read in its slab slot.
+    #[inline]
+    #[must_use]
+    pub fn get(&self, held: &Held) -> &E {
+        self.payload[held.0 as usize].as_ref().expect("held slab slot vacated early")
+    }
+
+    /// Drops an unlinked event's payload and returns its slot to the slab.
+    #[inline]
+    pub fn free(&mut self, held: Held) {
+        drop(self.take(held));
+    }
+
+    /// Moves an unlinked event's payload out and returns its slot to the slab.
+    #[inline]
+    fn take(&mut self, held: Held) -> E {
+        let event = self.payload[held.0 as usize].take().expect("held slab slot vacated early");
+        self.free.push(held.0);
+        event
     }
 
     /// The tick of the earliest pending event, if any.
@@ -473,14 +531,15 @@ impl<E> WheelQueue<E> {
             .collect()
     }
 
-    /// Removes the pending event with sequence number `seq`, if present.
+    /// Unlinks the pending event with sequence number `seq`, if present,
+    /// leaving its payload in the slab like [`unlink_next`](Self::unlink_next).
     ///
     /// This is how an explorer delivers events out of timestamp order:
     /// pick any entry from [`snapshot`](Self::snapshot) and pull it by its
     /// `seq`. Costs an O(n) structure walk, which is fine for the tiny
     /// queues model checking operates on; the simulation hot path never
     /// calls this.
-    pub fn remove_seq(&mut self, seq: u64) -> Option<(Tick, E)> {
+    pub fn unlink_seq(&mut self, seq: u64) -> Option<(Tick, Held)> {
         // Slot lists first (the common home of a pending event).
         for si in 0..self.slots.len() {
             let mut prev = NIL;
@@ -500,7 +559,7 @@ impl<E> WheelQueue<E> {
                         let level = (1..LEVELS).rev().find(|&l| si >= SLOT_OFF[l]).unwrap_or(0);
                         self.occ_clear(level, si - SLOT_OFF[level]);
                     }
-                    return Some(self.release(m.tick, idx));
+                    return Some(self.hold(m.tick, idx));
                 }
                 prev = idx;
                 idx = m.next;
@@ -514,18 +573,17 @@ impl<E> WheelQueue<E> {
                 let pos = entries.iter().position(|e| e.seq == seq).expect("entry vanished");
                 let e = entries.swap_remove(pos);
                 *h = BinaryHeap::from(entries);
-                return Some(self.release(e.tick, e.idx));
+                return Some(self.hold(e.tick, e.idx));
             }
         }
         None
     }
 
-    /// Frees slab entry `idx` and returns its `(tick, payload)`.
-    fn release(&mut self, tick: u64, idx: u32) -> (Tick, E) {
-        self.len -= 1;
-        let event = self.payload[idx as usize].take().expect("slab slot vacated early");
-        self.free.push(idx);
-        (Tick(tick), event)
+    /// Removes and returns the pending event with sequence number `seq`,
+    /// if present.
+    pub fn remove_seq(&mut self, seq: u64) -> Option<(Tick, E)> {
+        let (tick, held) = self.unlink_seq(seq)?;
+        Some((tick, self.take(held)))
     }
 }
 
@@ -728,19 +786,24 @@ mod tests {
     /// One seeded differential step sequence: drives the wheel and the
     /// sorted-`Vec` oracle through an identical random mix of schedules
     /// (same-tick bursts, small deltas, far-future overflow, occasional
-    /// past ticks), pops and `remove_seq` cancellations, and asserts
-    /// identical observable behaviour throughout.
+    /// past ticks), pops, in-place deliveries (unlink, read, schedule
+    /// while the slot is held, free — what `System::step` does) and
+    /// `remove_seq`/`unlink_seq` cancellations, and asserts identical
+    /// observable behaviour throughout.
     fn differential_run(seed: u64, ops: usize) {
         let mut rng = DetRng::new(seed);
         let mut wheel: WheelQueue<u64> = WheelQueue::new();
         let mut oracle = SortedOracle::default();
         let mut now = 0u64;
         let mut payload = 0u64;
+        let snapshot_of = |wheel: &WheelQueue<u64>| -> Vec<(Tick, u64, u64)> {
+            wheel.snapshot().into_iter().map(|(t, s, &e)| (t, s, e)).collect()
+        };
         for op in 0..ops {
-            match rng.next_below(10) {
+            match rng.next_below(20) {
                 // Schedule (60%): deltas weighted toward the small fixed
                 // offsets the simulator actually uses.
-                0..=5 => {
+                0..=11 => {
                     let tick = match rng.next_below(12) {
                         0..=5 => now + rng.next_below(64),            // near
                         6..=7 => now,                                 // equal-tick burst
@@ -756,25 +819,73 @@ mod tests {
                         oracle.schedule(Tick(tick), payload);
                     }
                 }
-                // Pop (30%).
-                6..=8 => {
+                // Pop (15%).
+                12..=14 => {
                     let got = wheel.pop();
                     assert_eq!(got, oracle.pop(), "pop diverged at op {op} (seed {seed})");
                     if let Some((t, _)) = got {
                         now = now.max(t.0);
                     }
                 }
-                // Cancel a random pending event by its seq handle (10%).
+                // In-place delivery (15%): the earliest event is read in
+                // its slot while the queue keeps working around it.
+                15..=17 => {
+                    let want = oracle.pop();
+                    let Some((t, held)) = wheel.unlink_next() else {
+                        assert_eq!(
+                            want, None,
+                            "unlink_next came up empty at op {op} (seed {seed})"
+                        );
+                        continue;
+                    };
+                    let event = *wheel.get(&held);
+                    assert_eq!(Some((t, event)), want, "unlink diverged at op {op} (seed {seed})");
+                    assert_eq!(wheel.len(), oracle.pending.len(), "len counts the held event");
+                    now = now.max(t.0);
+                    // One schedule per home (wheel, past heap, overflow
+                    // heap): none may land in the held slot, although it
+                    // is the most recently vacated one.
+                    for tick in [now + rng.next_below(64), now.saturating_sub(7), now + (1 << 40)] {
+                        payload += 1;
+                        wheel.schedule(Tick(tick), payload);
+                        oracle.schedule(Tick(tick), payload);
+                    }
+                    assert_eq!(*wheel.get(&held), event, "a schedule reused the held slot");
+                    // (An O(n log n) check; sampled to keep the long run short.)
+                    if rng.chance(1, 32) {
+                        assert_eq!(snapshot_of(&wheel), oracle.pending, "snapshot, held slot");
+                    }
+                    let i = rng.next_below(oracle.pending.len() as u64) as usize;
+                    let (tick, pick, other) = oracle.pending.remove(i);
+                    assert_eq!(
+                        wheel.remove_seq(pick),
+                        Some((tick, other)),
+                        "remove_seq, held slot"
+                    );
+                    assert_eq!(*wheel.get(&held), event, "remove_seq disturbed the held slot");
+                    wheel.free(held);
+                }
+                // Cancel a random pending event by its seq handle (10%),
+                // moved out or read in place.
                 _ => {
                     if oracle.pending.is_empty() {
                         continue;
                     }
                     let i = rng.next_below(oracle.pending.len() as u64) as usize;
                     let (tick, pick, event) = oracle.pending.remove(i);
+                    let got = if rng.chance(1, 2) {
+                        wheel.remove_seq(pick)
+                    } else {
+                        wheel.unlink_seq(pick).map(|(t, held)| {
+                            let e = *wheel.get(&held);
+                            wheel.free(held);
+                            (t, e)
+                        })
+                    };
                     assert_eq!(
-                        wheel.remove_seq(pick),
+                        got,
                         Some((tick, event)),
-                        "remove_seq({pick}) diverged at op {op} (seed {seed})"
+                        "removal of seq {pick} diverged at op {op} (seed {seed})"
                     );
                 }
             }
@@ -785,9 +896,11 @@ mod tests {
                 "peek diverged at op {op} (seed {seed})"
             );
             if op % 64 == 0 {
-                let ws: Vec<(Tick, u64, u64)> =
-                    wheel.snapshot().into_iter().map(|(t, s, &e)| (t, s, e)).collect();
-                assert_eq!(ws, oracle.pending, "snapshot diverged at op {op} (seed {seed})");
+                assert_eq!(
+                    snapshot_of(&wheel),
+                    oracle.pending,
+                    "snapshot diverged at op {op} (seed {seed})"
+                );
             }
         }
         // Drain both completely: every remaining event must match.

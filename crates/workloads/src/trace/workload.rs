@@ -141,7 +141,7 @@ impl Workload for TraceWorkload {
         // A write-back TCC loses dirty words when an invalidating probe
         // arrives (the paper's §IV), and `System::final_word` does not
         // consult the TCC — so any trace whose GPU streams write is
-        // conservatively declared unsafe under WB_L2.
+        // conservatively declared not safe under WB_L2.
         !self
             .program
             .streams

@@ -39,3 +39,42 @@ fn full_stats_are_reproducible() {
     let b = run_workload_on(&w, SystemConfig::scaled(CoherenceConfig::owner_tracking()));
     assert_eq!(a.metrics.stats, b.metrics.stats, "stat sets diverged");
 }
+
+/// A run that stops on its event budget has consumed nothing it did not
+/// dispatch: the event that tripped the budget is still queued at the
+/// reported `now`, and running on reaches the same end state as a run
+/// that was never interrupted.
+#[test]
+fn a_run_stopped_by_its_event_budget_resumes_where_it_stopped() {
+    let bench = Hsti { elements: 512, bins: 16, cpu_threads: 4, wavefronts: 4, seed: 3 };
+    let build = || {
+        let mut b = SystemBuilder::new(SystemConfig::scaled(CoherenceConfig::baseline()));
+        bench.build(&mut b);
+        b.build()
+    };
+    let pin =
+        |m: &Metrics| (m.events, m.ticks, m.gpu_cycles, m.probes_sent, m.mem_reads, m.mem_writes);
+
+    let whole = build().run(u64::MAX).expect("the uninterrupted run completes");
+
+    let mut sys = build();
+    // The event that trips 1000 shares its tick with five more queued
+    // ones; the one that trips 2500 is alone at its tick.
+    for budget in [1000, 2500] {
+        let now = match sys.run(budget) {
+            Err(SimError::EventBudgetExceeded { budget: b, now }) if b == budget => now,
+            other => panic!("expected the budget of {budget} to run out, got {other:?}"),
+        };
+        assert_eq!(sys.events_processed(), budget, "the budget counts dispatched events");
+        let pending = sys.pending_events();
+        assert_eq!(
+            pending.first().map(|p| p.at),
+            Some(now),
+            "the event that tripped the budget must still be queued: {pending:?}"
+        );
+    }
+    let resumed = sys.run(u64::MAX).expect("the resumed run completes");
+    assert_eq!(pin(&resumed), pin(&whole), "interrupted-then-resumed diverged from uninterrupted");
+    assert_eq!(resumed.stats, whole.stats, "stat sets diverged");
+    bench.verify(&sys).expect("hsti verifies after the resumed run");
+}

@@ -127,6 +127,38 @@ fn deadlock_snapshot_carries_the_flight_recorder_tail() {
     assert!(text.contains("DIR ← RdBlk"), "entries render agent and class:\n{text}");
 }
 
+/// The watchdog judges the next event while it is still queued, so the
+/// snapshot of a run it stops is whole: the event that found the stall is
+/// among the pending ones, at the tick the stuck lines are aged against.
+/// Here that event is one of the probe acks the stuck transaction waits
+/// for, so the acks in flight must add up to the directory's count.
+#[test]
+fn watchdog_snapshot_still_holds_the_event_that_tripped_it() {
+    let w = Hsti { elements: 256, bins: 8, cpu_threads: 2, wavefronts: 2, seed: 1 };
+    let mut cfg = SystemConfig::scaled(CoherenceConfig::baseline());
+    cfg.watchdog_ticks = 1; // any transaction in flight at a poll is "stuck"
+    let mut b = SystemBuilder::new(cfg);
+    w.build(&mut b);
+    let mut sys = b.build();
+    let Err(SimError::Deadlock { snapshot }) = sys.run(u64::MAX) else {
+        panic!("a one-tick watchdog must stop the run at its first poll");
+    };
+    assert_eq!(snapshot.pending.first().map(|p| p.at), Some(snapshot.now), "{snapshot}");
+    assert_eq!(snapshot.pending, sys.pending_events(), "the snapshot took nothing out");
+    let [stuck] = &snapshot.lines[..] else {
+        panic!("expected one stuck line:\n{snapshot}");
+    };
+    let acks_in_flight = snapshot
+        .pending
+        .iter()
+        .filter(|p| matches!(p.kind, PendingKind::Deliver { class: "PrbAck", line, .. } if line == stuck.line))
+        .count();
+    assert!(
+        acks_in_flight > 0 && stuck.detail.contains(&format!(" acks={acks_in_flight} ")),
+        "{acks_in_flight} probe ack(s) in flight must be all the directory waits for:\n{snapshot}"
+    );
+}
+
 /// The stall report and the model checker's choice view share one event
 /// vocabulary ([`PendingEvent`]): wakes and message deliveries both
 /// render as readable one-liners naming the participants.
