@@ -4,7 +4,7 @@
 use std::io::{self, Write};
 
 use hsc_cluster::{TICKS_PER_CPU_CYCLE, TICKS_PER_GPU_CYCLE};
-use hsc_core::tracking::{describe, DirState, PlanReq, Requester};
+use hsc_core::tracking::{describe, legal_rows, DirState};
 use hsc_core::{CoherenceConfig, DirectoryMode, ObsConfig, SystemConfig};
 use hsc_workloads::{run_workload_observed, Cedd};
 
@@ -28,7 +28,7 @@ pub fn table1(observed: bool, out: &mut dyn Write) -> io::Result<()> {
     for mode in [DirectoryMode::OwnerTracking, DirectoryMode::SharerTracking] {
         writeln!(out, "\n--- {mode:?} ---")?;
         for state in [DirState::I, DirState::S, DirState::O] {
-            for (req, from) in legal_rows(state) {
+            for (req, from) in legal_rows(mode, state) {
                 writeln!(out, "{}", describe(mode, state, req, from))?;
             }
         }
@@ -61,29 +61,6 @@ fn write_observed(out: &mut dyn Write) -> io::Result<()> {
         writeln!(out, "  {:>2} --{:-<14}-> {:<2} {n:>8}", states[fi], causes[ci], states[ti])?;
     }
     Ok(())
-}
-
-fn legal_rows(state: DirState) -> Vec<(PlanReq, Requester)> {
-    let mut rows = vec![
-        (PlanReq::RdBlk, Requester::Cpu),
-        (PlanReq::RdBlk, Requester::Tcc),
-        (PlanReq::RdBlkS, Requester::Cpu),
-        (PlanReq::RdBlkM, Requester::Cpu),
-        (PlanReq::VicClean, Requester::Cpu),
-        (PlanReq::WriteThrough { retains: true }, Requester::Tcc),
-        (PlanReq::WriteThrough { retains: false }, Requester::Tcc),
-        (PlanReq::Atomic, Requester::Tcc),
-        (PlanReq::DmaRd, Requester::Dma),
-        (PlanReq::DmaWr, Requester::Dma),
-        (PlanReq::Flush, Requester::Tcc),
-    ];
-    if state == DirState::O {
-        rows.insert(3, (PlanReq::RdBlkS, Requester::CpuOwner));
-        rows.insert(5, (PlanReq::RdBlkM, Requester::CpuOwner));
-        rows.push((PlanReq::VicDirty, Requester::CpuOwner));
-        rows.push((PlanReq::VicClean, Requester::CpuOwner));
-    }
-    rows
 }
 
 fn human(bytes: u64) -> String {

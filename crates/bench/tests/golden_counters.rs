@@ -7,9 +7,13 @@
 //! reproduce them exactly — same keys, same values, same ordering, same
 //! zero-valued pre-registered entries.
 //!
+//! `table1.golden.txt` pins `hsc table 1` the same way: a new or changed
+//! `tracking::plan` row cannot move the paper's Table I unnoticed.
+//!
 //! Regenerate with `UPDATE_GOLDEN=1 cargo test -p hsc-bench --test
 //! golden_counters` and audit the diff; a fixture change means counter
-//! *semantics* changed and must be called out in review.
+//! *semantics* (or the printed protocol table) changed and must be called
+//! out in review.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -101,4 +105,13 @@ fn quick_metrics_tables_match_golden() {
         write!(table, "{}", r.metrics.stats).unwrap();
     }
     check_golden("quick_metrics.golden.txt", &table);
+}
+
+/// `hsc table 1` (without `--observed`) is a pure function of
+/// `tracking::plan` and its legal-row list.
+#[test]
+fn table1_text_matches_golden() {
+    let mut text = Vec::new();
+    hsc_bench::tables::table1(false, &mut text).expect("writing to a Vec cannot fail");
+    check_golden("table1.golden.txt", &String::from_utf8(text).expect("table text is UTF-8"));
 }

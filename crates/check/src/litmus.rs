@@ -36,15 +36,14 @@ use crate::{explore, CheckConfig, ExploreReport, FinalCheck};
 /// supplies the nondeterminism.
 #[derive(Debug)]
 pub struct CpuScript {
-    label: &'static str,
     ops: VecDeque<CpuOp>,
 }
 
 impl CpuScript {
     /// A thread that executes `ops` in order and finishes.
     #[must_use]
-    pub fn new(label: &'static str, ops: Vec<CpuOp>) -> Self {
-        CpuScript { label, ops: ops.into() }
+    pub fn new(ops: Vec<CpuOp>) -> Self {
+        CpuScript { ops: ops.into() }
     }
 }
 
@@ -52,34 +51,25 @@ impl CoreProgram for CpuScript {
     fn next_op(&mut self, _last: Option<u64>) -> CpuOp {
         self.ops.pop_front().unwrap_or(CpuOp::Done)
     }
-
-    fn label(&self) -> &str {
-        self.label
-    }
 }
 
 /// A scripted GPU wavefront, the [`CpuScript`] counterpart.
 #[derive(Debug)]
 pub struct GpuScript {
-    label: &'static str,
     ops: VecDeque<GpuOp>,
 }
 
 impl GpuScript {
     /// A wavefront that executes `ops` in order and finishes.
     #[must_use]
-    pub fn new(label: &'static str, ops: Vec<GpuOp>) -> Self {
-        GpuScript { label, ops: ops.into() }
+    pub fn new(ops: Vec<GpuOp>) -> Self {
+        GpuScript { ops: ops.into() }
     }
 }
 
 impl WavefrontProgram for GpuScript {
     fn next_op(&mut self, _last: Option<u64>) -> GpuOp {
         self.ops.pop_front().unwrap_or(GpuOp::Done)
-    }
-
-    fn label(&self) -> &str {
-        self.label
     }
 }
 
@@ -405,9 +395,9 @@ fn build_two_writers(faults: Option<FaultPlan>, retry: Option<RetryPolicy>) -> S
     let mut b = SystemBuilder::new(apply_knobs(tiny_config(), faults, retry));
     // Threads place two-per-pair; the idle filler pushes w1 to pair 1 so
     // the writers are distinct coherence agents.
-    b.add_cpu_thread(Box::new(CpuScript::new("w0", vec![CpuOp::Store(A, 1)])));
-    b.add_cpu_thread(Box::new(CpuScript::new("idle", vec![])));
-    b.add_cpu_thread(Box::new(CpuScript::new("w1", vec![CpuOp::Store(A_W1, 2)])));
+    b.add_cpu_thread(Box::new(CpuScript::new(vec![CpuOp::Store(A, 1)])));
+    b.add_cpu_thread(Box::new(CpuScript::new(vec![])));
+    b.add_cpu_thread(Box::new(CpuScript::new(vec![CpuOp::Store(A_W1, 2)])));
     b.build()
 }
 
@@ -424,12 +414,9 @@ fn build_victim_vs_probe(faults: Option<FaultPlan>, retry: Option<RetryPolicy>) 
     cfg.cpu.l2_bytes = 128;
     cfg.cpu.l2_ways = 1;
     let mut b = SystemBuilder::new(apply_knobs(cfg, faults, retry));
-    b.add_cpu_thread(Box::new(CpuScript::new(
-        "victimizer",
-        vec![CpuOp::Store(A, 1), CpuOp::Store(B, 2)],
-    )));
-    b.add_cpu_thread(Box::new(CpuScript::new("idle", vec![])));
-    b.add_cpu_thread(Box::new(CpuScript::new("reader", vec![CpuOp::Load(A)])));
+    b.add_cpu_thread(Box::new(CpuScript::new(vec![CpuOp::Store(A, 1), CpuOp::Store(B, 2)])));
+    b.add_cpu_thread(Box::new(CpuScript::new(vec![])));
+    b.add_cpu_thread(Box::new(CpuScript::new(vec![CpuOp::Load(A)])));
     b.build()
 }
 
@@ -440,9 +427,9 @@ fn final_victim_vs_probe(sys: &System) -> Result<(), String> {
 
 fn build_dup_reply(faults: Option<FaultPlan>, retry: Option<RetryPolicy>) -> System {
     let mut b = SystemBuilder::new(apply_knobs(tiny_config(), faults, retry));
-    b.add_cpu_thread(Box::new(CpuScript::new("writer", vec![CpuOp::Store(A, 1)])));
-    b.add_cpu_thread(Box::new(CpuScript::new("idle", vec![])));
-    b.add_cpu_thread(Box::new(CpuScript::new("reader", vec![CpuOp::Load(A)])));
+    b.add_cpu_thread(Box::new(CpuScript::new(vec![CpuOp::Store(A, 1)])));
+    b.add_cpu_thread(Box::new(CpuScript::new(vec![])));
+    b.add_cpu_thread(Box::new(CpuScript::new(vec![CpuOp::Load(A)])));
     b.build()
 }
 
@@ -455,15 +442,12 @@ fn build_atomic_vs_eviction(faults: Option<FaultPlan>, retry: Option<RetryPolicy
     cfg.cpu.l2_bytes = 128;
     cfg.cpu.l2_ways = 1;
     let mut b = SystemBuilder::new(apply_knobs(cfg, faults, retry));
-    b.add_cpu_thread(Box::new(CpuScript::new(
-        "adder0",
-        vec![CpuOp::Atomic(A, AtomicKind::FetchAdd(1)), CpuOp::Store(B, 7)],
-    )));
-    b.add_cpu_thread(Box::new(CpuScript::new("idle", vec![])));
-    b.add_cpu_thread(Box::new(CpuScript::new(
-        "adder1",
-        vec![CpuOp::Atomic(A, AtomicKind::FetchAdd(1))],
-    )));
+    b.add_cpu_thread(Box::new(CpuScript::new(vec![
+        CpuOp::Atomic(A, AtomicKind::FetchAdd(1)),
+        CpuOp::Store(B, 7),
+    ])));
+    b.add_cpu_thread(Box::new(CpuScript::new(vec![])));
+    b.add_cpu_thread(Box::new(CpuScript::new(vec![CpuOp::Atomic(A, AtomicKind::FetchAdd(1))])));
     b.init_word(A, 10);
     b.build()
 }
@@ -475,7 +459,7 @@ fn final_atomic_vs_eviction(sys: &System) -> Result<(), String> {
 
 fn build_dma_vs_dirty_l2(faults: Option<FaultPlan>, retry: Option<RetryPolicy>) -> System {
     let mut b = SystemBuilder::new(apply_knobs(tiny_config(), faults, retry));
-    b.add_cpu_thread(Box::new(CpuScript::new("writer", vec![CpuOp::Store(A, 5)])));
+    b.add_cpu_thread(Box::new(CpuScript::new(vec![CpuOp::Store(A, 5)])));
     b.add_dma(DmaCommand::Read { base: A, lines: 1, at: Tick(0) });
     b.build()
 }
@@ -499,11 +483,8 @@ fn final_dma_vs_dirty_l2(sys: &System) -> Result<(), String> {
 
 fn build_slc_atomic_vs_probe(faults: Option<FaultPlan>, retry: Option<RetryPolicy>) -> System {
     let mut b = SystemBuilder::new(apply_knobs(tiny_config(), faults, retry));
-    b.add_cpu_thread(Box::new(CpuScript::new("writer", vec![CpuOp::Store(A, 10)])));
-    b.add_wavefront(Box::new(GpuScript::new(
-        "slc-adder",
-        vec![GpuOp::AtomicSlc(A, AtomicKind::FetchAdd(1))],
-    )));
+    b.add_cpu_thread(Box::new(CpuScript::new(vec![CpuOp::Store(A, 10)])));
+    b.add_wavefront(Box::new(GpuScript::new(vec![GpuOp::AtomicSlc(A, AtomicKind::FetchAdd(1))])));
     b.build()
 }
 
@@ -514,12 +495,13 @@ fn final_slc_atomic_vs_probe(sys: &System) -> Result<(), String> {
 
 fn build_retry_storm(faults: Option<FaultPlan>, retry: Option<RetryPolicy>) -> System {
     let mut b = SystemBuilder::new(apply_knobs(tiny_config(), faults, retry));
-    b.add_cpu_thread(Box::new(CpuScript::new(
-        "w0",
-        vec![CpuOp::Store(A, 1), CpuOp::Load(A_W1), CpuOp::Store(B, 3)],
-    )));
-    b.add_cpu_thread(Box::new(CpuScript::new("idle", vec![])));
-    b.add_cpu_thread(Box::new(CpuScript::new("w1", vec![CpuOp::Store(A_W1, 2), CpuOp::Load(A)])));
+    b.add_cpu_thread(Box::new(CpuScript::new(vec![
+        CpuOp::Store(A, 1),
+        CpuOp::Load(A_W1),
+        CpuOp::Store(B, 3),
+    ])));
+    b.add_cpu_thread(Box::new(CpuScript::new(vec![])));
+    b.add_cpu_thread(Box::new(CpuScript::new(vec![CpuOp::Store(A_W1, 2), CpuOp::Load(A)])));
     b.build()
 }
 
@@ -558,11 +540,10 @@ mod tests {
 
     #[test]
     fn scripts_replay_their_ops_then_finish() {
-        let mut s = CpuScript::new("t", vec![CpuOp::Store(A, 1)]);
+        let mut s = CpuScript::new(vec![CpuOp::Store(A, 1)]);
         assert_eq!(s.next_op(None), CpuOp::Store(A, 1));
         assert_eq!(s.next_op(None), CpuOp::Done);
-        assert_eq!(s.label(), "t");
-        let mut g = GpuScript::new("g", vec![GpuOp::Acquire]);
+        let mut g = GpuScript::new(vec![GpuOp::Acquire]);
         assert_eq!(g.next_op(None), GpuOp::Acquire);
         assert_eq!(g.next_op(None), GpuOp::Done);
     }

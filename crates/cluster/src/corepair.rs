@@ -439,35 +439,9 @@ impl CorePair {
     /// any timed-out requests (when a retry policy is configured).
     pub fn on_wake(&mut self, now: Tick, out: &mut Outbox) {
         self.wakes.delivered(now);
-        self.service_retries(now, out);
+        let resent = self.retry.service(now, &mut self.wakes, out);
+        self.counters.add(self.ids.retries, resent);
         self.step_cores(now, out);
-    }
-
-    /// Re-sends overdue requests and schedules the next retry wake-up.
-    /// No-op (no wake-ups, no stats) when retry is disabled.
-    fn service_retries(&mut self, now: Tick, out: &mut Outbox) {
-        if !self.retry.enabled() {
-            return;
-        }
-        for msg in self.retry.due(now) {
-            self.counters.bump(self.ids.retries);
-            out.send(msg);
-        }
-        if let Some(d) = self.retry.next_deadline() {
-            self.wakes.arm(d, out);
-        }
-    }
-
-    /// Starts retry tracking for a request just sent (no-op when retry is
-    /// disabled) and schedules the wake-up that will check its deadline.
-    fn track_request(&mut self, msg: Message, out: &mut Outbox) {
-        if !self.retry.enabled() {
-            return;
-        }
-        self.retry.track(out.now(), msg);
-        if let Some(d) = self.retry.next_deadline() {
-            self.wakes.arm(d, out);
-        }
     }
 
     fn on_resp(
@@ -733,7 +707,7 @@ impl CorePair {
                 .expect("CorePair MSHR sized for max 2 outstanding ops");
             let msg = Message::new(self.agent, AgentId::Directory, la, MsgKind::RdBlkS);
             out.send(msg);
-            self.track_request(msg, out);
+            self.retry.track_sent(msg, &mut self.wakes, out);
             self.counters.bump(self.ids.req.id(&MsgKind::RdBlkS));
         }
     }
@@ -757,7 +731,7 @@ impl CorePair {
         self.counters.bump(self.ids.req.id(&msg));
         let msg = Message::new(self.agent, AgentId::Directory, la, msg);
         out.send(msg);
-        self.track_request(msg, out);
+        self.retry.track_sent(msg, &mut self.wakes, out);
     }
 
     fn fill_line(&mut self, la: LineAddr, state: MoesiState, data: LineData, out: &mut Outbox) {
@@ -794,7 +768,7 @@ impl CorePair {
             self.victims.park(vtag, vline.data, dirty);
             let vic = Message::new(self.agent, AgentId::Directory, vtag, kind);
             out.send(vic);
-            self.track_request(vic, out);
+            self.retry.track_sent(vic, &mut self.wakes, out);
             for l1 in &mut self.l1d {
                 l1.invalidate(vtag);
             }

@@ -226,23 +226,9 @@ impl DmaEngine {
     /// Advances the engine: expands due commands and issues line requests.
     pub fn on_wake(&mut self, now: Tick, out: &mut Outbox) {
         self.wakes.delivered(now);
-        self.service_retries(now, out);
+        let resent = self.retry.service(now, &mut self.wakes, out);
+        self.counters.add(self.ids.retries, resent);
         self.pump(now, out);
-    }
-
-    /// Re-sends overdue requests and schedules the next retry wake-up.
-    /// No-op (no wake-ups, no stats) when retry is disabled.
-    fn service_retries(&mut self, now: Tick, out: &mut Outbox) {
-        if !self.retry.enabled() {
-            return;
-        }
-        for msg in self.retry.due(now) {
-            self.counters.bump(self.ids.retries);
-            out.send(msg);
-        }
-        if let Some(d) = self.retry.next_deadline() {
-            self.wakes.arm(d, out);
-        }
     }
 
     fn pump(&mut self, now: Tick, out: &mut Outbox) {
@@ -299,12 +285,7 @@ impl DmaEngine {
             };
             let msg = Message::new(AgentId::Dma, AgentId::Directory, la, kind);
             out.send(msg);
-            if self.retry.enabled() {
-                self.retry.track(now, msg);
-                if let Some(d) = self.retry.next_deadline() {
-                    self.wakes.arm(d, out);
-                }
-            }
+            self.retry.track_sent(msg, &mut self.wakes, out);
         }
         // If future commands remain and nothing is in flight to re-trigger
         // us, schedule a wake at the next command time.

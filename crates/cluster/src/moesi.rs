@@ -21,8 +21,6 @@ use hsc_noc::Grant;
 ///
 /// assert!(MoesiState::Modified.forwards_dirty());
 /// assert!(!MoesiState::Shared.forwards_dirty());
-/// assert!(MoesiState::Exclusive.evicts_clean());
-/// assert!(MoesiState::Owned.can_read());
 /// assert!(!MoesiState::Owned.can_write());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -38,12 +36,6 @@ pub enum MoesiState {
 }
 
 impl MoesiState {
-    /// Whether a load hits in this state.
-    #[must_use]
-    pub fn can_read(self) -> bool {
-        true
-    }
-
     /// Whether a store hits without a directory upgrade. `Exclusive`
     /// counts: the E→M transition is silent.
     #[must_use]
@@ -55,12 +47,6 @@ impl MoesiState {
     #[must_use]
     pub fn forwards_dirty(self) -> bool {
         matches!(self, MoesiState::Modified | MoesiState::Owned)
-    }
-
-    /// Whether eviction sends `VicClean` (vs `VicDirty`).
-    #[must_use]
-    pub fn evicts_clean(self) -> bool {
-        matches!(self, MoesiState::Exclusive | MoesiState::Shared)
     }
 
     /// The state after a downgrading probe.
@@ -113,16 +99,6 @@ mod tests {
         assert!(MoesiState::Owned.forwards_dirty());
         assert!(!MoesiState::Exclusive.forwards_dirty());
         assert!(!MoesiState::Shared.forwards_dirty());
-    }
-
-    #[test]
-    fn eviction_noise_matches_paper() {
-        // §II-D: "the possibility of clean victims implies evictions from
-        // L2s are noisy" — E and S both notify the directory.
-        assert!(MoesiState::Exclusive.evicts_clean());
-        assert!(MoesiState::Shared.evicts_clean());
-        assert!(!MoesiState::Modified.evicts_clean());
-        assert!(!MoesiState::Owned.evicts_clean());
     }
 
     #[test]

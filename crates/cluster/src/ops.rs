@@ -40,7 +40,9 @@ impl fmt::Display for CpuOp {
 ///
 /// `last_value` carries the result of the immediately preceding
 /// `Load`/`Atomic` (or `None` after other ops), so programs can branch on
-/// memory contents.
+/// memory contents. Programs need not be `Send`: a system is built, run
+/// and dropped by one thread, and only the `Workload` that builds it is
+/// shared between campaign workers.
 ///
 /// # Examples
 ///
@@ -65,14 +67,9 @@ impl fmt::Display for CpuOp {
 ///     }
 /// }
 /// ```
-pub trait CoreProgram: fmt::Debug + Send {
+pub trait CoreProgram: fmt::Debug {
     /// The next operation; called when the previous one completed.
     fn next_op(&mut self, last_value: Option<u64>) -> CpuOp;
-
-    /// Optional human-readable label for traces.
-    fn label(&self) -> &str {
-        "cpu-thread"
-    }
 }
 
 /// One operation of a GPU wavefront, produced by a [`WavefrontProgram`].
@@ -126,14 +123,9 @@ impl fmt::Display for GpuOp {
 /// `last_value` carries the lane-0 result of the preceding
 /// `VecLoad`/atomic, letting kernels implement flag polling and work-queue
 /// dequeues with SLC atomics, as the CHAI benchmarks do.
-pub trait WavefrontProgram: fmt::Debug + Send {
+pub trait WavefrontProgram: fmt::Debug {
     /// The next operation; called when the previous one completed.
     fn next_op(&mut self, last_value: Option<u64>) -> GpuOp;
-
-    /// Optional human-readable label for traces.
-    fn label(&self) -> &str {
-        "wavefront"
-    }
 }
 
 #[cfg(test)]
@@ -161,7 +153,6 @@ mod tests {
         assert_eq!(p.next_op(None), CpuOp::Compute(1));
         assert_eq!(p.next_op(None), CpuOp::Done);
         assert_eq!(p.next_op(None), CpuOp::Done, "Done is sticky-safe");
-        assert_eq!(p.label(), "cpu-thread");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-use hsc_cluster::{CpuConfig, GpuConfig, GpuWritePolicy};
+use hsc_cluster::{CpuConfig, GpuConfig};
 use hsc_noc::{FaultPlan, LatencyMap, RetryPolicy};
 
 /// What happens to clean L2 victims at the directory (§III-B).
@@ -285,12 +285,6 @@ impl SystemConfig {
         s.uncore.llc_bytes = 512 * 1024;
         s.uncore.dir_entries = 2048;
         s
-    }
-
-    /// The GPU write policy currently configured.
-    #[must_use]
-    pub fn gpu_write_policy(&self) -> GpuWritePolicy {
-        self.gpu.tcc_policy
     }
 
     /// Enables the same retry policy on every requester (CorePair L2s,

@@ -11,7 +11,7 @@ use hsc_sim::{
 
 use crate::tracking::{
     plan, DataPlan, DirEntry, DirState, GrantPlan, NextState, PlanReq, ProbePlan, Requester,
-    SharerSet,
+    SharerSet, Transition, BACK_INVALIDATION, MAX_SHARERS_PER_KIND,
 };
 use crate::{
     CleanVictimPolicy, CoherenceConfig, DirReplacementPolicy, Llc, LlcWritePolicy, UncoreConfig,
@@ -19,11 +19,12 @@ use crate::{
 
 /// Directory transition-matrix vocabulary: the §IV stable states plus
 /// the transient backward-invalidation state **B**. Causes are the
-/// request classes that drive transitions, plus the entry eviction
-/// itself. The matrix only fills in tracking modes — stateless runs
-/// keep no entries, so there is nothing to transition.
+/// request classes that drive transitions ([`PlanReq::index`] order),
+/// plus the entry eviction itself. The matrix only fills in tracking
+/// modes — stateless runs keep no entries, so there is nothing to
+/// transition.
 const DIR_STATES: &[&str] = &["I", "S", "O", "B"];
-const DIR_CAUSES: &[&str] = &[
+pub(crate) const DIR_CAUSES: &[&str] = &[
     "RdBlk",
     "RdBlkS",
     "RdBlkM",
@@ -51,23 +52,6 @@ fn dt(s: DirState) -> usize {
     }
 }
 
-/// Transition-matrix cause index of a directory request.
-fn dir_cause(kind: &MsgKind) -> usize {
-    match kind {
-        MsgKind::RdBlk => 0,
-        MsgKind::RdBlkS => 1,
-        MsgKind::RdBlkM => 2,
-        MsgKind::VicDirty { .. } => 3,
-        MsgKind::VicClean { .. } => 4,
-        MsgKind::WriteThrough { .. } => 5,
-        MsgKind::AtomicReq { .. } => 6,
-        MsgKind::DmaRd => 7,
-        MsgKind::DmaWr { .. } => 8,
-        MsgKind::Flush => 9,
-        other => panic!("{} is not a directory request", other.class_name()),
-    }
-}
-
 /// What an in-flight directory transaction is doing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum TxnKind {
@@ -82,9 +66,11 @@ enum TxnKind {
 struct DirTxn {
     kind: TxnKind,
     origin: Message,
-    /// Transition decided at start (tracking mode only).
-    planned: Option<crate::tracking::Transition>,
-    requester_role: Requester,
+    /// `origin`'s request class (a back-invalidation's stand-in origin is
+    /// a `Flush`).
+    req: PlanReq,
+    /// Transition decided at start.
+    planned: Transition,
     pending_acks: u32,
     dirty_data: Option<LineData>,
     copies_found: u32,
@@ -92,7 +78,6 @@ struct DirTxn {
     llc_ready: bool,
     llc_scheduled: bool,
     llc_data: Option<LineData>,
-    llc_was_hit: bool,
     mem_requested: bool,
     mem_data: Option<LineData>,
     /// §III-A: a response has already been sent from a dirty probe ack.
@@ -110,19 +95,24 @@ struct DirTxn {
 }
 
 impl DirTxn {
-    fn new(kind: TxnKind, origin: Message, role: Requester, start_state: DirState) -> Self {
+    fn new(
+        kind: TxnKind,
+        origin: Message,
+        req: PlanReq,
+        planned: Transition,
+        start_state: DirState,
+    ) -> Self {
         DirTxn {
             kind,
             origin,
-            planned: None,
-            requester_role: role,
+            req,
+            planned,
             pending_acks: 0,
             dirty_data: None,
             copies_found: 0,
             llc_ready: false,
             llc_scheduled: false,
             llc_data: None,
-            llc_was_hit: false,
             mem_requested: false,
             mem_data: None,
             responded: false,
@@ -140,10 +130,12 @@ impl DirTxn {
 ///
 /// Per-line behaviour mirrors the paper's blocked states: one transaction
 /// at a time per line (the **U→B…→U** discipline of Fig. 2); later
-/// requests queue. With `DirectoryMode::Stateless` every request
-/// broadcasts probes and reads the LLC/memory, exactly the baseline gem5
-/// model; with tracking the [`plan`] table drives probe elision,
-/// owner-only probes and invalidation multicast.
+/// requests queue. What a request does is decided in [`crate::tracking`]
+/// and only executed here: [`PlanReq::of`] classifies it and the [`plan`]
+/// table answers for every mode — with `DirectoryMode::Stateless` every
+/// request broadcasts probes and reads the LLC/memory, exactly the
+/// baseline gem5 model; with tracking the same table drives probe
+/// elision, owner-only probes and invalidation multicast.
 ///
 /// The victim-cache LLC is written on L2 write-backs only (never on the
 /// refill path); the [`CoherenceConfig`] knobs select the §III-B/§III-C
@@ -248,8 +240,18 @@ pub const DEFAULT_WATCHDOG_TICKS: u64 = 2_000_000;
 impl Directory {
     /// Builds the directory for a system with `n_l2` CorePairs and
     /// `n_tcc` GPU clusters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either count exceeds [`MAX_SHARERS_PER_KIND`]: the sharer
+    /// bitmaps could not tell such agents apart.
     #[must_use]
     pub fn new(cfg: CoherenceConfig, uncore: UncoreConfig, n_l2: usize, n_tcc: usize) -> Self {
+        assert!(
+            n_l2 <= MAX_SHARERS_PER_KIND && n_tcc <= MAX_SHARERS_PER_KIND,
+            "the directory tracks at most {MAX_SHARERS_PER_KIND} CorePairs and \
+             {MAX_SHARERS_PER_KIND} TCCs (asked for {n_l2} and {n_tcc})"
+        );
         // Register every counter key once; visible registrations show up
         // in reports and time series at 0 instead of being omitted.
         let mut counters = Counters::new();
@@ -421,14 +423,12 @@ impl Directory {
             t.kind.hash(h);
             t.origin.hash(h);
             t.planned.hash(h);
-            t.requester_role.hash(h);
             t.pending_acks.hash(h);
             t.dirty_data.hash(h);
             t.copies_found.hash(h);
             t.llc_ready.hash(h);
             t.llc_scheduled.hash(h);
             t.llc_data.hash(h);
-            t.llc_was_hit.hash(h);
             t.mem_requested.hash(h);
             t.mem_data.hash(h);
             t.responded.hash(h);
@@ -449,28 +449,6 @@ impl Directory {
     #[must_use]
     pub fn llc(&self) -> &Llc {
         &self.llc
-    }
-
-    /// Human-readable dump of in-flight transactions (deadlock triage).
-    #[must_use]
-    pub fn pending_transactions(&self) -> Vec<String> {
-        self.live_txns()
-            .map(|(la, t)| {
-                format!(
-                    "{la}: {:?} {} acks={} unblock={} llc_sched={} llc_ready={} mem_req={} responded={} queued={} state={:?}",
-                    t.kind,
-                    t.origin.kind.class_name(),
-                    t.pending_acks,
-                    t.awaiting_unblock,
-                    t.llc_scheduled,
-                    t.llc_ready,
-                    t.mem_requested,
-                    t.responded,
-                    t.queued.len(),
-                    t.start_state,
-                )
-            })
-            .collect()
     }
 
     /// In-flight transactions in line order.
@@ -542,10 +520,20 @@ impl Directory {
     fn start_txn(&mut self, now: Tick, msg: Message, carry: VecDeque<Message>, out: &mut Outbox) {
         debug_assert!(!self.txns.contains_key(&msg.line));
         self.counters.bump(self.ids.requests.id(&msg.kind));
+        let req = PlanReq::of(&msg.kind).expect("on_message queues directory requests only");
 
-        // Stale-victim filter: a probe already consumed this write-back.
-        if matches!(msg.kind, MsgKind::VicDirty { .. } | MsgKind::VicClean { .. })
-            && self.stale_vics.remove(&(msg.line, msg.src))
+        // The one scan of the entry set this request pays for; everything
+        // below works from the copy. (Stateless runs keep no entries.)
+        let tracks = self.cfg.directory.tracks();
+        let entry =
+            if tracks { self.entries.get(msg.line).filter(|e| !e.reserved).copied() } else { None };
+        let is_owner = entry.is_some_and(|e| e.state == DirState::O && e.owner == Some(msg.src));
+
+        // Stale-victim filter: a probe already consumed this write-back,
+        // or (tracking) a VicDirty comes from a non-owner. Ack, no write.
+        if (matches!(req, PlanReq::VicDirty | PlanReq::VicClean)
+            && self.stale_vics.remove(&(msg.line, msg.src)))
+            || (tracks && req == PlanReq::VicDirty && !is_owner)
         {
             self.counters.bump(self.ids.stale_vics_dropped);
             out.send_after(
@@ -556,31 +544,9 @@ impl Directory {
             return;
         }
 
-        // The one scan of the entry set this request pays for; everything
-        // below works from the copy. (Stateless runs keep no entries.)
-        let tracks = self.cfg.directory.tracks();
-        let entry =
-            if tracks { self.entries.get(msg.line).filter(|e| !e.reserved).copied() } else { None };
-        let is_owner = entry.is_some_and(|e| e.state == DirState::O && e.owner == Some(msg.src));
-
-        // Tracking-mode stale VicDirty from a non-owner: ack, no write.
-        if tracks {
-            if let MsgKind::VicDirty { .. } = msg.kind {
-                if !is_owner {
-                    self.counters.bump(self.ids.stale_vics_dropped);
-                    out.send_after(
-                        gpu_cycles(self.uncore.dir_cycles),
-                        Message::new(AgentId::Directory, msg.src, msg.line, MsgKind::VicAck),
-                    );
-                    self.resume_queue(now, msg.line, carry, out);
-                    return;
-                }
-            }
-        }
-
         // Tracking mode: make room in the directory cache if this request
         // will allocate an entry.
-        let allocates = tracks && self.request_allocates(&msg) && entry.is_none();
+        let allocates = tracks && req.allocates() && entry.is_none();
         if allocates && self.entries.set_is_full(msg.line) {
             self.begin_entry_eviction(now, msg, carry, out);
             return;
@@ -591,20 +557,13 @@ impl Directory {
         if let Some(sh) = &mut self.sharing {
             let sharers =
                 entry.map_or(0, |e| e.sharers.len() as usize + usize::from(e.owner.is_some()));
-            let access = match msg.kind {
-                MsgKind::RdBlk | MsgKind::RdBlkS | MsgKind::DmaRd => Some(false),
-                MsgKind::RdBlkM
-                | MsgKind::WriteThrough { .. }
-                | MsgKind::AtomicReq { .. }
-                | MsgKind::DmaWr { .. } => Some(true),
-                _ => None,
-            };
             sh.on_lookup(sharers);
-            if let Some(is_write) = access {
+            if let Some(is_write) = req.writes() {
                 sh.on_access(msg.line.0, msg.src.flight_code(), is_write);
             }
         }
-        let mut txn = DirTxn::new(TxnKind::Request, msg, role, start_state);
+        let tr = plan(self.cfg.directory, start_state, req, role);
+        let mut txn = DirTxn::new(TxnKind::Request, msg, req, tr, start_state);
         txn.arrived = now;
         txn.queued = carry;
 
@@ -618,78 +577,24 @@ impl Directory {
             );
         }
 
-        // Decide probes + data plan.
-        let (targets, probe_kind, data_plan) = if tracks {
-            let req = Self::plan_req(&msg.kind);
-            let tr = plan(self.cfg.directory, start_state, req, role);
-            txn.planned = Some(tr);
-            let targets = self.resolve_probe_targets(entry, msg.src, tr.probes);
-            let kind = match tr.probes {
-                ProbePlan::DowngradeOwner => ProbeKind::Downgrade,
-                _ => ProbeKind::Invalidate,
-            };
-            (targets, kind, tr.data)
-        } else {
-            self.stateless_probe_plan(&msg)
-        };
-
-        for dst in &targets {
-            self.counters.bump(self.ids.probes_sent);
-            out.send_after(
-                gpu_cycles(self.uncore.dir_cycles),
-                Message::new(
-                    AgentId::Directory,
-                    *dst,
-                    msg.line,
-                    MsgKind::Probe { kind: probe_kind },
-                ),
-            );
-        }
-        txn.pending_acks = targets.len() as u32;
+        let targets = self.resolve_probe_targets(entry, msg.src, tr.probes);
+        txn.pending_acks = self.send_probes(msg.line, Self::probe_kind(tr.probes), &targets, out);
         if let Some(sh) = self.sharing.as_mut() {
             sh.on_probes(targets.len());
         }
 
         // Schedule the directory+LLC pipeline slot. Lazy data plans
         // (OwnerThenLlc) skip it until the owner turns out clean.
-        let lazy = data_plan == DataPlan::OwnerThenLlc;
-        if !lazy {
+        if tr.data != DataPlan::OwnerThenLlc {
             txn.llc_scheduled = true;
-            self.internal.schedule(
-                now + gpu_cycles(self.uncore.dir_cycles + self.uncore.llc_cycles),
-                msg.line,
-            );
-            out.wake_at(now + gpu_cycles(self.uncore.dir_cycles + self.uncore.llc_cycles));
+            let slot = now + gpu_cycles(self.uncore.dir_cycles + self.uncore.llc_cycles);
+            self.internal.schedule(slot, msg.line);
+            out.wake_at(slot);
         }
 
         self.watchdog.begin(msg.line.0, now);
         let id = self.open_txn(msg.line, txn);
         self.try_complete(now, id, out);
-    }
-
-    /// Whether this request class allocates/uses a tracked entry.
-    fn request_allocates(&self, msg: &Message) -> bool {
-        match msg.kind {
-            MsgKind::RdBlk | MsgKind::RdBlkS | MsgKind::RdBlkM => true,
-            MsgKind::WriteThrough { retains, .. } => retains,
-            _ => false,
-        }
-    }
-
-    fn plan_req(kind: &MsgKind) -> PlanReq {
-        match kind {
-            MsgKind::RdBlk => PlanReq::RdBlk,
-            MsgKind::RdBlkS => PlanReq::RdBlkS,
-            MsgKind::RdBlkM => PlanReq::RdBlkM,
-            MsgKind::VicDirty { .. } => PlanReq::VicDirty,
-            MsgKind::VicClean { .. } => PlanReq::VicClean,
-            MsgKind::WriteThrough { retains, .. } => PlanReq::WriteThrough { retains: *retains },
-            MsgKind::AtomicReq { .. } => PlanReq::Atomic,
-            MsgKind::DmaRd => PlanReq::DmaRd,
-            MsgKind::DmaWr { .. } => PlanReq::DmaWr,
-            MsgKind::Flush => PlanReq::Flush,
-            other => panic!("{} is not a directory request", other.class_name()),
-        }
     }
 
     /// `is_owner`: the tracked entry names `msg.src` as the line's owner.
@@ -712,14 +617,15 @@ impl Directory {
         (0..self.n_l2).map(AgentId::CorePairL2).chain((0..self.n_tcc).map(AgentId::Tcc))
     }
 
-    /// `entry`: the requested line's tracked entry as the transaction
-    /// found it.
+    /// The caches a probe plan reaches, `requester` excepted. `entry`: the
+    /// line's tracked entry as the transaction found it.
     fn resolve_probe_targets(
         &self,
         entry: Option<DirEntry>,
         requester: AgentId,
         probes: ProbePlan,
     ) -> Vec<AgentId> {
+        let others = self.all_caches().filter(|&a| a != requester);
         match probes {
             ProbePlan::None => Vec::new(),
             ProbePlan::DowngradeOwner => {
@@ -729,50 +635,50 @@ impl Directory {
                 debug_assert_ne!(owner, requester);
                 vec![owner]
             }
-            ProbePlan::InvalidateTracked => {
-                if self.cfg.directory.tracks_sharers() {
-                    let entry = entry.expect("tracked plan requires an entry");
-                    let mut v: Vec<AgentId> =
-                        entry.sharers.iter().filter(|&a| a != requester).collect();
-                    if let Some(owner) = entry.owner {
-                        if owner != requester && !v.contains(&owner) {
-                            v.push(owner);
-                        }
+            ProbePlan::InvalidateTracked if self.cfg.directory.tracks_sharers() => {
+                let entry = entry.expect("tracked plan requires an entry");
+                let mut v: Vec<AgentId> =
+                    entry.sharers.iter().filter(|&a| a != requester).collect();
+                if let Some(owner) = entry.owner {
+                    if owner != requester && !v.contains(&owner) {
+                        v.push(owner);
                     }
-                    v
-                } else {
-                    // Owner-only tracking: identities unknown, broadcast.
-                    self.all_caches().filter(|&a| a != requester).collect()
                 }
+                v
+            }
+            // Owner-only tracking: identities unknown, broadcast.
+            ProbePlan::InvalidateTracked | ProbePlan::BroadcastInvalidate => others.collect(),
+            ProbePlan::BroadcastDowngrade => {
+                let include_tcc = self.cfg.probe_tcc_on_reads;
+                others.filter(|&a| include_tcc || !a.is_gpu_cache()).collect()
             }
         }
     }
 
-    fn stateless_probe_plan(&self, msg: &Message) -> (Vec<AgentId>, ProbeKind, DataPlan) {
-        let (kind, data) = match msg.kind {
-            MsgKind::RdBlk | MsgKind::RdBlkS | MsgKind::DmaRd => {
-                (Some(ProbeKind::Downgrade), DataPlan::LlcOrMemory)
-            }
-            MsgKind::RdBlkM => (Some(ProbeKind::Invalidate), DataPlan::LlcOrMemory),
-            MsgKind::AtomicReq { .. } => (Some(ProbeKind::Invalidate), DataPlan::LlcOrMemory),
-            MsgKind::WriteThrough { .. } | MsgKind::DmaWr { .. } => {
-                (Some(ProbeKind::Invalidate), DataPlan::None)
-            }
-            MsgKind::VicDirty { .. } | MsgKind::VicClean { .. } | MsgKind::Flush => {
-                (None, DataPlan::None)
-            }
-            ref other => panic!("{} is not a directory request", other.class_name()),
-        };
-        let Some(kind) = kind else {
-            return (Vec::new(), ProbeKind::Downgrade, data);
-        };
-        let include_tcc = kind == ProbeKind::Invalidate || self.cfg.probe_tcc_on_reads;
-        let targets = self
-            .all_caches()
-            .filter(|&a| a != msg.src)
-            .filter(|&a| include_tcc || !a.is_gpu_cache())
-            .collect();
-        (targets, kind, data)
+    fn probe_kind(probes: ProbePlan) -> ProbeKind {
+        match probes {
+            ProbePlan::DowngradeOwner | ProbePlan::BroadcastDowngrade => ProbeKind::Downgrade,
+            _ => ProbeKind::Invalidate,
+        }
+    }
+
+    /// Sends a `kind` probe for `line` to every target; returns how many
+    /// acks to wait for.
+    fn send_probes(
+        &mut self,
+        line: LineAddr,
+        kind: ProbeKind,
+        targets: &[AgentId],
+        out: &mut Outbox,
+    ) -> u32 {
+        for &dst in targets {
+            self.counters.bump(self.ids.probes_sent);
+            out.send_after(
+                gpu_cycles(self.uncore.dir_cycles),
+                Message::new(AgentId::Directory, dst, line, MsgKind::Probe { kind }),
+            );
+        }
+        targets.len() as u32
     }
 
     fn begin_entry_eviction(
@@ -818,34 +724,14 @@ impl Directory {
         self.counters.bump(self.ids.entry_evictions);
         self.transitions.record(dt(ventry.state), DT_B, DC_BACK_INVAL);
         let origin = Message::new(AgentId::Directory, AgentId::Directory, victim, MsgKind::Flush);
-        let mut txn = DirTxn::new(TxnKind::BackInval, origin, Requester::Dma, ventry.state);
+        let tr = BACK_INVALIDATION;
+        let mut txn = DirTxn::new(TxnKind::BackInval, origin, PlanReq::Flush, tr, ventry.state);
         txn.parked_allocs.push(parked);
         txn.parked_allocs.extend(carry);
-        let targets: Vec<AgentId> = if self.cfg.directory.tracks_sharers() {
-            let mut v: Vec<AgentId> = ventry.sharers.iter().collect();
-            if let Some(owner) = ventry.owner {
-                if !v.contains(&owner) {
-                    v.push(owner);
-                }
-            }
-            v
-        } else {
-            self.all_caches().collect()
-        };
-        for dst in &targets {
-            self.counters.bump(self.ids.probes_sent);
-            self.counters.bump(self.ids.backinval_probes);
-            out.send_after(
-                gpu_cycles(self.uncore.dir_cycles),
-                Message::new(
-                    AgentId::Directory,
-                    *dst,
-                    victim,
-                    MsgKind::Probe { kind: ProbeKind::Invalidate },
-                ),
-            );
-        }
-        txn.pending_acks = targets.len() as u32;
+        // The directory is nobody's sharer: its own id excludes no cache.
+        let targets = self.resolve_probe_targets(Some(ventry), origin.src, tr.probes);
+        txn.pending_acks = self.send_probes(victim, Self::probe_kind(tr.probes), &targets, out);
+        self.counters.add(self.ids.backinval_probes, u64::from(txn.pending_acks));
         txn.llc_ready = true; // back-invals need no LLC slot of their own
         self.watchdog.begin(victim.0, now);
         let id = self.open_txn(victim, txn);
@@ -894,7 +780,7 @@ impl Directory {
             if self.cfg.early_dirty_response
                 && txn.kind == TxnKind::Request
                 && !txn.responded
-                && matches!(txn.origin.kind, MsgKind::RdBlk | MsgKind::RdBlkS | MsgKind::DmaRd)
+                && txn.req.writes() == Some(false)
             {
                 let origin = txn.origin;
                 txn.responded = true;
@@ -970,20 +856,6 @@ impl Directory {
         }
 
         let origin = txn.origin;
-        let data_plan = if self.cfg.directory.tracks() {
-            txn.planned.expect("tracking txns carry a plan").data
-        } else if matches!(
-            origin.kind,
-            MsgKind::RdBlk
-                | MsgKind::RdBlkS
-                | MsgKind::RdBlkM
-                | MsgKind::AtomicReq { .. }
-                | MsgKind::DmaRd
-        ) {
-            DataPlan::LlcOrMemory
-        } else {
-            DataPlan::None
-        };
 
         // Resolve the data. The baseline semantics are the Fig. 2 `_PM`
         // states: the LLC read (and, on a miss, the memory read issued in
@@ -993,7 +865,7 @@ impl Directory {
         // read outright (§IV-A); §III-A's early response is handled at
         // probe-ack time, not here.
         let mut data: Option<LineData> = txn.dirty_data;
-        match data_plan {
+        match txn.planned.data {
             DataPlan::None => {
                 if txn.llc_scheduled && !txn.llc_ready {
                     return; // data-less requests still hold a pipeline slot
@@ -1018,7 +890,6 @@ impl Directory {
                     // Perform the LLC lookup now that the slot has elapsed.
                     if let Some(d) = self.llc.read(line) {
                         txn.llc_data = Some(d);
-                        txn.llc_was_hit = true;
                     } else {
                         txn.mem_requested = true;
                         out.send(Message::new(
@@ -1042,14 +913,7 @@ impl Directory {
         let responded = txn.responded;
         match origin.kind {
             MsgKind::RdBlk | MsgKind::RdBlkS | MsgKind::RdBlkM => {
-                let grant = match txn.planned {
-                    Some(tr) => tr.grant,
-                    None => Self::stateless_read_grant(
-                        &origin,
-                        dirty_ack.is_some() || txn.copies_found > 0,
-                    ),
-                };
-                if grant == GrantPlan::Upgrade {
+                if txn.planned.grant == GrantPlan::Upgrade {
                     txn.awaiting_unblock = true;
                     out.send(Message::new(
                         AgentId::Directory,
@@ -1059,18 +923,15 @@ impl Directory {
                     ));
                 } else if !responded {
                     let data = data.expect("read requests resolve data");
-                    let g = match grant {
-                        GrantPlan::Shared => Grant::Shared,
-                        GrantPlan::Exclusive => Grant::Exclusive,
-                        GrantPlan::Modified => Grant::Modified,
-                        _ => unreachable!("read grants are S/E/M/upgrade"),
-                    };
+                    let others_hold = dirty_ack.is_some() || txn.copies_found > 0;
+                    let grant = Self::response_grant(txn.planned.grant, others_hold)
+                        .expect("read grants are S/E/M/upgrade");
                     txn.awaiting_unblock = origin.src.is_cpu_cache();
                     out.send(Message::new(
                         AgentId::Directory,
                         origin.src,
                         line,
-                        MsgKind::Resp { data, grant: g },
+                        MsgKind::Resp { data, grant },
                     ));
                 } else {
                     // Early response already sent; CPU unblock pending.
@@ -1160,20 +1021,17 @@ impl Directory {
         }
     }
 
-    /// The baseline directory's grant for a read; `others_hold` = a probe
-    /// found a copy or brought back dirty data.
-    fn stateless_read_grant(origin: &Message, others_hold: bool) -> GrantPlan {
-        match origin.kind {
-            MsgKind::RdBlkS => GrantPlan::Shared,
-            MsgKind::RdBlkM => GrantPlan::Modified,
-            MsgKind::RdBlk => {
-                if origin.src.is_gpu_cache() || others_hold {
-                    GrantPlan::Shared
-                } else {
-                    GrantPlan::Exclusive
-                }
-            }
-            _ => GrantPlan::None,
+    /// The permission a planned grant puts on the data response, `None`
+    /// for plans that send none; `others_hold` = a probe found a copy or
+    /// brought back dirty data.
+    fn response_grant(grant: GrantPlan, others_hold: bool) -> Option<Grant> {
+        match grant {
+            GrantPlan::None | GrantPlan::Upgrade => None,
+            GrantPlan::Shared => Some(Grant::Shared),
+            GrantPlan::Exclusive => Some(Grant::Exclusive),
+            GrantPlan::ExclusiveUnlessShared if others_hold => Some(Grant::Shared),
+            GrantPlan::ExclusiveUnlessShared => Some(Grant::Exclusive),
+            GrantPlan::Modified => Some(Grant::Modified),
         }
     }
 
@@ -1181,17 +1039,19 @@ impl Directory {
     /// are decided.
     fn apply_transition(&mut self, id: usize) {
         let txn = &self.txn_slab[id];
-        // Stateless transactions carry no plan and keep no entries.
-        let Some(tr) = txn.planned else {
+        let tr = txn.planned;
+        if tr.next == NextState::Unchanged {
+            // Every stateless row, and Flush / DMA reads under tracking:
+            // no entry to look up.
             return;
-        };
+        }
         let line = txn.origin.line;
         let requester = txn.origin.src;
         let way = self.entries.lookup(line);
         let current = way.map(|w| *self.entries.meta(w));
         let base = current.filter(|e| !e.reserved);
         let next: Option<DirEntry> = match tr.next {
-            NextState::Unchanged => return,
+            NextState::Unchanged => unreachable!("returned above"),
             NextState::I => None,
             NextState::SAddRequester => {
                 let mut e = base.unwrap_or(DirEntry {
@@ -1267,7 +1127,7 @@ impl Directory {
         };
         let from = base.map_or(DT_I, |e| dt(e.state));
         let to = next.as_ref().map_or(DT_I, |e| dt(e.state));
-        self.transitions.record(from, to, dir_cause(&txn.origin.kind));
+        self.transitions.record(from, to, txn.req.index());
         match (way, next) {
             (Some(w), Some(e)) => {
                 *self.entries.meta_mut(w) = e;
@@ -1279,8 +1139,8 @@ impl Directory {
             (None, Some(e)) => {
                 // Reserved at start for allocating requests; others (e.g.
                 // a WT that retains) may allocate here. The way is free
-                // because request_allocates() reserved it or the set has
-                // room (eviction handled at start).
+                // because start_txn reserved it or the set has room
+                // (eviction handled at start).
                 let _ = self.entries.insert(line, e);
             }
             (None, None) => {}
@@ -1358,12 +1218,7 @@ impl Directory {
     }
 
     fn mem_write(&mut self, line: LineAddr, data: LineData, out: &mut Outbox) {
-        out.send(Message::new(
-            AgentId::Directory,
-            AgentId::Memory,
-            line,
-            MsgKind::MemWr { data, mask: WordMask::full() },
-        ));
+        self.mem_write_masked(line, data, WordMask::full(), out);
     }
 
     fn mem_write_masked(
@@ -1422,5 +1277,124 @@ impl Directory {
             debug_assert!(!self.txns.contains_key(&line), "line still blocked");
             self.start_txn(now, next, std::mem::take(&mut queue), out);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The stateless directory as it was written before its rows moved
+    /// into [`plan`] (its probe-plan and read-grant functions), kept as the
+    /// reference the table is compared against: resolved probe kind,
+    /// targets, data plan and response grant.
+    fn stateless_oracle(
+        msg: &Message,
+        others_hold: bool,
+        probe_tcc_on_reads: bool,
+        n_l2: usize,
+        n_tcc: usize,
+    ) -> (Option<ProbeKind>, Vec<AgentId>, DataPlan, Option<Grant>) {
+        let (kind, data) = match msg.kind {
+            MsgKind::RdBlk | MsgKind::RdBlkS | MsgKind::DmaRd => {
+                (Some(ProbeKind::Downgrade), DataPlan::LlcOrMemory)
+            }
+            MsgKind::RdBlkM | MsgKind::AtomicReq { .. } => {
+                (Some(ProbeKind::Invalidate), DataPlan::LlcOrMemory)
+            }
+            MsgKind::WriteThrough { .. } | MsgKind::DmaWr { .. } => {
+                (Some(ProbeKind::Invalidate), DataPlan::None)
+            }
+            MsgKind::VicDirty { .. } | MsgKind::VicClean { .. } | MsgKind::Flush => {
+                (None, DataPlan::None)
+            }
+            ref other => panic!("{} is not a request", other.class_name()),
+        };
+        let include_tcc = kind == Some(ProbeKind::Invalidate) || probe_tcc_on_reads;
+        let targets = (0..n_l2)
+            .map(AgentId::CorePairL2)
+            .chain((0..n_tcc).map(AgentId::Tcc))
+            .filter(|_| kind.is_some())
+            .filter(|&a| a != msg.src)
+            .filter(|&a| include_tcc || !a.is_gpu_cache())
+            .collect();
+        let grant = match msg.kind {
+            MsgKind::RdBlkS => Some(Grant::Shared),
+            MsgKind::RdBlkM => Some(Grant::Modified),
+            MsgKind::RdBlk if msg.src.is_gpu_cache() || others_hold => Some(Grant::Shared),
+            MsgKind::RdBlk => Some(Grant::Exclusive),
+            _ => None,
+        };
+        (kind, targets, data, grant)
+    }
+
+    #[test]
+    fn stateless_rows_match_the_forked_code_they_replaced() {
+        use hsc_mem::AtomicKind;
+        const N_L2: usize = 4;
+        let data = LineData::zeroed();
+        let mask = WordMask::full();
+        let cpu = AgentId::CorePairL2(2);
+        let tcc = AgentId::Tcc(0);
+        let requests = [
+            (cpu, MsgKind::RdBlk),
+            (tcc, MsgKind::RdBlk),
+            (cpu, MsgKind::RdBlkS),
+            (tcc, MsgKind::RdBlkS),
+            (cpu, MsgKind::RdBlkM),
+            (tcc, MsgKind::RdBlkM),
+            (cpu, MsgKind::VicDirty { data }),
+            (cpu, MsgKind::VicClean { data }),
+            (tcc, MsgKind::WriteThrough { data, mask, retains: true }),
+            (tcc, MsgKind::WriteThrough { data, mask, retains: false }),
+            (tcc, MsgKind::AtomicReq { word: 0, op: AtomicKind::FetchAdd(1) }),
+            (tcc, MsgKind::Flush),
+            (AgentId::Dma, MsgKind::DmaRd),
+            (AgentId::Dma, MsgKind::DmaWr { data, mask }),
+        ];
+        for n_tcc in [1, 2] {
+            for probe_tcc_on_reads in [false, true] {
+                let cfg = CoherenceConfig { probe_tcc_on_reads, ..CoherenceConfig::baseline() };
+                let dir = Directory::new(cfg, UncoreConfig::default(), N_L2, n_tcc);
+                for (src, kind) in requests {
+                    let msg = Message::new(src, AgentId::Directory, LineAddr(7), kind);
+                    let req = PlanReq::of(&kind).expect("a request");
+                    let role = Directory::role_of(&msg, false);
+                    let tr = plan(cfg.directory, DirState::I, req, role);
+                    assert_eq!(tr.next, NextState::Unchanged);
+                    let targets = dir.resolve_probe_targets(None, src, tr.probes);
+                    let probe =
+                        (tr.probes != ProbePlan::None).then(|| Directory::probe_kind(tr.probes));
+                    for others_hold in [false, true] {
+                        let got = (
+                            probe,
+                            targets.clone(),
+                            tr.data,
+                            Directory::response_grant(tr.grant, others_hold),
+                        );
+                        let want =
+                            stateless_oracle(&msg, others_hold, probe_tcc_on_reads, N_L2, n_tcc);
+                        assert_eq!(
+                            got, want,
+                            "{req:?} from {src}, others_hold={others_hold}, \
+                             probe_tcc_on_reads={probe_tcc_on_reads}, {n_tcc} TCC(s)"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Holds in release builds too: a plain `assert!`, not the debug-only
+    /// shift-overflow check the sharer bitmaps would otherwise hit.
+    #[test]
+    #[should_panic(expected = "at most 64 CorePairs")]
+    fn more_agents_than_sharer_bits_are_refused() {
+        let _ = Directory::new(
+            CoherenceConfig::sharer_tracking(),
+            UncoreConfig::default(),
+            MAX_SHARERS_PER_KIND + 1,
+            1,
+        );
     }
 }

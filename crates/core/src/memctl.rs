@@ -62,12 +62,6 @@ impl MemoryController {
         &mut self.mem
     }
 
-    /// Consumes the controller, returning the backing store.
-    #[must_use]
-    pub fn into_memory(self) -> MainMemory {
-        self.mem
-    }
-
     /// Controller statistics (`mem.reads`, `mem.writes`,
     /// `mem.busy_ticks`), exported for reports.
     #[must_use]

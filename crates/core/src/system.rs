@@ -6,8 +6,8 @@ use hsc_mem::{Addr, LineAddr, LineData, MainMemory, VictimEntry};
 use hsc_noc::{Action, AgentId, Delivery, FaultyNetwork, Message, MsgKind, Outbox};
 use hsc_obs::{ObsConfig, ObsData, Observer};
 use hsc_sim::{
-    DeadlockSnapshot, FlightEntry, FlightRecorder, Fnv1a, Held, NullTracer, PendingEvent,
-    PendingKind, SimError, StatSet, StderrTracer, Tick, Tracer, TransitionMatrix, WheelQueue,
+    format_trace_line, DeadlockSnapshot, FlightEntry, FlightRecorder, Fnv1a, Held, PendingEvent,
+    PendingKind, SimError, StatSet, Tick, TransitionMatrix, WheelQueue,
 };
 
 use crate::{Directory, MemoryController, SystemConfig};
@@ -24,9 +24,8 @@ const WATCHDOG_POLL_EVENTS: u64 = 1024;
 /// themselves and call [`TraceConfig::line`] (see `--trace-line` in
 /// `examples/quickstart.rs` for the pattern).
 ///
-/// Every delivery whose line number matches is recorded through an
-/// [`hsc_sim::Tracer`] — [`StderrTracer`] by default, or whatever
-/// [`SystemBuilder::with_tracer`] installs.
+/// Every delivery whose line number matches is printed to stderr, one
+/// [`hsc_sim::format_trace_line`] record each.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceConfig {
     line: Option<u64>,
@@ -98,7 +97,6 @@ pub struct SystemBuilder {
     init_words: Vec<(Addr, u64)>,
     dma_commands: Vec<DmaCommand>,
     trace: TraceConfig,
-    tracer: Option<Box<dyn Tracer>>,
     obs: ObsConfig,
 }
 
@@ -114,7 +112,6 @@ impl SystemBuilder {
             dma_commands: Vec::new(),
             init_words: Vec::new(),
             trace: TraceConfig::off(),
-            tracer: None,
             obs: ObsConfig::off(),
         }
     }
@@ -122,13 +119,6 @@ impl SystemBuilder {
     /// Overrides the trace configuration (what to trace).
     pub fn with_trace(&mut self, trace: TraceConfig) -> &mut Self {
         self.trace = trace;
-        self
-    }
-
-    /// Installs a custom [`Tracer`] sink (where trace lines go). Without
-    /// one, traced lines go to a [`StderrTracer`].
-    pub fn with_tracer(&mut self, tracer: Box<dyn Tracer>) -> &mut Self {
-        self.tracer = Some(tracer);
         self
     }
 
@@ -218,13 +208,6 @@ impl SystemBuilder {
             directory.enable_analytics();
         }
 
-        let trace_line = self.trace.traced_line();
-        let tracer: Box<dyn Tracer> = match self.tracer {
-            Some(t) => t,
-            None if trace_line.is_some() => Box::new(StderrTracer),
-            None => Box::new(NullTracer),
-        };
-
         System {
             config: cfg,
             corepairs,
@@ -241,8 +224,7 @@ impl SystemBuilder {
             now: Tick::ZERO,
             events_processed: 0,
             started: false,
-            trace_line,
-            tracer,
+            trace_line: self.trace.traced_line(),
             observer: Observer::new(self.obs),
             flight: FlightRecorder::default(),
             gauge_labels: GaugeLabels::new(cfg.corepairs, n_gpus),
@@ -276,7 +258,6 @@ pub struct System {
     events_processed: u64,
     started: bool,
     trace_line: Option<u64>,
-    tracer: Box<dyn Tracer>,
     observer: Observer,
     /// Always-on post-mortem ring of the last delivered events: two plain
     /// stores per delivery, rendered only when a run fails.
@@ -417,7 +398,7 @@ impl System {
                     msg.line.0,
                 );
                 if self.trace_line == Some(msg.line.0) {
-                    self.tracer.record(t, msg.to_string());
+                    eprintln!("{}", format_trace_line(t, &msg.to_string()));
                 }
                 if self.observer.is_enabled() {
                     self.observer.on_deliver(t, msg);
@@ -837,29 +818,9 @@ impl System {
         self.memctl.memory().read_word(a)
     }
 
-    /// Direct access to final main-memory contents (excluding dirty cached
-    /// lines) — prefer [`System::final_word`] for verification.
-    #[must_use]
-    pub fn memory_word(&self, a: Addr) -> u64 {
-        self.memctl.memory().read_word(a)
-    }
-
     /// Number of events the run processed (a determinism fingerprint).
     #[must_use]
     pub fn events_processed(&self) -> u64 {
         self.events_processed
-    }
-
-    /// Dirty line addresses still cached anywhere at end of run.
-    #[must_use]
-    pub fn dirty_line_count(&self) -> usize {
-        let l2: usize = self.corepairs.iter().map(|c| c.dirty_lines().len()).sum();
-        l2 + self.directory.llc().dirty_lines().len()
-    }
-
-    /// Lines currently dirty in the LLC (for tests).
-    #[must_use]
-    pub fn llc_dirty_lines(&self) -> Vec<LineAddr> {
-        self.directory.llc().dirty_lines().into_iter().map(|(la, _)| la).collect()
     }
 }

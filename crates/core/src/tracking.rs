@@ -1,15 +1,18 @@
-//! The precise state-tracking directory of §IV, encoded as a pure
-//! transition table.
+//! What the directory does with a request, in every [`DirectoryMode`],
+//! encoded as one classification and one pure transition table.
 //!
-//! [`plan`] maps `(directory state, incoming request, requester role)` to a
-//! [`Transition`]: which probes to send, where the data comes from, what
-//! permission to grant and the next directory state. The directory
-//! controller executes these plans; `hsc table 1`
-//! pretty-prints the same function, regenerating the paper's Table I.
+//! [`PlanReq::of`] sorts an incoming message into its request class;
+//! [`plan`] maps `(mode, directory state, request class, requester role)`
+//! to a [`Transition`]: which probes to send, where the data comes from,
+//! what permission to grant and the next directory state. The stateless
+//! broadcast baseline (Fig. 2/3) and the precise state-tracking directory
+//! of §IV are rows of the same table. The directory controller only
+//! executes these plans; `hsc table 1` pretty-prints the §IV rows,
+//! regenerating the paper's Table I.
 
 use std::fmt;
 
-use hsc_noc::AgentId;
+use hsc_noc::{AgentId, MsgKind};
 
 use crate::DirectoryMode;
 
@@ -66,6 +69,11 @@ pub struct SharerSet {
     l2s: u64,
     tccs: u64,
 }
+
+/// The most CorePair L2s, and the most TCCs, a [`SharerSet`] can tell
+/// apart: one bit each in a `u64`. [`crate::Directory::new`] refuses a
+/// larger system, so the shifts below never see an index past it.
+pub const MAX_SHARERS_PER_KIND: usize = 64;
 
 impl SharerSet {
     /// An empty set.
@@ -190,6 +198,71 @@ pub enum PlanReq {
     Flush,
 }
 
+impl PlanReq {
+    /// The one `MsgKind → request class` table: the class of a message
+    /// the directory treats as a request, `None` for everything else
+    /// (acks, responses, memory traffic).
+    #[must_use]
+    pub fn of(kind: &MsgKind) -> Option<PlanReq> {
+        Some(match kind {
+            MsgKind::RdBlk => PlanReq::RdBlk,
+            MsgKind::RdBlkS => PlanReq::RdBlkS,
+            MsgKind::RdBlkM => PlanReq::RdBlkM,
+            MsgKind::VicDirty { .. } => PlanReq::VicDirty,
+            MsgKind::VicClean { .. } => PlanReq::VicClean,
+            MsgKind::WriteThrough { retains, .. } => PlanReq::WriteThrough { retains: *retains },
+            MsgKind::AtomicReq { .. } => PlanReq::Atomic,
+            MsgKind::DmaRd => PlanReq::DmaRd,
+            MsgKind::DmaWr { .. } => PlanReq::DmaWr,
+            MsgKind::Flush => PlanReq::Flush,
+            _ => return None,
+        })
+    }
+
+    /// Position in declaration order: the cause index of this class in
+    /// the directory's transition matrix.
+    #[must_use]
+    pub fn index(self) -> usize {
+        match self {
+            PlanReq::RdBlk => 0,
+            PlanReq::RdBlkS => 1,
+            PlanReq::RdBlkM => 2,
+            PlanReq::VicDirty => 3,
+            PlanReq::VicClean => 4,
+            PlanReq::WriteThrough { .. } => 5,
+            PlanReq::Atomic => 6,
+            PlanReq::DmaRd => 7,
+            PlanReq::DmaWr => 8,
+            PlanReq::Flush => 9,
+        }
+    }
+
+    /// Whether a tracking directory needs an entry for the line once this
+    /// request completes (and so must find or free a way before it starts).
+    #[must_use]
+    pub fn allocates(self) -> bool {
+        match self {
+            PlanReq::RdBlk | PlanReq::RdBlkS | PlanReq::RdBlkM => true,
+            PlanReq::WriteThrough { retains } => retains,
+            _ => false,
+        }
+    }
+
+    /// `Some(true)` if the request writes the line, `Some(false)` if it
+    /// only reads it, `None` for victims and `Flush`, which access no data
+    /// on a program's behalf.
+    #[must_use]
+    pub fn writes(self) -> Option<bool> {
+        match self {
+            PlanReq::RdBlk | PlanReq::RdBlkS | PlanReq::DmaRd => Some(false),
+            PlanReq::RdBlkM | PlanReq::WriteThrough { .. } | PlanReq::Atomic | PlanReq::DmaWr => {
+                Some(true)
+            }
+            PlanReq::VicDirty | PlanReq::VicClean | PlanReq::Flush => None,
+        }
+    }
+}
+
 /// Who is asking, as far as the transition table cares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Requester {
@@ -213,6 +286,12 @@ pub enum ProbePlan {
     /// Invalidating probes to the tracked owner + sharers (multicast;
     /// falls back to broadcast under owner-only tracking).
     InvalidateTracked,
+    /// Downgrade probes to every other cache (the stateless baseline's
+    /// reads; TCCs are skipped unless `probe_tcc_on_reads`).
+    BroadcastDowngrade,
+    /// Invalidating probes to every other cache (the stateless baseline's
+    /// writes).
+    BroadcastInvalidate,
 }
 
 /// Where the response data comes from.
@@ -238,6 +317,10 @@ pub enum GrantPlan {
     Shared,
     /// Data with Exclusive permission (I-state CPU RdBlk).
     Exclusive,
+    /// Exclusive unless a probe found a copy or brought back dirty data,
+    /// then Shared (the stateless baseline's CPU RdBlk, resolved from the
+    /// acks).
+    ExclusiveUnlessShared,
     /// Data with Modified permission.
     Modified,
     /// Permission-only upgrade (requester is the owner; no data).
@@ -288,17 +371,26 @@ const fn t(probes: ProbePlan, data: DataPlan, grant: GrantPlan, next: NextState)
     Transition { probes, data, grant, next }
 }
 
-/// The §IV transition table (Table I of the paper).
+/// What a directory-entry eviction does to its victim line (the transient
+/// **B** state of §IV-A): invalidate every tracked copy, then drop the
+/// entry.
+pub const BACK_INVALIDATION: Transition =
+    t(ProbePlan::InvalidateTracked, DataPlan::None, GrantPlan::None, NextState::I);
+
+/// The directory's transition table: the stateless broadcast baseline
+/// (Fig. 2/3) and the §IV state machine (Table I of the paper).
 ///
-/// `mode` only matters for how `InvalidateTracked` is realized (multicast
-/// vs broadcast) — the *states* are identical for owner- and
-/// sharer-tracking, so the same table serves both.
+/// Between the two tracking modes `mode` only matters for how
+/// `InvalidateTracked` is realized (multicast vs broadcast) — the *states*
+/// are identical for owner- and sharer-tracking, so the same rows serve
+/// both. The stateless directory keeps no entries, so every line is in
+/// `I` and stays there.
 ///
 /// # Panics
 ///
 /// Panics on illegal combinations the paper marks as such (e.g. `VicDirty`
 /// while the directory is in `S`): the caller filters stale victims before
-/// consulting the table.
+/// consulting the table. [`legal_rows`] lists what may be asked.
 #[must_use]
 #[allow(clippy::too_many_lines)]
 pub fn plan(mode: DirectoryMode, state: DirState, req: PlanReq, from: Requester) -> Transition {
@@ -307,7 +399,25 @@ pub fn plan(mode: DirectoryMode, state: DirState, req: PlanReq, from: Requester)
     use NextState as N;
     use PlanReq as R;
     use ProbePlan as P;
-    debug_assert!(mode.tracks(), "the stateless directory does not consult the table");
+    if !mode.tracks() {
+        assert!(
+            state == DirState::I,
+            "illegal transition: the stateless directory keeps no entries, nothing is in {state}"
+        );
+        let (probes, data, grant) = match (req, from) {
+            // TCCs ignore E grants.
+            (R::RdBlk, Requester::Tcc) | (R::RdBlkS, _) => {
+                (P::BroadcastDowngrade, D::LlcOrMemory, G::Shared)
+            }
+            (R::RdBlk, _) => (P::BroadcastDowngrade, D::LlcOrMemory, G::ExclusiveUnlessShared),
+            (R::DmaRd, _) => (P::BroadcastDowngrade, D::LlcOrMemory, G::None),
+            (R::RdBlkM, _) => (P::BroadcastInvalidate, D::LlcOrMemory, G::Modified),
+            (R::Atomic, _) => (P::BroadcastInvalidate, D::LlcOrMemory, G::None),
+            (R::WriteThrough { .. } | R::DmaWr, _) => (P::BroadcastInvalidate, D::None, G::None),
+            (R::VicDirty | R::VicClean | R::Flush, _) => (P::None, D::None, G::None),
+        };
+        return t(probes, data, grant, N::Unchanged);
+    }
     match (state, req, from) {
         // ---------------- state I ----------------
         (DirState::I, R::RdBlk, Requester::Cpu | Requester::CpuOwner) => {
@@ -409,20 +519,51 @@ pub fn plan(mode: DirectoryMode, state: DirState, req: PlanReq, from: Requester)
     }
 }
 
+/// The `(request, requester)` rows [`plan`] answers for a line in `state`;
+/// anything else is illegal and panics. One list for `hsc table 1` and for
+/// the table's own tests. The stateless directory knows only `I`, and
+/// there also takes its L2s' dirty write-backs (a tracking directory never
+/// sees `VicDirty` for an untracked line: the caller filters it as stale).
+#[must_use]
+pub fn legal_rows(mode: DirectoryMode, state: DirState) -> Vec<(PlanReq, Requester)> {
+    if !mode.tracks() && state != DirState::I {
+        return Vec::new();
+    }
+    let mut rows = vec![
+        (PlanReq::RdBlk, Requester::Cpu),
+        (PlanReq::RdBlk, Requester::Tcc),
+        (PlanReq::RdBlkS, Requester::Cpu),
+        (PlanReq::RdBlkM, Requester::Cpu),
+        (PlanReq::VicClean, Requester::Cpu),
+        (PlanReq::WriteThrough { retains: true }, Requester::Tcc),
+        (PlanReq::WriteThrough { retains: false }, Requester::Tcc),
+        (PlanReq::Atomic, Requester::Tcc),
+        (PlanReq::DmaRd, Requester::Dma),
+        (PlanReq::DmaWr, Requester::Dma),
+        (PlanReq::Flush, Requester::Tcc),
+    ];
+    if state == DirState::O {
+        rows.insert(3, (PlanReq::RdBlkS, Requester::CpuOwner));
+        rows.insert(5, (PlanReq::RdBlkM, Requester::CpuOwner));
+        rows.push((PlanReq::VicDirty, Requester::CpuOwner));
+        rows.push((PlanReq::VicClean, Requester::CpuOwner));
+    }
+    if !mode.tracks() {
+        rows.push((PlanReq::VicDirty, Requester::Cpu));
+    }
+    rows
+}
+
 /// One pretty-printed row of the transition table (the Table I printer).
 #[must_use]
 pub fn describe(mode: DirectoryMode, state: DirState, req: PlanReq, from: Requester) -> String {
     let tr = plan(mode, state, req, from);
     let probes = match tr.probes {
-        ProbePlan::None => "none".to_owned(),
-        ProbePlan::DowngradeOwner => "downgrade→owner".to_owned(),
-        ProbePlan::InvalidateTracked => {
-            if mode.tracks_sharers() {
-                "invalidate→sharers (multicast)".to_owned()
-            } else {
-                "invalidate→broadcast".to_owned()
-            }
-        }
+        ProbePlan::None => "none",
+        ProbePlan::DowngradeOwner => "downgrade→owner",
+        ProbePlan::InvalidateTracked if mode.tracks_sharers() => "invalidate→sharers (multicast)",
+        ProbePlan::InvalidateTracked | ProbePlan::BroadcastInvalidate => "invalidate→broadcast",
+        ProbePlan::BroadcastDowngrade => "downgrade→broadcast",
     };
     let data = match tr.data {
         DataPlan::None => "-",
@@ -433,6 +574,7 @@ pub fn describe(mode: DirectoryMode, state: DirState, req: PlanReq, from: Reques
         GrantPlan::None => "-",
         GrantPlan::Shared => "S",
         GrantPlan::Exclusive => "E",
+        GrantPlan::ExclusiveUnlessShared => "E (S if a probe found a copy)",
         GrantPlan::Modified => "M",
         GrantPlan::Upgrade => "upgrade",
     };
@@ -444,6 +586,9 @@ mod tests {
     use super::*;
 
     const MODES: [DirectoryMode; 2] = [DirectoryMode::OwnerTracking, DirectoryMode::SharerTracking];
+    const ALL_MODES: [DirectoryMode; 3] =
+        [DirectoryMode::Stateless, DirectoryMode::OwnerTracking, DirectoryMode::SharerTracking];
+    const STATES: [DirState; 3] = [DirState::I, DirState::S, DirState::O];
 
     #[test]
     fn i_state_never_probes() {
@@ -547,6 +692,61 @@ mod tests {
     }
 
     #[test]
+    fn no_mode_accepts_vicdirty_in_s() {
+        for mode in ALL_MODES {
+            let refused = std::panic::catch_unwind(|| {
+                plan(mode, DirState::S, PlanReq::VicDirty, Requester::Cpu)
+            });
+            assert!(refused.is_err(), "{mode:?} gave VicDirty in S a row");
+        }
+    }
+
+    #[test]
+    fn one_classifier_covers_exactly_the_directory_requests() {
+        use hsc_mem::{AtomicKind, LineData};
+        use hsc_noc::{Grant, ProbeKind, WordMask};
+        let data = LineData::zeroed();
+        let mask = WordMask::full();
+        let one_of_each = [
+            MsgKind::RdBlk,
+            MsgKind::RdBlkS,
+            MsgKind::RdBlkM,
+            MsgKind::VicDirty { data },
+            MsgKind::VicClean { data },
+            MsgKind::WriteThrough { data, mask, retains: true },
+            MsgKind::AtomicReq { word: 0, op: AtomicKind::FetchAdd(1) },
+            MsgKind::Flush,
+            MsgKind::DmaRd,
+            MsgKind::DmaWr { data, mask },
+            MsgKind::Probe { kind: ProbeKind::Invalidate },
+            MsgKind::Probe { kind: ProbeKind::Downgrade },
+            MsgKind::ProbeAck { dirty: None, had_copy: false, was_parked: false },
+            MsgKind::Resp { data, grant: Grant::Shared },
+            MsgKind::UpgradeAck,
+            MsgKind::VicAck,
+            MsgKind::WtAck,
+            MsgKind::AtomicResp { old: 0 },
+            MsgKind::FlushAck,
+            MsgKind::DmaRdResp { data },
+            MsgKind::DmaWrAck,
+            MsgKind::Unblock,
+            MsgKind::MemRd,
+            MsgKind::MemWr { data, mask },
+            MsgKind::MemRdResp { data },
+        ];
+        for (i, kind) in one_of_each.iter().enumerate() {
+            assert_eq!(kind.class_index(), i, "one message of each class, in class order");
+            let req = PlanReq::of(kind);
+            assert_eq!(req.is_some(), kind.is_dir_request(), "{}", kind.class_name());
+            if let Some(req) = req {
+                let cause = crate::directory::DIR_CAUSES[req.index()];
+                assert!(format!("{req:?}").starts_with(cause), "{req:?} is cause {cause}");
+            }
+        }
+        assert_eq!(one_of_each.len(), MsgKind::NUM_CLASSES);
+    }
+
+    #[test]
     fn write_requests_invalidate_in_s_and_o() {
         for mode in MODES {
             for state in [DirState::S, DirState::O] {
@@ -647,32 +847,17 @@ mod tests {
 
     #[test]
     fn describe_renders_every_legal_row() {
-        // Smoke-test the Table I printer over the legal combinations.
-        for mode in MODES {
-            for state in [DirState::I, DirState::S, DirState::O] {
-                for req in [
-                    PlanReq::RdBlk,
-                    PlanReq::RdBlkS,
-                    PlanReq::RdBlkM,
-                    PlanReq::VicClean,
-                    PlanReq::WriteThrough { retains: true },
-                    PlanReq::Atomic,
-                    PlanReq::DmaRd,
-                    PlanReq::DmaWr,
-                    PlanReq::Flush,
-                ] {
-                    let from = match req {
-                        PlanReq::DmaRd | PlanReq::DmaWr => Requester::Dma,
-                        PlanReq::WriteThrough { .. } | PlanReq::Atomic | PlanReq::Flush => {
-                            Requester::Tcc
-                        }
-                        _ => Requester::Cpu,
-                    };
-                    // VicClean from a plain Cpu is fine in every state.
+        // Neither the table nor its printer panics on a row the list
+        // yields, in any mode.
+        for mode in ALL_MODES {
+            for state in STATES {
+                for (req, from) in legal_rows(mode, state) {
                     let row = describe(mode, state, req, from);
-                    assert!(row.contains(&state.to_string()));
+                    assert!(row.starts_with(&state.to_string()));
                 }
             }
+            assert!(!legal_rows(mode, DirState::I).is_empty());
         }
+        assert!(legal_rows(DirectoryMode::Stateless, DirState::O).is_empty());
     }
 }

@@ -118,13 +118,6 @@ impl FaultPlan {
         self.targets = targets;
         self
     }
-
-    /// Same plan with a fault budget.
-    #[must_use]
-    pub fn with_max_faults(mut self, max_faults: u64) -> FaultPlan {
-        self.max_faults = max_faults;
-        self
-    }
 }
 
 /// What happened to a message entering the (possibly faulty) network.
@@ -220,12 +213,6 @@ impl FaultyNetwork {
     /// Wiring validation and traffic statistics are unaffected.
     pub fn set_immediate_delivery(&mut self, on: bool) {
         self.immediate = on;
-    }
-
-    /// Whether immediate delivery is active.
-    #[must_use]
-    pub fn immediate_delivery(&self) -> bool {
-        self.immediate
     }
 
     /// Accepts `msg` at `now`, applying any planned fault.
@@ -387,7 +374,6 @@ mod tests {
         let mut net =
             FaultyNetwork::new(LatencyMap::default(), Some(FaultPlan::drop_first("Resp")));
         net.set_immediate_delivery(true);
-        assert!(net.immediate_delivery());
         assert_eq!(net.send(Tick(40), &req(1)).unwrap(), Delivery::Deliver(Tick(40)));
         assert_eq!(net.send(Tick(41), &resp(1)).unwrap(), Delivery::Dropped);
         assert_eq!(net.faults_injected(), 1);

@@ -124,11 +124,6 @@ impl WordMask {
         self.0 == 0
     }
 
-    /// Unions another mask into this one.
-    pub fn union(&mut self, other: WordMask) {
-        self.0 |= other.0;
-    }
-
     /// Copies the selected words of `src` into `dst`.
     pub fn apply(self, dst: &mut LineData, src: &LineData) {
         for i in 0..WORDS_PER_LINE {
@@ -383,19 +378,6 @@ impl MsgKind {
                 | MsgKind::DmaWrAck
         )
     }
-
-    /// Whether this request class needs *invalidating* probes (the paper's
-    /// write-permission set: RdBlkM, WT, Atomic, DMAWr).
-    #[must_use]
-    pub fn wants_invalidating_probes(&self) -> bool {
-        matches!(
-            self,
-            MsgKind::RdBlkM
-                | MsgKind::WriteThrough { .. }
-                | MsgKind::AtomicReq { .. }
-                | MsgKind::DmaWr { .. }
-        )
-    }
 }
 
 /// One message in flight on the system NoC.
@@ -446,7 +428,7 @@ mod tests {
         let mut dst = LineData::from_words([0; 8]);
         let src = LineData::from_words([1, 2, 3, 4, 5, 6, 7, 8]);
         let mut m = WordMask::single(1);
-        m.union(WordMask::single(6));
+        m.set(6);
         m.apply(&mut dst, &src);
         assert_eq!(*dst.words(), [0, 2, 0, 0, 0, 0, 7, 0]);
     }
@@ -529,25 +511,6 @@ mod tests {
         assert!(!MsgKind::MemRdResp { data: LineData::zeroed() }.is_requester_completion());
         assert!(!MsgKind::ProbeAck { dirty: None, had_copy: false, was_parked: false }
             .is_requester_completion());
-    }
-
-    #[test]
-    fn write_permission_requests_want_invalidating_probes() {
-        assert!(MsgKind::RdBlkM.wants_invalidating_probes());
-        assert!(
-            MsgKind::AtomicReq { word: 0, op: AtomicKind::FetchAdd(1) }.wants_invalidating_probes()
-        );
-        assert!(MsgKind::DmaWr { data: LineData::zeroed(), mask: WordMask::full() }
-            .wants_invalidating_probes());
-        assert!(MsgKind::WriteThrough {
-            data: LineData::zeroed(),
-            mask: WordMask::full(),
-            retains: true
-        }
-        .wants_invalidating_probes());
-        assert!(!MsgKind::RdBlk.wants_invalidating_probes());
-        assert!(!MsgKind::RdBlkS.wants_invalidating_probes());
-        assert!(!MsgKind::DmaRd.wants_invalidating_probes());
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use hsc_mem::LineAddr;
 use hsc_sim::Tick;
 
-use crate::Message;
+use crate::{Message, Outbox, WakeArm};
 
 /// When and how often an unanswered request is re-sent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,8 +76,6 @@ struct PendingRetry {
 pub struct RetryTracker {
     policy: Option<RetryPolicy>,
     pending: BTreeMap<u64, PendingRetry>,
-    resent: u64,
-    gave_up: u64,
 }
 
 impl RetryTracker {
@@ -91,7 +89,7 @@ impl RetryTracker {
     /// call becomes a no-op, so disabled retry costs nothing).
     #[must_use]
     pub fn maybe(policy: Option<RetryPolicy>) -> RetryTracker {
-        RetryTracker { policy, pending: BTreeMap::new(), resent: 0, gave_up: 0 }
+        RetryTracker { policy, pending: BTreeMap::new() }
     }
 
     /// Whether a policy is configured at all.
@@ -120,8 +118,7 @@ impl RetryTracker {
 
     /// All requests whose deadline has passed at `now`, re-armed with
     /// their next backoff deadline. Requests past the retry cap are
-    /// dropped from tracking (counted in [`gave_up`](RetryTracker::gave_up))
-    /// instead of returned.
+    /// dropped from tracking instead of returned.
     pub fn due(&mut self, now: Tick) -> Vec<Message> {
         let Some(policy) = self.policy else { return Vec::new() };
         let mut out = Vec::new();
@@ -140,18 +137,51 @@ impl RetryTracker {
         }
         for line in exhausted {
             self.pending.remove(&line);
-            self.gave_up += 1;
         }
-        self.resent += out.len() as u64;
         out
     }
 
-    /// The earliest deadline among tracked requests: the tick the owner
-    /// arms its next retry wake-up for (through [`crate::WakeArm`], which
-    /// stages each distinct deadline once however often it is asked).
+    /// The earliest deadline among tracked requests: the tick the owner's
+    /// next retry wake-up is armed for.
     #[must_use]
     pub fn next_deadline(&self) -> Option<Tick> {
         self.pending.values().map(|p| p.deadline).min()
+    }
+
+    /// [`track`](RetryTracker::track)s a request the owner has just staged
+    /// in `out` and arms the wake-up that will check its deadline. Like
+    /// [`service`](RetryTracker::service), one branch when retry is off.
+    #[inline]
+    pub fn track_sent(&mut self, msg: Message, wakes: &mut WakeArm, out: &mut Outbox) {
+        if self.enabled() {
+            self.track(out.now(), msg);
+            self.arm_next(wakes, out);
+        }
+    }
+
+    /// The owner's `on_wake(now)` duty: re-sends every request that is
+    /// [`due`](RetryTracker::due) through `out` and arms the wake-up for
+    /// the next deadline. Returns how many were re-sent, for the owner's
+    /// own `retries` counter.
+    #[inline]
+    pub fn service(&mut self, now: Tick, wakes: &mut WakeArm, out: &mut Outbox) -> u64 {
+        if !self.enabled() {
+            return 0;
+        }
+        let due = self.due(now);
+        for &msg in &due {
+            out.send(msg);
+        }
+        self.arm_next(wakes, out);
+        due.len() as u64
+    }
+
+    /// Arms the next deadline, once per distinct tick however often it is
+    /// asked.
+    fn arm_next(&self, wakes: &mut WakeArm, out: &mut Outbox) {
+        if let Some(d) = self.next_deadline() {
+            wakes.arm(d, out);
+        }
     }
 
     /// Whether nothing is tracked.
@@ -164,18 +194,6 @@ impl RetryTracker {
     #[must_use]
     pub fn len(&self) -> usize {
         self.pending.len()
-    }
-
-    /// Total re-sends so far.
-    #[must_use]
-    pub fn resent(&self) -> u64 {
-        self.resent
-    }
-
-    /// Requests abandoned after exhausting their retries.
-    #[must_use]
-    pub fn gave_up(&self) -> u64 {
-        self.gave_up
     }
 
     /// The lines currently awaiting an acknowledgment (for diagnostics).
@@ -214,7 +232,6 @@ mod tests {
         // Re-armed with doubled backoff from `now`.
         assert_eq!(rt.next_deadline(), Some(Tick(110)));
         assert_eq!(rt.due(Tick(301)), vec![m(1), m(2)]);
-        assert_eq!(rt.resent(), 3);
     }
 
     #[test]
@@ -224,7 +241,6 @@ mod tests {
         assert_eq!(rt.due(Tick(1000)).len(), 1); // retry #1
         assert_eq!(rt.due(Tick(2000)).len(), 0); // cap reached: abandoned
         assert!(rt.is_empty());
-        assert_eq!(rt.gave_up(), 1);
     }
 
     #[test]
@@ -248,5 +264,28 @@ mod tests {
         assert!(rt.is_empty());
         assert!(rt.due(Tick(1_000_000)).is_empty());
         assert_eq!(rt.next_deadline(), None);
+        let (mut wakes, mut out) = (WakeArm::default(), Outbox::new(Tick(0)));
+        rt.track_sent(m(1), &mut wakes, &mut out);
+        assert_eq!(rt.service(Tick(1_000_000), &mut wakes, &mut out), 0);
+        assert!(out.is_empty(), "no wake-ups, no re-sends");
+    }
+
+    #[test]
+    fn owner_helpers_stage_resends_and_one_wake_per_deadline() {
+        use crate::Action;
+        let mut rt = RetryTracker::new(RetryPolicy { timeout: 100, max_retries: 3 });
+        let mut wakes = WakeArm::default();
+        let mut out = Outbox::new(Tick(0));
+        rt.track_sent(m(1), &mut wakes, &mut out);
+        rt.track_sent(m(2), &mut wakes, &mut out);
+        assert_eq!(out.actions(), [Action::Wake(Tick(100))], "same deadline, armed once");
+
+        let mut out = Outbox::new(Tick(100));
+        wakes.delivered(Tick(100));
+        assert_eq!(rt.service(Tick(100), &mut wakes, &mut out), 2);
+        assert_eq!(
+            out.actions(),
+            [Action::Send(m(1)), Action::Send(m(2)), Action::Wake(Tick(300))]
+        );
     }
 }

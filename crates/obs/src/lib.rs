@@ -8,7 +8,7 @@
 //!   [`hsc_sim::Histogram`]s,
 //! * [`EpochSampler`] — occupancy gauges and counter deltas sampled at
 //!   fixed epochs of simulated time,
-//! * [`PerfettoTrace`] / [`PerfettoTracer`] — Chrome-trace-format JSON
+//! * [`PerfettoTrace`] — Chrome-trace-format JSON
 //!   loadable in `ui.perfetto.dev`,
 //! * [`RunReport`] — the versioned machine-readable JSON report emitted by
 //!   the bench binaries behind `--report`,
@@ -46,7 +46,7 @@ pub use analytics::{
 };
 pub use config::ObsConfig;
 pub use observer::{AgentProfile, ObsData, Observer};
-pub use perfetto::{PerfettoTrace, PerfettoTracer};
+pub use perfetto::PerfettoTrace;
 pub use report::{
     git_describe, LatencySummary, RunRecord, RunReport, REPORT_SCHEMA, REPORT_SCHEMA_VERSION,
 };

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
-use hsc_sim::{format_trace_line, FlightEntry, Tick, Tracer};
+use hsc_sim::{FlightEntry, Tick};
 
 use crate::json::JsonWriter;
 
@@ -207,61 +207,6 @@ impl PerfettoTrace {
     }
 }
 
-/// A [`Tracer`] sink that turns every filtered trace line into a Perfetto
-/// instant event on a dedicated `"trace"` track.
-///
-/// Lines are rendered through [`format_trace_line`] — the same helper
-/// [`hsc_sim::StderrTracer`] prints through — so an event reads
-/// identically in stderr output and in the Perfetto UI.
-///
-/// # Examples
-///
-/// ```
-/// use hsc_obs::PerfettoTracer;
-/// use hsc_sim::{Tick, Tracer};
-///
-/// let mut t = PerfettoTracer::new();
-/// assert!(t.enabled());
-/// t.record(Tick(12), "L2[0]→DIR RdBlk 0x40".into());
-/// let json = t.into_trace().to_json_string();
-/// assert!(json.contains("[12t] L2[0]\\u2192DIR RdBlk 0x40") || json.contains("[12t]"));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct PerfettoTracer {
-    trace: PerfettoTrace,
-}
-
-impl PerfettoTracer {
-    /// Creates a tracer with an empty trace.
-    #[must_use]
-    pub fn new() -> Self {
-        PerfettoTracer::default()
-    }
-
-    /// The accumulated trace.
-    #[must_use]
-    pub fn trace(&self) -> &PerfettoTrace {
-        &self.trace
-    }
-
-    /// Consumes the tracer and returns the accumulated trace.
-    #[must_use]
-    pub fn into_trace(self) -> PerfettoTrace {
-        self.trace
-    }
-}
-
-impl Tracer for PerfettoTracer {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn record(&mut self, now: Tick, line: String) {
-        let rendered = format_trace_line(now, &line);
-        self.trace.instant("trace", &rendered, "trace", now);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,14 +275,5 @@ mod tests {
         assert_eq!(t.len(), 2);
         let json = t.to_json_string();
         assert!(json.contains("DIR \\u2190 RdBlk line 0x40") || json.contains("DIR ← RdBlk"));
-    }
-
-    #[test]
-    fn tracer_lines_render_like_stderr() {
-        let mut t = PerfettoTracer::new();
-        t.record(Tick(7), "dir: probe".into());
-        let json = t.trace().to_json_string();
-        assert!(json.contains("[7t] dir: probe"));
-        assert_eq!(t.into_trace().len(), 1);
     }
 }

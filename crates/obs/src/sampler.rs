@@ -98,7 +98,6 @@ pub struct EpochSampler {
     stamp: u64,
     series: BTreeMap<String, Vec<(u64, u64)>>,
     last_counter: BTreeMap<String, u64>,
-    epochs: u64,
 }
 
 impl EpochSampler {
@@ -116,7 +115,6 @@ impl EpochSampler {
             stamp: 0,
             series: BTreeMap::new(),
             last_counter: BTreeMap::new(),
-            epochs: 0,
         }
     }
 
@@ -132,7 +130,6 @@ impl EpochSampler {
     pub fn begin_epoch(&mut self, now: Tick) {
         self.stamp = (now.0 / self.epoch) * self.epoch;
         self.next_boundary = self.stamp + self.epoch;
-        self.epochs += 1;
     }
 
     /// Records an occupancy gauge (sampled value as-is).
@@ -161,12 +158,6 @@ impl EpochSampler {
         } else {
             self.series.insert(name.to_owned(), vec![(self.stamp, value)]);
         }
-    }
-
-    /// Number of epochs sampled so far.
-    #[must_use]
-    pub fn epochs_sampled(&self) -> u64 {
-        self.epochs
     }
 
     /// The configured epoch width in ticks.
@@ -215,16 +206,6 @@ mod tests {
         s.counter("c", 250); // no progress this epoch
         let series = s.into_series();
         assert_eq!(series[0].points, [(10, 100), (20, 150), (30, 0)]);
-    }
-
-    #[test]
-    fn epochs_sampled_counts_begin_calls() {
-        let mut s = EpochSampler::new(10);
-        assert_eq!(s.epochs_sampled(), 0);
-        s.begin_epoch(Tick(10));
-        s.begin_epoch(Tick(20));
-        assert_eq!(s.epochs_sampled(), 2);
-        assert_eq!(s.epoch_ticks(), 10);
     }
 
     #[test]

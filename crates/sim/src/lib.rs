@@ -55,13 +55,11 @@ mod wheel;
 pub use counters::{CounterId, Counters};
 pub use flight::{FlightEntry, FlightRecord, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 pub use fnv::{fnv1a, Fnv1a};
-pub use outcome::{
-    DeadlockSnapshot, PendingEvent, PendingKind, RunOutcome, SimError, StuckLine, Watchdog,
-};
+pub use outcome::{DeadlockSnapshot, PendingEvent, PendingKind, SimError, StuckLine, Watchdog};
 pub use rng::DetRng;
 pub use stats::{Histogram, StatSet};
 pub use tick::Tick;
-pub use trace::{format_trace_line, NullTracer, StderrTracer, Tracer, VecTracer};
+pub use trace::format_trace_line;
 pub use transition::TransitionMatrix;
 pub use wheel::{Held, WheelQueue};
 

@@ -9,9 +9,8 @@
 //! * [`DeadlockSnapshot`] / [`StuckLine`] — the structured diagnostic a
 //!   watchdog timeout carries, naming each stuck line, its age and the
 //!   controller state blocking it,
-//! * [`RunOutcome`] — a `Result`-like classification of a finished run,
-//! * [`Watchdog`] — per-key transaction age tracking with a global
-//!   quiescence view, driven by the directory's transaction lifecycle.
+//! * [`Watchdog`] — per-key transaction age tracking, driven by the
+//!   directory's transaction lifecycle.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -190,49 +189,11 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// A `Result`-like classification of a finished run, for reporting layers
-/// that want to match on the outcome without holding the metrics payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RunOutcome {
-    /// The run reached quiescence and produced valid metrics.
-    Completed,
-    /// The run failed with a typed error.
-    Failed(SimError),
-}
-
-impl RunOutcome {
-    /// Classifies a `System::run`-style result.
-    #[must_use]
-    pub fn of<T>(result: &Result<T, SimError>) -> RunOutcome {
-        match result {
-            Ok(_) => RunOutcome::Completed,
-            Err(e) => RunOutcome::Failed(e.clone()),
-        }
-    }
-
-    /// Whether the run completed cleanly.
-    #[must_use]
-    pub fn is_completed(&self) -> bool {
-        matches!(self, RunOutcome::Completed)
-    }
-}
-
-impl fmt::Display for RunOutcome {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RunOutcome::Completed => write!(f, "completed"),
-            RunOutcome::Failed(e) => write!(f, "failed: {e}"),
-        }
-    }
-}
-
 /// Tracks the age of in-flight transactions (keyed by line address) and
 /// answers "has anything been stuck longer than the limit?".
 ///
 /// The owner drives the lifecycle: [`begin`](Watchdog::begin) when a
-/// transaction starts on a key, [`refresh`](Watchdog::refresh) whenever it
-/// makes observable progress (e.g. a queued follow-up request is
-/// dispatched on the same line), [`end`](Watchdog::end) when it finishes.
+/// transaction starts on a key, [`end`](Watchdog::end) when it finishes.
 /// The watchdog itself never schedules events, so an enabled-but-untripped
 /// watchdog has zero effect on simulation timing or metrics.
 #[derive(Debug, Clone)]
@@ -248,41 +209,14 @@ impl Watchdog {
         Watchdog { limit, tracked: BTreeMap::new() }
     }
 
-    /// The configured age limit in ticks.
-    #[must_use]
-    pub fn limit(&self) -> u64 {
-        self.limit
-    }
-
     /// Starts (or restarts) tracking `key` as of `now`.
     pub fn begin(&mut self, key: u64, now: Tick) {
         self.tracked.insert(key, now);
     }
 
-    /// Marks progress on `key`: its age is measured from `now` onwards.
-    /// No-op if the key is not tracked.
-    pub fn refresh(&mut self, key: u64, now: Tick) {
-        if let Some(t) = self.tracked.get_mut(&key) {
-            *t = now;
-        }
-    }
-
     /// Stops tracking `key` (transaction finished).
     pub fn end(&mut self, key: u64) {
         self.tracked.remove(&key);
-    }
-
-    /// Whether nothing is currently tracked (global quiescence from the
-    /// watchdog's point of view).
-    #[must_use]
-    pub fn is_quiescent(&self) -> bool {
-        self.tracked.is_empty()
-    }
-
-    /// Number of currently tracked keys.
-    #[must_use]
-    pub fn tracked(&self) -> usize {
-        self.tracked.len()
     }
 
     /// The key that has gone longest without progress, with its age.
@@ -294,29 +228,10 @@ impl Watchdog {
             .max_by_key(|&(k, age)| (age, std::cmp::Reverse(k)))
     }
 
-    /// Age in ticks of `key`, if tracked.
-    #[must_use]
-    pub fn age_of(&self, key: u64, now: Tick) -> Option<u64> {
-        self.tracked.get(&key).map(|&since| now.delta_since(since))
-    }
-
     /// Whether any tracked key has exceeded the age limit at `now`.
     #[must_use]
     pub fn expired(&self, now: Tick) -> bool {
         self.oldest(now).is_some_and(|(_, age)| age > self.limit)
-    }
-
-    /// All keys past the age limit, oldest first, with their ages.
-    #[must_use]
-    pub fn expired_keys(&self, now: Tick) -> Vec<(u64, u64)> {
-        let mut v: Vec<(u64, u64)> = self
-            .tracked
-            .iter()
-            .map(|(&k, &since)| (k, now.delta_since(since)))
-            .filter(|&(_, age)| age > self.limit)
-            .collect();
-        v.sort_by_key(|&(k, age)| (std::cmp::Reverse(age), k));
-        v
     }
 }
 
@@ -327,31 +242,16 @@ mod tests {
     #[test]
     fn watchdog_lifecycle_tracks_ages() {
         let mut w = Watchdog::new(100);
-        assert!(w.is_quiescent());
+        assert_eq!(w.oldest(Tick(0)), None);
         w.begin(7, Tick(10));
         w.begin(9, Tick(50));
-        assert_eq!(w.tracked(), 2);
         assert!(!w.expired(Tick(110)));
         assert!(w.expired(Tick(111)));
         assert_eq!(w.oldest(Tick(111)), Some((7, 101)));
-        assert_eq!(w.expired_keys(Tick(200)), vec![(7, 190), (9, 150)]);
         w.end(7);
         assert_eq!(w.oldest(Tick(111)), Some((9, 61)));
         w.end(9);
-        assert!(w.is_quiescent());
-    }
-
-    #[test]
-    fn refresh_resets_the_age_clock() {
-        let mut w = Watchdog::new(100);
-        w.begin(3, Tick(0));
-        assert!(w.expired(Tick(101)));
-        w.refresh(3, Tick(101));
-        assert!(!w.expired(Tick(150)));
-        assert_eq!(w.age_of(3, Tick(150)), Some(49));
-        // Refreshing an untracked key is a no-op.
-        w.refresh(99, Tick(150));
-        assert_eq!(w.tracked(), 1);
+        assert!(!w.expired(Tick(1_000)));
     }
 
     #[test]
@@ -395,16 +295,5 @@ mod tests {
         let p =
             PendingEvent { at: Tick(12), seq: 0, kind: PendingKind::Wake { agent: "DMA".into() } };
         assert_eq!(p.to_string(), "@12t wake DMA");
-    }
-
-    #[test]
-    fn outcome_classifies_results() {
-        let ok: Result<u32, SimError> = Ok(5);
-        assert!(RunOutcome::of(&ok).is_completed());
-        let err: Result<u32, SimError> =
-            Err(SimError::EventBudgetExceeded { budget: 10, now: Tick(3) });
-        let outcome = RunOutcome::of(&err);
-        assert!(!outcome.is_completed());
-        assert!(outcome.to_string().contains("event budget"));
     }
 }

@@ -1,13 +1,7 @@
-use std::fmt;
-
 use crate::Tick;
 
-/// Renders one trace line the way every sink presents it: the tick in
-/// brackets, then the message.
-///
-/// This is the single formatting path for traced events — [`VecTracer`],
-/// [`StderrTracer`], and the Perfetto exporter in `hsc-obs` all route
-/// through it, so a traced event reads identically wherever it lands.
+/// Renders one per-line trace record (`TraceConfig::line` in `hsc-core`
+/// prints these to stderr): the tick in brackets, then the message.
 ///
 /// # Examples
 ///
@@ -19,140 +13,4 @@ use crate::Tick;
 #[must_use]
 pub fn format_trace_line(now: Tick, line: &str) -> String {
     format!("[{now}] {line}")
-}
-
-/// A sink for human-readable protocol trace lines.
-///
-/// Controllers emit one line per interesting protocol action (request
-/// received, probe sent, line evicted, …). Production runs use
-/// [`NullTracer`] (zero cost beyond a virtual call guarded by
-/// [`Tracer::enabled`]); debugging and a handful of tests use
-/// [`VecTracer`] to assert on the exact action sequence.
-pub trait Tracer: fmt::Debug {
-    /// Whether trace lines should be produced at all. Controllers should
-    /// skip formatting entirely when this returns `false`.
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    /// Records one trace line at simulated time `now`.
-    fn record(&mut self, now: Tick, line: String) {
-        let _ = (now, line);
-    }
-}
-
-/// A tracer that drops everything; the default for production runs.
-///
-/// # Examples
-///
-/// ```
-/// use hsc_sim::{NullTracer, Tracer, Tick};
-///
-/// let mut t = NullTracer;
-/// assert!(!t.enabled());
-/// t.record(Tick(1), "ignored".into()); // no-op
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NullTracer;
-
-impl Tracer for NullTracer {}
-
-/// A tracer that buffers every line, for tests and interactive debugging.
-///
-/// # Examples
-///
-/// ```
-/// use hsc_sim::{Tracer, VecTracer, Tick};
-///
-/// let mut t = VecTracer::new();
-/// t.record(Tick(3), "dir: RdBlk A=0x40".into());
-/// assert_eq!(t.lines().len(), 1);
-/// assert!(t.lines()[0].contains("RdBlk"));
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct VecTracer {
-    lines: Vec<String>,
-}
-
-impl VecTracer {
-    /// Creates an empty tracer.
-    #[must_use]
-    pub fn new() -> Self {
-        VecTracer::default()
-    }
-
-    /// The recorded lines, each prefixed with its tick.
-    #[must_use]
-    pub fn lines(&self) -> &[String] {
-        &self.lines
-    }
-
-    /// Consumes the tracer and returns the recorded lines.
-    #[must_use]
-    pub fn into_lines(self) -> Vec<String> {
-        self.lines
-    }
-}
-
-impl Tracer for VecTracer {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn record(&mut self, now: Tick, line: String) {
-        self.lines.push(format_trace_line(now, &line));
-    }
-}
-
-/// A tracer that prints every line to stderr as it is recorded, for
-/// interactive debugging of live runs.
-///
-/// # Examples
-///
-/// ```
-/// use hsc_sim::{StderrTracer, Tracer, Tick};
-///
-/// let mut t = StderrTracer;
-/// assert!(t.enabled());
-/// t.record(Tick(3), "dir: RdBlk A=0x40".into()); // printed to stderr
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StderrTracer;
-
-impl Tracer for StderrTracer {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn record(&mut self, now: Tick, line: String) {
-        eprintln!("{}", format_trace_line(now, &line));
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn null_tracer_is_disabled_and_silent() {
-        let mut t = NullTracer;
-        assert!(!t.enabled());
-        t.record(Tick(9), "x".into());
-    }
-
-    #[test]
-    fn vec_tracer_records_with_tick_prefix() {
-        let mut t = VecTracer::new();
-        t.record(Tick(12), "hello".into());
-        t.record(Tick(13), "world".into());
-        assert_eq!(t.lines(), ["[12t] hello", "[13t] world"]);
-        assert_eq!(t.into_lines().len(), 2);
-    }
-
-    #[test]
-    fn all_sinks_share_one_line_format() {
-        let mut t = VecTracer::new();
-        t.record(Tick(7), "dir: probe".into());
-        assert_eq!(t.lines()[0], format_trace_line(Tick(7), "dir: probe"));
-    }
 }

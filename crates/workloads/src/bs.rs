@@ -121,10 +121,6 @@ impl CoreProgram for CpuWorker {
             }
         }
     }
-
-    fn label(&self) -> &str {
-        "bs-cpu"
-    }
 }
 
 #[derive(Debug)]
@@ -165,10 +161,6 @@ impl WavefrontProgram for GpuWorker {
         self.i = hi;
         let stores = (lo..hi).map(|p| (Addr(OUT_BASE).word(p), self.bench.expected(p))).collect();
         GpuOp::VecStore(stores)
-    }
-
-    fn label(&self) -> &str {
-        "bs-gpu"
     }
 }
 

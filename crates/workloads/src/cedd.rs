@@ -162,10 +162,6 @@ impl CoreProgram for Stage1 {
             }
         }
     }
-
-    fn label(&self) -> &str {
-        "cedd-s1"
-    }
 }
 
 // ------------------------------------------------------------ GPU stages
@@ -200,7 +196,6 @@ struct GpuStage {
     f: u64,
     state: GsState,
     spin: GpuSpin,
-    label: &'static str,
 }
 
 impl WavefrontProgram for GpuStage {
@@ -270,10 +265,6 @@ impl WavefrontProgram for GpuStage {
             }
         }
     }
-
-    fn label(&self) -> &str {
-        self.label
-    }
 }
 
 // ---------------------------------------------------------------- stage 4
@@ -335,10 +326,6 @@ impl CoreProgram for Stage4 {
                 }
             }
         }
-    }
-
-    fn label(&self) -> &str {
-        "cedd-s4"
     }
 }
 
@@ -403,7 +390,6 @@ impl Workload for Cedd {
                 f: 0,
                 state: GsState::NextFrame,
                 spin: GpuSpin::new(Addr(SYNC_BASE), 200),
-                label: "cedd-s2",
             }));
             b.add_wavefront(Box::new(GpuStage {
                 bench: *self,
@@ -419,7 +405,6 @@ impl Workload for Cedd {
                 f: 0,
                 state: GsState::NextFrame,
                 spin: GpuSpin::new(Addr(SYNC_BASE), 200),
-                label: "cedd-s3",
             }));
         }
     }

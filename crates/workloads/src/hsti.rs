@@ -106,10 +106,6 @@ impl CoreProgram for CpuWorker {
             }
         }
     }
-
-    fn label(&self) -> &str {
-        "hsti-cpu"
-    }
 }
 
 impl CpuWorker {
@@ -163,10 +159,6 @@ impl WavefrontProgram for GpuWorker {
             return GpuOp::Done;
         }
         GpuOp::VecLoad(addrs)
-    }
-
-    fn label(&self) -> &str {
-        "hsti-gpu"
     }
 }
 

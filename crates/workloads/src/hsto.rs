@@ -104,10 +104,6 @@ impl CoreProgram for CpuWorker {
         }
         CpuOp::Done
     }
-
-    fn label(&self) -> &str {
-        "hsto-cpu"
-    }
 }
 
 #[derive(Debug)]
@@ -144,10 +140,6 @@ impl WavefrontProgram for GpuWorker {
             return GpuOp::Release; // kernel-end release (WB TCC visibility)
         }
         GpuOp::Done
-    }
-
-    fn label(&self) -> &str {
-        "hsto-gpu"
     }
 }
 

@@ -153,10 +153,6 @@ impl CoreProgram for CpuWorker {
             }
         }
     }
-
-    fn label(&self) -> &str {
-        "pad-cpu"
-    }
 }
 
 #[derive(Debug)]
@@ -237,10 +233,6 @@ impl WavefrontProgram for GpuWorker {
                 GpuState::Finished => return GpuOp::Done,
             }
         }
-    }
-
-    fn label(&self) -> &str {
-        "pad-gpu"
     }
 }
 

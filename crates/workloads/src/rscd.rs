@@ -171,10 +171,6 @@ impl CoreProgram for CpuWorker {
             }
         }
     }
-
-    fn label(&self) -> &str {
-        "rscd-cpu"
-    }
 }
 
 #[derive(Debug)]
@@ -251,10 +247,6 @@ impl WavefrontProgram for GpuWorker {
                 GpuState::Finished => return GpuOp::Done,
             }
         }
-    }
-
-    fn label(&self) -> &str {
-        "rscd-gpu"
     }
 }
 

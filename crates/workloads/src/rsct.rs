@@ -145,10 +145,6 @@ impl CoreProgram for CpuWorker {
             }
         }
     }
-
-    fn label(&self) -> &str {
-        "rsct-cpu"
-    }
 }
 
 #[derive(Debug)]
@@ -228,10 +224,6 @@ impl WavefrontProgram for GpuWorker {
                 GpuState::Finished => return GpuOp::Done,
             }
         }
-    }
-
-    fn label(&self) -> &str {
-        "rsct-gpu"
     }
 }
 

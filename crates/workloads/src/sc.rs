@@ -199,10 +199,6 @@ impl CoreProgram for CpuWorker {
             }
         }
     }
-
-    fn label(&self) -> &str {
-        "sc-cpu"
-    }
 }
 
 #[derive(Debug)]
@@ -283,10 +279,6 @@ impl WavefrontProgram for GpuWorker {
                 },
             }
         }
-    }
-
-    fn label(&self) -> &str {
-        "sc-gpu"
     }
 }
 

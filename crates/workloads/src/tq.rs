@@ -101,10 +101,6 @@ impl CoreProgram for Producer {
             }
         }
     }
-
-    fn label(&self) -> &str {
-        "tq-producer"
-    }
 }
 
 #[derive(Debug)]
@@ -171,10 +167,6 @@ impl CoreProgram for CpuConsumer {
                 }
             }
         }
-    }
-
-    fn label(&self) -> &str {
-        "tq-cpu-consumer"
     }
 }
 
@@ -255,10 +247,6 @@ impl WavefrontProgram for GpuConsumer {
                 }
             }
         }
-    }
-
-    fn label(&self) -> &str {
-        "tq-gpu-consumer"
     }
 }
 

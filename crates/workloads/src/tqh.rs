@@ -102,10 +102,6 @@ impl CoreProgram for Producer {
         self.p = 0;
         CpuOp::Store(self.bench.flag_addr(b), 1)
     }
-
-    fn label(&self) -> &str {
-        "tqh-producer"
-    }
 }
 
 #[derive(Debug)]
@@ -195,10 +191,6 @@ impl WavefrontProgram for Consumer {
                 GpuState::Finished => return GpuOp::Done,
             }
         }
-    }
-
-    fn label(&self) -> &str {
-        "tqh-consumer"
     }
 }
 

@@ -192,12 +192,6 @@ impl TraceProgram {
         self.streams.iter().filter(|s| s.kind == kind).count()
     }
 
-    /// Total operation count across all streams.
-    #[must_use]
-    pub fn op_count(&self) -> usize {
-        self.streams.iter().map(|s| s.ops.len()).sum()
-    }
-
     /// Canonical text form: parses back to an equal program, and
     /// re-serializing the re-parse is byte-identical (the round-trip
     /// contract the differential fuzz pins).
@@ -523,6 +517,5 @@ mod tests {
         assert_eq!(p.stream_count(StreamKind::Cpu), 1);
         assert_eq!(p.stream_count(StreamKind::Gpu), 0);
         assert_eq!(p.stream_count(StreamKind::Dma), 1);
-        assert_eq!(p.op_count(), 3);
     }
 }

@@ -201,10 +201,6 @@ impl CoreProgram for TraceCpu {
             }
         }
     }
-
-    fn label(&self) -> &str {
-        "trace-cpu"
-    }
 }
 
 /// Replays one gpu stream as a single-lane wavefront program.
@@ -257,10 +253,6 @@ impl WavefrontProgram for TraceGpu {
             TraceOp::Fence(FenceKind::Acquire) => GpuOp::Acquire,
             TraceOp::Fence(FenceKind::Release) => GpuOp::Release,
         }
-    }
-
-    fn label(&self) -> &str {
-        "trace-gpu"
     }
 }
 

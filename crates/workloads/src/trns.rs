@@ -200,10 +200,6 @@ impl CoreProgram for CpuWorker {
             }
         }
     }
-
-    fn label(&self) -> &str {
-        "trns-cpu"
-    }
 }
 
 #[derive(Debug)]
@@ -288,10 +284,6 @@ impl WavefrontProgram for GpuWorker {
                 GpuState::Finished => return GpuOp::Done,
             }
         }
-    }
-
-    fn label(&self) -> &str {
-        "trns-gpu"
     }
 }
 

@@ -4,24 +4,18 @@ use hsc_cluster::{CpuOp, GpuOp};
 use hsc_mem::{Addr, AtomicKind};
 
 /// Consecutive 64-bit word addresses for a coalesced vector op: lane `l`
-/// touches `base + (idx*lanes + l) * 8`.
+/// touches `base + (idx*lanes + l) * 8`, clipped to `total` elements (the
+/// last vector op of a loop may be partial).
 ///
 /// # Examples
 ///
 /// ```
 /// use hsc_mem::Addr;
-/// use hsc_workloads::util::lane_addrs;
+/// use hsc_workloads::util::lane_addrs_clipped;
 ///
-/// let a = lane_addrs(Addr(0x100), 1, 4);
-/// assert_eq!(a, [Addr(0x120), Addr(0x128), Addr(0x130), Addr(0x138)]);
+/// let a = lane_addrs_clipped(Addr(0x100), 1, 4, 7);
+/// assert_eq!(a, [Addr(0x120), Addr(0x128), Addr(0x130)]);
 /// ```
-#[must_use]
-pub fn lane_addrs(base: Addr, idx: u64, lanes: usize) -> Vec<Addr> {
-    (0..lanes as u64).map(|l| base.word(idx * lanes as u64 + l)).collect()
-}
-
-/// Like [`lane_addrs`] but clipped to `total` elements (the last vector op
-/// of a loop may be partial).
 #[must_use]
 pub fn lane_addrs_clipped(base: Addr, idx: u64, lanes: usize, total: u64) -> Vec<Addr> {
     let start = idx * lanes as u64;

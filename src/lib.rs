@@ -42,8 +42,8 @@ pub mod prelude {
     };
     pub use hsc_mem::{Addr, AtomicKind, LineAddr};
     pub use hsc_noc::{FaultPlan, FaultTargets, RetryPolicy};
-    pub use hsc_obs::{ObsConfig, ObsData, PerfettoTracer, RunReport};
-    pub use hsc_sim::{DeadlockSnapshot, PendingEvent, PendingKind, RunOutcome, SimError};
+    pub use hsc_obs::{ObsConfig, ObsData, RunReport};
+    pub use hsc_sim::{DeadlockSnapshot, PendingEvent, PendingKind, SimError};
     pub use hsc_workloads::{
         all_workloads, collaborative_workloads, extension_workloads, run_workload,
         run_workload_observed, run_workload_on, try_run_workload_on, workload_by_name, Bs, Cedd,
