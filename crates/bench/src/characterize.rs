@@ -20,7 +20,10 @@ use crate::RULE;
 /// wanted — and every table reads from that single run. The runs execute
 /// as one parallel campaign; tables and the report are assembled in
 /// submission order, identical at any worker count.
-/// Panics naming the workload if a run fails.
+///
+/// # Errors
+///
+/// Names the workload whose run failed, besides what writing can fail on.
 pub fn characterize(
     workloads: &[Box<dyn Workload>],
     par: Parallelism,
@@ -31,19 +34,21 @@ pub fn characterize(
     let obs =
         if report.is_some() { ObsConfig::report(REPORT_EPOCH_TICKS) } else { ObsConfig::off() };
 
-    let mut campaign: Campaign<'_, (RunResult, RunRecord)> = Campaign::new("characterize");
+    let mut campaign: Campaign<'_, Result<(RunResult, RunRecord), String>> =
+        Campaign::new("characterize");
     for w in workloads {
         let w = w.as_ref();
         campaign.push(w.name(), move || {
             let run = run_workload_observed(w, cfg, obs);
             let record = run_record(w.name(), "baseline", &run);
             match run.outcome {
-                Ok(result) => (result, record),
-                Err(e) => panic!("workload {} failed: {e}", w.name()),
+                Ok(result) => Ok((result, record)),
+                Err(e) => Err(format!("workload {}: {e}", w.name())),
             }
         });
     }
-    let rows = expect_all("characterize", campaign.run(par));
+    let rows = expect_all("characterize", campaign.run(par))?;
+    let rows = rows.into_iter().collect::<Result<Vec<_>, _>>().map_err(io::Error::other)?;
 
     writeln!(out, "{RULE}")?;
     writeln!(out, "Workload characterization (§V): directory request mix, baseline")?;

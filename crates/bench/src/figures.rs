@@ -280,7 +280,7 @@ pub fn ablation(par: Parallelism, out: &mut dyn Write) -> io::Result<()> {
             });
         }
     }
-    let results = expect_all("ablation", campaign.run(par));
+    let results = expect_all("ablation", campaign.run(par))?;
 
     writeln!(
         out,

@@ -80,7 +80,7 @@ pub fn sweep(
             });
         }
     }
-    expect_all("sweep", campaign.run(par))
+    expect_all("sweep", campaign.run(par)).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Percentage saved: `100 × (1 − value/base)`.

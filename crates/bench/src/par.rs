@@ -34,6 +34,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::io;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -224,15 +225,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Unwraps every job result, panicking with each failure's name and
-/// message if any job failed — for campaigns where a single bad run must
-/// fail the whole binary (the figure sweeps).
+/// Unwraps every job result — for campaigns where a single bad run must
+/// fail the whole command.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics listing every [`JobError`] if at least one job failed.
-#[must_use]
-pub fn expect_all<T>(label: &str, results: Vec<JobResult<T>>) -> Vec<T> {
+/// An [`io::Error::other`] listing every [`JobError`] if at least one job
+/// panicked (each panic has already reported itself on stderr).
+pub fn expect_all<T>(label: &str, results: Vec<JobResult<T>>) -> io::Result<Vec<T>> {
     let mut values = Vec::with_capacity(results.len());
     let mut errors = Vec::new();
     for r in results {
@@ -241,13 +241,11 @@ pub fn expect_all<T>(label: &str, results: Vec<JobResult<T>>) -> Vec<T> {
             Err(e) => errors.push(e.to_string()),
         }
     }
-    assert!(
-        errors.is_empty(),
-        "campaign `{label}`: {} job(s) failed:\n  {}",
-        errors.len(),
-        errors.join("\n  ")
-    );
-    values
+    if errors.is_empty() {
+        return Ok(values);
+    }
+    let (n, list) = (errors.len(), errors.join("\n  "));
+    Err(io::Error::other(format!("campaign `{label}`: {n} job(s) failed:\n  {list}")))
 }
 
 #[cfg(test)]
@@ -330,15 +328,13 @@ mod tests {
 
     #[test]
     fn expect_all_unwraps_successes() {
-        assert_eq!(expect_all("ok", vec![Ok(1), Ok(2)]), vec![1, 2]);
+        assert_eq!(expect_all("ok", vec![Ok(1), Ok(2)]).unwrap(), vec![1, 2]);
     }
 
     #[test]
-    #[should_panic(expected = "`late` panicked")]
     fn expect_all_names_the_failed_job() {
-        let _ = expect_all(
-            "bad",
-            vec![Ok(1), Err(JobError { job: "late".into(), message: "kaput".into() })],
-        );
+        let late = JobError { job: "late".into(), message: "kaput".into() };
+        let err = expect_all("bad", vec![Ok(1), Err(late)]).unwrap_err();
+        assert!(err.to_string().contains("`late` panicked: kaput"), "{err}");
     }
 }

@@ -66,8 +66,12 @@ pub fn sections(
 /// * `perfetto` — a Chrome-trace JSON of one seeded `tq` run, loadable in
 ///   `ui.perfetto.dev`.
 ///
-/// Stdout and the report are byte-identical at any worker count. Panics
-/// naming the run if a simulation fails.
+/// Stdout and the report are byte-identical at any worker count.
+///
+/// # Errors
+///
+/// Names the trace replay or the Perfetto run if its simulation fails,
+/// besides what writing can fail on.
 pub fn repro(
     par: Parallelism,
     quick: bool,
@@ -85,7 +89,8 @@ pub fn repro(
     if let Some(tw) = traced {
         // Replay the trace once on the evaluation system so a trace has a
         // visible outcome even without a report.
-        let r = try_run_workload_on(tw, cfg).unwrap_or_else(|e| panic!("trace replay failed: {e}"));
+        let r = try_run_workload_on(tw, cfg)
+            .map_err(|e| io::Error::other(format!("workload {}: {e}", tw.name())))?;
         writeln!(
             out,
             "trace replayed and verified: {} ticks, {} GPU cycles",
@@ -109,14 +114,14 @@ pub fn repro(
         }
         // Records land in submission order, so the report JSON is
         // byte-identical to a serial run's.
-        let records = expect_all("repro/report", campaign.run(par));
+        let records = expect_all("repro/report", campaign.run(par))?;
         write_report("repro", &cfg, records, file, out)?;
     }
 
     if let Some(file) = perfetto {
         let run = run_workload_observed(&Tq::default(), cfg, ObsConfig::full(REPORT_EPOCH_TICKS));
         if let Err(e) = &run.outcome {
-            panic!("perfetto run failed: {e}");
+            return Err(io::Error::other(format!("perfetto run: {e}")));
         }
         let trace = run.obs.perfetto.expect("perfetto enabled for trace run");
         let path = file.write(&trace.to_json_string())?;

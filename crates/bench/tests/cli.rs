@@ -134,3 +134,31 @@ fn bare_hsc_and_help_print_the_index_and_an_unknown_sub_command_is_an_error() {
         assert!(stderr.contains("unknown sub-command") && stderr.contains("\n  hsc repro"));
     }
 }
+
+/// A replay whose verification fails is the command's own failure — one
+/// `hsc <cmd>: …` line and exit status 1 — not a panic with a backtrace
+/// and status 101.
+#[test]
+fn a_failed_replay_is_one_line_and_exit_1() {
+    let trace = std::env::temp_dir().join(format!("hsc-wrong-expect-{}.trace", std::process::id()));
+    std::fs::write(&trace, "hsc-trace v1\ninit 0x1000 5\nstream cpu\nread 0x1000 expect 6\n")
+        .expect("the trace file is writable");
+    let path = trace.to_str().expect("a UTF-8 temp path");
+    for sub_command in ["characterize", "repro", "faults"] {
+        let out = hsc(sub_command, &["--trace", path]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "hsc {sub_command}: {stderr}");
+        assert!(!stderr.contains("panicked"), "hsc {sub_command}: {stderr}");
+        // Campaign timing lines share stderr.
+        let said: Vec<&str> = stderr.lines().filter(|l| !l.starts_with("[par]")).collect();
+        if sub_command == "faults" {
+            // Its table has a row for the run that failed.
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(said.is_empty() && stdout.contains("GOLDEN RUN FAILED: verification failed"));
+        } else {
+            let start = format!("hsc {sub_command}: workload trace: verification failed: ");
+            assert!(said.len() == 1 && said[0].starts_with(&start), "hsc {sub_command}: {stderr}");
+        }
+    }
+    std::fs::remove_file(&trace).expect("the trace file is removable");
+}

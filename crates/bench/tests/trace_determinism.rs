@@ -43,7 +43,7 @@ fn traced_artifacts(jobs: usize) -> (String, String) {
         });
     }
     let mut table = String::new();
-    for rec in expect_all("trace_determinism", campaign.run(Parallelism::of(jobs))) {
+    for rec in expect_all("trace_determinism", campaign.run(Parallelism::of(jobs))).unwrap() {
         assert_eq!(rec.outcome, "completed", "traced run at {jobs} job(s)");
         writeln!(table, "== {} ==", rec.workload).unwrap();
         writeln!(table, "ticks        {}", rec.ticks).unwrap();

@@ -60,16 +60,17 @@ pub mod litmus;
 
 /// A function producing a fresh [`System`] in its initial state. The
 /// explorer rebuilds and replays instead of cloning (a `System` owns
-/// boxed programs and tracers), so construction must be deterministic.
+/// boxed programs), so construction must be deterministic.
 pub type BuildFn<'a> = &'a dyn Fn() -> System;
 
 /// A predicate over a cleanly completed system: `Err(reason)` marks the
-/// final state as a violation (e.g. "a store was lost").
-pub type FinalCheck = fn(&System) -> Result<(), String>;
+/// final state as a violation (e.g. "a store was lost"). Borrowed, so a
+/// scenario built at run time can close over its own expectations.
+pub type FinalCheck<'a> = &'a dyn Fn(&System) -> Result<(), String>;
 
 /// Exploration limits and expectations.
-#[derive(Debug, Clone)]
-pub struct CheckConfig {
+#[derive(Clone)]
+pub struct CheckConfig<'a> {
     /// Stop after this many *distinct* states (truncates, not fails).
     pub max_states: u64,
     /// Do not explore interleavings longer than this many events.
@@ -79,14 +80,26 @@ pub struct CheckConfig {
     /// retries off set this to accept the resulting stall as an outcome.
     pub deadlock_ok: bool,
     /// Predicate applied to every cleanly completed terminal state.
-    pub final_check: Option<FinalCheck>,
+    pub final_check: Option<FinalCheck<'a>>,
     /// After finding a violation, run the breadth-first minimizer to
     /// report the *shortest* violating event sequence instead of the
     /// DFS path that happened to find it first.
     pub minimize: bool,
 }
 
-impl Default for CheckConfig {
+impl fmt::Debug for CheckConfig<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CheckConfig")
+            .field("max_states", &self.max_states)
+            .field("max_depth", &self.max_depth)
+            .field("deadlock_ok", &self.deadlock_ok)
+            .field("final_check", &self.final_check.is_some())
+            .field("minimize", &self.minimize)
+            .finish()
+    }
+}
+
+impl Default for CheckConfig<'_> {
     fn default() -> Self {
         CheckConfig {
             max_states: 2_000_000,
@@ -228,7 +241,7 @@ impl ExploreReport {
 /// Panics if the built system reports a wiring error — that is a
 /// configuration bug, not a protocol state to explore.
 #[must_use]
-pub fn explore(build: BuildFn<'_>, cfg: &CheckConfig) -> ExploreReport {
+pub fn explore(build: BuildFn<'_>, cfg: &CheckConfig<'_>) -> ExploreReport {
     let mut st = Search {
         build,
         cfg,
@@ -298,7 +311,7 @@ fn render_path(
 
 struct Search<'a> {
     build: BuildFn<'a>,
-    cfg: &'a CheckConfig,
+    cfg: &'a CheckConfig<'a>,
     visited: HashSet<u64>,
     states: u64,
     terminals: u64,
@@ -359,7 +372,7 @@ impl Search<'_> {
 
 /// Checks every invariant at one state. `n` is the pending-choice count
 /// (passed in because the caller already fetched it).
-fn classify(sys: &System, n: usize, cfg: &CheckConfig) -> Option<(ViolationKind, String)> {
+fn classify(sys: &System, n: usize, cfg: &CheckConfig<'_>) -> Option<(ViolationKind, String)> {
     if let Some(v) = check_coherence(sys) {
         return Some(v);
     }
@@ -482,7 +495,7 @@ fn describe(cs: &[(usize, MoesiState, LineData)]) -> String {
 /// using the same visited-set abstraction as the DFS. Returns `None` only
 /// if the violation is unreachable within the config budget (possible
 /// when the DFS truncated).
-fn minimize(build: BuildFn<'_>, cfg: &CheckConfig) -> Option<Counterexample> {
+fn minimize(build: BuildFn<'_>, cfg: &CheckConfig<'_>) -> Option<Counterexample> {
     struct Node {
         parent: usize,
         choice: usize,
@@ -555,7 +568,7 @@ mod tests {
     #[test]
     fn final_check_failures_become_counterexamples() {
         let cfg = CheckConfig {
-            final_check: Some(|_s: &System| Err("always wrong".to_owned())),
+            final_check: Some(&|_s: &System| Err("always wrong".to_owned())),
             ..CheckConfig::default()
         };
         let r = explore(&empty, &cfg);

@@ -19,59 +19,14 @@
 //! [`System`] costs microseconds — the explorer rebuilds thousands of
 //! times.
 
-use std::collections::VecDeque;
-use std::fmt;
-
-use hsc_cluster::{CoreProgram, CpuOp, DmaCommand, GpuOp, WavefrontProgram};
+use hsc_cluster::{CpuOp, CpuScript, DmaCommand, GpuOp, GpuScript};
 use hsc_mem::{Addr, AtomicKind};
 use hsc_noc::{FaultPlan, FaultTargets, RetryPolicy};
 use hsc_sim::{SimError, Tick};
 
 use hsc_core::{System, SystemBuilder, SystemConfig};
 
-use crate::{explore, CheckConfig, ExploreReport, FinalCheck};
-
-/// A scripted CPU thread: plays a fixed op list front to back, then
-/// retires. Litmus programs never branch on loaded values — the explorer
-/// supplies the nondeterminism.
-#[derive(Debug)]
-pub struct CpuScript {
-    ops: VecDeque<CpuOp>,
-}
-
-impl CpuScript {
-    /// A thread that executes `ops` in order and finishes.
-    #[must_use]
-    pub fn new(ops: Vec<CpuOp>) -> Self {
-        CpuScript { ops: ops.into() }
-    }
-}
-
-impl CoreProgram for CpuScript {
-    fn next_op(&mut self, _last: Option<u64>) -> CpuOp {
-        self.ops.pop_front().unwrap_or(CpuOp::Done)
-    }
-}
-
-/// A scripted GPU wavefront, the [`CpuScript`] counterpart.
-#[derive(Debug)]
-pub struct GpuScript {
-    ops: VecDeque<GpuOp>,
-}
-
-impl GpuScript {
-    /// A wavefront that executes `ops` in order and finishes.
-    #[must_use]
-    pub fn new(ops: Vec<GpuOp>) -> Self {
-        GpuScript { ops: ops.into() }
-    }
-}
-
-impl WavefrontProgram for GpuScript {
-    fn next_op(&mut self, _last: Option<u64>) -> GpuOp {
-        self.ops.pop_front().unwrap_or(GpuOp::Done)
-    }
-}
+use crate::{explore, CheckConfig, ExploreReport};
 
 /// Line-aligned base address every scenario races on (line `0x1000`).
 pub const A: Addr = Addr(0x4_0000);
@@ -119,41 +74,31 @@ pub fn tiny_config() -> SystemConfig {
     cfg
 }
 
-fn apply_knobs(
-    mut cfg: SystemConfig,
-    faults: Option<FaultPlan>,
-    retry: Option<RetryPolicy>,
-) -> SystemConfig {
-    cfg.faults = faults;
-    if let Some(r) = retry {
-        cfg = cfg.with_retry_everywhere(r);
-    }
-    cfg
-}
+/// A plain-`fn` predicate over a cleanly completed system (see
+/// [`Litmus::also`]).
+pub type ExtraCheck = fn(&System) -> Result<(), String>;
 
-/// Reads the coherent final value of `a` and checks it against the
-/// scenario's allowed outcomes.
-///
-/// # Errors
-///
-/// Describes the divergence when the value is not in `allowed`.
-pub fn expect_word(sys: &System, a: Addr, allowed: &[u64]) -> Result<(), String> {
-    let got = sys.final_word(a);
-    if allowed.contains(&got) {
-        Ok(())
-    } else {
-        Err(format!("word {a}: final value {got:#x} not in allowed set {allowed:?}"))
-    }
-}
-
-/// One directed scenario: a builder, the faults that probe it, and the
-/// predicate its completed runs must satisfy.
+/// One directed scenario, as data: the programs and DMA commands that
+/// race, the memory they start from, the faults that probe them, and the
+/// final words every completed run must end with.
+#[derive(Debug, Clone)]
 pub struct Litmus {
     /// Stable scenario name (CLI selector, report key).
     pub name: &'static str,
     /// One-line description of the race under test.
     pub describe: &'static str,
-    build: fn(Option<FaultPlan>, Option<RetryPolicy>) -> System,
+    /// CPU threads in placement order, two per CorePair: an empty script
+    /// is the idle filler that pushes the next thread onto the next pair.
+    pub cpu: Vec<CpuScript>,
+    /// GPU wavefronts.
+    pub gpu: Vec<GpuScript>,
+    /// DMA commands, in issue order.
+    pub dma: Vec<DmaCommand>,
+    /// Initial memory words (the rest is zero).
+    pub init: Vec<(Addr, u64)>,
+    /// Shrinks every L2 to 2 direct-mapped lines, so that touching [`B`]
+    /// evicts [`A`].
+    pub shrink_l2: bool,
     /// Deterministic surgical fault for the faulty exhaustive pass
     /// (`None` = fault-free exploration only).
     pub fault_plan: Option<FaultPlan>,
@@ -163,17 +108,14 @@ pub struct Litmus {
     pub fault_deadlock_ok: bool,
     /// Seeded probabilistic plan for the timed sweep mode.
     pub sweep_plan: Option<fn(u64) -> FaultPlan>,
-    /// Predicate over cleanly completed runs.
-    pub check_final: Option<FinalCheck>,
+    /// The coherent final value of each listed word must be one of its
+    /// allowed values in every cleanly completed run.
+    pub allowed: Vec<(Addr, Vec<u64>)>,
+    /// What `allowed` cannot say about a completed run.
+    pub also: Option<ExtraCheck>,
     /// Whether the scenario is explored exhaustively (retry-storm is
     /// sweep-only: retry timers make its state space a timing artifact).
     pub exhaustive: bool,
-}
-
-impl fmt::Debug for Litmus {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Litmus").field("name", &self.name).finish_non_exhaustive()
-    }
 }
 
 /// The two exhaustive [`ExploreReport`]s of one scenario.
@@ -225,28 +167,90 @@ impl SweepSummary {
 }
 
 impl Litmus {
-    /// Builds the scenario's system with the given fault/retry knobs.
+    /// A scenario with no agents yet — one that completes at once and
+    /// passes — explored exhaustively and swept under 20 % request loss;
+    /// the base every scenario fills in with struct-update syntax.
+    #[must_use]
+    pub fn new(name: &'static str, describe: &'static str) -> Self {
+        Litmus {
+            name,
+            describe,
+            cpu: Vec::new(),
+            gpu: Vec::new(),
+            dma: Vec::new(),
+            init: Vec::new(),
+            shrink_l2: false,
+            fault_plan: None,
+            fault_deadlock_ok: false,
+            sweep_plan: Some(drop_sweep),
+            allowed: Vec::new(),
+            also: None,
+            exhaustive: true,
+        }
+    }
+
+    /// Builds the scenario's system on [`tiny_config`] with the given
+    /// fault/retry knobs.
     #[must_use]
     pub fn build(&self, faults: Option<FaultPlan>, retry: Option<RetryPolicy>) -> System {
-        (self.build)(faults, retry)
+        let mut cfg = tiny_config();
+        if self.shrink_l2 {
+            cfg.cpu.l2_bytes = 128;
+            cfg.cpu.l2_ways = 1;
+        }
+        cfg.faults = faults;
+        if let Some(r) = retry {
+            cfg = cfg.with_retry_everywhere(r);
+        }
+        let mut b = SystemBuilder::new(cfg);
+        for script in &self.cpu {
+            b.add_cpu_thread(Box::new(script.clone()));
+        }
+        for script in &self.gpu {
+            b.add_wavefront(Box::new(script.clone()));
+        }
+        for command in &self.dma {
+            b.add_dma(command.clone());
+        }
+        for &(a, v) in &self.init {
+            b.init_word(a, v);
+        }
+        b.build()
+    }
+
+    /// The predicate over a cleanly completed run: every `allowed` word,
+    /// then `also`.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first divergence.
+    pub fn check_final(&self, sys: &System) -> Result<(), String> {
+        for (a, allowed) in &self.allowed {
+            let got = sys.final_word(*a);
+            if !allowed.contains(&got) {
+                return Err(format!(
+                    "word {a}: final value {got:#x} not in allowed set {allowed:?}"
+                ));
+            }
+        }
+        self.also.map_or(Ok(()), |also| also(sys))
     }
 
     /// Runs the exhaustive passes: fault-free, then (if the scenario has
     /// one) under its deterministic fault plan. `limits` scales the
     /// search budget; the scenario supplies `final_check`/`deadlock_ok`.
     #[must_use]
-    pub fn check_exhaustive(&self, limits: &CheckConfig) -> LitmusReport {
+    pub fn check_exhaustive(&self, limits: &CheckConfig<'_>) -> LitmusReport {
         if !self.exhaustive {
             return LitmusReport { name: self.name, fault_free: None, faulty: None };
         }
-        let base =
-            CheckConfig { final_check: self.check_final, deadlock_ok: false, ..limits.clone() };
-        let build = self.build;
-        let fault_free = Some(explore(&|| build(None, None), &base));
+        let check = |sys: &System| self.check_final(sys);
+        let base = CheckConfig { final_check: Some(&check), deadlock_ok: false, ..limits.clone() };
+        let fault_free = Some(explore(&|| self.build(None, None), &base));
 
         let faulty = self.fault_plan.map(|plan| {
             let cfg = CheckConfig { deadlock_ok: self.fault_deadlock_ok, ..base.clone() };
-            explore(&|| build(Some(plan), None), &cfg)
+            explore(&|| self.build(Some(plan), None), &cfg)
         });
         LitmusReport { name: self.name, fault_free, faulty }
     }
@@ -267,13 +271,10 @@ impl Litmus {
             match sys.run(SWEEP_EVENT_BUDGET) {
                 Ok(_) => {
                     summary.completed += 1;
-                    if let Some(f) = self.check_final {
-                        if let Err(reason) = f(&sys) {
-                            summary.failures.push(format!(
-                                "{} seed {seed}: completed wrong: {reason}",
-                                self.name
-                            ));
-                        }
+                    if let Err(reason) = self.check_final(&sys) {
+                        summary
+                            .failures
+                            .push(format!("{} seed {seed}: completed wrong: {reason}", self.name));
                     }
                 }
                 Err(SimError::Deadlock { .. }) => summary.deadlocked += 1,
@@ -286,76 +287,87 @@ impl Litmus {
     /// Every directed scenario, in documentation order.
     #[must_use]
     pub fn catalog() -> Vec<Litmus> {
+        let cpu = |ops: &[CpuOp]| CpuScript::new(ops.to_vec());
+        let idle = CpuScript::default();
+        let add_one = CpuOp::Atomic(A, AtomicKind::FetchAdd(1));
         vec![
             Litmus {
-                name: "two_writers",
-                describe: "two CPUs store to different words of one line; both stores must survive",
-                build: build_two_writers,
-                fault_plan: None,
-                fault_deadlock_ok: false,
-                sweep_plan: Some(drop_sweep),
-                check_final: Some(final_two_writers),
-                exhaustive: true,
+                cpu: vec![cpu(&[CpuOp::Store(A, 1)]), idle.clone(), cpu(&[CpuOp::Store(A_W1, 2)])],
+                allowed: vec![(A, vec![1]), (A_W1, vec![2])],
+                ..Litmus::new(
+                    "two_writers",
+                    "two CPUs store to different words of one line; both stores must survive",
+                )
             },
+            // The store to B evicts A's dirty copy, so the VicDirty
+            // write-back is in flight exactly when pair 1's read probes A.
             Litmus {
-                name: "victim_vs_probe",
-                describe: "a dirty victim is in flight while another CPU's read probes the line",
-                build: build_victim_vs_probe,
+                cpu: vec![
+                    cpu(&[CpuOp::Store(A, 1), CpuOp::Store(B, 2)]),
+                    idle.clone(),
+                    cpu(&[CpuOp::Load(A)]),
+                ],
+                shrink_l2: true,
                 fault_plan: Some(FaultPlan::drop_first("VicDirty")),
                 fault_deadlock_ok: true,
-                sweep_plan: Some(drop_sweep),
-                check_final: Some(final_victim_vs_probe),
-                exhaustive: true,
+                allowed: vec![(A, vec![1]), (B, vec![2])],
+                ..Litmus::new(
+                    "victim_vs_probe",
+                    "a dirty victim is in flight while another CPU's read probes the line",
+                )
             },
             Litmus {
-                name: "dup_reply",
-                describe: "the directory's data response is duplicated; the stale second copy must be ignored",
-                build: build_dup_reply,
+                cpu: vec![cpu(&[CpuOp::Store(A, 1)]), idle.clone(), cpu(&[CpuOp::Load(A)])],
                 fault_plan: Some(dup_first_resp()),
-                fault_deadlock_ok: false,
-                sweep_plan: Some(drop_sweep),
-                check_final: Some(final_dup_reply),
-                exhaustive: true,
+                allowed: vec![(A, vec![1])],
+                ..Litmus::new(
+                    "dup_reply",
+                    "the directory's data response is duplicated; the stale second copy must be ignored",
+                )
             },
             Litmus {
-                name: "atomic_vs_eviction",
-                describe: "CPU atomics race an eviction of the line they increment",
-                build: build_atomic_vs_eviction,
-                fault_plan: None,
-                fault_deadlock_ok: false,
-                sweep_plan: Some(drop_sweep),
-                check_final: Some(final_atomic_vs_eviction),
-                exhaustive: true,
+                cpu: vec![cpu(&[add_one, CpuOp::Store(B, 7)]), idle.clone(), cpu(&[add_one])],
+                init: vec![(A, 10)],
+                shrink_l2: true,
+                allowed: vec![(A, vec![12]), (B, vec![7])],
+                ..Litmus::new(
+                    "atomic_vs_eviction",
+                    "CPU atomics race an eviction of the line they increment",
+                )
             },
             Litmus {
-                name: "dma_vs_dirty_l2",
-                describe: "a DMA read races a CPU store dirtying the same line in an L2",
-                build: build_dma_vs_dirty_l2,
-                fault_plan: None,
-                fault_deadlock_ok: false,
-                sweep_plan: Some(drop_sweep),
-                check_final: Some(final_dma_vs_dirty_l2),
-                exhaustive: true,
+                cpu: vec![cpu(&[CpuOp::Store(A, 5)])],
+                dma: vec![DmaCommand::Read { base: A, lines: 1, at: Tick(0) }],
+                allowed: vec![(A, vec![5])],
+                also: Some(dma_read_saw_no_torn_line),
+                ..Litmus::new(
+                    "dma_vs_dirty_l2",
+                    "a DMA read races a CPU store dirtying the same line in an L2",
+                )
             },
             Litmus {
-                name: "slc_atomic_vs_probe",
-                describe: "a GPU system-scope atomic at the directory races a CPU store to the line",
-                build: build_slc_atomic_vs_probe,
-                fault_plan: None,
-                fault_deadlock_ok: false,
-                sweep_plan: Some(drop_sweep),
-                check_final: Some(final_slc_atomic_vs_probe),
-                exhaustive: true,
+                cpu: vec![cpu(&[CpuOp::Store(A, 10)])],
+                gpu: vec![GpuScript::new(vec![GpuOp::AtomicSlc(A, AtomicKind::FetchAdd(1))])],
+                // atomic-then-store ⇒ 10; store-then-atomic ⇒ 11.
+                allowed: vec![(A, vec![10, 11])],
+                ..Litmus::new(
+                    "slc_atomic_vs_probe",
+                    "a GPU system-scope atomic at the directory races a CPU store to the line",
+                )
             },
             Litmus {
-                name: "retry_storm",
-                describe: "sustained request loss with retries on: recover or deadlock cleanly, never corrupt",
-                build: build_retry_storm,
-                fault_plan: None,
-                fault_deadlock_ok: false,
+                cpu: vec![
+                    cpu(&[CpuOp::Store(A, 1), CpuOp::Load(A_W1), CpuOp::Store(B, 3)]),
+                    idle,
+                    cpu(&[CpuOp::Store(A_W1, 2), CpuOp::Load(A)]),
+                ],
                 sweep_plan: Some(heavy_drop_sweep),
-                check_final: Some(final_retry_storm),
+                allowed: vec![(A, vec![1]), (A_W1, vec![2]), (B, vec![3])],
                 exhaustive: false,
+                ..Litmus::new(
+                    "retry_storm",
+                    "sustained request loss with retries on: recover or deadlock cleanly, never corrupt",
+                )
             },
         ]
     }
@@ -391,83 +403,9 @@ fn dup_first_resp() -> FaultPlan {
     }
 }
 
-fn build_two_writers(faults: Option<FaultPlan>, retry: Option<RetryPolicy>) -> System {
-    let mut b = SystemBuilder::new(apply_knobs(tiny_config(), faults, retry));
-    // Threads place two-per-pair; the idle filler pushes w1 to pair 1 so
-    // the writers are distinct coherence agents.
-    b.add_cpu_thread(Box::new(CpuScript::new(vec![CpuOp::Store(A, 1)])));
-    b.add_cpu_thread(Box::new(CpuScript::new(vec![])));
-    b.add_cpu_thread(Box::new(CpuScript::new(vec![CpuOp::Store(A_W1, 2)])));
-    b.build()
-}
-
-fn final_two_writers(sys: &System) -> Result<(), String> {
-    expect_word(sys, A, &[1])?;
-    expect_word(sys, A_W1, &[2])
-}
-
-fn build_victim_vs_probe(faults: Option<FaultPlan>, retry: Option<RetryPolicy>) -> System {
-    let mut cfg = tiny_config();
-    // Direct-mapped 2-line L2: the store to B evicts A's dirty copy, so
-    // the VicDirty write-back is in flight exactly when pair 1's read
-    // probes line A.
-    cfg.cpu.l2_bytes = 128;
-    cfg.cpu.l2_ways = 1;
-    let mut b = SystemBuilder::new(apply_knobs(cfg, faults, retry));
-    b.add_cpu_thread(Box::new(CpuScript::new(vec![CpuOp::Store(A, 1), CpuOp::Store(B, 2)])));
-    b.add_cpu_thread(Box::new(CpuScript::new(vec![])));
-    b.add_cpu_thread(Box::new(CpuScript::new(vec![CpuOp::Load(A)])));
-    b.build()
-}
-
-fn final_victim_vs_probe(sys: &System) -> Result<(), String> {
-    expect_word(sys, A, &[1])?;
-    expect_word(sys, B, &[2])
-}
-
-fn build_dup_reply(faults: Option<FaultPlan>, retry: Option<RetryPolicy>) -> System {
-    let mut b = SystemBuilder::new(apply_knobs(tiny_config(), faults, retry));
-    b.add_cpu_thread(Box::new(CpuScript::new(vec![CpuOp::Store(A, 1)])));
-    b.add_cpu_thread(Box::new(CpuScript::new(vec![])));
-    b.add_cpu_thread(Box::new(CpuScript::new(vec![CpuOp::Load(A)])));
-    b.build()
-}
-
-fn final_dup_reply(sys: &System) -> Result<(), String> {
-    expect_word(sys, A, &[1])
-}
-
-fn build_atomic_vs_eviction(faults: Option<FaultPlan>, retry: Option<RetryPolicy>) -> System {
-    let mut cfg = tiny_config();
-    cfg.cpu.l2_bytes = 128;
-    cfg.cpu.l2_ways = 1;
-    let mut b = SystemBuilder::new(apply_knobs(cfg, faults, retry));
-    b.add_cpu_thread(Box::new(CpuScript::new(vec![
-        CpuOp::Atomic(A, AtomicKind::FetchAdd(1)),
-        CpuOp::Store(B, 7),
-    ])));
-    b.add_cpu_thread(Box::new(CpuScript::new(vec![])));
-    b.add_cpu_thread(Box::new(CpuScript::new(vec![CpuOp::Atomic(A, AtomicKind::FetchAdd(1))])));
-    b.init_word(A, 10);
-    b.build()
-}
-
-fn final_atomic_vs_eviction(sys: &System) -> Result<(), String> {
-    expect_word(sys, A, &[12])?;
-    expect_word(sys, B, &[7])
-}
-
-fn build_dma_vs_dirty_l2(faults: Option<FaultPlan>, retry: Option<RetryPolicy>) -> System {
-    let mut b = SystemBuilder::new(apply_knobs(tiny_config(), faults, retry));
-    b.add_cpu_thread(Box::new(CpuScript::new(vec![CpuOp::Store(A, 5)])));
-    b.add_dma(DmaCommand::Read { base: A, lines: 1, at: Tick(0) });
-    b.build()
-}
-
-fn final_dma_vs_dirty_l2(sys: &System) -> Result<(), String> {
-    expect_word(sys, A, &[5])?;
-    // The DMA read serialized either before or after the store; any
-    // other value means it saw a torn or stale-after-probe line.
+/// The DMA read serialized either before or after the store; any other
+/// value means it saw a torn or stale-after-probe line.
+fn dma_read_saw_no_torn_line(sys: &System) -> Result<(), String> {
     let read = sys
         .dma_read_data()
         .into_iter()
@@ -479,36 +417,6 @@ fn final_dma_vs_dirty_l2(sys: &System) -> Result<(), String> {
     } else {
         Err(format!("DMA read observed {got:#x}, neither initial 0 nor stored 5"))
     }
-}
-
-fn build_slc_atomic_vs_probe(faults: Option<FaultPlan>, retry: Option<RetryPolicy>) -> System {
-    let mut b = SystemBuilder::new(apply_knobs(tiny_config(), faults, retry));
-    b.add_cpu_thread(Box::new(CpuScript::new(vec![CpuOp::Store(A, 10)])));
-    b.add_wavefront(Box::new(GpuScript::new(vec![GpuOp::AtomicSlc(A, AtomicKind::FetchAdd(1))])));
-    b.build()
-}
-
-fn final_slc_atomic_vs_probe(sys: &System) -> Result<(), String> {
-    // atomic-then-store ⇒ 10; store-then-atomic ⇒ 11.
-    expect_word(sys, A, &[10, 11])
-}
-
-fn build_retry_storm(faults: Option<FaultPlan>, retry: Option<RetryPolicy>) -> System {
-    let mut b = SystemBuilder::new(apply_knobs(tiny_config(), faults, retry));
-    b.add_cpu_thread(Box::new(CpuScript::new(vec![
-        CpuOp::Store(A, 1),
-        CpuOp::Load(A_W1),
-        CpuOp::Store(B, 3),
-    ])));
-    b.add_cpu_thread(Box::new(CpuScript::new(vec![])));
-    b.add_cpu_thread(Box::new(CpuScript::new(vec![CpuOp::Store(A_W1, 2), CpuOp::Load(A)])));
-    b.build()
-}
-
-fn final_retry_storm(sys: &System) -> Result<(), String> {
-    expect_word(sys, A, &[1])?;
-    expect_word(sys, A_W1, &[2])?;
-    expect_word(sys, B, &[3])
 }
 
 #[cfg(test)]
@@ -539,13 +447,29 @@ mod tests {
     }
 
     #[test]
-    fn scripts_replay_their_ops_then_finish() {
-        let mut s = CpuScript::new(vec![CpuOp::Store(A, 1)]);
-        assert_eq!(s.next_op(None), CpuOp::Store(A, 1));
-        assert_eq!(s.next_op(None), CpuOp::Done);
-        let mut g = GpuScript::new(vec![GpuOp::Acquire]);
-        assert_eq!(g.next_op(None), GpuOp::Acquire);
-        assert_eq!(g.next_op(None), GpuOp::Done);
+    fn a_scenario_built_at_run_time_is_explored_and_judged() {
+        // Not from the catalog: the programs are computed here, as a
+        // trace shrinker's or a fuzzer's output would be.
+        let writers: Vec<CpuScript> = [Some(A), None, Some(A_W1)]
+            .into_iter()
+            .map(|a| CpuScript::new(a.map(|a| CpuOp::Store(a, a.0)).into_iter().collect()))
+            .collect();
+        let good = Litmus {
+            cpu: writers,
+            allowed: vec![(A, vec![A.0]), (A_W1, vec![A_W1.0])],
+            ..Litmus::new("computed", "two generated writers, one line")
+        };
+        let report = good.check_exhaustive(&CheckConfig::default());
+        assert!(report.passed());
+        let two_writers = Litmus::by_name("two_writers").unwrap();
+        let catalog = two_writers.check_exhaustive(&CheckConfig::default());
+        let states = |r: &LitmusReport| r.fault_free.as_ref().unwrap().states;
+        assert_eq!(states(&report), states(&catalog), "the same race: programs are not state");
+
+        let wrong = Litmus { allowed: vec![(A, vec![A.0 + 1])], ..good };
+        let report = wrong.check_exhaustive(&CheckConfig::default());
+        let cx = report.counterexample().expect("no run can end with that word");
+        assert_eq!(cx.kind, crate::ViolationKind::FinalState);
     }
 
     #[test]
@@ -555,9 +479,7 @@ mod tests {
         for l in Litmus::catalog() {
             let mut sys = l.build(None, None);
             sys.run(SWEEP_EVENT_BUDGET).unwrap_or_else(|e| panic!("{}: {e}", l.name));
-            if let Some(f) = l.check_final {
-                f(&sys).unwrap_or_else(|e| panic!("{}: {e}", l.name));
-            }
+            l.check_final(&sys).unwrap_or_else(|e| panic!("{}: {e}", l.name));
         }
     }
 }

@@ -854,32 +854,10 @@ fn fill_tag(l1: &mut CacheArray<()>, la: LineAddr) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CpuScript;
     use hsc_mem::{AtomicKind, MainMemory};
     use hsc_noc::{Action, Grant};
     use hsc_sim::WheelQueue;
-
-    /// A scripted program for tests.
-    #[derive(Debug)]
-    struct Script {
-        ops: Vec<CpuOp>,
-        idx: usize,
-        seen: Vec<Option<u64>>,
-    }
-
-    impl Script {
-        fn new(ops: Vec<CpuOp>) -> Self {
-            Script { ops, idx: 0, seen: Vec::new() }
-        }
-    }
-
-    impl CoreProgram for Script {
-        fn next_op(&mut self, last: Option<u64>) -> CpuOp {
-            self.seen.push(last);
-            let op = self.ops.get(self.idx).copied().unwrap_or(CpuOp::Done);
-            self.idx += 1;
-            op
-        }
-    }
 
     /// Drives a single CorePair against a trivially coherent fake
     /// directory: every RdBlk→E, RdBlkS→S, RdBlkM→M, probes never sent.
@@ -962,7 +940,7 @@ mod tests {
     #[test]
     fn store_then_load_round_trips_through_l2() {
         let a = Addr(0x1000);
-        let prog = Script::new(vec![CpuOp::Store(a, 42), CpuOp::Load(a), CpuOp::Done]);
+        let prog = CpuScript::new(vec![CpuOp::Store(a, 42), CpuOp::Load(a), CpuOp::Done]);
         let (pair, _mem) = run_pair(pair_with(vec![Box::new(prog)]), 10_000);
         assert!(pair.is_done());
         assert_eq!(pair.stats().get("core.stores"), 1);
@@ -977,7 +955,7 @@ mod tests {
     #[test]
     fn silent_e_to_m_upgrade_on_store_after_load() {
         let a = Addr(0x2000);
-        let prog = Script::new(vec![CpuOp::Load(a), CpuOp::Store(a, 7), CpuOp::Done]);
+        let prog = CpuScript::new(vec![CpuOp::Load(a), CpuOp::Store(a, 7), CpuOp::Done]);
         let (pair, _mem) = run_pair(pair_with(vec![Box::new(prog)]), 10_000);
         assert!(pair.is_done());
         // RdBlk granted E; the store upgraded silently: no RdBlkM issued.
@@ -989,7 +967,7 @@ mod tests {
     #[test]
     fn atomic_returns_old_value_to_the_program() {
         let a = Addr(0x3000);
-        let prog = Script::new(vec![
+        let prog = CpuScript::new(vec![
             CpuOp::Store(a, 10),
             CpuOp::Atomic(a, AtomicKind::FetchAdd(5)),
             CpuOp::Load(a),
@@ -1011,7 +989,7 @@ mod tests {
             ops.push(CpuOp::Store(Addr(0x10000 + i * 64), i));
         }
         ops.push(CpuOp::Done);
-        let (pair, mem) = run_pair(pair_with(vec![Box::new(Script::new(ops))]), 100_000);
+        let (pair, mem) = run_pair(pair_with(vec![Box::new(CpuScript::new(ops))]), 100_000);
         assert!(pair.is_done());
         assert!(pair.stats().get("l2.vic_dirty") > 0, "dirty victims must reach the directory");
         // Every victimized dirty line must have landed in (fake) memory.
@@ -1034,7 +1012,7 @@ mod tests {
         }
         ops.push(CpuOp::Load(Addr(0x20000)));
         ops.push(CpuOp::Done);
-        let (pair, _) = run_pair(pair_with(vec![Box::new(Script::new(ops))]), 100_000);
+        let (pair, _) = run_pair(pair_with(vec![Box::new(CpuScript::new(ops))]), 100_000);
         assert!(pair.is_done());
         assert!(pair.stats().get("l2.vic_clean") > 0, "clean victims are noisy");
     }
@@ -1042,7 +1020,7 @@ mod tests {
     #[test]
     fn two_cores_share_the_l2() {
         let a = Addr(0x4000);
-        let p0 = Script::new(vec![CpuOp::Store(a, 9), CpuOp::Done]);
+        let p0 = CpuScript::new(vec![CpuOp::Store(a, 9), CpuOp::Done]);
         // Core 1 spins until it observes core 0's store through the shared L2.
         #[derive(Debug)]
         struct Spin {
@@ -1067,7 +1045,7 @@ mod tests {
     #[test]
     fn invalidating_probe_forwards_dirty_and_invalidates() {
         let a = Addr(0x5000);
-        let prog = Script::new(vec![CpuOp::Store(a, 3), CpuOp::Done]);
+        let prog = CpuScript::new(vec![CpuOp::Store(a, 3), CpuOp::Done]);
         let mut pair = pair_with(vec![Box::new(prog)]);
         let mut mem = MainMemory::new();
         run_pair_with_mem(&mut pair, &mut mem, 10_000);
@@ -1100,7 +1078,7 @@ mod tests {
     #[test]
     fn downgrade_probe_moves_m_to_o_and_keeps_data() {
         let a = Addr(0x6000);
-        let prog = Script::new(vec![CpuOp::Store(a, 5), CpuOp::Done]);
+        let prog = CpuScript::new(vec![CpuOp::Store(a, 5), CpuOp::Done]);
         let mut pair = pair_with(vec![Box::new(prog)]);
         let mut mem = MainMemory::new();
         run_pair_with_mem(&mut pair, &mut mem, 10_000);
@@ -1179,7 +1157,7 @@ mod tests {
             ..CpuConfig::default()
         };
         let ops: Vec<CpuOp> = (0..32).map(|_| CpuOp::Compute(1)).chain([CpuOp::Done]).collect();
-        let pair = CorePair::new(0, vec![Box::new(Script::new(ops))], cfg);
+        let pair = CorePair::new(0, vec![Box::new(CpuScript::new(ops))], cfg);
         let (pair, _) = run_pair(pair, 100_000);
         assert!(pair.is_done());
         assert!(pair.stats().get("l2.req.RdBlkS") > 0, "I-fetches must miss at least once");
@@ -1188,7 +1166,7 @@ mod tests {
     #[test]
     fn transition_matrix_tracks_fills_upgrades_and_probes() {
         let a = Addr(0x7000);
-        let prog = Script::new(vec![CpuOp::Load(a), CpuOp::Store(a, 7), CpuOp::Done]);
+        let prog = CpuScript::new(vec![CpuOp::Load(a), CpuOp::Store(a, 7), CpuOp::Done]);
         let mut pair = pair_with(vec![Box::new(prog)]);
         pair.enable_analytics();
         let mut mem = MainMemory::new();
@@ -1216,7 +1194,7 @@ mod tests {
     #[test]
     fn transition_matrix_is_free_and_silent_when_disabled() {
         let a = Addr(0x7000);
-        let prog = Script::new(vec![CpuOp::Load(a), CpuOp::Store(a, 7), CpuOp::Done]);
+        let prog = CpuScript::new(vec![CpuOp::Load(a), CpuOp::Store(a, 7), CpuOp::Done]);
         let (pair, _mem) = run_pair(pair_with(vec![Box::new(prog)]), 10_000);
         assert_eq!(pair.transitions().total(), 0);
         assert!(!pair.transitions().is_enabled());

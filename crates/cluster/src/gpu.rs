@@ -1087,34 +1087,12 @@ fn fill_tag(c: &mut CacheArray<()>, la: LineAddr) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GpuScript;
     use hsc_mem::{AtomicKind, MainMemory};
     use hsc_noc::{Action, Grant};
     use hsc_sim::WheelQueue;
     use std::cell::RefCell;
     use std::rc::Rc;
-
-    #[derive(Debug)]
-    struct Script {
-        ops: Vec<GpuOp>,
-        idx: usize,
-        /// Every `last` the wavefront was handed, shared with the test.
-        values: Rc<RefCell<Vec<Option<u64>>>>,
-    }
-
-    impl Script {
-        fn new(ops: Vec<GpuOp>) -> Self {
-            Script { ops, idx: 0, values: Rc::default() }
-        }
-    }
-
-    impl WavefrontProgram for Script {
-        fn next_op(&mut self, last: Option<u64>) -> GpuOp {
-            self.values.borrow_mut().push(last);
-            let op = self.ops.get(self.idx).cloned().unwrap_or(GpuOp::Done);
-            self.idx += 1;
-            op
-        }
-    }
 
     fn small_cfg() -> GpuConfig {
         GpuConfig {
@@ -1188,17 +1166,13 @@ mod tests {
         one_wf_observed(ops, cfg).0
     }
 
-    /// Also returns the values the wavefront will have been handed.
-    fn one_wf_observed(
-        ops: Vec<GpuOp>,
-        cfg: GpuConfig,
-    ) -> (GpuCluster, Rc<RefCell<Vec<Option<u64>>>>) {
-        let script = Script::new(ops);
-        let seen = Rc::clone(&script.values);
+    /// Also returns a handle to the script, for the values it was handed.
+    fn one_wf_observed(ops: Vec<GpuOp>, cfg: GpuConfig) -> (GpuCluster, Rc<RefCell<GpuScript>>) {
+        let script = Rc::new(RefCell::new(GpuScript::new(ops)));
         let mut programs: Vec<Vec<Box<dyn WavefrontProgram>>> =
             (0..cfg.cus).map(|_| Vec::new()).collect();
-        programs[0].push(Box::new(script));
-        (GpuCluster::new(0, programs, cfg), seen)
+        programs[0].push(Box::new(Rc::clone(&script)));
+        (GpuCluster::new(0, programs, cfg), script)
     }
 
     #[test]
@@ -1249,7 +1223,7 @@ mod tests {
         assert!(gpu.is_done());
         assert_eq!(mem.read_word(a), 110);
         assert_eq!(
-            *seen.borrow(),
+            seen.borrow().handed(),
             [None, Some(100), Some(105)],
             "each atomic returns the old value"
         );

@@ -41,5 +41,5 @@ pub use corepair::{CorePair, CpuConfig};
 pub use dma::{DmaCommand, DmaEngine};
 pub use gpu::{GpuCluster, GpuConfig, GpuWritePolicy};
 pub use moesi::MoesiState;
-pub use ops::{CoreProgram, CpuOp, GpuOp, WavefrontProgram};
+pub use ops::{CoreProgram, CpuOp, CpuScript, GpuOp, GpuScript, WavefrontProgram};
 pub use viper::{TccLine, TcpLine, ViState};

@@ -1,4 +1,6 @@
+use std::cell::RefCell;
 use std::fmt;
+use std::rc::Rc;
 
 use hsc_mem::{Addr, AtomicKind};
 
@@ -128,31 +130,91 @@ pub trait WavefrontProgram: fmt::Debug {
     fn next_op(&mut self, last_value: Option<u64>) -> GpuOp;
 }
 
+/// A scripted CPU thread: plays a fixed op list front to back, then
+/// retires. The one op-list program — litmus scenarios and controller
+/// tests are written in it; it never branches on a loaded value, so a
+/// scenario built from scripts is plain data.
+#[derive(Debug, Clone, Default)]
+pub struct CpuScript {
+    ops: Vec<CpuOp>,
+    cursor: usize,
+}
+
+impl CpuScript {
+    /// A thread that executes `ops` in order and finishes; an empty list
+    /// is an idle thread.
+    #[must_use]
+    pub fn new(ops: Vec<CpuOp>) -> Self {
+        CpuScript { ops, cursor: 0 }
+    }
+}
+
+impl CoreProgram for CpuScript {
+    fn next_op(&mut self, _last: Option<u64>) -> CpuOp {
+        let op = self.ops.get(self.cursor).copied().unwrap_or(CpuOp::Done);
+        self.cursor += 1;
+        op
+    }
+}
+
+/// A scripted GPU wavefront, the [`CpuScript`] counterpart. It also keeps
+/// every value it was handed back, for tests of what a load or an atomic
+/// returned.
+#[derive(Debug, Clone)]
+pub struct GpuScript {
+    ops: Vec<GpuOp>,
+    cursor: usize,
+    handed: Vec<Option<u64>>,
+}
+
+impl GpuScript {
+    /// A wavefront that executes `ops` in order and finishes.
+    #[must_use]
+    pub fn new(ops: Vec<GpuOp>) -> Self {
+        GpuScript { ops, cursor: 0, handed: Vec::new() }
+    }
+
+    /// The `last_value` of every `next_op` call so far, in call order:
+    /// entry `i + 1` is what op `i` returned.
+    #[must_use]
+    pub fn handed(&self) -> &[Option<u64>] {
+        &self.handed
+    }
+}
+
+impl WavefrontProgram for GpuScript {
+    fn next_op(&mut self, last: Option<u64>) -> GpuOp {
+        self.handed.push(last);
+        let op = self.ops.get(self.cursor).cloned().unwrap_or(GpuOp::Done);
+        self.cursor += 1;
+        op
+    }
+}
+
+/// A shared handle to a program is a program: a test keeps one clone and
+/// reads the program's state back after the run that owned the other.
+impl<P: WavefrontProgram> WavefrontProgram for Rc<RefCell<P>> {
+    fn next_op(&mut self, last_value: Option<u64>) -> GpuOp {
+        self.borrow_mut().next_op(last_value)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[derive(Debug)]
-    struct Counter(u32);
-
-    impl CoreProgram for Counter {
-        fn next_op(&mut self, _last: Option<u64>) -> CpuOp {
-            if self.0 == 0 {
-                CpuOp::Done
-            } else {
-                self.0 -= 1;
-                CpuOp::Compute(1)
-            }
-        }
-    }
-
     #[test]
-    fn programs_are_plain_state_machines() {
-        let mut p = Counter(2);
-        assert_eq!(p.next_op(None), CpuOp::Compute(1));
-        assert_eq!(p.next_op(None), CpuOp::Compute(1));
-        assert_eq!(p.next_op(None), CpuOp::Done);
-        assert_eq!(p.next_op(None), CpuOp::Done, "Done is sticky-safe");
+    fn scripts_replay_their_ops_then_finish() {
+        let mut s = CpuScript::new(vec![CpuOp::Compute(1), CpuOp::Store(Addr(8), 1)]);
+        assert_eq!(s.next_op(None), CpuOp::Compute(1));
+        assert_eq!(s.next_op(None), CpuOp::Store(Addr(8), 1));
+        assert_eq!(s.next_op(None), CpuOp::Done);
+        assert_eq!(s.next_op(None), CpuOp::Done, "Done is sticky");
+        let shared = Rc::new(RefCell::new(GpuScript::new(vec![GpuOp::Acquire])));
+        let mut g = Rc::clone(&shared);
+        assert_eq!(g.next_op(None), GpuOp::Acquire);
+        assert_eq!(g.next_op(Some(7)), GpuOp::Done);
+        assert_eq!(shared.borrow().handed(), [None, Some(7)]);
     }
 
     #[test]

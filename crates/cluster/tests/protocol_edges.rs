@@ -2,9 +2,12 @@
 //! directory: races the full-system runs only hit probabilistically are
 //! forced deterministically here.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use hsc_cluster::{
-    CorePair, CoreProgram, CpuConfig, CpuOp, DmaCommand, DmaEngine, GpuCluster, GpuConfig, GpuOp,
-    GpuWritePolicy, WavefrontProgram,
+    CorePair, CpuConfig, CpuOp, CpuScript, DmaCommand, DmaEngine, GpuCluster, GpuConfig, GpuOp,
+    GpuScript, GpuWritePolicy,
 };
 use hsc_mem::{Addr, LineAddr, LineData, MainMemory};
 use hsc_noc::{Action, AgentId, Grant, Message, MsgKind, Outbox, ProbeKind, WordMask};
@@ -14,17 +17,6 @@ fn data(v: u64) -> LineData {
     let mut d = LineData::zeroed();
     d.set_word(0, v);
     d
-}
-
-#[derive(Debug)]
-struct Script(Vec<CpuOp>, usize);
-
-impl CoreProgram for Script {
-    fn next_op(&mut self, _last: Option<u64>) -> CpuOp {
-        let op = self.0.get(self.1).copied().unwrap_or(CpuOp::Done);
-        self.1 += 1;
-        op
-    }
 }
 
 /// The wake half of a stub driver for one CorePair: the test plays the
@@ -92,10 +84,7 @@ fn inv_probe_during_pending_upgrade_invalidates_the_s_copy() {
     let a = Addr(0x9000);
     let mut pair = CorePair::new(
         0,
-        vec![Box::new(Script(
-            vec![CpuOp::Load(a), CpuOp::Store(a, 5), CpuOp::Load(a), CpuOp::Done],
-            0,
-        ))],
+        vec![Box::new(CpuScript::new(vec![CpuOp::Load(a), CpuOp::Store(a, 5), CpuOp::Load(a)]))],
         CpuConfig::default(),
     );
     let mut pump = WakePump::new();
@@ -132,10 +121,7 @@ fn upgrade_ack_preserves_the_owned_lines_local_stores() {
     let a = Addr(0xA000);
     let mut pair = CorePair::new(
         0,
-        vec![Box::new(Script(
-            vec![CpuOp::Store(a, 7), CpuOp::Store(a.word(1), 8), CpuOp::Done],
-            0,
-        ))],
+        vec![Box::new(CpuScript::new(vec![CpuOp::Store(a, 7), CpuOp::Store(a.word(1), 8)]))],
         CpuConfig::default(),
     );
     let mut pump = WakePump::new();
@@ -168,21 +154,10 @@ fn wb_tcc_eviction_writes_back_via_write_through() {
         ifetch_interval: 10_000,
         ..GpuConfig::default()
     };
-    #[derive(Debug)]
-    struct Streamer {
-        i: u64,
-    }
-    impl WavefrontProgram for Streamer {
-        fn next_op(&mut self, _last: Option<u64>) -> GpuOp {
-            if self.i >= 40 {
-                return GpuOp::Done; // no release: eviction must do the WB
-            }
-            let a = Addr(0x1000 + self.i * 128); // stride 2 lines → one set
-            self.i += 1;
-            GpuOp::VecStore(vec![(a, self.i)])
-        }
-    }
-    let mut gpu = GpuCluster::new(0, vec![vec![Box::new(Streamer { i: 0 })]], cfg);
+    // 40 stores at a stride of 2 lines → one set; no release, so eviction
+    // must do the write-back.
+    let stores = (0..40).map(|i| GpuOp::VecStore(vec![(Addr(0x1000 + i * 128), i + 1)])).collect();
+    let mut gpu = GpuCluster::new(0, vec![vec![Box::new(GpuScript::new(stores))]], cfg);
     let mut q: WheelQueue<Ev> = WheelQueue::new();
     #[derive(Debug)]
     enum Ev {
@@ -304,28 +279,11 @@ fn slc_atomic_self_invalidates_cached_copies() {
     // A TCC copy of a line must not survive an SLC atomic to that line
     // (the directory-side modification would make it stale).
     let a = Addr(0x7000);
-    #[derive(Debug)]
-    struct P {
-        step: u32,
-    }
-    impl WavefrontProgram for P {
-        fn next_op(&mut self, last: Option<u64>) -> GpuOp {
-            self.step += 1;
-            match self.step {
-                1 => GpuOp::VecLoad(vec![Addr(0x7000)]),
-                2 => GpuOp::AtomicSlc(Addr(0x7000), hsc_mem::AtomicKind::FetchAdd(1)),
-                3 => {
-                    assert_eq!(last, Some(0), "old value from the directory");
-                    GpuOp::VecLoad(vec![Addr(0x7000)]) // must MISS and refetch
-                }
-                4 => {
-                    assert_eq!(last, Some(1), "the refetch sees the atomic's result");
-                    GpuOp::Done
-                }
-                _ => GpuOp::Done,
-            }
-        }
-    }
+    let script = Rc::new(RefCell::new(GpuScript::new(vec![
+        GpuOp::VecLoad(vec![a]),
+        GpuOp::AtomicSlc(a, hsc_mem::AtomicKind::FetchAdd(1)),
+        GpuOp::VecLoad(vec![a]), // must MISS and refetch
+    ])));
     let cfg = GpuConfig {
         cus: 1,
         tcp_bytes: 1024,
@@ -334,7 +292,7 @@ fn slc_atomic_self_invalidates_cached_copies() {
         ifetch_interval: 10_000,
         ..GpuConfig::default()
     };
-    let mut gpu = GpuCluster::new(0, vec![vec![Box::new(P { step: 0 })]], cfg);
+    let mut gpu = GpuCluster::new(0, vec![vec![Box::new(Rc::clone(&script))]], cfg);
     // Mini fake directory executing the atomic functionally.
     #[derive(Debug)]
     enum Ev {
@@ -379,6 +337,11 @@ fn slc_atomic_self_invalidates_cached_copies() {
         }
     }
     assert!(gpu.is_done());
+    assert_eq!(
+        script.borrow().handed(),
+        [None, Some(0), Some(0), Some(1)],
+        "the atomic returns the directory's old value; the refetch sees its result"
+    );
     assert_eq!(rdblks, 2, "the post-atomic load must refetch (self-invalidation)");
     assert_eq!(mem.read_word(a), 1);
 }

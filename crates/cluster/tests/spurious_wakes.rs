@@ -21,8 +21,8 @@ use std::collections::BTreeMap;
 use std::hash::Hasher;
 
 use hsc_cluster::{
-    CorePair, CoreProgram, CpuConfig, CpuOp, GpuCluster, GpuConfig, GpuOp, GpuWritePolicy,
-    WavefrontProgram,
+    CorePair, CoreProgram, CpuConfig, CpuOp, CpuScript, GpuCluster, GpuConfig, GpuOp, GpuScript,
+    GpuWritePolicy, WavefrontProgram,
 };
 use hsc_mem::{Addr, AtomicKind, LineAddr, MainMemory};
 use hsc_noc::{Action, AgentId, Grant, Message, MsgKind, Outbox, ProbeKind};
@@ -42,26 +42,6 @@ fn addr(rng: &mut DetRng) -> Addr {
     Addr(BASE + rng.next_below(LINES) * 64 + rng.next_below(8) * 8)
 }
 
-#[derive(Debug)]
-struct CpuScript(Vec<CpuOp>, usize);
-
-impl CoreProgram for CpuScript {
-    fn next_op(&mut self, _last: Option<u64>) -> CpuOp {
-        self.1 += 1;
-        self.0.get(self.1 - 1).copied().unwrap_or(CpuOp::Done)
-    }
-}
-
-#[derive(Debug)]
-struct GpuScript(Vec<GpuOp>, usize);
-
-impl WavefrontProgram for GpuScript {
-    fn next_op(&mut self, _last: Option<u64>) -> GpuOp {
-        self.1 += 1;
-        self.0.get(self.1 - 1).cloned().unwrap_or(GpuOp::Done)
-    }
-}
-
 fn cpu_script(rng: &mut DetRng) -> Box<dyn CoreProgram> {
     let ops = (0..80)
         .map(|i| match rng.next_below(5) {
@@ -71,7 +51,7 @@ fn cpu_script(rng: &mut DetRng) -> Box<dyn CoreProgram> {
             _ => CpuOp::Atomic(addr(rng), AtomicKind::FetchAdd(1)),
         })
         .collect();
-    Box::new(CpuScript(ops, 0))
+    Box::new(CpuScript::new(ops))
 }
 
 fn gpu_script(rng: &mut DetRng) -> Box<dyn WavefrontProgram> {
@@ -86,7 +66,7 @@ fn gpu_script(rng: &mut DetRng) -> Box<dyn WavefrontProgram> {
             _ => GpuOp::Release,
         })
         .collect();
-    Box::new(GpuScript(ops, 0))
+    Box::new(GpuScript::new(ops))
 }
 
 /// The face the driver needs of a requester.

@@ -1206,12 +1206,15 @@ impl Directory {
             }
         } else {
             // Bypass the LLC but keep any cached copy coherent by merging
-            // in place; dirty LLC lines stay dirty (their unwritten words
+            // in place — the whole of `full` when there is one: a dirty
+            // probe ack is newer than the LLC copy in words the mask does
+            // not cover. Dirty LLC lines stay dirty (their unwritten words
             // are still newer than memory).
-            self.llc.merge(line, data, mask, false);
             if let Some(full) = full {
+                self.llc.merge(line, &full, WordMask::full(), false);
                 self.mem_write(line, full, out);
             } else {
+                self.llc.merge(line, data, mask, false);
                 self.mem_write_masked(line, *data, mask, out);
             }
         }

@@ -345,6 +345,44 @@ fn write_through_merges_masked_words_into_memory() {
 }
 
 #[test]
+fn bypassing_write_through_with_a_dirty_ack_keeps_the_clean_llc_copy_equal_to_memory() {
+    // The PR 11 lost update: a clean LLC copy left by a VicClean, then the
+    // evicting L2 re-owns the line and dirties word 5; a TCC write-through
+    // of word 7 probes that store out. Both words must reach the LLC copy,
+    // or the next read hits the LLC and is served the pre-store word 5.
+    let mut h = Harness::new(CoherenceConfig::baseline());
+    h.send(L2_0, LINE, MsgKind::VicClean { data: data(3) });
+    h.send(L2_0, LINE, MsgKind::RdBlkM);
+    h.ack_all_probes(LINE, None);
+    h.send(L2_0, LINE, MsgKind::Unblock);
+    h.to_caches.clear();
+
+    let mut stored = data(3);
+    stored.set_word(5, 55);
+    let mut wt = LineData::zeroed();
+    wt.set_word(7, 77);
+    h.send(
+        TCC,
+        LINE,
+        MsgKind::WriteThrough { data: wt, mask: WordMask::single(7), retains: false },
+    );
+    h.ack_all_probes(LINE, Some((L2_0, stored)));
+    assert!(matches!(h.drain_to(TCC)[0].kind, MsgKind::WtAck));
+
+    h.send(L2_1, LINE, MsgKind::RdBlk);
+    h.ack_all_probes(LINE, None);
+    match h.drain_to(L2_1)[0].kind {
+        MsgKind::Resp { data: d, .. } => {
+            assert_eq!((d.word(0), d.word(5), d.word(7)), (3, 55, 77), "the CPU store survives");
+        }
+        ref k => panic!("expected Resp, got {}", k.class_name()),
+    }
+    let llc = h.dir.llc().peek(LINE).expect("the victim's LLC copy is still resident");
+    assert!(!llc.dirty);
+    assert_eq!(llc.data, h.mem.read_line(LINE), "a clean LLC line equals memory");
+}
+
+#[test]
 fn use_l3_on_wt_fills_the_llc_and_skips_memory() {
     let mut h = Harness::new(CoherenceConfig::llc_write_back_l3_on_wt());
     let full = data(77);

@@ -268,14 +268,13 @@ impl TraceProgram {
     pub fn expected_final(&self) -> BTreeMap<Addr, Expectation> {
         // Per word address: per-stream write ops, in program order.
         let mut writers: BTreeMap<Addr, Vec<(usize, Vec<TraceOp>)>> = BTreeMap::new();
-        let mut touched: BTreeMap<Addr, ()> = BTreeMap::new();
-        for (a, _) in &self.init {
-            touched.insert(*a, ());
-        }
+        // Every touched word with its initial value: collecting lets the
+        // last `init` win, as `initial_word` does with a scan per word.
+        let mut touched: BTreeMap<Addr, u64> = self.init.iter().copied().collect();
         for (si, s) in self.streams.iter().enumerate() {
             for op in &s.ops {
                 let Some(a) = op.addr() else { continue };
-                touched.insert(a, ());
+                touched.entry(a).or_insert(0);
                 if !op.is_write() {
                     continue;
                 }
@@ -290,8 +289,7 @@ impl TraceProgram {
         // stream wrote in between — impossible here since we walk streams
         // one at a time, so each stream contributes exactly one entry.
         let mut out = BTreeMap::new();
-        for (a, _) in touched {
-            let init = self.initial_word(a);
+        for (a, init) in touched {
             let exp = match writers.get(&a) {
                 None => Expectation::Exact(init),
                 Some(per_stream) if per_stream.len() == 1 => {
@@ -500,9 +498,17 @@ mod tests {
 
     #[test]
     fn last_init_wins() {
-        let p = TraceProgram { init: vec![(Addr(0x100), 1), (Addr(0x100), 2)], streams: vec![] };
+        let p = TraceProgram {
+            init: vec![(Addr(0x100), 1), (Addr(0x108), 7), (Addr(0x100), 2)],
+            streams: vec![stream(StreamKind::Cpu, vec![add(0x108, 1), read(0x110)])],
+        };
         assert_eq!(p.initial_word(Addr(0x100)), 2);
-        assert_eq!(p.expected_final()[&Addr(0x100)], Expectation::Exact(2));
+        // The expectations start from `initial_word`, duplicates included.
+        let exp = p.expected_final();
+        for a in [0x100, 0x110] {
+            assert_eq!(exp[&Addr(a)], Expectation::Exact(p.initial_word(Addr(a))));
+        }
+        assert_eq!(exp[&Addr(0x108)], Expectation::Exact(p.initial_word(Addr(0x108)) + 1));
     }
 
     #[test]

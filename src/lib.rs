@@ -35,7 +35,7 @@ pub mod prelude {
     pub use hsc_bench::par::{Campaign, JobError, JobResult, Parallelism};
     pub use hsc_check::litmus::Litmus;
     pub use hsc_check::{explore, CheckConfig, Counterexample, ExploreReport, ViolationKind};
-    pub use hsc_cluster::{CoreProgram, CpuOp, GpuOp, WavefrontProgram};
+    pub use hsc_cluster::{CoreProgram, CpuOp, CpuScript, GpuOp, GpuScript, WavefrontProgram};
     pub use hsc_core::{
         CleanVictimPolicy, CoherenceConfig, DirReplacementPolicy, DirectoryMode, LlcWritePolicy,
         Metrics, System, SystemBuilder, SystemConfig, TraceConfig,

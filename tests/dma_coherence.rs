@@ -88,29 +88,6 @@ fn dma_write_invalidates_cpu_caches() {
     }
 }
 
-/// CPU thread: dirty a region, raise a flag. DMA then reads it.
-#[derive(Debug)]
-struct DirtyRegion {
-    step: u64,
-}
-
-impl CoreProgram for DirtyRegion {
-    fn next_op(&mut self, _last: Option<u64>) -> CpuOp {
-        let words = LINES * 8;
-        if self.step < words {
-            let a = REGION.word(self.step);
-            let v = 3000 + self.step;
-            self.step += 1;
-            return CpuOp::Store(a, v);
-        }
-        if self.step == words {
-            self.step += 1;
-            return CpuOp::Store(FLAG, 1);
-        }
-        CpuOp::Done
-    }
-}
-
 #[test]
 fn dma_read_observes_cpu_dirty_data() {
     for cfg in [
@@ -119,7 +96,10 @@ fn dma_read_observes_cpu_dirty_data() {
         CoherenceConfig::sharer_tracking(),
     ] {
         let mut b = SystemBuilder::new(SystemConfig::scaled(cfg));
-        b.add_cpu_thread(Box::new(DirtyRegion { step: 0 }));
+        // CPU thread: dirty the region, raise a flag.
+        let dirty_region = (0..LINES * 8).map(|i| CpuOp::Store(REGION.word(i), 3000 + i));
+        let ops = dirty_region.chain([CpuOp::Store(FLAG, 1)]).collect();
+        b.add_cpu_thread(Box::new(CpuScript::new(ops)));
         // The DMA read starts well after the CPU finished dirtying.
         b.add_dma(DmaCommand::Read { base: REGION, lines: LINES, at: Tick(2_000_000) });
         let mut sys = b.build();

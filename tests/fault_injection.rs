@@ -7,28 +7,13 @@ use hsc_repro::prelude::*;
 
 const TARGET: Addr = Addr(0x4_0000);
 
-/// One load of `TARGET`, then done. If the load's `RdBlk` (or its
+/// One thread that loads `TARGET` once. If the load's `RdBlk` (or its
 /// response) is lost and never retried, this thread blocks forever.
-#[derive(Debug, Default)]
-struct OneLoad {
-    step: u64,
-}
-
-impl CoreProgram for OneLoad {
-    fn next_op(&mut self, _last: Option<u64>) -> CpuOp {
-        self.step += 1;
-        match self.step {
-            1 => CpuOp::Load(TARGET),
-            _ => CpuOp::Done,
-        }
-    }
-}
-
 fn one_load_system(cfg: SystemConfig) -> System {
     let mut b = SystemBuilder::new(cfg);
     b.with_trace(TraceConfig::off());
     b.init_word(TARGET, 42);
-    b.add_cpu_thread(Box::new(OneLoad::default()));
+    b.add_cpu_thread(Box::new(CpuScript::new(vec![CpuOp::Load(TARGET)])));
     b.build()
 }
 
@@ -190,23 +175,6 @@ fn pending_events_render_wakes_and_deliveries() {
     panic!("the load's RdBlk never became a pending delivery");
 }
 
-/// Exactly one SLC fetch-add, then done.
-#[derive(Debug, Default)]
-struct OneAtomic {
-    fired: bool,
-}
-
-impl WavefrontProgram for OneAtomic {
-    fn next_op(&mut self, _last: Option<u64>) -> GpuOp {
-        if self.fired {
-            GpuOp::Done
-        } else {
-            self.fired = true;
-            GpuOp::AtomicSlc(TARGET, AtomicKind::FetchAdd(1))
-        }
-    }
-}
-
 /// SLC atomics are non-idempotent at the directory — a retried fetch-add
 /// whose original survived would apply twice — so the retry layer must
 /// *never* re-send one. A lost atomic therefore deadlocks even with
@@ -219,7 +187,8 @@ fn slc_atomics_are_never_retried() {
     let mut b = SystemBuilder::new(cfg);
     b.with_trace(TraceConfig::off());
     b.init_word(TARGET, 7);
-    b.add_wavefront(Box::new(OneAtomic::default()));
+    let fetch_add = GpuOp::AtomicSlc(TARGET, AtomicKind::FetchAdd(1));
+    b.add_wavefront(Box::new(GpuScript::new(vec![fetch_add])));
     let mut sys = b.build();
     match sys.run(10_000_000) {
         Err(SimError::Deadlock { snapshot }) => {

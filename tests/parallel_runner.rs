@@ -57,7 +57,7 @@ fn report_json_is_byte_identical_across_worker_counts() {
                 observed_record(w, "baseline", cfg, ObsConfig::report(REPORT_EPOCH_TICKS))
             });
         }
-        report.runs = expect_all("report", campaign.run(par));
+        report.runs = expect_all("report", campaign.run(par)).unwrap();
         report.to_json_string()
     };
     let serial = build(Parallelism::of(1));
@@ -170,6 +170,6 @@ fn campaign_results_preserve_submission_order_with_real_runs() {
         run_workload_on(&light, SystemConfig::scaled(CoherenceConfig::baseline())).workload
     });
     let names: Vec<&str> =
-        expect_all("order", campaign.run(Parallelism::of(2))).into_iter().collect();
+        expect_all("order", campaign.run(Parallelism::of(2))).unwrap().into_iter().collect();
     assert_eq!(names, ["tq", "hsti"]);
 }
