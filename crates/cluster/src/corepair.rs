@@ -109,7 +109,30 @@ enum TxnKind {
 #[derive(Debug)]
 struct L2Txn {
     kind: TxnKind,
-    waiters: Vec<usize>,
+    waiters: Waiters,
+}
+
+/// The cores blocked on one miss, in arrival order. Inline: a CorePair
+/// has two cores and a blocked core issues nothing, so two slots suffice.
+#[derive(Debug, Clone, Copy)]
+struct Waiters {
+    len: u8,
+    cores: [usize; 2],
+}
+
+impl Waiters {
+    fn one(core: usize) -> Self {
+        Waiters { len: 1, cores: [core, 0] }
+    }
+
+    fn push(&mut self, core: usize) {
+        self.cores[usize::from(self.len)] = core;
+        self.len += 1;
+    }
+
+    fn as_slice(&self) -> &[usize] {
+        &self.cores[..usize::from(self.len)]
+    }
 }
 
 #[derive(Debug)]
@@ -338,7 +361,7 @@ impl CorePair {
         let mut v: Vec<(LineAddr, String)> = self
             .mshr
             .iter()
-            .map(|(la, txn)| (la, format!("{:?} miss, {} waiter(s)", txn.kind, txn.waiters.len())))
+            .map(|(la, txn)| (la, format!("{:?} miss, {} waiter(s)", txn.kind, txn.waiters.len)))
             .collect();
         v.extend(self.victims.lines().map(|la| (la, String::from("parked victim write-back"))));
         v
@@ -407,7 +430,7 @@ impl CorePair {
         self.l1i.hash_state(h);
         self.l2.hash_state(h);
         for (la, txn) in self.mshr.iter() {
-            (la, txn.kind, &txn.waiters).hash(h);
+            (la, txn.kind, txn.waiters.as_slice()).hash(h);
         }
         for (la, e) in self.victims.iter() {
             (la, e).hash(h);
@@ -466,7 +489,7 @@ impl CorePair {
         };
         self.fill_line(la, MoesiState::from_grant(grant), data, out);
         out.send(Message::new(self.agent, AgentId::Directory, la, MsgKind::Unblock));
-        self.complete_waiters(now, la, &txn.waiters);
+        self.complete_waiters(now, la, txn.waiters.as_slice());
         self.step_cores(now, out);
     }
 
@@ -490,7 +513,7 @@ impl CorePair {
             self.counters.bump(self.ids.stale_resps);
         }
         out.send(Message::new(self.agent, AgentId::Directory, la, MsgKind::Unblock));
-        self.complete_waiters(now, la, &txn.waiters);
+        self.complete_waiters(now, la, txn.waiters.as_slice());
         self.step_cores(now, out);
     }
 
@@ -703,7 +726,7 @@ impl CorePair {
             txn.waiters.push(i);
         } else {
             self.mshr
-                .alloc(la, L2Txn { kind: TxnKind::ReadInstr, waiters: vec![i] })
+                .alloc(la, L2Txn { kind: TxnKind::ReadInstr, waiters: Waiters::one(i) })
                 .expect("CorePair MSHR sized for max 2 outstanding ops");
             let msg = Message::new(self.agent, AgentId::Directory, la, MsgKind::RdBlkS);
             out.send(msg);
@@ -721,7 +744,7 @@ impl CorePair {
             return;
         }
         self.mshr
-            .alloc(la, L2Txn { kind, waiters: vec![i] })
+            .alloc(la, L2Txn { kind, waiters: Waiters::one(i) })
             .expect("CorePair MSHR sized for max 2 outstanding ops");
         let msg = match kind {
             TxnKind::Read => MsgKind::RdBlk,

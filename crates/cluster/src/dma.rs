@@ -1,6 +1,6 @@
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
-use hsc_mem::{Addr, LineAddr, LineData, WORDS_PER_LINE};
+use hsc_mem::{Addr, LineAddr, LineData, LineMap, WORDS_PER_LINE};
 use hsc_noc::{AgentId, Message, MsgKind, Outbox, RetryPolicy, RetryTracker, WakeArm, WordMask};
 use hsc_sim::{CounterId, Counters, StatSet, Tick};
 
@@ -52,9 +52,11 @@ impl DmaCommand {
 #[derive(Debug)]
 pub struct DmaEngine {
     commands: VecDeque<DmaCommand>,
-    in_flight: BTreeSet<LineAddr>,
+    in_flight: LineMap<()>,
     window: usize,
     pending_lines: VecDeque<(LineAddr, Option<(LineData, WordMask)>)>,
+    /// Every line a DMA read has returned, for the whole run: an unbounded
+    /// store, not an in-flight table, so a tree and not a `LineMap`.
     read_data: BTreeMap<LineAddr, LineData>,
     retry: RetryTracker,
     /// Every self-wake after `start` is staged through this, so the engine
@@ -110,7 +112,7 @@ impl DmaEngine {
         let ids = DmaIds::register(&mut counters);
         DmaEngine {
             commands: commands.into(),
-            in_flight: BTreeSet::new(),
+            in_flight: LineMap::new(),
             window,
             pending_lines: VecDeque::new(),
             read_data: BTreeMap::new(),
@@ -161,7 +163,7 @@ impl DmaEngine {
     /// watchdog's deadlock snapshot.
     pub fn pending_lines(&self) -> Vec<(LineAddr, String)> {
         let mut v: Vec<(LineAddr, String)> =
-            self.in_flight.iter().map(|&la| (la, String::from("DMA request in flight"))).collect();
+            self.in_flight.keys().map(|la| (la, String::from("DMA request in flight"))).collect();
         v.extend(self.pending_lines.iter().map(|&(la, w)| {
             let what = if w.is_some() { "queued DMA write" } else { "queued DMA read" };
             (la, String::from(what))
@@ -200,7 +202,7 @@ impl DmaEngine {
     pub fn on_message(&mut self, now: Tick, msg: &Message, out: &mut Outbox) {
         match msg.kind {
             MsgKind::DmaRdResp { data } => {
-                if self.in_flight.remove(&msg.line) {
+                if self.in_flight.remove(msg.line).is_some() {
                     self.read_data.insert(msg.line, data);
                     self.retry.acked(msg.line);
                 } else {
@@ -209,7 +211,7 @@ impl DmaEngine {
                 }
             }
             MsgKind::DmaWrAck => {
-                if self.in_flight.remove(&msg.line) {
+                if self.in_flight.remove(msg.line).is_some() {
                     self.retry.acked(msg.line);
                 } else {
                     self.counters.bump(self.ids.stale_resps);
@@ -272,7 +274,7 @@ impl DmaEngine {
             let Some((la, write)) = self.pending_lines.pop_front() else {
                 break;
             };
-            self.in_flight.insert(la);
+            self.in_flight.insert(la, ());
             let kind = match write {
                 None => {
                     self.counters.bump(self.ids.reads);

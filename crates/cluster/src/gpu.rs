@@ -1,7 +1,6 @@
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
-use hsc_mem::Mshr;
-use hsc_mem::{Addr, CacheArray, CacheGeometry, LineAddr, LineData, Way};
+use hsc_mem::{Addr, CacheArray, CacheGeometry, LineAddr, LineData, LineMap, Mshr, Way};
 use hsc_noc::{
     AgentId, ClassCounters, Message, MsgKind, Outbox, ProbeKind, RetryPolicy, RetryTracker,
     WakeArm, WordMask,
@@ -140,7 +139,7 @@ struct WfCtx {
     last_value: Option<u64>,
     pending: Option<GpuOp>,
     pending_ifetch: bool,
-    pending_lines: BTreeSet<LineAddr>,
+    pending_lines: LineMap<()>,
     outstanding_wt: u64,
     flush_pending: bool,
     last_wt_line: Option<LineAddr>,
@@ -186,9 +185,13 @@ pub struct GpuCluster {
     cus: Vec<Cu>,
     tcc: CacheArray<TccLine>,
     tcc_mshr: Mshr<TccTxn>,
-    wt_waiters: BTreeMap<LineAddr, VecDeque<WtWaiter>>,
-    slc_waiters: BTreeMap<LineAddr, VecDeque<(usize, usize)>>,
-    flush_waiters: BTreeMap<LineAddr, VecDeque<(usize, usize)>>,
+    wt_waiters: LineMap<VecDeque<WtWaiter>>,
+    slc_waiters: LineMap<VecDeque<(usize, usize)>>,
+    flush_waiters: LineMap<VecDeque<(usize, usize)>>,
+    /// Buffers one vector op sorts its lanes into by line, kept between
+    /// ops so the per-op path does not allocate. Empty between ops.
+    line_scratch: Vec<LineAddr>,
+    store_scratch: Vec<(Addr, u64)>,
     sqc: CacheArray<()>,
     retry: RetryTracker,
     /// Every self-wake after `start` is staged through this, so the TCC
@@ -309,7 +312,7 @@ impl GpuCluster {
                         last_value: None,
                         pending: None,
                         pending_ifetch: false,
-                        pending_lines: BTreeSet::new(),
+                        pending_lines: LineMap::new(),
                         outstanding_wt: 0,
                         flush_pending: false,
                         last_wt_line: None,
@@ -327,9 +330,11 @@ impl GpuCluster {
             cus,
             tcc: CacheArray::new(CacheGeometry::new(cfg.tcc_bytes, cfg.tcc_ways)),
             tcc_mshr: Mshr::new(cfg.mshr_capacity),
-            wt_waiters: BTreeMap::new(),
-            slc_waiters: BTreeMap::new(),
-            flush_waiters: BTreeMap::new(),
+            wt_waiters: LineMap::new(),
+            slc_waiters: LineMap::new(),
+            flush_waiters: LineMap::new(),
+            line_scratch: Vec::new(),
+            store_scratch: Vec::new(),
             sqc: CacheArray::new(CacheGeometry::new(cfg.sqc_bytes, cfg.sqc_ways)),
             retry: RetryTracker::maybe(cfg.retry),
             wakes: WakeArm::default(),
@@ -401,17 +406,15 @@ impl GpuCluster {
             .map(|(la, txn)| (la, format!("fill, {} waiter(s)", txn.waiters.len())))
             .collect();
         v.extend(
-            self.wt_waiters
-                .iter()
-                .map(|(&la, q)| (la, format!("{} write-through ack(s)", q.len()))),
+            self.wt_waiters.iter().map(|(la, q)| (la, format!("{} write-through ack(s)", q.len()))),
         );
         v.extend(
             self.slc_waiters
                 .iter()
-                .map(|(&la, q)| (la, format!("{} SLC atomic response(s)", q.len()))),
+                .map(|(la, q)| (la, format!("{} SLC atomic response(s)", q.len()))),
         );
         v.extend(
-            self.flush_waiters.iter().map(|(&la, q)| (la, format!("{} flush ack(s)", q.len()))),
+            self.flush_waiters.iter().map(|(la, q)| (la, format!("{} flush ack(s)", q.len()))),
         );
         v
     }
@@ -598,30 +601,36 @@ impl GpuCluster {
     ) -> bool {
         assert!(!addrs.is_empty(), "VecLoad needs at least one lane");
         assert!(addrs.len() <= self.cfg.lanes, "more lanes than the SIMD width");
-        let lines: BTreeSet<LineAddr> = addrs.iter().map(|a| a.line()).collect();
+        // The distinct lines in address order; `retain` then narrows the
+        // buffer down to the ones that missed both the TCP and the TCC.
+        let mut lines = std::mem::take(&mut self.line_scratch);
+        lines.extend(addrs.iter().map(|a| a.line()));
+        lines.sort_unstable();
+        lines.dedup();
         let mut needs_tcc = false;
-        let mut missing: Vec<LineAddr> = Vec::new();
-        for &la in &lines {
+        lines.retain(|&la| {
             let tcp = &mut self.cus[cu].tcp;
             if let Some(way) = tcp.lookup(la) {
                 self.counters.bump(self.ids.tcp_hits);
                 tcp.touch_way(way);
-            } else {
-                self.counters.bump(self.ids.tcp_misses);
-                needs_tcc = true;
-                // Try the TCC.
-                if let Some(way) = fully_valid_way(&self.tcc, la) {
-                    self.counters.bump(self.ids.tcc_hits);
-                    self.tcc.touch_way(way);
-                    let data = self.tcc.meta(way).data;
-                    let _ = tcp.insert(la, TcpLine { data });
-                } else {
-                    self.counters.bump(self.ids.tcc_misses);
-                    missing.push(la);
-                }
+                return false;
             }
-        }
-        if missing.is_empty() {
+            self.counters.bump(self.ids.tcp_misses);
+            needs_tcc = true;
+            // Try the TCC.
+            if let Some(way) = fully_valid_way(&self.tcc, la) {
+                self.counters.bump(self.ids.tcc_hits);
+                self.tcc.touch_way(way);
+                let data = self.tcc.meta(way).data;
+                let _ = tcp.insert(la, TcpLine { data });
+                false
+            } else {
+                self.counters.bump(self.ids.tcc_misses);
+                true
+            }
+        });
+        if lines.is_empty() {
+            self.line_scratch = lines;
             let lat = if needs_tcc {
                 gpu_cycles(self.cfg.tcp_cycles + self.cfg.tcc_cycles)
             } else {
@@ -642,7 +651,7 @@ impl GpuCluster {
                 self.counters.bump(self.ids.lane0_refetches);
                 self.request_fill(l0, Some((cu, wf)), out);
                 let w = &mut self.cus[cu].wfs[wf];
-                w.pending_lines.insert(l0);
+                w.pending_lines.insert(l0, ());
                 w.pending = Some(GpuOp::VecLoad(addrs));
                 w.blocked = Some(BlockKind::Fill);
                 return true;
@@ -652,10 +661,11 @@ impl GpuCluster {
             w.ready_at = now + lat;
             true
         } else {
-            for la in missing {
+            for la in lines.drain(..) {
                 self.request_fill(la, Some((cu, wf)), out);
-                self.cus[cu].wfs[wf].pending_lines.insert(la);
+                self.cus[cu].wfs[wf].pending_lines.insert(la, ());
             }
+            self.line_scratch = lines;
             let w = &mut self.cus[cu].wfs[wf];
             w.pending = Some(GpuOp::VecLoad(addrs));
             w.blocked = Some(BlockKind::Fill);
@@ -687,15 +697,16 @@ impl GpuCluster {
     ) {
         assert!(!stores.is_empty(), "VecStore needs at least one lane");
         assert!(stores.len() <= self.cfg.lanes, "more lanes than the SIMD width");
-        // Group by line.
-        let mut by_line: BTreeMap<LineAddr, Vec<(Addr, u64)>> = BTreeMap::new();
-        for &(a, v) in stores {
-            by_line.entry(a.line()).or_default().push((a, v));
-        }
-        for (la, writes) in by_line {
+        // Group by line, lines in address order; the sort is stable, so
+        // within a line the lanes keep their order (a later lane wins).
+        let mut sorted = std::mem::take(&mut self.store_scratch);
+        sorted.extend_from_slice(stores);
+        sorted.sort_by_key(|&(a, _)| a.line());
+        for writes in sorted.chunk_by(|a, b| a.0.line() == b.0.line()) {
+            let la = writes[0].0.line();
             // Keep our own TCP fresh (write-through, no-allocate).
             if let Some(l) = self.cus[cu].tcp.get_mut(la) {
-                for &(a, v) in &writes {
+                for &(a, v) in writes {
                     l.data.set_word_at(a, v);
                 }
             }
@@ -707,12 +718,12 @@ impl GpuCluster {
                     let way = self.tcc.lookup(la);
                     if let Some(way) = way {
                         let l = self.tcc.meta_mut(way);
-                        for &(a, v) in &writes {
+                        for &(a, v) in writes {
                             l.data.set_word_at(a, v);
                             l.valid.set(a.word_index());
                         }
                     }
-                    for &(a, v) in &writes {
+                    for &(a, v) in writes {
                         data.set_word_at(a, v);
                         mask.set(a.word_index());
                     }
@@ -728,7 +739,7 @@ impl GpuCluster {
                         }
                     };
                     let l = self.tcc.meta_mut(way);
-                    for &(a, v) in &writes {
+                    for &(a, v) in writes {
                         l.write_word(a, v);
                     }
                     self.transitions.record(from, vt(l), VC_WB_STORE);
@@ -738,6 +749,8 @@ impl GpuCluster {
                 }
             }
         }
+        sorted.clear();
+        self.store_scratch = sorted;
         let w = &mut self.cus[cu].wfs[wf];
         w.last_value = None;
         w.ready_at = now + gpu_cycles(self.cfg.tcp_cycles);
@@ -758,7 +771,7 @@ impl GpuCluster {
             w.outstanding_wt += 1;
             w.last_wt_line = Some(la);
         }
-        self.wt_waiters.entry(la).or_default().push_back(waiter);
+        self.wt_waiters.get_or_insert_with(la, VecDeque::new).push_back(waiter);
         let msg = Message::new(
             self.agent,
             AgentId::Directory,
@@ -816,7 +829,7 @@ impl GpuCluster {
         } else {
             self.request_fill(la, Some((cu, wf)), out);
             let w = &mut self.cus[cu].wfs[wf];
-            w.pending_lines.insert(la);
+            w.pending_lines.insert(la, ());
             w.pending = Some(GpuOp::AtomicGlc(a, k));
             w.blocked = Some(BlockKind::Fill);
             true
@@ -839,7 +852,7 @@ impl GpuCluster {
         }
         self.cus[cu].tcp.invalidate(la);
         self.counters.bump(self.ids.req_atomic);
-        self.slc_waiters.entry(la).or_default().push_back((cu, wf));
+        self.slc_waiters.get_or_insert_with(la, VecDeque::new).push_back((cu, wf));
         let w = &mut self.cus[cu].wfs[wf];
         w.pending = None;
         w.blocked = Some(BlockKind::SlcAtomic);
@@ -880,7 +893,7 @@ impl GpuCluster {
             // Store Release"); FIFO ordering guarantees the ack arrives
             // after all our write-through acks for that line.
             w.flush_pending = true;
-            self.flush_waiters.entry(la).or_default().push_back((cu, wf));
+            self.flush_waiters.get_or_insert_with(la, VecDeque::new).push_back((cu, wf));
             self.counters.bump(self.ids.req_flush);
             let msg = Message::new(self.agent, AgentId::Directory, la, MsgKind::Flush);
             out.send(msg);
@@ -910,7 +923,7 @@ impl GpuCluster {
         self.counters.bump(self.ids.tcc_misses);
         let w = &mut self.cus[cu].wfs[wf];
         w.pending_ifetch = true;
-        w.pending_lines.insert(la);
+        w.pending_lines.insert(la, ());
         w.blocked = Some(BlockKind::Fill);
         self.request_fill(la, Some((cu, wf)), out);
     }
@@ -961,7 +974,7 @@ impl GpuCluster {
                 Some((cu, wf)) => {
                     fill_tcp(&mut self.cus[cu].tcp, la, full);
                     let w = &mut self.cus[cu].wfs[wf];
-                    w.pending_lines.remove(&la);
+                    w.pending_lines.remove(la);
                     if w.pending_lines.is_empty() {
                         w.blocked = None;
                         if w.pending_ifetch {
@@ -984,13 +997,13 @@ impl GpuCluster {
 
     fn on_wt_ack(&mut self, now: Tick, la: LineAddr, out: &mut Outbox) {
         self.retry.acked(la);
-        let Some(q) = self.wt_waiters.get_mut(&la) else {
+        let Some(q) = self.wt_waiters.get_mut(la) else {
             self.counters.bump(self.ids.stale_resps);
             return;
         };
         let waiter = q.pop_front().expect("WtAck queue empty");
         if q.is_empty() {
-            self.wt_waiters.remove(&la);
+            self.wt_waiters.remove(la);
         }
         if let Some((cu, wf)) = waiter {
             let w = &mut self.cus[cu].wfs[wf];
@@ -1004,13 +1017,13 @@ impl GpuCluster {
     }
 
     fn on_atomic_resp(&mut self, now: Tick, la: LineAddr, old: u64, out: &mut Outbox) {
-        let Some(q) = self.slc_waiters.get_mut(&la) else {
+        let Some(q) = self.slc_waiters.get_mut(la) else {
             self.counters.bump(self.ids.stale_resps);
             return;
         };
         let (cu, wf) = q.pop_front().expect("SLC waiter queue empty");
         if q.is_empty() {
-            self.slc_waiters.remove(&la);
+            self.slc_waiters.remove(la);
         }
         let w = &mut self.cus[cu].wfs[wf];
         debug_assert_eq!(w.blocked, Some(BlockKind::SlcAtomic));
@@ -1022,13 +1035,13 @@ impl GpuCluster {
 
     fn on_flush_ack(&mut self, now: Tick, la: LineAddr, out: &mut Outbox) {
         self.retry.acked(la);
-        let Some(q) = self.flush_waiters.get_mut(&la) else {
+        let Some(q) = self.flush_waiters.get_mut(la) else {
             self.counters.bump(self.ids.stale_resps);
             return;
         };
         let (cu, wf) = q.pop_front().expect("flush waiter queue empty");
         if q.is_empty() {
-            self.flush_waiters.remove(&la);
+            self.flush_waiters.remove(la);
         }
         let w = &mut self.cus[cu].wfs[wf];
         w.flush_pending = false;

@@ -1,13 +1,10 @@
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use hsc_cluster::gpu_cycles;
-use hsc_mem::{CacheArray, CacheGeometry, LineAddr, LineData};
+use hsc_mem::{CacheArray, CacheGeometry, LineAddr, LineData, LineMap};
 use hsc_noc::{AgentId, ClassCounters, Grant, Message, MsgKind, Outbox, ProbeKind, WordMask};
 use hsc_obs::SharingTracker;
-use hsc_sim::{
-    CounterId, Counters, Histogram, StatSet, StuckLine, Tick, TransitionMatrix, Watchdog,
-    WheelQueue,
-};
+use hsc_sim::{CounterId, Counters, Histogram, StatSet, StuckLine, Tick, TransitionMatrix};
 
 use crate::tracking::{
     plan, DataPlan, DirEntry, DirState, GrantPlan, NextState, PlanReq, ProbePlan, Requester,
@@ -83,7 +80,8 @@ struct DirTxn {
     /// §III-A: a response has already been sent from a dirty probe ack.
     responded: bool,
     awaiting_unblock: bool,
-    /// Arrival time, for the transaction-latency histogram.
+    /// When the transaction started: the latency histogram's origin and
+    /// the age the watchdog and the deadlock dump report.
     arrived: Tick,
     /// Same-line requests that arrived while this transaction was active.
     queued: VecDeque<Message>,
@@ -101,6 +99,7 @@ impl DirTxn {
         req: PlanReq,
         planned: Transition,
         start_state: DirState,
+        arrived: Tick,
     ) -> Self {
         DirTxn {
             kind,
@@ -117,7 +116,7 @@ impl DirTxn {
             mem_data: None,
             responded: false,
             awaiting_unblock: false,
-            arrived: Tick::ZERO,
+            arrived,
             queued: VecDeque::new(),
             parked_allocs: Vec::new(),
             start_state,
@@ -150,22 +149,28 @@ pub struct Directory {
     entries: CacheArray<DirEntry>,
     /// In-flight transactions by line — the order `hash_state` and the
     /// deadlock dumps walk them in — as indexes into `txn_slab`. The
-    /// ~450-byte `DirTxn`s stay out of the tree, and a handler that has
-    /// found its transaction once passes the index on instead of looking
-    /// the line up again in each of `try_complete`, `apply_transition` and
-    /// `finish_txn` (which `BTreeMap<LineAddr, Box<DirTxn>>` has to:
-    /// measured 14–22 % slower per directory message, EXPERIMENTS.md
-    /// "Cache array layout"). An index is good from `open_txn` until
-    /// `finish_txn` and must not be used after it.
-    txns: BTreeMap<LineAddr, usize>,
+    /// ~450-byte `DirTxn`s stay out of the table, so an insert or remove
+    /// shifts 16-byte pairs, and a handler that has found its transaction
+    /// once passes the index on instead of looking the line up again in
+    /// each of `try_complete`, `apply_transition` and `finish_txn`
+    /// (EXPERIMENTS.md "Cache array layout"). An index is good from
+    /// `open_txn` until `finish_txn` and must not be used after it.
+    txns: LineMap<usize>,
     /// Grows to the most transactions ever in flight at once; a finished
     /// slot keeps its last `DirTxn` (queues emptied) until it is reused.
     txn_slab: Vec<DirTxn>,
     /// `txn_slab` slots whose transaction has finished.
     free_txns: Vec<usize>,
-    stale_vics: BTreeSet<(LineAddr, AgentId)>,
-    internal: WheelQueue<LineAddr>,
-    watchdog: Watchdog,
+    /// Victim write-backs a probe already consumed, sorted: as bounded as
+    /// the victim buffers the entries point into.
+    stale_vics: Vec<(LineAddr, AgentId)>,
+    /// Pending LLC pipeline slots in `(tick, schedule order)`, the order
+    /// `on_wake` fires them in. At most one or two per transaction.
+    internal: VecDeque<(Tick, LineAddr)>,
+    /// A transaction older than this many ticks is stuck.
+    watchdog_limit: u64,
+    /// `resolve_probe_targets`' output buffer, kept between requests.
+    probe_targets: Vec<AgentId>,
     /// Entry-state transition analytics; disabled (and free) unless the
     /// observability layer enables it. Excluded from `hash_state` and
     /// `stats`.
@@ -266,12 +271,13 @@ impl Directory {
                 uncore.dir_entries,
                 uncore.dir_ways,
             )),
-            txns: BTreeMap::new(),
+            txns: LineMap::new(),
             txn_slab: Vec::new(),
             free_txns: Vec::new(),
-            stale_vics: BTreeSet::new(),
-            internal: WheelQueue::new(),
-            watchdog: Watchdog::new(DEFAULT_WATCHDOG_TICKS),
+            stale_vics: Vec::new(),
+            internal: VecDeque::new(),
+            watchdog_limit: DEFAULT_WATCHDOG_TICKS,
+            probe_targets: Vec::new(),
             transitions: TransitionMatrix::new("directory", DIR_STATES, DIR_CAUSES),
             sharing: None,
             counters,
@@ -328,14 +334,15 @@ impl Directory {
 
     /// Overrides the watchdog's per-transaction age limit (ticks).
     pub fn set_watchdog_limit(&mut self, ticks: u64) {
-        self.watchdog = Watchdog::new(ticks);
+        self.watchdog_limit = ticks;
     }
 
-    /// The transaction-age watchdog (every in-flight line is tracked from
-    /// the tick its current transaction started).
+    /// Whether some transaction has been in flight for more than the
+    /// watchdog limit at `now`. Reads the transaction records and
+    /// schedules nothing, so an untripped watchdog cannot move a metric.
     #[must_use]
-    pub fn watchdog(&self) -> &Watchdog {
-        &self.watchdog
+    pub fn watchdog_expired(&self, now: Tick) -> bool {
+        self.live_txns().any(|(_, t)| now.delta_since(t.arrived) > self.watchdog_limit)
     }
 
     /// Structured dump of in-flight transactions with their ages, oldest
@@ -405,7 +412,7 @@ impl Directory {
     /// mid-transaction states legitimately hold transient combinations.
     #[must_use]
     pub fn has_active_txn(&self, la: LineAddr) -> bool {
-        self.txns.contains_key(&la)
+        self.txns.contains_key(la)
     }
 
     /// Folds all protocol-relevant directory state into `h` for the system
@@ -439,8 +446,7 @@ impl Directory {
         }
         self.stale_vics.hash(h);
         // Internal pipeline slots, as a multiset: their ticks are timing.
-        let mut slots: Vec<LineAddr> =
-            self.internal.snapshot().into_iter().map(|(_, _, &la)| la).collect();
+        let mut slots: Vec<LineAddr> = self.internal.iter().map(|&(_, la)| la).collect();
         slots.sort_unstable();
         slots.hash(h);
     }
@@ -453,7 +459,7 @@ impl Directory {
 
     /// In-flight transactions in line order.
     fn live_txns(&self) -> impl Iterator<Item = (LineAddr, &DirTxn)> {
-        self.txns.iter().map(|(&la, &id)| (la, &self.txn_slab[id]))
+        self.txns.iter().map(|(la, &id)| (la, &self.txn_slab[id]))
     }
 
     /// Files `txn` as the transaction in flight on `line`.
@@ -490,9 +496,9 @@ impl Directory {
 
     /// Fires due internal events (LLC pipeline slots).
     pub fn on_wake(&mut self, now: Tick, out: &mut Outbox) {
-        while self.internal.peek_tick().is_some_and(|t| t <= now) {
-            let (_, line) = self.internal.pop().unwrap();
-            if let Some(&id) = self.txns.get(&line) {
+        while self.internal.front().is_some_and(|&(t, _)| t <= now) {
+            let (_, line) = self.internal.pop_front().expect("the front slot is due");
+            if let Some(&id) = self.txns.get(line) {
                 let txn = &mut self.txn_slab[id];
                 if !txn.llc_ready {
                     txn.llc_ready = true;
@@ -507,7 +513,7 @@ impl Directory {
     // ------------------------------------------------------------------
 
     fn handle_request(&mut self, now: Tick, msg: Message, out: &mut Outbox) {
-        if let Some(&id) = self.txns.get(&msg.line) {
+        if let Some(&id) = self.txns.get(msg.line) {
             self.txn_slab[id].queued.push_back(msg);
             self.counters.bump(self.ids.queued_requests);
             return;
@@ -518,7 +524,7 @@ impl Directory {
     /// Starts a transaction; `carry` is the queue inherited from a
     /// predecessor on the same line.
     fn start_txn(&mut self, now: Tick, msg: Message, carry: VecDeque<Message>, out: &mut Outbox) {
-        debug_assert!(!self.txns.contains_key(&msg.line));
+        debug_assert!(!self.txns.contains_key(msg.line));
         self.counters.bump(self.ids.requests.id(&msg.kind));
         let req = PlanReq::of(&msg.kind).expect("on_message queues directory requests only");
 
@@ -532,7 +538,7 @@ impl Directory {
         // Stale-victim filter: a probe already consumed this write-back,
         // or (tracking) a VicDirty comes from a non-owner. Ack, no write.
         if (matches!(req, PlanReq::VicDirty | PlanReq::VicClean)
-            && self.stale_vics.remove(&(msg.line, msg.src)))
+            && self.take_stale_vic(msg.line, msg.src))
             || (tracks && req == PlanReq::VicDirty && !is_owner)
         {
             self.counters.bump(self.ids.stale_vics_dropped);
@@ -563,8 +569,7 @@ impl Directory {
             }
         }
         let tr = plan(self.cfg.directory, start_state, req, role);
-        let mut txn = DirTxn::new(TxnKind::Request, msg, req, tr, start_state);
-        txn.arrived = now;
+        let mut txn = DirTxn::new(TxnKind::Request, msg, req, tr, start_state, now);
         txn.queued = carry;
 
         // Reserve the directory way so concurrent allocations in the same
@@ -577,10 +582,9 @@ impl Directory {
             );
         }
 
-        let targets = self.resolve_probe_targets(entry, msg.src, tr.probes);
-        txn.pending_acks = self.send_probes(msg.line, Self::probe_kind(tr.probes), &targets, out);
+        txn.pending_acks = self.send_probes(msg.line, entry, msg.src, tr.probes, out);
         if let Some(sh) = self.sharing.as_mut() {
-            sh.on_probes(targets.len());
+            sh.on_probes(txn.pending_acks as usize);
         }
 
         // Schedule the directory+LLC pipeline slot. Lazy data plans
@@ -588,11 +592,9 @@ impl Directory {
         if tr.data != DataPlan::OwnerThenLlc {
             txn.llc_scheduled = true;
             let slot = now + gpu_cycles(self.uncore.dir_cycles + self.uncore.llc_cycles);
-            self.internal.schedule(slot, msg.line);
-            out.wake_at(slot);
+            self.schedule_llc_slot(slot, msg.line, out);
         }
 
-        self.watchdog.begin(msg.line.0, now);
         let id = self.open_txn(msg.line, txn);
         self.try_complete(now, id, out);
     }
@@ -617,40 +619,41 @@ impl Directory {
         (0..self.n_l2).map(AgentId::CorePairL2).chain((0..self.n_tcc).map(AgentId::Tcc))
     }
 
-    /// The caches a probe plan reaches, `requester` excepted. `entry`: the
-    /// line's tracked entry as the transaction found it.
+    /// Leaves in `targets` the caches a probe plan reaches, `requester`
+    /// excepted. `entry`: the line's tracked entry as the transaction
+    /// found it.
     fn resolve_probe_targets(
         &self,
         entry: Option<DirEntry>,
         requester: AgentId,
         probes: ProbePlan,
-    ) -> Vec<AgentId> {
+        targets: &mut Vec<AgentId>,
+    ) {
+        targets.clear();
         let others = self.all_caches().filter(|&a| a != requester);
         match probes {
-            ProbePlan::None => Vec::new(),
+            ProbePlan::None => {}
             ProbePlan::DowngradeOwner => {
                 let owner = entry
                     .and_then(|e| e.owner)
                     .expect("DowngradeOwner plan requires a tracked owner");
                 debug_assert_ne!(owner, requester);
-                vec![owner]
+                targets.push(owner);
             }
             ProbePlan::InvalidateTracked if self.cfg.directory.tracks_sharers() => {
                 let entry = entry.expect("tracked plan requires an entry");
-                let mut v: Vec<AgentId> =
-                    entry.sharers.iter().filter(|&a| a != requester).collect();
+                targets.extend(entry.sharers.iter().filter(|&a| a != requester));
                 if let Some(owner) = entry.owner {
-                    if owner != requester && !v.contains(&owner) {
-                        v.push(owner);
+                    if owner != requester && !targets.contains(&owner) {
+                        targets.push(owner);
                     }
                 }
-                v
             }
             // Owner-only tracking: identities unknown, broadcast.
-            ProbePlan::InvalidateTracked | ProbePlan::BroadcastInvalidate => others.collect(),
+            ProbePlan::InvalidateTracked | ProbePlan::BroadcastInvalidate => targets.extend(others),
             ProbePlan::BroadcastDowngrade => {
                 let include_tcc = self.cfg.probe_tcc_on_reads;
-                others.filter(|&a| include_tcc || !a.is_gpu_cache()).collect()
+                targets.extend(others.filter(|&a| include_tcc || !a.is_gpu_cache()));
             }
         }
     }
@@ -662,23 +665,48 @@ impl Directory {
         }
     }
 
-    /// Sends a `kind` probe for `line` to every target; returns how many
-    /// acks to wait for.
+    /// Probes for `line` every cache the plan reaches (see
+    /// [`Self::resolve_probe_targets`]); returns how many acks to wait for.
     fn send_probes(
         &mut self,
         line: LineAddr,
-        kind: ProbeKind,
-        targets: &[AgentId],
+        entry: Option<DirEntry>,
+        requester: AgentId,
+        probes: ProbePlan,
         out: &mut Outbox,
     ) -> u32 {
-        for &dst in targets {
+        let mut targets = std::mem::take(&mut self.probe_targets);
+        self.resolve_probe_targets(entry, requester, probes, &mut targets);
+        let kind = Self::probe_kind(probes);
+        for &dst in &targets {
             self.counters.bump(self.ids.probes_sent);
             out.send_after(
                 gpu_cycles(self.uncore.dir_cycles),
                 Message::new(AgentId::Directory, dst, line, MsgKind::Probe { kind }),
             );
         }
-        targets.len() as u32
+        let sent = targets.len() as u32;
+        self.probe_targets = targets;
+        sent
+    }
+
+    /// Queues an LLC pipeline slot for `line` due at `at` behind every
+    /// slot due no later, and arms the wake-up that fires it. Searching
+    /// from the back: with two fixed delays a new slot is almost always
+    /// the latest.
+    fn schedule_llc_slot(&mut self, at: Tick, line: LineAddr, out: &mut Outbox) {
+        let mut i = self.internal.len();
+        while i > 0 && self.internal[i - 1].0 > at {
+            i -= 1;
+        }
+        self.internal.insert(i, (at, line));
+        out.wake_at(at);
+    }
+
+    /// Forgets that a probe consumed `src`'s victim write-back of `line`;
+    /// whether it had.
+    fn take_stale_vic(&mut self, line: LineAddr, src: AgentId) -> bool {
+        self.stale_vics.binary_search(&(line, src)).map(|i| self.stale_vics.remove(i)).is_ok()
     }
 
     fn begin_entry_eviction(
@@ -692,7 +720,7 @@ impl Directory {
         let txns = &self.txns;
         let repl = self.cfg.dir_replacement;
         let pick = self.entries.victim_scored(parked.line, |tag, e| {
-            if txns.contains_key(&tag) || e.reserved {
+            if txns.contains_key(tag) || e.reserved {
                 1_000_000
             } else {
                 match repl {
@@ -706,13 +734,13 @@ impl Directory {
         };
         let victim = self.entries.tag(way);
         let ventry = *self.entries.meta(way);
-        if self.txns.contains_key(&victim) || ventry.reserved {
+        if self.txns.contains_key(victim) || ventry.reserved {
             // Every way is busy: park on the first active transaction in
             // way order.
             let busy = self
                 .entries
                 .iter_set(parked.line)
-                .find_map(|(tag, _)| self.txns.get(&tag))
+                .find_map(|(tag, _)| self.txns.get(tag))
                 .expect("a full set with no evictable way has a busy transaction");
             self.counters.bump(self.ids.alloc_park_on_busy);
             let busy = &mut self.txn_slab[*busy];
@@ -725,15 +753,14 @@ impl Directory {
         self.transitions.record(dt(ventry.state), DT_B, DC_BACK_INVAL);
         let origin = Message::new(AgentId::Directory, AgentId::Directory, victim, MsgKind::Flush);
         let tr = BACK_INVALIDATION;
-        let mut txn = DirTxn::new(TxnKind::BackInval, origin, PlanReq::Flush, tr, ventry.state);
+        let mut txn =
+            DirTxn::new(TxnKind::BackInval, origin, PlanReq::Flush, tr, ventry.state, now);
         txn.parked_allocs.push(parked);
         txn.parked_allocs.extend(carry);
         // The directory is nobody's sharer: its own id excludes no cache.
-        let targets = self.resolve_probe_targets(Some(ventry), origin.src, tr.probes);
-        txn.pending_acks = self.send_probes(victim, Self::probe_kind(tr.probes), &targets, out);
+        txn.pending_acks = self.send_probes(victim, Some(ventry), origin.src, tr.probes, out);
         self.counters.add(self.ids.backinval_probes, u64::from(txn.pending_acks));
         txn.llc_ready = true; // back-invals need no LLC slot of their own
-        self.watchdog.begin(victim.0, now);
         let id = self.open_txn(victim, txn);
         self.try_complete(now, id, out);
     }
@@ -752,7 +779,7 @@ impl Directory {
         out: &mut Outbox,
     ) {
         let line = msg.line;
-        let Some(&id) = self.txns.get(&line) else {
+        let Some(&id) = self.txns.get(line) else {
             // A duplicated probe ack (fault injection) or an ack that
             // arrived after an early response + prompt unblock finished
             // the transaction.
@@ -769,7 +796,9 @@ impl Directory {
         txn.pending_acks -= 1;
         txn.copies_found += u32::from(had_copy);
         if was_parked {
-            self.stale_vics.insert((line, msg.src));
+            if let Err(i) = self.stale_vics.binary_search(&(line, msg.src)) {
+                self.stale_vics.insert(i, (line, msg.src));
+            }
         }
         if let Some(d) = dirty {
             if txn.dirty_data.is_none() {
@@ -798,7 +827,7 @@ impl Directory {
     }
 
     fn on_mem_data(&mut self, now: Tick, line: LineAddr, data: LineData, out: &mut Outbox) {
-        let Some(&id) = self.txns.get(&line) else {
+        let Some(&id) = self.txns.get(line) else {
             // The transaction already finished (an early response plus a
             // prompt unblock can beat the memory reply home).
             self.counters.bump(self.ids.stale_mem_resps);
@@ -817,7 +846,7 @@ impl Directory {
     }
 
     fn on_unblock(&mut self, now: Tick, line: LineAddr, out: &mut Outbox) {
-        match self.txns.get(&line) {
+        match self.txns.get(line) {
             // Only an unblock the current transaction is waiting for may
             // finish it; anything else is a stale duplicate (the requester
             // answers even duplicated responses with an unblock, so under
@@ -879,8 +908,8 @@ impl Directory {
                     // Lazy plan (OwnerThenLlc) whose owner turned out clean.
                     txn.llc_scheduled = true;
                     self.counters.bump(self.ids.lazy_llc_reads);
-                    self.internal.schedule(now + gpu_cycles(self.uncore.llc_cycles), line);
-                    out.wake_at(now + gpu_cycles(self.uncore.llc_cycles));
+                    let slot = now + gpu_cycles(self.uncore.llc_cycles);
+                    self.schedule_llc_slot(slot, line, out);
                     return;
                 }
                 if !txn.llc_ready {
@@ -1255,9 +1284,8 @@ impl Directory {
         if txn.kind == TxnKind::Request {
             self.latency.record(now.delta_since(txn.arrived));
         }
-        self.txns.remove(&line).expect("finishing a live transaction");
+        self.txns.remove(line).expect("finishing a live transaction");
         self.free_txns.push(id);
-        self.watchdog.end(line.0);
         // Re-dispatch requests that were waiting for a directory way.
         for parked in parked_allocs {
             self.handle_request(now, parked, out);
@@ -1277,7 +1305,7 @@ impl Directory {
         // the remaining queue itself; otherwise the new transaction
         // inherits it via `carry`.
         if let Some(next) = queue.pop_front() {
-            debug_assert!(!self.txns.contains_key(&line), "line still blocked");
+            debug_assert!(!self.txns.contains_key(line), "line still blocked");
             self.start_txn(now, next, std::mem::take(&mut queue), out);
         }
     }
@@ -1365,7 +1393,8 @@ mod tests {
                     let role = Directory::role_of(&msg, false);
                     let tr = plan(cfg.directory, DirState::I, req, role);
                     assert_eq!(tr.next, NextState::Unchanged);
-                    let targets = dir.resolve_probe_targets(None, src, tr.probes);
+                    let mut targets = Vec::new();
+                    dir.resolve_probe_targets(None, src, tr.probes, &mut targets);
                     let probe =
                         (tr.probes != ProbePlan::None).then(|| Directory::probe_kind(tr.probes));
                     for others_hold in [false, true] {
@@ -1386,6 +1415,73 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// LLC pipeline slots fire by due tick, then in schedule order, and a
+    /// slot acts on whatever transaction its line has when it fires:
+    /// simulated timing depends on all three.
+    #[test]
+    fn llc_slots_fire_by_tick_then_schedule_order_and_act_on_the_current_txn() {
+        use hsc_noc::Action;
+        /// The lines `out` asks memory for, in order: a slot that makes a
+        /// transaction LLC-ready misses the empty LLC and sends one `MemRd`.
+        fn mem_reads(out: &Outbox) -> Vec<LineAddr> {
+            out.actions()
+                .iter()
+                .filter_map(|a| match a {
+                    Action::Send(m) if m.kind == MsgKind::MemRd => Some(m.line),
+                    _ => None,
+                })
+                .collect()
+        }
+        let uncore = UncoreConfig::default();
+        let full = gpu_cycles(uncore.dir_cycles + uncore.llc_cycles);
+        let lazy = gpu_cycles(uncore.llc_cycles);
+        assert!(lazy < full);
+        // One CorePair, no TCC: a read has nobody to probe and waits for
+        // its slot alone.
+        let cpu = AgentId::CorePairL2(0);
+        let mut dir = Directory::new(CoherenceConfig::baseline(), uncore, 1, 0);
+        let (a, b, c) = (LineAddr(0x10), LineAddr(0x20), LineAddr(0x30));
+        let mut out = Outbox::new(Tick(0));
+        for line in [c, a, b] {
+            dir.on_message(
+                Tick(0),
+                &Message::new(cpu, AgentId::Directory, line, MsgKind::RdBlk),
+                &mut out,
+            );
+        }
+        // Scheduled last, due first: a lazy `llc_cycles`-only slot.
+        dir.schedule_llc_slot(Tick(0) + lazy, b, &mut out);
+        assert!(mem_reads(&out).is_empty(), "every read waits for its slot");
+
+        let mut out = Outbox::new(Tick(0) + full);
+        dir.on_wake(Tick(0) + full, &mut out);
+        // `b`'s lazy slot, then the three full slots in schedule order;
+        // `b`'s own full slot finds it ready and does nothing.
+        assert_eq!(mem_reads(&out), [b, c, a]);
+        assert!(dir.internal.is_empty());
+
+        // A slot that outlives its transaction: `a` finishes early, its
+        // successor opens before a second slot on `a` fires.
+        dir.schedule_llc_slot(Tick(0) + full + 5, a, &mut out);
+        let id = *dir.txns.get(a).expect("a is in flight");
+        dir.finish_txn(Tick(0) + full, id, &mut out);
+        assert!(!dir.is_idle(), "the orphan slot is still pending");
+        let reopened = Tick(0) + full + 1;
+        let mut out = Outbox::new(reopened);
+        dir.on_message(
+            reopened,
+            &Message::new(cpu, AgentId::Directory, a, MsgKind::RdBlk),
+            &mut out,
+        );
+        let mut out = Outbox::new(Tick(0) + full + 5);
+        dir.on_wake(Tick(0) + full + 5, &mut out);
+        assert_eq!(mem_reads(&out), [a], "the orphan readies the not-yet-ready successor");
+        let mut out = Outbox::new(reopened + full);
+        dir.on_wake(reopened + full, &mut out);
+        assert!(mem_reads(&out).is_empty(), "its own slot finds it ready");
+        assert!(dir.internal.is_empty());
     }
 
     /// Holds in release builds too: a plain `assert!`, not the debug-only

@@ -330,7 +330,7 @@ impl System {
                 if nth > max_events {
                     return Err(SimError::EventBudgetExceeded { budget: max_events, now: t });
                 }
-                if self.directory.watchdog().expired(t) {
+                if self.directory.watchdog_expired(t) {
                     // The snapshot ages stuck lines against the event that
                     // found them, not the last one dispatched.
                     self.now = t;

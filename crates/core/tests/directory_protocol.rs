@@ -573,6 +573,59 @@ fn directory_eviction_back_invalidates_and_makes_room() {
     );
 }
 
+/// A back-invalidation is a transaction like any other to the deadlock
+/// dump and the watchdog: its age counts from the eviction, not from tick
+/// zero (which sorted a young `BackInval` above every real offender).
+#[test]
+fn stuck_back_invalidation_ages_from_the_eviction() {
+    let mut h = Harness::new(CoherenceConfig::sharer_tracking());
+    let set_lines: Vec<LineAddr> = (0..5).map(|i| LineAddr(0x200 + i * 16)).collect();
+    for &la in &set_lines[..4] {
+        h.send(L2_0, la, MsgKind::RdBlk);
+        h.drain_to(L2_0);
+        h.send(L2_0, la, MsgKind::Unblock);
+    }
+    // The fifth allocation parks behind a back-invalidation nobody acks.
+    let evicted_at = h.now + 1; // `send` delivers one tick on
+    h.send(L2_1, set_lines[4], MsgKind::RdBlk);
+    assert!(evicted_at > Tick(1_000), "the fills took simulated time");
+    let stuck = h.dir.stuck_lines(evicted_at + 700);
+    assert_eq!(stuck.len(), 1, "the parked request has no transaction of its own yet");
+    assert!(stuck[0].detail.starts_with("BackInval"), "{}", stuck[0].detail);
+    assert_eq!(stuck[0].age, 700);
+
+    h.dir.set_watchdog_limit(700);
+    assert!(!h.dir.watchdog_expired(evicted_at + 700));
+    assert!(h.dir.watchdog_expired(evicted_at + 701));
+}
+
+/// The watchdog reads each transaction's own start: it trips one tick
+/// past the limit of the oldest, and a finished transaction stops counting.
+#[test]
+fn watchdog_expires_past_the_limit_of_the_oldest_transaction() {
+    let mut h = Harness::new(CoherenceConfig::baseline());
+    h.dir.set_watchdog_limit(100_000);
+    assert!(!h.dir.watchdog_expired(Tick(u64::MAX / 2)), "nothing in flight, nothing stuck");
+    let other = LineAddr(LINE.0 + 1);
+    let first = h.now + 1; // `send` delivers one tick on
+    h.send(L2_0, LINE, MsgKind::RdBlk);
+    let second = h.now + 1;
+    h.send(L2_1, other, MsgKind::RdBlk);
+    assert!(second > first);
+    assert!(!h.dir.watchdog_expired(first + 100_000));
+    assert!(h.dir.watchdog_expired(first + 100_001));
+    let ages: Vec<(u64, u64)> =
+        h.dir.stuck_lines(first + 100_001).iter().map(|l| (l.line, l.age)).collect();
+    assert_eq!(ages, [(LINE.0, 100_001), (other.0, 100_001 - (second.0 - first.0))]);
+    // Finish the older one: the younger has not reached the limit yet.
+    h.ack_all_probes(LINE, None);
+    h.drain_to(L2_0);
+    h.send(L2_0, LINE, MsgKind::Unblock);
+    assert!(!h.dir.has_active_txn(LINE));
+    assert!(!h.dir.watchdog_expired(second + 100_000));
+    assert!(h.dir.watchdog_expired(second + 100_001));
+}
+
 #[test]
 fn write_through_with_retains_tracks_the_tcc_as_sharer() {
     let mut h = Harness::new(CoherenceConfig::sharer_tracking());

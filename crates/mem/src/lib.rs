@@ -2,7 +2,8 @@
 //!
 //! Everything in this crate is *mechanism*, not *policy*: set-associative
 //! tag arrays with pluggable replacement, line data with word-level atomics,
-//! MSHR files, write-back victim buffers and a functional main memory. The
+//! MSHR files, write-back victim buffers, the flat per-line table they
+//! are built on ([`LineMap`]) and a functional main memory. The
 //! coherence protocols that use these structures live in `hsc-cluster`
 //! (MOESI CorePairs, VIPER GPU caches) and `hsc-core` (system-level
 //! directory and LLC).
@@ -31,6 +32,7 @@
 mod addr;
 mod array;
 mod data;
+mod linemap;
 mod memory;
 mod mshr;
 mod repl;
@@ -39,6 +41,7 @@ mod victim;
 pub use addr::{Addr, LineAddr, BLOCK_BYTES, WORDS_PER_LINE};
 pub use array::{CacheArray, CacheGeometry, Eviction, InsertOutcome, Way};
 pub use data::{AtomicKind, LineData};
+pub use linemap::LineMap;
 pub use memory::MainMemory;
 pub use mshr::{Mshr, MshrFullError};
 pub use repl::TreePlru;

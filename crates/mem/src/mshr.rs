@@ -1,8 +1,7 @@
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
-use crate::LineAddr;
+use crate::{LineAddr, LineMap};
 
 /// Error returned when an MSHR allocation would exceed capacity.
 ///
@@ -50,7 +49,7 @@ impl Error for MshrFullError {}
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Mshr<T> {
     capacity: usize,
-    entries: BTreeMap<LineAddr, T>,
+    entries: LineMap<T>,
 }
 
 impl<T> Mshr<T> {
@@ -62,7 +61,7 @@ impl<T> Mshr<T> {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "MSHR capacity must be positive");
-        Mshr { capacity, entries: BTreeMap::new() }
+        Mshr { capacity, entries: LineMap::new() }
     }
 
     /// Allocates an entry for `la`.
@@ -77,35 +76,35 @@ impl<T> Mshr<T> {
     /// protocol invariant, so a duplicate allocation is a bug.
     pub fn alloc(&mut self, la: LineAddr, txn: T) -> Result<&mut T, MshrFullError> {
         assert!(
-            !self.entries.contains_key(&la),
+            !self.entries.contains_key(la),
             "duplicate MSHR allocation for {la} (protocol bug)"
         );
         if self.entries.len() >= self.capacity {
             return Err(MshrFullError { capacity: self.capacity });
         }
-        Ok(self.entries.entry(la).or_insert(txn))
+        Ok(self.entries.get_or_insert_with(la, || txn))
     }
 
     /// Whether `la` has an in-flight transaction.
     #[must_use]
     pub fn contains(&self, la: LineAddr) -> bool {
-        self.entries.contains_key(&la)
+        self.entries.contains_key(la)
     }
 
     /// Shared access to the transaction for `la`.
     #[must_use]
     pub fn get(&self, la: LineAddr) -> Option<&T> {
-        self.entries.get(&la)
+        self.entries.get(la)
     }
 
     /// Exclusive access to the transaction for `la`.
     pub fn get_mut(&mut self, la: LineAddr) -> Option<&mut T> {
-        self.entries.get_mut(&la)
+        self.entries.get_mut(la)
     }
 
     /// Completes the transaction for `la`, returning its record.
     pub fn remove(&mut self, la: LineAddr) -> Option<T> {
-        self.entries.remove(&la)
+        self.entries.remove(la)
     }
 
     /// Number of in-flight transactions.
@@ -128,7 +127,7 @@ impl<T> Mshr<T> {
 
     /// Iterates over in-flight transactions in line order.
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &T)> {
-        self.entries.iter().map(|(&k, v)| (k, v))
+        self.entries.iter()
     }
 }
 

@@ -1,6 +1,4 @@
-use std::collections::BTreeMap;
-
-use crate::{LineAddr, LineData};
+use crate::{LineAddr, LineData, LineMap};
 
 /// One entry parked in a [`VictimBuffer`]: the evicted line's data and
 /// whether it is dirty with respect to the LLC/memory.
@@ -38,7 +36,7 @@ pub struct VictimEntry {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VictimBuffer {
-    entries: BTreeMap<LineAddr, VictimEntry>,
+    entries: LineMap<VictimEntry>,
 }
 
 impl VictimBuffer {
@@ -63,7 +61,7 @@ impl VictimBuffer {
     /// The parked entry for `la`, if any.
     #[must_use]
     pub fn get(&self, la: LineAddr) -> Option<&VictimEntry> {
-        self.entries.get(&la)
+        self.entries.get(la)
     }
 
     /// Marks a parked line clean (a downgrade probe has forwarded its dirty
@@ -71,7 +69,7 @@ impl VictimBuffer {
     ///
     /// No-op if `la` is not parked.
     pub fn downgrade(&mut self, la: LineAddr) {
-        if let Some(e) = self.entries.get_mut(&la) {
+        if let Some(e) = self.entries.get_mut(la) {
             e.dirty = false;
         }
     }
@@ -79,7 +77,7 @@ impl VictimBuffer {
     /// Invalidates a parked line (an invalidating probe hit it), returning
     /// the entry so the probe response can carry the dirty data.
     pub fn invalidate(&mut self, la: LineAddr) -> Option<VictimEntry> {
-        self.entries.remove(&la)
+        self.entries.remove(la)
     }
 
     /// Removes a parked line after the directory acknowledged the victim
@@ -87,18 +85,18 @@ impl VictimBuffer {
     ///
     /// Returns the entry, or `None` if a probe already invalidated it.
     pub fn release(&mut self, la: LineAddr) -> Option<VictimEntry> {
-        self.entries.remove(&la)
+        self.entries.remove(la)
     }
 
     /// The parked line addresses, in address order (for diagnostics).
     pub fn lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
-        self.entries.keys().copied()
+        self.entries.keys()
     }
 
     /// All parked entries in address order (for state fingerprints and
     /// whole-buffer invariant checks).
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &VictimEntry)> + '_ {
-        self.entries.iter().map(|(&la, e)| (la, e))
+        self.entries.iter()
     }
 
     /// Number of parked lines.

@@ -1,6 +1,7 @@
 //! Randomized tests of the cache data structures against reference
 //! models: `CacheArray` vs a naive map-of-sets, `TreePlru` invariants,
-//! `Mshr` bookkeeping, and `LineData` atomics vs plain arithmetic.
+//! `Mshr` bookkeeping, `LineMap` vs `BTreeMap`, and `LineData` atomics vs
+//! plain arithmetic.
 //!
 //! Scenarios are generated with the in-tree `DetRng` (seeded per case) so
 //! the tests need no external dependency and every failure names the seed
@@ -9,10 +10,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use hsc_mem::{
-    Addr, AtomicKind, CacheArray, CacheGeometry, InsertOutcome, LineAddr, LineData, Mshr, TreePlru,
-    VictimBuffer,
+    Addr, AtomicKind, CacheArray, CacheGeometry, InsertOutcome, LineAddr, LineData, LineMap, Mshr,
+    TreePlru, VictimBuffer,
 };
-use hsc_sim::DetRng;
+use hsc_sim::{DetRng, Fnv1a};
 
 const CASES: u64 = 48;
 
@@ -132,6 +133,78 @@ fn mshr_tracks_a_reference_set() {
             assert_eq!(m.is_full(), reference.len() == 8);
         }
     }
+}
+
+/// `LineMap` answers every call as `BTreeMap<LineAddr, _>` does, iterates
+/// in the same order and feeds a hasher the same stream — on both sides
+/// of the 8-entry boundary between its linear scan and its bisection.
+#[test]
+fn line_map_matches_btreemap() {
+    use std::hash::{Hash, Hasher};
+    fn fnv(v: &impl Hash) -> u64 {
+        let mut h = Fnv1a::new();
+        v.hash(&mut h);
+        h.finish()
+    }
+    for case in 0..CASES {
+        let seed = 0x11ae ^ case;
+        let mut rng = DetRng::new(seed);
+        // Few distinct lines keep the map in the scan, many push it over.
+        let span = if case % 2 == 0 { 8 } else { 40 };
+        let mut m: LineMap<u32> = LineMap::new();
+        let mut reference: BTreeMap<LineAddr, u32> = BTreeMap::new();
+        let mut widest = 0;
+        for step in 0..300 {
+            let la = LineAddr(rng.next_below(span) * 3);
+            let v = rng.next_u64() as u32;
+            let at = format!("seed {seed:#x} step {step} line {la}");
+            match rng.next_below(6) {
+                0 | 1 => assert_eq!(m.insert(la, v), reference.insert(la, v), "insert, {at}"),
+                2 => assert_eq!(m.remove(la), reference.remove(&la), "remove, {at}"),
+                3 => {
+                    let got = *m.get_or_insert_with(la, || v);
+                    assert_eq!(got, *reference.entry(la).or_insert(v), "get_or_insert_with, {at}");
+                }
+                4 => {
+                    assert_eq!(m.get(la), reference.get(&la), "get, {at}");
+                    assert_eq!(m.contains_key(la), reference.contains_key(&la), "{at}");
+                }
+                _ => {
+                    if let Some(x) = m.get_mut(la) {
+                        *x ^= v;
+                    }
+                    if let Some(x) = reference.get_mut(&la) {
+                        *x ^= v;
+                    }
+                }
+            }
+            assert_eq!(m.len(), reference.len(), "len, {at}");
+            assert_eq!(m.is_empty(), reference.is_empty(), "{at}");
+            assert!(m.iter().eq(reference.iter().map(|(&k, v)| (k, v))), "iter order, {at}");
+            assert!(m.keys().eq(reference.keys().copied()), "keys, {at}");
+            assert_eq!(fnv(&m), fnv(&reference), "hash stream, {at}");
+            widest = widest.max(m.len());
+        }
+        assert_eq!(widest > 8, span > 8, "seed {seed:#x}: wrong side of the scan/bisect boundary");
+
+        // `retain` keeps what a filtered rebuild keeps, edits included.
+        m.retain(|la, v| {
+            *v = v.wrapping_add(1);
+            la.0 % 2 == 0
+        });
+        reference.retain(|la, v| {
+            *v = v.wrapping_add(1);
+            la.0 % 2 == 0
+        });
+        assert!(m.iter().eq(reference.iter().map(|(&k, v)| (k, v))), "retain, seed {seed:#x}");
+    }
+    // A set of lines hashes like the `BTreeSet` it replaces.
+    let lines = [LineAddr(9), LineAddr(2), LineAddr(5)];
+    let mut set: LineMap<()> = LineMap::new();
+    for la in lines {
+        set.insert(la, ());
+    }
+    assert_eq!(fnv(&set), fnv(&BTreeSet::from(lines)));
 }
 
 /// Atomics on line data agree with plain u64 arithmetic.

@@ -13,9 +13,7 @@
 //! so fault-free runs execute the exact same event sequence as before
 //! this layer existed.
 
-use std::collections::BTreeMap;
-
-use hsc_mem::LineAddr;
+use hsc_mem::{LineAddr, LineMap};
 use hsc_sim::Tick;
 
 use crate::{Message, Outbox, WakeArm};
@@ -75,7 +73,7 @@ struct PendingRetry {
 #[derive(Debug, Clone, Default)]
 pub struct RetryTracker {
     policy: Option<RetryPolicy>,
-    pending: BTreeMap<u64, PendingRetry>,
+    pending: LineMap<PendingRetry>,
 }
 
 impl RetryTracker {
@@ -89,7 +87,7 @@ impl RetryTracker {
     /// call becomes a no-op, so disabled retry costs nothing).
     #[must_use]
     pub fn maybe(policy: Option<RetryPolicy>) -> RetryTracker {
-        RetryTracker { policy, pending: BTreeMap::new() }
+        RetryTracker { policy, pending: LineMap::new() }
     }
 
     /// Whether a policy is configured at all.
@@ -104,7 +102,7 @@ impl RetryTracker {
     /// requester, so a collision is a re-send of the same request).
     pub fn track(&mut self, now: Tick, msg: Message) {
         let Some(policy) = self.policy else { return };
-        self.pending.entry(msg.line.0).or_insert(PendingRetry {
+        self.pending.get_or_insert_with(msg.line, || PendingRetry {
             msg,
             deadline: now + policy.backoff(0),
             attempts: 0,
@@ -113,7 +111,7 @@ impl RetryTracker {
 
     /// The request on `line` was acknowledged; stop tracking it.
     pub fn acked(&mut self, line: LineAddr) {
-        self.pending.remove(&line.0);
+        self.pending.remove(line);
     }
 
     /// All requests whose deadline has passed at `now`, re-armed with
@@ -122,22 +120,18 @@ impl RetryTracker {
     pub fn due(&mut self, now: Tick) -> Vec<Message> {
         let Some(policy) = self.policy else { return Vec::new() };
         let mut out = Vec::new();
-        let mut exhausted = Vec::new();
-        for (&line, p) in self.pending.iter_mut() {
+        self.pending.retain(|_, p| {
             if p.deadline > now {
-                continue;
+                return true;
             }
             if p.attempts >= policy.max_retries {
-                exhausted.push(line);
-                continue;
+                return false;
             }
             p.attempts += 1;
             p.deadline = now + policy.backoff(p.attempts);
             out.push(p.msg);
-        }
-        for line in exhausted {
-            self.pending.remove(&line);
-        }
+            true
+        });
         out
     }
 
@@ -145,7 +139,7 @@ impl RetryTracker {
     /// next retry wake-up is armed for.
     #[must_use]
     pub fn next_deadline(&self) -> Option<Tick> {
-        self.pending.values().map(|p| p.deadline).min()
+        self.pending.iter().map(|(_, p)| p.deadline).min()
     }
 
     /// [`track`](RetryTracker::track)s a request the owner has just staged
@@ -198,7 +192,7 @@ impl RetryTracker {
 
     /// The lines currently awaiting an acknowledgment (for diagnostics).
     pub fn pending_lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
-        self.pending.keys().map(|&l| LineAddr(l))
+        self.pending.keys()
     }
 }
 

@@ -55,7 +55,7 @@ mod wheel;
 pub use counters::{CounterId, Counters};
 pub use flight::{FlightEntry, FlightRecord, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 pub use fnv::{fnv1a, Fnv1a};
-pub use outcome::{DeadlockSnapshot, PendingEvent, PendingKind, SimError, StuckLine, Watchdog};
+pub use outcome::{DeadlockSnapshot, PendingEvent, PendingKind, SimError, StuckLine};
 pub use rng::DetRng;
 pub use stats::{Histogram, StatSet};
 pub use tick::Tick;

@@ -1,4 +1,4 @@
-//! Run outcomes, typed simulation errors and the protocol watchdog.
+//! Run outcomes and typed simulation errors.
 //!
 //! A coherence protocol bug should surface as a *diagnosable value*, not a
 //! process abort. This module provides the vocabulary every layer above
@@ -8,11 +8,9 @@
 //!   (deadlock/livelock, exhausted event budget, mis-wired topology),
 //! * [`DeadlockSnapshot`] / [`StuckLine`] — the structured diagnostic a
 //!   watchdog timeout carries, naming each stuck line, its age and the
-//!   controller state blocking it,
-//! * [`Watchdog`] — per-key transaction age tracking, driven by the
-//!   directory's transaction lifecycle.
+//!   controller state blocking it. (The watchdog itself is the directory's
+//!   `watchdog_expired`: the ages live in its transaction records.)
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::flight::FlightEntry;
@@ -189,70 +187,9 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Tracks the age of in-flight transactions (keyed by line address) and
-/// answers "has anything been stuck longer than the limit?".
-///
-/// The owner drives the lifecycle: [`begin`](Watchdog::begin) when a
-/// transaction starts on a key, [`end`](Watchdog::end) when it finishes.
-/// The watchdog itself never schedules events, so an enabled-but-untripped
-/// watchdog has zero effect on simulation timing or metrics.
-#[derive(Debug, Clone)]
-pub struct Watchdog {
-    limit: u64,
-    tracked: BTreeMap<u64, Tick>,
-}
-
-impl Watchdog {
-    /// Creates a watchdog that flags any key older than `limit` ticks.
-    #[must_use]
-    pub fn new(limit: u64) -> Watchdog {
-        Watchdog { limit, tracked: BTreeMap::new() }
-    }
-
-    /// Starts (or restarts) tracking `key` as of `now`.
-    pub fn begin(&mut self, key: u64, now: Tick) {
-        self.tracked.insert(key, now);
-    }
-
-    /// Stops tracking `key` (transaction finished).
-    pub fn end(&mut self, key: u64) {
-        self.tracked.remove(&key);
-    }
-
-    /// The key that has gone longest without progress, with its age.
-    #[must_use]
-    pub fn oldest(&self, now: Tick) -> Option<(u64, u64)> {
-        self.tracked
-            .iter()
-            .map(|(&k, &since)| (k, now.delta_since(since)))
-            .max_by_key(|&(k, age)| (age, std::cmp::Reverse(k)))
-    }
-
-    /// Whether any tracked key has exceeded the age limit at `now`.
-    #[must_use]
-    pub fn expired(&self, now: Tick) -> bool {
-        self.oldest(now).is_some_and(|(_, age)| age > self.limit)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn watchdog_lifecycle_tracks_ages() {
-        let mut w = Watchdog::new(100);
-        assert_eq!(w.oldest(Tick(0)), None);
-        w.begin(7, Tick(10));
-        w.begin(9, Tick(50));
-        assert!(!w.expired(Tick(110)));
-        assert!(w.expired(Tick(111)));
-        assert_eq!(w.oldest(Tick(111)), Some((7, 101)));
-        w.end(7);
-        assert_eq!(w.oldest(Tick(111)), Some((9, 61)));
-        w.end(9);
-        assert!(!w.expired(Tick(1_000)));
-    }
 
     #[test]
     fn snapshot_mentions_lines_and_formats() {
