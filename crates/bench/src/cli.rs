@@ -97,8 +97,8 @@ impl Args {
         self.value(flag).map(|path| OutFile::create(Path::new(path))).transpose()
     }
 
-    /// The campaign worker count: `--jobs`, then `HSC_JOBS`, then the
-    /// machine's available parallelism.
+    /// The campaign worker count: `--jobs`, else the machine's available
+    /// parallelism.
     fn parallelism(&self) -> io::Result<Parallelism> {
         let jobs = self.value(JOBS).map(|raw| {
             let n = raw.parse::<usize>().ok().filter(|&n| n > 0);
@@ -106,7 +106,7 @@ impl Args {
                 usage_error(format!("--jobs operand {raw:?} is not a positive integer"))
             })
         });
-        Parallelism::resolve(jobs.transpose()?).map_err(usage_error)
+        Ok(Parallelism::resolve(jobs.transpose()?))
     }
 
     /// Resolves `--trace` / `--trace-gen` into the replay workload, or
@@ -360,9 +360,8 @@ fn write_index(out: &mut dyn Write) -> io::Result<()> {
         writeln!(out, "      {}", cmd.about)?;
     }
     writeln!(out)?;
-    writeln!(out, "--jobs <N> sets the campaign worker threads (default: HSC_JOBS, then the")?;
-    writeln!(out, "machine's available parallelism); stdout and every report are byte-identical")?;
-    writeln!(out, "at any worker count.")
+    writeln!(out, "--jobs <N> sets the campaign worker threads (default: the machine's available")?;
+    writeln!(out, "parallelism); stdout and every report are byte-identical at any worker count.")
 }
 
 /// Runs the `hsc` command line `raw` (without the program name), writing

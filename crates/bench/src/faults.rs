@@ -14,6 +14,12 @@
 //!   with a structured snapshot naming the stuck lines (expected when an
 //!   unretryable message class, e.g. a probe, is dropped).
 //!
+//! A deadlock on a row that drops only retryable requests prints as
+//! **unrecovered by retry** instead: retry should have recovered it, and
+//! did not (the known same-line gap in `hsc_noc::RetryTracker`, see
+//! ROADMAP). It is still a clean diagnosis, so it does not fail the
+//! campaign; the closing line counts such rows.
+//!
 //! A panic, a wiring error, an exhausted event budget or a wrong answer
 //! all fail the campaign. A worker panic is captured per-job by the
 //! campaign runner and reported as a named failure while sibling runs
@@ -117,7 +123,7 @@ pub fn faults(
         }
         let w = w.as_ref();
         for (label, plan) in &plans {
-            let cfg = base.with_retry_everywhere(RetryPolicy::default()).with_faults(*plan);
+            let cfg = base.with_retry(RetryPolicy::default()).with_faults(*plan);
             sweep.push(format!("{}/drop={label}", w.name()), move || {
                 run_workload_observed(w, cfg, obs)
             });
@@ -142,6 +148,7 @@ pub fn faults(
     };
 
     let mut failures = 0;
+    let mut unrecovered = 0;
     for (w, golden) in workloads.iter().zip(&golden_results) {
         let golden_failure = match golden {
             Ok(Ok(_)) => None,
@@ -153,7 +160,7 @@ pub fn faults(
             failures += 1;
             continue;
         }
-        for (label, _) in &plans {
+        for (label, plan) in &plans {
             let run = match sweep_results.next().expect("one sweep result per plan") {
                 Ok(run) => run,
                 Err(e) => {
@@ -175,17 +182,22 @@ pub fn faults(
             match &run.outcome {
                 Ok(r) => {
                     let stats = &r.metrics.stats;
+                    // Every requester's re-sends: `cp{i}.l2.retries`,
+                    // `tcc.retries` and `dma.retries`.
                     let retries =
-                        ["cp0.l2.retries", "cp1.l2.retries", "tcc.retries", "dma.retries"];
-                    let counts = (
-                        stats.get("faults.dropped"),
-                        retries.iter().map(|key| stats.get(key)).sum(),
-                    );
+                        stats.iter().filter(|(k, _)| k.ends_with(".retries")).map(|(_, v)| v);
+                    let counts = (stats.get("faults.dropped"), retries.sum());
                     write_row(out, w.name(), label, Some(counts), "completed, matches golden")?;
                 }
                 Err(WorkloadError::Sim(SimError::Deadlock { snapshot })) => {
+                    let kind = if plan.targets == FaultTargets::RetryableRequests {
+                        unrecovered += 1;
+                        "unrecovered by retry"
+                    } else {
+                        "diagnosed deadlock"
+                    };
                     let outcome = format!(
-                        "diagnosed deadlock: {} stuck line(s), {} busy agent(s)",
+                        "{kind}: {} stuck line(s), {} busy agent(s)",
                         snapshot.lines.len(),
                         snapshot.agents.len()
                     );
@@ -216,9 +228,13 @@ pub fn faults(
         )?;
         return Ok(ExitCode::FAILURE);
     }
+    // An unrecovered retryable-only row is a known, diagnosed protocol gap
+    // (acks do not name the request they answer), not a simulator fault:
+    // it is counted here but does not change the exit status.
     writeln!(
         out,
-        "campaign passed: every run completed golden-equivalent or was cleanly diagnosed"
+        "campaign passed: every run completed golden-equivalent or was cleanly diagnosed \
+         ({unrecovered} retryable-only run(s) unrecovered by retry)"
     )?;
     Ok(ExitCode::SUCCESS)
 }

@@ -14,8 +14,7 @@
 //! to a serial run. A panicking job is captured per-job and surfaces as a
 //! named [`JobError`] while its sibling jobs run to completion.
 //!
-//! Thread count resolution (first match wins): an explicit `--jobs N`
-//! flag, the `HSC_JOBS` environment variable, then
+//! Thread count resolution: an explicit `--jobs N` flag, else
 //! [`std::thread::available_parallelism`].
 //!
 //! # Examples
@@ -39,9 +38,6 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Environment variable overriding the default campaign thread count.
-pub const JOBS_ENV: &str = "HSC_JOBS";
-
 /// How many worker threads a campaign may use (always at least 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Parallelism {
@@ -62,30 +58,14 @@ impl Parallelism {
         Parallelism { jobs: jobs.max(1) }
     }
 
-    /// Resolves the worker count from (in priority order) an explicit
-    /// `--jobs` flag value, the `HSC_JOBS` environment variable, and
+    /// Resolves the worker count: an explicit `--jobs` flag value (zero
+    /// clamped to one, like [`Parallelism::of`]), else
     /// [`std::thread::available_parallelism`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable message when the flag or the environment
-    /// variable is present but not a positive integer.
-    pub fn resolve(flag: Option<usize>) -> Result<Self, String> {
-        if let Some(jobs) = flag {
-            if jobs == 0 {
-                return Err("--jobs must be at least 1".to_owned());
-            }
-            return Ok(Parallelism { jobs });
-        }
-        if let Ok(raw) = std::env::var(JOBS_ENV) {
-            return match raw.trim().parse::<usize>() {
-                Ok(jobs) if jobs > 0 => Ok(Parallelism { jobs }),
-                _ => Err(format!("{JOBS_ENV}={raw:?} is not a positive integer")),
-            };
-        }
-        Ok(Parallelism {
-            jobs: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        })
+    #[must_use]
+    pub fn resolve(flag: Option<usize>) -> Self {
+        Parallelism::of(flag.unwrap_or_else(|| {
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        }))
     }
 
     /// The worker-thread count.
@@ -319,11 +299,11 @@ mod tests {
 
     #[test]
     fn parallelism_resolution_precedence() {
-        assert_eq!(Parallelism::resolve(Some(3)).unwrap().jobs(), 3);
-        assert!(Parallelism::resolve(Some(0)).is_err());
+        assert_eq!(Parallelism::resolve(Some(3)).jobs(), 3);
+        assert_eq!(Parallelism::resolve(Some(0)).jobs(), 1, "zero clamps to serial");
         assert_eq!(Parallelism::of(0).jobs(), 1, "zero clamps to serial");
-        // No flag: env or available_parallelism, but always >= 1.
-        assert!(Parallelism::resolve(None).map_or(true, |p| p.jobs() >= 1));
+        // No flag: available_parallelism, but always >= 1.
+        assert!(Parallelism::resolve(None).jobs() >= 1);
     }
 
     #[test]

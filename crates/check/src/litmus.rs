@@ -200,7 +200,7 @@ impl Litmus {
         }
         cfg.faults = faults;
         if let Some(r) = retry {
-            cfg = cfg.with_retry_everywhere(r);
+            cfg = cfg.with_retry(r);
         }
         let mut b = SystemBuilder::new(cfg);
         for script in &self.cpu {
@@ -396,8 +396,6 @@ fn dup_first_resp() -> FaultPlan {
         seed: 0,
         drop_ppm: 0,
         dup_ppm: 1_000_000,
-        delay_ppm: 0,
-        extra_delay: 0,
         targets: FaultTargets::Class("Resp"),
         max_faults: 1,
     }

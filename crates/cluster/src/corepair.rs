@@ -66,10 +66,6 @@ pub struct CpuConfig {
     pub code_lines: u64,
     /// MSHR capacity of the L2.
     pub mshr_capacity: usize,
-    /// Optional request retry under fault injection. `None` (the default)
-    /// disables all retry bookkeeping and wake-ups, so fault-free runs
-    /// are bit-identical to a build without the retry layer.
-    pub retry: Option<RetryPolicy>,
 }
 
 impl Default for CpuConfig {
@@ -88,7 +84,6 @@ impl Default for CpuConfig {
             ifetch_interval: 32,
             code_lines: 64,
             mshr_capacity: 16,
-            retry: None,
         }
     }
 }
@@ -291,12 +286,22 @@ impl CorePair {
             l2: CacheArray::new(CacheGeometry::new(cfg.l2_bytes, cfg.l2_ways)),
             mshr: Mshr::new(cfg.mshr_capacity),
             victims: VictimBuffer::new(),
-            retry: RetryTracker::maybe(cfg.retry),
+            retry: RetryTracker::new(None),
             wakes: WakeArm::default(),
             counters,
             ids,
             transitions: TransitionMatrix::new("moesi-l2", MOESI_STATES, MOESI_CAUSES),
         }
+    }
+
+    /// Enables (or disables) request retry under fault injection. `None`
+    /// (the default) skips all retry bookkeeping and wake-ups, so
+    /// fault-free runs are bit-identical to a build without the retry
+    /// layer.
+    #[must_use]
+    pub fn with_retry(mut self, policy: Option<RetryPolicy>) -> Self {
+        self.retry = RetryTracker::new(policy);
+        self
     }
 
     /// Switches on the MOESI transition matrix (protocol analytics).

@@ -116,7 +116,7 @@ impl DmaEngine {
             window,
             pending_lines: VecDeque::new(),
             read_data: BTreeMap::new(),
-            retry: RetryTracker::maybe(None),
+            retry: RetryTracker::new(None),
             wakes: WakeArm::default(),
             counters,
             ids,
@@ -136,7 +136,7 @@ impl DmaEngine {
     /// retries every in-flight line.
     #[must_use]
     pub fn with_retry(mut self, policy: Option<RetryPolicy>) -> Self {
-        self.retry = RetryTracker::maybe(policy);
+        self.retry = RetryTracker::new(policy);
         self
     }
 

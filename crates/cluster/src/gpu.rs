@@ -87,13 +87,6 @@ pub struct GpuConfig {
     pub code_lines: u64,
     /// TCC MSHR capacity.
     pub mshr_capacity: usize,
-    /// Optional request retry under fault injection. `None` (the default)
-    /// disables all retry bookkeeping and wake-ups. When enabled, the TCC
-    /// retries fills, write-throughs and flush fences; SLC atomics are
-    /// never retried because they are not idempotent at the directory (a
-    /// retry whose original survived would apply the atomic twice) — a
-    /// lost atomic is left to the watchdog to diagnose.
-    pub retry: Option<RetryPolicy>,
 }
 
 impl Default for GpuConfig {
@@ -116,7 +109,6 @@ impl Default for GpuConfig {
             ifetch_interval: 32,
             code_lines: 32,
             mshr_capacity: 512,
-            retry: None,
         }
     }
 }
@@ -336,12 +328,24 @@ impl GpuCluster {
             line_scratch: Vec::new(),
             store_scratch: Vec::new(),
             sqc: CacheArray::new(CacheGeometry::new(cfg.sqc_bytes, cfg.sqc_ways)),
-            retry: RetryTracker::maybe(cfg.retry),
+            retry: RetryTracker::new(None),
             wakes: WakeArm::default(),
             transitions: TransitionMatrix::new("viper-tcc", VIPER_STATES, VIPER_CAUSES),
             counters,
             ids,
         }
+    }
+
+    /// Enables (or disables) request retry under fault injection. `None`
+    /// (the default) skips all retry bookkeeping and wake-ups. When
+    /// enabled, the TCC retries fills, write-throughs and flush fences;
+    /// SLC atomics are never retried because they are not idempotent at
+    /// the directory (a retry whose original survived would apply the
+    /// atomic twice) — a lost atomic is left to the watchdog to diagnose.
+    #[must_use]
+    pub fn with_retry(mut self, policy: Option<RetryPolicy>) -> Self {
+        self.retry = RetryTracker::new(policy);
+        self
     }
 
     /// Switches on protocol analytics (TCC transition matrix).

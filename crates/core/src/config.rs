@@ -81,12 +81,6 @@ pub struct CoherenceConfig {
     pub directory: DirectoryMode,
     /// §VII: directory-cache replacement policy.
     pub dir_replacement: DirReplacementPolicy,
-    /// Whether stateless-mode read-permission requests also send downgrade
-    /// probes to the TCC. Fig. 2's text broadcasts "to the L2s and TCCs",
-    /// and skipping the TCC lets a CPU earn Exclusive over a live TCC copy
-    /// (footnote 4's "may not include the TCC" is only safe with state
-    /// tracking), so this defaults to on; turn it off for ablation.
-    pub probe_tcc_on_reads: bool,
 }
 
 impl Default for CoherenceConfig {
@@ -98,7 +92,6 @@ impl Default for CoherenceConfig {
             use_l3_on_wt: false,
             directory: DirectoryMode::Stateless,
             dir_replacement: DirReplacementPolicy::TreePlru,
-            probe_tcc_on_reads: true,
         }
     }
 }
@@ -230,10 +223,11 @@ pub struct SystemConfig {
     /// default) bypasses the fault layer entirely — fault-free runs are
     /// bit-identical to a build without it.
     pub faults: Option<FaultPlan>,
-    /// Retry policy for the DMA engine (CPU and GPU retry lives in
-    /// [`CpuConfig::retry`] / [`GpuConfig::retry`]; see
-    /// [`SystemConfig::with_retry_everywhere`] to set all three at once).
-    pub dma_retry: Option<RetryPolicy>,
+    /// Request retry for every requester — CorePair L2s, TCCs and the DMA
+    /// engine. `None` (the default) skips all retry bookkeeping and
+    /// wake-ups, so fault-free runs are bit-identical to a build without
+    /// the retry layer.
+    pub retry: Option<RetryPolicy>,
     /// Watchdog limit: a directory transaction older than this many ticks
     /// makes `System::run` return `SimError::Deadlock`.
     pub watchdog_ticks: u64,
@@ -253,7 +247,7 @@ impl Default for SystemConfig {
                 dir_mem: 140,   // 4 GPU cycles to the memory controller
             },
             faults: None,
-            dma_retry: None,
+            retry: None,
             watchdog_ticks: crate::directory::DEFAULT_WATCHDOG_TICKS,
         }
     }
@@ -287,18 +281,16 @@ impl SystemConfig {
         s
     }
 
-    /// Enables the same retry policy on every requester (CorePair L2s,
-    /// TCCs, DMA engine) — the usual companion to a [`FaultPlan`].
+    /// Enables `policy` on every requester (CorePair L2s, TCCs, DMA
+    /// engine) — the usual companion to a [`FaultPlan`].
     #[must_use]
-    pub fn with_retry_everywhere(mut self, policy: RetryPolicy) -> Self {
-        self.cpu.retry = Some(policy);
-        self.gpu.retry = Some(policy);
-        self.dma_retry = Some(policy);
+    pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
+        self.retry = Some(policy);
         self
     }
 
     /// Installs a fault plan (see [`FaultPlan`]); pair with
-    /// [`SystemConfig::with_retry_everywhere`] for loss recovery.
+    /// [`SystemConfig::with_retry`] for loss recovery.
     #[must_use]
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);

@@ -650,11 +650,9 @@ impl Directory {
                 }
             }
             // Owner-only tracking: identities unknown, broadcast.
-            ProbePlan::InvalidateTracked | ProbePlan::BroadcastInvalidate => targets.extend(others),
-            ProbePlan::BroadcastDowngrade => {
-                let include_tcc = self.cfg.probe_tcc_on_reads;
-                targets.extend(others.filter(|&a| include_tcc || !a.is_gpu_cache()));
-            }
+            ProbePlan::InvalidateTracked
+            | ProbePlan::BroadcastInvalidate
+            | ProbePlan::BroadcastDowngrade => targets.extend(others),
         }
     }
 
@@ -1322,7 +1320,6 @@ mod tests {
     fn stateless_oracle(
         msg: &Message,
         others_hold: bool,
-        probe_tcc_on_reads: bool,
         n_l2: usize,
         n_tcc: usize,
     ) -> (Option<ProbeKind>, Vec<AgentId>, DataPlan, Option<Grant>) {
@@ -1341,13 +1338,11 @@ mod tests {
             }
             ref other => panic!("{} is not a request", other.class_name()),
         };
-        let include_tcc = kind == Some(ProbeKind::Invalidate) || probe_tcc_on_reads;
         let targets = (0..n_l2)
             .map(AgentId::CorePairL2)
             .chain((0..n_tcc).map(AgentId::Tcc))
             .filter(|_| kind.is_some())
             .filter(|&a| a != msg.src)
-            .filter(|&a| include_tcc || !a.is_gpu_cache())
             .collect();
         let grant = match msg.kind {
             MsgKind::RdBlkS => Some(Grant::Shared),
@@ -1384,34 +1379,30 @@ mod tests {
             (AgentId::Dma, MsgKind::DmaWr { data, mask }),
         ];
         for n_tcc in [1, 2] {
-            for probe_tcc_on_reads in [false, true] {
-                let cfg = CoherenceConfig { probe_tcc_on_reads, ..CoherenceConfig::baseline() };
-                let dir = Directory::new(cfg, UncoreConfig::default(), N_L2, n_tcc);
-                for (src, kind) in requests {
-                    let msg = Message::new(src, AgentId::Directory, LineAddr(7), kind);
-                    let req = PlanReq::of(&kind).expect("a request");
-                    let role = Directory::role_of(&msg, false);
-                    let tr = plan(cfg.directory, DirState::I, req, role);
-                    assert_eq!(tr.next, NextState::Unchanged);
-                    let mut targets = Vec::new();
-                    dir.resolve_probe_targets(None, src, tr.probes, &mut targets);
-                    let probe =
-                        (tr.probes != ProbePlan::None).then(|| Directory::probe_kind(tr.probes));
-                    for others_hold in [false, true] {
-                        let got = (
-                            probe,
-                            targets.clone(),
-                            tr.data,
-                            Directory::response_grant(tr.grant, others_hold),
-                        );
-                        let want =
-                            stateless_oracle(&msg, others_hold, probe_tcc_on_reads, N_L2, n_tcc);
-                        assert_eq!(
-                            got, want,
-                            "{req:?} from {src}, others_hold={others_hold}, \
-                             probe_tcc_on_reads={probe_tcc_on_reads}, {n_tcc} TCC(s)"
-                        );
-                    }
+            let cfg = CoherenceConfig::baseline();
+            let dir = Directory::new(cfg, UncoreConfig::default(), N_L2, n_tcc);
+            for (src, kind) in requests {
+                let msg = Message::new(src, AgentId::Directory, LineAddr(7), kind);
+                let req = PlanReq::of(&kind).expect("a request");
+                let role = Directory::role_of(&msg, false);
+                let tr = plan(cfg.directory, DirState::I, req, role);
+                assert_eq!(tr.next, NextState::Unchanged);
+                let mut targets = Vec::new();
+                dir.resolve_probe_targets(None, src, tr.probes, &mut targets);
+                let probe =
+                    (tr.probes != ProbePlan::None).then(|| Directory::probe_kind(tr.probes));
+                for others_hold in [false, true] {
+                    let got = (
+                        probe,
+                        targets.clone(),
+                        tr.data,
+                        Directory::response_grant(tr.grant, others_hold),
+                    );
+                    let want = stateless_oracle(&msg, others_hold, N_L2, n_tcc);
+                    assert_eq!(
+                        got, want,
+                        "{req:?} from {src}, others_hold={others_hold}, {n_tcc} TCC(s)"
+                    );
                 }
             }
         }

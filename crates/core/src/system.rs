@@ -3,7 +3,7 @@ use hsc_cluster::{
     TICKS_PER_GPU_CYCLE,
 };
 use hsc_mem::{Addr, LineAddr, LineData, MainMemory, VictimEntry};
-use hsc_noc::{Action, AgentId, Delivery, FaultyNetwork, Message, MsgKind, Outbox};
+use hsc_noc::{Action, AgentId, Delivery, Message, MsgKind, Network, Outbox};
 use hsc_obs::{ObsConfig, ObsData, Observer};
 use hsc_sim::{
     format_trace_line, DeadlockSnapshot, FlightEntry, FlightRecorder, Fnv1a, Held, PendingEvent,
@@ -172,8 +172,11 @@ impl SystemBuilder {
         for (i, p) in self.cpu_threads.into_iter().enumerate() {
             per_pair[(i / 2) % cfg.corepairs].push(p);
         }
-        let mut corepairs: Vec<CorePair> =
-            per_pair.into_iter().enumerate().map(|(i, ps)| CorePair::new(i, ps, cfg.cpu)).collect();
+        let mut corepairs: Vec<CorePair> = per_pair
+            .into_iter()
+            .enumerate()
+            .map(|(i, ps)| CorePair::new(i, ps, cfg.cpu).with_retry(cfg.retry))
+            .collect();
 
         // Wavefronts round-robin over every CU of every GPU cluster.
         let n_gpus = cfg.gpu_clusters.max(1);
@@ -187,7 +190,7 @@ impl SystemBuilder {
         for (g, chunk) in per_cu.chunks_mut(cfg.gpu.cus).enumerate() {
             let programs: Vec<Vec<Box<dyn WavefrontProgram>>> =
                 chunk.iter_mut().map(std::mem::take).collect();
-            gpus.push(GpuCluster::new(g, programs, cfg.gpu));
+            gpus.push(GpuCluster::new(g, programs, cfg.gpu).with_retry(cfg.retry));
         }
 
         let mut mem = MainMemory::new();
@@ -212,14 +215,14 @@ impl SystemBuilder {
             config: cfg,
             corepairs,
             gpus,
-            dma: DmaEngine::new(self.dma_commands, 8).with_retry(cfg.dma_retry),
+            dma: DmaEngine::new(self.dma_commands, 8).with_retry(cfg.retry),
             directory,
             memctl: MemoryController::new(
                 mem,
                 cfg.uncore.mem_ticks,
                 cfg.uncore.mem_occupancy_ticks,
             ),
-            network: FaultyNetwork::new(cfg.network, cfg.faults),
+            network: Network::new(cfg.network).with_faults(cfg.faults),
             queue: WheelQueue::new(),
             now: Tick::ZERO,
             events_processed: 0,
@@ -241,9 +244,8 @@ enum Ev {
 /// The whole simulated APU of Fig. 1, ready to run.
 ///
 /// Owns every controller, routes messages through the latency
-/// [`FaultyNetwork`] (a transparent pass-through unless a
-/// [`hsc_noc::FaultPlan`] was configured), and drives the deterministic
-/// event loop.
+/// [`Network`] (fault-free unless a [`hsc_noc::FaultPlan`] was
+/// configured), and drives the deterministic event loop.
 #[derive(Debug)]
 pub struct System {
     config: SystemConfig,
@@ -252,7 +254,7 @@ pub struct System {
     dma: DmaEngine,
     directory: Directory,
     memctl: MemoryController,
-    network: FaultyNetwork,
+    network: Network,
     queue: WheelQueue<Ev>,
     now: Tick,
     events_processed: u64,
@@ -453,14 +455,14 @@ impl System {
             gauges.push((&labels.0, gpu.mshr_occupancy()));
             gauges.push((&labels.1, gpu.waiter_occupancy()));
         }
-        let net = self.network.network();
+        let net = &self.network;
         let counters: [(&str, u64); 6] = [
             ("events_processed", self.events_processed),
             ("net.messages", net.messages_total()),
             ("net.probes_total", net.probes_sent()),
             ("net.mem_reads", net.mem_reads()),
             ("net.mem_writes", net.mem_writes()),
-            ("faults.injected", self.network.faults_injected()),
+            ("faults.injected", net.faults_injected()),
         ];
         self.observer.sample(self.now, &gauges, &counters);
     }
@@ -569,9 +571,9 @@ impl System {
     /// Switches this system into model-checking mode: delivers the initial
     /// wake-ups (if [`System::run`] has not already) and flattens network
     /// latency so every undelivered message is immediately choosable. Fault
-    /// plans still apply — drops, duplicates and *extra* delays survive —
-    /// only the base topology latency is removed, because the explorer
-    /// subsumes timing by enumerating delivery orders.
+    /// plans still apply — drops and duplicates survive — only the
+    /// topology latency is removed, because the explorer subsumes timing
+    /// by enumerating delivery orders.
     ///
     /// # Errors
     ///
@@ -579,7 +581,7 @@ impl System {
     pub fn enable_choice_mode(&mut self) -> Result<(), SimError> {
         let mut out = Outbox::new(self.now);
         self.start(&mut out)?;
-        self.network.set_immediate_delivery(true);
+        self.network.set_immediate_delivery();
         Ok(())
     }
 
@@ -734,7 +736,7 @@ impl System {
         Ok(())
     }
 
-    /// One seam for all outbound traffic: the faulty network decides
+    /// One seam for all outbound traffic: the network decides
     /// whether the message arrives once, twice, or never. The copy into
     /// the queue is the only one a message makes on its way to a handler.
     fn dispatch(&mut self, at: Tick, m: &Message) -> Result<(), SimError> {
@@ -778,14 +780,13 @@ impl System {
         stats.merge(&self.dma.stats());
         stats.merge(&self.directory.stats());
         stats.merge(&self.memctl.stats());
-        stats.merge(&self.network.network().stats());
-        stats.merge(&self.network.fault_stats());
+        stats.merge(&self.network.stats());
         Metrics {
             ticks: self.now.cycles(),
             gpu_cycles: self.now.cycles() / TICKS_PER_GPU_CYCLE,
-            probes_sent: self.network.network().probes_sent(),
-            mem_reads: self.network.network().mem_reads(),
-            mem_writes: self.network.network().mem_writes(),
+            probes_sent: self.network.probes_sent(),
+            mem_reads: self.network.mem_reads(),
+            mem_writes: self.network.mem_writes(),
             events: self.events_processed,
             stats,
         }

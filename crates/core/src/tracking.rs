@@ -286,8 +286,8 @@ pub enum ProbePlan {
     /// Invalidating probes to the tracked owner + sharers (multicast;
     /// falls back to broadcast under owner-only tracking).
     InvalidateTracked,
-    /// Downgrade probes to every other cache (the stateless baseline's
-    /// reads; TCCs are skipped unless `probe_tcc_on_reads`).
+    /// Downgrade probes to every other cache, TCCs included (the
+    /// stateless baseline's reads).
     BroadcastDowngrade,
     /// Invalidating probes to every other cache (the stateless baseline's
     /// writes).

@@ -146,7 +146,7 @@ const LINE: LineAddr = LineAddr(0x100);
 fn baseline_rdblk_broadcasts_and_grants_exclusive_when_alone() {
     let mut h = Harness::new(CoherenceConfig::baseline());
     h.send(L2_0, LINE, MsgKind::RdBlk);
-    // Downgrade probes to the 3 other L2s + the TCC (probe_tcc_on_reads).
+    // Downgrade probes to the 3 other L2s + the TCC (stateless reads always probe the TCC).
     assert_eq!(h.probe_count(LINE), N_L2 - 1 + 1);
     h.ack_all_probes(LINE, None);
     let resp = h.drain_to(L2_0);

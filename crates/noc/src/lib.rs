@@ -11,7 +11,8 @@
 //!   response named in §II of the paper (RdBlk, RdBlkS, RdBlkM, VicDirty,
 //!   VicClean, WT, Atomic, Flush, DMARd, DMAWr, probes, unblocks, …),
 //! * [`Network`] — a fixed-per-hop-latency interconnect that timestamps
-//!   deliveries and counts traffic by message class. Together with the
+//!   deliveries, counts traffic by message class and, given a
+//!   [`FaultPlan`], drops or duplicates messages. Together with the
 //!   FIFO tie-breaking of `hsc_sim::WheelQueue`, constant per-pair latency
 //!   gives point-to-point ordering, which the protocols rely on.
 //!
@@ -32,7 +33,7 @@ mod retry;
 pub use actions::{Action, Outbox, WakeArm};
 pub use agent::AgentId;
 pub use classctr::ClassCounters;
-pub use fault::{Delivery, FaultPlan, FaultTargets, FaultyNetwork};
+pub use fault::{FaultPlan, FaultTargets};
 pub use message::{Grant, Message, MsgKind, ProbeKind, WordMask};
-pub use network::{LatencyMap, Network, WiringError};
+pub use network::{Delivery, LatencyMap, Network, WiringError};
 pub use retry::{RetryPolicy, RetryTracker};

@@ -1,8 +1,8 @@
 use std::fmt;
 
-use hsc_sim::{CounterId, Counters, StatSet, Tick};
+use hsc_sim::{CounterId, Counters, DetRng, StatSet, Tick};
 
-use crate::{AgentId, ClassCounters, Message, MsgKind};
+use crate::{AgentId, ClassCounters, FaultPlan, Message, MsgKind};
 
 /// A message was sent between two agents that share no link in this
 /// topology (every path goes through the directory).
@@ -67,24 +67,42 @@ impl LatencyMap {
     }
 }
 
-/// The system interconnect: timestamps deliveries and counts every message
-/// by class.
+/// What happens to a message entering the network.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Delivery {
+    /// Normal delivery at the given tick.
+    Deliver(Tick),
+    /// Duplicate fault: two deliveries of the same message.
+    Twice(Tick, Tick),
+    /// Drop fault: the message vanishes in the interconnect.
+    Dropped,
+}
+
+/// The system interconnect: timestamps deliveries, counts every message
+/// by class and, given a [`FaultPlan`], injects deterministic faults.
 ///
 /// The paper's Figure 7 (probes sent out from the directory) and parts of
 /// Figure 5 (directory↔memory reads/writes) are read off these counters at
 /// the end of a run.
 ///
+/// Fault injection (see [`FaultPlan`]) drops or duplicates messages of
+/// selected classes, driven by a [`DetRng`] seeded from the plan — the
+/// transient failures a robust protocol must survive or at least
+/// diagnose. Every injected fault is counted under `faults.*`. Without a
+/// plan `send` makes no RNG draw and the `faults.*` counters never
+/// export, so fault-free runs are byte-identical to a network that had
+/// no fault layer.
+///
 /// # Examples
 ///
 /// ```
 /// use hsc_mem::LineAddr;
-/// use hsc_noc::{AgentId, LatencyMap, Message, MsgKind, Network};
+/// use hsc_noc::{AgentId, Delivery, LatencyMap, Message, MsgKind, Network};
 /// use hsc_sim::Tick;
 ///
 /// let mut net = Network::new(LatencyMap::default());
 /// let m = Message::new(AgentId::CorePairL2(0), AgentId::Directory, LineAddr(1), MsgKind::RdBlk);
-/// let arrive = net.send(Tick(100), &m).unwrap();
-/// assert_eq!(arrive, Tick(130));
+/// assert_eq!(net.send(Tick(100), &m).unwrap(), Delivery::Deliver(Tick(130)));
 /// assert_eq!(net.stats().get("net.msg.RdBlk"), 1);
 /// ```
 #[derive(Debug, Clone)]
@@ -95,10 +113,18 @@ pub struct Network {
     probes_total: CounterId,
     mem_reads: CounterId,
     mem_writes: CounterId,
+    dropped: CounterId,
+    dropped_by_class: ClassCounters,
+    duplicated: CounterId,
+    duplicated_by_class: ClassCounters,
+    plan: Option<FaultPlan>,
+    rng: DetRng,
+    injected: u64,
+    immediate: bool,
 }
 
 impl Network {
-    /// Creates a network with the given latencies.
+    /// Creates a fault-free network with the given latencies.
     #[must_use]
     pub fn new(latency: LatencyMap) -> Self {
         let mut counters = Counters::new();
@@ -106,20 +132,97 @@ impl Network {
         let probes_total = counters.register("net.probes_total");
         let mem_reads = counters.register("net.mem_reads");
         let mem_writes = counters.register("net.mem_writes");
-        Network { latency, counters, by_class, probes_total, mem_reads, mem_writes }
+        let dropped = counters.register_hidden("faults.dropped");
+        let dropped_by_class = ClassCounters::register_hidden(&mut counters, "faults.dropped");
+        let duplicated = counters.register_hidden("faults.duplicated");
+        let duplicated_by_class =
+            ClassCounters::register_hidden(&mut counters, "faults.duplicated");
+        Network {
+            latency,
+            counters,
+            by_class,
+            probes_total,
+            mem_reads,
+            mem_writes,
+            dropped,
+            dropped_by_class,
+            duplicated,
+            duplicated_by_class,
+            plan: None,
+            rng: DetRng::new(0),
+            injected: 0,
+            immediate: false,
+        }
     }
 
-    /// Accepts `msg` at time `now`; returns its delivery time and records
-    /// traffic statistics.
+    /// Installs a fault plan (`None` keeps the network fault-free).
+    #[must_use]
+    pub fn with_faults(mut self, plan: Option<FaultPlan>) -> Self {
+        self.plan = plan;
+        self.rng = DetRng::new(plan.map_or(0, |p| p.seed));
+        self
+    }
+
+    /// Switches to *immediate delivery*: every accepted message arrives at
+    /// its send tick instead of after the modelled latency (duplicates
+    /// collapse to two same-tick copies).
+    ///
+    /// This hands delivery *ordering* to whoever drains the event queue —
+    /// with latencies flattened to zero, which message is handled next is
+    /// purely the driver's choice. The model checker uses this to explore
+    /// all interleavings rather than the one FIFO timing would pick.
+    /// Wiring validation, faults and traffic statistics are unaffected.
+    pub fn set_immediate_delivery(&mut self) {
+        self.immediate = true;
+    }
+
+    /// Accepts `msg` at time `now`, records traffic statistics and applies
+    /// any planned fault.
+    ///
+    /// The message is counted as traffic even when a fault drops it (it
+    /// entered the interconnect); faults decide what comes out.
     ///
     /// # Errors
     ///
     /// Returns [`WiringError`] when no link exists between `msg.src` and
     /// `msg.dst`; nothing is counted in that case.
-    pub fn send(&mut self, now: Tick, msg: &Message) -> Result<Tick, WiringError> {
+    #[inline]
+    pub fn send(&mut self, now: Tick, msg: &Message) -> Result<Delivery, WiringError> {
         let lat = self.latency.one_way(msg.src, msg.dst)?;
         self.count(msg);
-        Ok(now + lat)
+        let arrive = if self.immediate { now } else { now + lat };
+        Ok(match self.plan {
+            None => Delivery::Deliver(arrive),
+            Some(plan) => self.inject(plan, arrive, msg),
+        })
+    }
+
+    /// The fault half of [`Network::send`], kept out of line so the
+    /// fault-free path stays small. Each draw is guarded by its own
+    /// `ppm > 0`, so a plan draws only for the faults it can inject.
+    #[inline(never)]
+    fn inject(&mut self, plan: FaultPlan, arrive: Tick, msg: &Message) -> Delivery {
+        const PPM: u64 = 1_000_000;
+        if self.injected >= plan.max_faults || !plan.targets.matches(msg) {
+            return Delivery::Deliver(arrive);
+        }
+        if plan.drop_ppm > 0 && self.rng.chance(u64::from(plan.drop_ppm), PPM) {
+            self.injected += 1;
+            self.counters.bump(self.dropped);
+            self.counters.bump(self.dropped_by_class.id(&msg.kind));
+            return Delivery::Dropped;
+        }
+        if plan.dup_ppm > 0 && self.rng.chance(u64::from(plan.dup_ppm), PPM) {
+            self.injected += 1;
+            self.counters.bump(self.duplicated);
+            self.counters.bump(self.duplicated_by_class.id(&msg.kind));
+            // The copy takes one extra hop worth of latency so the pair
+            // stays ordered (original first). Under immediate delivery both
+            // land now; the explorer owns their relative order.
+            let copy_at = if self.immediate { arrive } else { arrive + self.latency.cache_dir };
+            return Delivery::Twice(arrive, copy_at);
+        }
+        Delivery::Deliver(arrive)
     }
 
     fn count(&mut self, msg: &Message) {
@@ -134,11 +237,19 @@ impl Network {
         }
     }
 
-    /// Traffic counters exported for reports: `net.msg.<Class>`,
-    /// `net.probes_total`, `net.mem_reads`, `net.mem_writes`.
+    /// Counters exported for reports: traffic (`net.msg.<Class>`,
+    /// `net.probes_total`, `net.mem_reads`, `net.mem_writes`) and faults
+    /// (`faults.dropped[.<Class>]`, `faults.duplicated[.<Class>]`, absent
+    /// until one fires).
     #[must_use]
     pub fn stats(&self) -> StatSet {
         self.counters.export()
+    }
+
+    /// Total faults injected so far (0 without a plan).
+    #[must_use]
+    pub fn faults_injected(&self) -> u64 {
+        self.injected
     }
 
     /// Total messages accepted, all classes — the dense-array replacement
@@ -165,12 +276,6 @@ impl Network {
     #[must_use]
     pub fn mem_writes(&self) -> u64 {
         self.counters.get(self.mem_writes)
-    }
-
-    /// The configured latencies.
-    #[must_use]
-    pub fn latency_map(&self) -> LatencyMap {
-        self.latency
     }
 }
 
@@ -213,7 +318,7 @@ mod tests {
     fn send_timestamps_with_one_way_latency() {
         let mut net = Network::new(LatencyMap { cache_dir: 5, dir_mem: 2 });
         let t = net.send(Tick(10), &msg(AgentId::Directory, AgentId::Memory, MsgKind::MemRd));
-        assert_eq!(t, Ok(Tick(12)));
+        assert_eq!(t, Ok(Delivery::Deliver(Tick(12))));
     }
 
     #[test]
@@ -262,12 +367,12 @@ mod tests {
     fn fifo_ordering_holds_for_constant_latency() {
         // Two messages on the same pair sent at t and t+1 arrive in order.
         let mut net = Network::new(LatencyMap::default());
-        let a = net
-            .send(Tick(0), &msg(AgentId::CorePairL2(0), AgentId::Directory, MsgKind::RdBlk))
-            .unwrap();
-        let b = net
-            .send(Tick(1), &msg(AgentId::CorePairL2(0), AgentId::Directory, MsgKind::Unblock))
-            .unwrap();
-        assert!(a < b);
+        let mut arrival = |t, kind| match net
+            .send(Tick(t), &msg(AgentId::CorePairL2(0), AgentId::Directory, kind))
+        {
+            Ok(Delivery::Deliver(at)) => at,
+            other => panic!("a fault-free network delivers once, got {other:?}"),
+        };
+        assert!(arrival(0, MsgKind::RdBlk) < arrival(1, MsgKind::Unblock));
     }
 }

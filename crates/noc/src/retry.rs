@@ -8,10 +8,17 @@
 //! timeout, re-send it with an exponentially growing (bounded) deadline,
 //! up to a retry cap — past the cap the watchdog diagnoses the stall.
 //!
-//! Retry is entirely opt-in: controllers hold an `Option<RetryPolicy>`
-//! and skip all tracking (and the wake-ups it needs) when it is `None`,
-//! so fault-free runs execute the exact same event sequence as before
-//! this layer existed.
+//! Retry is entirely opt-in: one `Option<RetryPolicy>` (the system
+//! configuration's `retry`) reaches every requester, and with `None` the
+//! tracker skips all tracking (and the wake-ups it needs), so fault-free
+//! runs execute the exact same event sequence as before this layer
+//! existed.
+//!
+//! Known gap: tracking is per *line*, first request wins, and any ack
+//! for the line drops it. A requester with several requests outstanding
+//! on one line (a TCC's write-throughs and the `Flush` behind them) loses
+//! every one but the first to a drop. Acks do not name the request they
+//! answer, so no bookkeeping here can tell them apart; see ROADMAP.
 
 use hsc_mem::{LineAddr, LineMap};
 use hsc_sim::Tick;
@@ -52,55 +59,49 @@ struct PendingRetry {
     attempts: u32,
 }
 
-/// Tracks outstanding requests (keyed by line) and decides which to
-/// re-send when a deadline passes.
+/// Tracks outstanding requests (keyed by line) and re-sends those whose
+/// deadline passes.
 ///
 /// # Examples
 ///
 /// ```
 /// use hsc_mem::LineAddr;
-/// use hsc_noc::{AgentId, Message, MsgKind, RetryPolicy, RetryTracker};
+/// use hsc_noc::{Action, AgentId, Message, MsgKind, Outbox, RetryPolicy, RetryTracker, WakeArm};
 /// use hsc_sim::Tick;
 ///
-/// let mut rt = RetryTracker::new(RetryPolicy { timeout: 100, max_retries: 2 });
+/// let mut rt = RetryTracker::new(Some(RetryPolicy { timeout: 100, max_retries: 2 }));
+/// let mut wakes = WakeArm::default();
 /// let m = Message::new(AgentId::CorePairL2(0), AgentId::Directory, LineAddr(4), MsgKind::RdBlk);
-/// rt.track(Tick(0), m);
-/// assert!(rt.due(Tick(50)).is_empty());       // not yet
-/// assert_eq!(rt.due(Tick(101)), vec![m]);     // re-send now
-/// rt.acked(LineAddr(4));                      // response arrived
-/// assert!(rt.is_empty());
+/// let mut out = Outbox::new(Tick(0));
+/// out.send(m);
+/// rt.track_sent(m, &mut wakes, &mut out); // arms a wake-up at the deadline
+/// assert_eq!(out.actions(), [Action::Send(m), Action::Wake(Tick(100))]);
+///
+/// wakes.delivered(Tick(100));
+/// let mut out = Outbox::new(Tick(100));
+/// assert_eq!(rt.service(Tick(100), &mut wakes, &mut out), 1); // no ack: re-sent
+/// rt.acked(LineAddr(4)); // response arrived
+/// let mut out = Outbox::new(Tick(1_000));
+/// assert_eq!(rt.service(Tick(1_000), &mut wakes, &mut out), 0);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct RetryTracker {
     policy: Option<RetryPolicy>,
     pending: LineMap<PendingRetry>,
 }
 
 impl RetryTracker {
-    /// Creates a tracker with the given policy.
+    /// Creates a tracker under `policy`; with `None` it is inert (every
+    /// call is one branch, so disabled retry costs nothing).
     #[must_use]
-    pub fn new(policy: RetryPolicy) -> RetryTracker {
-        RetryTracker::maybe(Some(policy))
-    }
-
-    /// Creates a tracker that is inert when `policy` is `None` (every
-    /// call becomes a no-op, so disabled retry costs nothing).
-    #[must_use]
-    pub fn maybe(policy: Option<RetryPolicy>) -> RetryTracker {
+    pub fn new(policy: Option<RetryPolicy>) -> RetryTracker {
         RetryTracker { policy, pending: LineMap::new() }
     }
 
-    /// Whether a policy is configured at all.
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.policy.is_some()
-    }
-
     /// Starts tracking `msg` (sent at `now`). First-wins per line: a
-    /// second `track` for the same line keeps the original entry (the
-    /// protocols allow at most one outstanding request per line per
-    /// requester, so a collision is a re-send of the same request).
-    pub fn track(&mut self, now: Tick, msg: Message) {
+    /// second `track` for the same line keeps the original entry (see the
+    /// module docs for what that loses).
+    fn track(&mut self, now: Tick, msg: Message) {
         let Some(policy) = self.policy else { return };
         self.pending.get_or_insert_with(msg.line, || PendingRetry {
             msg,
@@ -117,7 +118,7 @@ impl RetryTracker {
     /// All requests whose deadline has passed at `now`, re-armed with
     /// their next backoff deadline. Requests past the retry cap are
     /// dropped from tracking instead of returned.
-    pub fn due(&mut self, now: Tick) -> Vec<Message> {
+    fn due(&mut self, now: Tick) -> Vec<Message> {
         let Some(policy) = self.policy else { return Vec::new() };
         let mut out = Vec::new();
         self.pending.retain(|_, p| {
@@ -137,29 +138,28 @@ impl RetryTracker {
 
     /// The earliest deadline among tracked requests: the tick the owner's
     /// next retry wake-up is armed for.
-    #[must_use]
-    pub fn next_deadline(&self) -> Option<Tick> {
+    fn next_deadline(&self) -> Option<Tick> {
         self.pending.iter().map(|(_, p)| p.deadline).min()
     }
 
-    /// [`track`](RetryTracker::track)s a request the owner has just staged
-    /// in `out` and arms the wake-up that will check its deadline. Like
+    /// Tracks a request the owner has just staged in `out` and arms the
+    /// wake-up that will check its deadline. Like
     /// [`service`](RetryTracker::service), one branch when retry is off.
     #[inline]
     pub fn track_sent(&mut self, msg: Message, wakes: &mut WakeArm, out: &mut Outbox) {
-        if self.enabled() {
+        if self.policy.is_some() {
             self.track(out.now(), msg);
             self.arm_next(wakes, out);
         }
     }
 
-    /// The owner's `on_wake(now)` duty: re-sends every request that is
-    /// [`due`](RetryTracker::due) through `out` and arms the wake-up for
-    /// the next deadline. Returns how many were re-sent, for the owner's
-    /// own `retries` counter.
+    /// The owner's `on_wake(now)` duty: re-sends every request whose
+    /// deadline has passed through `out` and arms the wake-up for the next
+    /// deadline. Returns how many were re-sent, for the owner's own
+    /// `retries` counter.
     #[inline]
     pub fn service(&mut self, now: Tick, wakes: &mut WakeArm, out: &mut Outbox) -> u64 {
-        if !self.enabled() {
+        if self.policy.is_none() {
             return 0;
         }
         let due = self.due(now);
@@ -176,23 +176,6 @@ impl RetryTracker {
         if let Some(d) = self.next_deadline() {
             wakes.arm(d, out);
         }
-    }
-
-    /// Whether nothing is tracked.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
-    }
-
-    /// Number of tracked requests.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// The lines currently awaiting an acknowledgment (for diagnostics).
-    pub fn pending_lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
-        self.pending.keys()
     }
 }
 
@@ -217,7 +200,7 @@ mod tests {
 
     #[test]
     fn due_respects_deadlines_and_rearms() {
-        let mut rt = RetryTracker::new(RetryPolicy { timeout: 100, max_retries: 3 });
+        let mut rt = RetryTracker::new(Some(RetryPolicy { timeout: 100, max_retries: 3 }));
         rt.track(Tick(0), m(1));
         rt.track(Tick(10), m(2));
         assert_eq!(rt.next_deadline(), Some(Tick(100)));
@@ -230,32 +213,31 @@ mod tests {
 
     #[test]
     fn gives_up_after_the_cap() {
-        let mut rt = RetryTracker::new(RetryPolicy { timeout: 10, max_retries: 1 });
+        let mut rt = RetryTracker::new(Some(RetryPolicy { timeout: 10, max_retries: 1 }));
         rt.track(Tick(0), m(4));
         assert_eq!(rt.due(Tick(1000)).len(), 1); // retry #1
         assert_eq!(rt.due(Tick(2000)).len(), 0); // cap reached: abandoned
-        assert!(rt.is_empty());
+        assert!(rt.pending.is_empty());
     }
 
     #[test]
     fn first_wins_on_the_same_line_and_ack_clears() {
-        let mut rt = RetryTracker::new(RetryPolicy { timeout: 100, max_retries: 3 });
+        let mut rt = RetryTracker::new(Some(RetryPolicy { timeout: 100, max_retries: 3 }));
         rt.track(Tick(0), m(7));
         rt.track(Tick(50), m(7)); // keeps the original deadline
-        assert_eq!(rt.len(), 1);
+        assert_eq!(rt.pending.len(), 1);
         assert_eq!(rt.next_deadline(), Some(Tick(100)));
-        assert_eq!(rt.pending_lines().collect::<Vec<_>>(), vec![LineAddr(7)]);
+        assert_eq!(rt.pending.keys().collect::<Vec<_>>(), vec![LineAddr(7)]);
         rt.acked(LineAddr(7));
-        assert!(rt.is_empty());
+        assert!(rt.pending.is_empty());
         assert_eq!(rt.next_deadline(), None);
     }
 
     #[test]
     fn disabled_tracker_is_inert() {
-        let mut rt = RetryTracker::maybe(None);
-        assert!(!rt.enabled());
+        let mut rt = RetryTracker::new(None);
         rt.track(Tick(0), m(1));
-        assert!(rt.is_empty());
+        assert!(rt.pending.is_empty());
         assert!(rt.due(Tick(1_000_000)).is_empty());
         assert_eq!(rt.next_deadline(), None);
         let (mut wakes, mut out) = (WakeArm::default(), Outbox::new(Tick(0)));
@@ -267,7 +249,7 @@ mod tests {
     #[test]
     fn owner_helpers_stage_resends_and_one_wake_per_deadline() {
         use crate::Action;
-        let mut rt = RetryTracker::new(RetryPolicy { timeout: 100, max_retries: 3 });
+        let mut rt = RetryTracker::new(Some(RetryPolicy { timeout: 100, max_retries: 3 }));
         let mut wakes = WakeArm::default();
         let mut out = Outbox::new(Tick(0));
         rt.track_sent(m(1), &mut wakes, &mut out);

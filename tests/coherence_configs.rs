@@ -191,25 +191,6 @@ fn two_gpu_clusters_stay_coherent() {
 }
 
 #[test]
-fn probe_tcc_on_reads_ablation_reduces_baseline_probes() {
-    // Footnote 4's variant: excluding the TCC from read probes cuts
-    // baseline probe traffic but is only safe with state tracking (see
-    // the `probe_tcc_on_reads` docs); the simulator exposes it for
-    // ablation on GPU-read-free workloads.
-    let w = Rsct { iterations: 8, points: 1024, cpu_threads: 4, wavefronts: 8, ..Rsct::default() };
-    let with_tcc = run_workload_on(&w, SystemConfig::scaled(CoherenceConfig::baseline()));
-    let mut cfg = SystemConfig::scaled(CoherenceConfig::baseline());
-    cfg.coherence.probe_tcc_on_reads = false;
-    let without = run_workload_on(&w, cfg);
-    assert!(
-        without.metrics.probes_sent < with_tcc.metrics.probes_sent,
-        "excluding the TCC from downgrade probes must cut traffic ({} vs {})",
-        without.metrics.probes_sent,
-        with_tcc.metrics.probes_sent
-    );
-}
-
-#[test]
 fn device_exclusive_variants_verify() {
     // Degenerate placements — everything on the CPU, or everything on the
     // GPU — must still verify: the protocols cannot depend on both device
