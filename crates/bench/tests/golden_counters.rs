@@ -8,7 +8,9 @@
 //! zero-valued pre-registered entries.
 //!
 //! `table1.golden.txt` pins `hsc table 1` the same way: a new or changed
-//! `tracking::plan` row cannot move the paper's Table I unnoticed.
+//! `tracking::plan` row cannot move the paper's Table I unnoticed, and
+//! `analyze_cedd.golden.txt` pins `hsc report analyze`'s transition
+//! matrices and sharing census.
 //!
 //! Regenerate with `UPDATE_GOLDEN=1 cargo test -p hsc-bench --test
 //! golden_counters` and audit the diff; a fixture change means counter
@@ -17,11 +19,12 @@
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use std::process::ExitCode;
 
 use hsc_bench::reporting::{observed_record, REPORT_EPOCH_TICKS};
 use hsc_core::{CoherenceConfig, SystemConfig};
 use hsc_obs::{ObsConfig, RunReport};
-use hsc_workloads::{run_workload_observed, Hsti, Tq, Workload};
+use hsc_workloads::{run_workload_observed, Cedd, Hsti, Tq, Workload};
 
 fn quick_workloads() -> Vec<Box<dyn Workload>> {
     // Mirrors `hsc repro --quick`'s report set.
@@ -114,4 +117,25 @@ fn table1_text_matches_golden() {
     let mut text = Vec::new();
     hsc_bench::tables::table1(false, &mut text).expect("writing to a Vec cannot fail");
     check_golden("table1.golden.txt", &String::from_utf8(text).expect("table text is UTF-8"));
+}
+
+/// `hsc report analyze` at its defaults (cedd on sharer tracking): the
+/// four transition matrices, their per-cause lines and the directory's
+/// sharing census.
+#[test]
+fn analyze_cedd_text_matches_golden() {
+    let mut text = Vec::new();
+    let code = hsc_bench::analyze::analyze(
+        &Cedd::default(),
+        "sharer_tracking",
+        CoherenceConfig::sharer_tracking(),
+        None,
+        &mut text,
+    )
+    .expect("writing to a Vec cannot fail");
+    assert_eq!(code, ExitCode::SUCCESS, "cedd verifies");
+    check_golden(
+        "analyze_cedd.golden.txt",
+        &String::from_utf8(text).expect("analyze text is UTF-8"),
+    );
 }

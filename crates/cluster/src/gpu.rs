@@ -1,58 +1,28 @@
 use std::collections::VecDeque;
 
-use hsc_mem::{Addr, CacheArray, CacheGeometry, LineAddr, LineData, LineMap, Mshr, Way};
+use hsc_mem::{Addr, CacheArray, CacheGeometry, InsertOutcome, LineAddr, LineData, LineMap, Mshr};
 use hsc_noc::{
     AgentId, ClassCounters, Message, MsgKind, Outbox, ProbeKind, RetryPolicy, RetryTracker,
     WakeArm, WordMask,
 };
 use hsc_sim::{CounterId, Counters, StatSet, Tick, TransitionMatrix};
 
-use crate::viper::{TccLine, TcpLine};
 use crate::{gpu_cycles, GpuOp, WavefrontProgram};
 
 /// Base byte address of the shared GPU kernel code region (SQC fetches).
 const GPU_CODE_BASE: u64 = 0x5000_0000_0000;
 
 /// VIPER TCC transition-matrix vocabulary. `I` is absence from the cache
-/// array; `P` is partially valid (write-allocate-without-fetch), `V` fully
-/// valid and clean, `D` dirty (words owed to the system).
-const VIPER_STATES: &[&str] = &["I", "P", "V", "D"];
-const VIPER_CAUSES: &[&str] =
-    &["Fill", "WbStore", "ProbeInv", "AtomicSelfInval", "EvictClean", "EvictDirty", "Flush"];
+/// array, `V` a resident line (always whole and clean: the TCC writes
+/// through).
+const VIPER_STATES: &[&str] = &["I", "V"];
+const VIPER_CAUSES: &[&str] = &["Fill", "ProbeInv", "AtomicSelfInval", "EvictClean"];
 const VT_I: usize = 0;
-const VT_P: usize = 1;
-const VT_V: usize = 2;
-const VT_D: usize = 3;
+const VT_V: usize = 1;
 const VC_FILL: usize = 0;
-const VC_WB_STORE: usize = 1;
-const VC_PROBE_INV: usize = 2;
-const VC_ATOMIC_SELF_INVAL: usize = 3;
-const VC_EVICT_CLEAN: usize = 4;
-const VC_EVICT_DIRTY: usize = 5;
-const VC_FLUSH: usize = 6;
-
-/// Transition-matrix state index of a resident TCC line.
-fn vt(l: &TccLine) -> usize {
-    if l.is_dirty() {
-        VT_D
-    } else if l.fully_valid() {
-        VT_V
-    } else {
-        VT_P
-    }
-}
-
-/// Write policy of the TCC (the paper's `WB_L2` knob; TCPs stay
-/// write-through, which is the configuration the paper evaluates).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GpuWritePolicy {
-    /// Stores write through to the directory immediately (default).
-    #[default]
-    WriteThrough,
-    /// Stores allocate dirty words in the TCC; dirty lines are written
-    /// back on eviction and on release fences.
-    WriteBack,
-}
+const VC_PROBE_INV: usize = 1;
+const VC_ATOMIC_SELF_INVAL: usize = 2;
+const VC_EVICT_CLEAN: usize = 3;
 
 /// Configuration of the GPU cluster (Table II / Table III defaults).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,8 +49,6 @@ pub struct GpuConfig {
     pub tcc_cycles: u64,
     /// SQC access latency in GPU cycles.
     pub sqc_cycles: u64,
-    /// TCC write policy.
-    pub tcc_policy: GpuWritePolicy,
     /// One SQC fetch per this many wavefront ops.
     pub ifetch_interval: u64,
     /// Number of distinct kernel code lines.
@@ -105,7 +73,6 @@ impl Default for GpuConfig {
             tcp_cycles: 4,
             tcc_cycles: 8,
             sqc_cycles: 1,
-            tcc_policy: GpuWritePolicy::WriteThrough,
             ifetch_interval: 32,
             code_lines: 32,
             mshr_capacity: 512,
@@ -143,29 +110,26 @@ struct WfCtx {
 
 #[derive(Debug)]
 struct Cu {
-    tcp: CacheArray<TcpLine>,
+    tcp: CacheArray<LineData>,
     wfs: Vec<WfCtx>,
 }
 
 #[derive(Debug)]
 struct TccTxn {
-    /// `(cu, wf)` wavefronts waiting on this fill; `None` marks the SQC.
-    waiters: Vec<Option<(usize, usize)>>,
+    /// `(cu, wf)` wavefronts waiting on this fill (an SQC miss waits as
+    /// its wavefront, through `WfCtx::pending_ifetch`).
+    waiters: Vec<(usize, usize)>,
 }
-
-/// Identifies a wavefront waiting for a write-through ack; `None` for
-/// acks owed to TCC evictions (no wavefront waits on those).
-type WtWaiter = Option<(usize, usize)>;
 
 /// The GPU cluster: CUs with TCPs and a shared SQC in front of one TCC,
 /// implementing the VIPER VI protocol of §II-C.
 ///
-/// * TCPs are write-through, no-allocate-on-write, and are bulk-invalidated
-///   by acquire fences (they are never probed by the directory).
-/// * The TCC is write-through by default ([`GpuWritePolicy`]); in
-///   write-back mode it allocates stores without fetching (per-word dirty
-///   masks) and writes dirty lines back with `WriteThrough` messages, which
-///   is exactly how the paper describes the `WB_L2` configuration.
+/// * TCPs and the TCC are write-through and no-allocate-on-write: a store
+///   updates the copies already resident and goes to the directory as a
+///   `WriteThrough`, so every cached line is whole and clean. TCPs are
+///   bulk-invalidated by acquire fences (they are never probed by the
+///   directory); a release fence waits for the wavefront's write-through
+///   acks and a `Flush` fence.
 /// * GLC (device-scope) atomics execute at the TCC; SLC (system-scope)
 ///   atomics bypass it (self-invalidating any cached copy) and execute at
 ///   the directory.
@@ -175,9 +139,9 @@ pub struct GpuCluster {
     agent: AgentId,
     cfg: GpuConfig,
     cus: Vec<Cu>,
-    tcc: CacheArray<TccLine>,
+    tcc: CacheArray<LineData>,
     tcc_mshr: Mshr<TccTxn>,
-    wt_waiters: LineMap<VecDeque<WtWaiter>>,
+    wt_waiters: LineMap<VecDeque<(usize, usize)>>,
     slc_waiters: LineMap<VecDeque<(usize, usize)>>,
     flush_waiters: LineMap<VecDeque<(usize, usize)>>,
     /// Buffers one vector op sorts its lanes into by line, kept between
@@ -210,12 +174,9 @@ struct GpuIds {
     tcc_hits: CounterId,
     tcc_misses: CounterId,
     evict_clean: CounterId,
-    evict_dirty: CounterId,
-    flush_writebacks: CounterId,
     glc_atomics: CounterId,
     probes_received: CounterId,
     probe_invalidations: CounterId,
-    wb_store_lines: CounterId,
     retries: CounterId,
     vec_loads: CounterId,
     vec_stores: CounterId,
@@ -249,12 +210,9 @@ impl GpuIds {
             tcc_hits: counters.register("tcc.hits"),
             tcc_misses: counters.register("tcc.misses"),
             evict_clean: counters.register("tcc.evict_clean"),
-            evict_dirty: counters.register("tcc.evict_dirty"),
-            flush_writebacks: counters.register("tcc.flush_writebacks"),
             glc_atomics: counters.register("tcc.glc_atomics"),
             probes_received: counters.register("tcc.probes_received"),
             probe_invalidations: counters.register("tcc.probe_invalidations"),
-            wb_store_lines: counters.register("tcc.wb_store_lines"),
             retries: counters.register("tcc.retries"),
             vec_loads: counters.register("wf.vec_loads"),
             vec_stores: counters.register("wf.vec_stores"),
@@ -366,8 +324,9 @@ impl GpuCluster {
         self.tcc_mshr.len() as u64
     }
 
-    /// Wavefront store/flush completions still waited on at the TCC (an
-    /// occupancy gauge for the epoch sampler).
+    /// Waiter queues open at the TCC: one per line in each of the
+    /// write-through, SLC-atomic and flush maps, however many wavefronts
+    /// it holds (an occupancy gauge for the epoch sampler).
     #[must_use]
     pub fn waiter_occupancy(&self) -> u64 {
         (self.wt_waiters.len() + self.slc_waiters.len() + self.flush_waiters.len()) as u64
@@ -622,11 +581,10 @@ impl GpuCluster {
             self.counters.bump(self.ids.tcp_misses);
             needs_tcc = true;
             // Try the TCC.
-            if let Some(way) = fully_valid_way(&self.tcc, la) {
+            if let Some(way) = self.tcc.lookup(la) {
                 self.counters.bump(self.ids.tcc_hits);
                 self.tcc.touch_way(way);
-                let data = self.tcc.meta(way).data;
-                let _ = tcp.insert(la, TcpLine { data });
+                let _ = tcp.insert(la, *self.tcc.meta(way));
                 false
             } else {
                 self.counters.bump(self.ids.tcc_misses);
@@ -645,15 +603,10 @@ impl GpuCluster {
             // later lane's fill; fall back to the TCC, or refetch it.
             let lane0 = addrs[0];
             let l0 = lane0.line();
-            let v = self.cus[cu].tcp.get(l0).map(|l| l.data.word_at(lane0)).or_else(|| {
-                self.tcc
-                    .get(l0)
-                    .filter(|l| l.valid.contains(lane0.word_index()))
-                    .map(|l| l.data.word_at(lane0))
-            });
+            let v = self.cus[cu].tcp.get(l0).or_else(|| self.tcc.get(l0)).map(|l| l.word_at(lane0));
             let Some(v) = v else {
                 self.counters.bump(self.ids.lane0_refetches);
-                self.request_fill(l0, Some((cu, wf)), out);
+                self.request_fill(l0, (cu, wf), out);
                 let w = &mut self.cus[cu].wfs[wf];
                 w.pending_lines.insert(l0, ());
                 w.pending = Some(GpuOp::VecLoad(addrs));
@@ -666,7 +619,7 @@ impl GpuCluster {
             true
         } else {
             for la in lines.drain(..) {
-                self.request_fill(la, Some((cu, wf)), out);
+                self.request_fill(la, (cu, wf), out);
                 self.cus[cu].wfs[wf].pending_lines.insert(la, ());
             }
             self.line_scratch = lines;
@@ -677,7 +630,7 @@ impl GpuCluster {
         }
     }
 
-    fn request_fill(&mut self, la: LineAddr, waiter: Option<(usize, usize)>, out: &mut Outbox) {
+    fn request_fill(&mut self, la: LineAddr, waiter: (usize, usize), out: &mut Outbox) {
         if let Some(txn) = self.tcc_mshr.get_mut(la) {
             txn.waiters.push(waiter);
             return;
@@ -708,50 +661,19 @@ impl GpuCluster {
         sorted.sort_by_key(|&(a, _)| a.line());
         for writes in sorted.chunk_by(|a, b| a.0.line() == b.0.line()) {
             let la = writes[0].0.line();
-            // Keep our own TCP fresh (write-through, no-allocate).
+            let mut data = LineData::zeroed();
+            let mut mask = WordMask::empty();
+            for &(a, v) in writes {
+                data.set_word_at(a, v);
+                mask.set(a.word_index());
+            }
+            // Keep our own TCP and the TCC fresh (no-allocate), then write
+            // through.
             if let Some(l) = self.cus[cu].tcp.get_mut(la) {
-                for &(a, v) in writes {
-                    l.data.set_word_at(a, v);
-                }
+                mask.apply(l, &data);
             }
-            match self.cfg.tcc_policy {
-                GpuWritePolicy::WriteThrough => {
-                    // Update the TCC copy if present, then write through.
-                    let mut data = LineData::zeroed();
-                    let mut mask = WordMask::empty();
-                    let way = self.tcc.lookup(la);
-                    if let Some(way) = way {
-                        let l = self.tcc.meta_mut(way);
-                        for &(a, v) in writes {
-                            l.data.set_word_at(a, v);
-                            l.valid.set(a.word_index());
-                        }
-                    }
-                    for &(a, v) in writes {
-                        data.set_word_at(a, v);
-                        mask.set(a.word_index());
-                    }
-                    self.send_wt(la, data, mask, Some((cu, wf)), way.is_some(), out);
-                }
-                GpuWritePolicy::WriteBack => {
-                    // Allocate-without-fetch; dirty words accumulate.
-                    let (from, way) = match self.tcc.lookup(la) {
-                        Some(way) => (vt(self.tcc.meta(way)), way),
-                        None => {
-                            self.tcc_insert(la, TccLine::empty(), out);
-                            (VT_I, self.tcc.lookup(la).expect("just inserted"))
-                        }
-                    };
-                    let l = self.tcc.meta_mut(way);
-                    for &(a, v) in writes {
-                        l.write_word(a, v);
-                    }
-                    self.transitions.record(from, vt(l), VC_WB_STORE);
-                    self.tcc.touch_way(way);
-                    self.cus[cu].wfs[wf].last_wt_line = Some(la);
-                    self.counters.bump(self.ids.wb_store_lines);
-                }
-            }
+            let retains = self.tcc.get_mut(la).map(|l| mask.apply(l, &data)).is_some();
+            self.send_wt(la, data, mask, (cu, wf), retains, out);
         }
         sorted.clear();
         self.store_scratch = sorted;
@@ -765,17 +687,15 @@ impl GpuCluster {
         la: LineAddr,
         data: LineData,
         mask: WordMask,
-        waiter: WtWaiter,
+        (cu, wf): (usize, usize),
         retains: bool,
         out: &mut Outbox,
     ) {
         self.counters.bump(self.ids.req_wt);
-        if let Some((cu, wf)) = waiter {
-            let w = &mut self.cus[cu].wfs[wf];
-            w.outstanding_wt += 1;
-            w.last_wt_line = Some(la);
-        }
-        self.wt_waiters.get_or_insert_with(la, VecDeque::new).push_back(waiter);
+        let w = &mut self.cus[cu].wfs[wf];
+        w.outstanding_wt += 1;
+        w.last_wt_line = Some(la);
+        self.wt_waiters.get_or_insert_with(la, VecDeque::new).push_back((cu, wf));
         let msg = Message::new(
             self.agent,
             AgentId::Directory,
@@ -797,33 +717,14 @@ impl GpuCluster {
         out: &mut Outbox,
     ) -> bool {
         let la = a.line();
-        let usable =
-            self.tcc.lookup(la).filter(|&w| self.tcc.meta(w).valid.contains(a.word_index()));
-        if let Some(way) = usable {
+        if let Some(way) = self.tcc.lookup(la) {
             let l = self.tcc.meta_mut(way);
-            let old = l.data.apply_atomic(a, k);
-            l.valid.set(a.word_index());
-            let new = l.data.word_at(a);
+            let old = l.apply_atomic(a, k);
+            let mut data = LineData::zeroed();
+            data.set_word_at(a, l.word_at(a));
             self.tcc.touch_way(way);
             self.counters.bump(self.ids.glc_atomics);
-            match self.cfg.tcc_policy {
-                GpuWritePolicy::WriteThrough => {
-                    let mut data = LineData::zeroed();
-                    data.set_word_at(a, new);
-                    self.send_wt(
-                        la,
-                        data,
-                        WordMask::single(a.word_index()),
-                        Some((cu, wf)),
-                        true,
-                        out,
-                    );
-                }
-                GpuWritePolicy::WriteBack => {
-                    self.tcc.meta_mut(way).dirty.set(a.word_index());
-                    self.cus[cu].wfs[wf].last_wt_line = Some(la);
-                }
-            }
+            self.send_wt(la, data, WordMask::single(a.word_index()), (cu, wf), true, out);
             // Invalidate stale TCP copies in this CU so later loads re-read.
             self.cus[cu].tcp.invalidate(la);
             let w = &mut self.cus[cu].wfs[wf];
@@ -831,7 +732,7 @@ impl GpuCluster {
             w.ready_at = now + gpu_cycles(self.cfg.tcc_cycles);
             true
         } else {
-            self.request_fill(la, Some((cu, wf)), out);
+            self.request_fill(la, (cu, wf), out);
             let w = &mut self.cus[cu].wfs[wf];
             w.pending_lines.insert(la, ());
             w.pending = Some(GpuOp::AtomicGlc(a, k));
@@ -851,8 +752,8 @@ impl GpuCluster {
         let la = a.line();
         // SLC requests bypass the TCC (§II-C); drop any local copies so we
         // cannot read stale data afterwards.
-        if let Some(l) = self.tcc.invalidate(la) {
-            self.transitions.record(vt(&l), VT_I, VC_ATOMIC_SELF_INVAL);
+        if self.tcc.invalidate(la).is_some() {
+            self.transitions.record(VT_V, VT_I, VC_ATOMIC_SELF_INVAL);
         }
         self.cus[cu].tcp.invalidate(la);
         self.counters.bump(self.ids.req_atomic);
@@ -870,23 +771,8 @@ impl GpuCluster {
 
     /// Returns `true` if the wavefront is now waiting.
     fn begin_release(&mut self, cu: usize, wf: usize, now: Tick, out: &mut Outbox) -> bool {
-        if self.cfg.tcc_policy == GpuWritePolicy::WriteBack {
-            // Flush every dirty TCC line via the WT-as-writeback path.
-            let dirty: Vec<LineAddr> =
-                self.tcc.iter().filter(|(_, l)| l.is_dirty()).map(|(la, _)| la).collect();
-            for la in dirty {
-                let l = self.tcc.get_mut(la).unwrap();
-                let data = l.data;
-                let mask = l.dirty;
-                l.clean();
-                let to = vt(l);
-                self.transitions.record(VT_D, to, VC_FLUSH);
-                self.send_wt(la, data, mask, Some((cu, wf)), true, out);
-                self.counters.bump(self.ids.flush_writebacks);
-            }
-        }
-        let fence_line = self.cus[cu].wfs[wf].last_wt_line;
         let w = &mut self.cus[cu].wfs[wf];
+        let fence_line = w.last_wt_line;
         if w.outstanding_wt == 0 && fence_line.is_none() {
             // Nothing to wait for.
             w.ready_at = now + gpu_cycles(self.cfg.tcp_cycles);
@@ -916,7 +802,7 @@ impl GpuCluster {
             return;
         }
         self.counters.bump(self.ids.sqc_misses);
-        if let Some(way) = fully_valid_way(&self.tcc, la) {
+        if let Some(way) = self.tcc.lookup(la) {
             self.counters.bump(self.ids.tcc_hits);
             self.tcc.touch_way(way);
             let _ = self.sqc.insert(la, ());
@@ -929,25 +815,7 @@ impl GpuCluster {
         w.pending_ifetch = true;
         w.pending_lines.insert(la, ());
         w.blocked = Some(BlockKind::Fill);
-        self.request_fill(la, Some((cu, wf)), out);
-    }
-
-    fn tcc_insert(&mut self, la: LineAddr, line: TccLine, out: &mut Outbox) {
-        let mshr = &self.tcc_mshr;
-        if let Some(way) = self.tcc.victim_scored(la, |tag, _| u32::from(mshr.contains(tag))) {
-            let vtag = self.tcc.tag(way);
-            let victim = self.tcc.invalidate_way(way);
-            if victim.is_dirty() {
-                // WT doubles as the write-back request (§II-A).
-                self.counters.bump(self.ids.evict_dirty);
-                self.transitions.record(VT_D, VT_I, VC_EVICT_DIRTY);
-                self.send_wt(vtag, victim.data, victim.dirty, None, false, out);
-            } else {
-                self.counters.bump(self.ids.evict_clean);
-                self.transitions.record(vt(&victim), VT_I, VC_EVICT_CLEAN);
-            }
-        }
-        self.tcc.insert(la, line);
+        self.request_fill(la, (cu, wf), out);
     }
 
     fn on_fill(&mut self, now: Tick, la: LineAddr, data: LineData, out: &mut Outbox) {
@@ -960,38 +828,27 @@ impl GpuCluster {
             self.counters.bump(self.ids.stale_resps);
             return;
         };
-        let full = if let Some(way) = self.tcc.lookup(la) {
-            let l = self.tcc.meta_mut(way);
-            let from = vt(l);
-            l.merge_fill(data);
-            let (to, merged) = (vt(l), l.data);
-            self.transitions.record(from, to, VC_FILL);
-            self.tcc.touch_way(way);
-            merged
-        } else {
-            self.tcc_insert(la, TccLine::filled(data), out);
-            self.transitions.record(VT_I, VT_V, VC_FILL);
-            data
-        };
-        for waiter in txn.waiters {
-            match waiter {
-                Some((cu, wf)) => {
-                    fill_tcp(&mut self.cus[cu].tcp, la, full);
-                    let w = &mut self.cus[cu].wfs[wf];
-                    w.pending_lines.remove(la);
-                    if w.pending_lines.is_empty() {
-                        w.blocked = None;
-                        if w.pending_ifetch {
-                            w.pending_ifetch = false;
-                            fill_tag(&mut self.sqc, la);
-                            w.ready_at =
-                                now + gpu_cycles(self.cfg.sqc_cycles + self.cfg.tcc_cycles);
-                        } else {
-                            w.ready_at = now; // re-attempt the pending op
-                        }
-                    }
+        // A line with a fill in flight is never resident (every request
+        // is a miss), so this inserts, and an eviction sends nothing: the
+        // TCC holds no dirty data.
+        if fill(&mut self.tcc, la, data) {
+            self.counters.bump(self.ids.evict_clean);
+            self.transitions.record(VT_V, VT_I, VC_EVICT_CLEAN);
+        }
+        self.transitions.record(VT_I, VT_V, VC_FILL);
+        for (cu, wf) in txn.waiters {
+            fill(&mut self.cus[cu].tcp, la, data);
+            let w = &mut self.cus[cu].wfs[wf];
+            w.pending_lines.remove(la);
+            if w.pending_lines.is_empty() {
+                w.blocked = None;
+                if w.pending_ifetch {
+                    w.pending_ifetch = false;
+                    fill(&mut self.sqc, la, ());
+                    w.ready_at = now + gpu_cycles(self.cfg.sqc_cycles + self.cfg.tcc_cycles);
+                } else {
+                    w.ready_at = now; // re-attempt the pending op
                 }
-                None => fill_tag(&mut self.sqc, la),
             }
         }
         // TCC requests carry no Unblock: the directory unblocks implicitly
@@ -1005,17 +862,15 @@ impl GpuCluster {
             self.counters.bump(self.ids.stale_resps);
             return;
         };
-        let waiter = q.pop_front().expect("WtAck queue empty");
+        let (cu, wf) = q.pop_front().expect("WtAck queue empty");
         if q.is_empty() {
             self.wt_waiters.remove(la);
         }
-        if let Some((cu, wf)) = waiter {
-            let w = &mut self.cus[cu].wfs[wf];
-            w.outstanding_wt -= 1;
-            if w.blocked == Some(BlockKind::Release) && w.outstanding_wt == 0 && !w.flush_pending {
-                w.blocked = None;
-                w.ready_at = now;
-            }
+        let w = &mut self.cus[cu].wfs[wf];
+        w.outstanding_wt -= 1;
+        if w.blocked == Some(BlockKind::Release) && w.outstanding_wt == 0 && !w.flush_pending {
+            w.blocked = None;
+            w.ready_at = now;
         }
         self.step_all(now, out);
     }
@@ -1064,8 +919,8 @@ impl GpuCluster {
         let way = self.tcc.lookup(la);
         let had_copy = way.is_some();
         if let (ProbeKind::Invalidate, Some(way)) = (kind, way) {
-            let from = vt(&self.tcc.invalidate_way(way));
-            self.transitions.record(from, VT_I, VC_PROBE_INV);
+            self.tcc.invalidate_way(way);
+            self.transitions.record(VT_V, VT_I, VC_PROBE_INV);
             self.counters.bump(self.ids.probe_invalidations);
         }
         out.send(Message::new(
@@ -1077,27 +932,15 @@ impl GpuCluster {
     }
 }
 
-/// The TCC way holding `la` with every word valid, if there is one.
-fn fully_valid_way(tcc: &CacheArray<TccLine>, la: LineAddr) -> Option<Way> {
-    tcc.lookup(la).filter(|&w| tcc.meta(w).fully_valid())
-}
-
-/// Leaves `la` in the TCP with `data`, most-recently used.
-fn fill_tcp(tcp: &mut CacheArray<TcpLine>, la: LineAddr, data: LineData) {
-    if let Some(way) = tcp.lookup(la) {
-        tcp.meta_mut(way).data = data;
-        tcp.touch_way(way);
+/// Leaves `la` in `cache` holding `line`, most-recently used: updates
+/// the copy if present, else inserts. Returns whether that evicted a line.
+fn fill<S>(cache: &mut CacheArray<S>, la: LineAddr, line: S) -> bool {
+    if let Some(way) = cache.lookup(la) {
+        *cache.meta_mut(way) = line;
+        cache.touch_way(way);
+        false
     } else {
-        let _ = tcp.insert(la, TcpLine { data });
-    }
-}
-
-/// Leaves `la` in a tag-only cache, most-recently used.
-fn fill_tag(c: &mut CacheArray<()>, la: LineAddr) {
-    if let Some(way) = c.lookup(la) {
-        c.touch_way(way);
-    } else {
-        let _ = c.insert(la, ());
+        matches!(cache.insert(la, line), InsertOutcome::Evicted(_))
     }
 }
 
@@ -1268,23 +1111,6 @@ mod tests {
     }
 
     #[test]
-    fn write_back_tcc_defers_until_release() {
-        let mut cfg = small_cfg();
-        cfg.tcc_policy = GpuWritePolicy::WriteBack;
-        let stores: Vec<(Addr, u64)> = vec![(Addr(0x5000), 7)];
-        let mut gpu = one_wf(vec![GpuOp::VecStore(stores), GpuOp::Release, GpuOp::Done], cfg);
-        let mut mem = MainMemory::new();
-        run_gpu(&mut gpu, &mut mem, 100_000);
-        assert!(gpu.is_done());
-        assert_eq!(mem.read_word(Addr(0x5000)), 7);
-        assert_eq!(
-            gpu.stats().get("tcc.flush_writebacks"),
-            1,
-            "the dirty line flushed at the release fence"
-        );
-    }
-
-    #[test]
     fn acquire_invalidates_the_tcp() {
         let addrs = vec![Addr(0x6000)];
         let mut gpu = one_wf(
@@ -1317,18 +1143,26 @@ mod tests {
     }
 
     #[test]
-    fn transition_matrix_tracks_viper_writeback_lifecycle() {
-        let mut cfg = small_cfg();
-        cfg.tcc_policy = GpuWritePolicy::WriteBack;
-        let stores = vec![(Addr(0x5000), 7)];
-        let mut gpu = one_wf(vec![GpuOp::VecStore(stores), GpuOp::Release, GpuOp::Done], cfg);
+    fn transition_matrix_tracks_viper_write_through_lifecycle() {
+        let (a, b) = (Addr(0x5000), Addr(0x5040));
+        let mut gpu = one_wf(
+            vec![
+                GpuOp::VecLoad(vec![a]),
+                GpuOp::VecLoad(vec![b]),
+                GpuOp::AtomicSlc(b, AtomicKind::FetchAdd(1)),
+                GpuOp::Done,
+            ],
+            small_cfg(),
+        );
         gpu.enable_analytics();
         let mut mem = MainMemory::new();
         run_gpu(&mut gpu, &mut mem, 100_000);
+        gpu.on_probe(a.line(), ProbeKind::Invalidate, &mut Outbox::new(Tick(1_000_000)));
         let m = gpu.transitions();
-        assert_eq!(m.get(VT_I, VT_D, VC_WB_STORE), 1, "allocate-without-fetch dirties the line");
-        assert_eq!(m.get(VT_D, VT_P, VC_FLUSH), 1, "release flush cleans the partial line");
-        assert_eq!(m.total(), 2);
+        assert_eq!(m.get(VT_I, VT_V, VC_FILL), 2, "each load fills its line");
+        assert_eq!(m.get(VT_V, VT_I, VC_ATOMIC_SELF_INVAL), 1, "the SLC atomic drops b");
+        assert_eq!(m.get(VT_V, VT_I, VC_PROBE_INV), 1, "the probe drops a");
+        assert_eq!(m.total(), 4);
     }
 
     #[test]

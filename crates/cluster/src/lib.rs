@@ -10,9 +10,9 @@
 //!   describe.
 //! * [`GpuCluster`] — compute units with 16-lane SIMDs, per-CU TCP (L1)
 //!   and SQC (I-cache), and a shared TCC (L2) implementing the **VIPER**
-//!   VI protocol: write-through by default, optional write-back, GLC
-//!   (device-scope) atomics at the TCC, SLC (system-scope) atomics
-//!   bypassing it, self-invalidation on probes without data forwarding.
+//!   VI protocol: write-through, GLC (device-scope) atomics at the TCC,
+//!   SLC (system-scope) atomics bypassing it, self-invalidation on probes
+//!   without data forwarding.
 //! * [`DmaEngine`] — issues `DMARd`/`DMAWr` line streams and never caches.
 //!
 //! Workloads drive the clusters through the [`CoreProgram`] /
@@ -34,12 +34,10 @@ mod gpu;
 mod moesi;
 pub mod mutation;
 mod ops;
-mod viper;
 
 pub use clocks::{cpu_cycles, gpu_cycles, TICKS_PER_CPU_CYCLE, TICKS_PER_GPU_CYCLE};
 pub use corepair::{CorePair, CpuConfig};
 pub use dma::{DmaCommand, DmaEngine};
-pub use gpu::{GpuCluster, GpuConfig, GpuWritePolicy};
+pub use gpu::{GpuCluster, GpuConfig};
 pub use moesi::MoesiState;
 pub use ops::{CoreProgram, CpuOp, CpuScript, GpuOp, GpuScript, WavefrontProgram};
-pub use viper::{TccLine, TcpLine, ViState};

@@ -98,8 +98,8 @@ pub enum GpuOp {
     /// system-visible data.
     Acquire,
     /// Release fence: blocks until all of this wavefront's prior stores
-    /// are system-visible (write-through acks collected; in write-back
-    /// mode the TCC's dirty lines are flushed first).
+    /// are system-visible: every write-through acked, and a `Flush` fence
+    /// to the line it last wrote through acked.
     Release,
     /// The wavefront has finished.
     Done,

@@ -7,7 +7,7 @@ use std::rc::Rc;
 
 use hsc_cluster::{
     CorePair, CpuConfig, CpuOp, CpuScript, DmaCommand, DmaEngine, GpuCluster, GpuConfig, GpuOp,
-    GpuScript, GpuWritePolicy,
+    GpuScript,
 };
 use hsc_mem::{Addr, LineAddr, LineData, MainMemory};
 use hsc_noc::{Action, AgentId, Grant, Message, MsgKind, Outbox, ProbeKind, WordMask};
@@ -141,23 +141,21 @@ fn upgrade_ack_preserves_the_owned_lines_local_stores() {
 }
 
 #[test]
-fn wb_tcc_eviction_writes_back_via_write_through() {
-    // Fill a TCC set with dirty lines; the eviction must emit a
-    // WriteThrough carrying the dirty words (§II-A: WT doubles as the
-    // write-back request).
+fn tcc_eviction_sends_nothing() {
+    // Overfill one TCC set by loads. A write-through TCC holds no dirty
+    // data, so a victim leaves silently: the directory sees one RdBlk per
+    // load and nothing else.
     let cfg = GpuConfig {
         cus: 1,
         tcc_bytes: 2048, // 32 lines, 16 ways → 2 sets
         tcp_bytes: 1024,
         sqc_bytes: 1024,
-        tcc_policy: GpuWritePolicy::WriteBack,
         ifetch_interval: 10_000,
         ..GpuConfig::default()
     };
-    // 40 stores at a stride of 2 lines → one set; no release, so eviction
-    // must do the write-back.
-    let stores = (0..40).map(|i| GpuOp::VecStore(vec![(Addr(0x1000 + i * 128), i + 1)])).collect();
-    let mut gpu = GpuCluster::new(0, vec![vec![Box::new(GpuScript::new(stores))]], cfg);
+    // 40 loads at a stride of 2 lines → one set: 24 evictions.
+    let loads = (0..40).map(|i| GpuOp::VecLoad(vec![Addr(0x1000 + i * 128)])).collect();
+    let mut gpu = GpuCluster::new(0, vec![vec![Box::new(GpuScript::new(loads))]], cfg);
     let mut q: WheelQueue<Ev> = WheelQueue::new();
     #[derive(Debug)]
     enum Ev {
@@ -165,8 +163,8 @@ fn wb_tcc_eviction_writes_back_via_write_through() {
         Msg(Message),
     }
     q.schedule(Tick(0), Ev::Wake);
-    let mut mem = MainMemory::new();
-    let mut wt_seen = 0u64;
+    let mem = MainMemory::new();
+    let mut rdblks = 0u64;
     let mut guard = 0;
     while let Some((now, ev)) = q.pop() {
         guard += 1;
@@ -177,18 +175,11 @@ fn wb_tcc_eviction_writes_back_via_write_through() {
             Ev::Msg(m) if m.dst == gpu.agent() => gpu.on_message(now, &m, &mut out),
             Ev::Msg(m) => {
                 let resp = match m.kind {
-                    MsgKind::WriteThrough { data, mask, .. } => {
-                        wt_seen += 1;
-                        let mut line = mem.read_line(m.line);
-                        mask.apply(&mut line, &data);
-                        mem.write_line(m.line, line);
-                        MsgKind::WtAck
-                    }
                     MsgKind::RdBlk => {
+                        rdblks += 1;
                         MsgKind::Resp { data: mem.read_line(m.line), grant: Grant::Shared }
                     }
-                    MsgKind::Flush => MsgKind::FlushAck,
-                    ref k => panic!("unexpected {}", k.class_name()),
+                    ref k => panic!("a TCC eviction sent {}", k.class_name()),
                 };
                 q.schedule(now + 5, Ev::Msg(Message::new(AgentId::Directory, m.src, m.line, resp)));
             }
@@ -201,16 +192,9 @@ fn wb_tcc_eviction_writes_back_via_write_through() {
             }
         }
     }
-    assert!(wt_seen > 0, "dirty TCC evictions must write back");
-    // 40 stores, 2-line stride into a 2-set TCC: the first victims are the
-    // oldest lines; each carried its store.
-    let mut survived = 0;
-    for i in 0..40u64 {
-        if mem.read_word(Addr(0x1000 + i * 128)) == i + 1 {
-            survived += 1;
-        }
-    }
-    assert_eq!(wt_seen, survived, "every write-back delivered its dirty word");
+    assert!(gpu.is_done());
+    assert_eq!(rdblks, 40, "one fill per load");
+    assert_eq!(gpu.stats().get("tcc.evict_clean"), 40 - 16, "every fill past the 16 ways evicts");
 }
 
 #[test]

@@ -22,7 +22,7 @@ use std::hash::Hasher;
 
 use hsc_cluster::{
     CorePair, CoreProgram, CpuConfig, CpuOp, CpuScript, GpuCluster, GpuConfig, GpuOp, GpuScript,
-    GpuWritePolicy, WavefrontProgram,
+    WavefrontProgram,
 };
 use hsc_mem::{Addr, AtomicKind, LineAddr, MainMemory};
 use hsc_noc::{Action, AgentId, Grant, Message, MsgKind, Outbox, ProbeKind};
@@ -281,7 +281,6 @@ fn gpu(seed: u64) -> GpuCluster {
         tcc_bytes: 2048,
         sqc_bytes: 1024,
         ifetch_interval: 8,
-        tcc_policy: [GpuWritePolicy::WriteThrough, GpuWritePolicy::WriteBack][(seed % 2) as usize],
         ..GpuConfig::default()
     };
     let programs = (0..cfg.cus).map(|_| vec![gpu_script(&mut rng), gpu_script(&mut rng)]).collect();

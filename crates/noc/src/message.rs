@@ -157,8 +157,7 @@ pub enum MsgKind {
         /// The (memory-coherent) line contents.
         data: LineData,
     },
-    /// GPU write-through — also the TCC's write-back path when it is
-    /// configured as a write-back cache (§II-A).
+    /// GPU write-through of a vector store or GLC atomic (§II-A).
     WriteThrough {
         /// The written words.
         data: LineData,

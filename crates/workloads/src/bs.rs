@@ -147,7 +147,7 @@ impl WavefrontProgram for GpuWorker {
         if self.i >= self.hi {
             if !self.released {
                 self.released = true;
-                return GpuOp::Release; // kernel-end release (WB TCC visibility)
+                return GpuOp::Release; // kernel-end release (DESIGN.md decision 9)
             }
             return GpuOp::Done;
         }

@@ -137,7 +137,7 @@ impl WavefrontProgram for GpuWorker {
         }
         if !self.released {
             self.released = true;
-            return GpuOp::Release; // kernel-end release (WB TCC visibility)
+            return GpuOp::Release; // kernel-end release (DESIGN.md decision 9)
         }
         GpuOp::Done
     }

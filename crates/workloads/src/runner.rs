@@ -31,19 +31,6 @@ pub trait Workload: fmt::Debug + Send + Sync {
     /// Returns a description of the first mismatch — which, given a
     /// correct workload, means a coherence-protocol bug.
     fn verify(&self, sys: &System) -> Result<(), String>;
-
-    /// Whether the benchmark is safe under a **write-back TCC** (`WB_L2`).
-    ///
-    /// The paper's TCC "does not forward modified data when probed …
-    /// in both cases" — so a write-back TCC *loses* dirty words when an
-    /// invalidating probe arrives. Benchmarks whose CPU and GPU workers
-    /// write different words of the same line without an intervening
-    /// release (inter-device false sharing) are therefore racy under
-    /// `WB_L2`, exactly as they would be on the real protocol; they
-    /// declare it here so harnesses can skip them in that mode.
-    fn wb_tcc_safe(&self) -> bool {
-        true
-    }
 }
 
 /// Default event budget per run: generous, but low enough to catch

@@ -233,7 +233,7 @@ impl WavefrontProgram for GpuWorker {
                     Step::Done => {
                         if !self.released {
                             self.released = true;
-                            // Kernel-end release (WB TCC visibility).
+                            // Kernel-end release (DESIGN.md decision 9).
                             return GpuOp::Release;
                         }
                         return GpuOp::Done;
@@ -308,13 +308,6 @@ impl Workload for Sc {
                 released: false,
             }));
         }
-    }
-
-    fn wb_tcc_safe(&self) -> bool {
-        // CPU and GPU workers interleave at word granularity in a shared
-        // output/matrix region: inter-device false sharing, racy under a
-        // write-back TCC that drops dirty data on probes.
-        false
     }
 
     fn verify(&self, sys: &System) -> Result<(), String> {

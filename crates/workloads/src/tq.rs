@@ -235,9 +235,9 @@ impl WavefrontProgram for GpuConsumer {
                     return GpuOp::VecStore(vec![(a, v)]);
                 }
                 GpuConsumerState::ReleaseResult => {
-                    // Store-release before publishing: required for the
-                    // write-back TCC configuration, where the result would
-                    // otherwise sit dirty and device-private.
+                    // Store-release before publishing: the result's
+                    // write-through is acked, i.e. system-visible, before
+                    // the done counter says so.
                     self.state = GpuConsumerState::BumpDone;
                     return GpuOp::Release;
                 }

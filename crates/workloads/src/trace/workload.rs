@@ -134,18 +134,6 @@ impl Workload for TraceWorkload {
         }
         Ok(())
     }
-
-    fn wb_tcc_safe(&self) -> bool {
-        // A write-back TCC loses dirty words when an invalidating probe
-        // arrives (the paper's §IV), and `System::final_word` does not
-        // consult the TCC — so any trace whose GPU streams write is
-        // conservatively declared not safe under WB_L2.
-        !self
-            .program
-            .streams
-            .iter()
-            .any(|s| s.kind == StreamKind::Gpu && s.ops.iter().any(TraceOp::is_write))
-    }
 }
 
 /// Replays one cpu stream as an in-order core program.
@@ -359,18 +347,6 @@ stream cpu
 read 0x3000 expect 11
 ")
         .expect("dma trace verifies");
-    }
-
-    #[test]
-    fn wb_tcc_safety_tracks_gpu_writes() {
-        let with_gpu_write =
-            TraceProgram::parse("hsc-trace v1\nstream gpu\nwrite 0x100 1\n").unwrap();
-        assert!(!TraceWorkload::new(with_gpu_write).wb_tcc_safe());
-        let read_only = TraceProgram::parse(
-            "hsc-trace v1\nstream gpu\nread 0x100\nstream cpu\nwrite 0x140 1\n",
-        )
-        .unwrap();
-        assert!(TraceWorkload::new(read_only).wb_tcc_safe());
     }
 
     #[test]

@@ -316,13 +316,6 @@ impl Workload for Trns {
         }
     }
 
-    fn wb_tcc_safe(&self) -> bool {
-        // CPU and GPU workers interleave at word granularity in a shared
-        // output/matrix region: inter-device false sharing, racy under a
-        // write-back TCC that drops dirty data on probes.
-        false
-    }
-
     fn verify(&self, sys: &System) -> Result<(), String> {
         // Build σ⁻¹ once instead of the quadratic `expected` per element.
         let t = self.total();

@@ -131,37 +131,6 @@ fn write_back_llc_never_increases_memory_writes() {
 }
 
 #[test]
-fn gpu_write_back_tcc_also_verifies() {
-    use hsc_repro::cluster::GpuWritePolicy;
-    for (_, cfg) in all_configs() {
-        let mut sys_cfg = SystemConfig::scaled(cfg);
-        sys_cfg.gpu.tcc_policy = GpuWritePolicy::WriteBack;
-        let w = Tq { tasks: 128, producers: 2, cpu_consumers: 2, wavefronts: 4, ..Tq::default() };
-        let _ = run_workload_on(&w, sys_cfg);
-    }
-}
-
-#[test]
-fn gpu_write_back_tcc_verifies_across_the_whole_suite() {
-    // WB_L2 changes the entire GPU store path (allocate-without-fetch,
-    // flush-on-release, WT-as-writeback): every benchmark must still
-    // compute correct results under the two extreme directory modes.
-    use hsc_repro::cluster::GpuWritePolicy;
-    for cfg in [CoherenceConfig::baseline(), CoherenceConfig::sharer_tracking()] {
-        let mut sys_cfg = SystemConfig::scaled(cfg);
-        sys_cfg.gpu.tcc_policy = GpuWritePolicy::WriteBack;
-        for w in small_suite() {
-            if !w.wb_tcc_safe() {
-                // Inter-device false sharing: racy under WB_L2 by the
-                // paper's own TCC semantics (no data forwarding on probes).
-                continue;
-            }
-            let _ = run_workload_on(w.as_ref(), sys_cfg);
-        }
-    }
-}
-
-#[test]
 fn state_aware_replacement_verifies_under_pressure() {
     let mut cfg = SystemConfig::scaled(CoherenceConfig::sharer_tracking());
     cfg.coherence.dir_replacement = DirReplacementPolicy::StateAware;
