@@ -92,6 +92,8 @@ enum BlockKind {
 
 #[derive(Debug)]
 struct WfCtx {
+    /// The CU this wavefront runs on, whose TCP it reads through.
+    cu: usize,
     program: Box<dyn WavefrontProgram>,
     ready_at: Tick,
     blocked: Option<BlockKind>,
@@ -108,17 +110,46 @@ struct WfCtx {
     ops_retired: u64,
 }
 
+impl WfCtx {
+    fn is_runnable(&self) -> bool {
+        !self.done && self.blocked.is_none()
+    }
+}
+
+/// The wavefronts `step_all` visits: bit `i` is set iff `wfs[i]` is
+/// runnable (neither done nor blocked). Only `GpuOp::Done`, a block and
+/// an unblock move a bit, so a wavefront that cannot run costs nothing
+/// per event.
 #[derive(Debug)]
-struct Cu {
-    tcp: CacheArray<LineData>,
-    wfs: Vec<WfCtx>,
+struct Runnable(Vec<u64>);
+
+impl Runnable {
+    /// All of `n` wavefronts runnable.
+    fn full(n: usize) -> Self {
+        let mut set = Runnable(vec![0; n.div_ceil(64)]);
+        (0..n).for_each(|i| set.insert(i));
+        set
+    }
+
+    fn insert(&mut self, i: usize) {
+        self.0[i / 64] |= 1 << (i % 64);
+    }
+
+    fn remove(&mut self, i: usize) {
+        self.0[i / 64] &= !(1 << (i % 64));
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        self.0.get(i / 64).is_some_and(|w| w & (1 << (i % 64)) != 0)
+    }
 }
 
 #[derive(Debug)]
 struct TccTxn {
-    /// `(cu, wf)` wavefronts waiting on this fill (an SQC miss waits as
-    /// its wavefront, through `WfCtx::pending_ifetch`).
-    waiters: Vec<(usize, usize)>,
+    /// Wavefronts (indices into `GpuCluster::wfs`) waiting on this fill
+    /// (an SQC miss waits as its wavefront, through
+    /// `WfCtx::pending_ifetch`).
+    waiters: Vec<usize>,
 }
 
 /// The GPU cluster: CUs with TCPs and a shared SQC in front of one TCC,
@@ -138,12 +169,19 @@ struct TccTxn {
 pub struct GpuCluster {
     agent: AgentId,
     cfg: GpuConfig,
-    cus: Vec<Cu>,
+    /// Each CU's TCP, by CU index.
+    tcps: Vec<CacheArray<LineData>>,
+    /// Every wavefront, CU-major and wavefront-minor: the issue order.
+    /// Everything else names a wavefront by its index here.
+    wfs: Vec<WfCtx>,
+    /// Derived from `wfs` (their `done` and `blocked`): excluded from
+    /// `hash_state`.
+    runnable: Runnable,
     tcc: CacheArray<LineData>,
     tcc_mshr: Mshr<TccTxn>,
-    wt_waiters: LineMap<VecDeque<(usize, usize)>>,
-    slc_waiters: LineMap<VecDeque<(usize, usize)>>,
-    flush_waiters: LineMap<VecDeque<(usize, usize)>>,
+    wt_waiters: LineMap<VecDeque<usize>>,
+    slc_waiters: LineMap<VecDeque<usize>>,
+    flush_waiters: LineMap<VecDeque<usize>>,
     /// Buffers one vector op sorts its lanes into by line, kept between
     /// ops so the per-op path does not allocate. Empty between ops.
     line_scratch: Vec<LineAddr>,
@@ -249,35 +287,37 @@ impl GpuCluster {
         assert_eq!(programs.len(), cfg.cus, "one wavefront list per CU");
         let mut counters = Counters::new();
         let ids = GpuIds::register(&mut counters);
-        let cus = programs
+        let tcps = (0..cfg.cus)
+            .map(|_| CacheArray::new(CacheGeometry::new(cfg.tcp_bytes, cfg.tcp_ways)))
+            .collect();
+        let wfs: Vec<WfCtx> = programs
             .into_iter()
-            .map(|wfs| Cu {
-                tcp: CacheArray::new(CacheGeometry::new(cfg.tcp_bytes, cfg.tcp_ways)),
-                wfs: wfs
-                    .into_iter()
-                    .map(|program| WfCtx {
-                        program,
-                        ready_at: Tick::ZERO,
-                        blocked: None,
-                        last_value: None,
-                        pending: None,
-                        pending_ifetch: false,
-                        pending_lines: LineMap::new(),
-                        outstanding_wt: 0,
-                        flush_pending: false,
-                        last_wt_line: None,
-                        done: false,
-                        ops_since_ifetch: 0,
-                        next_code_line: 0,
-                        ops_retired: 0,
-                    })
-                    .collect(),
+            .enumerate()
+            .flat_map(|(cu, wfs)| wfs.into_iter().map(move |program| (cu, program)))
+            .map(|(cu, program)| WfCtx {
+                cu,
+                program,
+                ready_at: Tick::ZERO,
+                blocked: None,
+                last_value: None,
+                pending: None,
+                pending_ifetch: false,
+                pending_lines: LineMap::new(),
+                outstanding_wt: 0,
+                flush_pending: false,
+                last_wt_line: None,
+                done: false,
+                ops_since_ifetch: 0,
+                next_code_line: 0,
+                ops_retired: 0,
             })
             .collect();
         GpuCluster {
             agent: AgentId::Tcc(index),
             cfg,
-            cus,
+            tcps,
+            runnable: Runnable::full(wfs.len()),
+            wfs,
             tcc: CacheArray::new(CacheGeometry::new(cfg.tcc_bytes, cfg.tcc_ways)),
             tcc_mshr: Mshr::new(cfg.mshr_capacity),
             wt_waiters: LineMap::new(),
@@ -341,12 +381,13 @@ impl GpuCluster {
     /// Schedules the initial wake-up; call once before the run starts.
     pub fn start(&mut self, out: &mut Outbox) {
         out.wake_after(0);
+        debug_assert!(self.runnable_is_exact(), "runnable set out of step at start");
     }
 
     /// Whether every wavefront retired and nothing is outstanding.
     #[must_use]
     pub fn is_done(&self) -> bool {
-        self.cus.iter().all(|cu| cu.wfs.iter().all(|w| w.done))
+        self.wfs.iter().all(|w| w.done)
             && self.tcc_mshr.is_empty()
             && self.wt_waiters.is_empty()
             && self.slc_waiters.is_empty()
@@ -385,7 +426,7 @@ impl GpuCluster {
     /// Total ops retired across all wavefronts.
     #[must_use]
     pub fn ops_retired(&self) -> u64 {
-        self.cus.iter().flat_map(|cu| cu.wfs.iter()).map(|w| w.ops_retired).sum()
+        self.wfs.iter().map(|w| w.ops_retired).sum()
     }
 
     /// Folds all protocol-relevant state into `h` for the system state
@@ -395,22 +436,22 @@ impl GpuCluster {
     /// with placement and replacement bits.
     pub fn hash_state<H: std::hash::Hasher>(&self, h: &mut H) {
         use std::hash::Hash;
-        for cu in &self.cus {
-            for w in &cu.wfs {
-                w.done.hash(h);
-                w.blocked.hash(h);
-                w.last_value.hash(h);
-                w.pending.hash(h);
-                w.pending_ifetch.hash(h);
-                w.pending_lines.hash(h);
-                w.outstanding_wt.hash(h);
-                w.flush_pending.hash(h);
-                w.last_wt_line.hash(h);
-                w.ops_since_ifetch.hash(h);
-                w.next_code_line.hash(h);
-                w.ops_retired.hash(h);
-            }
-            cu.tcp.hash_state(h);
+        for w in &self.wfs {
+            w.done.hash(h);
+            w.blocked.hash(h);
+            w.last_value.hash(h);
+            w.pending.hash(h);
+            w.pending_ifetch.hash(h);
+            w.pending_lines.hash(h);
+            w.outstanding_wt.hash(h);
+            w.flush_pending.hash(h);
+            w.last_wt_line.hash(h);
+            w.ops_since_ifetch.hash(h);
+            w.next_code_line.hash(h);
+            w.ops_retired.hash(h);
+        }
+        for tcp in &self.tcps {
+            tcp.hash_state(h);
         }
         self.tcc.hash_state(h);
         self.sqc.hash_state(h);
@@ -438,6 +479,7 @@ impl GpuCluster {
                 self.counters.bump(self.ids.unexpected.id(other));
             }
         }
+        debug_assert!(self.runnable_is_exact(), "runnable set out of step after a message");
     }
 
     /// Advances every wavefront as far as the current tick allows and
@@ -447,32 +489,64 @@ impl GpuCluster {
         let resent = self.retry.service(now, &mut self.wakes, out);
         self.counters.add(self.ids.retries, resent);
         self.step_all(now, out);
+        debug_assert!(self.runnable_is_exact(), "runnable set out of step after a wake");
     }
 
+    /// Steps every runnable wavefront that is ready by `now`, in index
+    /// order, then arms a wake for the earliest one ready later. Stepping
+    /// a wavefront moves only its own `done`, `blocked` and `ready_at`
+    /// (and its own bit), so one pass over a snapshot of each word sees
+    /// what a scan of every wavefront would.
     fn step_all(&mut self, now: Tick, out: &mut Outbox) {
-        for cu in 0..self.cus.len() {
-            for wf in 0..self.cus[cu].wfs.len() {
-                self.step_wf(cu, wf, now, out);
+        let mut next: Option<Tick> = None;
+        for word_idx in 0..self.runnable.0.len() {
+            let mut word = self.runnable.0[word_idx];
+            while word != 0 {
+                let i = word_idx * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                if self.wfs[i].ready_at <= now {
+                    self.step_wf(i, now, out);
+                }
+                let w = &self.wfs[i];
+                if w.is_runnable() && w.ready_at > now {
+                    next = Some(next.map_or(w.ready_at, |t| t.min(w.ready_at)));
+                }
             }
         }
-        let next = self
-            .cus
-            .iter()
-            .flat_map(|cu| cu.wfs.iter())
-            .filter(|w| !w.done && w.blocked.is_none())
-            .map(|w| w.ready_at)
-            .filter(|&t| t > now)
-            .min();
         if let Some(t) = next {
             self.wakes.arm(t, out);
         }
     }
 
+    /// Whether `runnable` holds exactly the runnable wavefronts, and no
+    /// index past the last.
+    fn runnable_is_exact(&self) -> bool {
+        let words = self.runnable.0.len();
+        words == self.wfs.len().div_ceil(64)
+            && (0..words * 64).all(|i| {
+                self.runnable.contains(i) == self.wfs.get(i).is_some_and(WfCtx::is_runnable)
+            })
+    }
+
+    /// Parks wavefront `i` until `kind` resolves.
+    fn block(&mut self, i: usize, kind: BlockKind) {
+        self.wfs[i].blocked = Some(kind);
+        self.runnable.remove(i);
+    }
+
+    /// Makes the blocked wavefront `i` runnable again from `ready_at`.
+    fn unblock(&mut self, i: usize, ready_at: Tick) {
+        let w = &mut self.wfs[i];
+        w.blocked = None;
+        w.ready_at = ready_at;
+        self.runnable.insert(i);
+    }
+
     #[allow(clippy::too_many_lines)]
-    fn step_wf(&mut self, cu: usize, wf: usize, now: Tick, out: &mut Outbox) {
+    fn step_wf(&mut self, i: usize, now: Tick, out: &mut Outbox) {
         loop {
-            let w = &mut self.cus[cu].wfs[wf];
-            if w.done || w.blocked.is_some() || w.ready_at > now {
+            let w = &mut self.wfs[i];
+            if !w.is_runnable() || w.ready_at > now {
                 return;
             }
             if w.ops_since_ifetch >= self.cfg.ifetch_interval && w.pending.is_none() {
@@ -481,10 +555,9 @@ impl GpuCluster {
                     Addr(GPU_CODE_BASE).line().0 + (w.next_code_line % self.cfg.code_lines),
                 );
                 w.next_code_line += 1;
-                self.access_ifetch(cu, wf, la, now, out);
+                self.access_ifetch(i, la, now, out);
                 continue;
             }
-            let w = &mut self.cus[cu].wfs[wf];
             let (op, first_attempt) = match w.pending.take() {
                 Some(op) => (op, false),
                 None => {
@@ -492,7 +565,6 @@ impl GpuCluster {
                     (w.program.next_op(lv), true)
                 }
             };
-            let w = &mut self.cus[cu].wfs[wf];
             if first_attempt {
                 w.ops_retired += 1;
                 w.ops_since_ifetch += 1;
@@ -507,6 +579,7 @@ impl GpuCluster {
                 }
                 GpuOp::Done => {
                     w.done = true;
+                    self.runnable.remove(i);
                     self.counters.bump(self.ids.done);
                     return;
                 }
@@ -514,38 +587,38 @@ impl GpuCluster {
                     if first_attempt {
                         self.counters.bump(self.ids.vec_loads);
                     }
-                    if self.access_vec_load(cu, wf, addrs, now, out) {
+                    if self.access_vec_load(i, addrs, now, out) {
                         return;
                     }
                 }
                 GpuOp::VecStore(stores) => {
                     self.counters.bump(self.ids.vec_stores);
-                    self.access_vec_store(cu, wf, &stores, now, out);
+                    self.access_vec_store(i, &stores, now, out);
                     return;
                 }
                 GpuOp::AtomicGlc(a, k) => {
                     if first_attempt {
                         self.counters.bump(self.ids.atomics_glc);
                     }
-                    if self.access_glc_atomic(cu, wf, a, k, now, out) {
+                    if self.access_glc_atomic(i, a, k, now, out) {
                         return;
                     }
                 }
                 GpuOp::AtomicSlc(a, k) => {
                     self.counters.bump(self.ids.atomics_slc);
-                    self.access_slc_atomic(cu, wf, a, k, out);
+                    self.access_slc_atomic(i, a, k, out);
                     return;
                 }
                 GpuOp::Acquire => {
                     self.counters.bump(self.ids.acquires);
                     // VIPER acquire: bulk-invalidate this CU's TCP.
-                    self.cus[cu].tcp.invalidate_all();
-                    self.cus[cu].wfs[wf].ready_at = now + gpu_cycles(self.cfg.tcp_cycles);
+                    w.ready_at = now + gpu_cycles(self.cfg.tcp_cycles);
+                    self.tcps[w.cu].invalidate_all();
                     return;
                 }
                 GpuOp::Release => {
                     self.counters.bump(self.ids.releases);
-                    if self.begin_release(cu, wf, now, out) {
+                    if self.begin_release(i, now, out) {
                         return;
                     }
                 }
@@ -554,16 +627,10 @@ impl GpuCluster {
     }
 
     /// Returns `true` if the wavefront is now waiting.
-    fn access_vec_load(
-        &mut self,
-        cu: usize,
-        wf: usize,
-        addrs: Vec<Addr>,
-        now: Tick,
-        out: &mut Outbox,
-    ) -> bool {
+    fn access_vec_load(&mut self, i: usize, addrs: Vec<Addr>, now: Tick, out: &mut Outbox) -> bool {
         assert!(!addrs.is_empty(), "VecLoad needs at least one lane");
         assert!(addrs.len() <= self.cfg.lanes, "more lanes than the SIMD width");
+        let cu = self.wfs[i].cu;
         // The distinct lines in address order; `retain` then narrows the
         // buffer down to the ones that missed both the TCP and the TCC.
         let mut lines = std::mem::take(&mut self.line_scratch);
@@ -572,7 +639,7 @@ impl GpuCluster {
         lines.dedup();
         let mut needs_tcc = false;
         lines.retain(|&la| {
-            let tcp = &mut self.cus[cu].tcp;
+            let tcp = &mut self.tcps[cu];
             if let Some(way) = tcp.lookup(la) {
                 self.counters.bump(self.ids.tcp_hits);
                 tcp.touch_way(way);
@@ -603,34 +670,33 @@ impl GpuCluster {
             // later lane's fill; fall back to the TCC, or refetch it.
             let lane0 = addrs[0];
             let l0 = lane0.line();
-            let v = self.cus[cu].tcp.get(l0).or_else(|| self.tcc.get(l0)).map(|l| l.word_at(lane0));
+            let v = self.tcps[cu].get(l0).or_else(|| self.tcc.get(l0)).map(|l| l.word_at(lane0));
             let Some(v) = v else {
                 self.counters.bump(self.ids.lane0_refetches);
-                self.request_fill(l0, (cu, wf), out);
-                let w = &mut self.cus[cu].wfs[wf];
+                self.request_fill(l0, i, out);
+                let w = &mut self.wfs[i];
                 w.pending_lines.insert(l0, ());
                 w.pending = Some(GpuOp::VecLoad(addrs));
-                w.blocked = Some(BlockKind::Fill);
+                self.block(i, BlockKind::Fill);
                 return true;
             };
-            let w = &mut self.cus[cu].wfs[wf];
+            let w = &mut self.wfs[i];
             w.last_value = Some(v);
             w.ready_at = now + lat;
             true
         } else {
             for la in lines.drain(..) {
-                self.request_fill(la, (cu, wf), out);
-                self.cus[cu].wfs[wf].pending_lines.insert(la, ());
+                self.request_fill(la, i, out);
+                self.wfs[i].pending_lines.insert(la, ());
             }
             self.line_scratch = lines;
-            let w = &mut self.cus[cu].wfs[wf];
-            w.pending = Some(GpuOp::VecLoad(addrs));
-            w.blocked = Some(BlockKind::Fill);
+            self.wfs[i].pending = Some(GpuOp::VecLoad(addrs));
+            self.block(i, BlockKind::Fill);
             true
         }
     }
 
-    fn request_fill(&mut self, la: LineAddr, waiter: (usize, usize), out: &mut Outbox) {
+    fn request_fill(&mut self, la: LineAddr, waiter: usize, out: &mut Outbox) {
         if let Some(txn) = self.tcc_mshr.get_mut(la) {
             txn.waiters.push(waiter);
             return;
@@ -644,16 +710,10 @@ impl GpuCluster {
         self.retry.track_sent(msg, &mut self.wakes, out);
     }
 
-    fn access_vec_store(
-        &mut self,
-        cu: usize,
-        wf: usize,
-        stores: &[(Addr, u64)],
-        now: Tick,
-        out: &mut Outbox,
-    ) {
+    fn access_vec_store(&mut self, i: usize, stores: &[(Addr, u64)], now: Tick, out: &mut Outbox) {
         assert!(!stores.is_empty(), "VecStore needs at least one lane");
         assert!(stores.len() <= self.cfg.lanes, "more lanes than the SIMD width");
+        let cu = self.wfs[i].cu;
         // Group by line, lines in address order; the sort is stable, so
         // within a line the lanes keep their order (a later lane wins).
         let mut sorted = std::mem::take(&mut self.store_scratch);
@@ -669,15 +729,15 @@ impl GpuCluster {
             }
             // Keep our own TCP and the TCC fresh (no-allocate), then write
             // through.
-            if let Some(l) = self.cus[cu].tcp.get_mut(la) {
+            if let Some(l) = self.tcps[cu].get_mut(la) {
                 mask.apply(l, &data);
             }
             let retains = self.tcc.get_mut(la).map(|l| mask.apply(l, &data)).is_some();
-            self.send_wt(la, data, mask, (cu, wf), retains, out);
+            self.send_wt(la, data, mask, i, retains, out);
         }
         sorted.clear();
         self.store_scratch = sorted;
-        let w = &mut self.cus[cu].wfs[wf];
+        let w = &mut self.wfs[i];
         w.last_value = None;
         w.ready_at = now + gpu_cycles(self.cfg.tcp_cycles);
     }
@@ -687,15 +747,15 @@ impl GpuCluster {
         la: LineAddr,
         data: LineData,
         mask: WordMask,
-        (cu, wf): (usize, usize),
+        i: usize,
         retains: bool,
         out: &mut Outbox,
     ) {
         self.counters.bump(self.ids.req_wt);
-        let w = &mut self.cus[cu].wfs[wf];
+        let w = &mut self.wfs[i];
         w.outstanding_wt += 1;
         w.last_wt_line = Some(la);
-        self.wt_waiters.get_or_insert_with(la, VecDeque::new).push_back((cu, wf));
+        self.wt_waiters.get_or_insert_with(la, VecDeque::new).push_back(i);
         let msg = Message::new(
             self.agent,
             AgentId::Directory,
@@ -709,8 +769,7 @@ impl GpuCluster {
     /// Returns `true` if the wavefront is now waiting.
     fn access_glc_atomic(
         &mut self,
-        cu: usize,
-        wf: usize,
+        i: usize,
         a: Addr,
         k: hsc_mem::AtomicKind,
         now: Tick,
@@ -724,43 +783,35 @@ impl GpuCluster {
             data.set_word_at(a, l.word_at(a));
             self.tcc.touch_way(way);
             self.counters.bump(self.ids.glc_atomics);
-            self.send_wt(la, data, WordMask::single(a.word_index()), (cu, wf), true, out);
+            self.send_wt(la, data, WordMask::single(a.word_index()), i, true, out);
             // Invalidate stale TCP copies in this CU so later loads re-read.
-            self.cus[cu].tcp.invalidate(la);
-            let w = &mut self.cus[cu].wfs[wf];
+            let w = &mut self.wfs[i];
+            self.tcps[w.cu].invalidate(la);
             w.last_value = Some(old);
             w.ready_at = now + gpu_cycles(self.cfg.tcc_cycles);
             true
         } else {
-            self.request_fill(la, (cu, wf), out);
-            let w = &mut self.cus[cu].wfs[wf];
+            self.request_fill(la, i, out);
+            let w = &mut self.wfs[i];
             w.pending_lines.insert(la, ());
             w.pending = Some(GpuOp::AtomicGlc(a, k));
-            w.blocked = Some(BlockKind::Fill);
+            self.block(i, BlockKind::Fill);
             true
         }
     }
 
-    fn access_slc_atomic(
-        &mut self,
-        cu: usize,
-        wf: usize,
-        a: Addr,
-        k: hsc_mem::AtomicKind,
-        out: &mut Outbox,
-    ) {
+    fn access_slc_atomic(&mut self, i: usize, a: Addr, k: hsc_mem::AtomicKind, out: &mut Outbox) {
         let la = a.line();
         // SLC requests bypass the TCC (§II-C); drop any local copies so we
         // cannot read stale data afterwards.
         if self.tcc.invalidate(la).is_some() {
             self.transitions.record(VT_V, VT_I, VC_ATOMIC_SELF_INVAL);
         }
-        self.cus[cu].tcp.invalidate(la);
+        self.tcps[self.wfs[i].cu].invalidate(la);
         self.counters.bump(self.ids.req_atomic);
-        self.slc_waiters.get_or_insert_with(la, VecDeque::new).push_back((cu, wf));
-        let w = &mut self.cus[cu].wfs[wf];
-        w.pending = None;
-        w.blocked = Some(BlockKind::SlcAtomic);
+        self.slc_waiters.get_or_insert_with(la, VecDeque::new).push_back(i);
+        self.wfs[i].pending = None;
+        self.block(i, BlockKind::SlcAtomic);
         out.send(Message::new(
             self.agent,
             AgentId::Directory,
@@ -770,8 +821,8 @@ impl GpuCluster {
     }
 
     /// Returns `true` if the wavefront is now waiting.
-    fn begin_release(&mut self, cu: usize, wf: usize, now: Tick, out: &mut Outbox) -> bool {
-        let w = &mut self.cus[cu].wfs[wf];
+    fn begin_release(&mut self, i: usize, now: Tick, out: &mut Outbox) -> bool {
+        let w = &mut self.wfs[i];
         let fence_line = w.last_wt_line;
         if w.outstanding_wt == 0 && fence_line.is_none() {
             // Nothing to wait for.
@@ -783,22 +834,21 @@ impl GpuCluster {
             // Store Release"); FIFO ordering guarantees the ack arrives
             // after all our write-through acks for that line.
             w.flush_pending = true;
-            self.flush_waiters.get_or_insert_with(la, VecDeque::new).push_back((cu, wf));
+            self.flush_waiters.get_or_insert_with(la, VecDeque::new).push_back(i);
             self.counters.bump(self.ids.req_flush);
             let msg = Message::new(self.agent, AgentId::Directory, la, MsgKind::Flush);
             out.send(msg);
             self.retry.track_sent(msg, &mut self.wakes, out);
         }
-        let w = &mut self.cus[cu].wfs[wf];
-        w.blocked = Some(BlockKind::Release);
+        self.block(i, BlockKind::Release);
         true
     }
 
-    fn access_ifetch(&mut self, cu: usize, wf: usize, la: LineAddr, now: Tick, out: &mut Outbox) {
+    fn access_ifetch(&mut self, i: usize, la: LineAddr, now: Tick, out: &mut Outbox) {
         if let Some(way) = self.sqc.lookup(la) {
             self.counters.bump(self.ids.sqc_hits);
             self.sqc.touch_way(way);
-            self.cus[cu].wfs[wf].ready_at = now + gpu_cycles(self.cfg.sqc_cycles);
+            self.wfs[i].ready_at = now + gpu_cycles(self.cfg.sqc_cycles);
             return;
         }
         self.counters.bump(self.ids.sqc_misses);
@@ -806,16 +856,15 @@ impl GpuCluster {
             self.counters.bump(self.ids.tcc_hits);
             self.tcc.touch_way(way);
             let _ = self.sqc.insert(la, ());
-            self.cus[cu].wfs[wf].ready_at =
-                now + gpu_cycles(self.cfg.sqc_cycles + self.cfg.tcc_cycles);
+            self.wfs[i].ready_at = now + gpu_cycles(self.cfg.sqc_cycles + self.cfg.tcc_cycles);
             return;
         }
         self.counters.bump(self.ids.tcc_misses);
-        let w = &mut self.cus[cu].wfs[wf];
+        let w = &mut self.wfs[i];
         w.pending_ifetch = true;
         w.pending_lines.insert(la, ());
-        w.blocked = Some(BlockKind::Fill);
-        self.request_fill(la, (cu, wf), out);
+        self.block(i, BlockKind::Fill);
+        self.request_fill(la, i, out);
     }
 
     fn on_fill(&mut self, now: Tick, la: LineAddr, data: LineData, out: &mut Outbox) {
@@ -836,19 +885,19 @@ impl GpuCluster {
             self.transitions.record(VT_V, VT_I, VC_EVICT_CLEAN);
         }
         self.transitions.record(VT_I, VT_V, VC_FILL);
-        for (cu, wf) in txn.waiters {
-            fill(&mut self.cus[cu].tcp, la, data);
-            let w = &mut self.cus[cu].wfs[wf];
+        for i in txn.waiters {
+            let w = &mut self.wfs[i];
+            fill(&mut self.tcps[w.cu], la, data);
             w.pending_lines.remove(la);
             if w.pending_lines.is_empty() {
-                w.blocked = None;
-                if w.pending_ifetch {
+                let ready_at = if w.pending_ifetch {
                     w.pending_ifetch = false;
                     fill(&mut self.sqc, la, ());
-                    w.ready_at = now + gpu_cycles(self.cfg.sqc_cycles + self.cfg.tcc_cycles);
+                    now + gpu_cycles(self.cfg.sqc_cycles + self.cfg.tcc_cycles)
                 } else {
-                    w.ready_at = now; // re-attempt the pending op
-                }
+                    now // re-attempt the pending op
+                };
+                self.unblock(i, ready_at);
             }
         }
         // TCC requests carry no Unblock: the directory unblocks implicitly
@@ -862,15 +911,14 @@ impl GpuCluster {
             self.counters.bump(self.ids.stale_resps);
             return;
         };
-        let (cu, wf) = q.pop_front().expect("WtAck queue empty");
+        let i = q.pop_front().expect("WtAck queue empty");
         if q.is_empty() {
             self.wt_waiters.remove(la);
         }
-        let w = &mut self.cus[cu].wfs[wf];
+        let w = &mut self.wfs[i];
         w.outstanding_wt -= 1;
         if w.blocked == Some(BlockKind::Release) && w.outstanding_wt == 0 && !w.flush_pending {
-            w.blocked = None;
-            w.ready_at = now;
+            self.unblock(i, now);
         }
         self.step_all(now, out);
     }
@@ -880,15 +928,14 @@ impl GpuCluster {
             self.counters.bump(self.ids.stale_resps);
             return;
         };
-        let (cu, wf) = q.pop_front().expect("SLC waiter queue empty");
+        let i = q.pop_front().expect("SLC waiter queue empty");
         if q.is_empty() {
             self.slc_waiters.remove(la);
         }
-        let w = &mut self.cus[cu].wfs[wf];
+        let w = &mut self.wfs[i];
         debug_assert_eq!(w.blocked, Some(BlockKind::SlcAtomic));
-        w.blocked = None;
         w.last_value = Some(old);
-        w.ready_at = now;
+        self.unblock(i, now);
         self.step_all(now, out);
     }
 
@@ -898,16 +945,15 @@ impl GpuCluster {
             self.counters.bump(self.ids.stale_resps);
             return;
         };
-        let (cu, wf) = q.pop_front().expect("flush waiter queue empty");
+        let i = q.pop_front().expect("flush waiter queue empty");
         if q.is_empty() {
             self.flush_waiters.remove(la);
         }
-        let w = &mut self.cus[cu].wfs[wf];
+        let w = &mut self.wfs[i];
         w.flush_pending = false;
         w.last_wt_line = None;
         if w.blocked == Some(BlockKind::Release) && w.outstanding_wt == 0 {
-            w.blocked = None;
-            w.ready_at = now;
+            self.unblock(i, now);
         }
         self.step_all(now, out);
     }
@@ -1186,5 +1232,38 @@ mod tests {
         assert!(gpu.is_done());
         assert!(gpu.stats().get("sqc.misses") >= 1);
         assert!(gpu.stats().get("sqc.hits") >= 1);
+    }
+
+    #[test]
+    fn more_than_64_wavefronts_all_run_to_completion() {
+        const PER_CU: u64 = 40;
+        let cfg = small_cfg();
+        // Wavefront `g` stores its own word (eight to a line, so fills and
+        // write-through queues are shared), releases, and reads it back.
+        let word = |g: u64| (Addr(0x10_000 + g * 8), 1000 + g);
+        let scripts: Vec<Rc<RefCell<GpuScript>>> = (0..cfg.cus as u64 * PER_CU)
+            .map(|g| {
+                let (a, v) = word(g);
+                let ops =
+                    vec![GpuOp::VecStore(vec![(a, v)]), GpuOp::Release, GpuOp::VecLoad(vec![a])];
+                Rc::new(RefCell::new(GpuScript::new(ops)))
+            })
+            .collect();
+        let programs = scripts
+            .chunks(PER_CU as usize)
+            .map(|cu| {
+                cu.iter().map(|s| Box::new(Rc::clone(s)) as Box<dyn WavefrontProgram>).collect()
+            })
+            .collect();
+        let mut gpu = GpuCluster::new(0, programs, cfg);
+        let mut mem = MainMemory::new();
+        run_gpu(&mut gpu, &mut mem, 1_000_000);
+        assert!(gpu.is_done());
+        assert_eq!(gpu.stats().get("wf.done"), 2 * PER_CU);
+        for (g, s) in scripts.iter().enumerate() {
+            let (a, v) = word(g as u64);
+            assert_eq!(mem.read_word(a), v, "wavefront {g}'s store");
+            assert_eq!(s.borrow().handed(), [None, None, None, Some(v)], "wavefront {g}'s reload");
+        }
     }
 }

@@ -126,12 +126,22 @@ impl SharerSet {
         self.l2s == 0 && self.tccs == 0
     }
 
-    /// Iterates the members in (L2s, TCCs) order.
+    /// Iterates the members in (L2s, TCCs) order, each kind by ascending
+    /// index.
     pub fn iter(self) -> impl Iterator<Item = AgentId> {
-        let l2s = (0..64).filter(move |i| self.l2s & (1 << i) != 0).map(AgentId::CorePairL2);
-        let tccs = (0..64).filter(move |i| self.tccs & (1 << i) != 0).map(AgentId::Tcc);
-        l2s.chain(tccs)
+        set_bits(self.l2s).map(AgentId::CorePairL2).chain(set_bits(self.tccs).map(AgentId::Tcc))
     }
+}
+
+/// The indices of `word`'s set bits, ascending, visiting only those bits.
+fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let i = word.trailing_zeros() as usize;
+            word &= word - 1;
+            i
+        })
+    })
 }
 
 /// One tracked directory entry (state `S` or `O`; `I` is absence).
@@ -808,16 +818,32 @@ mod tests {
     #[test]
     fn sharer_set_add_remove_iterate() {
         let mut s = SharerSet::new();
-        s.add(AgentId::CorePairL2(0));
-        s.add(AgentId::CorePairL2(3));
-        s.add(AgentId::Tcc(0));
+        assert_eq!(s.iter().count(), 0);
+        for a in [
+            AgentId::Tcc(63),
+            AgentId::CorePairL2(63),
+            AgentId::Tcc(0),
+            AgentId::CorePairL2(3),
+            AgentId::CorePairL2(0),
+        ] {
+            s.add(a);
+        }
         let members: Vec<AgentId> = s.iter().collect();
-        assert_eq!(members, [AgentId::CorePairL2(0), AgentId::CorePairL2(3), AgentId::Tcc(0)]);
+        assert_eq!(
+            members,
+            [
+                AgentId::CorePairL2(0),
+                AgentId::CorePairL2(3),
+                AgentId::CorePairL2(63),
+                AgentId::Tcc(0),
+                AgentId::Tcc(63),
+            ]
+        );
         s.remove(AgentId::CorePairL2(3));
         assert!(!s.contains(AgentId::CorePairL2(3)));
-        assert_eq!(s.len(), 2);
+        assert_eq!(s.len(), 4);
         s.remove(AgentId::Dma); // no-op
-        assert_eq!(s.len(), 2);
+        assert_eq!(s.len(), 4);
     }
 
     #[test]
