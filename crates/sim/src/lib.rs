@@ -4,9 +4,10 @@
 //! the workspace:
 //!
 //! * [`Tick`] — the global simulated-time unit (one GPU clock cycle),
-//! * [`WheelQueue`] — a hierarchical timing wheel of timestamped events
-//!   with deterministic FIFO tie-breaking and O(1) insert/pop for the
-//!   small fixed deltas the simulator overwhelmingly schedules,
+//! * [`WheelQueue`] — a timing ring of timestamped events (one slot per
+//!   tick for the next 8192 ticks, a heap beyond) with deterministic FIFO
+//!   tie-breaking and O(1) insert/pop for the small fixed deltas the
+//!   simulator overwhelmingly schedules,
 //! * [`Counters`] — the one way anything is counted: interned-name slots
 //!   that controllers bump by dense [`CounterId`],
 //! * [`StatSet`] and [`Histogram`] — what a run exports: the string-keyed

@@ -1,4 +1,4 @@
-//! Hierarchical timing wheel: the O(1) event queue behind the run loop.
+//! Timing ring: the O(1) event queue behind the run loop.
 //!
 //! See [`WheelQueue`].
 
@@ -7,83 +7,48 @@ use std::collections::BinaryHeap;
 
 use crate::Tick;
 
-/// Per-level slot-index bit widths. Level 0 is deliberately wide (8192
-/// slots of one-tick granularity): every fixed latency in the default
-/// system config — NoC hop 700 ticks, directory→memory 140, DRAM 2310,
-/// LLC pipeline 700, core stepping 11/35 — lands inside it with room
-/// for occupancy-backlog slip, so the overwhelming majority of events
-/// never touch a coarser level and never cascade. Levels 1..3 add
-/// 8 bits each, for a wheel horizon of `2^37` ticks; beyond that, the
-/// overflow heap.
-const BITS: [u32; LEVELS] = [13, 8, 8, 8];
-/// Bit position where each level's slot index starts.
-const SHIFT: [u32; LEVELS] = [0, 13, 21, 29];
-/// Slots per level.
-const SIZE: [usize; LEVELS] = [1 << BITS[0], 1 << BITS[1], 1 << BITS[2], 1 << BITS[3]];
-/// Offset of each level's slots in the flat slot array.
-const SLOT_OFF: [usize; LEVELS] = [0, SIZE[0], SIZE[0] + SIZE[1], SIZE[0] + SIZE[1] + SIZE[2]];
-const SLOT_COUNT: usize = SIZE[0] + SIZE[1] + SIZE[2] + SIZE[3];
-/// Offset of each level's words in the flat occupancy bitmap.
-const OCC_OFF: [usize; LEVELS] =
-    [0, SIZE[0] / 64, (SIZE[0] + SIZE[1]) / 64, (SIZE[0] + SIZE[1] + SIZE[2]) / 64];
-const OCC_WORDS: usize = SLOT_COUNT / 64;
-/// Wheel levels.
-const LEVELS: usize = 4;
-/// Ticks past `base` the wheel can hold; farther events overflow.
-const HORIZON_BITS: u32 = SHIFT[LEVELS - 1] + BITS[LEVELS - 1];
+/// Ticks the ring spans, one slot each. Every fixed latency in the default
+/// system config — NoC hop 700 ticks, directory→memory 140, DRAM 2310, LLC
+/// pipeline 700, core stepping 11/35 — lands inside the window with room
+/// for occupancy-backlog slip; on the benchmark workloads at most 0.05 %
+/// of schedules reach the `far` heap.
+const RING: usize = 1 << 13;
+/// `tick & MASK` is a ring event's slot.
+const MASK: u64 = RING as u64 - 1;
+const OCC_WORDS: usize = RING / 64;
 /// Null link in the intrusive slot lists.
 const NIL: u32 = u32::MAX;
 
-/// The wheel level owning a tick whose highest bit differing from `base`
-/// is the index, or `LEVELS` for the overflow heap.
-const LEVEL_OF_BIT: [u8; 64] = {
-    let mut t = [0u8; 64];
-    let mut b = 0;
-    while b < 64 {
-        t[b] = if b < SHIFT[1] as usize {
-            0
-        } else if b < SHIFT[2] as usize {
-            1
-        } else if b < SHIFT[3] as usize {
-            2
-        } else if b < HORIZON_BITS as usize {
-            3
-        } else {
-            LEVELS as u8
-        };
-        b += 1;
-    }
-    t
-};
-
-/// A hierarchical timing wheel with the delivery order of a queue kept
-/// sorted by `(tick, schedule order)`: earliest tick first, FIFO within a
-/// tick.
+/// A timing ring with the delivery order of a queue kept sorted by
+/// `(tick, schedule order)`: earliest tick first, FIFO within a tick.
 ///
 /// Nearly every event the simulator schedules lands a small fixed delta
 /// ahead of now (NoC per-hop latency, memory latency, retry backoff) —
 /// the regime where a timing wheel's O(1) insert and pop beat O(log n)
-/// heap sifts. The structure is data-oriented: slot membership is an
-/// intrusive linked list threaded through a contiguous `meta` array of
-/// 24-byte `(tick, seq, next)` records, while event payloads live in a
-/// parallel slab that only `schedule` and the removals touch. Cascades
-/// (moving a higher-level slot's events down when the wheel turns)
-/// therefore never move or even read a payload, and a flat occupancy
-/// bitmap finds the next non-empty slot with a handful of word scans.
+/// heap sifts. The queue has three homes for an event:
 ///
-/// Two small heaps handle the uncommon regimes: `overflow` holds events
-/// scheduled further than the wheel's horizon ahead, and `past` holds
-/// events scheduled before the wheel's current position (the queue does
-/// not enforce monotonicity — the driver does).
+/// * the **ring**: one FIFO slot per tick of the window
+///   `[base, base + 8192)`, slot `tick & 8191`, and an occupancy bitmap
+///   (one bit per slot) that finds the next non-empty slot with a few word
+///   scans;
+/// * the **`far` heap**: ticks at or beyond `base + 8192`;
+/// * the **`past` heap**: ticks below `base` (the queue does not enforce
+///   monotonicity — the run loop does).
+///
+/// The structure is data-oriented: slot membership is an intrusive linked
+/// list threaded through a contiguous `meta` array of 24-byte
+/// `(tick, seq, next)` records, while event payloads live in a parallel
+/// slab that only `schedule` and the removals touch.
 ///
 /// Delivery order holds by construction (and against a sorted-`Vec`
 /// oracle in this module's differential fuzz tests):
 ///
-/// * within a slot, events append in `seq` order and cascades preserve
-///   list order, so same-tick FIFO never breaks;
-/// * level-0 slots have one-tick granularity and the wheel's position
-///   only advances to the earliest pending tick, so tick-major order
-///   never breaks;
+/// * a slot holds a single tick, and events append to it in `seq` order;
+/// * `base` only advances to the earliest pending tick, and whenever it
+///   moves, every `far` event the new window covers is pulled into the
+///   ring before the queue is used again. A `far` event at tick T was
+///   scheduled while T lay beyond the window, so every ring event at T is
+///   younger and is appended after it;
 /// * both heaps order by `(tick, seq)`.
 ///
 /// `snapshot`/`unlink_seq`/`remove_seq` — the model checker's choice-set
@@ -111,22 +76,22 @@ const LEVEL_OF_BIT: [u8; 64] = {
 /// ```
 #[derive(Debug)]
 pub struct WheelQueue<E> {
-    /// All levels' slot list heads/tails, flat, level-major (`SLOT_OFF`).
-    slots: Vec<Slot>,
+    /// The ring's slot list heads/tails, one per tick of the window.
+    slots: Box<[Slot; RING]>,
     /// One bit per slot: set iff the slot's list is non-empty.
-    occupancy: Vec<u64>,
-    /// The wheel's current position: no event in the wheel (levels or
-    /// overflow) has a tick below this, and the level-0 slot for `base`
-    /// itself is where `pop` drains from.
+    occupancy: Box<[u64; OCC_WORDS]>,
+    /// Start of the ring's window. Every ring event has a tick in
+    /// `[base, base + RING)`, every `far` event one at or past
+    /// `base + RING`, every `past` event one below `base`.
     base: u64,
-    /// Total pending events, across the wheel and both heaps.
+    /// Total pending events, across the ring and both heaps.
     len: usize,
     next_seq: u64,
     /// Events scheduled before `base` (rare; the driver never does this).
     past: BinaryHeap<HeapEntry>,
-    /// Events more than the wheel horizon ahead of `base`.
-    overflow: BinaryHeap<HeapEntry>,
-    /// Ordering metadata, contiguous: all the pop/cascade loops touch.
+    /// Events at or beyond the end of the ring's window.
+    far: BinaryHeap<HeapEntry>,
+    /// Ordering metadata, contiguous: all the pop loops touch.
     meta: Vec<Meta>,
     /// Event payloads, parallel to `meta`; only `schedule` writes them and
     /// only `get`/`take` read them.
@@ -185,77 +150,34 @@ impl Ord for HeapEntry {
     }
 }
 
-/// The wheel level and slot index for `tick` relative to `base`, or
-/// `None` when `tick` is beyond the wheel horizon (overflow). Requires
-/// `tick >= base`. The level is the one owning the highest bit in which
-/// the two differ, so an event always sits at the coarsest level that
-/// still separates it from the current position — the classic
-/// hierarchical wheel placement that makes each event cascade at most
-/// `LEVELS - 1` times over its lifetime (and, with the wide level 0,
-/// almost always zero times).
-#[inline]
-fn level_and_slot(base: u64, tick: u64) -> Option<(usize, usize)> {
-    // `| 1` maps the xor==0 case (tick == base) to bit 0, i.e. level 0.
-    let bit = 63 ^ ((base ^ tick) | 1).leading_zeros();
-    let level = LEVEL_OF_BIT[bit as usize] as usize;
-    if level >= LEVELS {
-        return None;
-    }
-    Some((level, ((tick >> SHIFT[level]) & (SIZE[level] as u64 - 1)) as usize))
-}
-
-/// First set bit at index `>= from` in a level's occupancy words.
-#[inline]
-fn find_from(words: &[u64], from: usize) -> Option<usize> {
-    let size = words.len() * 64;
-    if from >= size {
-        return None;
-    }
-    let (w0, b0) = (from / 64, from % 64);
-    let masked = words[w0] & (!0u64 << b0);
-    if masked != 0 {
-        return Some(w0 * 64 + masked.trailing_zeros() as usize);
-    }
-    for (w, &word) in words.iter().enumerate().skip(w0 + 1) {
-        if word != 0 {
-            return Some(w * 64 + word.trailing_zeros() as usize);
-        }
-    }
-    None
-}
-
 impl<E> WheelQueue<E> {
     /// Creates an empty queue.
     #[must_use]
     pub fn new() -> Self {
         WheelQueue {
-            slots: vec![EMPTY_SLOT; SLOT_COUNT],
-            occupancy: vec![0u64; OCC_WORDS],
+            slots: vec![EMPTY_SLOT; RING].into_boxed_slice().try_into().expect("RING slots"),
+            occupancy: Box::new([0; OCC_WORDS]),
             base: 0,
             len: 0,
             next_seq: 0,
             past: BinaryHeap::new(),
-            overflow: BinaryHeap::new(),
+            far: BinaryHeap::new(),
             meta: Vec::new(),
             payload: Vec::new(),
             free: Vec::new(),
         }
     }
 
-    /// A level's occupancy words.
+    /// The slot of `base`, where the next ring event is popped from.
     #[inline]
-    fn occ(&self, level: usize) -> &[u64] {
-        &self.occupancy[OCC_OFF[level]..OCC_OFF[level] + SIZE[level] / 64]
+    fn cursor(&self) -> usize {
+        (self.base & MASK) as usize
     }
 
+    /// Whether `tick` lies in the ring's window `[base, base + RING)`.
     #[inline]
-    fn occ_set(&mut self, level: usize, slot: usize) {
-        self.occupancy[OCC_OFF[level] + slot / 64] |= 1u64 << (slot % 64);
-    }
-
-    #[inline]
-    fn occ_clear(&mut self, level: usize, slot: usize) {
-        self.occupancy[OCC_OFF[level] + slot / 64] &= !(1u64 << (slot % 64));
+    fn in_ring(&self, tick: u64) -> bool {
+        tick.checked_sub(self.base).is_some_and(|ahead| ahead < RING as u64)
     }
 
     /// Schedules `event` for delivery at `tick`.
@@ -263,47 +185,70 @@ impl<E> WheelQueue<E> {
     /// # Panics
     ///
     /// Panics if more than `u32::MAX` events are pending at once.
+    #[inline]
     pub fn schedule(&mut self, tick: Tick, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let idx = match self.free.pop() {
-            Some(idx) => {
-                self.meta[idx as usize] = Meta { tick: tick.0, seq, next: NIL };
-                self.payload[idx as usize] = Some(event);
-                idx
+        // The common case, in line: a recycled slab slot and a tick inside
+        // the window.
+        if self.in_ring(tick.0) {
+            if let Some(idx) = self.free.pop() {
+                self.fill(idx, tick.0, event);
+                self.append(tick.0, idx);
+                return;
             }
-            None => {
-                let idx = u32::try_from(self.meta.len()).expect("event queue slab overflow");
-                self.meta.push(Meta { tick: tick.0, seq, next: NIL });
-                self.payload.push(Some(event));
-                idx
-            }
-        };
+        }
+        self.schedule_cold(tick.0, event);
+    }
+
+    /// The rest of [`schedule`](Self::schedule): slab growth, the
+    /// empty-queue snap of `base`, and the two heaps.
+    #[inline(never)]
+    fn schedule_cold(&mut self, tick: u64, event: E) {
+        let idx = self.free.pop().unwrap_or_else(|| {
+            let idx = u32::try_from(self.meta.len()).expect("event queue slab overflow");
+            self.meta.push(Meta { tick, seq: 0, next: NIL });
+            self.payload.push(None);
+            idx
+        });
         if self.len == 0 {
-            // Empty queue: snap the wheel to the new event so it lands in
-            // level 0 regardless of how far the last pop left `base` behind.
-            self.base = tick.0;
+            // Empty queue: snap the window to the new event so it lands in
+            // the ring however far the last pop left `base` from it. An
+            // event already inside the window takes the in-line path and
+            // leaves `base` where it is, so the nearer sends that often
+            // follow from the same handler do not land in `past`.
+            self.base = tick;
         }
-        self.len += 1;
-        if tick.0 < self.base {
-            self.past.push(HeapEntry { tick: tick.0, seq, idx });
-            return;
-        }
-        match level_and_slot(self.base, tick.0) {
-            Some((level, slot)) => self.append(level, slot, idx),
-            None => self.overflow.push(HeapEntry { tick: tick.0, seq, idx }),
+        let seq = self.fill(idx, tick, event);
+        if tick < self.base {
+            self.past.push(HeapEntry { tick, seq, idx });
+        } else if self.in_ring(tick) {
+            self.append(tick, idx);
+        } else {
+            self.far.push(HeapEntry { tick, seq, idx });
         }
     }
 
-    /// Appends slab entry `idx` to a slot list (FIFO: appends keep `seq`
-    /// order because `seq` is monotonic and cascades preserve list order).
+    /// Writes a new pending event into slab entry `idx` and returns its
+    /// `seq`; the caller links it into the ring or a heap.
     #[inline]
-    fn append(&mut self, level: usize, slot: usize, idx: u32) {
-        let s = &mut self.slots[SLOT_OFF[level] + slot];
+    fn fill(&mut self, idx: u32, tick: u64, event: E) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.meta[idx as usize] = Meta { tick, seq, next: NIL };
+        self.payload[idx as usize] = Some(event);
+        self.len += 1;
+        seq
+    }
+
+    /// Appends slab entry `idx`, whose `next` is `NIL`, to the list of
+    /// ring tick `tick` (FIFO: appends keep `seq` order).
+    #[inline]
+    fn append(&mut self, tick: u64, idx: u32) {
+        let slot = (tick & MASK) as usize;
+        let s = &mut self.slots[slot];
         if s.tail == NIL {
             s.head = idx;
             s.tail = idx;
-            self.occ_set(level, slot);
+            self.occupancy[slot / 64] |= 1u64 << (slot % 64);
         } else {
             let tail = s.tail;
             s.tail = idx;
@@ -311,65 +256,52 @@ impl<E> WheelQueue<E> {
         }
     }
 
-    /// Moves `base` to the earliest pending wheel tick, cascading
-    /// higher-level slots down as needed. Precondition: the wheel or the
-    /// overflow heap is non-empty (`len > past.len()`).
+    /// The earliest tick in the ring, if it holds any event: a cyclic scan
+    /// of the occupancy bitmap from the cursor.
+    fn ring_next(&self) -> Option<u64> {
+        let c = self.cursor();
+        let mut w = c / 64;
+        let mut word = self.occupancy[w] & (!0u64 << (c % 64));
+        // The cursor's word is visited twice: first its bits from the
+        // cursor on, last (after wrapping) the bits before it.
+        for _ in 0..=OCC_WORDS {
+            if word != 0 {
+                let s = w * 64 + word.trailing_zeros() as usize;
+                return Some(self.base + (s.wrapping_sub(c) & MASK as usize) as u64);
+            }
+            w = (w + 1) % OCC_WORDS;
+            word = self.occupancy[w];
+        }
+        None
+    }
+
+    /// Moves `base` to the earliest pending ring or `far` tick.
+    /// Precondition: `past` is empty and the ring or `far` is not.
+    #[inline(never)]
     fn advance(&mut self) {
-        loop {
-            // Fast path: a pending level-0 slot at or after the cursor.
-            // Its events carry exactly the tick the slot index encodes.
-            let c0 = (self.base & (SIZE[0] as u64 - 1)) as usize;
-            if let Some(s) = find_from(self.occ(0), c0) {
-                self.base = (self.base & !(SIZE[0] as u64 - 1)) | s as u64;
-                return;
-            }
-            // Level 0 exhausted: cascade the earliest non-empty slot of
-            // the lowest non-empty level. Slots at or before the cursor
-            // are empty by the placement invariant (an event at level L
-            // has slot bits strictly greater than base's).
-            let mut cascaded = false;
-            for level in 1..LEVELS {
-                let shift = SHIFT[level];
-                let cursor = ((self.base >> shift) & (SIZE[level] as u64 - 1)) as usize;
-                let Some(s) = find_from(self.occ(level), cursor + 1) else {
-                    continue;
-                };
-                // Rebase to the slot's range start, then redistribute its
-                // list (in order, preserving per-slot FIFO) to levels < L.
-                let span_mask = (1u64 << (shift + BITS[level])) - 1;
-                self.base = (self.base & !span_mask) | ((s as u64) << shift);
-                let list = &mut self.slots[SLOT_OFF[level] + s];
-                let mut idx = list.head;
-                *list = EMPTY_SLOT;
-                self.occ_clear(level, s);
-                while idx != NIL {
-                    let m = self.meta[idx as usize];
-                    self.meta[idx as usize].next = NIL;
-                    let (l, slot) = level_and_slot(self.base, m.tick)
-                        .expect("cascaded event cannot leave the wheel");
-                    debug_assert!(l < level, "cascade must move events to a lower level");
-                    self.append(l, slot, idx);
-                    idx = m.next;
-                }
-                cascaded = true;
-                break;
-            }
-            if cascaded {
-                continue;
-            }
-            // Whole wheel empty: jump to the overflow frontier and pull
-            // in everything within the horizon of the new base. Same-tick
-            // events leave the heap in seq order, so FIFO survives.
-            let top = self.overflow.peek().expect("advance called on an empty wheel");
-            self.base = top.tick;
-            while let Some(top) = self.overflow.peek() {
-                let Some((level, slot)) = level_and_slot(self.base, top.tick) else {
-                    break;
-                };
-                let e = self.overflow.pop().expect("peeked entry must pop");
-                self.meta[e.idx as usize].next = NIL;
-                self.append(level, slot, e.idx);
-            }
+        let next = match self.ring_next() {
+            Some(tick) => tick,
+            None => self.far.peek().expect("advance called on an empty queue").tick,
+        };
+        self.move_base(next);
+    }
+
+    /// Moves the window to start at `base` and pulls every `far` event it
+    /// now covers into the ring. Same-tick events leave the heap in `seq`
+    /// order, ahead of any later schedule at their tick, so FIFO survives.
+    #[inline]
+    fn move_base(&mut self, base: u64) {
+        self.base = base;
+        if !self.far.is_empty() {
+            self.pull_far();
+        }
+    }
+
+    #[inline(never)]
+    fn pull_far(&mut self) {
+        while self.far.peek().is_some_and(|e| self.in_ring(e.tick)) {
+            let e = self.far.pop().expect("peeked entry must pop");
+            self.append(e.tick, e.idx);
         }
     }
 
@@ -381,7 +313,7 @@ impl<E> WheelQueue<E> {
     /// and `schedule` cannot reuse its slot, so a handler may be given
     /// `&E` while the driver keeps scheduling.
     ///
-    /// This is the run loop's removal: a 128-byte event is read in place
+    /// This is the run loop's removal: a 120-byte event is read in place
     /// instead of being moved out through a return slot and again into
     /// the handler's frame. [`pop`](Self::pop) is this plus a take.
     #[inline]
@@ -389,23 +321,34 @@ impl<E> WheelQueue<E> {
         if self.len == 0 {
             return None;
         }
-        // Past events (tick < base) always precede everything in the wheel.
-        if let Some(e) = self.past.pop() {
+        // Past events (tick < base) precede everything in the ring.
+        if !self.past.is_empty() {
+            let e = self.past.pop().expect("checked non-empty");
             return Some(self.hold(e.tick, e.idx));
         }
-        self.advance();
-        let c0 = (self.base & (SIZE[0] as u64 - 1)) as usize;
-        let s = &mut self.slots[c0];
+        let mut c = self.cursor();
+        if self.slots[c].head == NIL {
+            // The cursor's tick has drained; the next one is most often
+            // later in the same occupancy word.
+            let later = self.occupancy[c / 64] & (!0u64 << (c % 64));
+            if later == 0 {
+                self.advance();
+            } else {
+                let s = (c & !63) | later.trailing_zeros() as usize;
+                self.move_base(self.base + (s - c) as u64);
+            }
+            c = self.cursor();
+        }
+        let s = &mut self.slots[c];
         let idx = s.head;
-        debug_assert_ne!(idx, NIL, "advance must land on a non-empty slot");
-        let m = self.meta[idx as usize];
-        s.head = m.next;
+        debug_assert_ne!(idx, NIL, "the cursor must land on a non-empty slot");
+        s.head = self.meta[idx as usize].next;
         if s.head == NIL {
             s.tail = NIL;
-            self.occ_clear(0, c0);
+            self.occupancy[c / 64] &= !(1u64 << (c % 64));
         }
-        debug_assert_eq!(m.tick, self.base, "level-0 slot holds exactly one tick");
-        Some(self.hold(m.tick, idx))
+        debug_assert_eq!(self.meta[idx as usize].tick, self.base, "a slot holds one tick");
+        Some(self.hold(self.base, idx))
     }
 
     /// Removes and returns the earliest event, or `None` if empty.
@@ -455,27 +398,7 @@ impl<E> WheelQueue<E> {
         if let Some(e) = self.past.peek() {
             return Some(Tick(e.tick));
         }
-        let c0 = (self.base & (SIZE[0] as u64 - 1)) as usize;
-        if let Some(s) = find_from(self.occ(0), c0) {
-            return Some(Tick((self.base & !(SIZE[0] as u64 - 1)) | s as u64));
-        }
-        for level in 1..LEVELS {
-            let shift = SHIFT[level];
-            let cursor = ((self.base >> shift) & (SIZE[level] as u64 - 1)) as usize;
-            let Some(s) = find_from(self.occ(level), cursor + 1) else {
-                continue;
-            };
-            // A coarse slot mixes ticks; scan its list for the minimum.
-            let mut idx = self.slots[SLOT_OFF[level] + s].head;
-            let mut min = u64::MAX;
-            while idx != NIL {
-                let m = &self.meta[idx as usize];
-                min = min.min(m.tick);
-                idx = m.next;
-            }
-            return Some(Tick(min));
-        }
-        self.overflow.peek().map(|e| Tick(e.tick))
+        self.ring_next().or_else(|| self.far.peek().map(|e| e.tick)).map(Tick)
     }
 
     /// Number of pending events.
@@ -493,7 +416,7 @@ impl<E> WheelQueue<E> {
     /// Every live slab index, in no particular order.
     fn live_indices(&self) -> Vec<u32> {
         let mut out = Vec::with_capacity(self.len);
-        for slot in &self.slots {
+        for slot in self.slots.iter() {
             let mut idx = slot.head;
             while idx != NIL {
                 out.push(idx);
@@ -501,7 +424,7 @@ impl<E> WheelQueue<E> {
             }
         }
         out.extend(self.past.iter().map(|e| e.idx));
-        out.extend(self.overflow.iter().map(|e| e.idx));
+        out.extend(self.far.iter().map(|e| e.idx));
         out
     }
 
@@ -541,7 +464,7 @@ impl<E> WheelQueue<E> {
     /// calls this.
     pub fn unlink_seq(&mut self, seq: u64) -> Option<(Tick, Held)> {
         // Slot lists first (the common home of a pending event).
-        for si in 0..self.slots.len() {
+        for si in 0..RING {
             let mut prev = NIL;
             let mut idx = self.slots[si].head;
             while idx != NIL {
@@ -556,8 +479,7 @@ impl<E> WheelQueue<E> {
                         self.slots[si].tail = prev;
                     }
                     if self.slots[si].head == NIL {
-                        let level = (1..LEVELS).rev().find(|&l| si >= SLOT_OFF[l]).unwrap_or(0);
-                        self.occ_clear(level, si - SLOT_OFF[level]);
+                        self.occupancy[si / 64] &= !(1u64 << (si % 64));
                     }
                     return Some(self.hold(m.tick, idx));
                 }
@@ -566,9 +488,9 @@ impl<E> WheelQueue<E> {
             }
         }
         for heap in [true, false] {
-            let h = if heap { &self.past } else { &self.overflow };
+            let h = if heap { &self.past } else { &self.far };
             if h.iter().any(|e| e.seq == seq) {
-                let h = if heap { &mut self.past } else { &mut self.overflow };
+                let h = if heap { &mut self.past } else { &mut self.far };
                 let mut entries = std::mem::take(h).into_vec();
                 let pos = entries.iter().position(|e| e.seq == seq).expect("entry vanished");
                 let e = entries.swap_remove(pos);
@@ -592,7 +514,6 @@ impl<E> Default for WheelQueue<E> {
         WheelQueue::new()
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -699,7 +620,7 @@ mod tests {
         q.schedule(Tick(1), 'a');
         q.schedule(Tick(2), 'b');
         q.schedule(Tick(3), 'c');
-        q.schedule(Tick(1 << 40), 'o'); // beyond the wheel: overflow heap
+        q.schedule(Tick(1 << 40), 'o'); // beyond the ring: far heap
         let snap = q.snapshot();
         let (seq_b, seq_o) = (snap[1].1, snap[3].1);
         assert_eq!(q.remove_seq(seq_b), Some((Tick(2), 'b')));
@@ -739,9 +660,10 @@ mod tests {
     }
 
     #[test]
-    fn cascades_across_every_level() {
-        // One event per level, ticks chosen so each pop forces a cascade
-        // chain from a different level.
+    fn peeks_and_pops_in_order_at_every_distance() {
+        // Two events in the ring and three in the far heap, the last beyond
+        // 2^32 ticks: once the ring drains, each pop jumps the window to
+        // the far frontier.
         let mut q = WheelQueue::new();
         q.schedule(Tick(0), 0u32); // pin base at 0
         let ticks = [3u64, 300, 70_000, 17_000_000, 5_000_000_000];
@@ -760,7 +682,7 @@ mod tests {
     fn far_future_overflow_keeps_fifo_within_a_tick() {
         let mut q = WheelQueue::new();
         q.schedule(Tick(0), 0u32);
-        let far = 1u64 << 40; // beyond the 2^36 wheel horizon
+        let far = 1u64 << 40;
         q.schedule(Tick(far), 1);
         q.schedule(Tick(far), 2);
         q.schedule(Tick(far + 1), 3);
@@ -783,14 +705,68 @@ mod tests {
         assert_eq!(q.pop(), Some((Tick(u64::MAX), 'z')));
     }
 
-    /// One seeded differential step sequence: drives the wheel and the
+    #[test]
+    fn a_far_event_precedes_a_later_schedule_at_its_tick() {
+        // The far event must enter the ring as soon as the window covers
+        // it; pulled only once the ring drains, it would pop after 'fresh'.
+        let mut q = WheelQueue::new();
+        q.schedule(Tick(0), "pin"); // base = 0
+        let t = RING as u64 + 5;
+        q.schedule(Tick(t), "far");
+        q.schedule(Tick(10), "near");
+        assert_eq!(q.pop(), Some((Tick(0), "pin")));
+        assert_eq!(q.pop(), Some((Tick(10), "near"))); // window now covers t
+        q.schedule(Tick(t), "fresh");
+        assert_eq!(q.pop(), Some((Tick(t), "far")));
+        assert_eq!(q.pop(), Some((Tick(t), "fresh")));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn the_ring_boundary_keeps_tick_then_seq_order() {
+        // base + 8191 is the ring's last slot, base + 8192 the first far
+        // tick; each gets same-tick companions before and after the move.
+        let mut q = WheelQueue::new();
+        q.schedule(Tick(0), 0); // base = 0
+        let (last, first_far) = (MASK, MASK + 1);
+        q.schedule(Tick(first_far), 10);
+        q.schedule(Tick(last), 1);
+        q.schedule(Tick(first_far), 11);
+        q.schedule(Tick(last), 2);
+        assert_eq!(q.pop(), Some((Tick(0), 0)));
+        assert_eq!(q.pop(), Some((Tick(last), 1))); // window moves to `last`
+        q.schedule(Tick(last), 3);
+        q.schedule(Tick(first_far), 12);
+        let rest: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        let want = [(last, 2), (last, 3), (first_far, 10), (first_far, 11), (first_far, 12)];
+        assert_eq!(rest, want.map(|(t, e)| (Tick(t), e)));
+    }
+
+    #[test]
+    fn peek_with_an_empty_ring_reports_the_far_frontier() {
+        let mut q = WheelQueue::new();
+        q.schedule(Tick(0), 'p'); // base = 0
+        q.schedule(Tick(100_000), 'b');
+        q.schedule(Tick(50_000), 'a');
+        assert_eq!(q.pop(), Some((Tick(0), 'p')));
+        let peeked = q.peek_tick();
+        let (t, held) = q.unlink_next().expect("two far events pending");
+        assert_eq!(peeked, Some(t));
+        assert_eq!((t, *q.get(&held)), (Tick(50_000), 'a'));
+        q.free(held);
+    }
+
+    /// One seeded differential step sequence: drives the queue and the
     /// sorted-`Vec` oracle through an identical random mix of schedules
-    /// (same-tick bursts, small deltas, far-future overflow, occasional
+    /// (same-tick bursts, small deltas, ticks on either side of the ring's
+    /// edge, the tick of a pending far event, far-future ticks, occasional
     /// past ticks), pops, in-place deliveries (unlink, read, schedule
     /// while the slot is held, free — what `System::step` does) and
     /// `remove_seq`/`unlink_seq` cancellations, and asserts identical
-    /// observable behaviour throughout.
-    fn differential_run(seed: u64, ops: usize) {
+    /// observable behaviour throughout. Once `max_depth` events are
+    /// pending, schedules give way to pops, so a long run keeps moving the
+    /// window instead of piling up events.
+    fn differential_run(seed: u64, ops: usize, max_depth: usize) {
         let mut rng = DetRng::new(seed);
         let mut wheel: WheelQueue<u64> = WheelQueue::new();
         let mut oracle = SortedOracle::default();
@@ -800,16 +776,30 @@ mod tests {
             wheel.snapshot().into_iter().map(|(t, s, &e)| (t, s, e)).collect()
         };
         for op in 0..ops {
-            match rng.next_below(20) {
+            let mut pick = rng.next_below(20);
+            if pick <= 11 && oracle.pending.len() >= max_depth {
+                pick = 12;
+            }
+            match pick {
                 // Schedule (60%): deltas weighted toward the small fixed
                 // offsets the simulator actually uses.
                 0..=11 => {
-                    let tick = match rng.next_below(12) {
-                        0..=5 => now + rng.next_below(64),            // near
-                        6..=7 => now,                                 // equal-tick burst
-                        8 => now + rng.next_below(100_000),           // mid
-                        9 => now + (1 << 33) + rng.next_below(1000),  // wheel horizon
-                        10 => now + (1 << 40) + rng.next_below(10),   // overflow
+                    let tick = match rng.next_below(13) {
+                        0..=5 => now + rng.next_below(64),       // near
+                        6..=7 => now,                            // equal-tick burst
+                        8 => now + rng.next_below(100_000),      // mid
+                        9 => now + MASK - 1 + rng.next_below(4), // the ring's edge
+                        10 => {
+                            // The tick of a pending event beyond the ring.
+                            let beyond = oracle.pending.partition_point(|p| p.0 .0 <= now + MASK);
+                            match oracle.pending.len() - beyond {
+                                0 => now,
+                                n => {
+                                    oracle.pending[beyond + rng.next_below(n as u64) as usize].0 .0
+                                }
+                            }
+                        }
+                        11 => now + (1 << 40) + rng.next_below(10), // far future
                         _ => now.saturating_sub(rng.next_below(300)), // past
                     };
                     let burst = 1 + rng.next_below(3);
@@ -916,12 +906,24 @@ mod tests {
     #[test]
     fn differential_fuzz_vs_sorted_vec_oracle() {
         for seed in 0..32 {
-            differential_run(0xC0FFEE ^ seed, 2_000);
+            differential_run(0xC0FFEE ^ seed, 2_000, usize::MAX);
         }
     }
 
     #[test]
     fn differential_fuzz_long_run() {
-        differential_run(0xD15EA5E, 40_000);
+        differential_run(0xD15EA5E, 40_000, usize::MAX);
+    }
+
+    /// The long soak CI runs in release (`cargo test --release -p hsc-sim
+    /// -- --ignored`): the whole simulator's determinism rests on this
+    /// queue. At a bounded depth the window keeps moving, so far pulls and
+    /// ring-edge crossings happen throughout the run.
+    #[test]
+    #[ignore = "3.2M ops: run in release with --ignored"]
+    fn differential_fuzz_release_soak() {
+        for seed in 0..16 {
+            differential_run(0x50A4 ^ seed, 200_000, 256);
+        }
     }
 }
