@@ -19,7 +19,6 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use hsc_check::litmus::{Litmus, LitmusReport, SweepSummary};
-use hsc_check::CheckConfig;
 
 use crate::par::{Campaign, Parallelism};
 
@@ -52,7 +51,7 @@ pub fn check(
     for l in Litmus::catalog() {
         let name = l.name;
         campaign.push(format!("{name}/exhaustive"), move || {
-            ModeResult::Exhaustive(Box::new(l.check_exhaustive(&CheckConfig::default())))
+            ModeResult::Exhaustive(Box::new(l.check_exhaustive()))
         });
     }
     for l in Litmus::catalog() {

@@ -15,6 +15,8 @@
 //! * **no stuck states** — the only state with nothing left to deliver is
 //!   clean completion (unless a fault scenario explicitly expects loss).
 //!
+//! The search branches by cloning: at a state with `n` choices it steps
+//! `n - 1` clones and the state itself, so it never re-runs a path.
 //! States are deduplicated with the time-abstracted
 //! [`System::state_hash`], so interleavings that differ only in *when*
 //! (not *in what order*) things happened collapse, keeping exploration
@@ -35,10 +37,8 @@
 //!
 //! // An empty system completes from every delivery order of its
 //! // initial wake-ups: one terminal state, no violations.
-//! let report = explore(
-//!     &|| SystemBuilder::new(litmus::tiny_config()).build(),
-//!     &CheckConfig::default(),
-//! );
+//! let sys = SystemBuilder::new(litmus::tiny_config()).build();
+//! let report = explore(&sys, &CheckConfig::default());
 //! assert!(report.counterexample.is_none());
 //! assert_eq!(report.terminal_states, 1);
 //! ```
@@ -58,56 +58,34 @@ use hsc_core::System;
 
 pub mod litmus;
 
-/// A function producing a fresh [`System`] in its initial state. The
-/// explorer rebuilds and replays instead of cloning (a `System` owns
-/// boxed programs), so construction must be deterministic.
-pub type BuildFn<'a> = &'a dyn Fn() -> System;
-
 /// A predicate over a cleanly completed system: `Err(reason)` marks the
 /// final state as a violation (e.g. "a store was lost"). Borrowed, so a
 /// scenario built at run time can close over its own expectations.
 pub type FinalCheck<'a> = &'a dyn Fn(&System) -> Result<(), String>;
 
-/// Exploration limits and expectations.
-#[derive(Clone)]
+/// Stop after this many *distinct* states (truncates, not fails).
+const MAX_STATES: u64 = 2_000_000;
+
+/// Do not explore interleavings longer than this many events.
+const MAX_DEPTH: usize = 256;
+
+/// What a scenario asks of its exploration beyond the invariants.
+#[derive(Clone, Default)]
 pub struct CheckConfig<'a> {
-    /// Stop after this many *distinct* states (truncates, not fails).
-    pub max_states: u64,
-    /// Do not explore interleavings longer than this many events.
-    pub max_depth: usize,
     /// A state with no deliverable events but unfinished work is normally
     /// a stuck-state violation; scenarios that inject message loss with
     /// retries off set this to accept the resulting stall as an outcome.
     pub deadlock_ok: bool,
     /// Predicate applied to every cleanly completed terminal state.
     pub final_check: Option<FinalCheck<'a>>,
-    /// After finding a violation, run the breadth-first minimizer to
-    /// report the *shortest* violating event sequence instead of the
-    /// DFS path that happened to find it first.
-    pub minimize: bool,
 }
 
 impl fmt::Debug for CheckConfig<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CheckConfig")
-            .field("max_states", &self.max_states)
-            .field("max_depth", &self.max_depth)
             .field("deadlock_ok", &self.deadlock_ok)
             .field("final_check", &self.final_check.is_some())
-            .field("minimize", &self.minimize)
             .finish()
-    }
-}
-
-impl Default for CheckConfig<'_> {
-    fn default() -> Self {
-        CheckConfig {
-            max_states: 2_000_000,
-            max_depth: 256,
-            deadlock_ok: false,
-            final_check: None,
-            minimize: true,
-        }
     }
 }
 
@@ -137,8 +115,8 @@ impl fmt::Display for ViolationKind {
 }
 
 /// A violating interleaving: the event sequence (one rendered
-/// [`hsc_sim::PendingEvent`] per step, in delivery order) that drives a
-/// fresh system into the violation.
+/// [`hsc_sim::PendingEvent`] per step, in delivery order) that drives the
+/// explored system into the violation.
 #[derive(Debug, Clone)]
 pub struct Counterexample {
     /// Which invariant broke.
@@ -216,12 +194,11 @@ pub struct ExploreReport {
     pub states: u64,
     /// States with nothing left to deliver and all work done.
     pub terminal_states: u64,
-    /// Longest interleaving explored, in events.
-    pub deepest: usize,
-    /// Whether `max_states`/`max_depth` cut the exploration short.
+    /// Whether the state or depth limit (2,000,000 distinct states, 256
+    /// events) cut the exploration short.
     pub truncated: bool,
-    /// The first violation found (minimized if configured), or `None` if
-    /// every reachable state passed.
+    /// The first violation found, minimized, or `None` if every
+    /// reachable state passed.
     pub counterexample: Option<Counterexample>,
 }
 
@@ -233,73 +210,50 @@ impl ExploreReport {
     }
 }
 
-/// Exhaustively explores every delivery order of `build()`'s event DAG
+/// Exhaustively explores every delivery order of `root`'s event DAG
 /// under `cfg`, returning statistics and the first violation found.
+/// `root` itself is left as it was: the search runs on clones of it.
 ///
 /// # Panics
 ///
-/// Panics if the built system reports a wiring error — that is a
+/// Panics if the system reports a wiring error — that is a
 /// configuration bug, not a protocol state to explore.
 #[must_use]
-pub fn explore(build: BuildFn<'_>, cfg: &CheckConfig<'_>) -> ExploreReport {
+pub fn explore(root: &System, cfg: &CheckConfig<'_>) -> ExploreReport {
+    let mut start = root.clone();
+    start.enable_choice_mode().expect("litmus systems must be wired correctly");
     let mut st = Search {
-        build,
         cfg,
         visited: HashSet::new(),
         states: 0,
         terminals: 0,
-        deepest: 0,
         truncated: false,
         stop: false,
         violation: None,
     };
-    let mut sys = fresh(build);
-    let mut path = Vec::new();
-    st.dfs(&mut sys, &mut path);
+    st.dfs(&mut start.clone(), &mut Vec::new());
 
     let counterexample = st.violation.take().map(|(kind, detail, choices)| {
-        if cfg.minimize {
-            minimize(build, cfg)
-                .unwrap_or_else(|| render_path(build, kind, detail, &choices, false))
-        } else {
-            render_path(build, kind, detail, &choices, false)
-        }
+        minimize(&start, cfg).unwrap_or_else(|| render_path(&start, kind, detail, &choices, false))
     });
     ExploreReport {
         states: st.states,
         terminal_states: st.terminals,
-        deepest: st.deepest,
         truncated: st.truncated,
         counterexample,
     }
 }
 
-/// Builds a system and switches it into choice mode.
-fn fresh(build: BuildFn<'_>) -> System {
-    let mut sys = build();
-    sys.enable_choice_mode().expect("litmus systems must be wired correctly");
-    sys
-}
-
-/// Rebuilds a system and replays a choice path.
-fn replay(build: BuildFn<'_>, path: &[usize]) -> System {
-    let mut sys = fresh(build);
-    for &i in path {
-        sys.step_choice(i).expect("replayed step cannot fail");
-    }
-    sys
-}
-
-/// Renders a choice path into a [`Counterexample`] by replaying it and
-/// recording each chosen event's description.
+/// Renders a choice path into a [`Counterexample`] by replaying it from
+/// `start` and recording each chosen event's description.
 fn render_path(
-    build: BuildFn<'_>,
+    start: &System,
     kind: ViolationKind,
     detail: String,
     choices: &[usize],
     minimized: bool,
 ) -> Counterexample {
-    let mut sys = fresh(build);
+    let mut sys = start.clone();
     let mut steps = Vec::with_capacity(choices.len());
     for &i in choices {
         steps.push(sys.pending_events()[i].to_string());
@@ -310,21 +264,13 @@ fn render_path(
 }
 
 struct Search<'a> {
-    build: BuildFn<'a>,
     cfg: &'a CheckConfig<'a>,
     visited: HashSet<u64>,
     states: u64,
     terminals: u64,
-    deepest: usize,
     truncated: bool,
     stop: bool,
     violation: Option<(ViolationKind, String, Vec<usize>)>,
-}
-
-impl fmt::Debug for Search<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Search").field("states", &self.states).finish_non_exhaustive()
-    }
 }
 
 impl Search<'_> {
@@ -336,8 +282,7 @@ impl Search<'_> {
             return;
         }
         self.states += 1;
-        self.deepest = self.deepest.max(path.len());
-        if self.states >= self.cfg.max_states {
+        if self.states >= MAX_STATES {
             self.truncated = true;
             self.stop = true;
         }
@@ -351,20 +296,28 @@ impl Search<'_> {
             self.terminals += 1;
             return;
         }
-        if path.len() >= self.cfg.max_depth {
+        if path.len() >= MAX_DEPTH {
             self.truncated = true;
             return;
         }
         for i in 0..n {
+            // Every child but the last steps a clone; the last one steps
+            // `sys` itself, which no later sibling needs. The clone is
+            // boxed: a 256-deep search then fits a 2 MiB thread stack
+            // even unoptimized.
+            let mut clone;
+            let child = if i + 1 < n {
+                clone = Box::new(sys.clone());
+                &mut *clone
+            } else {
+                &mut *sys
+            };
+            child.step_choice(i).expect("explored step cannot fail");
             path.push(i);
-            sys.step_choice(i).expect("explored step cannot fail");
-            self.dfs(sys, path);
+            self.dfs(child, path);
             path.pop();
             if self.stop {
                 return;
-            }
-            if i + 1 < n {
-                *sys = replay(self.build, path);
             }
         }
     }
@@ -491,11 +444,13 @@ fn describe(cs: &[(usize, MoesiState, LineData)]) -> String {
     format!("[{}]", parts.join(", "))
 }
 
-/// Breadth-first search for the *shortest* path to any violating state,
-/// using the same visited-set abstraction as the DFS. Returns `None` only
-/// if the violation is unreachable within the config budget (possible
-/// when the DFS truncated).
-fn minimize(build: BuildFn<'_>, cfg: &CheckConfig<'_>) -> Option<Counterexample> {
+/// Breadth-first search from `start` for the *shortest* path to any
+/// violating state, using the same visited-set abstraction as the DFS.
+/// A node is a parent pointer, replayed when expanded: a frontier of whole
+/// systems would cost tens of KB a node. Returns `None` only if the
+/// violation is unreachable within the limits (possible when the DFS
+/// truncated).
+fn minimize(start: &System, cfg: &CheckConfig<'_>) -> Option<Counterexample> {
     struct Node {
         parent: usize,
         choice: usize,
@@ -515,28 +470,29 @@ fn minimize(build: BuildFn<'_>, cfg: &CheckConfig<'_>) -> Option<Counterexample>
         p
     };
 
-    visited.insert(fresh(build).state_hash());
+    visited.insert(start.state_hash());
     while !frontier.is_empty() {
         let mut next = Vec::new();
         for &idx in &frontier {
             let choices = path_of(&nodes, idx);
-            let mut sys = replay(build, &choices);
+            let mut sys = start.clone();
+            for &i in &choices {
+                sys.step_choice(i).expect("replayed step cannot fail");
+            }
             let n = sys.choice_count();
             if let Some((kind, detail)) = classify(&sys, n, cfg) {
-                return Some(render_path(build, kind, detail, &choices, true));
+                return Some(render_path(start, kind, detail, &choices, true));
             }
             expanded += 1;
-            if expanded >= cfg.max_states || choices.len() >= cfg.max_depth {
+            if expanded >= MAX_STATES || choices.len() >= MAX_DEPTH {
                 continue;
             }
             for i in 0..n {
-                sys.step_choice(i).expect("minimizer step cannot fail");
-                if visited.insert(sys.state_hash()) {
+                let mut child = sys.clone();
+                child.step_choice(i).expect("minimizer step cannot fail");
+                if visited.insert(child.state_hash()) {
                     nodes.push(Node { parent: idx, choice: i });
                     next.push(nodes.len() - 1);
-                }
-                if i + 1 < n {
-                    sys = replay(build, &choices);
                 }
             }
         }
@@ -556,7 +512,7 @@ mod tests {
 
     #[test]
     fn empty_system_has_one_terminal_state() {
-        let r = explore(&empty, &CheckConfig::default());
+        let r = explore(&empty(), &CheckConfig::default());
         assert!(r.passed());
         // Orders of the initial wake-ups are distinct states, but they
         // all drain into the single completed state.
@@ -571,7 +527,7 @@ mod tests {
             final_check: Some(&|_s: &System| Err("always wrong".to_owned())),
             ..CheckConfig::default()
         };
-        let r = explore(&empty, &cfg);
+        let r = explore(&empty(), &cfg);
         let cx = r.counterexample.expect("must fail");
         assert_eq!(cx.kind, ViolationKind::FinalState);
         assert!(cx.minimized);
@@ -585,8 +541,9 @@ mod tests {
 
     #[test]
     fn state_count_is_deterministic() {
-        let a = explore(&empty, &CheckConfig::default());
-        let b = explore(&empty, &CheckConfig::default());
+        let sys = empty();
+        let a = explore(&sys, &CheckConfig::default());
+        let b = explore(&sys, &CheckConfig::default());
         assert_eq!(a.states, b.states);
         assert_eq!(a.terminal_states, b.terminal_states);
     }

@@ -15,9 +15,9 @@
 //!   retries enabled, the PR 1 recovery path.
 //!
 //! Scenarios keep synthetic instruction fetches off
-//! (`ifetch_interval = u64::MAX`) and shrink every cache so a rebuilt
-//! [`System`] costs microseconds — the explorer rebuilds thousands of
-//! times.
+//! (`ifetch_interval = u64::MAX`) and shrink every cache so a cloned
+//! [`System`] costs microseconds — the explorer clones one at every
+//! branch point, thousands of times per scenario.
 
 use hsc_cluster::{CpuOp, CpuScript, DmaCommand, GpuOp, GpuScript};
 use hsc_mem::{Addr, AtomicKind};
@@ -237,20 +237,20 @@ impl Litmus {
     }
 
     /// Runs the exhaustive passes: fault-free, then (if the scenario has
-    /// one) under its deterministic fault plan. `limits` scales the
-    /// search budget; the scenario supplies `final_check`/`deadlock_ok`.
+    /// one) under its deterministic fault plan, each judged by
+    /// [`Litmus::check_final`].
     #[must_use]
-    pub fn check_exhaustive(&self, limits: &CheckConfig<'_>) -> LitmusReport {
+    pub fn check_exhaustive(&self) -> LitmusReport {
         if !self.exhaustive {
             return LitmusReport { name: self.name, fault_free: None, faulty: None };
         }
         let check = |sys: &System| self.check_final(sys);
-        let base = CheckConfig { final_check: Some(&check), deadlock_ok: false, ..limits.clone() };
-        let fault_free = Some(explore(&|| self.build(None, None), &base));
+        let base = CheckConfig { final_check: Some(&check), deadlock_ok: false };
+        let fault_free = Some(explore(&self.build(None, None), &base));
 
         let faulty = self.fault_plan.map(|plan| {
             let cfg = CheckConfig { deadlock_ok: self.fault_deadlock_ok, ..base.clone() };
-            explore(&|| self.build(Some(plan), None), &cfg)
+            explore(&self.build(Some(plan), None), &cfg)
         });
         LitmusReport { name: self.name, fault_free, faulty }
     }
@@ -457,15 +457,15 @@ mod tests {
             allowed: vec![(A, vec![A.0]), (A_W1, vec![A_W1.0])],
             ..Litmus::new("computed", "two generated writers, one line")
         };
-        let report = good.check_exhaustive(&CheckConfig::default());
+        let report = good.check_exhaustive();
         assert!(report.passed());
         let two_writers = Litmus::by_name("two_writers").unwrap();
-        let catalog = two_writers.check_exhaustive(&CheckConfig::default());
+        let catalog = two_writers.check_exhaustive();
         let states = |r: &LitmusReport| r.fault_free.as_ref().unwrap().states;
         assert_eq!(states(&report), states(&catalog), "the same race: programs are not state");
 
         let wrong = Litmus { allowed: vec![(A, vec![A.0 + 1])], ..good };
-        let report = wrong.check_exhaustive(&CheckConfig::default());
+        let report = wrong.check_exhaustive();
         let cx = report.counterexample().expect("no run can end with that word");
         assert_eq!(cx.kind, crate::ViolationKind::FinalState);
     }

@@ -10,7 +10,7 @@
 #![cfg(debug_assertions)]
 
 use hsc_check::litmus::Litmus;
-use hsc_check::{CheckConfig, ViolationKind};
+use hsc_check::ViolationKind;
 use hsc_cluster::mutation;
 
 /// Clears the mutation on every exit path, including assertion panics.
@@ -28,11 +28,11 @@ fn seeded_moesi_mutation_yields_a_minimized_counterexample() {
 
     // Sanity: the unmutated protocol survives exhaustive exploration.
     let l = Litmus::by_name("two_writers").expect("catalog scenario");
-    let clean = l.check_exhaustive(&CheckConfig::default());
+    let clean = l.check_exhaustive();
     assert!(clean.passed(), "two_writers must pass without the mutation");
 
     mutation::set_drop_dirty_probe_data(true);
-    let mutated = l.check_exhaustive(&CheckConfig::default());
+    let mutated = l.check_exhaustive();
     let cx = mutated.counterexample().expect("the lost dirty forward must be caught");
 
     assert!(cx.minimized, "the BFS pass must have shortened the DFS witness");

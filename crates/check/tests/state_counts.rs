@@ -11,7 +11,6 @@
 //! explores or how counterexamples minimize.
 
 use hsc_check::litmus::Litmus;
-use hsc_check::CheckConfig;
 
 /// `(states, terminal_states)` for one explored mode.
 type Counts = Option<(u64, u64)>;
@@ -42,7 +41,7 @@ fn exhaustive_state_counts_match_golden() {
             assert!(!l.exhaustive, "{name}: golden says non-exhaustive");
             continue;
         }
-        let report = l.check_exhaustive(&CheckConfig::default());
+        let report = l.check_exhaustive();
         assert!(report.passed(), "{name}: exhaustive exploration must pass");
         let got_free = report.fault_free.as_ref().map(|r| (r.states, r.terminal_states));
         assert_eq!(got_free, fault_free, "{name}: fault-free distinct-state count drifted");

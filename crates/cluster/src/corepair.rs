@@ -101,7 +101,7 @@ enum TxnKind {
     Write,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct L2Txn {
     kind: TxnKind,
     waiters: Waiters,
@@ -130,7 +130,7 @@ impl Waiters {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct CoreCtx {
     program: Box<dyn CoreProgram>,
     ready_at: Tick,
@@ -161,7 +161,7 @@ struct CoreCtx {
 ///   this closes the writeback/probe race;
 /// * downgrade probes move M→O (the dirty cache stays owner and forwards
 ///   data), invalidating probes forward dirty data and invalidate.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CorePair {
     agent: AgentId,
     cfg: CpuConfig,
@@ -185,7 +185,7 @@ pub struct CorePair {
 
 /// Interned counter ids for every key a CorePair ever bumps, so the
 /// per-message and per-op paths never build a string key.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct CpIds {
     loads: CounterId,
     stores: CounterId,
@@ -1050,7 +1050,7 @@ mod tests {
         let a = Addr(0x4000);
         let p0 = CpuScript::new(vec![CpuOp::Store(a, 9), CpuOp::Done]);
         // Core 1 spins until it observes core 0's store through the shared L2.
-        #[derive(Debug)]
+        #[derive(Debug, Clone)]
         struct Spin {
             a: Addr,
             tries: u32,

@@ -49,7 +49,7 @@ impl DmaCommand {
 /// Used by workloads to stage inputs (e.g. `cedd` video frames) while the
 /// CPU and GPU are running, which exercises the Fig. 3 DMA paths of the
 /// directory.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DmaEngine {
     commands: VecDeque<DmaCommand>,
     in_flight: LineMap<()>,
@@ -69,7 +69,7 @@ pub struct DmaEngine {
 }
 
 /// Interned counter ids for every key the DMA engine ever bumps.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct DmaIds {
     reads: CounterId,
     writes: CounterId,

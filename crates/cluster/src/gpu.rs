@@ -90,7 +90,7 @@ enum BlockKind {
     Release,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct WfCtx {
     /// The CU this wavefront runs on, whose TCP it reads through.
     cu: usize,
@@ -120,7 +120,7 @@ impl WfCtx {
 /// runnable (neither done nor blocked). Only `GpuOp::Done`, a block and
 /// an unblock move a bit, so a wavefront that cannot run costs nothing
 /// per event.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Runnable(Vec<u64>);
 
 impl Runnable {
@@ -144,7 +144,7 @@ impl Runnable {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct TccTxn {
     /// Wavefronts (indices into `GpuCluster::wfs`) waiting on this fill
     /// (an SQC miss waits as its wavefront, through
@@ -165,7 +165,7 @@ struct TccTxn {
 ///   atomics bypass it (self-invalidating any cached copy) and execute at
 ///   the directory.
 /// * On probes the TCC **never forwards data** but invalidates itself.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct GpuCluster {
     agent: AgentId,
     cfg: GpuConfig,
@@ -202,7 +202,7 @@ pub struct GpuCluster {
 
 /// Interned counter ids for every key a GPU cluster ever bumps, so the
 /// per-message and per-op paths never build a string key.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct GpuIds {
     tcp_hits: CounterId,
     tcp_misses: CounterId,

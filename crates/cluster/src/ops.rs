@@ -44,7 +44,8 @@ impl fmt::Display for CpuOp {
 /// `Load`/`Atomic` (or `None` after other ops), so programs can branch on
 /// memory contents. Programs need not be `Send`: a system is built, run
 /// and dropped by one thread, and only the `Workload` that builds it is
-/// shared between campaign workers.
+/// shared between campaign workers. They must be `Clone` (derive it): the
+/// model checker branches by cloning the whole system.
 ///
 /// # Examples
 ///
@@ -53,7 +54,7 @@ impl fmt::Display for CpuOp {
 /// use hsc_mem::Addr;
 ///
 /// /// Spins until the flag at `addr` becomes non-zero.
-/// #[derive(Debug)]
+/// #[derive(Debug, Clone)]
 /// struct SpinOnFlag {
 ///     addr: Addr,
 ///     polled: bool,
@@ -69,9 +70,27 @@ impl fmt::Display for CpuOp {
 ///     }
 /// }
 /// ```
-pub trait CoreProgram: fmt::Debug {
+pub trait CoreProgram: fmt::Debug + CloneCoreProgram {
     /// The next operation; called when the previous one completed.
     fn next_op(&mut self, last_value: Option<u64>) -> CpuOp;
+}
+
+/// Makes `Box<dyn CoreProgram>` `Clone`; every `Clone` program has it.
+pub trait CloneCoreProgram {
+    /// A boxed copy of this program.
+    fn clone_box(&self) -> Box<dyn CoreProgram>;
+}
+
+impl<P: CoreProgram + Clone + 'static> CloneCoreProgram for P {
+    fn clone_box(&self) -> Box<dyn CoreProgram> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn CoreProgram> {
+    fn clone(&self) -> Self {
+        (**self).clone_box()
+    }
 }
 
 /// One operation of a GPU wavefront, produced by a [`WavefrontProgram`].
@@ -124,10 +143,29 @@ impl fmt::Display for GpuOp {
 ///
 /// `last_value` carries the lane-0 result of the preceding
 /// `VecLoad`/atomic, letting kernels implement flag polling and work-queue
-/// dequeues with SLC atomics, as the CHAI benchmarks do.
-pub trait WavefrontProgram: fmt::Debug {
+/// dequeues with SLC atomics, as the CHAI benchmarks do. Like a
+/// [`CoreProgram`], a wavefront program must be `Clone`.
+pub trait WavefrontProgram: fmt::Debug + CloneWavefrontProgram {
     /// The next operation; called when the previous one completed.
     fn next_op(&mut self, last_value: Option<u64>) -> GpuOp;
+}
+
+/// Makes `Box<dyn WavefrontProgram>` `Clone`; every `Clone` program has it.
+pub trait CloneWavefrontProgram {
+    /// A boxed copy of this program.
+    fn clone_box(&self) -> Box<dyn WavefrontProgram>;
+}
+
+impl<P: WavefrontProgram + Clone + 'static> CloneWavefrontProgram for P {
+    fn clone_box(&self) -> Box<dyn WavefrontProgram> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn WavefrontProgram> {
+    fn clone(&self) -> Self {
+        (**self).clone_box()
+    }
 }
 
 /// A scripted CPU thread: plays a fixed op list front to back, then
@@ -193,7 +231,9 @@ impl WavefrontProgram for GpuScript {
 
 /// A shared handle to a program is a program: a test keeps one clone and
 /// reads the program's state back after the run that owned the other.
-impl<P: WavefrontProgram> WavefrontProgram for Rc<RefCell<P>> {
+/// A clone of the system shares the program: never explore a system
+/// that holds one.
+impl<P: WavefrontProgram + 'static> WavefrontProgram for Rc<RefCell<P>> {
     fn next_op(&mut self, last_value: Option<u64>) -> GpuOp {
         self.borrow_mut().next_op(last_value)
     }

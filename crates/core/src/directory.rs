@@ -59,7 +59,7 @@ enum TxnKind {
     BackInval,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct DirTxn {
     kind: TxnKind,
     origin: Message,
@@ -139,7 +139,7 @@ impl DirTxn {
 /// The victim-cache LLC is written on L2 write-backs only (never on the
 /// refill path); the [`CoherenceConfig`] knobs select the §III-B/§III-C
 /// policies and `useL3OnWT`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Directory {
     cfg: CoherenceConfig,
     uncore: UncoreConfig,

@@ -59,7 +59,7 @@ pub struct LlcEviction {
 /// clean victims do, whether response data fills it (it never does; the
 /// LLC is a victim cache) — live in the directory, which interprets the
 /// return values of these methods.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Llc {
     lines: CacheArray<LlcLine>,
     /// Transition analytics; disabled (and free) unless the observability

@@ -11,7 +11,7 @@ use hsc_sim::{CounterId, Counters, StatSet, Tick};
 /// the paper's write-back LLC costs so little performance — §III-C
 /// "writes or write-backs to the memory are non-blocking since the only
 /// interface from the LLC to the memory … is ordered").
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MemoryController {
     mem: MainMemory,
     access_ticks: u64,

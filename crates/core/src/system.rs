@@ -235,7 +235,7 @@ impl SystemBuilder {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum Ev {
     Deliver(Message),
     Wake(AgentId),
@@ -246,7 +246,7 @@ enum Ev {
 /// Owns every controller, routes messages through the latency
 /// [`Network`] (fault-free unless a [`hsc_noc::FaultPlan`] was
 /// configured), and drives the deterministic event loop.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct System {
     config: SystemConfig,
     corepairs: Vec<CorePair>,
@@ -269,7 +269,7 @@ pub struct System {
 
 /// Per-agent gauge label strings for the epoch sampler, formatted once at
 /// construction instead of once per epoch.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct GaugeLabels {
     /// `(mshr_occupancy, victim_occupancy)` labels per CorePair.
     cp: Vec<(String, String)>,

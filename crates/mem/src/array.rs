@@ -158,6 +158,7 @@ pub struct Way(usize);
 /// c.touch_way(way);
 /// assert_eq!(c.get(LineAddr(2)), Some(&13));
 /// ```
+#[derive(Clone)]
 pub struct CacheArray<S> {
     geometry: CacheGeometry,
     set_mask: u64,

@@ -25,7 +25,7 @@ impl fmt::Display for WiringError {
 
 impl std::error::Error for WiringError {}
 
-/// One-way hop latencies of the system interconnect, in GPU cycles.
+/// One-way hop latencies of the system interconnect, in ticks (35 per GPU cycle).
 ///
 /// The network is contention-free with constant per-pair latency. Constant
 /// latency plus the FIFO tie-breaking of `hsc_sim::WheelQueue` yields
@@ -41,8 +41,9 @@ pub struct LatencyMap {
 }
 
 impl Default for LatencyMap {
-    /// 30 cycles cache↔directory, 10 cycles directory↔memory-controller
-    /// (DRAM access time itself is modelled in the memory controller).
+    /// 30 ticks cache↔directory, 10 directory↔memory-controller: a map for
+    /// unit tests, not the system's (`SystemConfig` sets 700 and 140 ticks,
+    /// 20 and 4 GPU cycles). DRAM time is modelled in the memory controller.
     fn default() -> Self {
         LatencyMap { cache_dir: 30, dir_mem: 10 }
     }

@@ -129,7 +129,7 @@ fn merge_sorted_by_key<T: Clone, K: Ord>(
 }
 
 /// Observability hook hub; one per [`hsc-core` `System`](ObsConfig).
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Observer {
     enabled: bool,
     txns: Option<TxnTracker>,

@@ -3,7 +3,7 @@
 //! This crate provides the timing substrate shared by every other crate in
 //! the workspace:
 //!
-//! * [`Tick`] — the global simulated-time unit (one GPU clock cycle),
+//! * [`Tick`] — the global simulated-time unit (1/38.5 GHz ≈ 26 ps),
 //! * [`WheelQueue`] — a timing ring of timestamped events (one slot per
 //!   tick for the next 8192 ticks, a heap beyond) with deterministic FIFO
 //!   tie-breaking and O(1) insert/pop for the small fixed deltas the

@@ -8,7 +8,7 @@ use std::ops::{Add, AddAssign, Sub, SubAssign};
 /// multiple of the paper's Table III clocks — so a 3.5 GHz CPU cycle is
 /// exactly 11 ticks and a 1.1 GHz GPU cycle exactly 35 (see
 /// `hsc_cluster::{TICKS_PER_CPU_CYCLE, TICKS_PER_GPU_CYCLE}`). `Tick` is a
-/// newtype so cycle counts cannot be silently mixed with other integers.
+/// newtype so tick counts cannot be silently mixed with other integers.
 ///
 /// # Examples
 ///
@@ -27,13 +27,13 @@ impl Tick {
     /// The zero point of simulated time.
     pub const ZERO: Tick = Tick(0);
 
-    /// Returns the raw cycle count.
+    /// Returns the raw tick count.
     #[must_use]
     pub fn cycles(self) -> u64 {
         self.0
     }
 
-    /// Number of cycles elapsed since `earlier`.
+    /// Number of ticks elapsed since `earlier`.
     ///
     /// # Panics
     ///
@@ -45,7 +45,7 @@ impl Tick {
         self.0 - earlier.0
     }
 
-    /// Saturating addition of a cycle count.
+    /// Saturating addition of a tick count.
     #[must_use]
     pub fn saturating_add(self, cycles: u64) -> Tick {
         Tick(self.0.saturating_add(cycles))

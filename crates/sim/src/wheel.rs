@@ -74,7 +74,7 @@ const NIL: u32 = u32::MAX;
 /// let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
 /// assert_eq!(order, ['a', 'b', 'c']);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct WheelQueue<E> {
     /// The ring's slot list heads/tails, one per tick of the window.
     slots: Box<[Slot; RING]>,
@@ -125,7 +125,7 @@ struct Meta {
     next: u32,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct HeapEntry {
     tick: u64,
     seq: u64,

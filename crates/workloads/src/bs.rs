@@ -72,7 +72,7 @@ impl Bs {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum CpuPhase {
     /// Reading the `control_points` shared words once.
     LoadCtrl(u64),
@@ -84,7 +84,7 @@ enum CpuPhase {
     Done,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct CpuWorker {
     bench: Bs,
     hi: u64,
@@ -123,7 +123,7 @@ impl CoreProgram for CpuWorker {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct GpuWorker {
     bench: Bs,
     lo: u64,

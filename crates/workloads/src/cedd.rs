@@ -101,7 +101,7 @@ impl Cedd {
 
 // ---------------------------------------------------------------- stage 1
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum S1State {
     NextFrame,
     WaitInput(u64),
@@ -112,7 +112,7 @@ enum S1State {
 
 /// CPU stage 1: waits for the DMA'd frame, applies the gaussian transform
 /// pixel-by-pixel, then publishes `flag1`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Stage1 {
     bench: Cedd,
     frames: Vec<u64>,
@@ -166,7 +166,7 @@ impl CoreProgram for Stage1 {
 
 // ------------------------------------------------------------ GPU stages
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum GsState {
     NextFrame,
     Wait(u64),
@@ -180,7 +180,7 @@ enum GsState {
 /// One GPU pipeline stage (used for both stage 2 and stage 3): waits for
 /// the previous stage, transforms its slice of each frame vector-wise,
 /// releases, then bumps the per-frame completion counter.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct GpuStage {
     bench: Cedd,
     /// Pixel slice [lo, hi) this wavefront owns in every frame.
@@ -269,7 +269,7 @@ impl WavefrontProgram for GpuStage {
 
 // ---------------------------------------------------------------- stage 4
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum S4State {
     NextFrame,
     Wait(u64),
@@ -279,7 +279,7 @@ enum S4State {
 
 /// CPU stage 4: waits for stage 3's completion counter, then writes the
 /// final output.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Stage4 {
     bench: Cedd,
     frames: Vec<u64>,

@@ -70,7 +70,7 @@ enum CpuState {
     AwaitAtomic,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct CpuWorker {
     bench: Hsti,
     hi: u64,
@@ -114,7 +114,7 @@ impl CpuWorker {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct GpuWorker {
     bench: Hsti,
     hi: u64,

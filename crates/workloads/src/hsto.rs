@@ -68,7 +68,7 @@ impl Hsto {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct CpuWorker {
     bench: Hsto,
     bin_lo: u64,
@@ -106,7 +106,7 @@ impl CoreProgram for CpuWorker {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct GpuWorker {
     bench: Hsto,
     bin_lo: u64,

@@ -70,7 +70,7 @@ impl Pad {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum CpuState {
     WaitNeighbour,
     NextRow,
@@ -82,7 +82,7 @@ enum CpuState {
     Finished,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct CpuWorker {
     bench: Pad,
     w: u64,
@@ -155,7 +155,7 @@ impl CoreProgram for CpuWorker {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum GpuState {
     WaitNeighbour,
     NextRow,
@@ -167,7 +167,7 @@ enum GpuState {
     Finished,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct GpuWorker {
     bench: Pad,
     w: u64,

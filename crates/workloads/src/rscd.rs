@@ -85,7 +85,7 @@ impl Rscd {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum CpuState {
     NextIter,
     LoadPoint { i: u64, p: u64 },
@@ -99,7 +99,7 @@ enum CpuState {
     Finished,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct CpuWorker {
     bench: Rscd,
     lo: u64,
@@ -173,7 +173,7 @@ impl CoreProgram for CpuWorker {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum GpuState {
     NextIter,
     LoadPoints { i: u64, p: u64 },
@@ -185,7 +185,7 @@ enum GpuState {
     Finished,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct GpuWorker {
     bench: Rscd,
     lo: u64,

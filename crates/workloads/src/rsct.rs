@@ -59,7 +59,7 @@ impl Rsct {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum CpuState {
     Claim,
     AwaitClaim,
@@ -71,7 +71,7 @@ enum CpuState {
     Finished,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct CpuWorker {
     bench: Rsct,
     acc: u64,
@@ -147,7 +147,7 @@ impl CoreProgram for CpuWorker {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum GpuState {
     Claim,
     AwaitClaim,
@@ -158,7 +158,7 @@ enum GpuState {
     Finished,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct GpuWorker {
     bench: Rsct,
     state: GpuState,

@@ -63,7 +63,7 @@ impl Sc {
 }
 
 /// Common per-worker compaction state, shared by the CPU and GPU drivers.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Compactor {
     bench: Sc,
     /// Claimed chunk `[lo, hi)`; `None` when a new claim is needed.
@@ -82,7 +82,7 @@ impl Compactor {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum Step {
     ClaimInput,
     ReserveOutput,
@@ -128,7 +128,7 @@ impl Compactor {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum CpuPhase {
     Claiming,
     LoadingChunk { next: u64, hi: u64 },
@@ -136,7 +136,7 @@ enum CpuPhase {
     Driving,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct CpuWorker {
     c: Compactor,
     phase: CpuPhase,
@@ -201,7 +201,7 @@ impl CoreProgram for CpuWorker {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum GpuPhase {
     Claiming,
     LoadingChunk,
@@ -209,7 +209,7 @@ enum GpuPhase {
     Driving,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct GpuWorker {
     c: Compactor,
     phase: GpuPhase,

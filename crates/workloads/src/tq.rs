@@ -66,14 +66,14 @@ impl Tq {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum ProducerState {
     WritePayload,
     PublishFlag,
 }
 
 /// Writes payloads for tasks `[lo, hi)` and publishes their ready flags.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Producer {
     bench: Tq,
     i: u64,
@@ -103,7 +103,7 @@ impl CoreProgram for Producer {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum CpuConsumerState {
     ClaimTask,
     AwaitClaim,
@@ -114,7 +114,7 @@ enum CpuConsumerState {
     BumpDone,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct CpuConsumer {
     bench: Tq,
     state: CpuConsumerState,
@@ -170,7 +170,7 @@ impl CoreProgram for CpuConsumer {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum GpuConsumerState {
     ClaimTask,
     AwaitClaim,
@@ -183,7 +183,7 @@ enum GpuConsumerState {
     BumpDone,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct GpuConsumer {
     bench: Tq,
     state: GpuConsumerState,

@@ -79,7 +79,7 @@ impl Tqh {
 /// CPU producer: stages each of its blocks' pixels, then publishes the
 /// block's ready flag. (CHAI's tqh producers copy frame blocks into the
 /// task pool; the stores model that staging traffic.)
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Producer {
     bench: Tqh,
     blocks: Vec<u64>,
@@ -104,7 +104,7 @@ impl CoreProgram for Producer {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum GpuState {
     Claim,
     AwaitClaim,
@@ -119,7 +119,7 @@ enum GpuState {
 /// GPU consumer: claims a block, waits for its flag, scans its pixels and
 /// accumulates a per-block histogram in registers, then flushes it into
 /// the shared bins with one SLC fetch-add per non-empty bin.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Consumer {
     bench: Tqh,
     state: GpuState,

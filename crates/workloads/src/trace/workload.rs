@@ -137,7 +137,7 @@ impl Workload for TraceWorkload {
 }
 
 /// Replays one cpu stream as an in-order core program.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct TraceCpu {
     ops: Vec<TraceOp>,
     idx: usize,
@@ -190,7 +190,7 @@ impl CoreProgram for TraceCpu {
 }
 
 /// Replays one gpu stream as a single-lane wavefront program.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct TraceGpu {
     ops: Vec<TraceOp>,
     idx: usize,

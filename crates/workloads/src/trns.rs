@@ -106,7 +106,7 @@ impl Trns {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum CpuState {
     TryClaim,
     AwaitClaim,
@@ -116,7 +116,7 @@ enum CpuState {
     Finished,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct CpuWorker {
     bench: Trns,
     reps: Vec<u64>,
@@ -202,7 +202,7 @@ impl CoreProgram for CpuWorker {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum GpuState {
     TryClaim,
     AwaitClaim,
@@ -212,7 +212,7 @@ enum GpuState {
     Finished,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct GpuWorker {
     bench: Trns,
     reps: Vec<u64>,

@@ -19,7 +19,7 @@ const FLAG: Addr = Addr(0x10_0040);
 const RESULT: Addr = Addr(0x10_0080);
 
 /// The CPU side: store the payload, then publish the flag.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct Publisher {
     step: u32,
 }
@@ -36,7 +36,7 @@ impl CoreProgram for Publisher {
 }
 
 /// The GPU side: poll the flag, acquire, read, compute, publish.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct Doubler {
     step: u32,
     seen: u64,

@@ -13,7 +13,7 @@ const LINES: u64 = 8;
 
 /// CPU thread: read the region (caching it), wait for the DMA-ready flag,
 /// re-read and copy what it sees into OUT.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct ReadBeforeAndAfterDma {
     step: u64,
     polling: bool,
