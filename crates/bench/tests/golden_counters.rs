@@ -1,11 +1,11 @@
 //! Golden determinism tests for the counter pipeline.
 //!
-//! The interned-counter refactor (dense `Counters` in the controllers,
-//! `StatSet` only at export time) must not change a single byte of any
-//! report: these fixtures were generated from the string-keyed
-//! implementation and every later change to the counter path has to
-//! reproduce them exactly — same keys, same values, same ordering, same
-//! zero-valued pre-registered entries.
+//! Counting in controllers (plain counter fields, named in a `StatSet`
+//! only by each `stats()`) must not change a single byte of any report:
+//! these fixtures were generated from the string-keyed implementation and
+//! every later change to the counter path has to reproduce them exactly —
+//! same keys, same values, same ordering, same zero-valued entries for
+//! the keys that always export.
 //!
 //! `table1.golden.txt` pins `hsc table 1` the same way: a new or changed
 //! `tracking::plan` row cannot move the paper's Table I unnoticed, and

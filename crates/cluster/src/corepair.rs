@@ -1,8 +1,8 @@
 use hsc_mem::{Addr, CacheArray, CacheGeometry, LineAddr, LineData, Mshr, VictimBuffer};
 use hsc_noc::{
-    AgentId, ClassCounters, Message, MsgKind, Outbox, ProbeKind, RetryPolicy, RetryTracker, WakeArm,
+    AgentId, ClassCounts, Message, MsgKind, Outbox, ProbeKind, RetryPolicy, RetryTracker, WakeArm,
 };
-use hsc_sim::{CounterId, Counters, StatSet, Tick, TransitionMatrix};
+use hsc_sim::{StatSet, Tick, TransitionMatrix};
 
 use crate::{cpu_cycles, CoreProgram, CpuOp, MoesiState};
 
@@ -176,72 +176,38 @@ pub struct CorePair {
     /// never has two wake-ups pending at one tick. Timing, not protocol
     /// state: excluded from `hash_state`.
     wakes: WakeArm,
-    counters: Counters,
-    ids: CpIds,
+    n: CpCounts,
     /// MOESI state-transition analytics; disabled (and free) by default,
     /// excluded from `hash_state` and `stats`.
     transitions: TransitionMatrix,
 }
 
-/// Interned counter ids for every key a CorePair ever bumps, so the
-/// per-message and per-op paths never build a string key.
-#[derive(Debug, Clone)]
-struct CpIds {
-    loads: CounterId,
-    stores: CounterId,
-    atomics: CounterId,
-    compute_ops: CounterId,
-    done: CounterId,
-    l1d_hits: CounterId,
-    l1d_misses: CounterId,
-    l1i_hits: CounterId,
-    l1i_misses: CounterId,
-    l2_hits: CounterId,
-    l2_misses: CounterId,
-    upgrades: CounterId,
-    silent_e_to_m: CounterId,
-    vic_clean: CounterId,
-    vic_dirty: CounterId,
-    probes_received: CounterId,
-    probe_invalidations: CounterId,
-    retries: CounterId,
-    stale_resps: CounterId,
-    unexpected_msgs: CounterId,
-    unexpected: ClassCounters,
-    req: ClassCounters,
-}
-
-impl CpIds {
-    /// Registers every CorePair counter. The fixed per-pair keys are
-    /// visible (exported at 0, so reports and time series list quiet
-    /// counters instead of omitting them); diagnostic and per-class
-    /// request keys stay hidden until first bumped.
-    fn register(counters: &mut Counters) -> Self {
-        CpIds {
-            loads: counters.register("core.loads"),
-            stores: counters.register("core.stores"),
-            atomics: counters.register("core.atomics"),
-            compute_ops: counters.register("core.compute_ops"),
-            done: counters.register("core.done"),
-            l1d_hits: counters.register("l1d.hits"),
-            l1d_misses: counters.register("l1d.misses"),
-            l1i_hits: counters.register("l1i.hits"),
-            l1i_misses: counters.register("l1i.misses"),
-            l2_hits: counters.register("l2.hits"),
-            l2_misses: counters.register("l2.misses"),
-            upgrades: counters.register("l2.upgrades"),
-            silent_e_to_m: counters.register("l2.silent_e_to_m"),
-            vic_clean: counters.register("l2.vic_clean"),
-            vic_dirty: counters.register("l2.vic_dirty"),
-            probes_received: counters.register("l2.probes_received"),
-            probe_invalidations: counters.register("l2.probe_invalidations"),
-            retries: counters.register("l2.retries"),
-            stale_resps: counters.register_hidden("l2.stale_resps"),
-            unexpected_msgs: counters.register_hidden("l2.unexpected_msgs"),
-            unexpected: ClassCounters::register_hidden(counters, "l2.unexpected"),
-            req: ClassCounters::register_hidden(counters, "l2.req"),
-        }
-    }
+/// Every count a CorePair keeps; [`CorePair::stats`] names them.
+#[derive(Debug, Clone, Copy, Default)]
+struct CpCounts {
+    loads: u64,
+    stores: u64,
+    atomics: u64,
+    compute_ops: u64,
+    done: u64,
+    l1d_hits: u64,
+    l1d_misses: u64,
+    l1i_hits: u64,
+    l1i_misses: u64,
+    l2_hits: u64,
+    l2_misses: u64,
+    upgrades: u64,
+    silent_e_to_m: u64,
+    vic_clean: u64,
+    vic_dirty: u64,
+    probes_received: u64,
+    probe_invalidations: u64,
+    retries: u64,
+    stale_resps: u64,
+    /// Messages of a class the L2 never expects, dropped.
+    unexpected: ClassCounts,
+    /// Requests sent to the directory.
+    req: ClassCounts,
 }
 
 impl CorePair {
@@ -255,8 +221,6 @@ impl CorePair {
     #[must_use]
     pub fn new(index: usize, programs: Vec<Box<dyn CoreProgram>>, cfg: CpuConfig) -> Self {
         assert!(programs.len() <= 2, "a CorePair has two cores");
-        let mut counters = Counters::new();
-        let ids = CpIds::register(&mut counters);
         let cores = programs
             .into_iter()
             .enumerate()
@@ -288,8 +252,7 @@ impl CorePair {
             victims: VictimBuffer::new(),
             retry: RetryTracker::new(None),
             wakes: WakeArm::default(),
-            counters,
-            ids,
+            n: CpCounts::default(),
             transitions: TransitionMatrix::new("moesi-l2", MOESI_STATES, MOESI_CAUSES),
         }
     }
@@ -347,10 +310,40 @@ impl CorePair {
         self.cores.iter().all(|c| c.done) && self.mshr.is_empty() && self.victims.is_empty()
     }
 
-    /// Per-pair statistics (`l2.hits`, `l2.misses`, `core.ops`, …).
+    /// Per-pair statistics (`l2.hits`, `l2.misses`, `core.loads`, …). The
+    /// fixed keys export even at 0, so reports and time series list quiet
+    /// counters; the diagnostic and per-class keys only once they fire.
     #[must_use]
     pub fn stats(&self) -> StatSet {
-        self.counters.export()
+        let n = &self.n;
+        let mut s = StatSet::new();
+        for (key, v) in [
+            ("core.loads", n.loads),
+            ("core.stores", n.stores),
+            ("core.atomics", n.atomics),
+            ("core.compute_ops", n.compute_ops),
+            ("core.done", n.done),
+            ("l1d.hits", n.l1d_hits),
+            ("l1d.misses", n.l1d_misses),
+            ("l1i.hits", n.l1i_hits),
+            ("l1i.misses", n.l1i_misses),
+            ("l2.hits", n.l2_hits),
+            ("l2.misses", n.l2_misses),
+            ("l2.upgrades", n.upgrades),
+            ("l2.silent_e_to_m", n.silent_e_to_m),
+            ("l2.vic_clean", n.vic_clean),
+            ("l2.vic_dirty", n.vic_dirty),
+            ("l2.probes_received", n.probes_received),
+            ("l2.probe_invalidations", n.probe_invalidations),
+            ("l2.retries", n.retries),
+        ] {
+            s.set(key, v);
+        }
+        s.set_nonzero("l2.stale_resps", n.stale_resps);
+        s.set_nonzero("l2.unexpected_msgs", n.unexpected.total());
+        n.unexpected.export("l2.unexpected", &[], &mut s);
+        n.req.export("l2.req", &[], &mut s);
+        s
     }
 
     /// Total ops retired by both cores.
@@ -457,8 +450,7 @@ impl CorePair {
                 // Under fault injection (duplication) or a mis-wired
                 // topology a message this agent never expects can arrive;
                 // count and drop it instead of aborting the run.
-                self.counters.bump(self.ids.unexpected_msgs);
-                self.counters.bump(self.ids.unexpected.id(other));
+                self.n.unexpected.bump(other);
             }
         }
     }
@@ -468,7 +460,7 @@ impl CorePair {
     pub fn on_wake(&mut self, now: Tick, out: &mut Outbox) {
         self.wakes.delivered(now);
         let resent = self.retry.service(now, &mut self.wakes, out);
-        self.counters.add(self.ids.retries, resent);
+        self.n.retries += resent;
         self.step_cores(now, out);
     }
 
@@ -488,7 +480,7 @@ impl CorePair {
             // as this data, so leave the cache untouched; but the
             // directory opened a transaction for the duplicate request
             // and is waiting on our Unblock, so still send it.
-            self.counters.bump(self.ids.stale_resps);
+            self.n.stale_resps += 1;
             out.send(Message::new(self.agent, AgentId::Directory, la, MsgKind::Unblock));
             return;
         };
@@ -503,7 +495,7 @@ impl CorePair {
         let Some(txn) = self.mshr.remove(la) else {
             // Stale duplicate (see on_resp); unblock the directory and
             // leave our state alone.
-            self.counters.bump(self.ids.stale_resps);
+            self.n.stale_resps += 1;
             out.send(Message::new(self.agent, AgentId::Directory, la, MsgKind::Unblock));
             return;
         };
@@ -515,7 +507,7 @@ impl CorePair {
             // The line was victimized while the upgrade was in flight
             // (possible only with fault-induced reordering); the write
             // will re-miss and fetch a fresh copy.
-            self.counters.bump(self.ids.stale_resps);
+            self.n.stale_resps += 1;
         }
         out.send(Message::new(self.agent, AgentId::Directory, la, MsgKind::Unblock));
         self.complete_waiters(now, la, txn.waiters.as_slice());
@@ -587,7 +579,7 @@ impl CorePair {
             }
             match op {
                 CpuOp::Compute(cy) => {
-                    self.counters.bump(self.ids.compute_ops);
+                    self.n.compute_ops += 1;
                     if cy > 0 {
                         c.ready_at = now + cpu_cycles(cy);
                         return;
@@ -595,12 +587,12 @@ impl CorePair {
                 }
                 CpuOp::Done => {
                     c.done = true;
-                    self.counters.bump(self.ids.done);
+                    self.n.done += 1;
                     return;
                 }
                 CpuOp::Load(a) => {
                     if first_attempt {
-                        self.counters.bump(self.ids.loads);
+                        self.n.loads += 1;
                     }
                     if self.access_load(i, a, now, out) {
                         return; // hit with latency, or miss (blocked)
@@ -608,7 +600,7 @@ impl CorePair {
                 }
                 CpuOp::Store(a, v) => {
                     if first_attempt {
-                        self.counters.bump(self.ids.stores);
+                        self.n.stores += 1;
                     }
                     if self.access_store(i, a, v, now, CpuOp::Store(a, v), out) {
                         return;
@@ -616,7 +608,7 @@ impl CorePair {
                 }
                 CpuOp::Atomic(a, k) => {
                     if first_attempt {
-                        self.counters.bump(self.ids.atomics);
+                        self.n.atomics += 1;
                     }
                     if self.access_store(i, a, 0, now, CpuOp::Atomic(a, k), out) {
                         return;
@@ -632,20 +624,20 @@ impl CorePair {
         if let Some(way) = self.l2.lookup(la) {
             let v = self.l2.meta(way).data.word_at(a);
             let lat = if fill_tag(&mut self.l1d[i], la) {
-                self.counters.bump(self.ids.l1d_hits);
+                self.n.l1d_hits += 1;
                 cpu_cycles(self.cfg.l1_cycles)
             } else {
-                self.counters.bump(self.ids.l1d_misses);
+                self.n.l1d_misses += 1;
                 cpu_cycles(self.cfg.l1_cycles + self.cfg.l2_cycles)
             };
-            self.counters.bump(self.ids.l2_hits);
+            self.n.l2_hits += 1;
             self.l2.touch_way(way);
             let c = &mut self.cores[i];
             c.last_value = Some(v);
             c.ready_at = now + lat;
             true
         } else {
-            self.counters.bump(self.ids.l2_misses);
+            self.n.l2_misses += 1;
             self.miss(i, la, TxnKind::Read, CpuOp::Load(a), out);
             true
         }
@@ -667,7 +659,7 @@ impl CorePair {
                 let line = self.l2.meta_mut(way);
                 if line.state == MoesiState::Exclusive {
                     line.state = MoesiState::Modified; // silent E→M (§II-B)
-                    self.counters.bump(self.ids.silent_e_to_m);
+                    self.n.silent_e_to_m += 1;
                     self.transitions.record(ST_E, ST_M, CAUSE_SILENT_EM);
                 }
                 let c = &mut self.cores[i];
@@ -682,7 +674,7 @@ impl CorePair {
                     }
                     _ => unreachable!("access_store only handles stores/atomics"),
                 }
-                self.counters.bump(self.ids.l2_hits);
+                self.n.l2_hits += 1;
                 let lat = if fill_tag(&mut self.l1d[i], la) {
                     cpu_cycles(self.cfg.l1_cycles)
                 } else {
@@ -694,12 +686,12 @@ impl CorePair {
             }
             Some((_, false)) => {
                 // Present but S/O: upgrade.
-                self.counters.bump(self.ids.upgrades);
+                self.n.upgrades += 1;
                 self.miss(i, la, TxnKind::Write, op, out);
                 true
             }
             None => {
-                self.counters.bump(self.ids.l2_misses);
+                self.n.l2_misses += 1;
                 self.miss(i, la, TxnKind::Write, op, out);
                 true
             }
@@ -708,21 +700,21 @@ impl CorePair {
 
     fn access_ifetch(&mut self, i: usize, la: LineAddr, now: Tick, out: &mut Outbox) {
         if let Some(way) = self.l1i.lookup(la) {
-            self.counters.bump(self.ids.l1i_hits);
+            self.n.l1i_hits += 1;
             self.l1i.touch_way(way);
             self.cores[i].ready_at = now + cpu_cycles(self.cfg.l1_cycles);
             return;
         }
         if let Some(way) = self.l2.lookup(la) {
-            self.counters.bump(self.ids.l1i_misses);
-            self.counters.bump(self.ids.l2_hits);
+            self.n.l1i_misses += 1;
+            self.n.l2_hits += 1;
             let _ = self.l1i.insert(la, ());
             self.l2.touch_way(way);
             self.cores[i].ready_at = now + cpu_cycles(self.cfg.l1_cycles + self.cfg.l2_cycles);
             return;
         }
-        self.counters.bump(self.ids.l1i_misses);
-        self.counters.bump(self.ids.l2_misses);
+        self.n.l1i_misses += 1;
+        self.n.l2_misses += 1;
         let c = &mut self.cores[i];
         c.pending_ifetch = true;
         c.blocked_line = Some(la);
@@ -736,7 +728,7 @@ impl CorePair {
             let msg = Message::new(self.agent, AgentId::Directory, la, MsgKind::RdBlkS);
             out.send(msg);
             self.retry.track_sent(msg, &mut self.wakes, out);
-            self.counters.bump(self.ids.req.id(&MsgKind::RdBlkS));
+            self.n.req.bump(&MsgKind::RdBlkS);
         }
     }
 
@@ -756,7 +748,7 @@ impl CorePair {
             TxnKind::ReadInstr => MsgKind::RdBlkS,
             TxnKind::Write => MsgKind::RdBlkM,
         };
-        self.counters.bump(self.ids.req.id(&msg));
+        self.n.req.bump(&msg);
         let msg = Message::new(self.agent, AgentId::Directory, la, msg);
         out.send(msg);
         self.retry.track_sent(msg, &mut self.wakes, out);
@@ -787,10 +779,10 @@ impl CorePair {
             self.transitions.record(st(vline.state), ST_I, CAUSE_EVICT);
             let dirty = vline.state.forwards_dirty();
             let kind = if dirty {
-                self.counters.bump(self.ids.vic_dirty);
+                self.n.vic_dirty += 1;
                 MsgKind::VicDirty { data: vline.data }
             } else {
-                self.counters.bump(self.ids.vic_clean);
+                self.n.vic_clean += 1;
                 MsgKind::VicClean { data: vline.data }
             };
             self.victims.park(vtag, vline.data, dirty);
@@ -807,7 +799,7 @@ impl CorePair {
     }
 
     fn on_probe(&mut self, la: LineAddr, kind: ProbeKind, out: &mut Outbox) {
-        self.counters.bump(self.ids.probes_received);
+        self.n.probes_received += 1;
         let mut dirty: Option<LineData> = None;
         let mut had_copy = false;
         let mut was_parked = false;
@@ -847,7 +839,7 @@ impl CorePair {
                         l1.invalidate(la);
                     }
                     self.l1i.invalidate(la);
-                    self.counters.bump(self.ids.probe_invalidations);
+                    self.n.probe_invalidations += 1;
                     self.transitions.record(from, ST_I, CAUSE_PROBE_INV);
                 }
                 ProbeKind::Downgrade => {

@@ -2,7 +2,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use hsc_mem::{Addr, LineAddr, LineData, LineMap, WORDS_PER_LINE};
 use hsc_noc::{AgentId, Message, MsgKind, Outbox, RetryPolicy, RetryTracker, WakeArm, WordMask};
-use hsc_sim::{CounterId, Counters, StatSet, Tick};
+use hsc_sim::{StatSet, Tick};
 
 /// One DMA transfer, issued when simulated time reaches `at`.
 ///
@@ -63,33 +63,18 @@ pub struct DmaEngine {
     /// never has two wake-ups pending at one tick. Timing, not protocol
     /// state: excluded from `hash_state`.
     wakes: WakeArm,
-    counters: Counters,
-    ids: DmaIds,
+    n: DmaCounts,
     started: bool,
 }
 
-/// Interned counter ids for every key the DMA engine ever bumps.
-#[derive(Debug, Clone)]
-struct DmaIds {
-    reads: CounterId,
-    writes: CounterId,
-    retries: CounterId,
-    stale_resps: CounterId,
-    unexpected_msgs: CounterId,
-}
-
-impl DmaIds {
-    /// Registers every DMA counter: the fixed keys visible (exported at
-    /// 0), the diagnostic keys hidden until first bumped.
-    fn register(counters: &mut Counters) -> Self {
-        DmaIds {
-            reads: counters.register("dma.reads"),
-            writes: counters.register("dma.writes"),
-            retries: counters.register("dma.retries"),
-            stale_resps: counters.register_hidden("dma.stale_resps"),
-            unexpected_msgs: counters.register_hidden("dma.unexpected_msgs"),
-        }
-    }
+/// Every count the DMA engine keeps; [`DmaEngine::stats`] names them.
+#[derive(Debug, Clone, Copy, Default)]
+struct DmaCounts {
+    reads: u64,
+    writes: u64,
+    retries: u64,
+    stale_resps: u64,
+    unexpected_msgs: u64,
 }
 
 impl DmaEngine {
@@ -108,8 +93,6 @@ impl DmaEngine {
             }
         }
         commands.sort_by_key(DmaCommand::at);
-        let mut counters = Counters::new();
-        let ids = DmaIds::register(&mut counters);
         DmaEngine {
             commands: commands.into(),
             in_flight: LineMap::new(),
@@ -118,8 +101,7 @@ impl DmaEngine {
             read_data: BTreeMap::new(),
             retry: RetryTracker::new(None),
             wakes: WakeArm::default(),
-            counters,
-            ids,
+            n: DmaCounts::default(),
             started: false,
         }
     }
@@ -177,10 +159,19 @@ impl DmaEngine {
         &self.read_data
     }
 
-    /// Engine statistics (`dma.reads`, `dma.writes`).
+    /// Engine statistics (`dma.reads`, `dma.writes`, `dma.retries`, and
+    /// the diagnostics `dma.stale_resps`, `dma.unexpected_msgs` once they
+    /// fire).
     #[must_use]
     pub fn stats(&self) -> StatSet {
-        self.counters.export()
+        let n = &self.n;
+        let mut s = StatSet::new();
+        s.set("dma.reads", n.reads);
+        s.set("dma.writes", n.writes);
+        s.set("dma.retries", n.retries);
+        s.set_nonzero("dma.stale_resps", n.stale_resps);
+        s.set_nonzero("dma.unexpected_msgs", n.unexpected_msgs);
+        s
     }
 
     /// Folds all protocol-relevant state into `h` for the system state
@@ -207,20 +198,17 @@ impl DmaEngine {
                     self.retry.acked(msg.line);
                 } else {
                     // Duplicate response (original + retry both answered).
-                    self.counters.bump(self.ids.stale_resps);
+                    self.n.stale_resps += 1;
                 }
             }
             MsgKind::DmaWrAck => {
                 if self.in_flight.remove(msg.line).is_some() {
                     self.retry.acked(msg.line);
                 } else {
-                    self.counters.bump(self.ids.stale_resps);
+                    self.n.stale_resps += 1;
                 }
             }
-            ref other => {
-                self.counters.bump(self.ids.unexpected_msgs);
-                let _ = other;
-            }
+            _ => self.n.unexpected_msgs += 1,
         }
         self.pump(now, out);
     }
@@ -229,7 +217,7 @@ impl DmaEngine {
     pub fn on_wake(&mut self, now: Tick, out: &mut Outbox) {
         self.wakes.delivered(now);
         let resent = self.retry.service(now, &mut self.wakes, out);
-        self.counters.add(self.ids.retries, resent);
+        self.n.retries += resent;
         self.pump(now, out);
     }
 
@@ -277,11 +265,11 @@ impl DmaEngine {
             self.in_flight.insert(la, ());
             let kind = match write {
                 None => {
-                    self.counters.bump(self.ids.reads);
+                    self.n.reads += 1;
                     MsgKind::DmaRd
                 }
                 Some((data, mask)) => {
-                    self.counters.bump(self.ids.writes);
+                    self.n.writes += 1;
                     MsgKind::DmaWr { data, mask }
                 }
             };

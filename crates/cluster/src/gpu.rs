@@ -2,10 +2,10 @@ use std::collections::VecDeque;
 
 use hsc_mem::{Addr, CacheArray, CacheGeometry, InsertOutcome, LineAddr, LineData, LineMap, Mshr};
 use hsc_noc::{
-    AgentId, ClassCounters, Message, MsgKind, Outbox, ProbeKind, RetryPolicy, RetryTracker,
-    WakeArm, WordMask,
+    AgentId, ClassCounts, Message, MsgKind, Outbox, ProbeKind, RetryPolicy, RetryTracker, WakeArm,
+    WordMask,
 };
-use hsc_sim::{CounterId, Counters, StatSet, Tick, TransitionMatrix};
+use hsc_sim::{StatSet, Tick, TransitionMatrix};
 
 use crate::{gpu_cycles, GpuOp, WavefrontProgram};
 
@@ -196,79 +196,37 @@ pub struct GpuCluster {
     /// observability layer enables it. Excluded from `hash_state` and
     /// `stats` by construction.
     transitions: TransitionMatrix,
-    counters: Counters,
-    ids: GpuIds,
+    n: GpuCounts,
 }
 
-/// Interned counter ids for every key a GPU cluster ever bumps, so the
-/// per-message and per-op paths never build a string key.
-#[derive(Debug, Clone)]
-struct GpuIds {
-    tcp_hits: CounterId,
-    tcp_misses: CounterId,
-    lane0_refetches: CounterId,
-    sqc_hits: CounterId,
-    sqc_misses: CounterId,
-    tcc_hits: CounterId,
-    tcc_misses: CounterId,
-    evict_clean: CounterId,
-    glc_atomics: CounterId,
-    probes_received: CounterId,
-    probe_invalidations: CounterId,
-    retries: CounterId,
-    vec_loads: CounterId,
-    vec_stores: CounterId,
-    atomics_glc: CounterId,
-    atomics_slc: CounterId,
-    acquires: CounterId,
-    releases: CounterId,
-    compute_ops: CounterId,
-    done: CounterId,
-    stale_resps: CounterId,
-    unexpected_msgs: CounterId,
-    unexpected: ClassCounters,
-    req_rd_blk: CounterId,
-    req_wt: CounterId,
-    req_atomic: CounterId,
-    req_flush: CounterId,
-}
-
-impl GpuIds {
-    /// Registers every GPU-cluster counter. The fixed keys are visible
-    /// (exported at 0, so reports and time series list quiet counters
-    /// instead of omitting them); diagnostic and per-class request keys
-    /// stay hidden until first bumped.
-    fn register(counters: &mut Counters) -> Self {
-        GpuIds {
-            tcp_hits: counters.register("tcp.hits"),
-            tcp_misses: counters.register("tcp.misses"),
-            lane0_refetches: counters.register("tcp.lane0_refetches"),
-            sqc_hits: counters.register("sqc.hits"),
-            sqc_misses: counters.register("sqc.misses"),
-            tcc_hits: counters.register("tcc.hits"),
-            tcc_misses: counters.register("tcc.misses"),
-            evict_clean: counters.register("tcc.evict_clean"),
-            glc_atomics: counters.register("tcc.glc_atomics"),
-            probes_received: counters.register("tcc.probes_received"),
-            probe_invalidations: counters.register("tcc.probe_invalidations"),
-            retries: counters.register("tcc.retries"),
-            vec_loads: counters.register("wf.vec_loads"),
-            vec_stores: counters.register("wf.vec_stores"),
-            atomics_glc: counters.register("wf.atomics_glc"),
-            atomics_slc: counters.register("wf.atomics_slc"),
-            acquires: counters.register("wf.acquires"),
-            releases: counters.register("wf.releases"),
-            compute_ops: counters.register("wf.compute_ops"),
-            done: counters.register("wf.done"),
-            stale_resps: counters.register_hidden("tcc.stale_resps"),
-            unexpected_msgs: counters.register_hidden("tcc.unexpected_msgs"),
-            unexpected: ClassCounters::register_hidden(counters, "tcc.unexpected"),
-            req_rd_blk: counters.register_hidden("tcc.req.RdBlk"),
-            req_wt: counters.register_hidden("tcc.req.WT"),
-            req_atomic: counters.register_hidden("tcc.req.Atomic"),
-            req_flush: counters.register_hidden("tcc.req.Flush"),
-        }
-    }
+/// Every count a GPU cluster keeps; [`GpuCluster::stats`] names them.
+#[derive(Debug, Clone, Copy, Default)]
+struct GpuCounts {
+    tcp_hits: u64,
+    tcp_misses: u64,
+    lane0_refetches: u64,
+    sqc_hits: u64,
+    sqc_misses: u64,
+    tcc_hits: u64,
+    tcc_misses: u64,
+    evict_clean: u64,
+    glc_atomics: u64,
+    probes_received: u64,
+    probe_invalidations: u64,
+    retries: u64,
+    vec_loads: u64,
+    vec_stores: u64,
+    atomics_glc: u64,
+    atomics_slc: u64,
+    acquires: u64,
+    releases: u64,
+    compute_ops: u64,
+    done: u64,
+    stale_resps: u64,
+    /// Messages of a class the TCC never expects, dropped.
+    unexpected: ClassCounts,
+    /// Requests sent to the directory (`RdBlk`, `WT`, `Atomic`, `Flush`).
+    req: ClassCounts,
 }
 
 impl GpuCluster {
@@ -285,8 +243,6 @@ impl GpuCluster {
         cfg: GpuConfig,
     ) -> Self {
         assert_eq!(programs.len(), cfg.cus, "one wavefront list per CU");
-        let mut counters = Counters::new();
-        let ids = GpuIds::register(&mut counters);
         let tcps = (0..cfg.cus)
             .map(|_| CacheArray::new(CacheGeometry::new(cfg.tcp_bytes, cfg.tcp_ways)))
             .collect();
@@ -329,8 +285,7 @@ impl GpuCluster {
             retry: RetryTracker::new(None),
             wakes: WakeArm::default(),
             transitions: TransitionMatrix::new("viper-tcc", VIPER_STATES, VIPER_CAUSES),
-            counters,
-            ids,
+            n: GpuCounts::default(),
         }
     }
 
@@ -394,10 +349,43 @@ impl GpuCluster {
             && self.flush_waiters.is_empty()
     }
 
-    /// Cluster statistics (`tcp.hits`, `tcc.misses`, `wf.ops`, …).
+    /// Cluster statistics (`tcp.hits`, `tcc.misses`, `wf.vec_loads`, …).
+    /// The fixed keys export even at 0, so reports and time series list
+    /// quiet counters; the diagnostic and per-class keys only once they
+    /// fire.
     #[must_use]
     pub fn stats(&self) -> StatSet {
-        self.counters.export()
+        let n = &self.n;
+        let mut s = StatSet::new();
+        for (key, v) in [
+            ("tcp.hits", n.tcp_hits),
+            ("tcp.misses", n.tcp_misses),
+            ("tcp.lane0_refetches", n.lane0_refetches),
+            ("sqc.hits", n.sqc_hits),
+            ("sqc.misses", n.sqc_misses),
+            ("tcc.hits", n.tcc_hits),
+            ("tcc.misses", n.tcc_misses),
+            ("tcc.evict_clean", n.evict_clean),
+            ("tcc.glc_atomics", n.glc_atomics),
+            ("tcc.probes_received", n.probes_received),
+            ("tcc.probe_invalidations", n.probe_invalidations),
+            ("tcc.retries", n.retries),
+            ("wf.vec_loads", n.vec_loads),
+            ("wf.vec_stores", n.vec_stores),
+            ("wf.atomics_glc", n.atomics_glc),
+            ("wf.atomics_slc", n.atomics_slc),
+            ("wf.acquires", n.acquires),
+            ("wf.releases", n.releases),
+            ("wf.compute_ops", n.compute_ops),
+            ("wf.done", n.done),
+        ] {
+            s.set(key, v);
+        }
+        s.set_nonzero("tcc.stale_resps", n.stale_resps);
+        s.set_nonzero("tcc.unexpected_msgs", n.unexpected.total());
+        n.unexpected.export("tcc.unexpected", &[], &mut s);
+        n.req.export("tcc.req", &[], &mut s);
+        s
     }
 
     /// Human-readable descriptions of everything still outstanding at
@@ -475,8 +463,7 @@ impl GpuCluster {
             ref other => {
                 // Duplicated or mis-routed message under fault injection:
                 // count and drop instead of aborting the run.
-                self.counters.bump(self.ids.unexpected_msgs);
-                self.counters.bump(self.ids.unexpected.id(other));
+                self.n.unexpected.bump(other);
             }
         }
         debug_assert!(self.runnable_is_exact(), "runnable set out of step after a message");
@@ -487,7 +474,7 @@ impl GpuCluster {
     pub fn on_wake(&mut self, now: Tick, out: &mut Outbox) {
         self.wakes.delivered(now);
         let resent = self.retry.service(now, &mut self.wakes, out);
-        self.counters.add(self.ids.retries, resent);
+        self.n.retries += resent;
         self.step_all(now, out);
         debug_assert!(self.runnable_is_exact(), "runnable set out of step after a wake");
     }
@@ -571,7 +558,7 @@ impl GpuCluster {
             }
             match op {
                 GpuOp::Compute(cy) => {
-                    self.counters.bump(self.ids.compute_ops);
+                    self.n.compute_ops += 1;
                     if cy > 0 {
                         w.ready_at = now + gpu_cycles(cy);
                         return;
@@ -580,44 +567,44 @@ impl GpuCluster {
                 GpuOp::Done => {
                     w.done = true;
                     self.runnable.remove(i);
-                    self.counters.bump(self.ids.done);
+                    self.n.done += 1;
                     return;
                 }
                 GpuOp::VecLoad(addrs) => {
                     if first_attempt {
-                        self.counters.bump(self.ids.vec_loads);
+                        self.n.vec_loads += 1;
                     }
                     if self.access_vec_load(i, addrs, now, out) {
                         return;
                     }
                 }
                 GpuOp::VecStore(stores) => {
-                    self.counters.bump(self.ids.vec_stores);
+                    self.n.vec_stores += 1;
                     self.access_vec_store(i, &stores, now, out);
                     return;
                 }
                 GpuOp::AtomicGlc(a, k) => {
                     if first_attempt {
-                        self.counters.bump(self.ids.atomics_glc);
+                        self.n.atomics_glc += 1;
                     }
                     if self.access_glc_atomic(i, a, k, now, out) {
                         return;
                     }
                 }
                 GpuOp::AtomicSlc(a, k) => {
-                    self.counters.bump(self.ids.atomics_slc);
+                    self.n.atomics_slc += 1;
                     self.access_slc_atomic(i, a, k, out);
                     return;
                 }
                 GpuOp::Acquire => {
-                    self.counters.bump(self.ids.acquires);
+                    self.n.acquires += 1;
                     // VIPER acquire: bulk-invalidate this CU's TCP.
                     w.ready_at = now + gpu_cycles(self.cfg.tcp_cycles);
                     self.tcps[w.cu].invalidate_all();
                     return;
                 }
                 GpuOp::Release => {
-                    self.counters.bump(self.ids.releases);
+                    self.n.releases += 1;
                     if self.begin_release(i, now, out) {
                         return;
                     }
@@ -641,20 +628,20 @@ impl GpuCluster {
         lines.retain(|&la| {
             let tcp = &mut self.tcps[cu];
             if let Some(way) = tcp.lookup(la) {
-                self.counters.bump(self.ids.tcp_hits);
+                self.n.tcp_hits += 1;
                 tcp.touch_way(way);
                 return false;
             }
-            self.counters.bump(self.ids.tcp_misses);
+            self.n.tcp_misses += 1;
             needs_tcc = true;
             // Try the TCC.
             if let Some(way) = self.tcc.lookup(la) {
-                self.counters.bump(self.ids.tcc_hits);
+                self.n.tcc_hits += 1;
                 self.tcc.touch_way(way);
                 let _ = tcp.insert(la, *self.tcc.meta(way));
                 false
             } else {
-                self.counters.bump(self.ids.tcc_misses);
+                self.n.tcc_misses += 1;
                 true
             }
         });
@@ -672,7 +659,7 @@ impl GpuCluster {
             let l0 = lane0.line();
             let v = self.tcps[cu].get(l0).or_else(|| self.tcc.get(l0)).map(|l| l.word_at(lane0));
             let Some(v) = v else {
-                self.counters.bump(self.ids.lane0_refetches);
+                self.n.lane0_refetches += 1;
                 self.request_fill(l0, i, out);
                 let w = &mut self.wfs[i];
                 w.pending_lines.insert(l0, ());
@@ -704,8 +691,8 @@ impl GpuCluster {
         self.tcc_mshr
             .alloc(la, TccTxn { waiters: vec![waiter] })
             .expect("TCC MSHR capacity exceeded");
-        self.counters.bump(self.ids.req_rd_blk);
         let msg = Message::new(self.agent, AgentId::Directory, la, MsgKind::RdBlk);
+        self.n.req.bump(&msg.kind);
         out.send(msg);
         self.retry.track_sent(msg, &mut self.wakes, out);
     }
@@ -751,7 +738,6 @@ impl GpuCluster {
         retains: bool,
         out: &mut Outbox,
     ) {
-        self.counters.bump(self.ids.req_wt);
         let w = &mut self.wfs[i];
         w.outstanding_wt += 1;
         w.last_wt_line = Some(la);
@@ -762,6 +748,7 @@ impl GpuCluster {
             la,
             MsgKind::WriteThrough { data, mask, retains },
         );
+        self.n.req.bump(&msg.kind);
         out.send(msg);
         self.retry.track_sent(msg, &mut self.wakes, out);
     }
@@ -782,7 +769,7 @@ impl GpuCluster {
             let mut data = LineData::zeroed();
             data.set_word_at(a, l.word_at(a));
             self.tcc.touch_way(way);
-            self.counters.bump(self.ids.glc_atomics);
+            self.n.glc_atomics += 1;
             self.send_wt(la, data, WordMask::single(a.word_index()), i, true, out);
             // Invalidate stale TCP copies in this CU so later loads re-read.
             let w = &mut self.wfs[i];
@@ -808,16 +795,17 @@ impl GpuCluster {
             self.transitions.record(VT_V, VT_I, VC_ATOMIC_SELF_INVAL);
         }
         self.tcps[self.wfs[i].cu].invalidate(la);
-        self.counters.bump(self.ids.req_atomic);
         self.slc_waiters.get_or_insert_with(la, VecDeque::new).push_back(i);
         self.wfs[i].pending = None;
         self.block(i, BlockKind::SlcAtomic);
-        out.send(Message::new(
+        let msg = Message::new(
             self.agent,
             AgentId::Directory,
             la,
             MsgKind::AtomicReq { word: a.word_index() as u8, op: k },
-        ));
+        );
+        self.n.req.bump(&msg.kind);
+        out.send(msg);
     }
 
     /// Returns `true` if the wavefront is now waiting.
@@ -835,8 +823,8 @@ impl GpuCluster {
             // after all our write-through acks for that line.
             w.flush_pending = true;
             self.flush_waiters.get_or_insert_with(la, VecDeque::new).push_back(i);
-            self.counters.bump(self.ids.req_flush);
             let msg = Message::new(self.agent, AgentId::Directory, la, MsgKind::Flush);
+            self.n.req.bump(&msg.kind);
             out.send(msg);
             self.retry.track_sent(msg, &mut self.wakes, out);
         }
@@ -846,20 +834,20 @@ impl GpuCluster {
 
     fn access_ifetch(&mut self, i: usize, la: LineAddr, now: Tick, out: &mut Outbox) {
         if let Some(way) = self.sqc.lookup(la) {
-            self.counters.bump(self.ids.sqc_hits);
+            self.n.sqc_hits += 1;
             self.sqc.touch_way(way);
             self.wfs[i].ready_at = now + gpu_cycles(self.cfg.sqc_cycles);
             return;
         }
-        self.counters.bump(self.ids.sqc_misses);
+        self.n.sqc_misses += 1;
         if let Some(way) = self.tcc.lookup(la) {
-            self.counters.bump(self.ids.tcc_hits);
+            self.n.tcc_hits += 1;
             self.tcc.touch_way(way);
             let _ = self.sqc.insert(la, ());
             self.wfs[i].ready_at = now + gpu_cycles(self.cfg.sqc_cycles + self.cfg.tcc_cycles);
             return;
         }
-        self.counters.bump(self.ids.tcc_misses);
+        self.n.tcc_misses += 1;
         let w = &mut self.wfs[i];
         w.pending_ifetch = true;
         w.pending_lines.insert(la, ());
@@ -874,14 +862,14 @@ impl GpuCluster {
             // original, or a duplicated Resp under fault injection). TCC
             // requests carry no Unblock, so there is nothing to answer;
             // drop it.
-            self.counters.bump(self.ids.stale_resps);
+            self.n.stale_resps += 1;
             return;
         };
         // A line with a fill in flight is never resident (every request
         // is a miss), so this inserts, and an eviction sends nothing: the
         // TCC holds no dirty data.
         if fill(&mut self.tcc, la, data) {
-            self.counters.bump(self.ids.evict_clean);
+            self.n.evict_clean += 1;
             self.transitions.record(VT_V, VT_I, VC_EVICT_CLEAN);
         }
         self.transitions.record(VT_I, VT_V, VC_FILL);
@@ -908,7 +896,7 @@ impl GpuCluster {
     fn on_wt_ack(&mut self, now: Tick, la: LineAddr, out: &mut Outbox) {
         self.retry.acked(la);
         let Some(q) = self.wt_waiters.get_mut(la) else {
-            self.counters.bump(self.ids.stale_resps);
+            self.n.stale_resps += 1;
             return;
         };
         let i = q.pop_front().expect("WtAck queue empty");
@@ -925,7 +913,7 @@ impl GpuCluster {
 
     fn on_atomic_resp(&mut self, now: Tick, la: LineAddr, old: u64, out: &mut Outbox) {
         let Some(q) = self.slc_waiters.get_mut(la) else {
-            self.counters.bump(self.ids.stale_resps);
+            self.n.stale_resps += 1;
             return;
         };
         let i = q.pop_front().expect("SLC waiter queue empty");
@@ -942,7 +930,7 @@ impl GpuCluster {
     fn on_flush_ack(&mut self, now: Tick, la: LineAddr, out: &mut Outbox) {
         self.retry.acked(la);
         let Some(q) = self.flush_waiters.get_mut(la) else {
-            self.counters.bump(self.ids.stale_resps);
+            self.n.stale_resps += 1;
             return;
         };
         let i = q.pop_front().expect("flush waiter queue empty");
@@ -959,7 +947,7 @@ impl GpuCluster {
     }
 
     fn on_probe(&mut self, la: LineAddr, kind: ProbeKind, out: &mut Outbox) {
-        self.counters.bump(self.ids.probes_received);
+        self.n.probes_received += 1;
         // §II-C: the TCC never forwards modified data on probes but does
         // invalidate itself.
         let way = self.tcc.lookup(la);
@@ -967,7 +955,7 @@ impl GpuCluster {
         if let (ProbeKind::Invalidate, Some(way)) = (kind, way) {
             self.tcc.invalidate_way(way);
             self.transitions.record(VT_V, VT_I, VC_PROBE_INV);
-            self.counters.bump(self.ids.probe_invalidations);
+            self.n.probe_invalidations += 1;
         }
         out.send(Message::new(
             self.agent,

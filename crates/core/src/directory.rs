@@ -2,9 +2,9 @@ use std::collections::VecDeque;
 
 use hsc_cluster::gpu_cycles;
 use hsc_mem::{CacheArray, CacheGeometry, LineAddr, LineData, LineMap};
-use hsc_noc::{AgentId, ClassCounters, Grant, Message, MsgKind, Outbox, ProbeKind, WordMask};
+use hsc_noc::{AgentId, ClassCounts, Grant, Message, MsgKind, Outbox, ProbeKind, WordMask};
 use hsc_obs::SharingTracker;
-use hsc_sim::{CounterId, Counters, Histogram, StatSet, StuckLine, Tick, TransitionMatrix};
+use hsc_sim::{Histogram, StatSet, StuckLine, Tick, TransitionMatrix};
 
 use crate::tracking::{
     plan, DataPlan, DirEntry, DirState, GrantPlan, NextState, PlanReq, ProbePlan, Requester,
@@ -177,64 +177,30 @@ pub struct Directory {
     transitions: TransitionMatrix,
     /// Sharing-pattern analytics; `None` costs one branch per hook.
     sharing: Option<SharingTracker>,
-    counters: Counters,
-    ids: DirIds,
+    n: DirCounts,
     latency: Histogram,
 }
 
-/// Interned ids for the directory's counters: the fixed keys and the
-/// per-request-class array are registered visible (the old `touch`
-/// pre-registration), the fault/race diagnostics hidden so they surface
-/// in reports only when they fire — matching the string-keyed behavior
-/// byte for byte.
-#[derive(Debug, Clone)]
-struct DirIds {
-    probes_sent: CounterId,
-    queued_requests: CounterId,
-    entry_evictions: CounterId,
-    backinval_probes: CounterId,
-    early_responses: CounterId,
-    atomics: CounterId,
-    alloc_park_on_busy: CounterId,
-    lazy_llc_reads: CounterId,
-    clean_vics_dropped: CounterId,
-    requests: ClassCounters,
-    unexpected_msgs: CounterId,
-    unexpected: ClassCounters,
-    stale_vics_dropped: CounterId,
-    stale_probe_acks: CounterId,
-    stale_mem_resps: CounterId,
-    stale_unblocks: CounterId,
-}
-
-impl DirIds {
-    fn register(counters: &mut Counters) -> DirIds {
-        DirIds {
-            probes_sent: counters.register("dir.probes_sent"),
-            queued_requests: counters.register("dir.queued_requests"),
-            entry_evictions: counters.register("dir.entry_evictions"),
-            backinval_probes: counters.register("dir.backinval_probes"),
-            early_responses: counters.register("dir.early_responses"),
-            atomics: counters.register("dir.atomics"),
-            alloc_park_on_busy: counters.register("dir.alloc_park_on_busy"),
-            lazy_llc_reads: counters.register("dir.lazy_llc_reads"),
-            clean_vics_dropped: counters.register("dir.clean_vics_dropped"),
-            requests: ClassCounters::register(
-                counters,
-                "dir.requests",
-                &[
-                    "RdBlk", "RdBlkS", "RdBlkM", "VicDirty", "VicClean", "WT", "Atomic", "Flush",
-                    "DmaRd", "DmaWr",
-                ],
-            ),
-            unexpected_msgs: counters.register_hidden("dir.unexpected_msgs"),
-            unexpected: ClassCounters::register_hidden(counters, "dir.unexpected"),
-            stale_vics_dropped: counters.register_hidden("dir.stale_vics_dropped"),
-            stale_probe_acks: counters.register_hidden("dir.stale_probe_acks"),
-            stale_mem_resps: counters.register_hidden("dir.stale_mem_resps"),
-            stale_unblocks: counters.register_hidden("dir.stale_unblocks"),
-        }
-    }
+/// Every count the directory keeps; [`Directory::stats`] names them.
+#[derive(Debug, Clone, Copy, Default)]
+struct DirCounts {
+    probes_sent: u64,
+    queued_requests: u64,
+    entry_evictions: u64,
+    backinval_probes: u64,
+    early_responses: u64,
+    atomics: u64,
+    alloc_park_on_busy: u64,
+    lazy_llc_reads: u64,
+    clean_vics_dropped: u64,
+    /// Requests that started a transaction.
+    requests: ClassCounts,
+    /// Messages of a class the directory never consumes, dropped.
+    unexpected: ClassCounts,
+    stale_vics_dropped: u64,
+    stale_probe_acks: u64,
+    stale_mem_resps: u64,
+    stale_unblocks: u64,
 }
 
 /// Default per-transaction age limit in ticks before the watchdog calls a
@@ -257,10 +223,6 @@ impl Directory {
             "the directory tracks at most {MAX_SHARERS_PER_KIND} CorePairs and \
              {MAX_SHARERS_PER_KIND} TCCs (asked for {n_l2} and {n_tcc})"
         );
-        // Register every counter key once; visible registrations show up
-        // in reports and time series at 0 instead of being omitted.
-        let mut counters = Counters::new();
-        let ids = DirIds::register(&mut counters);
         Directory {
             cfg,
             uncore,
@@ -280,8 +242,7 @@ impl Directory {
             probe_targets: Vec::new(),
             transitions: TransitionMatrix::new("directory", DIR_STATES, DIR_CAUSES),
             sharing: None,
-            counters,
-            ids,
+            n: DirCounts::default(),
             latency: Histogram::new(),
         }
     }
@@ -381,13 +342,42 @@ impl Directory {
 
     /// Directory statistics (`dir.probes_sent`, `dir.requests.<Class>`,
     /// `dir.entry_evictions`, the wrapped `llc.*` counters, and the
-    /// transaction-latency summary `dir.txn_latency_*`).
+    /// transaction-latency summary `dir.txn_latency_*`). The fixed keys
+    /// and the request classes export even at 0, so reports and time
+    /// series list quiet counters; the fault and race diagnostics only
+    /// once they fire.
     #[must_use]
     pub fn stats(&self) -> StatSet {
-        // Export-time only: materialize the interned counters, fold in
-        // the LLC's, and append the latency summary — no clone of a
-        // pre-built map anywhere.
-        let mut s = self.counters.export();
+        let n = &self.n;
+        let mut s = StatSet::new();
+        for (key, v) in [
+            ("dir.probes_sent", n.probes_sent),
+            ("dir.queued_requests", n.queued_requests),
+            ("dir.entry_evictions", n.entry_evictions),
+            ("dir.backinval_probes", n.backinval_probes),
+            ("dir.early_responses", n.early_responses),
+            ("dir.atomics", n.atomics),
+            ("dir.alloc_park_on_busy", n.alloc_park_on_busy),
+            ("dir.lazy_llc_reads", n.lazy_llc_reads),
+            ("dir.clean_vics_dropped", n.clean_vics_dropped),
+        ] {
+            s.set(key, v);
+        }
+        let requests = [
+            "RdBlk", "RdBlkS", "RdBlkM", "VicDirty", "VicClean", "WT", "Atomic", "Flush", "DmaRd",
+            "DmaWr",
+        ];
+        n.requests.export("dir.requests", &requests, &mut s);
+        s.set_nonzero("dir.unexpected_msgs", n.unexpected.total());
+        n.unexpected.export("dir.unexpected", &[], &mut s);
+        for (key, v) in [
+            ("dir.stale_vics_dropped", n.stale_vics_dropped),
+            ("dir.stale_probe_acks", n.stale_probe_acks),
+            ("dir.stale_mem_resps", n.stale_mem_resps),
+            ("dir.stale_unblocks", n.stale_unblocks),
+        ] {
+            s.set_nonzero(key, v);
+        }
         s.merge(&self.llc.stats());
         s.set("dir.txn_latency_count", self.latency.count());
         s.set("dir.txn_latency_mean_ticks", self.latency.mean() as u64);
@@ -488,8 +478,7 @@ impl Directory {
                 // A message class the directory never consumes (possible
                 // only with a mis-wired controller or duplication faults):
                 // count and drop instead of aborting.
-                self.counters.bump(self.ids.unexpected_msgs);
-                self.counters.bump(self.ids.unexpected.id(other));
+                self.n.unexpected.bump(other);
             }
         }
     }
@@ -515,7 +504,7 @@ impl Directory {
     fn handle_request(&mut self, now: Tick, msg: Message, out: &mut Outbox) {
         if let Some(&id) = self.txns.get(msg.line) {
             self.txn_slab[id].queued.push_back(msg);
-            self.counters.bump(self.ids.queued_requests);
+            self.n.queued_requests += 1;
             return;
         }
         self.start_txn(now, msg, VecDeque::new(), out);
@@ -525,7 +514,7 @@ impl Directory {
     /// predecessor on the same line.
     fn start_txn(&mut self, now: Tick, msg: Message, carry: VecDeque<Message>, out: &mut Outbox) {
         debug_assert!(!self.txns.contains_key(msg.line));
-        self.counters.bump(self.ids.requests.id(&msg.kind));
+        self.n.requests.bump(&msg.kind);
         let req = PlanReq::of(&msg.kind).expect("on_message queues directory requests only");
 
         // The one scan of the entry set this request pays for; everything
@@ -541,7 +530,7 @@ impl Directory {
             && self.take_stale_vic(msg.line, msg.src))
             || (tracks && req == PlanReq::VicDirty && !is_owner)
         {
-            self.counters.bump(self.ids.stale_vics_dropped);
+            self.n.stale_vics_dropped += 1;
             out.send_after(
                 gpu_cycles(self.uncore.dir_cycles),
                 Message::new(AgentId::Directory, msg.src, msg.line, MsgKind::VicAck),
@@ -677,7 +666,7 @@ impl Directory {
         self.resolve_probe_targets(entry, requester, probes, &mut targets);
         let kind = Self::probe_kind(probes);
         for &dst in &targets {
-            self.counters.bump(self.ids.probes_sent);
+            self.n.probes_sent += 1;
             out.send_after(
                 gpu_cycles(self.uncore.dir_cycles),
                 Message::new(AgentId::Directory, dst, line, MsgKind::Probe { kind }),
@@ -740,14 +729,14 @@ impl Directory {
                 .iter_set(parked.line)
                 .find_map(|(tag, _)| self.txns.get(tag))
                 .expect("a full set with no evictable way has a busy transaction");
-            self.counters.bump(self.ids.alloc_park_on_busy);
+            self.n.alloc_park_on_busy += 1;
             let busy = &mut self.txn_slab[*busy];
             busy.parked_allocs.push(parked);
             busy.parked_allocs.extend(carry);
             return;
         }
         // Start the backward invalidation (transient B state).
-        self.counters.bump(self.ids.entry_evictions);
+        self.n.entry_evictions += 1;
         self.transitions.record(dt(ventry.state), DT_B, DC_BACK_INVAL);
         let origin = Message::new(AgentId::Directory, AgentId::Directory, victim, MsgKind::Flush);
         let tr = BACK_INVALIDATION;
@@ -757,7 +746,7 @@ impl Directory {
         txn.parked_allocs.extend(carry);
         // The directory is nobody's sharer: its own id excludes no cache.
         txn.pending_acks = self.send_probes(victim, Some(ventry), origin.src, tr.probes, out);
-        self.counters.add(self.ids.backinval_probes, u64::from(txn.pending_acks));
+        self.n.backinval_probes += u64::from(txn.pending_acks);
         txn.llc_ready = true; // back-invals need no LLC slot of their own
         let id = self.open_txn(victim, txn);
         self.try_complete(now, id, out);
@@ -781,14 +770,14 @@ impl Directory {
             // A duplicated probe ack (fault injection) or an ack that
             // arrived after an early response + prompt unblock finished
             // the transaction.
-            self.counters.bump(self.ids.stale_probe_acks);
+            self.n.stale_probe_acks += 1;
             return;
         };
         let txn = &mut self.txn_slab[id];
         if txn.pending_acks == 0 {
             // Extra ack for a transaction that already collected its
             // round (duplication fault); ignore it.
-            self.counters.bump(self.ids.stale_probe_acks);
+            self.n.stale_probe_acks += 1;
             return;
         }
         txn.pending_acks -= 1;
@@ -812,7 +801,7 @@ impl Directory {
                 let origin = txn.origin;
                 txn.responded = true;
                 txn.awaiting_unblock = origin.src.is_cpu_cache();
-                self.counters.bump(self.ids.early_responses);
+                self.n.early_responses += 1;
                 let kind = if origin.kind == MsgKind::DmaRd {
                     MsgKind::DmaRdResp { data: d }
                 } else {
@@ -828,7 +817,7 @@ impl Directory {
         let Some(&id) = self.txns.get(line) else {
             // The transaction already finished (an early response plus a
             // prompt unblock can beat the memory reply home).
-            self.counters.bump(self.ids.stale_mem_resps);
+            self.n.stale_mem_resps += 1;
             return;
         };
         let txn = &mut self.txn_slab[id];
@@ -836,7 +825,7 @@ impl Directory {
             // A duplicated memory response (fault injection), or a reply
             // outliving its transaction into a successor on the same line
             // that never asked for memory: data would be stale — drop it.
-            self.counters.bump(self.ids.stale_mem_resps);
+            self.n.stale_mem_resps += 1;
             return;
         }
         txn.mem_data = Some(data);
@@ -850,7 +839,7 @@ impl Directory {
             // answers even duplicated responses with an unblock, so under
             // fault injection extras are expected).
             Some(&id) if self.txn_slab[id].awaiting_unblock => self.finish_txn(now, id, out),
-            _ => self.counters.bump(self.ids.stale_unblocks),
+            _ => self.n.stale_unblocks += 1,
         }
     }
 
@@ -905,7 +894,7 @@ impl Directory {
                 if !txn.llc_scheduled {
                     // Lazy plan (OwnerThenLlc) whose owner turned out clean.
                     txn.llc_scheduled = true;
-                    self.counters.bump(self.ids.lazy_llc_reads);
+                    self.n.lazy_llc_reads += 1;
                     let slot = now + gpu_cycles(self.uncore.llc_cycles);
                     self.schedule_llc_slot(slot, line, out);
                     return;
@@ -978,7 +967,7 @@ impl Directory {
             MsgKind::VicClean { data } => {
                 match self.cfg.clean_victims {
                     CleanVictimPolicy::Drop => {
-                        self.counters.bump(self.ids.clean_vics_dropped);
+                        self.n.clean_vics_dropped += 1;
                     }
                     CleanVictimPolicy::WriteLlcOnly => {
                         self.write_victim(line, data, false, out);
@@ -1003,7 +992,7 @@ impl Directory {
                 let old = base.apply_atomic(line.word_addr(word as usize), op);
                 self.perform_system_write(line, &base, WordMask::full(), None, out);
                 self.apply_transition(id);
-                self.counters.bump(self.ids.atomics);
+                self.n.atomics += 1;
                 out.send(Message::new(
                     AgentId::Directory,
                     origin.src,

@@ -1,6 +1,6 @@
 use hsc_mem::{CacheArray, CacheGeometry, InsertOutcome, LineAddr, LineData};
 use hsc_noc::WordMask;
-use hsc_sim::{CounterId, Counters, StatSet, TransitionMatrix};
+use hsc_sim::{StatSet, TransitionMatrix};
 
 /// LLC transition-matrix vocabulary. `I` is absence from the victim
 /// cache, `V` a resident clean line, `D` a resident line whose memory
@@ -65,39 +65,28 @@ pub struct Llc {
     /// Transition analytics; disabled (and free) unless the observability
     /// layer enables it. Excluded from `hash_state` and `stats`.
     transitions: TransitionMatrix,
-    counters: Counters,
-    ids: LlcIds,
+    n: LlcCounts,
 }
 
-/// Interned ids for the LLC counters, all pre-registered visible.
-#[derive(Debug, Clone)]
-struct LlcIds {
-    hits: CounterId,
-    misses: CounterId,
-    writes: CounterId,
-    merges: CounterId,
-    evictions: CounterId,
-    dirty_evictions: CounterId,
+/// Every count the LLC keeps; [`Llc::stats`] names them.
+#[derive(Debug, Clone, Copy, Default)]
+struct LlcCounts {
+    hits: u64,
+    misses: u64,
+    writes: u64,
+    merges: u64,
+    evictions: u64,
+    dirty_evictions: u64,
 }
 
 impl Llc {
     /// Creates an empty LLC with the given geometry.
     #[must_use]
     pub fn new(geometry: CacheGeometry) -> Self {
-        let mut counters = Counters::new();
-        let ids = LlcIds {
-            hits: counters.register("llc.hits"),
-            misses: counters.register("llc.misses"),
-            writes: counters.register("llc.writes"),
-            merges: counters.register("llc.merges"),
-            evictions: counters.register("llc.evictions"),
-            dirty_evictions: counters.register("llc.dirty_evictions"),
-        };
         Llc {
             lines: CacheArray::new(geometry),
             transitions: TransitionMatrix::new("llc", LLC_STATES, LLC_CAUSES),
-            counters,
-            ids,
+            n: LlcCounts::default(),
         }
     }
 
@@ -116,10 +105,10 @@ impl Llc {
     pub fn read(&mut self, la: LineAddr) -> Option<LineData> {
         if let Some(way) = self.lines.lookup(la) {
             self.lines.touch_way(way);
-            self.counters.bump(self.ids.hits);
+            self.n.hits += 1;
             Some(self.lines.meta(way).data)
         } else {
-            self.counters.bump(self.ids.misses);
+            self.n.misses += 1;
             None
         }
     }
@@ -136,7 +125,7 @@ impl Llc {
     ///
     /// Returns the eviction the insert caused, if any.
     pub fn write(&mut self, la: LineAddr, data: LineData, dirty: bool) -> Option<LlcEviction> {
-        self.counters.bump(self.ids.writes);
+        self.n.writes += 1;
         if let Some(way) = self.lines.lookup(la) {
             let l = self.lines.meta_mut(way);
             let from = lst(l.dirty);
@@ -153,10 +142,10 @@ impl Llc {
         match out {
             InsertOutcome::Inserted => None,
             InsertOutcome::Evicted(ev) => {
-                self.counters.bump(self.ids.evictions);
+                self.n.evictions += 1;
                 self.transitions.record(lst(ev.meta.dirty), LL_I, LC_EVICT);
                 if ev.meta.dirty {
-                    self.counters.bump(self.ids.dirty_evictions);
+                    self.n.dirty_evictions += 1;
                 }
                 Some(LlcEviction { tag: ev.tag, data: ev.meta.data, dirty: ev.meta.dirty })
             }
@@ -177,7 +166,7 @@ impl Llc {
         let to = lst(l.dirty);
         self.transitions.record(from, to, LC_MERGE);
         self.lines.touch_way(way);
-        self.counters.bump(self.ids.merges);
+        self.n.merges += 1;
         true
     }
 
@@ -192,10 +181,18 @@ impl Llc {
     }
 
     /// LLC statistics (`llc.hits`, `llc.misses`, `llc.writes`, …),
-    /// exported for reports.
+    /// exported for reports, all of them even at 0.
     #[must_use]
     pub fn stats(&self) -> StatSet {
-        self.counters.export()
+        let n = &self.n;
+        let mut s = StatSet::new();
+        s.set("llc.hits", n.hits);
+        s.set("llc.misses", n.misses);
+        s.set("llc.writes", n.writes);
+        s.set("llc.merges", n.merges);
+        s.set("llc.evictions", n.evictions);
+        s.set("llc.dirty_evictions", n.dirty_evictions);
+        s
     }
 
     /// All dirty lines (for end-of-run memory reconstruction).

@@ -1,6 +1,6 @@
 use hsc_mem::{LineAddr, LineData, MainMemory};
 use hsc_noc::{AgentId, Message, MsgKind, Outbox};
-use hsc_sim::{CounterId, Counters, StatSet, Tick};
+use hsc_sim::{StatSet, Tick};
 
 /// The main-memory controller behind the directory's ordered memory port.
 ///
@@ -17,10 +17,16 @@ pub struct MemoryController {
     access_ticks: u64,
     occupancy_ticks: u64,
     busy_until: Tick,
-    counters: Counters,
-    reads: CounterId,
-    writes: CounterId,
-    busy_ticks: CounterId,
+    n: MemCounts,
+}
+
+/// Every count the memory controller keeps; [`MemoryController::stats`]
+/// names them.
+#[derive(Debug, Clone, Copy, Default)]
+struct MemCounts {
+    reads: u64,
+    writes: u64,
+    busy_ticks: u64,
 }
 
 impl MemoryController {
@@ -28,19 +34,12 @@ impl MemoryController {
     /// per-access channel occupancy.
     #[must_use]
     pub fn new(mem: MainMemory, access_ticks: u64, occupancy_ticks: u64) -> Self {
-        let mut counters = Counters::new();
-        let reads = counters.register("mem.reads");
-        let writes = counters.register("mem.writes");
-        let busy_ticks = counters.register("mem.busy_ticks");
         MemoryController {
             mem,
             access_ticks,
             occupancy_ticks,
             busy_until: Tick::ZERO,
-            counters,
-            reads,
-            writes,
-            busy_ticks,
+            n: MemCounts::default(),
         }
     }
 
@@ -66,7 +65,11 @@ impl MemoryController {
     /// `mem.busy_ticks`), exported for reports.
     #[must_use]
     pub fn stats(&self) -> StatSet {
-        self.counters.export()
+        let mut s = StatSet::new();
+        s.set("mem.reads", self.n.reads);
+        s.set("mem.writes", self.n.writes);
+        s.set("mem.busy_ticks", self.n.busy_ticks);
+        s
     }
 
     /// Handles a memory request from the directory.
@@ -74,10 +77,10 @@ impl MemoryController {
         let start = self.busy_until.max(now);
         let finish = start + self.access_ticks;
         self.busy_until = start + self.occupancy_ticks;
-        self.counters.add(self.busy_ticks, self.occupancy_ticks);
+        self.n.busy_ticks += self.occupancy_ticks;
         match msg.kind {
             MsgKind::MemRd => {
-                self.counters.bump(self.reads);
+                self.n.reads += 1;
                 let data = self.mem.read_line(msg.line);
                 out.send_after(
                     finish.delta_since(now),
@@ -90,7 +93,7 @@ impl MemoryController {
                 );
             }
             MsgKind::MemWr { ref data, mask } => {
-                self.counters.bump(self.writes);
+                self.n.writes += 1;
                 mask.apply(self.mem.line_mut(msg.line), data);
                 // Posted write: no response.
             }

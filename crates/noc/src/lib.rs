@@ -24,7 +24,6 @@
 
 mod actions;
 mod agent;
-mod classctr;
 mod fault;
 mod message;
 mod network;
@@ -32,8 +31,7 @@ mod retry;
 
 pub use actions::{Action, Outbox, WakeArm};
 pub use agent::AgentId;
-pub use classctr::ClassCounters;
 pub use fault::{FaultPlan, FaultTargets};
-pub use message::{Grant, Message, MsgKind, ProbeKind, WordMask};
+pub use message::{ClassCounts, Grant, Message, MsgKind, ProbeKind, WordMask};
 pub use network::{Delivery, LatencyMap, Network, WiringError};
 pub use retry::{RetryPolicy, RetryTracker};

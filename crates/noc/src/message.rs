@@ -1,6 +1,7 @@
 use std::fmt;
 
 use hsc_mem::{AtomicKind, LineAddr, LineData, WORDS_PER_LINE};
+use hsc_sim::StatSet;
 
 use crate::AgentId;
 
@@ -379,6 +380,78 @@ impl MsgKind {
     }
 }
 
+/// One count per message class, indexed by [`MsgKind::class_index`]: a
+/// per-class counter family (`net.msg.<Class>`, `dir.requests.<Class>`,
+/// …) as plain data. Its key names appear only in [`ClassCounts::export`].
+///
+/// # Examples
+///
+/// ```
+/// use hsc_noc::{ClassCounts, MsgKind};
+/// use hsc_sim::StatSet;
+///
+/// let mut by_class = ClassCounts::default();
+/// by_class.bump(&MsgKind::RdBlk);
+/// let mut s = StatSet::new();
+/// by_class.export("net.msg", &["Unblock"], &mut s);
+/// assert_eq!(s.get("net.msg.RdBlk"), 1);
+/// assert_eq!(s.len(), 2); // Unblock exports at zero, the other classes never fired
+/// ```
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ClassCounts([u64; MsgKind::NUM_CLASSES]);
+
+impl ClassCounts {
+    /// Counts one message of `kind`'s class.
+    #[inline]
+    pub fn bump(&mut self, kind: &MsgKind) {
+        self.0[kind.class_index()] += 1;
+    }
+
+    /// The count of the class named `class` (one of
+    /// [`MsgKind::CLASS_NAMES`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `class` names no message class.
+    #[must_use]
+    pub fn get(&self, class: &str) -> u64 {
+        self.0[class_slot(class)]
+    }
+
+    /// The sum over every class.
+    #[must_use]
+    pub fn total(&self) -> u64 {
+        self.0.iter().sum()
+    }
+
+    /// Writes `prefix.<Class>` into `out` for each class named in
+    /// `visible`, even at zero, and for every other class once it is
+    /// nonzero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `visible` names an unknown class: a typo there would
+    /// silently change report contents.
+    pub fn export(&self, prefix: &str, visible: &[&str], out: &mut StatSet) {
+        for class in visible {
+            class_slot(class);
+        }
+        for (class, &n) in MsgKind::CLASS_NAMES.iter().zip(&self.0) {
+            if n != 0 || visible.contains(class) {
+                out.set(&format!("{prefix}.{class}"), n);
+            }
+        }
+    }
+}
+
+/// The [`MsgKind::class_index`] of the class named `class`.
+fn class_slot(class: &str) -> usize {
+    MsgKind::CLASS_NAMES
+        .iter()
+        .position(|&c| c == class)
+        .unwrap_or_else(|| panic!("unknown message class {class:?}"))
+}
+
 /// One message in flight on the system NoC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Message {
@@ -520,6 +593,42 @@ mod tests {
         assert!(s.contains("L2[0]"));
         assert!(s.contains("DIR"));
         assert!(s.contains("RdBlkM"));
+    }
+
+    #[test]
+    fn visible_classes_export_at_zero_hidden_ones_do_not() {
+        let mut arr = ClassCounts::default();
+        let export = |arr: &ClassCounts| {
+            let mut s = StatSet::new();
+            arr.export("dir.requests", &["RdBlk", "WT"], &mut s);
+            s
+        };
+        let set = export(&arr);
+        assert_eq!(set.len(), 2);
+        assert_eq!(set.get("dir.requests.RdBlk"), 0);
+        assert_eq!(set.get("dir.requests.WT"), 0);
+        arr.bump(&MsgKind::Unblock);
+        assert_eq!(export(&arr).get("dir.requests.Unblock"), 1);
+        assert_eq!(export(&arr).len(), 3);
+    }
+
+    #[test]
+    fn total_sums_every_class_slot() {
+        let mut arr = ClassCounts::default();
+        arr.bump(&MsgKind::RdBlk);
+        arr.bump(&MsgKind::MemRd);
+        for _ in 0..3 {
+            arr.bump(&MsgKind::Unblock);
+        }
+        assert_eq!(arr.total(), 5);
+        assert_eq!(arr.get("MemRd"), 1);
+        assert_eq!(arr.get("Unblock"), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown message class")]
+    fn typoed_visible_class_panics_at_export() {
+        ClassCounts::default().export("x", &["RdBlq"], &mut StatSet::new());
     }
 
     #[test]

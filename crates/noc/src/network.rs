@@ -1,8 +1,8 @@
 use std::fmt;
 
-use hsc_sim::{CounterId, Counters, DetRng, StatSet, Tick};
+use hsc_sim::{DetRng, StatSet, Tick};
 
-use crate::{AgentId, ClassCounters, FaultPlan, Message, MsgKind};
+use crate::{AgentId, ClassCounts, FaultPlan, Message};
 
 /// A message was sent between two agents that share no link in this
 /// topology (every path goes through the directory).
@@ -109,46 +109,32 @@ pub enum Delivery {
 #[derive(Debug, Clone)]
 pub struct Network {
     latency: LatencyMap,
-    counters: Counters,
-    by_class: ClassCounters,
-    probes_total: CounterId,
-    mem_reads: CounterId,
-    mem_writes: CounterId,
-    dropped: CounterId,
-    dropped_by_class: ClassCounters,
-    duplicated: CounterId,
-    duplicated_by_class: ClassCounters,
+    n: NetCounts,
     plan: Option<FaultPlan>,
     rng: DetRng,
     injected: u64,
     immediate: bool,
 }
 
+/// Every count the network keeps, by message class. [`Network::stats`]
+/// names them and derives the totals it reports from them.
+#[derive(Debug, Clone, Copy, Default)]
+struct NetCounts {
+    /// Messages accepted.
+    msg: ClassCounts,
+    /// Messages a fault dropped.
+    dropped: ClassCounts,
+    /// Messages a fault duplicated.
+    duplicated: ClassCounts,
+}
+
 impl Network {
     /// Creates a fault-free network with the given latencies.
     #[must_use]
     pub fn new(latency: LatencyMap) -> Self {
-        let mut counters = Counters::new();
-        let by_class = ClassCounters::register_hidden(&mut counters, "net.msg");
-        let probes_total = counters.register("net.probes_total");
-        let mem_reads = counters.register("net.mem_reads");
-        let mem_writes = counters.register("net.mem_writes");
-        let dropped = counters.register_hidden("faults.dropped");
-        let dropped_by_class = ClassCounters::register_hidden(&mut counters, "faults.dropped");
-        let duplicated = counters.register_hidden("faults.duplicated");
-        let duplicated_by_class =
-            ClassCounters::register_hidden(&mut counters, "faults.duplicated");
         Network {
             latency,
-            counters,
-            by_class,
-            probes_total,
-            mem_reads,
-            mem_writes,
-            dropped,
-            dropped_by_class,
-            duplicated,
-            duplicated_by_class,
+            n: NetCounts::default(),
             plan: None,
             rng: DetRng::new(0),
             injected: 0,
@@ -190,7 +176,7 @@ impl Network {
     #[inline]
     pub fn send(&mut self, now: Tick, msg: &Message) -> Result<Delivery, WiringError> {
         let lat = self.latency.one_way(msg.src, msg.dst)?;
-        self.count(msg);
+        self.n.msg.bump(&msg.kind);
         let arrive = if self.immediate { now } else { now + lat };
         Ok(match self.plan {
             None => Delivery::Deliver(arrive),
@@ -209,14 +195,12 @@ impl Network {
         }
         if plan.drop_ppm > 0 && self.rng.chance(u64::from(plan.drop_ppm), PPM) {
             self.injected += 1;
-            self.counters.bump(self.dropped);
-            self.counters.bump(self.dropped_by_class.id(&msg.kind));
+            self.n.dropped.bump(&msg.kind);
             return Delivery::Dropped;
         }
         if plan.dup_ppm > 0 && self.rng.chance(u64::from(plan.dup_ppm), PPM) {
             self.injected += 1;
-            self.counters.bump(self.duplicated);
-            self.counters.bump(self.duplicated_by_class.id(&msg.kind));
+            self.n.duplicated.bump(&msg.kind);
             // The copy takes one extra hop worth of latency so the pair
             // stays ordered (original first). Under immediate delivery both
             // land now; the explorer owns their relative order.
@@ -226,25 +210,23 @@ impl Network {
         Delivery::Deliver(arrive)
     }
 
-    fn count(&mut self, msg: &Message) {
-        self.counters.bump(self.by_class.id(&msg.kind));
-        if msg.kind.is_probe() {
-            self.counters.bump(self.probes_total);
-        }
-        match msg.kind {
-            MsgKind::MemRd => self.counters.bump(self.mem_reads),
-            MsgKind::MemWr { .. } => self.counters.bump(self.mem_writes),
-            _ => {}
-        }
-    }
-
-    /// Counters exported for reports: traffic (`net.msg.<Class>`,
-    /// `net.probes_total`, `net.mem_reads`, `net.mem_writes`) and faults
-    /// (`faults.dropped[.<Class>]`, `faults.duplicated[.<Class>]`, absent
-    /// until one fires).
+    /// Statistics exported for reports: traffic (`net.msg.<Class>`, and the
+    /// totals `net.probes_total`, `net.mem_reads`, `net.mem_writes` summed
+    /// from it) and faults (`faults.dropped[.<Class>]`,
+    /// `faults.duplicated[.<Class>]`, absent until one fires).
     #[must_use]
     pub fn stats(&self) -> StatSet {
-        self.counters.export()
+        let n = &self.n;
+        let mut s = StatSet::new();
+        n.msg.export("net.msg", &[], &mut s);
+        s.set("net.probes_total", self.probes_sent());
+        s.set("net.mem_reads", self.mem_reads());
+        s.set("net.mem_writes", self.mem_writes());
+        s.set_nonzero("faults.dropped", n.dropped.total());
+        n.dropped.export("faults.dropped", &[], &mut s);
+        s.set_nonzero("faults.duplicated", n.duplicated.total());
+        n.duplicated.export("faults.duplicated", &[], &mut s);
+        s
     }
 
     /// Total faults injected so far (0 without a plan).
@@ -258,32 +240,32 @@ impl Network {
     /// reads this every boundary).
     #[must_use]
     pub fn messages_total(&self) -> u64 {
-        self.by_class.total(&self.counters)
+        self.n.msg.total()
     }
 
-    /// Total probes the directory has sent.
+    /// Total probes the directory has sent (`PrbInv` plus `PrbDown`).
     #[must_use]
     pub fn probes_sent(&self) -> u64 {
-        self.counters.get(self.probes_total)
+        self.n.msg.get("PrbInv") + self.n.msg.get("PrbDown")
     }
 
-    /// Total directory→memory reads.
+    /// Total directory→memory reads (`MemRd`).
     #[must_use]
     pub fn mem_reads(&self) -> u64 {
-        self.counters.get(self.mem_reads)
+        self.n.msg.get("MemRd")
     }
 
-    /// Total directory→memory writes.
+    /// Total directory→memory writes (`MemWr`).
     #[must_use]
     pub fn mem_writes(&self) -> u64 {
-        self.counters.get(self.mem_writes)
+        self.n.msg.get("MemWr")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ProbeKind;
+    use crate::{MsgKind, ProbeKind};
     use hsc_mem::{LineAddr, LineData};
 
     fn msg(src: AgentId, dst: AgentId, kind: MsgKind) -> Message {

@@ -8,11 +8,10 @@
 //!   tick for the next 8192 ticks, a heap beyond) with deterministic FIFO
 //!   tie-breaking and O(1) insert/pop for the small fixed deltas the
 //!   simulator overwhelmingly schedules,
-//! * [`Counters`] — the one way anything is counted: interned-name slots
-//!   that controllers bump by dense [`CounterId`],
 //! * [`StatSet`] and [`Histogram`] — what a run exports: the string-keyed
-//!   counter set [`Counters::export`] writes at report time, and latency
-//!   distributions; every figure of the paper is regenerated from them,
+//!   counter set each controller's `stats()` writes from its plain counter
+//!   fields at report time, and latency distributions; every figure of
+//!   the paper is regenerated from them,
 //! * [`DetRng`] — a small, seedable, splittable PRNG so that workload
 //!   generation is reproducible bit-for-bit across runs and platforms,
 //! * [`TransitionMatrix`] — dense `[from][to][cause]` protocol-transition
@@ -42,7 +41,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod counters;
 mod flight;
 mod fnv;
 mod outcome;
@@ -53,7 +51,6 @@ mod trace;
 mod transition;
 mod wheel;
 
-pub use counters::{CounterId, Counters};
 pub use flight::{FlightEntry, FlightRecord, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 pub use fnv::{fnv1a, Fnv1a};
 pub use outcome::{DeadlockSnapshot, PendingEvent, PendingKind, SimError, StuckLine};
@@ -69,7 +66,6 @@ pub use wheel::{Held, WheelQueue};
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<StatSet>();
-    assert_send::<Counters>();
     assert_send::<Histogram>();
     assert_send::<SimError>();
     assert_send::<DeadlockSnapshot>();

@@ -3,12 +3,13 @@ use std::fmt;
 
 /// The string-keyed export of a run's counters.
 ///
-/// Nothing counts through a `StatSet`: every controller counts in dense
-/// [`Counters`](crate::Counters) slots, and
-/// [`Counters::export`](crate::Counters::export) writes a `StatSet` at
-/// report time, exact values and zero-valued visible keys included. From
-/// there the sets are only merged into one report and read. Keys live in a `BTreeMap`, so
-/// iteration (and therefore every printed report) is deterministic.
+/// Nothing counts through a `StatSet`: every controller counts in plain
+/// `u64` fields, and its `stats()` names them in a `StatSet` at report
+/// time — always for a key reports list even at zero, through
+/// [`StatSet::set_nonzero`] for a diagnostic that shows only once it
+/// fired. From there the sets are only merged into one report and read.
+/// Keys live in a `BTreeMap`, so iteration (and therefore every printed
+/// report) is deterministic.
 ///
 /// # Examples
 ///
@@ -41,6 +42,14 @@ impl StatSet {
     /// time series.
     pub fn set(&mut self, key: &str, value: u64) {
         self.counters.insert(key.to_owned(), value);
+    }
+
+    /// Sets `key` to `value` only if `value` is nonzero, so a diagnostic
+    /// counter that never fired stays out of reports.
+    pub fn set_nonzero(&mut self, key: &str, value: u64) {
+        if value != 0 {
+            self.set(key, value);
+        }
     }
 
     /// Current value of `key` (0 if absent).
@@ -251,6 +260,10 @@ mod tests {
         assert_eq!(s.get("quiet"), 0);
         assert_eq!(s.get("ghost"), 0);
         assert_eq!(s.len(), 2, "a zero value is still a key; an unset one is not");
+        s.set_nonzero("diag.quiet", 0);
+        s.set_nonzero("diag.fired", 2);
+        assert_eq!(s.get("diag.fired"), 2);
+        assert_eq!(s.len(), 3, "set_nonzero of 0 adds no key");
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! [`TransitionMatrix`] is the hot-path half of that: a protocol engine
 //! owns one, registers its state and cause vocabularies once at
 //! construction, and records each transition as a single bounds-checked
-//! increment into a dense `[from][to][cause]` counter cube — the same
-//! interning discipline as [`crate::Counters`], with the string work
-//! deferred to report time.
+//! increment into a dense `[from][to][cause]` counter cube; like the
+//! controllers' plain counter fields, it leaves every string to report
+//! time.
 //!
 //! Matrices are **disabled by default** and cost one predictable branch
 //! per call while disabled; the counter storage is not even allocated

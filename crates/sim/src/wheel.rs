@@ -52,7 +52,9 @@ const NIL: u32 = u32::MAX;
 /// * both heaps order by `(tick, seq)`.
 ///
 /// `snapshot`/`unlink_seq`/`remove_seq` — the model checker's choice-set
-/// view — are O(n) walks: the exhaustive explorer runs on tiny queues and
+/// view — walk the occupied slots (found through the occupancy bitmap)
+/// and both heaps, so they cost O(128 + n) rather than a pass over every
+/// slot: the exhaustive explorer calls them on every explored edge, and
 /// the simulation hot path never calls them.
 ///
 /// Every removal is an unlink: [`unlink_next`](Self::unlink_next) (the
@@ -413,11 +415,27 @@ impl<E> WheelQueue<E> {
         self.len == 0
     }
 
+    /// The ring slots whose lists are non-empty, in slot order: a walk of
+    /// the occupancy bitmap that visits its 128 words and the occupied
+    /// slots, not all 8192 slot heads.
+    fn occupied_slots(&self) -> impl Iterator<Item = usize> + '_ {
+        self.occupancy.iter().enumerate().flat_map(|(w, &bits)| {
+            let mut bits = bits;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let slot = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    slot
+                })
+            })
+        })
+    }
+
     /// Every live slab index, in no particular order.
     fn live_indices(&self) -> Vec<u32> {
         let mut out = Vec::with_capacity(self.len);
-        for slot in self.slots.iter() {
-            let mut idx = slot.head;
+        for slot in self.occupied_slots() {
+            let mut idx = self.slots[slot].head;
             while idx != NIL {
                 out.push(idx);
                 idx = self.meta[idx as usize].next;
@@ -463,29 +481,34 @@ impl<E> WheelQueue<E> {
     /// queues model checking operates on; the simulation hot path never
     /// calls this.
     pub fn unlink_seq(&mut self, seq: u64) -> Option<(Tick, Held)> {
-        // Slot lists first (the common home of a pending event).
-        for si in 0..RING {
+        // Slot lists first (the common home of a pending event): find the
+        // entry and its predecessor, then unlink it.
+        let found = self.occupied_slots().find_map(|si| {
             let mut prev = NIL;
             let mut idx = self.slots[si].head;
             while idx != NIL {
-                let m = self.meta[idx as usize];
-                if m.seq == seq {
-                    if prev == NIL {
-                        self.slots[si].head = m.next;
-                    } else {
-                        self.meta[prev as usize].next = m.next;
-                    }
-                    if m.next == NIL {
-                        self.slots[si].tail = prev;
-                    }
-                    if self.slots[si].head == NIL {
-                        self.occupancy[si / 64] &= !(1u64 << (si % 64));
-                    }
-                    return Some(self.hold(m.tick, idx));
+                if self.meta[idx as usize].seq == seq {
+                    return Some((si, prev, idx));
                 }
                 prev = idx;
-                idx = m.next;
+                idx = self.meta[idx as usize].next;
             }
+            None
+        });
+        if let Some((si, prev, idx)) = found {
+            let m = self.meta[idx as usize];
+            if prev == NIL {
+                self.slots[si].head = m.next;
+            } else {
+                self.meta[prev as usize].next = m.next;
+            }
+            if m.next == NIL {
+                self.slots[si].tail = prev;
+            }
+            if self.slots[si].head == NIL {
+                self.occupancy[si / 64] &= !(1u64 << (si % 64));
+            }
+            return Some(self.hold(m.tick, idx));
         }
         for heap in [true, false] {
             let h = if heap { &self.past } else { &self.far };
@@ -617,15 +640,17 @@ mod tests {
     #[test]
     fn remove_seq_pulls_an_arbitrary_event() {
         let mut q = WheelQueue::new();
-        q.schedule(Tick(1), 'a');
+        q.schedule(Tick(1), 'a'); // base snaps to 1
         q.schedule(Tick(2), 'b');
         q.schedule(Tick(3), 'c');
         q.schedule(Tick(1 << 40), 'o'); // beyond the ring: far heap
+        q.schedule(Tick(0), 'p'); // behind base: past heap
         let snap = q.snapshot();
-        let (seq_b, seq_o) = (snap[1].1, snap[3].1);
+        let (seq_p, seq_b, seq_o) = (snap[0].1, snap[2].1, snap[4].1);
         assert_eq!(q.remove_seq(seq_b), Some((Tick(2), 'b')));
         assert_eq!(q.remove_seq(seq_b), None, "already removed");
         assert_eq!(q.remove_seq(seq_o), Some((Tick(1 << 40), 'o')));
+        assert_eq!(q.remove_seq(seq_p), Some((Tick(0), 'p')));
         assert_eq!(q.remove_seq(999), None, "unknown seq is a no-op");
         // Remaining events still drain in order, and the slab slot is reused.
         q.schedule(Tick(0), 'z');

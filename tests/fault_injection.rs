@@ -349,6 +349,41 @@ fn seeded_fault_runs_are_deterministic() {
     }
 }
 
+/// A total reported beside its per-class keys is their sum, on a seeded
+/// run that both drops and duplicates messages: `faults.dropped` and
+/// `faults.duplicated`, `net.probes_total` (`PrbInv` + `PrbDown`),
+/// `net.mem_reads` and `net.mem_writes` (`MemRd`, `MemWr`), and every
+/// `*.unexpected_msgs` that has per-class keys.
+#[test]
+fn reported_totals_are_the_sums_of_their_classes() {
+    let plan = FaultPlan { dup_ppm: 5_000, ..FaultPlan::drops(7, 3_000) };
+    let w = Hsti { elements: 256, bins: 8, cpu_threads: 2, wavefronts: 2, seed: 1 };
+    let cfg = SystemConfig::scaled(CoherenceConfig::sharer_tracking())
+        .with_faults(plan)
+        .with_retry(RetryPolicy::default());
+    let mut b = SystemBuilder::new(cfg);
+    b.with_trace(TraceConfig::off());
+    w.build(&mut b);
+    let mut sys = b.build();
+    // A stalled run keeps its counters, and they must add up all the same.
+    let _ = sys.run(50_000_000);
+    let s = sys.metrics().stats;
+    for total in ["faults.dropped", "faults.duplicated"] {
+        assert!(s.get(total) > 0, "the plan must inject {total}");
+        assert_eq!(s.get(total), s.sum_prefix(&format!("{total}.")), "{total}");
+    }
+    assert_eq!(s.get("net.probes_total"), s.get("net.msg.PrbInv") + s.get("net.msg.PrbDown"));
+    assert_eq!(s.get("net.mem_reads"), s.get("net.msg.MemRd"));
+    assert_eq!(s.get("net.mem_writes"), s.get("net.msg.MemWr"));
+    // The DMA engine counts its unexpected messages without classes.
+    for (key, total) in s.iter().filter(|(k, _)| k.ends_with(".unexpected_msgs")) {
+        if !key.starts_with("dma.") {
+            let classes = format!("{}.unexpected.", key.trim_end_matches(".unexpected_msgs"));
+            assert_eq!(total, s.sum_prefix(&classes), "{key}");
+        }
+    }
+}
+
 /// The fault layer is zero-cost when it never fires: a plan with rate 0
 /// produces byte-identical metrics to no plan at all.
 #[test]
