@@ -1,6 +1,8 @@
 //! [`TraceWorkload`]: replays a [`TraceProgram`] on the simulated system
 //! and self-verifies against the trace's expected final memory.
 
+use std::sync::Arc;
+
 use hsc_cluster::{CoreProgram, CpuOp, DmaCommand, GpuOp, WavefrontProgram};
 use hsc_core::{System, SystemBuilder};
 use hsc_mem::{Addr, AtomicKind};
@@ -19,16 +21,20 @@ const DMA_ISSUE_SPACING: u64 = 64;
 /// streams become [`DmaCommand`]s, and `verify` checks the final coherent
 /// memory against [`TraceProgram::expected_final`] plus the per-stream
 /// expectation-mismatch flags.
+///
+/// The program sits behind one [`Arc`]: every replayed stream, every
+/// system it is built into and every clone (of the workload, or of a
+/// built `System`) shares it, so building copies no ops.
 #[derive(Debug, Clone)]
 pub struct TraceWorkload {
-    program: TraceProgram,
+    program: Arc<TraceProgram>,
 }
 
 impl TraceWorkload {
     /// Wraps a parsed (or generated) trace program.
     #[must_use]
     pub fn new(program: TraceProgram) -> Self {
-        TraceWorkload { program }
+        TraceWorkload { program: Arc::new(program) }
     }
 
     /// The trace being replayed.
@@ -64,10 +70,10 @@ impl Workload for TraceWorkload {
             let flag = Self::mismatch_flag(si);
             match stream.kind {
                 StreamKind::Cpu => {
-                    b.add_cpu_thread(Box::new(TraceCpu::new(stream.ops.clone(), flag)));
+                    b.add_cpu_thread(Box::new(TraceCpu::new(Arc::clone(&self.program), si, flag)));
                 }
                 StreamKind::Gpu => {
-                    b.add_wavefront(Box::new(TraceGpu::new(stream.ops.clone(), flag)));
+                    b.add_wavefront(Box::new(TraceGpu::new(Arc::clone(&self.program), si, flag)));
                 }
                 StreamKind::Dma => {
                     for op in &stream.ops {
@@ -136,10 +142,11 @@ impl Workload for TraceWorkload {
     }
 }
 
-/// Replays one cpu stream as an in-order core program.
+/// Replays stream `stream` of the shared trace as an in-order core program.
 #[derive(Debug, Clone)]
 struct TraceCpu {
-    ops: Vec<TraceOp>,
+    program: Arc<TraceProgram>,
+    stream: usize,
     idx: usize,
     flag: Addr,
     flagged: bool,
@@ -148,8 +155,8 @@ struct TraceCpu {
 }
 
 impl TraceCpu {
-    fn new(ops: Vec<TraceOp>, flag: Addr) -> Self {
-        TraceCpu { ops, idx: 0, flag, flagged: false, check: None }
+    fn new(program: Arc<TraceProgram>, stream: usize, flag: Addr) -> Self {
+        TraceCpu { program, stream, idx: 0, flag, flagged: false, check: None }
     }
 }
 
@@ -162,7 +169,7 @@ impl CoreProgram for TraceCpu {
             }
         }
         loop {
-            let Some(op) = self.ops.get(self.idx) else {
+            let Some(op) = self.program.streams[self.stream].ops.get(self.idx) else {
                 return CpuOp::Done;
             };
             let code = self.idx as u64 + 1;
@@ -189,10 +196,12 @@ impl CoreProgram for TraceCpu {
     }
 }
 
-/// Replays one gpu stream as a single-lane wavefront program.
+/// Replays stream `stream` of the shared trace as a single-lane wavefront
+/// program.
 #[derive(Debug, Clone)]
 struct TraceGpu {
-    ops: Vec<TraceOp>,
+    program: Arc<TraceProgram>,
+    stream: usize,
     idx: usize,
     flag: Addr,
     flagged: bool,
@@ -200,8 +209,8 @@ struct TraceGpu {
 }
 
 impl TraceGpu {
-    fn new(ops: Vec<TraceOp>, flag: Addr) -> Self {
-        TraceGpu { ops, idx: 0, flag, flagged: false, check: None }
+    fn new(program: Arc<TraceProgram>, stream: usize, flag: Addr) -> Self {
+        TraceGpu { program, stream, idx: 0, flag, flagged: false, check: None }
     }
 }
 
@@ -215,7 +224,7 @@ impl WavefrontProgram for TraceGpu {
                 return GpuOp::AtomicSlc(self.flag, AtomicKind::Exchange(code));
             }
         }
-        let Some(op) = self.ops.get(self.idx) else {
+        let Some(op) = self.program.streams[self.stream].ops.get(self.idx) else {
             return GpuOp::Done;
         };
         let code = self.idx as u64 + 1;
@@ -245,7 +254,7 @@ impl WavefrontProgram for TraceGpu {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceError;
+    use crate::trace::{TraceError, TrafficSpec};
     use crate::{try_run_workload_on, WorkloadError};
     use hsc_core::{CoherenceConfig, SystemConfig};
 
@@ -254,6 +263,27 @@ mod tests {
         let w = TraceWorkload::new(program);
         try_run_workload_on(&w, SystemConfig::with_coherence(CoherenceConfig::baseline()))
             .map(|_| ())
+    }
+
+    #[test]
+    fn built_systems_and_clones_share_one_copy_of_the_ops() {
+        let spec = TrafficSpec::parse("atomics").expect("preset parses");
+        let w = TraceWorkload::new(spec.generate());
+        let replayed = spec.cpu + spec.gpu;
+        let systems: Vec<System> = (0..3)
+            .map(|_| {
+                let mut b =
+                    SystemBuilder::new(SystemConfig::with_coherence(CoherenceConfig::baseline()));
+                w.build(&mut b);
+                b.build()
+            })
+            .collect();
+        let twin = w.clone();
+        assert!(Arc::ptr_eq(&w.program, &twin.program), "a clone shares the program");
+        // The workload, its clone, and one handle per replayed stream per system.
+        assert_eq!(Arc::strong_count(&w.program), 2 + 3 * replayed);
+        drop(systems);
+        assert_eq!(Arc::strong_count(&w.program), 2, "the streams held handles, not copies");
     }
 
     #[test]
