@@ -29,9 +29,9 @@ use std::io::{self, Write};
 use std::process::ExitCode;
 
 use hsc_core::{CoherenceConfig, ObsConfig, ObsData, SystemConfig};
-use hsc_noc::{FaultPlan, FaultTargets, RetryPolicy};
+use hsc_noc::{FaultPlan, FaultTargets, RetryPolicy, SimError};
 use hsc_obs::RunRecord;
-use hsc_sim::{SimError, StatSet};
+use hsc_sim::StatSet;
 use hsc_workloads::{
     run_workload_observed, try_run_workload_on, ObservedRun, Workload, WorkloadError,
 };

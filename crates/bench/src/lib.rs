@@ -130,8 +130,8 @@ pub mod reporting {
 
     use crate::cli::OutFile;
     use hsc_core::SystemConfig;
+    use hsc_noc::SimError;
     use hsc_obs::{ObsConfig, RunRecord, RunReport};
-    use hsc_sim::SimError;
     use hsc_workloads::{run_workload_observed, ObservedRun, Workload, WorkloadError};
 
     /// Epoch width (ticks) used by report runs: fine enough to show
@@ -148,7 +148,7 @@ pub mod reporting {
             Ok(_) => "completed",
             Err(WorkloadError::Sim(SimError::Deadlock { .. })) => "deadlock",
             Err(WorkloadError::Sim(SimError::EventBudgetExceeded { .. })) => "budget-exceeded",
-            Err(WorkloadError::Sim(SimError::Wiring { .. })) => "wiring-error",
+            Err(WorkloadError::Sim(SimError::Wiring(_))) => "wiring-error",
             Err(WorkloadError::Verification(_)) => "verification-failed",
         };
         let mut rec = RunRecord {

@@ -50,8 +50,9 @@ use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 
 use hsc_mem::{LineAddr, LineData};
+use hsc_noc::{Event, FlightRecord, PendingEvent};
 use hsc_obs::PerfettoTrace;
-use hsc_sim::{FlightEntry, PendingKind, Tick};
+use hsc_sim::Tick;
 
 use hsc_cluster::MoesiState;
 use hsc_core::System;
@@ -114,9 +115,9 @@ impl fmt::Display for ViolationKind {
     }
 }
 
-/// A violating interleaving: the event sequence (one rendered
-/// [`hsc_sim::PendingEvent`] per step, in delivery order) that drives the
-/// explored system into the violation.
+/// A violating interleaving: the event sequence (one [`PendingEvent`] per
+/// step, in delivery order) that drives the explored system into the
+/// violation.
 #[derive(Debug, Clone)]
 pub struct Counterexample {
     /// Which invariant broke.
@@ -125,15 +126,15 @@ pub struct Counterexample {
     pub detail: String,
     /// The choice indices to replay via [`System::step_choice`].
     pub choices: Vec<usize>,
-    /// The chosen events, rendered at the moment each was delivered.
-    pub steps: Vec<String>,
+    /// The chosen events, as they were pending when each was delivered.
+    pub steps: Vec<PendingEvent>,
     /// Whether the minimizer produced this (shortest known) or it is the
     /// raw DFS path.
     pub minimized: bool,
     /// The replayed system's flight-recorder tail at the violating state:
     /// the last delivered messages (tick, destination, class, line),
     /// oldest first — the post-mortem view the steps list abstracts.
-    pub flight: Vec<FlightEntry>,
+    pub flight: Vec<FlightRecord>,
 }
 
 impl Counterexample {
@@ -144,7 +145,7 @@ impl Counterexample {
     pub fn to_perfetto(&self) -> PerfettoTrace {
         let mut t = PerfettoTrace::new();
         for (i, s) in self.steps.iter().enumerate() {
-            t.instant("counterexample", s, "check", Tick(i as u64));
+            t.instant("counterexample", &s.to_string(), "check", Tick(i as u64));
         }
         t.instant(
             "counterexample",
@@ -244,8 +245,8 @@ pub fn explore(root: &System, cfg: &CheckConfig<'_>) -> ExploreReport {
     }
 }
 
-/// Renders a choice path into a [`Counterexample`] by replaying it from
-/// `start` and recording each chosen event's description.
+/// Turns a choice path into a [`Counterexample`] by replaying it from
+/// `start` and recording each chosen event.
 fn render_path(
     start: &System,
     kind: ViolationKind,
@@ -256,7 +257,7 @@ fn render_path(
     let mut sys = start.clone();
     let mut steps = Vec::with_capacity(choices.len());
     for &i in choices {
-        steps.push(sys.pending_events()[i].to_string());
+        steps.push(sys.pending_events().swap_remove(i));
         sys.step_choice(i).expect("replayed step cannot fail");
     }
     let flight = sys.flight_tail();
@@ -334,8 +335,12 @@ fn classify(sys: &System, n: usize, cfg: &CheckConfig<'_>) -> Option<(ViolationK
             if cfg.deadlock_ok {
                 return None;
             }
-            let busy: Vec<String> =
-                sys.deadlock_snapshot().agents.iter().map(String::clone).collect();
+            let busy: Vec<String> = sys
+                .deadlock_snapshot()
+                .agents
+                .iter()
+                .map(|(agent, la, detail)| format!("{agent}: line {:#x}: {detail}", la.0))
+                .collect();
             return Some((
                 ViolationKind::Stuck,
                 format!("nothing deliverable but work remains: [{}]", busy.join("; ")),
@@ -359,8 +364,8 @@ fn classify(sys: &System, n: usize, cfg: &CheckConfig<'_>) -> Option<(ViolationK
 fn check_coherence(sys: &System) -> Option<(ViolationKind, String)> {
     let mut unsettled: HashSet<LineAddr> = HashSet::new();
     for ev in sys.pending_events() {
-        if let PendingKind::Deliver { line, .. } = ev.kind {
-            unsettled.insert(LineAddr(line));
+        if let Event::Deliver(m) = ev.event {
+            unsettled.insert(m.line);
         }
     }
     let mut copies: BTreeMap<LineAddr, Vec<(usize, MoesiState, LineData)>> = BTreeMap::new();

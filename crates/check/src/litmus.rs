@@ -21,8 +21,8 @@
 
 use hsc_cluster::{CpuOp, CpuScript, DmaCommand, GpuOp, GpuScript};
 use hsc_mem::{Addr, AtomicKind};
-use hsc_noc::{FaultPlan, FaultTargets, RetryPolicy};
-use hsc_sim::{SimError, Tick};
+use hsc_noc::{FaultPlan, FaultTargets, RetryPolicy, SimError};
+use hsc_sim::Tick;
 
 use hsc_core::{System, SystemBuilder, SystemConfig};
 

@@ -2,9 +2,11 @@ use std::collections::VecDeque;
 
 use hsc_cluster::gpu_cycles;
 use hsc_mem::{CacheArray, CacheGeometry, LineAddr, LineData, LineMap};
-use hsc_noc::{AgentId, ClassCounts, Grant, Message, MsgKind, Outbox, ProbeKind, WordMask};
+use hsc_noc::{
+    AgentId, ClassCounts, Grant, Message, MsgKind, Outbox, ProbeKind, StuckLine, WordMask,
+};
 use hsc_obs::SharingTracker;
-use hsc_sim::{Histogram, StatSet, StuckLine, Tick, TransitionMatrix};
+use hsc_sim::{Histogram, StatSet, Tick, TransitionMatrix};
 
 use crate::tracking::{
     plan, DataPlan, DirEntry, DirState, GrantPlan, NextState, PlanReq, ProbePlan, Requester,
@@ -313,7 +315,7 @@ impl Directory {
         let mut v: Vec<StuckLine> = self
             .live_txns()
             .map(|(la, t)| StuckLine {
-                line: la.0,
+                line: la,
                 age: now.delta_since(t.arrived),
                 detail: format!(
                     "{:?} {} acks={} unblock={} llc_sched={} llc_ready={} mem_req={} responded={} queued={} state={:?}",
@@ -554,7 +556,7 @@ impl Directory {
                 entry.map_or(0, |e| e.sharers.len() as usize + usize::from(e.owner.is_some()));
             sh.on_lookup(sharers);
             if let Some(is_write) = req.writes() {
-                sh.on_access(msg.line.0, msg.src.flight_code(), is_write);
+                sh.on_access(msg.line.0, msg.src, is_write);
             }
         }
         let tr = plan(self.cfg.directory, start_state, req, role);

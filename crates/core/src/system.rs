@@ -3,12 +3,12 @@ use hsc_cluster::{
     TICKS_PER_GPU_CYCLE,
 };
 use hsc_mem::{Addr, LineAddr, LineData, MainMemory, VictimEntry};
-use hsc_noc::{Action, AgentId, Delivery, Message, MsgKind, Network, Outbox};
-use hsc_obs::{ObsConfig, ObsData, Observer};
-use hsc_sim::{
-    format_trace_line, DeadlockSnapshot, FlightEntry, FlightRecorder, Fnv1a, Held, PendingEvent,
-    PendingKind, SimError, StatSet, Tick, TransitionMatrix, WheelQueue,
+use hsc_noc::{
+    Action, AgentId, DeadlockSnapshot, Delivery, Event, FlightRecord, FlightRecorder, Message,
+    Network, Outbox, PendingEvent, SimError,
 };
+use hsc_obs::{ObsConfig, ObsData, Observer};
+use hsc_sim::{Fnv1a, Held, StatSet, Tick, TransitionMatrix, WheelQueue};
 
 use crate::{Directory, MemoryController, SystemConfig};
 
@@ -25,7 +25,7 @@ const WATCHDOG_POLL_EVENTS: u64 = 1024;
 /// `examples/quickstart.rs` for the pattern).
 ///
 /// Every delivery whose line number matches is printed to stderr, one
-/// [`hsc_sim::format_trace_line`] record each.
+/// `[<tick>] <message>` line each (e.g. `[16192t] TCC[0]→DIR WT L:0x100080`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceConfig {
     line: Option<u64>,
@@ -235,12 +235,6 @@ impl SystemBuilder {
     }
 }
 
-#[derive(Debug, Clone)]
-enum Ev {
-    Deliver(Message),
-    Wake(AgentId),
-}
-
 /// The whole simulated APU of Fig. 1, ready to run.
 ///
 /// Owns every controller, routes messages through the latency
@@ -255,14 +249,14 @@ pub struct System {
     directory: Directory,
     memctl: MemoryController,
     network: Network,
-    queue: WheelQueue<Ev>,
+    queue: WheelQueue<Event>,
     now: Tick,
     events_processed: u64,
     started: bool,
     trace_line: Option<u64>,
     observer: Observer,
-    /// Always-on post-mortem ring of the last delivered events: two plain
-    /// stores per delivery, rendered only when a run fails.
+    /// Always-on post-mortem ring of the last delivered events: one plain
+    /// store per delivery, rendered only when a run fails.
     flight: FlightRecorder,
     gauge_labels: GaugeLabels,
 }
@@ -392,15 +386,10 @@ impl System {
         self.events_processed += 1;
         out.reset(t);
         let agent = match self.queue.get(&held) {
-            Ev::Deliver(msg) => {
-                self.flight.push(
-                    t,
-                    msg.dst.flight_code(),
-                    msg.kind.class_index() as u8,
-                    msg.line.0,
-                );
+            Event::Deliver(msg) => {
+                self.flight.push(t, msg);
                 if self.trace_line == Some(msg.line.0) {
-                    eprintln!("{}", format_trace_line(t, &msg.to_string()));
+                    eprintln!("[{t}] {msg}");
                 }
                 if self.observer.is_enabled() {
                     self.observer.on_deliver(t, msg);
@@ -415,7 +404,7 @@ impl System {
                 }
                 msg.dst
             }
-            &Ev::Wake(agent) => {
+            &Event::Wake(agent) => {
                 if self.observer.is_enabled() {
                     self.observer.on_event(t, agent);
                 }
@@ -498,21 +487,10 @@ impl System {
         data
     }
 
-    /// The flight-recorder tail (oldest surviving delivery first), decoded
-    /// into human-readable entries. Cheap to call only at dump time: each
-    /// entry formats its agent name.
+    /// The flight-recorder tail, oldest surviving delivery first.
     #[must_use]
-    pub fn flight_tail(&self) -> Vec<FlightEntry> {
-        self.flight
-            .tail()
-            .into_iter()
-            .map(|r| FlightEntry {
-                at: r.at,
-                agent: AgentId::from_flight_code(r.agent).to_string(),
-                kind: MsgKind::CLASS_NAMES[usize::from(r.kind)],
-                line: r.line,
-            })
-            .collect()
+    pub fn flight_tail(&self) -> Vec<FlightRecord> {
+        self.flight.tail()
     }
 
     /// Builds the structured diagnostic for a stalled run: stuck directory
@@ -521,19 +499,16 @@ impl System {
     #[must_use]
     pub fn deadlock_snapshot(&self) -> DeadlockSnapshot {
         let mut agents = Vec::new();
+        let mut add = |agent, pending: Vec<(LineAddr, String)>| {
+            agents.extend(pending.into_iter().map(|(la, detail)| (agent, la, detail)));
+        };
         for (i, cp) in self.corepairs.iter().enumerate() {
-            for (la, detail) in cp.pending_lines() {
-                agents.push(format!("L2[{i}]: line {:#x}: {detail}", la.0));
-            }
+            add(AgentId::CorePairL2(i), cp.pending_lines());
         }
         for (g, gpu) in self.gpus.iter().enumerate() {
-            for (la, detail) in gpu.pending_lines() {
-                agents.push(format!("TCC[{g}]: line {:#x}: {detail}", la.0));
-            }
+            add(AgentId::Tcc(g), gpu.pending_lines());
         }
-        for (la, detail) in self.dma.pending_lines() {
-            agents.push(format!("DMA: line {:#x}: {detail}", la.0));
-        }
+        add(AgentId::Dma, self.dma.pending_lines());
         DeadlockSnapshot {
             now: self.now,
             lines: self.directory.stuck_lines(self.now),
@@ -543,28 +518,17 @@ impl System {
         }
     }
 
-    /// The undelivered events in the queue as typed [`PendingEvent`]s, in
-    /// deterministic `(tick, seq)` order. This is the model checker's
-    /// "choice set" view — index `i` here is the `i` for
-    /// [`System::step_choice`] — and also what [`DeadlockSnapshot`]
-    /// carries so stall reports can name in-flight traffic.
+    /// The undelivered events in the queue, in deterministic `(tick, seq)`
+    /// order. This is the model checker's "choice set" view — index `i`
+    /// here is the `i` for [`System::step_choice`] — and also what
+    /// [`DeadlockSnapshot`] carries so stall reports can name in-flight
+    /// traffic.
     #[must_use]
     pub fn pending_events(&self) -> Vec<PendingEvent> {
         self.queue
             .snapshot()
             .into_iter()
-            .map(|(at, seq, ev)| {
-                let kind = match ev {
-                    Ev::Deliver(m) => PendingKind::Deliver {
-                        class: m.kind.class_name(),
-                        src: m.src.to_string(),
-                        dst: m.dst.to_string(),
-                        line: m.line.0,
-                    },
-                    Ev::Wake(a) => PendingKind::Wake { agent: a.to_string() },
-                };
-                PendingEvent { at, seq, kind }
-            })
+            .map(|(at, seq, &event)| PendingEvent { at, seq, event })
             .collect()
     }
 
@@ -651,11 +615,11 @@ impl System {
         for (_, _, ev) in self.queue.snapshot() {
             let mut eh = Fnv1a::default();
             match ev {
-                Ev::Deliver(m) => {
+                Event::Deliver(m) => {
                     0u8.hash(&mut eh);
                     m.hash(&mut eh);
                 }
-                Ev::Wake(a) => {
+                Event::Wake(a) => {
                     1u8.hash(&mut eh);
                     a.hash(&mut eh);
                 }
@@ -730,7 +694,7 @@ impl System {
             match act {
                 Action::Send(m) => self.dispatch(self.now, m)?,
                 Action::SendLater(t, m) => self.dispatch(*t, m)?,
-                Action::Wake(t) => self.queue.schedule(*t, Ev::Wake(agent)),
+                Action::Wake(t) => self.queue.schedule(*t, Event::Wake(agent)),
             }
         }
         Ok(())
@@ -740,16 +704,15 @@ impl System {
     /// whether the message arrives once, twice, or never. The copy into
     /// the queue is the only one a message makes on its way to a handler.
     fn dispatch(&mut self, at: Tick, m: &Message) -> Result<(), SimError> {
-        let delivery =
-            self.network.send(at, m).map_err(|e| SimError::Wiring { detail: e.to_string() })?;
+        let delivery = self.network.send(at, m).map_err(SimError::Wiring)?;
         if self.observer.is_enabled() {
             self.observer.on_send(at, m, &delivery);
         }
         match delivery {
-            Delivery::Deliver(t) => self.queue.schedule(t, Ev::Deliver(*m)),
+            Delivery::Deliver(t) => self.queue.schedule(t, Event::Deliver(*m)),
             Delivery::Twice(t1, t2) => {
-                self.queue.schedule(t1, Ev::Deliver(*m));
-                self.queue.schedule(t2, Ev::Deliver(*m));
+                self.queue.schedule(t1, Event::Deliver(*m));
+                self.queue.schedule(t2, Event::Deliver(*m));
             }
             Delivery::Dropped => {}
         }

@@ -614,9 +614,9 @@ fn watchdog_expires_past_the_limit_of_the_oldest_transaction() {
     assert!(second > first);
     assert!(!h.dir.watchdog_expired(first + 100_000));
     assert!(h.dir.watchdog_expired(first + 100_001));
-    let ages: Vec<(u64, u64)> =
+    let ages: Vec<(LineAddr, u64)> =
         h.dir.stuck_lines(first + 100_001).iter().map(|l| (l.line, l.age)).collect();
-    assert_eq!(ages, [(LINE.0, 100_001), (other.0, 100_001 - (second.0 - first.0))]);
+    assert_eq!(ages, [(LINE, 100_001), (other, 100_001 - (second.0 - first.0))]);
     // Finish the older one: the younger has not reached the limit yet.
     h.ack_all_probes(LINE, None);
     h.drain_to(L2_0);

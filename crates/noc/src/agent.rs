@@ -51,38 +51,6 @@ impl AgentId {
     pub fn is_probe_target(self) -> bool {
         self.is_cpu_cache() || self.is_gpu_cache()
     }
-
-    /// One-byte encoding for compact telemetry records (the flight
-    /// recorder): 0 = DIR, 1 = MEM, 2 = DMA, 3+n = L2\[n\], 128+n =
-    /// TCC\[n\]. Inverse of [`AgentId::from_flight_code`].
-    ///
-    /// # Panics
-    ///
-    /// Panics (via arithmetic overflow in debug builds) on cluster
-    /// indices beyond the encoding's range (124 L2s / 127 TCCs) — far
-    /// larger than any configuration the simulator models.
-    #[must_use]
-    pub fn flight_code(self) -> u8 {
-        match self {
-            AgentId::Directory => 0,
-            AgentId::Memory => 1,
-            AgentId::Dma => 2,
-            AgentId::CorePairL2(n) => 3 + u8::try_from(n).expect("L2 index fits the encoding"),
-            AgentId::Tcc(n) => 128 + u8::try_from(n).expect("TCC index fits the encoding"),
-        }
-    }
-
-    /// Decodes [`AgentId::flight_code`].
-    #[must_use]
-    pub fn from_flight_code(code: u8) -> AgentId {
-        match code {
-            0 => AgentId::Directory,
-            1 => AgentId::Memory,
-            2 => AgentId::Dma,
-            3..=127 => AgentId::CorePairL2(usize::from(code - 3)),
-            _ => AgentId::Tcc(usize::from(code - 128)),
-        }
-    }
 }
 
 impl fmt::Display for AgentId {
@@ -125,22 +93,6 @@ mod tests {
         assert_eq!(AgentId::CorePairL2(1).to_string(), "L2[1]");
         assert_eq!(AgentId::Tcc(0).to_string(), "TCC[0]");
         assert_eq!(AgentId::Dma.to_string(), "DMA");
-    }
-
-    #[test]
-    fn flight_codes_round_trip() {
-        let agents = [
-            AgentId::Directory,
-            AgentId::Memory,
-            AgentId::Dma,
-            AgentId::CorePairL2(0),
-            AgentId::CorePairL2(7),
-            AgentId::Tcc(0),
-            AgentId::Tcc(3),
-        ];
-        for a in agents {
-            assert_eq!(AgentId::from_flight_code(a.flight_code()), a, "{a}");
-        }
     }
 
     #[test]

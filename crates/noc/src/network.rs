@@ -7,7 +7,7 @@ use crate::{AgentId, ClassCounts, FaultPlan, Message};
 /// A message was sent between two agents that share no link in this
 /// topology (every path goes through the directory).
 ///
-/// Surfaced by `hsc_core::System::run` as `SimError::Wiring` instead of a
+/// Surfaced by `hsc_core::System::run` as [`SimError::Wiring`](crate::SimError::Wiring) instead of a
 /// panic, so a mis-wired controller produces a diagnosable error value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WiringError {

@@ -23,12 +23,13 @@
 //! # Examples
 //!
 //! ```
+//! use hsc_noc::AgentId;
 //! use hsc_obs::{SharingClass, SharingTracker};
 //!
 //! let mut t = SharingTracker::new();
 //! for _ in 0..8 {
-//!     t.on_access(0x40, 3, true); // L2[0] writes
-//!     t.on_access(0x40, 4, true); // L2[1] writes — ping-pong
+//!     t.on_access(0x40, AgentId::CorePairL2(0), true);
+//!     t.on_access(0x40, AgentId::CorePairL2(1), true); // ping-pong
 //! }
 //! let report = t.report();
 //! assert_eq!(report.class_count(SharingClass::PingPong), 1);
@@ -36,6 +37,8 @@
 //! ```
 
 use std::collections::BTreeMap;
+
+use hsc_noc::AgentId;
 
 /// Slots in the sharer-count and probe-fan-out histograms; the last slot
 /// saturates (counts `HIST_SLOTS - 1` *or more*).
@@ -93,16 +96,16 @@ pub struct LineSharing {
     pub reads: u64,
     /// Write accesses (RdBlkM/WriteThrough/Atomic/DmaWr arrivals).
     pub writes: u64,
-    /// Distinct agents (flight codes) that touched the line.
-    pub agents: Vec<u8>,
+    /// Distinct agents that touched the line.
+    pub agents: Vec<AgentId>,
     /// The last agent that wrote.
-    pub last_writer: Option<u8>,
+    pub last_writer: Option<AgentId>,
     /// Writes whose agent differed from the previous writer.
     pub writer_flips: u64,
 }
 
 impl LineSharing {
-    fn touch(&mut self, agent: u8, is_write: bool) {
+    fn touch(&mut self, agent: AgentId, is_write: bool) {
         if !self.agents.contains(&agent) {
             self.agents.push(agent);
         }
@@ -184,9 +187,8 @@ impl SharingTracker {
         self.fanout_hist[fanout.min(SHARING_HIST_SLOTS - 1)] += 1;
     }
 
-    /// Folds one access into the line's lifetime. `agent` is a flight
-    /// code (`AgentId::flight_code`).
-    pub fn on_access(&mut self, line: u64, agent: u8, is_write: bool) {
+    /// Folds one access by `agent` into the line's lifetime.
+    pub fn on_access(&mut self, line: u64, agent: AgentId, is_write: bool) {
         if let Some(l) = self.lines.get_mut(&line) {
             l.touch(agent, is_write);
         } else if self.lines.len() < SHARING_LINE_CAP {
@@ -298,12 +300,16 @@ impl SharingReport {
 mod tests {
     use super::*;
 
+    const L2_0: AgentId = AgentId::CorePairL2(0);
+    const L2_1: AgentId = AgentId::CorePairL2(1);
+    const TCC_0: AgentId = AgentId::Tcc(0);
+
     #[test]
     fn private_stream_stays_private() {
         let mut t = SharingTracker::new();
         for _ in 0..10 {
-            t.on_access(0x100, 3, false);
-            t.on_access(0x100, 3, true);
+            t.on_access(0x100, L2_0, false);
+            t.on_access(0x100, L2_0, true);
         }
         let r = t.report();
         assert_eq!(r.class_count(SharingClass::Private), 1);
@@ -314,7 +320,7 @@ mod tests {
     #[test]
     fn read_only_sharers_classify_read_shared() {
         let mut t = SharingTracker::new();
-        for agent in [3u8, 4, 128] {
+        for agent in [L2_0, L2_1, TCC_0] {
             for _ in 0..5 {
                 t.on_access(0x200, agent, false);
             }
@@ -326,10 +332,10 @@ mod tests {
     fn bursty_writers_classify_migratory() {
         let mut t = SharingTracker::new();
         for _ in 0..10 {
-            t.on_access(0x300, 3, true);
+            t.on_access(0x300, L2_0, true);
         }
         for _ in 0..10 {
-            t.on_access(0x300, 4, true);
+            t.on_access(0x300, L2_1, true);
         }
         // One flip over twenty writes: ownership migrated once.
         assert_eq!(t.report().class_count(SharingClass::Migratory), 1);
@@ -339,8 +345,8 @@ mod tests {
     fn alternating_writers_classify_ping_pong() {
         let mut t = SharingTracker::new();
         for _ in 0..8 {
-            t.on_access(0x400, 3, true);
-            t.on_access(0x400, 4, true);
+            t.on_access(0x400, L2_0, true);
+            t.on_access(0x400, L2_1, true);
         }
         let r = t.report();
         assert_eq!(r.class_count(SharingClass::PingPong), 1);
@@ -368,7 +374,7 @@ mod tests {
     fn line_cap_counts_drops_instead_of_growing() {
         let mut t = SharingTracker::new();
         for i in 0..SHARING_LINE_CAP as u64 + 5 {
-            t.on_access(i, 3, false);
+            t.on_access(i, L2_0, false);
         }
         let r = t.report();
         assert_eq!(r.tracked_lines, SHARING_LINE_CAP as u64);
@@ -379,11 +385,11 @@ mod tests {
     fn merge_sums_histograms_and_lifetimes() {
         let mut a = SharingTracker::new();
         a.on_lookup(1);
-        a.on_access(0x40, 3, true);
+        a.on_access(0x40, L2_0, true);
         let mut b = SharingTracker::new();
         b.on_lookup(1);
-        b.on_access(0x40, 4, true);
-        b.on_access(0x80, 128, false);
+        b.on_access(0x40, L2_1, true);
+        b.on_access(0x80, TCC_0, false);
         a.merge(&b);
         let r = a.report();
         assert_eq!(r.sharer_hist[1], 2);

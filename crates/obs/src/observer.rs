@@ -8,8 +8,8 @@
 
 use std::collections::BTreeMap;
 
-use hsc_noc::{AgentId, Delivery, Message};
-use hsc_sim::{FlightEntry, Histogram, Tick, TransitionMatrix};
+use hsc_noc::{AgentId, Delivery, FlightRecord, Message};
+use hsc_sim::{Histogram, Tick, TransitionMatrix};
 
 use crate::analytics::SharingTracker;
 use crate::config::ObsConfig;
@@ -54,7 +54,7 @@ pub struct ObsData {
     /// The flight-recorder tail (newest events, oldest first) at the
     /// moment the data was taken. Always populated — the recorder is
     /// free-running — but chiefly useful after a failed run.
-    pub flight: Vec<FlightEntry>,
+    pub flight: Vec<FlightRecord>,
 }
 
 impl ObsData {

@@ -12,7 +12,8 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
-use hsc_sim::{FlightEntry, Tick};
+use hsc_noc::FlightRecord;
+use hsc_sim::Tick;
 
 use crate::json::JsonWriter;
 
@@ -110,10 +111,10 @@ impl PerfettoTrace {
     /// `"flight"` track: the post-mortem view of the last deliveries,
     /// attached when a run dies so the trace ends with what happened
     /// just before.
-    pub fn append_flight_tail(&mut self, tail: &[FlightEntry]) {
-        for e in tail {
-            let name = format!("{} ← {} line {:#x}", e.agent, e.kind, e.line);
-            self.instant("flight", &name, "flight", e.at);
+    pub fn append_flight_tail(&mut self, tail: &[FlightRecord]) {
+        for r in tail {
+            let name = format!("{} ← {} line {:#x}", r.dst, r.class_name(), r.line.0);
+            self.instant("flight", &name, "flight", r.at);
         }
     }
 
@@ -211,6 +212,8 @@ impl PerfettoTrace {
 mod tests {
     use super::*;
     use crate::json::parse;
+    use hsc_mem::LineAddr;
+    use hsc_noc::{AgentId, FlightRecorder, Message, MsgKind};
 
     #[test]
     fn trace_json_is_well_formed_with_track_metadata() {
@@ -268,12 +271,14 @@ mod tests {
     #[test]
     fn flight_tail_lands_on_one_flight_track() {
         let mut t = PerfettoTrace::new();
-        t.append_flight_tail(&[
-            FlightEntry { at: Tick(5), agent: "DIR".into(), kind: "RdBlk", line: 0x40 },
-            FlightEntry { at: Tick(9), agent: "L2[0]".into(), kind: "NackRetry", line: 0x40 },
-        ]);
+        let mut fr = FlightRecorder::new(4);
+        let l2 = AgentId::CorePairL2(0);
+        fr.push(Tick(5), &Message::new(l2, AgentId::Directory, LineAddr(0x40), MsgKind::RdBlk));
+        fr.push(Tick(9), &Message::new(AgentId::Directory, l2, LineAddr(0x40), MsgKind::VicAck));
+        t.append_flight_tail(&fr.tail());
         assert_eq!(t.len(), 2);
         let json = t.to_json_string();
         assert!(json.contains("DIR \\u2190 RdBlk line 0x40") || json.contains("DIR ← RdBlk"));
+        assert!(json.contains("L2[0] \\u2190 VicAck line 0x40") || json.contains("L2[0] ← VicAck"));
     }
 }

@@ -9,7 +9,8 @@
 use std::io;
 use std::path::Path;
 
-use hsc_sim::{fnv1a, FlightEntry, Histogram, TransitionMatrix};
+use hsc_noc::FlightRecord;
+use hsc_sim::{fnv1a, Histogram, TransitionMatrix};
 
 use crate::analytics::{SharingClass, SharingReport, SharingTracker};
 use crate::json::JsonWriter;
@@ -89,7 +90,7 @@ pub struct RunRecord {
     pub sharing: Option<SharingReport>,
     /// Flight-recorder tail, attached only to failed runs
     /// ([`RunRecord::attach_flight`]).
-    pub flight: Vec<FlightEntry>,
+    pub flight: Vec<FlightRecord>,
 }
 
 impl RunRecord {
@@ -111,7 +112,7 @@ impl RunRecord {
     }
 
     /// Attaches a flight-recorder tail (the post-mortem of a failed run).
-    pub fn attach_flight(&mut self, tail: &[FlightEntry]) {
+    pub fn attach_flight(&mut self, tail: &[FlightRecord]) {
         self.flight = tail.to_vec();
     }
 }
@@ -342,16 +343,16 @@ fn write_run(w: &mut JsonWriter, run: &RunRecord) {
     if !run.flight.is_empty() {
         w.key("flight_recorder");
         w.begin_array();
-        for e in &run.flight {
+        for r in &run.flight {
             w.begin_object();
             w.key("at");
-            w.uint(e.at.0);
+            w.uint(r.at.0);
             w.key("agent");
-            w.string(&e.agent);
+            w.string(&r.dst.to_string());
             w.key("kind");
-            w.string(e.kind);
+            w.string(r.class_name());
             w.key("line");
-            w.uint(e.line);
+            w.uint(r.line.0);
             w.end_object();
         }
         w.end_array();
@@ -377,6 +378,8 @@ pub fn git_describe() -> String {
 mod tests {
     use super::*;
     use crate::json::parse;
+    use hsc_mem::LineAddr;
+    use hsc_noc::{AgentId, FlightRecorder, Message, MsgKind};
 
     #[test]
     fn report_json_matches_schema() {
@@ -446,16 +449,17 @@ mod tests {
         run.sharing = Some({
             let mut t = SharingTracker::new();
             t.on_lookup(2);
-            t.on_access(0x40, 3, true);
-            t.on_access(0x40, 4, true);
+            t.on_access(0x40, AgentId::CorePairL2(0), true);
+            t.on_access(0x40, AgentId::CorePairL2(1), true);
             t.report()
         });
-        run.attach_flight(&[FlightEntry {
-            at: hsc_sim::Tick(7),
-            agent: "DIR".into(),
-            kind: "RdBlk",
-            line: 0x40,
-        }]);
+        let mut fr = FlightRecorder::new(2);
+        let l2 = AgentId::CorePairL2(0);
+        fr.push(
+            hsc_sim::Tick(7),
+            &Message::new(l2, AgentId::Directory, LineAddr(0x40), MsgKind::RdBlk),
+        );
+        run.attach_flight(&fr.tail());
         let mut with_sections = RunReport::new("unit-test");
         with_sections.runs.push(run);
         let v = parse(&with_sections.to_json_string()).expect("report JSON parses");
@@ -471,6 +475,8 @@ mod tests {
         assert_eq!(sharing.get("classes").unwrap().get("ping_pong").unwrap().as_f64(), Some(1.0));
         let flight = run.get("flight_recorder").unwrap().as_array().unwrap();
         assert_eq!(flight[0].get("agent").unwrap().as_str(), Some("DIR"));
+        assert_eq!(flight[0].get("kind").unwrap().as_str(), Some("RdBlk"));
+        assert_eq!(flight[0].get("line").unwrap().as_f64(), Some(64.0));
     }
 
     #[test]

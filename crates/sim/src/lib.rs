@@ -16,15 +16,19 @@
 //!   generation is reproducible bit-for-bit across runs and platforms,
 //! * [`TransitionMatrix`] — dense `[from][to][cause]` protocol-transition
 //!   counters (disabled by default, one array increment when enabled),
-//! * [`FlightRecorder`] — an always-on fixed-size ring of compact recent
-//!   events, dumped into diagnostics when a run fails.
+//! * [`Fnv1a`] — the stable hasher behind state fingerprints.
+//!
+//! Nothing here names an agent, a message or a line: the events a run
+//! schedules, its typed outcome (`SimError`) and its post-mortem (the
+//! flight recorder, stall snapshots) live in `hsc-noc`, beside the
+//! protocol vocabulary they are written in.
 //!
 //! The simulator is single-threaded by design: determinism is what lets the
 //! test-suite assert exact probe/memory-access counts against golden values.
 //! Parallelism lives one layer up, in `hsc_bench::par`, which runs whole
 //! independent simulations as campaign jobs — each worker owns its engine;
-//! only plain-data results ([`StatSet`], [`Histogram`], [`SimError`]) cross
-//! threads, merged deterministically in job-submission order.
+//! only plain-data results ([`StatSet`], [`Histogram`], and the run's typed
+//! outcome) cross threads, merged deterministically in job-submission order.
 //!
 //! # Examples
 //!
@@ -41,35 +45,25 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod flight;
 mod fnv;
-mod outcome;
 mod rng;
 mod stats;
 mod tick;
-mod trace;
 mod transition;
 mod wheel;
 
-pub use flight::{FlightEntry, FlightRecord, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 pub use fnv::{fnv1a, Fnv1a};
-pub use outcome::{DeadlockSnapshot, PendingEvent, PendingKind, SimError, StuckLine};
 pub use rng::DetRng;
 pub use stats::{Histogram, StatSet};
 pub use tick::Tick;
-pub use trace::format_trace_line;
 pub use transition::TransitionMatrix;
 pub use wheel::{Held, WheelQueue};
 
 // Compile-time proof that campaign job results built from this crate's
-// statistics and outcome types cross threads (`hsc_bench::par`).
+// statistics cross threads (`hsc_bench::par`).
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<StatSet>();
     assert_send::<Histogram>();
-    assert_send::<SimError>();
-    assert_send::<DeadlockSnapshot>();
     assert_send::<TransitionMatrix>();
-    assert_send::<FlightRecorder>();
-    assert_send::<FlightEntry>();
 };

@@ -3,7 +3,7 @@
 use std::fmt;
 
 use hsc_core::{CoherenceConfig, Metrics, ObsConfig, ObsData, System, SystemBuilder, SystemConfig};
-use hsc_sim::SimError;
+use hsc_noc::SimError;
 
 /// A collaborative CPU/GPU benchmark: knows how to populate a system and
 /// how to verify its own results from the final coherent memory state.

@@ -41,9 +41,10 @@ pub mod prelude {
         Metrics, System, SystemBuilder, SystemConfig, TraceConfig,
     };
     pub use hsc_mem::{Addr, AtomicKind, LineAddr};
-    pub use hsc_noc::{FaultPlan, FaultTargets, RetryPolicy};
+    pub use hsc_noc::{
+        DeadlockSnapshot, Event, FaultPlan, FaultTargets, PendingEvent, RetryPolicy, SimError,
+    };
     pub use hsc_obs::{ObsConfig, ObsData, RunReport};
-    pub use hsc_sim::{DeadlockSnapshot, PendingEvent, PendingKind, SimError};
     pub use hsc_workloads::{
         all_workloads, collaborative_workloads, extension_workloads, run_workload,
         run_workload_observed, run_workload_on, try_run_workload_on, workload_by_name, Bs, Cedd,

@@ -3,6 +3,7 @@
 //! [`SimError`] with a useful snapshot — never a panic — and seeded fault
 //! plans must be perfectly reproducible.
 
+use hsc_repro::noc::AgentId;
 use hsc_repro::prelude::*;
 
 const TARGET: Addr = Addr(0x4_0000);
@@ -49,7 +50,7 @@ fn lost_request_recovers_only_with_retry(
     let mut sys = build(SystemConfig::default().with_faults(plan));
     match sys.run(10_000_000) {
         Err(SimError::Deadlock { snapshot }) => assert!(
-            snapshot.mentions_line(TARGET.line().0),
+            snapshot.mentions_line(TARGET.line()),
             "snapshot must name the stuck line {:#x}:\n{snapshot}",
             TARGET.line().0
         ),
@@ -72,7 +73,7 @@ fn dropped_request_without_retries_is_a_diagnosed_deadlock() {
     match sys.run(10_000_000) {
         Err(SimError::Deadlock { snapshot }) => {
             assert!(
-                snapshot.mentions_line(TARGET.line().0),
+                snapshot.mentions_line(TARGET.line()),
                 "snapshot must name the stuck line {:#x}:\n{snapshot}",
                 TARGET.line().0
             );
@@ -189,14 +190,14 @@ fn deadlock_snapshot_carries_the_flight_recorder_tail() {
         "deliveries happened before the stall, so the tail must too"
     );
     assert!(
-        snapshot.flight.len() <= hsc_repro::sim::DEFAULT_FLIGHT_CAPACITY,
+        snapshot.flight.len() <= hsc_repro::noc::DEFAULT_FLIGHT_CAPACITY,
         "the ring is bounded"
     );
     for w in snapshot.flight.windows(2) {
         assert!(w[0].at <= w[1].at, "the tail must be oldest-first");
     }
     assert!(
-        snapshot.flight.iter().any(|e| e.kind == "RdBlk" && e.agent == "DIR"),
+        snapshot.flight.iter().any(|e| e.class_name() == "RdBlk" && e.dst == AgentId::Directory),
         "the load's request reaching the directory must be on record: {:?}",
         snapshot.flight
     );
@@ -232,7 +233,7 @@ fn watchdog_snapshot_still_holds_the_event_that_tripped_it() {
     let acks_in_flight = snapshot
         .pending
         .iter()
-        .filter(|p| matches!(p.kind, PendingKind::Deliver { class: "PrbAck", line, .. } if line == stuck.line))
+        .filter(|p| matches!(p.event, Event::Deliver(m) if m.kind.class_name() == "PrbAck" && m.line == stuck.line))
         .count();
     assert!(
         acks_in_flight > 0 && stuck.detail.contains(&format!(" acks={acks_in_flight} ")),
@@ -257,7 +258,7 @@ fn pending_events_render_wakes_and_deliveries() {
         if let Some(p) = sys
             .pending_events()
             .iter()
-            .find(|p| matches!(p.kind, PendingKind::Deliver { line: 0x1000, .. }))
+            .find(|p| matches!(p.event, Event::Deliver(m) if m.line == LineAddr(0x1000)))
         {
             let s = p.to_string();
             assert!(s.contains("deliver"), "{s}");
@@ -289,7 +290,7 @@ fn slc_atomics_are_never_retried() {
     match sys.run(10_000_000) {
         Err(SimError::Deadlock { snapshot }) => {
             assert!(
-                snapshot.mentions_line(TARGET.line().0),
+                snapshot.mentions_line(TARGET.line()),
                 "the lost atomic's line must be diagnosed:\n{snapshot}"
             );
         }
@@ -307,7 +308,7 @@ fn slc_atomics_are_never_retried() {
 /// excludes the `Atomic` class that `All` and an exact class include.
 #[test]
 fn retryable_targets_exclude_atomics() {
-    use hsc_repro::noc::{AgentId, Message, MsgKind};
+    use hsc_repro::noc::{Message, MsgKind};
     let atomic = Message {
         src: AgentId::Tcc(0),
         dst: AgentId::Directory,

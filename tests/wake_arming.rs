@@ -26,10 +26,10 @@ fn no_requester_ever_has_two_wakes_pending_at_one_tick() {
         for ev in sys.pending_events() {
             // The directory's wakes are per-transaction pipeline timers,
             // not a "when is my next work" poll; they are not armed.
-            let PendingKind::Wake { agent } = &ev.kind else { continue };
-            if agent != "DIR" {
+            let Event::Wake(agent) = ev.event else { continue };
+            if agent != hsc_repro::noc::AgentId::Directory {
                 assert!(
-                    seen.insert((agent.clone(), ev.at)),
+                    seen.insert((agent, ev.at)),
                     "step {steps}: two wakes pending for {agent} at {}",
                     ev.at
                 );
