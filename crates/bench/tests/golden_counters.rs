@@ -10,7 +10,10 @@
 //! `table1.golden.txt` pins `hsc table 1` the same way: a new or changed
 //! `tracking::plan` row cannot move the paper's Table I unnoticed, and
 //! `analyze_cedd.golden.txt` pins `hsc report analyze`'s transition
-//! matrices and sharing census.
+//! matrices and sharing census, and `derived_counters.golden.txt` pins
+//! runs on a small LLC and directory, where the victim, eviction, merge
+//! and probe-invalidation counters that `stats()` sums from transition
+//! matrix cells are all nonzero.
 //!
 //! Regenerate with `UPDATE_GOLDEN=1 cargo test -p hsc-bench --test
 //! golden_counters` and audit the diff; a fixture change means counter
@@ -24,7 +27,7 @@ use std::process::ExitCode;
 use hsc_bench::reporting::{observed_record, REPORT_EPOCH_TICKS};
 use hsc_core::{CoherenceConfig, SystemConfig};
 use hsc_obs::{ObsConfig, RunReport};
-use hsc_workloads::{run_workload_observed, Cedd, Hsti, Tq, Workload};
+use hsc_workloads::{run_workload_observed, run_workload_on, Cedd, Hsti, Pad, Tq, Tqh, Workload};
 
 fn quick_workloads() -> Vec<Box<dyn Workload>> {
     // Mirrors `hsc repro --quick`'s report set.
@@ -138,4 +141,30 @@ fn analyze_cedd_text_matches_golden() {
         "analyze_cedd.golden.txt",
         &String::from_utf8(text).expect("analyze text is UTF-8"),
     );
+}
+
+/// Full `Metrics.stats` and event counts of three runs on a 16 KB LLC and
+/// a 512-entry directory, small enough that L2 victims, LLC evictions
+/// (clean and dirty), LLC merges, silent E→M upgrades, probe
+/// invalidations and directory entry evictions all fire. The quick set
+/// leaves most of those at 0, so only this fixture catches a wrong sum of
+/// transition-matrix cells.
+#[test]
+fn derived_counters_match_golden() {
+    let runs: [(&dyn Workload, &str, CoherenceConfig); 3] = [
+        (&Tqh::default(), "llc_write_back_l3_on_wt", CoherenceConfig::llc_write_back_l3_on_wt()),
+        (&Pad::default(), "sharer_tracking", CoherenceConfig::sharer_tracking()),
+        (&Tq::default(), "sharer_tracking", CoherenceConfig::sharer_tracking()),
+    ];
+    let mut table = String::new();
+    for (w, config, coherence) in runs {
+        let mut cfg = SystemConfig::scaled(coherence);
+        cfg.uncore.llc_bytes = 16 * 1024;
+        cfg.uncore.dir_entries = 512;
+        let m = run_workload_on(w, cfg).metrics;
+        writeln!(table, "== {} / {config} ==", w.name()).unwrap();
+        writeln!(table, "events       {}", m.events).unwrap();
+        write!(table, "{}", m.stats).unwrap();
+    }
+    check_golden("derived_counters.golden.txt", &table);
 }
