@@ -10,7 +10,7 @@
 //! A [`Campaign`] collects named jobs, executes them on a shared
 //! work-queue across [`Parallelism::jobs`] scoped threads, and returns
 //! results **in submission order regardless of completion order** — so
-//! every printed table and every `RunReport` fragment is byte-identical
+//! every printed table and every `RunReport`'s run list is byte-identical
 //! to a serial run. A panicking job is captured per-job and surfaces as a
 //! named [`JobError`] while its sibling jobs run to completion.
 //!

@@ -177,8 +177,9 @@ pub struct CorePair {
     /// state: excluded from `hash_state`.
     wakes: WakeArm,
     n: CpCounts,
-    /// MOESI state-transition analytics; disabled (and free) by default,
-    /// excluded from `hash_state` and `stats`.
+    /// Every MOESI state transition, by cause; excluded from `hash_state`.
+    /// `stats` sums its cells into the victim, silent-upgrade and
+    /// probe-invalidation counters.
     transitions: TransitionMatrix,
 }
 
@@ -197,11 +198,7 @@ struct CpCounts {
     l2_hits: u64,
     l2_misses: u64,
     upgrades: u64,
-    silent_e_to_m: u64,
-    vic_clean: u64,
-    vic_dirty: u64,
     probes_received: u64,
-    probe_invalidations: u64,
     retries: u64,
     stale_resps: u64,
     /// Messages of a class the L2 never expects, dropped.
@@ -267,13 +264,7 @@ impl CorePair {
         self
     }
 
-    /// Switches on the MOESI transition matrix (protocol analytics).
-    pub fn enable_analytics(&mut self) {
-        self.transitions.enable();
-    }
-
-    /// This L2's state-transition matrix (all-zero unless
-    /// [`CorePair::enable_analytics`] ran).
+    /// This L2's state-transition matrix.
     #[must_use]
     pub fn transitions(&self) -> &TransitionMatrix {
         &self.transitions
@@ -316,6 +307,7 @@ impl CorePair {
     #[must_use]
     pub fn stats(&self) -> StatSet {
         let n = &self.n;
+        let t = &self.transitions;
         let mut s = StatSet::new();
         for (key, v) in [
             ("core.loads", n.loads),
@@ -330,11 +322,11 @@ impl CorePair {
             ("l2.hits", n.l2_hits),
             ("l2.misses", n.l2_misses),
             ("l2.upgrades", n.upgrades),
-            ("l2.silent_e_to_m", n.silent_e_to_m),
-            ("l2.vic_clean", n.vic_clean),
-            ("l2.vic_dirty", n.vic_dirty),
+            ("l2.silent_e_to_m", t.get(ST_E, ST_M, CAUSE_SILENT_EM)),
+            ("l2.vic_clean", t.get(ST_S, ST_I, CAUSE_EVICT) + t.get(ST_E, ST_I, CAUSE_EVICT)),
+            ("l2.vic_dirty", t.get(ST_O, ST_I, CAUSE_EVICT) + t.get(ST_M, ST_I, CAUSE_EVICT)),
             ("l2.probes_received", n.probes_received),
-            ("l2.probe_invalidations", n.probe_invalidations),
+            ("l2.probe_invalidations", t.entering(ST_I, CAUSE_PROBE_INV)),
             ("l2.retries", n.retries),
         ] {
             s.set(key, v);
@@ -659,7 +651,6 @@ impl CorePair {
                 let line = self.l2.meta_mut(way);
                 if line.state == MoesiState::Exclusive {
                     line.state = MoesiState::Modified; // silent E→M (§II-B)
-                    self.n.silent_e_to_m += 1;
                     self.transitions.record(ST_E, ST_M, CAUSE_SILENT_EM);
                 }
                 let c = &mut self.cores[i];
@@ -779,10 +770,8 @@ impl CorePair {
             self.transitions.record(st(vline.state), ST_I, CAUSE_EVICT);
             let dirty = vline.state.forwards_dirty();
             let kind = if dirty {
-                self.n.vic_dirty += 1;
                 MsgKind::VicDirty { data: vline.data }
             } else {
-                self.n.vic_clean += 1;
                 MsgKind::VicClean { data: vline.data }
             };
             self.victims.park(vtag, vline.data, dirty);
@@ -839,7 +828,6 @@ impl CorePair {
                         l1.invalidate(la);
                     }
                     self.l1i.invalidate(la);
-                    self.n.probe_invalidations += 1;
                     self.transitions.record(from, ST_I, CAUSE_PROBE_INV);
                 }
                 ProbeKind::Downgrade => {
@@ -1188,7 +1176,6 @@ mod tests {
         let a = Addr(0x7000);
         let prog = CpuScript::new(vec![CpuOp::Load(a), CpuOp::Store(a, 7), CpuOp::Done]);
         let mut pair = pair_with(vec![Box::new(prog)]);
-        pair.enable_analytics();
         let mut mem = MainMemory::new();
         run_pair_with_mem(&mut pair, &mut mem, 10_000);
         assert!(pair.is_done());
@@ -1209,15 +1196,6 @@ mod tests {
         );
         assert_eq!(pair.transitions().get(ST_M, ST_I, CAUSE_PROBE_INV), 1);
         assert_eq!(pair.transitions().total(), 3);
-    }
-
-    #[test]
-    fn transition_matrix_is_free_and_silent_when_disabled() {
-        let a = Addr(0x7000);
-        let prog = CpuScript::new(vec![CpuOp::Load(a), CpuOp::Store(a, 7), CpuOp::Done]);
-        let (pair, _mem) = run_pair(pair_with(vec![Box::new(prog)]), 10_000);
-        assert_eq!(pair.transitions().total(), 0);
-        assert!(!pair.transitions().is_enabled());
     }
 
     #[test]

@@ -192,9 +192,9 @@ pub struct GpuCluster {
     /// never has two wake-ups pending at one tick. Timing, not protocol
     /// state: excluded from `hash_state`.
     wakes: WakeArm,
-    /// TCC transition analytics; disabled (and free) unless the
-    /// observability layer enables it. Excluded from `hash_state` and
-    /// `stats` by construction.
+    /// Every TCC state transition, by cause; excluded from `hash_state`.
+    /// `stats` sums its cells into the eviction and probe-invalidation
+    /// counters.
     transitions: TransitionMatrix,
     n: GpuCounts,
 }
@@ -209,10 +209,8 @@ struct GpuCounts {
     sqc_misses: u64,
     tcc_hits: u64,
     tcc_misses: u64,
-    evict_clean: u64,
     glc_atomics: u64,
     probes_received: u64,
-    probe_invalidations: u64,
     retries: u64,
     vec_loads: u64,
     vec_stores: u64,
@@ -301,12 +299,7 @@ impl GpuCluster {
         self
     }
 
-    /// Switches on protocol analytics (TCC transition matrix).
-    pub fn enable_analytics(&mut self) {
-        self.transitions.enable();
-    }
-
-    /// The TCC's transition matrix (all-zero unless analytics enabled).
+    /// The TCC's transition matrix.
     #[must_use]
     pub fn transitions(&self) -> &TransitionMatrix {
         &self.transitions
@@ -356,6 +349,7 @@ impl GpuCluster {
     #[must_use]
     pub fn stats(&self) -> StatSet {
         let n = &self.n;
+        let t = &self.transitions;
         let mut s = StatSet::new();
         for (key, v) in [
             ("tcp.hits", n.tcp_hits),
@@ -365,10 +359,10 @@ impl GpuCluster {
             ("sqc.misses", n.sqc_misses),
             ("tcc.hits", n.tcc_hits),
             ("tcc.misses", n.tcc_misses),
-            ("tcc.evict_clean", n.evict_clean),
+            ("tcc.evict_clean", t.get(VT_V, VT_I, VC_EVICT_CLEAN)),
             ("tcc.glc_atomics", n.glc_atomics),
             ("tcc.probes_received", n.probes_received),
-            ("tcc.probe_invalidations", n.probe_invalidations),
+            ("tcc.probe_invalidations", t.get(VT_V, VT_I, VC_PROBE_INV)),
             ("tcc.retries", n.retries),
             ("wf.vec_loads", n.vec_loads),
             ("wf.vec_stores", n.vec_stores),
@@ -869,7 +863,6 @@ impl GpuCluster {
         // is a miss), so this inserts, and an eviction sends nothing: the
         // TCC holds no dirty data.
         if fill(&mut self.tcc, la, data) {
-            self.n.evict_clean += 1;
             self.transitions.record(VT_V, VT_I, VC_EVICT_CLEAN);
         }
         self.transitions.record(VT_I, VT_V, VC_FILL);
@@ -955,7 +948,6 @@ impl GpuCluster {
         if let (ProbeKind::Invalidate, Some(way)) = (kind, way) {
             self.tcc.invalidate_way(way);
             self.transitions.record(VT_V, VT_I, VC_PROBE_INV);
-            self.n.probe_invalidations += 1;
         }
         out.send(Message::new(
             self.agent,
@@ -1188,7 +1180,6 @@ mod tests {
             ],
             small_cfg(),
         );
-        gpu.enable_analytics();
         let mut mem = MainMemory::new();
         run_gpu(&mut gpu, &mut mem, 100_000);
         gpu.on_probe(a.line(), ProbeKind::Invalidate, &mut Outbox::new(Tick(1_000_000)));
@@ -1197,15 +1188,6 @@ mod tests {
         assert_eq!(m.get(VT_V, VT_I, VC_ATOMIC_SELF_INVAL), 1, "the SLC atomic drops b");
         assert_eq!(m.get(VT_V, VT_I, VC_PROBE_INV), 1, "the probe drops a");
         assert_eq!(m.total(), 4);
-    }
-
-    #[test]
-    fn transition_matrix_stays_silent_when_disabled() {
-        let mut gpu = one_wf(vec![GpuOp::VecLoad(vec![Addr(0x7000)]), GpuOp::Done], small_cfg());
-        let mut mem = MainMemory::new();
-        run_gpu(&mut gpu, &mut mem, 100_000);
-        assert!(!gpu.transitions().is_enabled());
-        assert_eq!(gpu.transitions().total(), 0);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use hsc_noc::{
     AgentId, ClassCounts, Grant, Message, MsgKind, Outbox, ProbeKind, StuckLine, WordMask,
 };
 use hsc_obs::SharingTracker;
-use hsc_sim::{Histogram, StatSet, Tick, TransitionMatrix};
+use hsc_sim::{StatSet, Tick, TransitionMatrix};
 
 use crate::tracking::{
     plan, DataPlan, DirEntry, DirState, GrantPlan, NextState, PlanReq, ProbePlan, Requester,
@@ -82,8 +82,8 @@ struct DirTxn {
     /// §III-A: a response has already been sent from a dirty probe ack.
     responded: bool,
     awaiting_unblock: bool,
-    /// When the transaction started: the latency histogram's origin and
-    /// the age the watchdog and the deadlock dump report.
+    /// When the transaction started: the origin of its latency and the
+    /// age the watchdog and the deadlock dump report.
     arrived: Tick,
     /// Same-line requests that arrived while this transaction was active.
     queued: VecDeque<Message>,
@@ -173,14 +173,12 @@ pub struct Directory {
     watchdog_limit: u64,
     /// `resolve_probe_targets`' output buffer, kept between requests.
     probe_targets: Vec<AgentId>,
-    /// Entry-state transition analytics; disabled (and free) unless the
-    /// observability layer enables it. Excluded from `hash_state` and
-    /// `stats`.
+    /// Every entry state transition, by cause; excluded from
+    /// `hash_state`. `stats` sums its cells into `dir.entry_evictions`.
     transitions: TransitionMatrix,
     /// Sharing-pattern analytics; `None` costs one branch per hook.
     sharing: Option<SharingTracker>,
     n: DirCounts,
-    latency: Histogram,
 }
 
 /// Every count the directory keeps; [`Directory::stats`] names them.
@@ -188,7 +186,6 @@ pub struct Directory {
 struct DirCounts {
     probes_sent: u64,
     queued_requests: u64,
-    entry_evictions: u64,
     backinval_probes: u64,
     early_responses: u64,
     atomics: u64,
@@ -203,6 +200,11 @@ struct DirCounts {
     stale_probe_acks: u64,
     stale_mem_resps: u64,
     stale_unblocks: u64,
+    /// Completed request transactions, and their summed and largest
+    /// latency in ticks.
+    txn_latency_count: u64,
+    txn_latency_total: u64,
+    txn_latency_max: u64,
 }
 
 /// Default per-transaction age limit in ticks before the watchdog calls a
@@ -245,20 +247,17 @@ impl Directory {
             transitions: TransitionMatrix::new("directory", DIR_STATES, DIR_CAUSES),
             sharing: None,
             n: DirCounts::default(),
-            latency: Histogram::new(),
         }
     }
 
-    /// Switches on protocol analytics: the directory and LLC transition
-    /// matrices plus the sharing-pattern tracker.
+    /// Switches on the sharing-pattern tracker. It keeps a per-line map,
+    /// so unlike the transition matrices it is opt-in.
     pub fn enable_analytics(&mut self) {
-        self.transitions.enable();
-        self.llc.enable_analytics();
         self.sharing = Some(SharingTracker::new());
     }
 
-    /// The directory's entry-state transition matrix (all-zero unless
-    /// analytics enabled).
+    /// The directory's entry-state transition matrix (all zero outside
+    /// the tracking modes).
     #[must_use]
     pub fn transitions(&self) -> &TransitionMatrix {
         &self.transitions
@@ -355,7 +354,7 @@ impl Directory {
         for (key, v) in [
             ("dir.probes_sent", n.probes_sent),
             ("dir.queued_requests", n.queued_requests),
-            ("dir.entry_evictions", n.entry_evictions),
+            ("dir.entry_evictions", self.transitions.entering(DT_B, DC_BACK_INVAL)),
             ("dir.backinval_probes", n.backinval_probes),
             ("dir.early_responses", n.early_responses),
             ("dir.atomics", n.atomics),
@@ -381,16 +380,12 @@ impl Directory {
             s.set_nonzero(key, v);
         }
         s.merge(&self.llc.stats());
-        s.set("dir.txn_latency_count", self.latency.count());
-        s.set("dir.txn_latency_mean_ticks", self.latency.mean() as u64);
-        s.set("dir.txn_latency_max_ticks", self.latency.max());
+        s.set("dir.txn_latency_count", n.txn_latency_count);
+        // 0 / 0 is NaN, which casts to 0: the mean of no transactions.
+        let mean = n.txn_latency_total as f64 / n.txn_latency_count as f64;
+        s.set("dir.txn_latency_mean_ticks", mean as u64);
+        s.set("dir.txn_latency_max_ticks", n.txn_latency_max);
         s
-    }
-
-    /// Full transaction-latency histogram (power-of-two buckets, ticks).
-    #[must_use]
-    pub fn latency_histogram(&self) -> &Histogram {
-        &self.latency
     }
 
     /// Whether no transaction is in flight.
@@ -738,7 +733,6 @@ impl Directory {
             return;
         }
         // Start the backward invalidation (transient B state).
-        self.n.entry_evictions += 1;
         self.transitions.record(dt(ventry.state), DT_B, DC_BACK_INVAL);
         let origin = Message::new(AgentId::Directory, AgentId::Directory, victim, MsgKind::Flush);
         let tr = BACK_INVALIDATION;
@@ -1271,7 +1265,10 @@ impl Directory {
         let parked_allocs = std::mem::take(&mut txn.parked_allocs);
         let queued = std::mem::take(&mut txn.queued);
         if txn.kind == TxnKind::Request {
-            self.latency.record(now.delta_since(txn.arrived));
+            let latency = now.delta_since(txn.arrived);
+            self.n.txn_latency_count += 1;
+            self.n.txn_latency_total += latency;
+            self.n.txn_latency_max = self.n.txn_latency_max.max(latency);
         }
         self.txns.remove(line).expect("finishing a live transaction");
         self.free_txns.push(id);

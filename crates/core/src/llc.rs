@@ -62,8 +62,8 @@ pub struct LlcEviction {
 #[derive(Debug, Clone)]
 pub struct Llc {
     lines: CacheArray<LlcLine>,
-    /// Transition analytics; disabled (and free) unless the observability
-    /// layer enables it. Excluded from `hash_state` and `stats`.
+    /// Every line state transition, by cause; excluded from `hash_state`.
+    /// `stats` sums its cells into the write, merge and eviction counters.
     transitions: TransitionMatrix,
     n: LlcCounts,
 }
@@ -73,10 +73,6 @@ pub struct Llc {
 struct LlcCounts {
     hits: u64,
     misses: u64,
-    writes: u64,
-    merges: u64,
-    evictions: u64,
-    dirty_evictions: u64,
 }
 
 impl Llc {
@@ -90,12 +86,7 @@ impl Llc {
         }
     }
 
-    /// Switches on protocol analytics (the LLC transition matrix).
-    pub fn enable_analytics(&mut self) {
-        self.transitions.enable();
-    }
-
-    /// The LLC's transition matrix (all-zero unless analytics enabled).
+    /// The LLC's transition matrix.
     #[must_use]
     pub fn transitions(&self) -> &TransitionMatrix {
         &self.transitions
@@ -125,7 +116,6 @@ impl Llc {
     ///
     /// Returns the eviction the insert caused, if any.
     pub fn write(&mut self, la: LineAddr, data: LineData, dirty: bool) -> Option<LlcEviction> {
-        self.n.writes += 1;
         if let Some(way) = self.lines.lookup(la) {
             let l = self.lines.meta_mut(way);
             let from = lst(l.dirty);
@@ -142,11 +132,7 @@ impl Llc {
         match out {
             InsertOutcome::Inserted => None,
             InsertOutcome::Evicted(ev) => {
-                self.n.evictions += 1;
                 self.transitions.record(lst(ev.meta.dirty), LL_I, LC_EVICT);
-                if ev.meta.dirty {
-                    self.n.dirty_evictions += 1;
-                }
                 Some(LlcEviction { tag: ev.tag, data: ev.meta.data, dirty: ev.meta.dirty })
             }
         }
@@ -166,7 +152,6 @@ impl Llc {
         let to = lst(l.dirty);
         self.transitions.record(from, to, LC_MERGE);
         self.lines.touch_way(way);
-        self.n.merges += 1;
         true
     }
 
@@ -185,13 +170,14 @@ impl Llc {
     #[must_use]
     pub fn stats(&self) -> StatSet {
         let n = &self.n;
+        let t = &self.transitions;
         let mut s = StatSet::new();
         s.set("llc.hits", n.hits);
         s.set("llc.misses", n.misses);
-        s.set("llc.writes", n.writes);
-        s.set("llc.merges", n.merges);
-        s.set("llc.evictions", n.evictions);
-        s.set("llc.dirty_evictions", n.dirty_evictions);
+        s.set("llc.writes", t.cause_total(LC_INSERT) + t.cause_total(LC_UPDATE));
+        s.set("llc.merges", t.cause_total(LC_MERGE));
+        s.set("llc.evictions", t.cause_total(LC_EVICT));
+        s.set("llc.dirty_evictions", t.get(LL_D, LL_I, LC_EVICT));
         s
     }
 
@@ -295,7 +281,6 @@ mod tests {
     #[test]
     fn transition_matrix_tracks_llc_lifecycle() {
         let mut llc = tiny_llc();
-        llc.enable_analytics();
         llc.write(LineAddr(0), data(1), true); // I → D Insert
         llc.write(LineAddr(0), data(2), false); // D → D Update (sticky dirty)
         llc.write(LineAddr(2), data(3), false); // I → V Insert

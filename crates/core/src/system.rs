@@ -172,7 +172,7 @@ impl SystemBuilder {
         for (i, p) in self.cpu_threads.into_iter().enumerate() {
             per_pair[(i / 2) % cfg.corepairs].push(p);
         }
-        let mut corepairs: Vec<CorePair> = per_pair
+        let corepairs: Vec<CorePair> = per_pair
             .into_iter()
             .enumerate()
             .map(|(i, ps)| CorePair::new(i, ps, cfg.cpu).with_retry(cfg.retry))
@@ -202,12 +202,6 @@ impl SystemBuilder {
         directory.set_watchdog_limit(cfg.watchdog_ticks);
 
         if self.obs.protocol_analytics {
-            for cp in &mut corepairs {
-                cp.enable_analytics();
-            }
-            for g in &mut gpus {
-                g.enable_analytics();
-            }
             directory.enable_analytics();
         }
 
@@ -463,25 +457,24 @@ impl System {
     /// series, spans and flight tail.
     pub fn take_obs_data(&mut self) -> ObsData {
         fn add_matrix(out: &mut Vec<TransitionMatrix>, m: &TransitionMatrix) {
-            if !m.is_enabled() {
-                return;
-            }
             match out.binary_search_by_key(&m.protocol(), |x| x.protocol()) {
                 Ok(i) => out[i].merge(m),
                 Err(i) => out.insert(i, m.clone()),
             }
         }
         let mut data = std::mem::take(&mut self.observer).into_data();
-        let mut transitions = Vec::new();
-        for cp in &self.corepairs {
-            add_matrix(&mut transitions, cp.transitions());
+        // The matrices always count; protocol analytics (which installed
+        // the sharing tracker) decide whether the report carries them.
+        if self.directory.sharing().is_some() {
+            for cp in &self.corepairs {
+                add_matrix(&mut data.transitions, cp.transitions());
+            }
+            for g in &self.gpus {
+                add_matrix(&mut data.transitions, g.transitions());
+            }
+            add_matrix(&mut data.transitions, self.directory.transitions());
+            add_matrix(&mut data.transitions, self.directory.llc_transitions());
         }
-        for g in &self.gpus {
-            add_matrix(&mut transitions, g.transitions());
-        }
-        add_matrix(&mut transitions, self.directory.transitions());
-        add_matrix(&mut transitions, self.directory.llc_transitions());
-        data.transitions = transitions;
         data.sharing = self.directory.sharing().cloned();
         data.flight = self.flight_tail();
         data

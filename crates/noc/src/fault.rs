@@ -7,7 +7,7 @@
 //! one hop after its original, so the point-to-point FIFO order the
 //! protocols rely on still holds.
 
-use crate::Message;
+use crate::{Message, MsgKind};
 
 /// Which message classes a [`FaultPlan`] may touch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -22,6 +22,8 @@ pub enum FaultTargets {
     RetryableRequests,
     /// Only messages of one exact class (see [`crate::MsgKind::class_name`]),
     /// for surgically inducing a specific loss in tests.
+    /// [`Network::with_faults`](crate::Network::with_faults) rejects a name
+    /// that is no class.
     Class(&'static str),
 }
 
@@ -32,7 +34,7 @@ impl FaultTargets {
         match self {
             FaultTargets::All => true,
             FaultTargets::RetryableRequests => {
-                msg.kind.is_dir_request() && msg.kind.class_name() != "Atomic"
+                msg.kind.is_dir_request() && !matches!(msg.kind, MsgKind::AtomicReq { .. })
             }
             FaultTargets::Class(name) => msg.kind.class_name() == name,
         }
@@ -195,6 +197,12 @@ mod tests {
         let mut dup = network(Some(FaultPlan { dup_ppm: 1_000_000, ..FaultPlan::drops(7, 0) }));
         dup.set_immediate_delivery();
         assert_eq!(dup.send(Tick(9), &req(1)).unwrap(), Delivery::Twice(Tick(9), Tick(9)));
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown message class \"RdBlkX\"")]
+    fn a_mistyped_target_class_is_rejected() {
+        let _ = network(Some(FaultPlan::drop_first("RdBlkX")));
     }
 
     #[test]

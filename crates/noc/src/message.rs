@@ -445,7 +445,7 @@ impl ClassCounts {
 }
 
 /// The [`MsgKind::class_index`] of the class named `class`.
-fn class_slot(class: &str) -> usize {
+pub(crate) fn class_slot(class: &str) -> usize {
     MsgKind::CLASS_NAMES
         .iter()
         .position(|&c| c == class)

@@ -2,7 +2,8 @@ use std::fmt;
 
 use hsc_sim::{DetRng, StatSet, Tick};
 
-use crate::{AgentId, ClassCounts, FaultPlan, Message};
+use crate::message::class_slot;
+use crate::{AgentId, ClassCounts, FaultPlan, FaultTargets, Message};
 
 /// A message was sent between two agents that share no link in this
 /// topology (every path goes through the directory).
@@ -143,8 +144,16 @@ impl Network {
     }
 
     /// Installs a fault plan (`None` keeps the network fault-free).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan targets a [`FaultTargets::Class`] that names no
+    /// message class: a mistyped class would inject nothing.
     #[must_use]
     pub fn with_faults(mut self, plan: Option<FaultPlan>) -> Self {
+        if let Some(FaultPlan { targets: FaultTargets::Class(class), .. }) = plan {
+            class_slot(class);
+        }
         self.plan = plan;
         self.rng = DetRng::new(plan.map_or(0, |p| p.seed));
         self

@@ -31,9 +31,12 @@ pub struct ObsConfig {
     pub perfetto: bool,
     /// Count events handled and simulated time advanced per agent.
     pub profile_agents: bool,
-    /// Enable the engine-side protocol analytics: per-protocol
-    /// state-transition matrices and directory sharing-pattern tracking.
-    /// A report then carries the optional `transitions`/`sharing` sections.
+    /// Enable the engine-side protocol analytics: install the
+    /// directory's sharing-pattern tracker, and carry the per-protocol
+    /// state-transition matrices out of the run. The controllers count
+    /// transitions either way (their `stats()` sum cells); this decides
+    /// only whether a report carries the optional `transitions`/`sharing`
+    /// sections.
     pub protocol_analytics: bool,
 }
 

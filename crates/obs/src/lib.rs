@@ -53,9 +53,9 @@ pub use report::{
 pub use sampler::{EpochSampler, TimeSeries};
 pub use span::{ClosedSpan, TxnTracker};
 
-// Compile-time proof that report fragments and collected observer output
-// are `Send`: parallel campaign workers (`hsc_bench::par`) return them
-// across threads and merge them in submission order.
+// Compile-time proof that run records and collected observer output are
+// `Send`: parallel campaign workers (`hsc_bench::par`) return them across
+// threads, and the driver collects them in submission order.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<ObsData>();

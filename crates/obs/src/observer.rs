@@ -46,8 +46,11 @@ pub struct ObsData {
     pub spans_open: u64,
     /// Request resends observed by the span tracker.
     pub resends: u64,
-    /// Per-protocol state-transition matrices, sorted by protocol name.
-    /// Empty unless [`ObsConfig::protocol_analytics`] was on.
+    /// Per-protocol state-transition matrices, sorted by protocol name,
+    /// each summed over the run's controllers of that protocol. The
+    /// controllers always count; the matrices are taken out of the run
+    /// only when [`ObsConfig::protocol_analytics`] was on, so this is
+    /// empty otherwise.
     pub transitions: Vec<TransitionMatrix>,
     /// Directory-side sharing-pattern analytics, if collected.
     pub sharing: Option<SharingTracker>,

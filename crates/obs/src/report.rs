@@ -186,16 +186,6 @@ impl RunReport {
     pub fn write_to(&self, path: &Path) -> io::Result<()> {
         std::fs::write(path, self.to_json_string())
     }
-
-    /// Appends another report fragment's runs to this one, in call
-    /// order. This is how a parallel campaign assembles its report:
-    /// each job returns a fragment, and the driver merges them in
-    /// **submission** order, so the assembled report is byte-identical
-    /// to a serial run's regardless of job completion order. The
-    /// envelope (command, git, config fingerprint) stays `self`'s.
-    pub fn merge(&mut self, fragment: RunReport) {
-        self.runs.extend(fragment.runs);
-    }
 }
 
 fn write_run(w: &mut JsonWriter, run: &RunRecord) {
@@ -443,7 +433,6 @@ mod tests {
         assert!(!json.contains("\"flight_recorder\""));
 
         let mut m = TransitionMatrix::new("moesi-l2", &["I", "M"], &["Fill"]);
-        m.enable();
         m.record(0, 1, 0);
         run.transitions = vec![m];
         run.sharing = Some({

@@ -15,7 +15,8 @@
 //! * [`DetRng`] — a small, seedable, splittable PRNG so that workload
 //!   generation is reproducible bit-for-bit across runs and platforms,
 //! * [`TransitionMatrix`] — dense `[from][to][cause]` protocol-transition
-//!   counters (disabled by default, one array increment when enabled),
+//!   counters (one array increment per transition; controllers derive
+//!   the counters a transition implies from its cells),
 //! * [`Fnv1a`] — the stable hasher behind state fingerprints.
 //!
 //! Nothing here names an agent, a message or a line: the events a run

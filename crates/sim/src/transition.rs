@@ -5,15 +5,13 @@
 //! [`TransitionMatrix`] is the hot-path half of that: a protocol engine
 //! owns one, registers its state and cause vocabularies once at
 //! construction, and records each transition as a single bounds-checked
-//! increment into a dense `[from][to][cause]` counter cube; like the
-//! controllers' plain counter fields, it leaves every string to report
-//! time.
+//! increment into a dense `[from][to][cause]` counter cube, leaving every
+//! string to report time.
 //!
-//! Matrices are **disabled by default** and cost one predictable branch
-//! per call while disabled; the counter storage is not even allocated
-//! until [`TransitionMatrix::enable`] runs. Nothing in a matrix feeds a
-//! `state_hash` or a `Metrics` table, so enabling one cannot perturb the
-//! simulation or its reports.
+//! A matrix always counts. It is the one record of each transition: a
+//! controller's `stats()` derives its victim, eviction, merge and
+//! probe-invalidation counters by summing cells, so no event is counted
+//! twice. Nothing in a matrix feeds a `state_hash`.
 //!
 //! # Examples
 //!
@@ -21,9 +19,6 @@
 //! use hsc_sim::TransitionMatrix;
 //!
 //! let mut m = TransitionMatrix::new("moesi", &["I", "S", "M"], &["Fill", "ProbeInv"]);
-//! m.record(0, 2, 0); // disabled: a no-op
-//! assert_eq!(m.total(), 0);
-//! m.enable();
 //! m.record(0, 2, 0); // I → M because of a Fill
 //! m.record(2, 0, 1); // M → I because of an invalidating probe
 //! assert_eq!(m.get(0, 2, 0), 1);
@@ -39,35 +34,21 @@ pub struct TransitionMatrix {
     protocol: &'static str,
     states: &'static [&'static str],
     causes: &'static [&'static str],
-    /// Flat counter storage, `states² × causes` slots once enabled.
+    /// Flat counter storage, `states² × causes` slots.
     counts: Vec<u64>,
-    enabled: bool,
 }
 
 impl TransitionMatrix {
-    /// Creates a disabled matrix over the given state and cause
-    /// vocabularies. Costs no counter storage until enabled.
+    /// Creates an all-zero matrix over the given state and cause
+    /// vocabularies.
     #[must_use]
     pub fn new(
         protocol: &'static str,
         states: &'static [&'static str],
         causes: &'static [&'static str],
     ) -> Self {
-        TransitionMatrix { protocol, states, causes, counts: Vec::new(), enabled: false }
-    }
-
-    /// Switches recording on, allocating the counter cube. Idempotent.
-    pub fn enable(&mut self) {
-        if !self.enabled {
-            self.counts = vec![0; self.states.len() * self.states.len() * self.causes.len()];
-            self.enabled = true;
-        }
-    }
-
-    /// Whether [`TransitionMatrix::record`] currently counts.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
+        let counts = vec![0; states.len() * states.len() * causes.len()];
+        TransitionMatrix { protocol, states, causes, counts }
     }
 
     /// The owning protocol's name (`"moesi"`, `"viper"`, …).
@@ -98,9 +79,8 @@ impl TransitionMatrix {
         (from * self.states.len() + to) * self.causes.len() + cause
     }
 
-    /// Counts one `from → to` transition attributed to `cause`. The hot
-    /// path: one branch plus one array increment when enabled, one branch
-    /// when disabled.
+    /// Counts one `from → to` transition attributed to `cause`: one
+    /// array increment.
     ///
     /// # Panics
     ///
@@ -108,21 +88,27 @@ impl TransitionMatrix {
     /// index) if any index is outside the registered vocabularies.
     #[inline]
     pub fn record(&mut self, from: usize, to: usize, cause: usize) {
-        if !self.enabled {
-            return;
-        }
         let slot = self.slot(from, to, cause);
         self.counts[slot] += 1;
     }
 
-    /// The count in one cell (0 when disabled).
+    /// The count in one cell.
     #[must_use]
     pub fn get(&self, from: usize, to: usize, cause: usize) -> u64 {
-        if self.enabled {
-            self.counts[self.slot(from, to, cause)]
-        } else {
-            0
-        }
+        self.counts[self.slot(from, to, cause)]
+    }
+
+    /// Transitions into `to` attributed to `cause`, from any state.
+    #[must_use]
+    pub fn entering(&self, to: usize, cause: usize) -> u64 {
+        (0..self.states.len()).map(|from| self.get(from, to, cause)).sum()
+    }
+
+    /// Transitions attributed to `cause`, over every `from → to` pair.
+    #[must_use]
+    pub fn cause_total(&self, cause: usize) -> u64 {
+        debug_assert!(cause < self.causes.len(), "cause {cause} out of range");
+        self.counts.iter().skip(cause).step_by(self.causes.len()).sum()
     }
 
     /// Total transitions recorded.
@@ -146,7 +132,6 @@ impl TransitionMatrix {
     }
 
     /// Adds another matrix's counts into this one (campaign-style merge).
-    /// Enables this matrix if the other recorded anything.
     ///
     /// # Panics
     ///
@@ -156,10 +141,6 @@ impl TransitionMatrix {
         assert_eq!(self.protocol, other.protocol, "cannot merge across protocols");
         assert_eq!(self.states, other.states, "state vocabulary mismatch");
         assert_eq!(self.causes, other.causes, "cause vocabulary mismatch");
-        if !other.enabled {
-            return;
-        }
-        self.enable();
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += *b;
         }
@@ -175,20 +156,9 @@ mod tests {
     }
 
     #[test]
-    fn disabled_matrix_records_nothing_and_allocates_nothing() {
-        let mut m = small();
-        m.record(0, 1, 2);
-        assert_eq!(m.total(), 0);
-        assert_eq!(m.get(0, 1, 2), 0);
-        assert_eq!(m.nonzero().count(), 0);
-        assert!(!m.is_enabled());
-    }
-
-    #[test]
     fn enabled_matrix_counts_cells_independently() {
         let mut m = small();
-        m.enable();
-        m.enable(); // idempotent
+        assert_eq!(m.nonzero().count(), 0);
         m.record(0, 1, 0);
         m.record(0, 1, 0);
         m.record(1, 0, 2);
@@ -199,9 +169,22 @@ mod tests {
     }
 
     #[test]
+    fn entering_and_cause_total_sum_their_cells() {
+        let mut m = small();
+        m.record(0, 1, 2);
+        m.record(1, 1, 2);
+        m.record(1, 0, 2);
+        m.record(0, 1, 0);
+        assert_eq!(m.entering(1, 2), 2);
+        assert_eq!(m.entering(0, 2), 1);
+        assert_eq!(m.cause_total(2), 3);
+        assert_eq!(m.cause_total(0), 1);
+        assert_eq!(m.cause_total(1), 0);
+    }
+
+    #[test]
     fn nonzero_iterates_row_major() {
         let mut m = small();
-        m.enable();
         m.record(1, 1, 1);
         m.record(0, 0, 2);
         m.record(1, 0, 0);
@@ -210,18 +193,16 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_and_respects_enablement() {
+    fn merge_sums_cell_wise() {
         let mut a = small();
         let mut b = small();
-        b.enable();
+        a.record(0, 1, 0);
         b.record(0, 1, 0);
+        b.record(1, 1, 2);
         a.merge(&b);
-        assert!(a.is_enabled(), "merging live counts enables the target");
-        assert_eq!(a.get(0, 1, 0), 1);
-        let c = small(); // disabled: merging it changes nothing
-        let before = a.clone();
-        a.merge(&c);
-        assert_eq!(a, before);
+        assert_eq!(a.get(0, 1, 0), 2);
+        assert_eq!(a.get(1, 1, 2), 1);
+        assert_eq!(a.total(), 3);
     }
 
     #[test]
