@@ -2,8 +2,12 @@
 //! sub-command: a flag the sub-command does not use, or an output path it
 //! cannot create, is a usage error — the message and the usage line on
 //! stderr, exit status 2, nothing on stdout, and no simulation run first.
+//! Also the shape of what a campaign writes: its table rows and its run
+//! report's records.
 
 use std::process::{Command, Output};
+
+use hsc_obs::json::{parse, Value};
 
 /// Every sub-command, as typed.
 const SUB_COMMANDS: [&str; 16] = [
@@ -161,4 +165,53 @@ fn a_failed_replay_is_one_line_and_exit_1() {
         }
     }
     std::fs::remove_file(&trace).expect("the trace file is removable");
+}
+
+/// `hsc faults --report` writes one record per printed table row, in row
+/// order, and nothing else: a report record is one run, never a sum of
+/// runs.
+#[test]
+fn the_faults_report_has_one_record_per_table_row() {
+    let report = std::env::temp_dir().join(format!("hsc-faults-rows-{}.json", std::process::id()));
+    let path = report.to_str().expect("a UTF-8 temp path");
+    let out = hsc("faults", &["--trace-gen", "pingpong,ops=16", "--jobs", "1", "--report", path]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}{}", String::from_utf8_lossy(&out.stderr));
+
+    // Table rows follow the header and start in column 0; a deadlock's
+    // stuck-line bullets are indented.
+    let rows: Vec<(&str, &str)> = stdout
+        .lines()
+        .skip_while(|l| !l.starts_with("bench "))
+        .skip(1)
+        .take_while(|l| !l.starts_with("run report written"))
+        .filter(|l| !l.starts_with(' '))
+        .map(|l| {
+            let mut cols = l.split_whitespace();
+            (cols.next().expect("bench column"), cols.next().expect("drop_ppm column"))
+        })
+        .collect();
+    assert_eq!(rows.len(), 5, "one row per fault plan: {stdout}");
+
+    let text = std::fs::read_to_string(&report).expect("the report was written");
+    let doc = parse(&text).expect("the report is JSON");
+    let records: Vec<(String, String)> = doc
+        .get("runs")
+        .and_then(Value::as_array)
+        .expect("a runs array")
+        .iter()
+        .map(|r| {
+            let field = |k: &str| r.get(k).and_then(Value::as_str).expect(k).to_owned();
+            (field("workload"), field("config"))
+        })
+        .collect();
+    let expected: Vec<(String, String)> = rows
+        .iter()
+        .map(|(bench, ppm)| ((*bench).to_owned(), format!("sharer_tracking drop_ppm={ppm}")))
+        .collect();
+    assert_eq!(records, expected, "one record per table row, in row order");
+
+    let out = hsc("report validate", &[path]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    std::fs::remove_file(&report).expect("the report is removable");
 }
