@@ -24,14 +24,17 @@
 //! all fail the campaign. A worker panic is captured per-job by the
 //! campaign runner and reported as a named failure while sibling runs
 //! complete.
+//!
+//! Behind `--report`, each faulted run is one record of the run report,
+//! in the order the table prints its rows. The fault-free golden runs
+//! that gate the sweep are not recorded, and no record sums several
+//! runs: a count in the report is always one run's count.
 
 use std::io::{self, Write};
 use std::process::ExitCode;
 
-use hsc_core::{CoherenceConfig, ObsConfig, ObsData, SystemConfig};
+use hsc_core::{CoherenceConfig, ObsConfig, SystemConfig};
 use hsc_noc::{FaultPlan, FaultTargets, RetryPolicy, SimError};
-use hsc_obs::RunRecord;
-use hsc_sim::StatSet;
 use hsc_workloads::{
     run_workload_observed, try_run_workload_on, ObservedRun, Workload, WorkloadError,
 };
@@ -82,10 +85,8 @@ fn write_row(
 
 /// Runs the campaign over `workloads` as parallel campaigns; output and
 /// report order is submission order, identical at any worker count.
-/// With a `report`, the report additionally carries one `workload="all",
-/// config="aggregate"` record: the deterministic merge (counter sums,
-/// per-class histogram merges, epoch-aligned time-series sums) of every
-/// *completed* faulted run.
+/// With a `report`, the report holds one record per faulted run, in the
+/// order the table prints their rows.
 ///
 /// Returns failure if any run ended in neither completion nor a
 /// diagnosed deadlock.
@@ -134,19 +135,6 @@ pub fn faults(
     writeln!(out, "Fault-injection campaign: drop rates × workloads, retries on")?;
     writeln!(out, "{:8} {:>9} {:>9} {:>9}  outcome", "bench", "drop_ppm", "dropped", "retries")?;
 
-    // Campaign-level aggregate of every completed faulted run, built by
-    // the deterministic merges (StatSet/Histogram/TimeSeries); the merge
-    // happens in submission order, so the record is identical at any
-    // worker count.
-    let mut agg_stats = StatSet::new();
-    let mut agg_obs = ObsData::default();
-    let mut agg = RunRecord {
-        workload: "all".to_owned(),
-        config: "aggregate".to_owned(),
-        outcome: "aggregate".to_owned(),
-        ..RunRecord::default()
-    };
-
     let mut failures = 0;
     let mut unrecovered = 0;
     for (w, golden) in workloads.iter().zip(&golden_results) {
@@ -172,12 +160,6 @@ pub fn faults(
             if report_file.is_some() {
                 let config = format!("sharer_tracking drop_ppm={label}");
                 records.push(run_record(w.name(), &config, &run));
-                if let Ok(r) = &run.outcome {
-                    agg_stats.merge(&r.metrics.stats);
-                    agg_obs.absorb(&run.obs);
-                    agg.ticks += r.metrics.ticks;
-                    agg.gpu_cycles += r.metrics.gpu_cycles;
-                }
             }
             match &run.outcome {
                 Ok(r) => {
@@ -215,9 +197,6 @@ pub fn faults(
     }
 
     if let Some(file) = report_file {
-        agg.counters = agg_stats.iter().map(|(k, v)| (k.to_owned(), v)).collect();
-        agg.attach_obs(&agg_obs);
-        records.push(agg);
         write_report("faults", &base, records, file, out)?;
     }
     if failures > 0 {

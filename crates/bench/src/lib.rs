@@ -139,18 +139,23 @@ pub mod reporting {
     /// ticks), coarse enough to keep reports small.
     pub const REPORT_EPOCH_TICKS: u64 = 50_000;
 
+    /// Every value a record's `outcome` can hold: how one run ended.
+    /// `hsc report validate` rejects any other.
+    pub const RUN_OUTCOMES: [&str; 5] =
+        ["completed", "deadlock", "budget-exceeded", "wiring-error", "verification-failed"];
+
     /// Turns one observed run into a report record. Failed runs keep
     /// their time series and agent profile; their counters are simply
     /// absent.
     #[must_use]
     pub fn run_record(workload: &str, config_label: &str, run: &ObservedRun) -> RunRecord {
-        let outcome = match &run.outcome {
-            Ok(_) => "completed",
-            Err(WorkloadError::Sim(SimError::Deadlock { .. })) => "deadlock",
-            Err(WorkloadError::Sim(SimError::EventBudgetExceeded { .. })) => "budget-exceeded",
-            Err(WorkloadError::Sim(SimError::Wiring(_))) => "wiring-error",
-            Err(WorkloadError::Verification(_)) => "verification-failed",
-        };
+        let outcome = RUN_OUTCOMES[match &run.outcome {
+            Ok(_) => 0,
+            Err(WorkloadError::Sim(SimError::Deadlock { .. })) => 1,
+            Err(WorkloadError::Sim(SimError::EventBudgetExceeded { .. })) => 2,
+            Err(WorkloadError::Sim(SimError::Wiring(_))) => 3,
+            Err(WorkloadError::Verification(_)) => 4,
+        }];
         let mut rec = RunRecord {
             workload: workload.to_owned(),
             config: config_label.to_owned(),

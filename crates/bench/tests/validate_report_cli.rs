@@ -62,6 +62,20 @@ fn the_golden_report_is_valid_and_the_retired_version_is_not() {
     assert!(stderr.contains("INVALID (1 error(s))"), "and nothing else is wrong: {stderr}");
 }
 
+/// An outcome no run can end in — such as a record that sums runs — is a
+/// schema violation.
+#[test]
+fn an_outcome_no_run_can_have_is_invalid() {
+    let (_, text) = golden_report();
+    let bad = text.replacen("\"outcome\":\"completed\"", "\"outcome\":\"aggregate\"", 1);
+    assert_ne!(bad, text, "the fixture carries a completed run");
+    let out = validate(&[&temp_report("aggregate_outcome.json", &bad)]);
+    assert_eq!(out.status.code(), Some(1), "a schema violation exits 1");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("runs[0].outcome must be one of"), "names the field: {stderr}");
+    assert!(stderr.contains("INVALID (1 error(s))"), "and nothing else is wrong: {stderr}");
+}
+
 /// What `hsc report analyze --report` writes: the same version, with the optional
 /// `transitions` and `sharing` sections present.
 #[test]

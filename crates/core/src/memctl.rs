@@ -26,7 +26,6 @@ pub struct MemoryController {
 struct MemCounts {
     reads: u64,
     writes: u64,
-    busy_ticks: u64,
 }
 
 impl MemoryController {
@@ -62,13 +61,15 @@ impl MemoryController {
     }
 
     /// Controller statistics (`mem.reads`, `mem.writes`,
-    /// `mem.busy_ticks`), exported for reports.
+    /// `mem.busy_ticks`), exported for reports. Every access holds the
+    /// channel for `occupancy_ticks`, so busy time is derived from the
+    /// access count rather than counted.
     #[must_use]
     pub fn stats(&self) -> StatSet {
         let mut s = StatSet::new();
         s.set("mem.reads", self.n.reads);
         s.set("mem.writes", self.n.writes);
-        s.set("mem.busy_ticks", self.n.busy_ticks);
+        s.set("mem.busy_ticks", (self.n.reads + self.n.writes) * self.occupancy_ticks);
         s
     }
 
@@ -77,7 +78,6 @@ impl MemoryController {
         let start = self.busy_until.max(now);
         let finish = start + self.access_ticks;
         self.busy_until = start + self.occupancy_ticks;
-        self.n.busy_ticks += self.occupancy_ticks;
         match msg.kind {
             MsgKind::MemRd => {
                 self.n.reads += 1;
@@ -153,6 +153,7 @@ mod tests {
             [Tick(100), Tick(120), Tick(140)],
             "accesses pipeline at the bandwidth term, each with full latency"
         );
+        assert_eq!(mc.stats().get("mem.busy_ticks"), 3 * 20, "each access holds the channel");
     }
 
     #[test]
@@ -175,5 +176,6 @@ mod tests {
         assert_eq!(mc.read_line(LineAddr(3)).word(0), 7);
         assert_eq!(mc.memory().read_word(Addr(3 * 64)), 7);
         assert_eq!(mc.stats().get("mem.writes"), 1);
+        assert_eq!(mc.stats().get("mem.busy_ticks"), 5, "a posted write holds the channel too");
     }
 }

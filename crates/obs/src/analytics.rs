@@ -200,37 +200,6 @@ impl SharingTracker {
         }
     }
 
-    /// Merges another tracker's counts into this one (campaign-style).
-    /// Line lifetimes merge field-wise; a writer handoff hidden at the
-    /// merge boundary is not counted as a flip, which at most
-    /// under-counts one flip per merged run.
-    pub fn merge(&mut self, other: &SharingTracker) {
-        for (a, b) in self.sharer_hist.iter_mut().zip(&other.sharer_hist) {
-            *a += *b;
-        }
-        for (a, b) in self.fanout_hist.iter_mut().zip(&other.fanout_hist) {
-            *a += *b;
-        }
-        self.dropped_lines += other.dropped_lines;
-        for (&line, theirs) in &other.lines {
-            if let Some(ours) = self.lines.get_mut(&line) {
-                ours.reads += theirs.reads;
-                ours.writes += theirs.writes;
-                ours.writer_flips += theirs.writer_flips;
-                for &a in &theirs.agents {
-                    if !ours.agents.contains(&a) {
-                        ours.agents.push(a);
-                    }
-                }
-                ours.last_writer = theirs.last_writer.or(ours.last_writer);
-            } else if self.lines.len() < SHARING_LINE_CAP {
-                self.lines.insert(line, theirs.clone());
-            } else {
-                self.dropped_lines += 1;
-            }
-        }
-    }
-
     /// Whether nothing was ever recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -379,25 +348,6 @@ mod tests {
         let r = t.report();
         assert_eq!(r.tracked_lines, SHARING_LINE_CAP as u64);
         assert_eq!(r.dropped_lines, 5);
-    }
-
-    #[test]
-    fn merge_sums_histograms_and_lifetimes() {
-        let mut a = SharingTracker::new();
-        a.on_lookup(1);
-        a.on_access(0x40, L2_0, true);
-        let mut b = SharingTracker::new();
-        b.on_lookup(1);
-        b.on_access(0x40, L2_1, true);
-        b.on_access(0x80, TCC_0, false);
-        a.merge(&b);
-        let r = a.report();
-        assert_eq!(r.sharer_hist[1], 2);
-        assert_eq!(r.tracked_lines, 2);
-        // The merged 0x40 lifetime saw two writers.
-        assert!(
-            r.class_count(SharingClass::Migratory) + r.class_count(SharingClass::PingPong) == 1
-        );
     }
 
     #[test]

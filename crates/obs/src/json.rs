@@ -227,18 +227,20 @@ impl Value {
 /// assert!(parse("{oops}").is_err());
 /// ```
 pub fn parse(text: &str) -> Result<Value, String> {
-    let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser { text, bytes: text.as_bytes(), pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != bytes.len() {
+    if p.pos != p.bytes.len() {
         return Err(format!("trailing data at byte {}", p.pos));
     }
     Ok(v)
 }
 
+/// A cursor over one document. `pos` only ever stops on an ASCII byte or
+/// at the end, so it is always a char boundary of `text`.
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -306,13 +308,19 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or backslash in one piece:
+            // both are ASCII, so the run ends on a char boundary.
+            let run = self.bytes[self.pos..].iter().position(|&b| b == b'"' || b == b'\\');
+            let end = run.map_or(self.bytes.len(), |n| self.pos + n);
+            out.push_str(&self.text[self.pos..end]);
+            self.pos = end;
             match self.peek() {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -324,29 +332,34 @@ impl Parser<'_> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                            let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                            let mut code = self.hex4(self.pos + 1)?;
                             self.pos += 4;
+                            // A high surrogate followed by a low-surrogate
+                            // escape is one char; a lone surrogate is U+FFFD.
+                            if (0xD800..0xDC00).contains(&code)
+                                && self.bytes[self.pos + 1..].starts_with(b"\\u")
+                            {
+                                let low = self.hex4(self.pos + 3)?;
+                                if (0xDC00..0xE000).contains(&low) {
+                                    code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                                    self.pos += 6;
+                                }
+                            }
+                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         }
                         _ => return Err(format!("bad escape at byte {}", self.pos)),
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one full UTF-8 scalar.
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
             }
         }
+    }
+
+    /// The four hex digits of a `\u` escape starting at byte `at`.
+    fn hex4(&self, at: usize) -> Result<u32, String> {
+        let hex =
+            self.text.get(at..at + 4).ok_or_else(|| format!("bad \\u escape at byte {at}"))?;
+        u32::from_str_radix(hex, 16).map_err(|e| format!("bad \\u escape at byte {at}: {e}"))
     }
 
     fn array(&mut self) -> Result<Value, String> {
@@ -449,6 +462,33 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse(r#"{"a":1}x"#).is_err());
         assert!(parse(r#"{"a" 1}"#).is_err());
+    }
+
+    #[test]
+    fn surrogate_pair_escapes_decode_to_one_char() {
+        let v = parse(r#"["\ud83d\ude00", "a\ud83dz", "\ude00", "\ud83d\u0041"]"#).unwrap();
+        let strs: Vec<&str> = v.as_array().unwrap().iter().map(|s| s.as_str().unwrap()).collect();
+        assert_eq!(strs, ["\u{1f600}", "a\u{fffd}z", "\u{fffd}", "\u{fffd}A"]);
+        assert!(parse(r#""\ud83d\uzzzz""#).is_err());
+    }
+
+    /// Each string is read once: a document of short strings parses in
+    /// time linear in its size, even unoptimized.
+    #[test]
+    fn a_two_megabyte_document_of_short_strings_parses_quickly() {
+        let mut w = JsonWriter::new();
+        w.begin_array();
+        for i in 0..200_000 {
+            w.string(&format!("s{i:06}"));
+        }
+        w.end_array();
+        let text = w.finish();
+        assert!(text.len() > 2_000_000, "{} bytes", text.len());
+        let start = std::time::Instant::now();
+        let v = parse(&text).unwrap();
+        let took = start.elapsed();
+        assert_eq!(v.as_array().unwrap()[199_999].as_str(), Some("s199999"));
+        assert!(took.as_secs_f64() < 5.0, "parsing {} bytes took {took:?}", text.len());
     }
 
     #[test]

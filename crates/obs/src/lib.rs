@@ -1,7 +1,7 @@
 //! Observability layer for the HSC reproduction.
 //!
 //! Everything here is diagnostic: enabling it must never change what the
-//! simulator computes, and disabling it must cost nothing. Four pillars:
+//! simulator computes, and disabling it must cost nothing. Five pillars:
 //!
 //! * [`TxnTracker`] — a span per coherence transaction (request dispatch →
 //!   requester completion), aggregated into per-class latency

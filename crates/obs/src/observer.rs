@@ -44,8 +44,6 @@ pub struct ObsData {
     pub spans_completed: u64,
     /// Spans still open when the run ended.
     pub spans_open: u64,
-    /// Request resends observed by the span tracker.
-    pub resends: u64,
     /// Per-protocol state-transition matrices, sorted by protocol name,
     /// each summed over the run's controllers of that protocol. The
     /// controllers always count; the matrices are taken out of the run
@@ -58,77 +56,6 @@ pub struct ObsData {
     /// moment the data was taken. Always populated — the recorder is
     /// free-running — but chiefly useful after a failed run.
     pub flight: Vec<FlightRecord>,
-}
-
-impl ObsData {
-    /// Folds another run's observer output into this one, the
-    /// campaign-level aggregate: latency histograms merge per class,
-    /// time series merge per name on their shared epoch grid
-    /// ([`TimeSeries::merge`]), agent profiles sum per agent, and the
-    /// span counters add. Name-keyed collections stay sorted, so the
-    /// aggregate of a fixed job list is identical however the merge
-    /// calls pair up — absorb is commutative and associative.
-    ///
-    /// Transition matrices merge cell-wise per protocol
-    /// ([`TransitionMatrix::merge`]) and sharing trackers merge their
-    /// histograms, class counts and per-line lifetimes
-    /// ([`SharingTracker::merge`]).
-    ///
-    /// Perfetto traces and flight-recorder tails are **not** merged:
-    /// interleaving event streams of independent runs on one timeline is
-    /// meaningless, so `self` keeps its own (if any) and `other`'s are
-    /// ignored.
-    pub fn absorb(&mut self, other: &ObsData) {
-        merge_sorted_by_key(
-            &mut self.latency,
-            &other.latency,
-            |(class, _)| class.clone(),
-            |(_, into), (_, from)| into.merge(from),
-        );
-        merge_sorted_by_key(
-            &mut self.time_series,
-            &other.time_series,
-            |s| s.name.clone(),
-            TimeSeries::merge,
-        );
-        merge_sorted_by_key(
-            &mut self.agents,
-            &other.agents,
-            |a| a.agent.clone(),
-            |into, from| {
-                into.events_handled = into.events_handled.saturating_add(from.events_handled);
-                into.ticks_advanced = into.ticks_advanced.saturating_add(from.ticks_advanced);
-            },
-        );
-        self.spans_completed = self.spans_completed.saturating_add(other.spans_completed);
-        self.spans_open = self.spans_open.saturating_add(other.spans_open);
-        self.resends = self.resends.saturating_add(other.resends);
-        merge_sorted_by_key(
-            &mut self.transitions,
-            &other.transitions,
-            |m| m.protocol(),
-            TransitionMatrix::merge,
-        );
-        if let Some(sh) = &other.sharing {
-            self.sharing.get_or_insert_with(SharingTracker::new).merge(sh);
-        }
-    }
-}
-
-/// Merges `from` into the key-sorted `into`: entries with matching keys
-/// combine via `combine`, the rest are inserted at their sort position.
-fn merge_sorted_by_key<T: Clone, K: Ord>(
-    into: &mut Vec<T>,
-    from: &[T],
-    key: impl Fn(&T) -> K,
-    combine: impl Fn(&mut T, &T),
-) {
-    for item in from {
-        match into.binary_search_by_key(&key(item), &key) {
-            Ok(i) => combine(&mut into[i], item),
-            Err(i) => into.insert(i, item.clone()),
-        }
-    }
 }
 
 /// Observability hook hub; one per [`hsc-core` `System`](ObsConfig).
@@ -159,12 +86,6 @@ impl Observer {
             inflight_labels: BTreeMap::new(),
             last_event_tick: Tick::ZERO,
         }
-    }
-
-    /// A fully inert observer (the default).
-    #[must_use]
-    pub fn disabled() -> Self {
-        Observer::new(ObsConfig::off())
     }
 
     /// Whether any hook does work. The engine checks this once per call
@@ -312,7 +233,6 @@ impl Observer {
         if let Some(txns) = self.txns {
             data.spans_completed = txns.completed();
             data.spans_open = txns.open_count();
-            data.resends = txns.resends();
             data.latency =
                 txns.histograms().map(|(class, h)| (class.to_owned(), h.clone())).collect();
         }
@@ -346,7 +266,7 @@ mod tests {
 
     #[test]
     fn disabled_observer_collects_nothing() {
-        let mut o = Observer::disabled();
+        let mut o = Observer::new(ObsConfig::off());
         assert!(!o.is_enabled());
         let m = rdblk(AgentId::CorePairL2(0));
         o.on_send(Tick(1), &m, &Delivery::Deliver(Tick(5)));
@@ -418,66 +338,5 @@ mod tests {
         assert_eq!(dir.ticks_advanced, 25);
         let mem = data.agents.iter().find(|a| a.agent == "MEM").unwrap();
         assert_eq!((mem.events_handled, mem.ticks_advanced), (1, 0));
-    }
-}
-
-#[cfg(test)]
-mod absorb_tests {
-    use super::*;
-
-    fn data(class: &str, series: &[(u64, u64)], agent: &str) -> ObsData {
-        let mut h = Histogram::new();
-        h.record(100);
-        ObsData {
-            latency: vec![(class.to_owned(), h)],
-            time_series: vec![TimeSeries { name: "net.messages".into(), points: series.to_vec() }],
-            agents: vec![AgentProfile {
-                agent: agent.to_owned(),
-                events_handled: 2,
-                ticks_advanced: 50,
-            }],
-            perfetto: None,
-            spans_completed: 1,
-            spans_open: 0,
-            resends: 3,
-            transitions: Vec::new(),
-            sharing: None,
-            flight: Vec::new(),
-        }
-    }
-
-    #[test]
-    fn absorb_merges_by_name_and_sums_counters() {
-        let mut a = data("RdBlk", &[(100, 4)], "DIR");
-        let b = data("RdBlkM", &[(100, 6), (200, 1)], "DIR");
-        a.absorb(&b);
-        let classes: Vec<&str> = a.latency.iter().map(|(c, _)| c.as_str()).collect();
-        assert_eq!(classes, ["RdBlk", "RdBlkM"]);
-        assert_eq!(a.time_series[0].points, [(100, 10), (200, 1)]);
-        assert_eq!(a.agents.len(), 1);
-        assert_eq!(a.agents[0].events_handled, 4);
-        assert_eq!(a.agents[0].ticks_advanced, 100);
-        assert_eq!((a.spans_completed, a.resends), (2, 6));
-    }
-
-    #[test]
-    fn absorb_is_order_independent() {
-        let inputs = [
-            data("RdBlk", &[(100, 4)], "DIR"),
-            data("WT", &[(200, 9)], "MEM"),
-            data("RdBlk", &[(100, 1)], "DIR"),
-        ];
-        let mut fwd = ObsData::default();
-        for d in &inputs {
-            fwd.absorb(d);
-        }
-        let mut rev = ObsData::default();
-        for d in inputs.iter().rev() {
-            rev.absorb(d);
-        }
-        assert_eq!(fwd.latency, rev.latency);
-        assert_eq!(fwd.time_series, rev.time_series);
-        assert_eq!(fwd.agents, rev.agents);
-        assert_eq!(fwd.spans_completed, rev.spans_completed);
     }
 }

@@ -6,9 +6,6 @@
 //! run. Downstream tooling keys on `schema` + `schema_version` and must
 //! reject reports whose version it does not know.
 
-use std::io;
-use std::path::Path;
-
 use hsc_noc::FlightRecord;
 use hsc_sim::{fnv1a, Histogram, TransitionMatrix};
 
@@ -68,7 +65,9 @@ pub struct RunRecord {
     pub workload: String,
     /// Coherence configuration label (`"baseline"`, …).
     pub config: String,
-    /// `"completed"`, or the failure rendering of the typed `SimError`.
+    /// How the run ended: `"completed"`, or a one-word failure kind
+    /// (`"deadlock"`, `"verification-failed"`, …; `hsc_bench` lists them
+    /// all as `reporting::RUN_OUTCOMES`).
     pub outcome: String,
     /// Total simulated ticks.
     pub ticks: u64,
@@ -176,15 +175,6 @@ impl RunReport {
         w.end_array();
         w.end_object();
         w.finish()
-    }
-
-    /// Writes the report JSON to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying filesystem error.
-    pub fn write_to(&self, path: &Path) -> io::Result<()> {
-        std::fs::write(path, self.to_json_string())
     }
 }
 

@@ -21,52 +21,6 @@ pub struct TimeSeries {
     pub points: Vec<(u64, u64)>,
 }
 
-impl TimeSeries {
-    /// Merges another series sampled on the same epoch grid into this
-    /// one: values on coinciding boundaries are (saturating) summed,
-    /// boundaries present in only one input are kept, and the result
-    /// stays in time order. The operation is commutative and
-    /// associative, so a campaign merging per-job series produces the
-    /// same aggregate regardless of job completion order.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use hsc_obs::TimeSeries;
-    ///
-    /// let mut a = TimeSeries { name: "net.messages".into(), points: vec![(100, 4), (300, 1)] };
-    /// let b = TimeSeries { name: "net.messages".into(), points: vec![(100, 6), (200, 2)] };
-    /// a.merge(&b);
-    /// assert_eq!(a.points, [(100, 10), (200, 2), (300, 1)]);
-    /// ```
-    pub fn merge(&mut self, other: &TimeSeries) {
-        let mut merged = Vec::with_capacity(self.points.len() + other.points.len());
-        let (mut i, mut j) = (0, 0);
-        while i < self.points.len() && j < other.points.len() {
-            let (ta, va) = self.points[i];
-            let (tb, vb) = other.points[j];
-            match ta.cmp(&tb) {
-                std::cmp::Ordering::Less => {
-                    merged.push((ta, va));
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    merged.push((tb, vb));
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    merged.push((ta, va.saturating_add(vb)));
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        merged.extend_from_slice(&self.points[i..]);
-        merged.extend_from_slice(&other.points[j..]);
-        self.points = merged;
-    }
-}
-
 /// Samples gauges and counter deltas at fixed epoch boundaries.
 ///
 /// The driver calls [`EpochSampler::due`] from its event loop; when it

@@ -67,7 +67,6 @@ pub struct TxnTracker {
     open: BTreeMap<(AgentId, u64), OpenSpan>,
     by_class: BTreeMap<&'static str, Histogram>,
     completed: u64,
-    resends: u64,
 }
 
 impl TxnTracker {
@@ -83,10 +82,7 @@ impl TxnTracker {
     /// request is a resend and the original start time is kept.
     pub fn open(&mut self, now: Tick, agent: AgentId, line: u64, class: &'static str) -> bool {
         match self.open.entry((agent, line)) {
-            std::collections::btree_map::Entry::Occupied(_) => {
-                self.resends += 1;
-                false
-            }
+            std::collections::btree_map::Entry::Occupied(_) => false,
             std::collections::btree_map::Entry::Vacant(e) => {
                 e.insert(OpenSpan { start: now, class });
                 true
@@ -113,12 +109,6 @@ impl TxnTracker {
     #[must_use]
     pub fn completed(&self) -> u64 {
         self.completed
-    }
-
-    /// Number of resends observed (an open on an already-open key).
-    #[must_use]
-    pub fn resends(&self) -> u64 {
-        self.resends
     }
 
     /// Number of spans still open (in-flight transactions).
@@ -152,7 +142,7 @@ mod tests {
         let mut t = TxnTracker::new();
         assert!(t.open(Tick(10), L2, 0x80, "RdBlk"));
         assert!(!t.open(Tick(500), L2, 0x80, "RdBlk"), "resend must not reopen");
-        assert_eq!(t.resends(), 1);
+        assert_eq!(t.open_count(), 1);
         let span = t.close(Tick(600), L2, 0x80).unwrap();
         assert_eq!(span.latency(), 590, "latency covers the retry wait");
     }

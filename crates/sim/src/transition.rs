@@ -131,7 +131,8 @@ impl TransitionMatrix {
         })
     }
 
-    /// Adds another matrix's counts into this one (campaign-style merge).
+    /// Adds another matrix's counts into this one: how a run's
+    /// controllers of one protocol become that protocol's one matrix.
     ///
     /// # Panics
     ///

@@ -2,13 +2,12 @@
 //! executed on 4 worker threads renders the same figure and the same
 //! `RunReport` JSON, byte for byte, as the serial run — only wall-clock
 //! may differ. A panicking job must surface as a named `JobError` while
-//! its sibling jobs complete, and the cross-job statistics merges must be
+//! its sibling jobs complete, and the counter merge must be
 //! order-independent.
 
 use hsc_repro::bench::figures::{fig6, tracking_sweep};
 use hsc_repro::bench::par::{expect_all, Campaign, Parallelism};
 use hsc_repro::bench::reporting::{observed_record, REPORT_EPOCH_TICKS};
-use hsc_repro::obs::TimeSeries;
 use hsc_repro::prelude::*;
 use hsc_repro::sim::StatSet;
 
@@ -140,18 +139,6 @@ fn disjoint_statset_merge_is_order_independent() {
     ca.merge(&a);
     assert_eq!(ac, ca);
     assert_eq!(ac.get("dir.probes_sent"), 10);
-}
-
-#[test]
-fn time_series_merge_aligns_epochs_and_commutes() {
-    let a = TimeSeries { name: "net.messages".into(), points: vec![(100, 4), (300, 1)] };
-    let b = TimeSeries { name: "net.messages".into(), points: vec![(100, 6), (200, 2)] };
-    let mut ab = a.clone();
-    ab.merge(&b);
-    let mut ba = b.clone();
-    ba.merge(&a);
-    assert_eq!(ab.points, [(100, 10), (200, 2), (300, 1)]);
-    assert_eq!(ab, ba, "time-series merge must commute");
 }
 
 #[test]
