@@ -3,6 +3,7 @@
 //! golden-value assertions in the figure benches meaningful.
 
 use hsc_repro::prelude::*;
+use hsc_repro::sim::Tick;
 
 fn run_once(cfg: CoherenceConfig) -> (u64, u64, u64, u64) {
     let w = Tq { tasks: 128, producers: 2, cpu_consumers: 2, wavefronts: 4, compute: 10, seed: 5 };
@@ -77,4 +78,53 @@ fn a_run_stopped_by_its_event_budget_resumes_where_it_stopped() {
     assert_eq!(pin(&resumed), pin(&whole), "interrupted-then-resumed diverged from uninterrupted");
     assert_eq!(resumed.stats, whole.stats, "stat sets diverged");
     bench.verify(&sys).expect("hsti verifies after the resumed run");
+}
+
+/// The event queue's contract: nothing is scheduled below the tick of the
+/// event the run loop last handled. Walks three timed runs one event at a
+/// time through the resumable budget and checks, after every event, that
+/// the whole pending set lies at or after it. A run that deadlocks (the
+/// faulted one may) ends its walk there.
+#[test]
+fn the_run_loop_never_schedules_into_its_past() {
+    let hsti = Hsti { elements: 256, bins: 8, cpu_threads: 2, wavefronts: 2, seed: 1 };
+    let cedd =
+        Cedd { frames: 2, pixels: 256, cpu_per_stage: 2, wfs_per_stage: 4, ..Cedd::default() };
+    let drops = FaultPlan::drops(5, 20_000).with_targets(FaultTargets::RetryableRequests);
+    let runs: [(&str, &dyn Workload, SystemConfig); 3] = [
+        ("hsti", &hsti, SystemConfig::scaled(CoherenceConfig::baseline())),
+        ("cedd", &cedd, SystemConfig::scaled(CoherenceConfig::sharer_tracking())),
+        (
+            "hsti under drops",
+            &hsti,
+            SystemConfig::scaled(CoherenceConfig::baseline())
+                .with_faults(drops)
+                .with_retry(RetryPolicy::default()),
+        ),
+    ];
+    for (name, bench, cfg) in runs {
+        let mut b = SystemBuilder::new(cfg);
+        bench.build(&mut b);
+        let mut sys = b.build();
+        // The run loop always handles the earliest pending event, so the
+        // tick the last budget stop reported is the one handled next.
+        let mut handled = Tick(0);
+        for k in 0.. {
+            match sys.run(k + 1) {
+                Err(SimError::EventBudgetExceeded { now, .. }) => {
+                    let pending = sys.pending_events();
+                    let early = pending.iter().find(|p| p.at < handled);
+                    assert!(
+                        early.is_none(),
+                        "{name}: event {} at {handled} left {early:?} behind it",
+                        k + 1
+                    );
+                    handled = now;
+                }
+                Ok(_) | Err(SimError::Deadlock { .. }) => break,
+                Err(e) => panic!("{name}: event {} failed: {e}", k + 1),
+            }
+        }
+        assert!(sys.events_processed() > 1_000, "{name}: the walk ended early");
+    }
 }
