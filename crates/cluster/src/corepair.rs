@@ -338,12 +338,6 @@ impl CorePair {
         s
     }
 
-    /// Total ops retired by both cores.
-    #[must_use]
-    pub fn ops_retired(&self) -> u64 {
-        self.cores.iter().map(|c| c.ops_retired).sum()
-    }
-
     /// Human-readable descriptions of everything still outstanding at
     /// this L2 (in-flight MSHR transactions and parked victims), for the
     /// watchdog's deadlock snapshot.
@@ -630,7 +624,7 @@ impl CorePair {
             true
         } else {
             self.n.l2_misses += 1;
-            self.miss(i, la, TxnKind::Read, CpuOp::Load(a), out);
+            self.miss(i, la, TxnKind::Read, Some(CpuOp::Load(a)), out);
             true
         }
     }
@@ -678,12 +672,12 @@ impl CorePair {
             Some((_, false)) => {
                 // Present but S/O: upgrade.
                 self.n.upgrades += 1;
-                self.miss(i, la, TxnKind::Write, op, out);
+                self.miss(i, la, TxnKind::Write, Some(op), out);
                 true
             }
             None => {
                 self.n.l2_misses += 1;
-                self.miss(i, la, TxnKind::Write, op, out);
+                self.miss(i, la, TxnKind::Write, Some(op), out);
                 true
             }
         }
@@ -706,26 +700,17 @@ impl CorePair {
         }
         self.n.l1i_misses += 1;
         self.n.l2_misses += 1;
-        let c = &mut self.cores[i];
-        c.pending_ifetch = true;
-        c.blocked_line = Some(la);
-        let _ = now;
-        if let Some(txn) = self.mshr.get_mut(la) {
-            txn.waiters.push(i);
-        } else {
-            self.mshr
-                .alloc(la, L2Txn { kind: TxnKind::ReadInstr, waiters: Waiters::one(i) })
-                .expect("CorePair MSHR sized for max 2 outstanding ops");
-            let msg = Message::new(self.agent, AgentId::Directory, la, MsgKind::RdBlkS);
-            out.send(msg);
-            self.retry.track_sent(msg, &mut self.wakes, out);
-            self.n.req.bump(&MsgKind::RdBlkS);
-        }
+        self.miss(i, la, TxnKind::ReadInstr, None, out);
     }
 
-    fn miss(&mut self, i: usize, la: LineAddr, kind: TxnKind, op: CpuOp, out: &mut Outbox) {
+    /// Blocks core `i` on line `la`: joins the MSHR entry already in
+    /// flight for it or allocates one and sends the request. `op` is the
+    /// data op to re-attempt once the line fills; `None` is an
+    /// instruction fetch, which completes without one.
+    fn miss(&mut self, i: usize, la: LineAddr, kind: TxnKind, op: Option<CpuOp>, out: &mut Outbox) {
         let c = &mut self.cores[i];
-        c.pending = Some(op);
+        c.pending = op;
+        c.pending_ifetch = op.is_none();
         c.blocked_line = Some(la);
         if let Some(txn) = self.mshr.get_mut(la) {
             txn.waiters.push(i);
@@ -1202,6 +1187,5 @@ mod tests {
     fn empty_corepair_is_done_immediately() {
         let pair = pair_with(vec![]);
         assert!(pair.is_done());
-        assert_eq!(pair.ops_retired(), 0);
     }
 }

@@ -405,12 +405,6 @@ impl GpuCluster {
         v
     }
 
-    /// Total ops retired across all wavefronts.
-    #[must_use]
-    pub fn ops_retired(&self) -> u64 {
-        self.wfs.iter().map(|w| w.ops_retired).sum()
-    }
-
     /// Folds all protocol-relevant state into `h` for the system state
     /// fingerprint. Excludes timing (`ready_at`), retry deadlines and
     /// statistics — same scoping rules as `CorePair::hash_state`; cache

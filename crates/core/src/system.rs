@@ -526,11 +526,11 @@ impl System {
     }
 
     /// Switches this system into model-checking mode: delivers the initial
-    /// wake-ups (if [`System::run`] has not already) and flattens network
-    /// latency so every undelivered message is immediately choosable. Fault
-    /// plans still apply — drops and duplicates survive — only the
-    /// topology latency is removed, because the explorer subsumes timing
-    /// by enumerating delivery orders.
+    /// wake-ups (if [`System::run`] has not already) and gives the network
+    /// a zero-latency map, so every undelivered message is immediately
+    /// choosable. Fault plans still apply — drops and duplicates survive —
+    /// only the topology latency is removed, because the explorer subsumes
+    /// timing by enumerating delivery orders.
     ///
     /// # Errors
     ///

@@ -114,7 +114,6 @@ pub struct Network {
     plan: Option<FaultPlan>,
     rng: DetRng,
     injected: u64,
-    immediate: bool,
 }
 
 /// Every count the network keeps, by message class. [`Network::stats`]
@@ -133,14 +132,7 @@ impl Network {
     /// Creates a fault-free network with the given latencies.
     #[must_use]
     pub fn new(latency: LatencyMap) -> Self {
-        Network {
-            latency,
-            n: NetCounts::default(),
-            plan: None,
-            rng: DetRng::new(0),
-            injected: 0,
-            immediate: false,
-        }
+        Network { latency, n: NetCounts::default(), plan: None, rng: DetRng::new(0), injected: 0 }
     }
 
     /// Installs a fault plan (`None` keeps the network fault-free).
@@ -159,9 +151,9 @@ impl Network {
         self
     }
 
-    /// Switches to *immediate delivery*: every accepted message arrives at
-    /// its send tick instead of after the modelled latency (duplicates
-    /// collapse to two same-tick copies).
+    /// Switches to *immediate delivery* by installing a zero-latency map:
+    /// every accepted message arrives at its send tick (a duplicate's copy
+    /// too, so the pair collapses to two same-tick deliveries).
     ///
     /// This hands delivery *ordering* to whoever drains the event queue —
     /// with latencies flattened to zero, which message is handled next is
@@ -169,7 +161,7 @@ impl Network {
     /// all interleavings rather than the one FIFO timing would pick.
     /// Wiring validation, faults and traffic statistics are unaffected.
     pub fn set_immediate_delivery(&mut self) {
-        self.immediate = true;
+        self.latency = LatencyMap { cache_dir: 0, dir_mem: 0 };
     }
 
     /// Accepts `msg` at time `now`, records traffic statistics and applies
@@ -186,7 +178,7 @@ impl Network {
     pub fn send(&mut self, now: Tick, msg: &Message) -> Result<Delivery, WiringError> {
         let lat = self.latency.one_way(msg.src, msg.dst)?;
         self.n.msg.bump(&msg.kind);
-        let arrive = if self.immediate { now } else { now + lat };
+        let arrive = now + lat;
         Ok(match self.plan {
             None => Delivery::Deliver(arrive),
             Some(plan) => self.inject(plan, arrive, msg),
@@ -211,10 +203,9 @@ impl Network {
             self.injected += 1;
             self.n.duplicated.bump(&msg.kind);
             // The copy takes one extra hop worth of latency so the pair
-            // stays ordered (original first). Under immediate delivery both
-            // land now; the explorer owns their relative order.
-            let copy_at = if self.immediate { arrive } else { arrive + self.latency.cache_dir };
-            return Delivery::Twice(arrive, copy_at);
+            // stays ordered (original first). Under immediate delivery the
+            // hop is zero and the explorer owns their relative order.
+            return Delivery::Twice(arrive, arrive + self.latency.cache_dir);
         }
         Delivery::Deliver(arrive)
     }

@@ -114,12 +114,6 @@ impl EpochSampler {
         }
     }
 
-    /// The configured epoch width in ticks.
-    #[must_use]
-    pub fn epoch_ticks(&self) -> u64 {
-        self.epoch
-    }
-
     /// Consumes the sampler, returning all series in name order.
     #[must_use]
     pub fn into_series(self) -> Vec<TimeSeries> {

@@ -25,15 +25,19 @@ const NIL: u32 = u32::MAX;
 /// Nearly every event the simulator schedules lands a small fixed delta
 /// ahead of now (NoC per-hop latency, memory latency, retry backoff) —
 /// the regime where a timing wheel's O(1) insert and pop beat O(log n)
-/// heap sifts. The queue has three homes for an event:
+/// heap sifts. The queue has two homes for an event:
 ///
 /// * the **ring**: one FIFO slot per tick of the window
 ///   `[base, base + 8192)`, slot `tick & 8191`, and an occupancy bitmap
 ///   (one bit per slot) that finds the next non-empty slot with a few word
 ///   scans;
-/// * the **`far` heap**: ticks at or beyond `base + 8192`;
-/// * the **`past` heap**: ticks below `base` (the queue does not enforce
-///   monotonicity — the run loop does).
+/// * the **`far` heap**: ticks at or beyond `base + 8192`.
+///
+/// Nothing lives below the window: `base` is the tick of the last event
+/// [`unlink_next`](Self::unlink_next) returned (or 0), and scheduling below
+/// it panics. That is gem5's `schedule(when >= curTick())` contract, and
+/// the run loop keeps it because every handler sends at or after the tick
+/// it runs at.
 ///
 /// The structure is data-oriented: slot membership is an intrusive linked
 /// list threaded through a contiguous `meta` array of 24-byte
@@ -44,25 +48,25 @@ const NIL: u32 = u32::MAX;
 /// oracle in this module's differential fuzz tests):
 ///
 /// * a slot holds a single tick, and events append to it in `seq` order;
-/// * `base` only advances to the earliest pending tick, and whenever it
+/// * `base` only grows, to the earliest pending tick, and whenever it
 ///   moves, every `far` event the new window covers is pulled into the
 ///   ring before the queue is used again. A `far` event at tick T was
 ///   scheduled while T lay beyond the window, so every ring event at T is
 ///   younger and is appended after it;
-/// * both heaps order by `(tick, seq)`.
+/// * the `far` heap orders by `(tick, seq)`.
 ///
-/// `snapshot`/`unlink_seq`/`remove_seq` — the model checker's choice-set
-/// view — walk the occupied slots (found through the occupancy bitmap)
-/// and both heaps, so they cost O(128 + n) rather than a pass over every
-/// slot: the exhaustive explorer calls them on every explored edge, and
-/// the simulation hot path never calls them.
+/// `snapshot`/`unlink_seq` — the model checker's choice-set view — walk
+/// the occupied slots (found through the occupancy bitmap) and the `far`
+/// heap, so they cost O(128 + n) rather than a pass over every slot: the
+/// exhaustive explorer calls them on every explored edge, and the
+/// simulation hot path never calls them.
 ///
 /// Every removal is an unlink: [`unlink_next`](Self::unlink_next) (the
 /// earliest event) or [`unlink_seq`](Self::unlink_seq) (a chosen one)
 /// takes the event out of the ordering structure and hands back a
 /// [`Held`] slot. The run loop reads the payload there and frees it;
-/// [`pop`](Self::pop) and [`remove_seq`](Self::remove_seq) are the same
-/// unlinks followed by a move out of the slot.
+/// [`pop`](Self::pop) is the first unlink followed by a move out of the
+/// slot.
 ///
 /// # Examples
 ///
@@ -84,13 +88,11 @@ pub struct WheelQueue<E> {
     occupancy: Box<[u64; OCC_WORDS]>,
     /// Start of the ring's window. Every ring event has a tick in
     /// `[base, base + RING)`, every `far` event one at or past
-    /// `base + RING`, every `past` event one below `base`.
+    /// `base + RING`; no event may be scheduled below it.
     base: u64,
-    /// Total pending events, across the ring and both heaps.
+    /// Total pending events, across the ring and the `far` heap.
     len: usize,
     next_seq: u64,
-    /// Events scheduled before `base` (rare; the driver never does this).
-    past: BinaryHeap<HeapEntry>,
     /// Events at or beyond the end of the ring's window.
     far: BinaryHeap<HeapEntry>,
     /// Ordering metadata, contiguous: all the pop loops touch.
@@ -162,7 +164,6 @@ impl<E> WheelQueue<E> {
             base: 0,
             len: 0,
             next_seq: 0,
-            past: BinaryHeap::new(),
             far: BinaryHeap::new(),
             meta: Vec::new(),
             payload: Vec::new(),
@@ -186,11 +187,14 @@ impl<E> WheelQueue<E> {
     ///
     /// # Panics
     ///
-    /// Panics if more than `u32::MAX` events are pending at once.
+    /// Panics if `tick` is below the tick of the last event
+    /// [`unlink_next`](Self::unlink_next) returned, or if more than
+    /// `u32::MAX` events are pending at once.
     #[inline]
     pub fn schedule(&mut self, tick: Tick, event: E) {
         // The common case, in line: a recycled slab slot and a tick inside
-        // the window.
+        // the window. A tick below the window fails `in_ring`, so the
+        // contract is checked out of line.
         if self.in_ring(tick.0) {
             if let Some(idx) = self.free.pop() {
                 self.fill(idx, tick.0, event);
@@ -201,28 +205,23 @@ impl<E> WheelQueue<E> {
         self.schedule_cold(tick.0, event);
     }
 
-    /// The rest of [`schedule`](Self::schedule): slab growth, the
-    /// empty-queue snap of `base`, and the two heaps.
+    /// The rest of [`schedule`](Self::schedule): the contract check, slab
+    /// growth and the `far` heap.
     #[inline(never)]
     fn schedule_cold(&mut self, tick: u64, event: E) {
+        assert!(
+            tick >= self.base,
+            "event scheduled at tick {tick}, behind the last event handled at tick {}",
+            self.base
+        );
         let idx = self.free.pop().unwrap_or_else(|| {
             let idx = u32::try_from(self.meta.len()).expect("event queue slab overflow");
             self.meta.push(Meta { tick, seq: 0, next: NIL });
             self.payload.push(None);
             idx
         });
-        if self.len == 0 {
-            // Empty queue: snap the window to the new event so it lands in
-            // the ring however far the last pop left `base` from it. An
-            // event already inside the window takes the in-line path and
-            // leaves `base` where it is, so the nearer sends that often
-            // follow from the same handler do not land in `past`.
-            self.base = tick;
-        }
         let seq = self.fill(idx, tick, event);
-        if tick < self.base {
-            self.past.push(HeapEntry { tick, seq, idx });
-        } else if self.in_ring(tick) {
+        if self.in_ring(tick) {
             self.append(tick, idx);
         } else {
             self.far.push(HeapEntry { tick, seq, idx });
@@ -230,7 +229,7 @@ impl<E> WheelQueue<E> {
     }
 
     /// Writes a new pending event into slab entry `idx` and returns its
-    /// `seq`; the caller links it into the ring or a heap.
+    /// `seq`; the caller links it into the ring or the `far` heap.
     #[inline]
     fn fill(&mut self, idx: u32, tick: u64, event: E) -> u64 {
         let seq = self.next_seq;
@@ -278,7 +277,7 @@ impl<E> WheelQueue<E> {
     }
 
     /// Moves `base` to the earliest pending ring or `far` tick.
-    /// Precondition: `past` is empty and the ring or `far` is not.
+    /// Precondition: the ring or `far` is not empty.
     #[inline(never)]
     fn advance(&mut self) {
         let next = match self.ring_next() {
@@ -311,7 +310,7 @@ impl<E> WheelQueue<E> {
     /// slab slot, or `None` if empty. The payload stays where `schedule`
     /// put it: read it with [`get`](Self::get), then hand the handle to
     /// [`free`](Self::free). Until then the event is out of the queue —
-    /// `len`, `peek_tick`, `snapshot` and `remove_seq` no longer see it —
+    /// `len`, `peek_tick`, `snapshot` and `unlink_seq` no longer see it —
     /// and `schedule` cannot reuse its slot, so a handler may be given
     /// `&E` while the driver keeps scheduling.
     ///
@@ -322,11 +321,6 @@ impl<E> WheelQueue<E> {
     pub fn unlink_next(&mut self) -> Option<(Tick, Held)> {
         if self.len == 0 {
             return None;
-        }
-        // Past events (tick < base) precede everything in the ring.
-        if !self.past.is_empty() {
-            let e = self.past.pop().expect("checked non-empty");
-            return Some(self.hold(e.tick, e.idx));
         }
         let mut c = self.cursor();
         if self.slots[c].head == NIL {
@@ -363,7 +357,7 @@ impl<E> WheelQueue<E> {
     }
 
     /// The last step of every unlink: slab entry `idx` is out of its list
-    /// or heap, so it stops counting as pending.
+    /// or the `far` heap, so it stops counting as pending.
     #[inline]
     fn hold(&mut self, tick: u64, idx: u32) -> (Tick, Held) {
         self.len -= 1;
@@ -396,9 +390,6 @@ impl<E> WheelQueue<E> {
     pub fn peek_tick(&self) -> Option<Tick> {
         if self.len == 0 {
             return None;
-        }
-        if let Some(e) = self.past.peek() {
-            return Some(Tick(e.tick));
         }
         self.ring_next().or_else(|| self.far.peek().map(|e| e.tick)).map(Tick)
     }
@@ -441,7 +432,6 @@ impl<E> WheelQueue<E> {
                 idx = self.meta[idx as usize].next;
             }
         }
-        out.extend(self.past.iter().map(|e| e.idx));
         out.extend(self.far.iter().map(|e| e.idx));
         out
     }
@@ -451,7 +441,7 @@ impl<E> WheelQueue<E> {
     /// Returns `(tick, seq, &event)` triples sorted exactly the way
     /// [`pop`](Self::pop) would drain them. This is the "pending choice
     /// set" view the model checker explores: each `seq` is a stable handle
-    /// that [`remove_seq`](Self::remove_seq) accepts.
+    /// that [`unlink_seq`](Self::unlink_seq) accepts.
     #[must_use]
     pub fn snapshot(&self) -> Vec<(Tick, u64, &E)> {
         let mut entries: Vec<(u64, u64, u32)> = self
@@ -510,25 +500,12 @@ impl<E> WheelQueue<E> {
             }
             return Some(self.hold(m.tick, idx));
         }
-        for heap in [true, false] {
-            let h = if heap { &self.past } else { &self.far };
-            if h.iter().any(|e| e.seq == seq) {
-                let h = if heap { &mut self.past } else { &mut self.far };
-                let mut entries = std::mem::take(h).into_vec();
-                let pos = entries.iter().position(|e| e.seq == seq).expect("entry vanished");
-                let e = entries.swap_remove(pos);
-                *h = BinaryHeap::from(entries);
-                return Some(self.hold(e.tick, e.idx));
-            }
-        }
-        None
-    }
-
-    /// Removes and returns the pending event with sequence number `seq`,
-    /// if present.
-    pub fn remove_seq(&mut self, seq: u64) -> Option<(Tick, E)> {
-        let (tick, held) = self.unlink_seq(seq)?;
-        Some((tick, self.take(held)))
+        // `as_slice` and `into_vec` both expose the heap's one vector.
+        let pos = self.far.as_slice().iter().position(|e| e.seq == seq)?;
+        let mut entries = std::mem::take(&mut self.far).into_vec();
+        let e = entries.swap_remove(pos);
+        self.far = BinaryHeap::from(entries);
+        Some(self.hold(e.tick, e.idx))
     }
 }
 
@@ -637,51 +614,41 @@ mod tests {
         assert_eq!(q.pop(), Some((Tick(1), 'a')));
     }
 
+    /// `unlink_seq` followed by a move out of the slot.
+    fn take_seq<E>(q: &mut WheelQueue<E>, seq: u64) -> Option<(Tick, E)> {
+        let (tick, held) = q.unlink_seq(seq)?;
+        Some((tick, q.take(held)))
+    }
+
     #[test]
-    fn remove_seq_pulls_an_arbitrary_event() {
+    fn unlink_seq_pulls_an_arbitrary_event() {
         let mut q = WheelQueue::new();
-        q.schedule(Tick(1), 'a'); // base snaps to 1
+        q.schedule(Tick(1), 'a');
         q.schedule(Tick(2), 'b');
         q.schedule(Tick(3), 'c');
         q.schedule(Tick(1 << 40), 'o'); // beyond the ring: far heap
-        q.schedule(Tick(0), 'p'); // behind base: past heap
         let snap = q.snapshot();
-        let (seq_p, seq_b, seq_o) = (snap[0].1, snap[2].1, snap[4].1);
-        assert_eq!(q.remove_seq(seq_b), Some((Tick(2), 'b')));
-        assert_eq!(q.remove_seq(seq_b), None, "already removed");
-        assert_eq!(q.remove_seq(seq_o), Some((Tick(1 << 40), 'o')));
-        assert_eq!(q.remove_seq(seq_p), Some((Tick(0), 'p')));
-        assert_eq!(q.remove_seq(999), None, "unknown seq is a no-op");
-        // Remaining events still drain in order, and the slab slot is reused.
+        let (seq_a, seq_b, seq_o) = (snap[0].1, snap[1].1, snap[3].1);
+        assert_eq!(take_seq(&mut q, seq_b), Some((Tick(2), 'b')));
+        assert_eq!(take_seq(&mut q, seq_b), None, "already removed");
+        assert_eq!(take_seq(&mut q, seq_o), Some((Tick(1 << 40), 'o')));
+        assert_eq!(take_seq(&mut q, seq_a), Some((Tick(1), 'a')));
+        assert_eq!(take_seq(&mut q, 999), None, "unknown seq is a no-op");
+        // Out-of-order removals leave the window where it was, the rest
+        // still drains in order, and the slab slot is reused.
         q.schedule(Tick(0), 'z');
         assert_eq!(q.pop(), Some((Tick(0), 'z')));
-        assert_eq!(q.pop(), Some((Tick(1), 'a')));
         assert_eq!(q.pop(), Some((Tick(3), 'c')));
         assert_eq!(q.pop(), None);
     }
 
     #[test]
-    fn events_in_the_past_are_still_popped_in_order() {
-        // The queue itself does not enforce monotonicity (the driver does);
-        // it must still order whatever it is given.
+    #[should_panic(expected = "event scheduled at tick 1, behind the last event handled at tick 5")]
+    fn scheduling_into_the_past_panics() {
         let mut q = WheelQueue::new();
         q.schedule(Tick(5), 'x');
         assert_eq!(q.pop(), Some((Tick(5), 'x')));
         q.schedule(Tick(1), 'y');
-        assert_eq!(q.pop(), Some((Tick(1), 'y')));
-    }
-
-    #[test]
-    fn past_events_precede_wheel_events() {
-        let mut q = WheelQueue::new();
-        q.schedule(Tick(1000), 'w'); // base snaps to 1000
-        assert_eq!(q.pop(), Some((Tick(1000), 'w')));
-        q.schedule(Tick(2000), 'a'); // base snaps to 2000
-        q.schedule(Tick(50), 'p'); // behind base: past heap
-        q.schedule(Tick(70), 'q');
-        q.schedule(Tick(50), 'r'); // same past tick: FIFO after 'p'
-        let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, ['p', 'r', 'q', 'a']);
     }
 
     #[test]
@@ -690,7 +657,7 @@ mod tests {
         // 2^32 ticks: once the ring drains, each pop jumps the window to
         // the far frontier.
         let mut q = WheelQueue::new();
-        q.schedule(Tick(0), 0u32); // pin base at 0
+        q.schedule(Tick(0), 0u32); // base = 0
         let ticks = [3u64, 300, 70_000, 17_000_000, 5_000_000_000];
         for (i, &t) in ticks.iter().enumerate() {
             q.schedule(Tick(t), i as u32 + 1);
@@ -784,13 +751,13 @@ mod tests {
     /// One seeded differential step sequence: drives the queue and the
     /// sorted-`Vec` oracle through an identical random mix of schedules
     /// (same-tick bursts, small deltas, ticks on either side of the ring's
-    /// edge, the tick of a pending far event, far-future ticks, occasional
-    /// past ticks), pops, in-place deliveries (unlink, read, schedule
-    /// while the slot is held, free — what `System::step` does) and
-    /// `remove_seq`/`unlink_seq` cancellations, and asserts identical
-    /// observable behaviour throughout. Once `max_depth` events are
-    /// pending, schedules give way to pops, so a long run keeps moving the
-    /// window instead of piling up events.
+    /// edge, the tick of a pending far event, far-future ticks; never
+    /// below the last popped tick, the queue's contract), pops, in-place
+    /// deliveries (unlink, read, schedule while the slot is held, free —
+    /// what `System::step` does) and `unlink_seq` cancellations, and
+    /// asserts identical observable behaviour throughout. Once `max_depth`
+    /// events are pending, schedules give way to pops, so a long run keeps
+    /// moving the window instead of piling up events.
     fn differential_run(seed: u64, ops: usize, max_depth: usize) {
         let mut rng = DetRng::new(seed);
         let mut wheel: WheelQueue<u64> = WheelQueue::new();
@@ -809,7 +776,7 @@ mod tests {
                 // Schedule (60%): deltas weighted toward the small fixed
                 // offsets the simulator actually uses.
                 0..=11 => {
-                    let tick = match rng.next_below(13) {
+                    let tick = match rng.next_below(12) {
                         0..=5 => now + rng.next_below(64),       // near
                         6..=7 => now,                            // equal-tick burst
                         8 => now + rng.next_below(100_000),      // mid
@@ -824,8 +791,7 @@ mod tests {
                                 }
                             }
                         }
-                        11 => now + (1 << 40) + rng.next_below(10), // far future
-                        _ => now.saturating_sub(rng.next_below(300)), // past
+                        _ => now + (1 << 40) + rng.next_below(10), // far future
                     };
                     let burst = 1 + rng.next_below(3);
                     for _ in 0..burst {
@@ -857,10 +823,10 @@ mod tests {
                     assert_eq!(Some((t, event)), want, "unlink diverged at op {op} (seed {seed})");
                     assert_eq!(wheel.len(), oracle.pending.len(), "len counts the held event");
                     now = now.max(t.0);
-                    // One schedule per home (wheel, past heap, overflow
-                    // heap): none may land in the held slot, although it
-                    // is the most recently vacated one.
-                    for tick in [now + rng.next_below(64), now.saturating_sub(7), now + (1 << 40)] {
+                    // One schedule per home (ring, far heap): neither may
+                    // land in the held slot, although it is the most
+                    // recently vacated one.
+                    for tick in [now + rng.next_below(64), now + (1 << 40)] {
                         payload += 1;
                         wheel.schedule(Tick(tick), payload);
                         oracle.schedule(Tick(tick), payload);
@@ -873,11 +839,11 @@ mod tests {
                     let i = rng.next_below(oracle.pending.len() as u64) as usize;
                     let (tick, pick, other) = oracle.pending.remove(i);
                     assert_eq!(
-                        wheel.remove_seq(pick),
+                        take_seq(&mut wheel, pick),
                         Some((tick, other)),
-                        "remove_seq, held slot"
+                        "unlink_seq, held slot"
                     );
-                    assert_eq!(*wheel.get(&held), event, "remove_seq disturbed the held slot");
+                    assert_eq!(*wheel.get(&held), event, "unlink_seq disturbed the held slot");
                     wheel.free(held);
                 }
                 // Cancel a random pending event by its seq handle (10%),
@@ -889,7 +855,7 @@ mod tests {
                     let i = rng.next_below(oracle.pending.len() as u64) as usize;
                     let (tick, pick, event) = oracle.pending.remove(i);
                     let got = if rng.chance(1, 2) {
-                        wheel.remove_seq(pick)
+                        take_seq(&mut wheel, pick)
                     } else {
                         wheel.unlink_seq(pick).map(|(t, held)| {
                             let e = *wheel.get(&held);
