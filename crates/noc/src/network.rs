@@ -176,9 +176,8 @@ impl Network {
     /// `msg.dst`; nothing is counted in that case.
     #[inline]
     pub fn send(&mut self, now: Tick, msg: &Message) -> Result<Delivery, WiringError> {
-        let lat = self.latency.one_way(msg.src, msg.dst)?;
+        let arrive = now + self.latency.one_way(msg.src, msg.dst)?;
         self.n.msg.bump(&msg.kind);
-        let arrive = now + lat;
         Ok(match self.plan {
             None => Delivery::Deliver(arrive),
             Some(plan) => self.inject(plan, arrive, msg),
