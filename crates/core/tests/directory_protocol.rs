@@ -214,6 +214,75 @@ fn early_response_fires_on_first_dirty_ack() {
     assert!(h.dir.is_idle());
 }
 
+/// §III-A's early responder may unblock before the rest of its downgrade
+/// round is in. The line stays blocked until those acks arrive: were it
+/// released at the unblock, the late acks would close the next
+/// transaction's invalidation round early, and that round's dirty ack —
+/// the only copy of a CPU store — would be dropped as stale.
+#[test]
+fn early_unblock_holds_the_line_until_its_probe_round_is_in() {
+    let mut h = Harness::new(CoherenceConfig::early_response());
+    let ack = |dirty: Option<LineData>, had_copy: bool| MsgKind::ProbeAck {
+        dirty,
+        had_copy,
+        was_parked: false,
+    };
+    let others = [AgentId::CorePairL2(2), AgentId::CorePairL2(3), TCC];
+    // L2_0 takes the line for writing and stores word 0 = 1.
+    h.send(L2_0, LINE, MsgKind::RdBlkM);
+    h.ack_all_probes(LINE, None);
+    assert!(matches!(h.drain_to(L2_0)[..], [Message { kind: MsgKind::Resp { .. }, .. }]));
+    h.send(L2_0, LINE, MsgKind::Unblock);
+
+    // L2_1 reads: L2_0's dirty downgrade ack earns it the early response;
+    // the other three downgrade probes stay unanswered for now.
+    h.send(L2_1, LINE, MsgKind::RdBlk);
+    assert_eq!(h.probe_count(LINE), N_L2 - 1 + 1);
+    h.to_caches.clear();
+    h.send(L2_0, LINE, ack(Some(data(1)), true));
+    match h.drain_to(L2_1)[..] {
+        [Message { kind: MsgKind::Resp { data: d, .. }, .. }] => assert_eq!(d.word(0), 1),
+        ref m => panic!("expected one early Resp, got {m:?}"),
+    }
+
+    // A GPU write-through of word 7 queues behind the read, and L2_1
+    // unblocks before the late downgrade acks are in.
+    let mut wt = LineData::zeroed();
+    wt.set_word(7, 77);
+    h.send(
+        TCC,
+        LINE,
+        MsgKind::WriteThrough { data: wt, mask: WordMask::single(7), retains: false },
+    );
+    h.send(L2_1, LINE, MsgKind::Unblock);
+    for who in others {
+        h.send(who, LINE, ack(None, false));
+    }
+
+    // The write-through's invalidations: L2_0 brings back its store.
+    let invalidated: Vec<AgentId> =
+        h.to_caches.iter().filter(|m| m.kind.is_probe()).map(|m| m.dst).collect();
+    assert_eq!(invalidated, [L2_0, L2_1, others[0], others[1]]);
+    h.to_caches.clear();
+    h.send(L2_1, LINE, ack(None, true));
+    h.send(L2_0, LINE, ack(Some(data(1)), true));
+    for who in &others[..2] {
+        h.send(*who, LINE, ack(None, false));
+    }
+    assert!(matches!(h.drain_to(TCC)[..], [Message { kind: MsgKind::WtAck, .. }]));
+    assert!(h.dir.is_idle());
+    let mem = h.mem.read_line(LINE);
+    let stale = h.dir.stats().get("dir.stale_probe_acks");
+    assert_eq!(
+        (mem.word(0), mem.word(7), stale),
+        (1, 77, 0),
+        "memory word 0 = {}, word 7 = {}, dir.stale_probe_acks = {stale}: \
+         the CPU store was dropped as a stale probe ack",
+        mem.word(0),
+        mem.word(7),
+    );
+}
+
 #[test]
 fn requests_to_a_blocked_line_queue_in_order() {
     let mut h = Harness::new(CoherenceConfig::baseline());
