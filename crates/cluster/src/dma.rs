@@ -64,7 +64,6 @@ pub struct DmaEngine {
     /// state: excluded from `hash_state`.
     wakes: WakeArm,
     n: DmaCounts,
-    started: bool,
 }
 
 /// Every count the DMA engine keeps; [`DmaEngine::stats`] names them.
@@ -102,7 +101,6 @@ impl DmaEngine {
             retry: RetryTracker::new(None),
             wakes: WakeArm::default(),
             n: DmaCounts::default(),
-            started: false,
         }
     }
 
@@ -130,7 +128,6 @@ impl DmaEngine {
 
     /// Schedules the initial wake-up; call once before the run starts.
     pub fn start(&mut self, out: &mut Outbox) {
-        self.started = true;
         out.wake_after(0);
     }
 
@@ -186,7 +183,6 @@ impl DmaEngine {
         self.in_flight.hash(h);
         self.pending_lines.hash(h);
         self.read_data.hash(h);
-        self.started.hash(h);
     }
 
     /// Handles a completion from the directory.

@@ -82,7 +82,7 @@ impl Default for GpuConfig {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum BlockKind {
-    /// Waiting for TCC line fills of `pending_lines`.
+    /// Waiting for `pending_fills` TCC line fills.
     Fill,
     /// Waiting for an SLC atomic response.
     SlcAtomic,
@@ -100,7 +100,8 @@ struct WfCtx {
     last_value: Option<u64>,
     pending: Option<GpuOp>,
     pending_ifetch: bool,
-    pending_lines: LineMap<()>,
+    /// TCC MSHR entries that list this wavefront (each at most once).
+    pending_fills: u32,
     outstanding_wt: u64,
     flush_pending: bool,
     last_wt_line: Option<LineAddr>,
@@ -256,7 +257,7 @@ impl GpuCluster {
                 last_value: None,
                 pending: None,
                 pending_ifetch: false,
-                pending_lines: LineMap::new(),
+                pending_fills: 0,
                 outstanding_wt: 0,
                 flush_pending: false,
                 last_wt_line: None,
@@ -418,7 +419,7 @@ impl GpuCluster {
             w.last_value.hash(h);
             w.pending.hash(h);
             w.pending_ifetch.hash(h);
-            w.pending_lines.hash(h);
+            w.pending_fills.hash(h);
             w.outstanding_wt.hash(h);
             w.flush_pending.hash(h);
             w.last_wt_line.hash(h);
@@ -517,7 +518,6 @@ impl GpuCluster {
         self.runnable.insert(i);
     }
 
-    #[allow(clippy::too_many_lines)]
     fn step_wf(&mut self, i: usize, now: Tick, out: &mut Outbox) {
         loop {
             let w = &mut self.wfs[i];
@@ -650,7 +650,7 @@ impl GpuCluster {
                 self.n.lane0_refetches += 1;
                 self.request_fill(l0, i, out);
                 let w = &mut self.wfs[i];
-                w.pending_lines.insert(l0, ());
+                w.pending_fills += 1;
                 w.pending = Some(GpuOp::VecLoad(addrs));
                 self.block(i, BlockKind::Fill);
                 return true;
@@ -660,9 +660,9 @@ impl GpuCluster {
             w.ready_at = now + lat;
             true
         } else {
+            self.wfs[i].pending_fills += lines.len() as u32;
             for la in lines.drain(..) {
                 self.request_fill(la, i, out);
-                self.wfs[i].pending_lines.insert(la, ());
             }
             self.line_scratch = lines;
             self.wfs[i].pending = Some(GpuOp::VecLoad(addrs));
@@ -768,7 +768,7 @@ impl GpuCluster {
         } else {
             self.request_fill(la, i, out);
             let w = &mut self.wfs[i];
-            w.pending_lines.insert(la, ());
+            w.pending_fills += 1;
             w.pending = Some(GpuOp::AtomicGlc(a, k));
             self.block(i, BlockKind::Fill);
             true
@@ -838,7 +838,7 @@ impl GpuCluster {
         self.n.tcc_misses += 1;
         let w = &mut self.wfs[i];
         w.pending_ifetch = true;
-        w.pending_lines.insert(la, ());
+        w.pending_fills += 1;
         self.block(i, BlockKind::Fill);
         self.request_fill(la, i, out);
     }
@@ -863,8 +863,8 @@ impl GpuCluster {
         for i in txn.waiters {
             let w = &mut self.wfs[i];
             fill(&mut self.tcps[w.cu], la, data);
-            w.pending_lines.remove(la);
-            if w.pending_lines.is_empty() {
+            w.pending_fills -= 1;
+            if w.pending_fills == 0 {
                 let ready_at = if w.pending_ifetch {
                     w.pending_ifetch = false;
                     fill(&mut self.sqc, la, ());
