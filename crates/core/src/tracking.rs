@@ -402,7 +402,6 @@ pub const BACK_INVALIDATION: Transition =
 /// while the directory is in `S`): the caller filters stale victims before
 /// consulting the table. [`legal_rows`] lists what may be asked.
 #[must_use]
-#[allow(clippy::too_many_lines)]
 pub fn plan(mode: DirectoryMode, state: DirState, req: PlanReq, from: Requester) -> Transition {
     use DataPlan as D;
     use GrantPlan as G;
