@@ -303,6 +303,54 @@ fn requests_to_a_blocked_line_queue_in_order() {
     assert!(h.dir.is_idle());
 }
 
+/// A probe ack, memory reply or unblock that the line's transaction is not
+/// waiting for is counted once and changes nothing, and a class the
+/// directory never consumes is counted as unexpected.
+#[test]
+fn unawaited_acks_replies_and_unblocks_are_counted_and_ignored() {
+    let mut h = Harness::new(CoherenceConfig::baseline());
+    let stale = |h: &Harness| {
+        let s = h.dir.stats();
+        (s.get("dir.stale_probe_acks"), s.get("dir.stale_mem_resps"), s.get("dir.stale_unblocks"))
+    };
+    let ack = MsgKind::ProbeAck { dirty: None, had_copy: false, was_parked: false };
+    let stale_reply = MsgKind::MemRdResp { data: data(99) };
+
+    // An idle line waits for nothing.
+    h.send(L2_1, LINE, ack);
+    h.send(AgentId::Memory, LINE, stale_reply);
+    h.send(L2_0, LINE, MsgKind::Unblock);
+    assert_eq!(stale(&h), (1, 1, 1));
+    assert!(h.to_caches.is_empty() && h.dir.is_idle(), "stale inputs send nothing");
+
+    // While its probe round is out, a read has asked memory for nothing and
+    // answered nobody.
+    h.send(L2_0, LINE, MsgKind::RdBlk);
+    h.send(AgentId::Memory, LINE, stale_reply);
+    h.send(L2_0, LINE, MsgKind::Unblock);
+    assert_eq!(stale(&h), (1, 2, 2));
+
+    // Once the round is in, one more ack is stale too; the response carries
+    // memory's data, not the stale reply's.
+    h.ack_all_probes(LINE, None);
+    h.send(L2_1, LINE, ack);
+    assert_eq!(stale(&h), (2, 2, 2));
+    match h.drain_to(L2_0)[..] {
+        [Message { kind: MsgKind::Resp { data: d, grant: Grant::Exclusive }, .. }] => {
+            assert_eq!(d.word(0), 0);
+        }
+        ref m => panic!("expected one Exclusive Resp, got {m:?}"),
+    }
+
+    // A class the directory never consumes is unexpected, not stale; the
+    // awaited unblock still releases the line.
+    h.send(L2_0, LINE, MsgKind::VicAck);
+    assert_eq!(h.dir.stats().get("dir.unexpected.VicAck"), 1);
+    h.send(L2_0, LINE, MsgKind::Unblock);
+    assert_eq!(stale(&h), (2, 2, 2));
+    assert!(h.dir.is_idle());
+}
+
 // ------------------------------------------------------------- victims/LLC
 
 #[test]
