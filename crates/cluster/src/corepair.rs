@@ -136,8 +136,9 @@ struct CoreCtx {
     ready_at: Tick,
     blocked_line: Option<LineAddr>,
     last_value: Option<u64>,
+    /// The data op to re-attempt once `blocked_line` fills; `None` while
+    /// blocked is an instruction fetch.
     pending: Option<CpuOp>,
-    pending_ifetch: bool,
     done: bool,
     ops_since_ifetch: u64,
     next_code_line: u64,
@@ -227,7 +228,6 @@ impl CorePair {
                 blocked_line: None,
                 last_value: None,
                 pending: None,
-                pending_ifetch: false,
                 done: false,
                 ops_since_ifetch: 0,
                 next_code_line: 0,
@@ -403,7 +403,6 @@ impl CorePair {
             c.blocked_line.hash(h);
             c.last_value.hash(h);
             c.pending.hash(h);
-            c.pending_ifetch.hash(h);
             c.ops_since_ifetch.hash(h);
             c.next_code_line.hash(h);
             c.ops_retired.hash(h);
@@ -493,9 +492,8 @@ impl CorePair {
             let core = &mut self.cores[c];
             debug_assert_eq!(core.blocked_line, Some(la));
             core.blocked_line = None;
-            if core.pending_ifetch {
+            if core.pending.is_none() {
                 // Instruction fetch completes directly: fill the L1I tag.
-                core.pending_ifetch = false;
                 core.ready_at = now + fill_lat;
                 fill_tag(&mut self.l1i, la);
             } else {
@@ -697,7 +695,6 @@ impl CorePair {
     fn miss(&mut self, i: usize, la: LineAddr, kind: TxnKind, op: Option<CpuOp>, out: &mut Outbox) {
         let c = &mut self.cores[i];
         c.pending = op;
-        c.pending_ifetch = op.is_none();
         c.blocked_line = Some(la);
         if let Some(txn) = self.mshr.get_mut(la) {
             txn.waiters.push(i);

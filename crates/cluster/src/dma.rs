@@ -187,23 +187,17 @@ impl DmaEngine {
 
     /// Handles a completion from the directory.
     pub fn on_message(&mut self, now: Tick, msg: &Message, out: &mut Outbox) {
-        match msg.kind {
-            MsgKind::DmaRdResp { data } => {
-                if self.in_flight.remove(msg.line).is_some() {
+        match &msg.kind {
+            MsgKind::DmaRdResp { .. } | MsgKind::DmaWrAck
+                if self.in_flight.remove(msg.line).is_some() =>
+            {
+                if let MsgKind::DmaRdResp { data } = msg.kind {
                     self.read_data.insert(msg.line, data);
-                    self.retry.acked(msg.line);
-                } else {
-                    // Duplicate response (original + retry both answered).
-                    self.n.stale_resps += 1;
                 }
+                self.retry.acked(msg.line);
             }
-            MsgKind::DmaWrAck => {
-                if self.in_flight.remove(msg.line).is_some() {
-                    self.retry.acked(msg.line);
-                } else {
-                    self.n.stale_resps += 1;
-                }
-            }
+            // A duplicate response (original + retry both answered).
+            MsgKind::DmaRdResp { .. } | MsgKind::DmaWrAck => self.n.stale_resps += 1,
             _ => self.n.unexpected_msgs += 1,
         }
         self.pump(now, out);

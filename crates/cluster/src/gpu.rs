@@ -98,8 +98,9 @@ struct WfCtx {
     ready_at: Tick,
     blocked: Option<BlockKind>,
     last_value: Option<u64>,
+    /// The op to re-attempt once unblocked; `None` while blocked on a
+    /// fill is an instruction fetch.
     pending: Option<GpuOp>,
-    pending_ifetch: bool,
     /// TCC MSHR entries that list this wavefront (each at most once).
     pending_fills: u32,
     outstanding_wt: u64,
@@ -148,8 +149,7 @@ impl Runnable {
 #[derive(Debug, Clone)]
 struct TccTxn {
     /// Wavefronts (indices into `GpuCluster::wfs`) waiting on this fill
-    /// (an SQC miss waits as its wavefront, through
-    /// `WfCtx::pending_ifetch`).
+    /// (an SQC miss waits as its wavefront, with no `WfCtx::pending` op).
     waiters: Vec<usize>,
 }
 
@@ -256,7 +256,6 @@ impl GpuCluster {
                 blocked: None,
                 last_value: None,
                 pending: None,
-                pending_ifetch: false,
                 pending_fills: 0,
                 outstanding_wt: 0,
                 flush_pending: false,
@@ -418,7 +417,6 @@ impl GpuCluster {
             w.blocked.hash(h);
             w.last_value.hash(h);
             w.pending.hash(h);
-            w.pending_ifetch.hash(h);
             w.pending_fills.hash(h);
             w.outstanding_wt.hash(h);
             w.flush_pending.hash(h);
@@ -837,7 +835,6 @@ impl GpuCluster {
         }
         self.n.tcc_misses += 1;
         let w = &mut self.wfs[i];
-        w.pending_ifetch = true;
         w.pending_fills += 1;
         self.block(i, BlockKind::Fill);
         self.request_fill(la, i, out);
@@ -865,8 +862,7 @@ impl GpuCluster {
             fill(&mut self.tcps[w.cu], la, data);
             w.pending_fills -= 1;
             if w.pending_fills == 0 {
-                let ready_at = if w.pending_ifetch {
-                    w.pending_ifetch = false;
+                let ready_at = if w.pending.is_none() {
                     fill(&mut self.sqc, la, ());
                     now + gpu_cycles(self.cfg.sqc_cycles + self.cfg.tcc_cycles)
                 } else {
@@ -882,14 +878,10 @@ impl GpuCluster {
 
     fn on_wt_ack(&mut self, now: Tick, la: LineAddr, out: &mut Outbox) {
         self.retry.acked(la);
-        let Some(q) = self.wt_waiters.get_mut(la) else {
+        let Some(i) = pop_waiter(&mut self.wt_waiters, la) else {
             self.n.stale_resps += 1;
             return;
         };
-        let i = q.pop_front().expect("WtAck queue empty");
-        if q.is_empty() {
-            self.wt_waiters.remove(la);
-        }
         let w = &mut self.wfs[i];
         w.outstanding_wt -= 1;
         if w.blocked == Some(BlockKind::Release) && w.outstanding_wt == 0 && !w.flush_pending {
@@ -899,14 +891,10 @@ impl GpuCluster {
     }
 
     fn on_atomic_resp(&mut self, now: Tick, la: LineAddr, old: u64, out: &mut Outbox) {
-        let Some(q) = self.slc_waiters.get_mut(la) else {
+        let Some(i) = pop_waiter(&mut self.slc_waiters, la) else {
             self.n.stale_resps += 1;
             return;
         };
-        let i = q.pop_front().expect("SLC waiter queue empty");
-        if q.is_empty() {
-            self.slc_waiters.remove(la);
-        }
         let w = &mut self.wfs[i];
         debug_assert_eq!(w.blocked, Some(BlockKind::SlcAtomic));
         w.last_value = Some(old);
@@ -916,14 +904,10 @@ impl GpuCluster {
 
     fn on_flush_ack(&mut self, now: Tick, la: LineAddr, out: &mut Outbox) {
         self.retry.acked(la);
-        let Some(q) = self.flush_waiters.get_mut(la) else {
+        let Some(i) = pop_waiter(&mut self.flush_waiters, la) else {
             self.n.stale_resps += 1;
             return;
         };
-        let i = q.pop_front().expect("flush waiter queue empty");
-        if q.is_empty() {
-            self.flush_waiters.remove(la);
-        }
         let w = &mut self.wfs[i];
         w.flush_pending = false;
         w.last_wt_line = None;
@@ -950,6 +934,17 @@ impl GpuCluster {
             MsgKind::ProbeAck { dirty: None, had_copy, was_parked: false },
         ));
     }
+}
+
+/// Takes the first wavefront in `la`'s queue of `waiters`, dropping the
+/// queue once it is empty; `None` if nobody waits (a stale reply).
+fn pop_waiter(waiters: &mut LineMap<VecDeque<usize>>, la: LineAddr) -> Option<usize> {
+    let q = waiters.get_mut(la)?;
+    let i = q.pop_front();
+    if q.is_empty() {
+        waiters.remove(la);
+    }
+    i
 }
 
 /// Leaves `la` in `cache` holding `line`, most-recently used: updates
