@@ -368,7 +368,7 @@ fn check_coherence(sys: &System) -> Option<(ViolationKind, String)> {
             unsettled.insert(m.line);
         }
     }
-    let mut copies: BTreeMap<LineAddr, Vec<(usize, MoesiState, LineData)>> = BTreeMap::new();
+    let mut copies: BTreeMap<LineAddr, Vec<L2Copy>> = BTreeMap::new();
     for cp in 0..sys.corepair_count() {
         for la in sys.mshr_lines(cp) {
             unsettled.insert(la);
@@ -380,8 +380,8 @@ fn check_coherence(sys: &System) -> Option<(ViolationKind, String)> {
             copies.entry(la).or_default().push((cp, state, data));
         }
     }
-    let llc: BTreeMap<LineAddr, (LineData, bool)> =
-        sys.llc_snapshot().into_iter().map(|(la, d, dirty)| (la, (d, dirty))).collect();
+    let llc: BTreeMap<LineAddr, LineData> =
+        sys.llc_snapshot().into_iter().map(|(la, d, _)| (la, d)).collect();
 
     for (la, cs) in &copies {
         if unsettled.contains(la) || sys.dir_busy(*la) {
@@ -392,7 +392,7 @@ fn check_coherence(sys: &System) -> Option<(ViolationKind, String)> {
         if writers > 1 {
             return Some((
                 ViolationKind::Swmr,
-                format!("line {:#x}: {writers} writable copies in {}", la.0, describe(cs)),
+                format!("line {:#x}: {writers} writable copies in {}", la.0, describe(cs, 0)),
             ));
         }
         if writers == 1 && cs.len() > 1 {
@@ -402,50 +402,53 @@ fn check_coherence(sys: &System) -> Option<(ViolationKind, String)> {
                     "line {:#x}: a writable copy coexists with {} other(s) in {}",
                     la.0,
                     cs.len() - 1,
-                    describe(cs)
+                    describe(cs, 0)
                 ),
             ));
         }
         if owners > 1 {
             return Some((
                 ViolationKind::Swmr,
-                format!("line {:#x}: {owners} Owned copies in {}", la.0, describe(cs)),
+                format!("line {:#x}: {owners} Owned copies in {}", la.0, describe(cs, 0)),
             ));
         }
-        let first = cs[0].2;
-        if cs.iter().any(|(_, _, d)| *d != first) {
-            return Some((
-                ViolationKind::ValueCoherence,
-                format!("line {:#x}: copies disagree in {}", la.0, describe(cs)),
-            ));
-        }
-        let dirty_cached = cs.iter().any(|(_, s, _)| s.forwards_dirty());
-        if !dirty_cached {
-            // No dirty copy: every clean copy must match the freshest
-            // backing — the LLC if it holds the line, else memory.
-            let backing = match llc.get(la) {
-                Some((d, _)) => *d,
-                None => sys.memory_line(*la),
-            };
-            if first != backing {
-                return Some((
-                    ViolationKind::ValueCoherence,
-                    format!(
-                        "line {:#x}: clean copies (word0={:#x}) diverge from backing (word0={:#x})",
-                        la.0,
-                        first.word(0),
-                        backing.word(0)
-                    ),
-                ));
-            }
+        let backing = llc.get(la).copied().unwrap_or_else(|| sys.memory_line(*la));
+        if let Some(detail) = divergence(*la, cs, backing) {
+            return Some((ViolationKind::ValueCoherence, detail));
         }
     }
     None
 }
 
-fn describe(cs: &[(usize, MoesiState, LineData)]) -> String {
+/// One L2's copy of a line: the pair's index, its state, its data.
+type L2Copy = (usize, MoesiState, LineData);
+
+/// Value coherence of one settled line's L2 copies: they agree, and with
+/// no dirty copy among them they equal `backing` (the LLC's copy, else
+/// memory's). A divergence names the first word that differs.
+fn divergence(la: LineAddr, cs: &[L2Copy], backing: LineData) -> Option<String> {
+    let first = cs[0].2;
+    let diff = |d: &LineData| (0..d.words().len()).find(|&w| d.word(w) != first.word(w));
+    if let Some(w) = cs.iter().find_map(|(_, _, d)| diff(d)) {
+        return Some(format!("line {:#x}: copies disagree in {}", la.0, describe(cs, w)));
+    }
+    if cs.iter().any(|(_, s, _)| s.forwards_dirty()) {
+        return None;
+    }
+    diff(&backing).map(|w| {
+        format!(
+            "line {:#x}: clean copies (word{w}={:#x}) diverge from backing (word{w}={:#x})",
+            la.0,
+            first.word(w),
+            backing.word(w)
+        )
+    })
+}
+
+/// Each copy's holder, state and word `w`.
+fn describe(cs: &[L2Copy], w: usize) -> String {
     let parts: Vec<String> =
-        cs.iter().map(|(cp, s, d)| format!("L2[{cp}]:{s:?}(word0={:#x})", d.word(0))).collect();
+        cs.iter().map(|(cp, s, d)| format!("L2[{cp}]:{s:?}(word{w}={:#x})", d.word(w))).collect();
     format!("[{}]", parts.join(", "))
 }
 
@@ -551,5 +554,25 @@ mod tests {
         let b = explore(&sys, &CheckConfig::default());
         assert_eq!(a.states, b.states);
         assert_eq!(a.terminal_states, b.terminal_states);
+    }
+
+    #[test]
+    fn divergence_names_the_first_word_that_differs() {
+        // Equal in word 0, different in word 7: the message must not print
+        // two equal word-0 values.
+        let a = LineData::from_words([5, 0, 0, 0, 0, 0, 0, 1]);
+        let b = LineData::from_words([5, 0, 0, 0, 0, 0, 0, 2]);
+        let la = LineAddr(0x1000);
+        let s = MoesiState::Shared;
+        assert_eq!(
+            divergence(la, &[(0, s, a), (1, s, b)], a).as_deref(),
+            Some("line 0x1000: copies disagree in [L2[0]:Shared(word7=0x1), L2[1]:Shared(word7=0x2)]")
+        );
+        assert_eq!(
+            divergence(la, &[(0, s, a)], b).as_deref(),
+            Some("line 0x1000: clean copies (word7=0x1) diverge from backing (word7=0x2)")
+        );
+        assert_eq!(divergence(la, &[(0, s, a), (1, s, a)], a), None);
+        assert_eq!(divergence(la, &[(0, MoesiState::Owned, a)], b), None, "dirty copy");
     }
 }

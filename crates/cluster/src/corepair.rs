@@ -4,7 +4,7 @@ use hsc_noc::{
 };
 use hsc_sim::{StatSet, Tick, TransitionMatrix};
 
-use crate::{cpu_cycles, CoreProgram, CpuOp, MoesiState};
+use crate::{cpu_cycles, CoreProgram, CpuOp, MoesiState, Mutant};
 
 /// State vocabulary of the CorePair's transition matrix: I (absent from
 /// the L2) plus the four [`MoesiState`] variants.
@@ -173,6 +173,8 @@ pub struct CorePair {
     mshr: Mshr<L2Txn>,
     victims: VictimBuffer,
     retry: RetryTracker,
+    /// The seeded bug this pair carries; configuration, not state.
+    mutant: Mutant,
     /// Every self-wake after `start` is staged through this, so the pair
     /// never has two wake-ups pending at one tick. Timing, not protocol
     /// state: excluded from `hash_state`.
@@ -248,6 +250,7 @@ impl CorePair {
             mshr: Mshr::new(cfg.mshr_capacity),
             victims: VictimBuffer::new(),
             retry: RetryTracker::new(None),
+            mutant: Mutant::None,
             wakes: WakeArm::default(),
             n: CpCounts::default(),
             transitions: TransitionMatrix::new("moesi-l2", MOESI_STATES, MOESI_CAUSES),
@@ -261,6 +264,14 @@ impl CorePair {
     #[must_use]
     pub fn with_retry(mut self, policy: Option<RetryPolicy>) -> Self {
         self.retry = RetryTracker::new(policy);
+        self
+    }
+
+    /// Arms a seeded protocol bug ([`Mutant::None`], the default, is the
+    /// correct protocol).
+    #[must_use]
+    pub fn with_mutant(mut self, mutant: Mutant) -> Self {
+        self.mutant = mutant;
         self
     }
 
@@ -785,9 +796,7 @@ impl CorePair {
             let line = self.l2.meta_mut(way);
             had_copy = true;
             let from = st(line.state);
-            // `mutation`: suppressing this forward is the seeded coherence
-            // bug the model-checker tests must catch (lost update).
-            if line.state.forwards_dirty() && !crate::mutation::drop_dirty_probe_data() {
+            if line.state.forwards_dirty() && self.mutant != Mutant::DropDirtyProbeData {
                 dirty = Some(line.data);
             }
             match kind {

@@ -32,7 +32,7 @@ mod corepair;
 mod dma;
 mod gpu;
 mod moesi;
-pub mod mutation;
+mod mutant;
 mod ops;
 
 pub use clocks::{cpu_cycles, gpu_cycles, TICKS_PER_CPU_CYCLE, TICKS_PER_GPU_CYCLE};
@@ -40,4 +40,5 @@ pub use corepair::{CorePair, CpuConfig};
 pub use dma::{DmaCommand, DmaEngine};
 pub use gpu::{GpuCluster, GpuConfig};
 pub use moesi::MoesiState;
+pub use mutant::Mutant;
 pub use ops::{CoreProgram, CpuOp, CpuScript, GpuOp, GpuScript, WavefrontProgram};

@@ -1,5 +1,5 @@
 use hsc_cluster::{
-    CorePair, CoreProgram, DmaCommand, DmaEngine, GpuCluster, MoesiState, WavefrontProgram,
+    CorePair, CoreProgram, DmaCommand, DmaEngine, GpuCluster, MoesiState, Mutant, WavefrontProgram,
     TICKS_PER_GPU_CYCLE,
 };
 use hsc_mem::{Addr, LineAddr, LineData, MainMemory, VictimEntry};
@@ -98,6 +98,7 @@ pub struct SystemBuilder {
     dma_commands: Vec<DmaCommand>,
     trace: TraceConfig,
     obs: ObsConfig,
+    mutant: Mutant,
 }
 
 impl SystemBuilder {
@@ -113,6 +114,7 @@ impl SystemBuilder {
             init_words: Vec::new(),
             trace: TraceConfig::off(),
             obs: ObsConfig::off(),
+            mutant: Mutant::None,
         }
     }
 
@@ -127,6 +129,13 @@ impl SystemBuilder {
     /// one branch per hook and changes no simulated behaviour.
     pub fn with_observability(&mut self, obs: ObsConfig) -> &mut Self {
         self.obs = obs;
+        self
+    }
+
+    /// Builds the system with a seeded protocol bug for the model checker
+    /// to catch; [`Mutant::None`] (the default) is the correct protocol.
+    pub fn with_mutant(&mut self, mutant: Mutant) -> &mut Self {
+        self.mutant = mutant;
         self
     }
 
@@ -175,7 +184,9 @@ impl SystemBuilder {
         let corepairs: Vec<CorePair> = per_pair
             .into_iter()
             .enumerate()
-            .map(|(i, ps)| CorePair::new(i, ps, cfg.cpu).with_retry(cfg.retry))
+            .map(|(i, ps)| {
+                CorePair::new(i, ps, cfg.cpu).with_retry(cfg.retry).with_mutant(self.mutant)
+            })
             .collect();
 
         // Wavefronts round-robin over every CU of every GPU cluster.

@@ -9,6 +9,7 @@
 
 use std::path::PathBuf;
 
+use hsc_repro::cluster::Mutant;
 use hsc_repro::prelude::*;
 
 fn check_fixture(name: &str, got: &str) {
@@ -57,33 +58,19 @@ fn watchdog_stop() -> System {
     b.build()
 }
 
-/// All renderings are checked in one test: arming the mutation below is
-/// process-global, so nothing may simulate beside it.
 #[test]
 fn post_mortem_renderings_match_their_fixtures() {
     check_fixture("deadlock_drop_rdblk.txt", &deadlock_rendering(lost_request()));
     check_fixture("deadlock_watchdog_hsti.txt", &deadlock_rendering(watchdog_stop()));
+}
 
-    // The counterexample `seeded_bug.rs` provokes: two writers under the
-    // MOESI mutation that drops an owner's dirty probe data (debug builds
-    // only, where the mutation exists).
-    #[cfg(debug_assertions)]
-    {
-        use hsc_repro::cluster::mutation;
-        struct Disarm;
-        impl Drop for Disarm {
-            fn drop(&mut self) {
-                mutation::set_drop_dirty_probe_data(false);
-            }
-        }
-        let _disarm = Disarm;
-        mutation::set_drop_dirty_probe_data(true);
-        let report = Litmus::by_name("two_writers").expect("catalog scenario").check_exhaustive();
-        let cx = report.counterexample().expect("the mutation must be caught");
-        check_fixture("counterexample_two_writers.txt", &cx.to_string());
-        check_fixture(
-            "counterexample_two_writers.perfetto.json",
-            &cx.to_perfetto().to_json_string(),
-        );
-    }
+/// Two writers under the MOESI mutant that drops an owner's dirty probe
+/// data: the counterexample the checker's seeded-bug test provokes.
+#[test]
+fn counterexample_renderings_match_their_fixtures() {
+    let l = Litmus::by_name("two_writers").expect("catalog scenario");
+    let report = Litmus { mutant: Mutant::DropDirtyProbeData, ..l }.check_exhaustive();
+    let cx = report.counterexample().expect("the mutant must be caught");
+    check_fixture("counterexample_two_writers.txt", &cx.to_string());
+    check_fixture("counterexample_two_writers.perfetto.json", &cx.to_perfetto().to_json_string());
 }
