@@ -216,9 +216,7 @@ impl Litmus {
         for command in &self.dma {
             b.add_dma(command.clone());
         }
-        for &(a, v) in &self.init {
-            b.init_word(a, v);
-        }
+        b.init_words(self.init.iter().copied());
         b.build()
     }
 

@@ -94,7 +94,7 @@ pub struct SystemBuilder {
     config: SystemConfig,
     cpu_threads: Vec<Box<dyn CoreProgram>>,
     wavefronts: Vec<Box<dyn WavefrontProgram>>,
-    init_words: Vec<(Addr, u64)>,
+    memory: MainMemory,
     dma_commands: Vec<DmaCommand>,
     trace: TraceConfig,
     obs: ObsConfig,
@@ -111,7 +111,7 @@ impl SystemBuilder {
             cpu_threads: Vec::new(),
             wavefronts: Vec::new(),
             dma_commands: Vec::new(),
-            init_words: Vec::new(),
+            memory: MainMemory::new(),
             trace: TraceConfig::off(),
             obs: ObsConfig::off(),
             mutant: Mutant::None,
@@ -166,9 +166,11 @@ impl SystemBuilder {
         self
     }
 
-    /// Initializes a 64-bit word of main memory before the run.
-    pub fn init_word(&mut self, a: Addr, v: u64) -> &mut Self {
-        self.init_words.push((a, v));
+    /// Initializes 64-bit words of main memory before the run, in order
+    /// (a word given twice holds the later value). One word is a
+    /// one-element array: `b.init_words([(a, v)])`.
+    pub fn init_words(&mut self, words: impl IntoIterator<Item = (Addr, u64)>) -> &mut Self {
+        self.memory.write_words(words);
         self
     }
 
@@ -204,11 +206,6 @@ impl SystemBuilder {
             gpus.push(GpuCluster::new(g, programs, cfg.gpu).with_retry(cfg.retry));
         }
 
-        let mut mem = MainMemory::new();
-        for (a, v) in self.init_words {
-            mem.write_word(a, v);
-        }
-
         let mut directory = Directory::new(cfg.coherence, cfg.uncore, cfg.corepairs, n_gpus);
         directory.set_watchdog_limit(cfg.watchdog_ticks);
 
@@ -223,7 +220,7 @@ impl SystemBuilder {
             dma: DmaEngine::new(self.dma_commands, 8).with_retry(cfg.retry),
             directory,
             memctl: MemoryController::new(
-                mem,
+                self.memory,
                 cfg.uncore.mem_ticks,
                 cfg.uncore.mem_occupancy_ticks,
             ),
@@ -790,5 +787,20 @@ impl System {
     #[must_use]
     pub fn events_processed(&self) -> u64 {
         self.events_processed
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_word_given_twice_to_init_words_holds_the_later_value() {
+        let (a, b) = (Addr(0x4_0000), Addr(0x4_0008));
+        let mut builder = SystemBuilder::new(SystemConfig::default());
+        builder.init_words([(a, 1), (b, 5), (a, 2)]).init_words([(b, 6)]);
+        let mut sys = builder.build();
+        sys.run(u64::MAX).expect("an empty system completes");
+        assert_eq!((sys.final_word(a), sys.final_word(b)), (2, 6));
     }
 }

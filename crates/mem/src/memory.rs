@@ -15,6 +15,12 @@ struct Page {
     lines: [LineData; PAGE_LINES as usize],
 }
 
+impl Page {
+    fn unwritten() -> Box<Page> {
+        Box::new(Page { written: 0, lines: [LineData::zeroed(); PAGE_LINES as usize] })
+    }
+}
+
 /// The functional backing store: a sparse, paged map from line address to
 /// data.
 ///
@@ -59,11 +65,9 @@ impl MainMemory {
     }
 
     /// The stored line `la` for writing in place, marked written (a
-    /// never-written line starts as zeros). Every write goes through here.
+    /// never-written line starts as zeros). Every one-line write comes here.
     pub fn line_mut(&mut self, la: LineAddr) -> &mut LineData {
-        let page = self.pages.entry(la.0 / PAGE_LINES).or_insert_with(|| {
-            Box::new(Page { written: 0, lines: [LineData::zeroed(); PAGE_LINES as usize] })
-        });
+        let page = self.pages.entry(la.0 / PAGE_LINES).or_insert_with(Page::unwritten);
         let i = la.0 % PAGE_LINES;
         page.written |= 1 << i;
         &mut page.lines[i as usize]
@@ -82,11 +86,28 @@ impl MainMemory {
 
     /// Writes the 64-bit word at byte address `a`.
     ///
-    /// Used by workloads to initialize inputs before the simulation starts
-    /// and by tests to inspect results after it drains; during simulation
-    /// all traffic goes through the coherence protocol.
+    /// Used by tests to set up or inspect memory around a controller;
+    /// workloads initialise memory through [`MainMemory::write_words`], and
+    /// during simulation all traffic goes through the coherence protocol.
     pub fn write_word(&mut self, a: Addr, value: u64) {
         self.line_mut(a.line()).set_word_at(a, value);
+    }
+
+    /// Writes each `(address, value)` word in order, so a later write to
+    /// the same word wins, exactly as the same [`MainMemory::write_word`]
+    /// calls would. Searches the page map once per run of consecutive
+    /// words on the same page, not once per word.
+    pub fn write_words(&mut self, words: impl IntoIterator<Item = (Addr, u64)>) {
+        let mut words = words.into_iter().peekable();
+        while let Some(&(first, _)) = words.peek() {
+            let number = first.line().0 / PAGE_LINES;
+            let page = self.pages.entry(number).or_insert_with(Page::unwritten);
+            while let Some((a, value)) = words.next_if(|(a, _)| a.line().0 / PAGE_LINES == number) {
+                let i = a.line().0 % PAGE_LINES;
+                page.written |= 1 << i;
+                page.lines[i as usize].set_word_at(a, value);
+            }
+        }
     }
 
     /// Number of lines ever written.
@@ -137,6 +158,124 @@ mod tests {
         mem.write_line(LineAddr(4), d);
         assert_eq!(mem.read_line(LineAddr(4)).word(7), 77);
         assert_eq!(mem.read_word(LineAddr(4).word_addr(7)), 77);
+    }
+
+    /// Writes `words` into one copy of `before` with `write_words` and
+    /// into another with one `write_word` per word, and checks that the
+    /// two copies agree by `==`, `touched_lines()` and `iter()`.
+    fn assert_bulk_matches_word_by_word(before: &MainMemory, words: &[(Addr, u64)]) -> MainMemory {
+        let mut bulk = before.clone();
+        bulk.write_words(words.iter().copied());
+        let mut one_by_one = before.clone();
+        for &(a, value) in words {
+            one_by_one.write_word(a, value);
+        }
+        assert!(
+            bulk == one_by_one,
+            "write_words differs from write_word for {} words",
+            words.len()
+        );
+        assert_eq!(bulk.touched_lines(), one_by_one.touched_lines());
+        assert!(bulk.iter().eq(one_by_one.iter()), "iter() differs");
+        bulk
+    }
+
+    #[test]
+    fn bulk_writes_equal_word_by_word_writes_in_the_edge_cases() {
+        let last_of_page = LineAddr(63).word_addr(7);
+        let first_of_next = LineAddr(64).word_addr(0);
+        let (page_a, page_b) = (LineAddr(5 * PAGE_LINES), LineAddr(9 * PAGE_LINES + 3));
+        let empty = MainMemory::new();
+
+        // Up across the boundary, then back down.
+        let across = [(last_of_page, 1), (first_of_next, 2), (last_of_page, 3)];
+        let mem = assert_bulk_matches_word_by_word(&empty, &across);
+        assert_eq!((mem.read_word(last_of_page), mem.read_word(first_of_next)), (3, 2));
+        assert_eq!(mem.pages.len(), 2, "lines 63 and 64 sit on two pages");
+
+        let interleaved =
+            [(page_a.word_addr(0), 3), (page_b.word_addr(1), 4), (page_a.word_addr(2), 5)];
+        let mem = assert_bulk_matches_word_by_word(&empty, &interleaved);
+        assert_eq!(mem.read_word(page_a.word_addr(2)), 5);
+
+        let twice = [(page_a.word_addr(4), 6), (page_a.word_addr(5), 7), (page_a.word_addr(4), 8)];
+        let mem = assert_bulk_matches_word_by_word(&empty, &twice);
+        assert_eq!(mem.read_word(page_a.word_addr(4)), 8, "the later write wins");
+
+        assert_eq!(assert_bulk_matches_word_by_word(&empty, &[]), empty);
+
+        let mut existing = MainMemory::new();
+        existing.write_word(page_a.word_addr(1), 9);
+        existing.write_word(LineAddr(page_a.0 + 1).word_addr(0), 0);
+        let into = [(page_a.word_addr(2), 10), (LineAddr(page_a.0 + 2).word_addr(3), 11)];
+        let mem = assert_bulk_matches_word_by_word(&existing, &into);
+        assert_eq!((mem.read_word(page_a.word_addr(1)), mem.touched_lines()), (9, 3));
+    }
+
+    /// A seeded batch of `n` words on `pages` pages: runs of consecutive
+    /// words that cross page boundaries (the shape of a workload's input
+    /// array), scattered words, two pages taken in turn, and repeats of
+    /// a word already in the batch.
+    fn random_words(rng: &mut DetRng, pages: u64, n: usize) -> Vec<(Addr, u64)> {
+        const FIRST_PAGE: u64 = 0x40;
+        let page_words = PAGE_LINES * 8;
+        let word = |w: u64| Addr((FIRST_PAGE * page_words + w) * 8);
+        let mut words = Vec::with_capacity(n);
+        while words.len() < n {
+            let len = rng.range(1, 1 + page_words * 2).min((n - words.len()) as u64);
+            match rng.next_below(4) {
+                0 => {
+                    let start = rng.next_below(pages * page_words);
+                    let end = (start + len).min(pages * page_words);
+                    words.extend((start..end).map(|w| (word(w), rng.next_u64())));
+                }
+                1 => words.extend(
+                    (0..len).map(|_| (word(rng.next_below(pages * page_words)), rng.next_u64())),
+                ),
+                2 => {
+                    let (p, q) = (rng.next_below(pages), rng.next_below(pages));
+                    words.extend((0..len).map(|i| {
+                        let page = if i % 2 == 0 { p } else { q };
+                        (word(page * page_words + rng.next_below(page_words)), rng.next_u64())
+                    }));
+                }
+                _ => {
+                    for _ in 0..len.min(words.len() as u64) {
+                        let (a, _) = words[rng.next_below(words.len() as u64) as usize];
+                        words.push((a, rng.next_u64()));
+                    }
+                }
+            }
+        }
+        words
+    }
+
+    /// Feeds seeded batches of 0 to 511 words into one memory that keeps
+    /// growing, so later batches write into pages that already exist.
+    fn bulk_soak(seed: u64, pages: u64, total_words: usize) {
+        let mut rng = DetRng::new(seed);
+        let mut mem = MainMemory::new();
+        let mut written = 0;
+        while written < total_words {
+            let n = rng.next_below(PAGE_LINES * 8) as usize;
+            let words = random_words(&mut rng, pages, n);
+            mem = assert_bulk_matches_word_by_word(&mem, &words);
+            written += words.len();
+        }
+        assert!(mem.pages.len() as u64 > pages / 2, "{} of {pages} pages touched", mem.pages.len());
+    }
+
+    #[test]
+    fn bulk_writes_equal_word_by_word_writes() {
+        bulk_soak(0xB01C, 8, 40_000);
+    }
+
+    /// `cargo test --release -p hsc-mem -- --ignored`: about a million
+    /// words over 64 pages.
+    #[test]
+    #[ignore = "soak: about 1 M words, run with --release -- --ignored"]
+    fn bulk_writes_equal_word_by_word_writes_soak() {
+        bulk_soak(0x50A4, 64, 1_000_000);
     }
 
     /// Drives `MainMemory` in lock-step with the `BTreeMap<LineAddr,

@@ -174,9 +174,7 @@ impl Workload for Bs {
     }
 
     fn build(&self, b: &mut SystemBuilder) {
-        for c in 0..self.control_points {
-            b.init_word(Addr(CTRL_BASE).word(c), self.ctrl(c));
-        }
+        b.init_words((0..self.control_points).map(|c| (Addr(CTRL_BASE).word(c), self.ctrl(c))));
         let cpu_share = self.cpu_share();
         let per_thread = cpu_share.div_ceil((self.cpu_threads as u64).max(1));
         for t in 0..self.cpu_threads as u64 {

@@ -172,9 +172,7 @@ impl Workload for Hsti {
     }
 
     fn build(&self, b: &mut SystemBuilder) {
-        for i in 0..self.elements {
-            b.init_word(Addr(INPUT_BASE).word(i), self.input(i));
-        }
+        b.init_words((0..self.elements).map(|i| (Addr(INPUT_BASE).word(i), self.input(i))));
         let cpu_share = self.cpu_share();
         let per_thread = cpu_share.div_ceil((self.cpu_threads as u64).max(1));
         for t in 0..self.cpu_threads as u64 {

@@ -153,9 +153,7 @@ impl Workload for Hsto {
     }
 
     fn build(&self, b: &mut SystemBuilder) {
-        for i in 0..self.elements {
-            b.init_word(Addr(INPUT_BASE).word(i), self.input(i));
-        }
+        b.init_words((0..self.elements).map(|i| (Addr(INPUT_BASE).word(i), self.input(i))));
         for t in 0..self.cpu_threads as u64 {
             let (lo, hi) = self.bin_range(t);
             b.add_cpu_thread(Box::new(CpuWorker {

@@ -248,9 +248,7 @@ impl Workload for Pad {
     fn build(&self, b: &mut SystemBuilder) {
         assert!(self.cols <= 16, "a row must fit one vector op");
         assert!(self.pad <= 16, "padding must fit one vector op");
-        for i in 0..self.rows * self.cols {
-            b.init_word(Addr(ARRAY_BASE).word(i), self.input(i));
-        }
+        b.init_words((0..self.rows * self.cols).map(|i| (Addr(ARRAY_BASE).word(i), self.input(i))));
         let workers = self.workers();
         // Worker ids: 0..cpu_threads are CPU (bottom rows), then GPU (top).
         for t in 0..self.cpu_threads as u64 {

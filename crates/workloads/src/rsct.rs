@@ -237,10 +237,8 @@ impl Workload for Rsct {
     }
 
     fn build(&self, b: &mut SystemBuilder) {
-        for p in 0..self.points {
-            b.init_word(Addr(POINTS_BASE).word(p), self.point(p));
-        }
-        b.init_word(Addr(BEST_ADDR), u64::MAX);
+        b.init_words((0..self.points).map(|p| (Addr(POINTS_BASE).word(p), self.point(p))));
+        b.init_words([(Addr(BEST_ADDR), u64::MAX)]);
         for _ in 0..self.cpu_threads {
             b.add_cpu_thread(Box::new(CpuWorker { bench: *self, acc: 0, state: CpuState::Claim }));
         }

@@ -292,9 +292,7 @@ impl Workload for Sc {
     }
 
     fn build(&self, b: &mut SystemBuilder) {
-        for i in 0..self.elements {
-            b.init_word(Addr(INPUT_BASE).word(i), self.input(i));
-        }
+        b.init_words((0..self.elements).map(|i| (Addr(INPUT_BASE).word(i), self.input(i))));
         for _ in 0..self.cpu_threads {
             b.add_cpu_thread(Box::new(CpuWorker {
                 c: Compactor::new(*self),

@@ -62,9 +62,7 @@ impl Workload for TraceWorkload {
     }
 
     fn build(&self, b: &mut SystemBuilder) {
-        for (a, v) in &self.program.init {
-            b.init_word(*a, *v);
-        }
+        b.init_words(self.program.init.iter().copied());
         let mut dma_seq = 0u64;
         for (si, stream) in self.program.streams.iter().enumerate() {
             let flag = Self::mismatch_flag(si);

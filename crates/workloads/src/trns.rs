@@ -297,9 +297,7 @@ impl Workload for Trns {
     }
 
     fn build(&self, b: &mut SystemBuilder) {
-        for k in 0..self.total() {
-            b.init_word(self.elem_addr(k), self.input(k));
-        }
+        b.init_words((0..self.total()).map(|k| (self.elem_addr(k), self.input(k))));
         let reps = self.cycle_reps();
         for _ in 0..self.cpu_threads {
             b.add_cpu_thread(Box::new(CpuWorker::new(*self, reps.clone())));

@@ -64,9 +64,7 @@ fn dma_write_invalidates_cpu_caches() {
     ] {
         let mut b = SystemBuilder::new(SystemConfig::scaled(cfg));
         // Old contents the CPU will cache first.
-        for i in 0..LINES * 8 {
-            b.init_word(REGION.word(i), 1000 + i);
-        }
+        b.init_words((0..LINES * 8).map(|i| (REGION.word(i), 1000 + i)));
         // DMA overwrites the region at t=50k, then raises the flag
         // (commands execute in order).
         let fresh: Vec<u64> = (0..LINES * 8).map(|i| 2000 + i).collect();

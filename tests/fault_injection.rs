@@ -13,7 +13,7 @@ const TARGET: Addr = Addr(0x4_0000);
 fn one_load_system(cfg: SystemConfig) -> System {
     let mut b = SystemBuilder::new(cfg);
     b.with_trace(TraceConfig::off());
-    b.init_word(TARGET, 42);
+    b.init_words([(TARGET, 42)]);
     b.add_cpu_thread(Box::new(CpuScript::new(vec![CpuOp::Load(TARGET)])));
     b.build()
 }
@@ -24,7 +24,7 @@ fn one_dma_read_system(cfg: SystemConfig) -> System {
     use hsc_repro::cluster::DmaCommand;
     let mut b = SystemBuilder::new(cfg);
     b.with_trace(TraceConfig::off());
-    b.init_word(TARGET, 42);
+    b.init_words([(TARGET, 42)]);
     b.add_dma(DmaCommand::Read { base: TARGET, lines: 1, at: hsc_repro::sim::Tick(0) });
     b.build()
 }
@@ -34,7 +34,7 @@ fn one_dma_read_system(cfg: SystemConfig) -> System {
 fn one_gpu_load_system(cfg: SystemConfig) -> System {
     let mut b = SystemBuilder::new(cfg);
     b.with_trace(TraceConfig::off());
-    b.init_word(TARGET, 42);
+    b.init_words([(TARGET, 42)]);
     b.add_wavefront(Box::new(GpuScript::new(vec![GpuOp::VecLoad(vec![TARGET])])));
     b.build()
 }
@@ -283,7 +283,7 @@ fn slc_atomics_are_never_retried() {
         .with_faults(FaultPlan::drop_first("Atomic"));
     let mut b = SystemBuilder::new(cfg);
     b.with_trace(TraceConfig::off());
-    b.init_word(TARGET, 7);
+    b.init_words([(TARGET, 7)]);
     let fetch_add = GpuOp::AtomicSlc(TARGET, AtomicKind::FetchAdd(1));
     b.add_wavefront(Box::new(GpuScript::new(vec![fetch_add])));
     let mut sys = b.build();

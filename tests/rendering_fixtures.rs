@@ -41,7 +41,7 @@ fn lost_request() -> System {
     const TARGET: Addr = Addr(0x4_0000);
     let mut b =
         SystemBuilder::new(SystemConfig::default().with_faults(FaultPlan::drop_first("RdBlk")));
-    b.init_word(TARGET, 42);
+    b.init_words([(TARGET, 42)]);
     b.add_cpu_thread(Box::new(CpuScript::new(vec![CpuOp::Load(TARGET)])));
     b.build()
 }
