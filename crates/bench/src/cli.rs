@@ -38,7 +38,6 @@ type Flag = (&'static str, &'static str);
 const REPORT_FILE: Flag = ("", "<report.json>");
 const WORKLOAD: Flag = ("", "[<workload>]");
 const QUICK: Flag = ("--quick", "");
-const OBSERVED: Flag = ("--observed", "");
 const LIST: Flag = ("--list", "");
 const REPORT: Flag = ("--report", "<path>");
 const PERFETTO: Flag = ("--perfetto", "<path>");
@@ -109,12 +108,15 @@ impl Args {
         Ok(Parallelism::resolve(jobs.transpose()?))
     }
 
-    /// Resolves `--trace` / `--trace-gen` into the replay workload, or
-    /// `None` when neither was given. An unreadable path, a malformed
+    /// Resolves `--trace` / `--trace-gen` into the one replay workload, or
+    /// `suite` when neither was given. An unreadable path, a malformed
     /// file (reported with its line number), a bad spec and a program
     /// that needs more CPU streams than the evaluation system has are all
     /// usage errors.
-    fn trace_workload(&self) -> io::Result<Option<TraceWorkload>> {
+    fn workloads_or(
+        &self,
+        suite: fn() -> Vec<Box<dyn Workload>>,
+    ) -> io::Result<Vec<Box<dyn Workload>>> {
         let program = if let Some(path) = self.value(TRACE) {
             std::fs::read_to_string(path)
                 .map_err(|e| e.to_string())
@@ -124,7 +126,7 @@ impl Args {
             let spec = TrafficSpec::parse(spec);
             spec.map_err(|e| usage_error(format!("--trace-gen: {e}")))?.generate()
         } else {
-            return Ok(None);
+            return Ok(suite());
         };
         let cpu_cap = SystemConfig::default().corepairs * 2;
         let cpu = program.stream_count(StreamKind::Cpu);
@@ -133,18 +135,7 @@ impl Args {
                 "trace has {cpu} cpu streams; the system hosts at most {cpu_cap}"
             )));
         }
-        Ok(Some(TraceWorkload::new(program)))
-    }
-
-    /// The traced workload if one was asked for, `suite` otherwise.
-    fn workloads_or(
-        &self,
-        suite: fn() -> Vec<Box<dyn Workload>>,
-    ) -> io::Result<Vec<Box<dyn Workload>>> {
-        Ok(match self.trace_workload()? {
-            Some(t) => vec![Box::new(t)],
-            None => suite(),
-        })
+        Ok(vec![Box::new(TraceWorkload::new(program))])
     }
 }
 
@@ -211,9 +202,9 @@ impl Command {
 static COMMANDS: [Command; 16] = [
     Command {
         name: "table 1",
-        flags: &[OBSERVED],
+        flags: &[],
         about: "Table I: the tracking directory's state machine, from the live protocol",
-        run: |a, out| done(table1(a.has(OBSERVED), out)),
+        run: |_, out| done(table1(out)),
     },
     Command {
         name: "table 2",
@@ -341,12 +332,15 @@ static COMMANDS: [Command; 16] = [
     },
     Command {
         name: "repro",
-        flags: &[QUICK, REPORT, PERFETTO, TRACE, TRACE_GEN, JOBS],
-        about: "the whole evaluation in the paper's order (--quick or a trace: report runs only)",
+        flags: &[QUICK, REPORT, PERFETTO, JOBS],
+        about: "the whole evaluation in the paper's order (--quick: report runs only)",
         run: |a, out| {
-            let (par, traced) = (a.parallelism()?, a.trace_workload()?);
-            let (report, perfetto) = (a.create(REPORT)?, a.create(PERFETTO)?);
-            done(repro(par, a.has(QUICK), traced.as_ref(), report, perfetto, out))
+            if a.has(QUICK) && !a.has(REPORT) && !a.has(PERFETTO) {
+                return Err(usage_error("--quick needs --report or --perfetto"));
+            }
+            let (par, report, perfetto) =
+                (a.parallelism()?, a.create(REPORT)?, a.create(PERFETTO)?);
+            done(repro(par, a.has(QUICK), report, perfetto, out))
         },
     },
 ];
@@ -410,24 +404,12 @@ mod tests {
     #[test]
     fn parses_every_flag_a_sub_command_accepts() {
         assert_eq!(parse("repro", &[]).unwrap(), Args::default());
-        let a = parse(
-            "repro",
-            &[
-                "--quick",
-                "--report",
-                "r.json",
-                "--perfetto",
-                "p.json",
-                "--trace",
-                "t",
-                "--jobs",
-                "4",
-            ],
-        )
-        .unwrap();
-        assert!(a.has(QUICK) && !a.has(TRACE_GEN));
+        let a = parse("repro", &["--quick", "--report", "r.json", "--perfetto", "p.json"]).unwrap();
+        assert!(a.has(QUICK) && !a.has(JOBS));
         assert_eq!(a.value(REPORT), Some("r.json"));
         assert_eq!(a.value(PERFETTO), Some("p.json"));
+        let a = parse("faults", &["--trace", "t", "--jobs", "4"]).unwrap();
+        assert!(!a.has(TRACE_GEN));
         assert_eq!(a.value(TRACE), Some("t"));
         assert_eq!(a.parallelism().unwrap().jobs(), 4);
         let a = parse("trace-gen", &["--list", "--spec", "hotspot", "--out", "o", "--corpus", "d"])
@@ -435,7 +417,6 @@ mod tests {
         assert!(a.has(LIST) && a.has(SPEC) && a.has(OUT) && a.has(CORPUS));
         let a = parse("report analyze", &["sc", "--config", "baseline"]).unwrap();
         assert_eq!((a.value(WORKLOAD), a.value(CONFIG)), (Some("sc"), Some("baseline")));
-        assert!(parse("table 1", &["--observed"]).unwrap().has(OBSERVED));
     }
 
     #[test]
@@ -458,8 +439,11 @@ mod tests {
 
     #[test]
     fn missing_and_bad_operands_name_the_flag() {
-        for flag in ["--report", "--perfetto", "--trace", "--trace-gen", "--jobs"] {
+        for flag in ["--report", "--perfetto", "--jobs"] {
             assert!(parse("repro", &[flag]).unwrap_err().contains(flag));
+        }
+        for flag in ["--trace", "--trace-gen"] {
+            assert!(parse("characterize", &[flag]).unwrap_err().contains(flag));
         }
         for bad in ["0", "-2", "many"] {
             let err = parse("fig 6", &["--jobs", bad]).unwrap().parallelism().unwrap_err();

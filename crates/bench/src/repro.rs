@@ -4,10 +4,8 @@ use std::io::{self, Write};
 
 use hsc_core::{CoherenceConfig, SystemConfig};
 use hsc_obs::{ObsConfig, RunRecord};
-use hsc_workloads::trace::TraceWorkload;
 use hsc_workloads::{
-    all_workloads, collaborative_workloads, run_workload_observed, try_run_workload_on, Hsti, Tq,
-    Workload,
+    all_workloads, collaborative_workloads, run_workload_observed, Hsti, Tq, Workload,
 };
 
 use crate::characterize::characterize;
@@ -45,7 +43,7 @@ pub fn sections(
     writeln!(out)?;
     fig7(tracking, out)?;
     writeln!(out)?;
-    table1(false, out)?;
+    table1(out)?;
     writeln!(out)?;
     ablation(par, out)?;
     writeln!(out)?;
@@ -58,11 +56,10 @@ pub fn sections(
 
 /// Runs [`sections`] and then the report and trace runs asked for:
 ///
-/// * `quick`, or a `traced` workload, skips the sections (they are defined
-///   over the fixed benchmarks); a trace is replayed and verified once;
-/// * `report` — the report set (the trace; `tq` and `hsti` when `quick`,
-///   which is what CI uses; else the collaborative workloads) is run once
-///   with observability on and written as a run report;
+/// * `quick` skips the sections;
+/// * `report` — the report set (`tq` and `hsti` when `quick`, which is
+///   what CI uses; else the collaborative workloads) is run once with
+///   observability on and written as a run report;
 /// * `perfetto` — a Chrome-trace JSON of one seeded `tq` run, loadable in
 ///   `ui.perfetto.dev`.
 ///
@@ -70,38 +67,23 @@ pub fn sections(
 ///
 /// # Errors
 ///
-/// Names the trace replay or the Perfetto run if its simulation fails,
-/// besides what writing can fail on.
+/// Names the Perfetto run if its simulation fails, besides what writing
+/// can fail on.
 pub fn repro(
     par: Parallelism,
     quick: bool,
-    traced: Option<&TraceWorkload>,
     report: Option<OutFile>,
     perfetto: Option<OutFile>,
     out: &mut dyn Write,
 ) -> io::Result<()> {
-    if !quick && traced.is_none() {
+    if !quick {
         sections(&optimization_sweep(par), &tracking_sweep(par), par, out)?;
     }
 
     let cfg = SystemConfig::scaled(CoherenceConfig::baseline());
 
-    if let Some(tw) = traced {
-        // Replay the trace once on the evaluation system so a trace has a
-        // visible outcome even without a report.
-        let r = try_run_workload_on(tw, cfg)
-            .map_err(|e| io::Error::other(format!("workload {}: {e}", tw.name())))?;
-        writeln!(
-            out,
-            "trace replayed and verified: {} ticks, {} GPU cycles",
-            r.metrics.ticks, r.metrics.gpu_cycles
-        )?;
-    }
-
     if let Some(file) = report {
-        let workloads: Vec<Box<dyn Workload>> = if let Some(tw) = traced {
-            vec![Box::new(tw.clone())]
-        } else if quick {
+        let workloads: Vec<Box<dyn Workload>> = if quick {
             vec![Box::new(Tq::default()), Box::new(Hsti::default())]
         } else {
             collaborative_workloads()

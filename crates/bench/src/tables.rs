@@ -5,22 +5,15 @@ use std::io::{self, Write};
 
 use hsc_cluster::{TICKS_PER_CPU_CYCLE, TICKS_PER_GPU_CYCLE};
 use hsc_core::tracking::{describe, legal_rows, DirState};
-use hsc_core::{CoherenceConfig, DirectoryMode, ObsConfig, SystemConfig};
-use hsc_workloads::{run_workload_observed, Cedd};
+use hsc_core::{CoherenceConfig, DirectoryMode, SystemConfig};
 
 use crate::RULE;
 
 /// Regenerates **Table I**: the state-transition table of the §IV
 /// tracking directory, printed from the same
-/// [`hsc_core::tracking::plan`] function the directory executes.
-///
-/// With `observed`, a second section follows: the directory's *measured*
-/// transition matrix from a live `cedd` run on the sharer-tracking
-/// configuration, recorded by the protocol-analytics hooks. The static
-/// table is the specification; the observed matrix is evidence of which
-/// rows the collaborative workloads actually exercise (see
-/// EXPERIMENTS.md).
-pub fn table1(observed: bool, out: &mut dyn Write) -> io::Result<()> {
+/// [`hsc_core::tracking::plan`] function the directory executes. The
+/// rows a live run exercises are `hsc report analyze`'s directory matrix.
+pub fn table1(out: &mut dyn Write) -> io::Result<()> {
     writeln!(out, "={RULE}")?;
     writeln!(out, "Table I: state machine of the precise state-tracking directory")?;
     writeln!(out, "(rows printed from hsc_core::tracking::plan — the live protocol)")?;
@@ -33,34 +26,7 @@ pub fn table1(observed: bool, out: &mut dyn Write) -> io::Result<()> {
             }
         }
     }
-    writeln!(out, "\nOmitted rows (e.g. VicDirty in S) are illegal, as in the paper.")?;
-    if observed {
-        write_observed(out)?;
-    }
-    Ok(())
-}
-
-/// Writes the measured directory matrix of a live run next to the static
-/// table above, so exercised rows can be checked off against the spec.
-fn write_observed(out: &mut dyn Write) -> io::Result<()> {
-    let w = Cedd::default();
-    let obs = ObsConfig { protocol_analytics: true, ..ObsConfig::off() };
-    let run =
-        run_workload_observed(&w, SystemConfig::scaled(CoherenceConfig::sharer_tracking()), obs);
-    writeln!(out, "\n--- observed: directory transitions of one cedd run (sharer tracking) ---")?;
-    if let Err(e) = &run.outcome {
-        writeln!(out, "run FAILED ({e}); counts cover the run up to the failure")?;
-    }
-    let Some(m) = run.obs.transitions.iter().find(|m| m.protocol() == "directory") else {
-        return writeln!(out, "(no directory matrix collected)");
-    };
-    let states = m.states();
-    let causes = m.causes();
-    writeln!(out, "{} transition(s) recorded:", m.total())?;
-    for (fi, ti, ci, n) in m.nonzero() {
-        writeln!(out, "  {:>2} --{:-<14}-> {:<2} {n:>8}", states[fi], causes[ci], states[ti])?;
-    }
-    Ok(())
+    writeln!(out, "\nOmitted rows (e.g. VicDirty in S) are illegal, as in the paper.")
 }
 
 fn human(bytes: u64) -> String {

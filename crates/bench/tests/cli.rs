@@ -51,10 +51,11 @@ fn usage_error(sub_command: &str, args: &[&str]) -> String {
 }
 
 /// Flags that exist — on some other sub-command. The first five used to
-/// be accepted and silently ignored.
+/// be accepted and silently ignored; `repro --trace` replayed what
+/// `characterize --trace` replays.
 #[test]
 fn a_flag_the_sub_command_does_not_use_is_rejected() {
-    let pairs: [(&str, &[&str]); 14] = [
+    let pairs: [(&str, &[&str]); 16] = [
         ("check", &["--report", "x.json"]),
         ("characterize", &["--quick", "--perfetto", "p.json"]),
         ("faults", &["--quick"]),
@@ -69,6 +70,8 @@ fn a_flag_the_sub_command_does_not_use_is_rejected() {
         ("trace-gen", &["--jobs", "2"]),
         ("report analyze", &["--jobs", "2"]),
         ("repro", &["--observed"]),
+        ("repro", &["--trace", "t.trace"]),
+        ("table 1", &["--observed"]),
     ];
     for (sub_command, args) in pairs {
         let stderr = usage_error(sub_command, args);
@@ -117,6 +120,14 @@ fn an_unwritable_output_path_is_a_usage_error_before_any_work() {
     }
 }
 
+/// `repro --quick` skips the sections, so without `--report` or
+/// `--perfetto` it has nothing to do.
+#[test]
+fn repro_quick_alone_is_a_usage_error() {
+    let stderr = usage_error("repro", &["--quick"]);
+    assert!(stderr.contains("--report") && stderr.contains("--perfetto"), "{stderr}");
+}
+
 #[test]
 fn bare_hsc_and_help_print_the_index_and_an_unknown_sub_command_is_an_error() {
     for args in [&[][..], &["help"]] {
@@ -148,7 +159,7 @@ fn a_failed_replay_is_one_line_and_exit_1() {
     std::fs::write(&trace, "hsc-trace v1\ninit 0x1000 5\nstream cpu\nread 0x1000 expect 6\n")
         .expect("the trace file is writable");
     let path = trace.to_str().expect("a UTF-8 temp path");
-    for sub_command in ["characterize", "repro", "faults"] {
+    for sub_command in ["characterize", "faults"] {
         let out = hsc(sub_command, &["--trace", path]);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "hsc {sub_command}: {stderr}");

@@ -113,12 +113,12 @@ fn quick_metrics_tables_match_golden() {
     check_golden("quick_metrics.golden.txt", &table);
 }
 
-/// `hsc table 1` (without `--observed`) is a pure function of
+/// `hsc table 1` is a pure function of
 /// `tracking::plan` and its legal-row list.
 #[test]
 fn table1_text_matches_golden() {
     let mut text = Vec::new();
-    hsc_bench::tables::table1(false, &mut text).expect("writing to a Vec cannot fail");
+    hsc_bench::tables::table1(&mut text).expect("writing to a Vec cannot fail");
     check_golden("table1.golden.txt", &String::from_utf8(text).expect("table text is UTF-8"));
 }
 

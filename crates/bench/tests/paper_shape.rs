@@ -110,7 +110,7 @@ fn repro_is_the_ten_sections_joined_by_blank_lines() {
         rendered(|out| fig5(opt, out)),
         rendered(|out| fig6(trk, out)),
         rendered(|out| fig7(trk, out)),
-        rendered(|out| table1(false, out)),
+        rendered(|out| table1(out)),
         rendered(|out| ablation(par(), out)),
         rendered(|out| characterize(&all_workloads(), par(), None, out)),
         rendered(|out| extension(par(), out)),

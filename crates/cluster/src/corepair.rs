@@ -374,16 +374,6 @@ impl CorePair {
         self.victims.get(la).filter(|e| e.dirty).map(|e| e.data)
     }
 
-    /// Dirty lines still held (M/O in the L2 or dirty in the victim
-    /// buffer); used to reconstruct final memory for verification.
-    pub fn dirty_lines(&self) -> Vec<(LineAddr, LineData)> {
-        self.l2
-            .iter()
-            .filter(|(_, l)| l.state.forwards_dirty())
-            .map(|(la, l)| (la, l.data))
-            .collect()
-    }
-
     /// Every valid line in the L2 with its MOESI state and data, in
     /// address order — the protocol-visible cache contents the model
     /// checker's SWMR and value-coherence invariants range over.
@@ -845,6 +835,12 @@ mod tests {
     use hsc_noc::{Action, Grant};
     use hsc_sim::WheelQueue;
 
+    /// The L2's lines in M or O, in address order.
+    fn dirty_lines(pair: &CorePair) -> Vec<(LineAddr, LineData)> {
+        let l2 = pair.l2_snapshot().into_iter();
+        l2.filter(|(_, s, _)| s.forwards_dirty()).map(|(la, _, d)| (la, d)).collect()
+    }
+
     /// Drives a single CorePair against a trivially coherent fake
     /// directory: every RdBlk→E, RdBlkS→S, RdBlkM→M, probes never sent.
     fn run_pair(mut pair: CorePair, limit: u64) -> (CorePair, MainMemory) {
@@ -933,7 +929,7 @@ mod tests {
         assert_eq!(pair.stats().get("core.loads"), 1);
         // The load hit the line the store brought in as M.
         assert!(pair.stats().get("l2.hits") >= 1);
-        let dirty = pair.dirty_lines();
+        let dirty = dirty_lines(&pair);
         assert_eq!(dirty.len(), 1);
         assert_eq!(dirty[0].1.word_at(a), 42);
     }
@@ -963,7 +959,7 @@ mod tests {
         let mut mem = MainMemory::new();
         run_pair_with_mem(&mut pair, &mut mem, 10_000);
         assert!(pair.is_done());
-        let d = pair.dirty_lines();
+        let d = dirty_lines(&pair);
         assert_eq!(d[0].1.word_at(a), 15);
     }
 
@@ -980,7 +976,7 @@ mod tests {
         assert!(pair.stats().get("l2.vic_dirty") > 0, "dirty victims must reach the directory");
         // Every victimized dirty line must have landed in (fake) memory.
         let survivors: std::collections::BTreeSet<u64> =
-            pair.dirty_lines().iter().map(|(la, _)| la.0).collect();
+            dirty_lines(&pair).iter().map(|(la, _)| la.0).collect();
         for i in 0..384u64 {
             let a = Addr(0x10000 + i * 64);
             if !survivors.contains(&a.line().0) {
@@ -1058,7 +1054,7 @@ mod tests {
             },
             other => panic!("expected send, got {other:?}"),
         }
-        assert!(pair.dirty_lines().is_empty(), "line invalidated");
+        assert!(dirty_lines(&pair).is_empty(), "line invalidated");
     }
 
     #[test]
@@ -1090,7 +1086,7 @@ mod tests {
             ref other => panic!("expected send, got {other:?}"),
         }
         // Still the owner: dirty_lines reports it (O forwards dirty).
-        assert_eq!(pair.dirty_lines().len(), 1);
+        assert_eq!(dirty_lines(&pair).len(), 1);
         // A second downgrade probe re-forwards (owner keeps forwarding).
         let mut out2 = Outbox::new(Tick(1_000_001));
         pair.on_message(

@@ -51,14 +51,23 @@ fn dt(s: DirState) -> usize {
     }
 }
 
-/// What an in-flight directory transaction is doing.
+/// Where a transaction's LLC/memory read stands: the data half of the
+/// Fig. 2 `_PM`/`_P`/`_M` blocked states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum TxnKind {
-    /// A request from a cache/DMA (the `origin` message says which).
-    Request,
-    /// A directory-entry eviction: backward-invalidate the tracked caches
-    /// of the victim line (the transient **B** state of §IV-A).
-    BackInval,
+enum Fetch {
+    /// A lazy `OwnerThenLlc` plan that has no slot yet.
+    Deferred,
+    /// The directory+LLC pipeline slot is in flight.
+    Pipeline,
+    /// The slot is done and the LLC unread: the read waits for the probe
+    /// round. A back-invalidation, which reads nothing, starts here.
+    Elapsed,
+    /// `MemRd` is out.
+    Memory,
+    /// The LLC hit.
+    Llc(LineData),
+    /// Memory answered.
+    Mem(LineData),
 }
 
 /// Where a transaction stands with its requester's `Unblock`: a CPU L2
@@ -75,22 +84,17 @@ enum Unblock {
 
 #[derive(Debug, Clone)]
 struct DirTxn {
-    kind: TxnKind,
+    /// The request; a directory-entry eviction's stand-in is a `Flush`
+    /// from [`AgentId::Directory`] itself: the backward invalidation of
+    /// the victim line's tracked caches (the transient **B** state of
+    /// §IV-A).
     origin: Message,
-    /// `origin`'s request class (a back-invalidation's stand-in origin is
-    /// a `Flush`).
-    req: PlanReq,
     /// Transition decided at start.
     planned: Transition,
     pending_acks: u32,
     dirty_data: Option<LineData>,
     copies_found: u32,
-    /// The directory+LLC pipeline slot has elapsed.
-    llc_ready: bool,
-    llc_scheduled: bool,
-    llc_data: Option<LineData>,
-    mem_requested: bool,
-    mem_data: Option<LineData>,
+    fetch: Fetch,
     /// §III-A: a response has already been sent from a dirty probe ack.
     responded: bool,
     unblock: Unblock,
@@ -108,26 +112,19 @@ struct DirTxn {
 
 impl DirTxn {
     fn new(
-        kind: TxnKind,
         origin: Message,
-        req: PlanReq,
         planned: Transition,
+        fetch: Fetch,
         start_state: DirState,
         arrived: Tick,
     ) -> Self {
         DirTxn {
-            kind,
             origin,
-            req,
             planned,
             pending_acks: 0,
             dirty_data: None,
             copies_found: 0,
-            llc_ready: false,
-            llc_scheduled: false,
-            llc_data: None,
-            mem_requested: false,
-            mem_data: None,
+            fetch,
             responded: false,
             unblock: Unblock::NotAsked,
             arrived,
@@ -163,7 +160,7 @@ pub struct Directory {
     entries: CacheArray<DirEntry>,
     /// In-flight transactions by line — the order `hash_state` and the
     /// deadlock dumps walk them in — as indexes into `txn_slab`. The
-    /// ~450-byte `DirTxn`s stay out of the table, so an insert or remove
+    /// 344-byte `DirTxn`s stay out of the table, so an insert or remove
     /// shifts 16-byte pairs, and a handler that has found its transaction
     /// once passes the index on instead of looking the line up again in
     /// each of `try_complete`, `apply_transition` and `finish_txn`
@@ -329,14 +326,19 @@ impl Directory {
                 line: la,
                 age: now.delta_since(t.arrived),
                 detail: format!(
-                    "{:?} {} acks={} unblock={} llc_sched={} llc_ready={} mem_req={} responded={} queued={} state={:?}",
-                    t.kind,
+                    "{} {} acks={} unblock={} fetch={} responded={} queued={} state={:?}",
+                    if t.origin.src == AgentId::Directory { "BackInval" } else { "Request" },
                     t.origin.kind.class_name(),
                     t.pending_acks,
                     t.unblock != Unblock::NotAsked,
-                    t.llc_scheduled,
-                    t.llc_ready,
-                    t.mem_requested,
+                    match t.fetch {
+                        Fetch::Deferred => "deferred",
+                        Fetch::Pipeline => "pipeline",
+                        Fetch::Elapsed => "elapsed",
+                        Fetch::Memory => "memory",
+                        Fetch::Llc(_) => "llc",
+                        Fetch::Mem(_) => "mem",
+                    },
                     t.responded,
                     t.queued.len(),
                     t.start_state,
@@ -426,17 +428,12 @@ impl Directory {
         self.entries.hash_state(h);
         for (la, t) in self.live_txns() {
             la.hash(h);
-            t.kind.hash(h);
             t.origin.hash(h);
             t.planned.hash(h);
             t.pending_acks.hash(h);
             t.dirty_data.hash(h);
             t.copies_found.hash(h);
-            t.llc_ready.hash(h);
-            t.llc_scheduled.hash(h);
-            t.llc_data.hash(h);
-            t.mem_requested.hash(h);
-            t.mem_data.hash(h);
+            t.fetch.hash(h);
             t.responded.hash(h);
             t.unblock.hash(h);
             t.queued.hash(h);
@@ -500,10 +497,8 @@ impl Directory {
                 }
                 id
             }
-            (MsgKind::MemRdResp { data }, Some((id, txn)))
-                if txn.mem_requested && txn.mem_data.is_none() =>
-            {
-                txn.mem_data = Some(*data);
+            (MsgKind::MemRdResp { data }, Some((id, txn))) if txn.fetch == Fetch::Memory => {
+                txn.fetch = Fetch::Mem(*data);
                 id
             }
             (MsgKind::Unblock, Some((id, txn))) if txn.unblock == Unblock::Awaiting => {
@@ -541,8 +536,8 @@ impl Directory {
             let (_, line) = self.internal.pop_front().expect("the front slot is due");
             if let Some(&id) = self.txns.get(line) {
                 let txn = &mut self.txn_slab[id];
-                if !txn.llc_ready {
-                    txn.llc_ready = true;
+                if txn.fetch == Fetch::Pipeline {
+                    txn.fetch = Fetch::Elapsed;
                     self.try_complete(now, id, out);
                 }
             }
@@ -610,7 +605,9 @@ impl Directory {
             }
         }
         let tr = plan(self.cfg.directory, start_state, req, role);
-        let mut txn = DirTxn::new(TxnKind::Request, msg, req, tr, start_state, now);
+        let lazy = tr.data == DataPlan::OwnerThenLlc;
+        let fetch = if lazy { Fetch::Deferred } else { Fetch::Pipeline };
+        let mut txn = DirTxn::new(msg, tr, fetch, start_state, now);
         txn.queued = carry;
 
         // Reserve the directory way so concurrent allocations in the same
@@ -630,8 +627,7 @@ impl Directory {
 
         // Schedule the directory+LLC pipeline slot. Lazy data plans
         // (OwnerThenLlc) skip it until the owner turns out clean.
-        if tr.data != DataPlan::OwnerThenLlc {
-            txn.llc_scheduled = true;
+        if !lazy {
             let slot = now + gpu_cycles(self.uncore.dir_cycles + self.uncore.llc_cycles);
             self.schedule_llc_slot(slot, msg.line, out);
         }
@@ -791,14 +787,13 @@ impl Directory {
         self.transitions.record(dt(ventry.state), DT_B, DC_BACK_INVAL);
         let origin = Message::new(AgentId::Directory, AgentId::Directory, victim, MsgKind::Flush);
         let tr = BACK_INVALIDATION;
-        let mut txn =
-            DirTxn::new(TxnKind::BackInval, origin, PlanReq::Flush, tr, ventry.state, now);
+        // Back-invals need no LLC slot of their own.
+        let mut txn = DirTxn::new(origin, tr, Fetch::Elapsed, ventry.state, now);
         txn.parked_allocs.push(parked);
         txn.parked_allocs.extend(carry);
         // The directory is nobody's sharer: its own id excludes no cache.
         txn.pending_acks = self.send_probes(victim, Some(ventry), origin.src, tr.probes, out);
         self.n.backinval_probes += u64::from(txn.pending_acks);
-        txn.llc_ready = true; // back-invals need no LLC slot of their own
         let id = self.open_txn(victim, txn);
         self.try_complete(now, id, out);
     }
@@ -815,9 +810,8 @@ impl Directory {
         // §III-A: a read is answered on its first dirty probe ack, before
         // the rest of the round is in.
         if self.cfg.early_dirty_response
-            && txn.kind == TxnKind::Request
             && !txn.responded
-            && txn.req.writes() == Some(false)
+            && PlanReq::of(&txn.origin.kind).and_then(PlanReq::writes) == Some(false)
         {
             if let Some(data) = txn.dirty_data {
                 txn.responded = true;
@@ -842,8 +836,9 @@ impl Directory {
             self.finish_txn(now, id, out);
             return;
         }
-        if txn.kind == TxnKind::BackInval {
-            // Acks are in: reconcile dirty data and free the entry.
+        if txn.origin.src == AgentId::Directory {
+            // A back-invalidation's acks are in: reconcile dirty data and
+            // free the entry.
             let dirty = txn.dirty_data.take();
             let state = txn.start_state;
             if let Some(data) = dirty {
@@ -858,59 +853,47 @@ impl Directory {
 
         let origin = txn.origin;
 
-        // Resolve the data. The baseline semantics are the Fig. 2 `_PM`
-        // states: the LLC read (and, on a miss, the memory read issued in
-        // parallel with the probes) completes even when a probe ack
-        // already forwarded dirty data — the dirty data only overrides
-        // the *payload*. Only the tracked OwnerThenLlc plan elides the LLC
-        // read outright (§IV-A); §III-A's early response, sent above, does
-        // not cut the wait short.
-        let mut data: Option<LineData> = txn.dirty_data;
-        match txn.planned.data {
-            DataPlan::None => {
-                if txn.llc_scheduled && !txn.llc_ready {
-                    return; // data-less requests still hold a pipeline slot
-                }
+        // Resolve the data. The LLC is read, and on a miss `MemRd` sent,
+        // only once the probe round is in (`Fetch::Elapsed` is that wait),
+        // not in parallel with the probes as in gem5's Fig. 2 `_PM` states
+        // (ROADMAP item 8). The read completes even when a probe ack
+        // already forwarded dirty data — the dirty data only overrides the
+        // *payload*. Only the tracked OwnerThenLlc plan elides the LLC read
+        // outright (§IV-A); §III-A's early response, sent above, does not
+        // cut the wait short.
+        let dirty_ack = txn.dirty_data;
+        let data = match (txn.planned.data, txn.fetch) {
+            // The slot (which data-less requests hold too) or memory.
+            (_, Fetch::Pipeline | Fetch::Memory) => return,
+            (DataPlan::None, _) => dirty_ack,
+            // The owner forwarded dirty data: LLC read elided.
+            (DataPlan::OwnerThenLlc, _) if dirty_ack.is_some() => dirty_ack,
+            (_, Fetch::Deferred) => {
+                // Lazy plan (OwnerThenLlc) whose owner turned out clean.
+                txn.fetch = Fetch::Pipeline;
+                self.n.lazy_llc_reads += 1;
+                let slot = now + gpu_cycles(self.uncore.llc_cycles);
+                self.schedule_llc_slot(slot, line, out);
+                return;
             }
-            DataPlan::OwnerThenLlc if data.is_some() => {
-                // The owner forwarded dirty data: LLC read elided.
-            }
-            DataPlan::OwnerThenLlc | DataPlan::LlcOrMemory => {
-                if !txn.llc_scheduled {
-                    // Lazy plan (OwnerThenLlc) whose owner turned out clean.
-                    txn.llc_scheduled = true;
-                    self.n.lazy_llc_reads += 1;
-                    let slot = now + gpu_cycles(self.uncore.llc_cycles);
-                    self.schedule_llc_slot(slot, line, out);
+            (_, Fetch::Elapsed) => {
+                let Some(d) = self.llc.read(line) else {
+                    txn.fetch = Fetch::Memory;
+                    out.send(Message::new(
+                        AgentId::Directory,
+                        AgentId::Memory,
+                        line,
+                        MsgKind::MemRd,
+                    ));
                     return;
-                }
-                if !txn.llc_ready {
-                    return; // LLC pipeline slot still in flight
-                }
-                if txn.llc_data.is_none() && !txn.mem_requested {
-                    // Perform the LLC lookup now that the slot has elapsed.
-                    if let Some(d) = self.llc.read(line) {
-                        txn.llc_data = Some(d);
-                    } else {
-                        txn.mem_requested = true;
-                        out.send(Message::new(
-                            AgentId::Directory,
-                            AgentId::Memory,
-                            line,
-                            MsgKind::MemRd,
-                        ));
-                        return;
-                    }
-                }
-                if txn.llc_data.is_none() && txn.mem_data.is_none() {
-                    return; // waiting for memory
-                }
-                data = data.or(txn.llc_data).or(txn.mem_data);
+                };
+                txn.fetch = Fetch::Llc(d);
+                dirty_ack.or(Some(d))
             }
-        }
+            (_, Fetch::Llc(d) | Fetch::Mem(d)) => dirty_ack.or(Some(d)),
+        };
 
         // All inputs ready: perform the request's effect and name its reply.
-        let dirty_ack = txn.dirty_data;
         let reply = match origin.kind {
             MsgKind::RdBlk | MsgKind::RdBlkS | MsgKind::RdBlkM => {
                 if txn.planned.grant == GrantPlan::Upgrade {
@@ -1093,7 +1076,8 @@ impl Directory {
         };
         let from = base.map_or(DT_I, |e| dt(e.state));
         let to = next.as_ref().map_or(DT_I, |e| dt(e.state));
-        self.transitions.record(from, to, txn.req.index());
+        let cause = PlanReq::of(&txn.origin.kind).expect("a request transaction");
+        self.transitions.record(from, to, cause.index());
         match (way, next) {
             (Some(w), Some(e)) => {
                 *self.entries.meta_mut(w) = e;
@@ -1218,7 +1202,7 @@ impl Directory {
         let line = txn.origin.line;
         let parked_allocs = std::mem::take(&mut txn.parked_allocs);
         let queued = std::mem::take(&mut txn.queued);
-        if txn.kind == TxnKind::Request {
+        if txn.origin.src != AgentId::Directory {
             let latency = now.delta_since(txn.arrived);
             self.n.txn_latency_count += 1;
             self.n.txn_latency_total += latency;

@@ -189,8 +189,93 @@ fn baseline_waits_for_memory_even_with_dirty_ack() {
     assert!(h.drain_to(L2_0).is_empty(), "must wait for the remaining acks + memory");
     h.ack_all_probes(LINE, None);
     let resp = h.drain_to(L2_0);
-    assert_eq!(resp.len(), 1, "completes after all acks and the parallel memory read");
+    assert_eq!(resp.len(), 1, "completes after all acks and the memory read");
     h.send(L2_0, LINE, MsgKind::Unblock);
+}
+
+/// The `fetch=` phase the stall report gives the one transaction in flight.
+fn fetch_phase(h: &Harness) -> String {
+    let stuck = h.dir.stuck_lines(h.now);
+    assert_eq!(stuck.len(), 1, "one transaction in flight");
+    let field = stuck[0].detail.split(' ').find_map(|f| f.strip_prefix("fetch="));
+    field.unwrap_or_else(|| panic!("no fetch= field in {:?}", stuck[0].detail)).to_owned()
+}
+
+/// Delivers `kind` from `src` without settling; returns how many `MemRd`s
+/// the directory staged in answer.
+fn deliver(h: &mut Harness, src: AgentId, kind: MsgKind) -> usize {
+    let mut out = Outbox::new(h.now);
+    h.dir.on_message(h.now, &Message::new(src, AgentId::Directory, LINE, kind), &mut out);
+    let actions = out.into_actions();
+    let mem_reads =
+        actions.iter().filter(|a| matches!(a, Action::Send(m) if m.kind == MsgKind::MemRd)).count();
+    h.route(actions);
+    mem_reads
+}
+
+/// A stateless miss reads the LLC, and sends `MemRd`, only once its probe
+/// round is in: the slot elapses first and the read waits. (gem5's `_PM`
+/// states run that read in parallel with the probes; ROADMAP item 8.)
+#[test]
+fn a_miss_reads_the_llc_and_memory_after_its_probe_round() {
+    let mut h = Harness::new(CoherenceConfig::baseline());
+    assert_eq!(deliver(&mut h, L2_0, MsgKind::RdBlk), 0);
+    assert_eq!(fetch_phase(&h), "pipeline");
+
+    let slot = h.wakes.drain(..).min().expect("the pipeline slot arms a wake");
+    h.now = slot;
+    let mut out = Outbox::new(h.now);
+    h.dir.on_wake(h.now, &mut out);
+    assert!(out.actions().is_empty(), "no MemRd while acks are outstanding");
+    assert_eq!(fetch_phase(&h), "elapsed");
+
+    let probes: Vec<Message> = h.to_caches.drain(..).filter(|m| m.kind.is_probe()).collect();
+    assert_eq!(probes.len(), N_L2 - 1 + 1);
+    let ack = MsgKind::ProbeAck { dirty: None, had_copy: false, was_parked: false };
+    let (last, rest) = probes.split_last().expect("probes went out");
+    for p in rest {
+        h.now += 1;
+        assert_eq!(deliver(&mut h, p.dst, ack), 0);
+        assert_eq!(fetch_phase(&h), "elapsed");
+    }
+    h.now += 1;
+    assert_eq!(deliver(&mut h, last.dst, ack), 1, "the last ack sends the one MemRd");
+    assert_eq!(fetch_phase(&h), "memory");
+
+    h.settle();
+    let resp = h.drain_to(L2_0);
+    assert!(matches!(resp[..], [Message { kind: MsgKind::Resp { .. }, .. }]), "{resp:?}");
+    h.send(L2_0, LINE, MsgKind::Unblock);
+    assert!(h.dir.is_idle());
+}
+
+/// §IV-A's lazy read: a tracked O line's read waits for the owner's ack
+/// with no slot, and asks for one only when that ack comes back clean.
+#[test]
+fn a_clean_owner_ack_starts_the_deferred_llc_read() {
+    let mut h = Harness::new(CoherenceConfig::sharer_tracking());
+    h.send(L2_0, LINE, MsgKind::RdBlk); // L2_0 becomes the tracked owner
+    h.drain_to(L2_0);
+    h.send(L2_0, LINE, MsgKind::Unblock);
+
+    h.send(L2_1, LINE, MsgKind::RdBlk);
+    assert_eq!(fetch_phase(&h), "deferred");
+    assert!(h.wakes.is_empty(), "no slot before the owner answers");
+    assert_eq!(h.dir.stats().get("dir.lazy_llc_reads"), 0);
+
+    let probe = h.drain_to(L2_0);
+    assert!(matches!(probe[..], [Message { kind: MsgKind::Probe { .. }, .. }]), "{probe:?}");
+    h.now += 1;
+    let clean = MsgKind::ProbeAck { dirty: None, had_copy: true, was_parked: false };
+    assert_eq!(deliver(&mut h, L2_0, clean), 0);
+    assert_eq!(fetch_phase(&h), "pipeline");
+    assert_eq!(h.dir.stats().get("dir.lazy_llc_reads"), 1);
+
+    h.settle();
+    let resp = h.drain_to(L2_1);
+    assert!(matches!(resp[..], [Message { kind: MsgKind::Resp { .. }, .. }]), "{resp:?}");
+    h.send(L2_1, LINE, MsgKind::Unblock);
+    assert_eq!(h.dir.stats().get("dir.lazy_llc_reads"), 1, "one lazy read");
 }
 
 #[test]

@@ -12,7 +12,6 @@ const TARGET: Addr = Addr(0x4_0000);
 /// response) is lost and never retried, this thread blocks forever.
 fn one_load_system(cfg: SystemConfig) -> System {
     let mut b = SystemBuilder::new(cfg);
-    b.with_trace(TraceConfig::off());
     b.init_words([(TARGET, 42)]);
     b.add_cpu_thread(Box::new(CpuScript::new(vec![CpuOp::Load(TARGET)])));
     b.build()
@@ -23,7 +22,6 @@ fn one_load_system(cfg: SystemConfig) -> System {
 fn one_dma_read_system(cfg: SystemConfig) -> System {
     use hsc_repro::cluster::DmaCommand;
     let mut b = SystemBuilder::new(cfg);
-    b.with_trace(TraceConfig::off());
     b.init_words([(TARGET, 42)]);
     b.add_dma(DmaCommand::Read { base: TARGET, lines: 1, at: hsc_repro::sim::Tick(0) });
     b.build()
@@ -33,7 +31,6 @@ fn one_dma_read_system(cfg: SystemConfig) -> System {
 /// request on the line.
 fn one_gpu_load_system(cfg: SystemConfig) -> System {
     let mut b = SystemBuilder::new(cfg);
-    b.with_trace(TraceConfig::off());
     b.init_words([(TARGET, 42)]);
     b.add_wavefront(Box::new(GpuScript::new(vec![GpuOp::VecLoad(vec![TARGET])])));
     b.build()
@@ -138,7 +135,6 @@ fn dropped_flush_behind_a_same_line_write_through_recovers() {
         .with_retry(RetryPolicy::default())
         .with_faults(FaultPlan::drop_first("Flush"));
     let mut b = SystemBuilder::new(cfg);
-    b.with_trace(TraceConfig::off());
     for (i, a) in [TARGET, shared].into_iter().enumerate() {
         let store = GpuOp::VecStore(vec![(a, i as u64 + 1)]);
         b.add_wavefront(Box::new(GpuScript::new(vec![store, GpuOp::Release])));
@@ -282,7 +278,6 @@ fn slc_atomics_are_never_retried() {
         .with_retry(RetryPolicy::default())
         .with_faults(FaultPlan::drop_first("Atomic"));
     let mut b = SystemBuilder::new(cfg);
-    b.with_trace(TraceConfig::off());
     b.init_words([(TARGET, 7)]);
     let fetch_add = GpuOp::AtomicSlc(TARGET, AtomicKind::FetchAdd(1));
     b.add_wavefront(Box::new(GpuScript::new(vec![fetch_add])));
@@ -330,7 +325,6 @@ fn run_hsti(plan: Option<FaultPlan>, retry: Option<RetryPolicy>) -> Result<Metri
         cfg = cfg.with_retry(r);
     }
     let mut b = SystemBuilder::new(cfg);
-    b.with_trace(TraceConfig::off());
     w.build(&mut b);
     b.build().run(50_000_000)
 }
@@ -363,7 +357,6 @@ fn reported_totals_are_the_sums_of_their_classes() {
         .with_faults(plan)
         .with_retry(RetryPolicy::default());
     let mut b = SystemBuilder::new(cfg);
-    b.with_trace(TraceConfig::off());
     w.build(&mut b);
     let mut sys = b.build();
     // A stalled run keeps its counters, and they must add up all the same.
