@@ -4,9 +4,11 @@
 //! seed: deterministic, fast, and blind to orderings its latency model
 //! never produces. This crate closes that gap for tiny configurations
 //! (2–3 agents, 1–2 cache lines, programs of a handful of ops) by
-//! enumerating **every** legal delivery order of the pending events via
-//! [`System::step_choice`] and asserting protocol invariants at each
-//! reached state:
+//! enumerating **every** legal delivery order of the pending events and
+//! asserting protocol invariants at each reached state. A choice is an
+//! event, not an index: each explored state takes its choice set from
+//! [`System::pending_events`] once, checks it, and hands each event to
+//! [`System::step_choice`]. The invariants are:
 //!
 //! * **SWMR** — a settled line never has two writable copies, nor a
 //!   writable copy alongside stale readers;
@@ -16,14 +18,18 @@
 //!   clean completion (unless a fault scenario explicitly expects loss).
 //!
 //! The search branches by cloning: at a state with `n` choices it steps
-//! `n - 1` clones and the state itself, so it never re-runs a path.
+//! `n - 1` clones and the state itself, so it never re-runs a path, and a
+//! violation's counterexample is read off the system in hand: its path of
+//! events and its flight-recorder tail.
 //! States are deduplicated with the time-abstracted
 //! [`System::state_hash`], so interleavings that differ only in *when*
 //! (not *in what order*) things happened collapse, keeping exploration
 //! tractable. When a violation is found, a breadth-first pass over the
 //! same choice DAG produces a **minimized counterexample**: the shortest
 //! event sequence reaching any violating state, printable as a numbered
-//! event list and exportable as a Perfetto trace.
+//! event list and exportable as a Perfetto trace. Its steps alone replay
+//! it: a step's `seq` is the same on every replay of one path from one
+//! start.
 //!
 //! The [`litmus`] module packages the directed race scenarios (victim
 //! vs. probe, duplicated reply, DMA vs. dirty L2, …) that PR 1's fault
@@ -124,14 +130,13 @@ pub struct Counterexample {
     pub kind: ViolationKind,
     /// Human-readable specifics ("line 0x1000: 2 writable copies", …).
     pub detail: String,
-    /// The choice indices to replay via [`System::step_choice`].
-    pub choices: Vec<usize>,
-    /// The chosen events, as they were pending when each was delivered.
+    /// The chosen events, as they were pending when each was delivered;
+    /// [`System::step_choice`] on each, in order, replays the path.
     pub steps: Vec<PendingEvent>,
     /// Whether the minimizer produced this (shortest known) or it is the
     /// raw DFS path.
     pub minimized: bool,
-    /// The replayed system's flight-recorder tail at the violating state:
+    /// The explored system's flight-recorder tail at the violating state:
     /// the last delivered messages (tick, destination, class, line),
     /// oldest first — the post-mortem view the steps list abstracts.
     pub flight: Vec<FlightRecord>,
@@ -222,7 +227,7 @@ impl ExploreReport {
 #[must_use]
 pub fn explore(root: &System, cfg: &CheckConfig<'_>) -> ExploreReport {
     let mut start = root.clone();
-    start.enable_choice_mode().expect("litmus systems must be wired correctly");
+    start.enable_choice_mode();
     let mut st = Search {
         cfg,
         visited: HashSet::new(),
@@ -234,34 +239,13 @@ pub fn explore(root: &System, cfg: &CheckConfig<'_>) -> ExploreReport {
     };
     st.dfs(&mut start.clone(), &mut Vec::new());
 
-    let counterexample = st.violation.take().map(|(kind, detail, choices)| {
-        minimize(&start, cfg).unwrap_or_else(|| render_path(&start, kind, detail, &choices, false))
-    });
+    let counterexample = st.violation.take().map(|raw| minimize(&start, cfg).unwrap_or(raw));
     ExploreReport {
         states: st.states,
         terminal_states: st.terminals,
         truncated: st.truncated,
         counterexample,
     }
-}
-
-/// Turns a choice path into a [`Counterexample`] by replaying it from
-/// `start` and recording each chosen event.
-fn render_path(
-    start: &System,
-    kind: ViolationKind,
-    detail: String,
-    choices: &[usize],
-    minimized: bool,
-) -> Counterexample {
-    let mut sys = start.clone();
-    let mut steps = Vec::with_capacity(choices.len());
-    for &i in choices {
-        steps.push(sys.pending_events().swap_remove(i));
-        sys.step_choice(i).expect("replayed step cannot fail");
-    }
-    let flight = sys.flight_tail();
-    Counterexample { kind, detail, choices: choices.to_vec(), steps, minimized, flight }
 }
 
 struct Search<'a> {
@@ -271,11 +255,11 @@ struct Search<'a> {
     terminals: u64,
     truncated: bool,
     stop: bool,
-    violation: Option<(ViolationKind, String, Vec<usize>)>,
+    violation: Option<Counterexample>,
 }
 
 impl Search<'_> {
-    fn dfs(&mut self, sys: &mut System, path: &mut Vec<usize>) {
+    fn dfs(&mut self, sys: &mut System, path: &mut Vec<PendingEvent>) {
         if self.stop {
             return;
         }
@@ -287,13 +271,15 @@ impl Search<'_> {
             self.truncated = true;
             self.stop = true;
         }
-        let n = sys.choice_count();
-        if let Some((kind, detail)) = classify(sys, n, self.cfg) {
-            self.violation = Some((kind, detail, path.clone()));
+        let pending = sys.pending_events();
+        if let Some((kind, detail)) = classify(sys, &pending, self.cfg) {
+            let steps = path.clone();
+            let flight = sys.flight_tail();
+            self.violation = Some(Counterexample { kind, detail, steps, minimized: false, flight });
             self.stop = true;
             return;
         }
-        if n == 0 {
+        if pending.is_empty() {
             self.terminals += 1;
             return;
         }
@@ -301,7 +287,8 @@ impl Search<'_> {
             self.truncated = true;
             return;
         }
-        for i in 0..n {
+        let n = pending.len();
+        for (i, ev) in pending.into_iter().enumerate() {
             // Every child but the last steps a clone; the last one steps
             // `sys` itself, which no later sibling needs. The clone is
             // boxed: a 256-deep search then fits a 2 MiB thread stack
@@ -313,8 +300,8 @@ impl Search<'_> {
             } else {
                 &mut *sys
             };
-            child.step_choice(i).expect("explored step cannot fail");
-            path.push(i);
+            child.step_choice(&ev).expect("explored step cannot fail");
+            path.push(ev);
             self.dfs(child, path);
             path.pop();
             if self.stop {
@@ -324,13 +311,16 @@ impl Search<'_> {
     }
 }
 
-/// Checks every invariant at one state. `n` is the pending-choice count
-/// (passed in because the caller already fetched it).
-fn classify(sys: &System, n: usize, cfg: &CheckConfig<'_>) -> Option<(ViolationKind, String)> {
-    if let Some(v) = check_coherence(sys) {
+/// Checks every invariant at one state whose choice set is `pending`.
+fn classify(
+    sys: &System,
+    pending: &[PendingEvent],
+    cfg: &CheckConfig<'_>,
+) -> Option<(ViolationKind, String)> {
+    if let Some(v) = check_coherence(sys, pending) {
         return Some(v);
     }
-    if n == 0 {
+    if pending.is_empty() {
         if !sys.is_done() {
             if cfg.deadlock_ok {
                 return None;
@@ -361,30 +351,25 @@ fn classify(sys: &System, n: usize, cfg: &CheckConfig<'_>) -> Option<(ViolationK
 /// legitimately incoherent (that is what the transaction is fixing);
 /// TCP/TCC copies are exempt by design — VIPER tolerates stale GPU lines
 /// until the next acquire.
-fn check_coherence(sys: &System) -> Option<(ViolationKind, String)> {
+fn check_coherence(sys: &System, pending: &[PendingEvent]) -> Option<(ViolationKind, String)> {
     let mut unsettled: HashSet<LineAddr> = HashSet::new();
-    for ev in sys.pending_events() {
+    for ev in pending {
         if let Event::Deliver(m) = ev.event {
             unsettled.insert(m.line);
         }
     }
     let mut copies: BTreeMap<LineAddr, Vec<L2Copy>> = BTreeMap::new();
-    for cp in 0..sys.corepair_count() {
-        for la in sys.mshr_lines(cp) {
-            unsettled.insert(la);
-        }
-        for (la, _) in sys.victim_snapshot(cp) {
-            unsettled.insert(la);
-        }
-        for (la, state, data) in sys.l2_snapshot(cp) {
-            copies.entry(la).or_default().push((cp, state, data));
+    for (i, cp) in sys.corepairs().iter().enumerate() {
+        unsettled.extend(cp.mshr_lines());
+        unsettled.extend(cp.victim_snapshot().into_iter().map(|(la, _)| la));
+        for (la, state, data) in cp.l2_snapshot() {
+            copies.entry(la).or_default().push((i, state, data));
         }
     }
-    let llc: BTreeMap<LineAddr, LineData> =
-        sys.llc_snapshot().into_iter().map(|(la, d, _)| (la, d)).collect();
+    let dir = sys.directory();
 
     for (la, cs) in &copies {
-        if unsettled.contains(la) || sys.dir_busy(*la) {
+        if unsettled.contains(la) || dir.has_active_txn(*la) {
             continue;
         }
         let writers = cs.iter().filter(|(_, s, _)| s.can_write()).count();
@@ -412,7 +397,7 @@ fn check_coherence(sys: &System) -> Option<(ViolationKind, String)> {
                 format!("line {:#x}: {owners} Owned copies in {}", la.0, describe(cs, 0)),
             ));
         }
-        let backing = llc.get(la).copied().unwrap_or_else(|| sys.memory_line(*la));
+        let backing = dir.llc().peek(*la).map_or_else(|| sys.memory().read_line(*la), |l| l.data);
         if let Some(detail) = divergence(*la, cs, backing) {
             return Some((ViolationKind::ValueCoherence, detail));
         }
@@ -454,24 +439,24 @@ fn describe(cs: &[L2Copy], w: usize) -> String {
 
 /// Breadth-first search from `start` for the *shortest* path to any
 /// violating state, using the same visited-set abstraction as the DFS.
-/// A node is a parent pointer, replayed when expanded: a frontier of whole
-/// systems would cost tens of KB a node. Returns `None` only if the
-/// violation is unreachable within the limits (possible when the DFS
-/// truncated).
+/// A node is the event it stepped and a parent pointer, replayed when
+/// expanded: a frontier of whole systems would cost ≈ 87 KB a node.
+/// Returns `None` only if the violation is unreachable within the limits
+/// (possible when the DFS truncated).
 fn minimize(start: &System, cfg: &CheckConfig<'_>) -> Option<Counterexample> {
     struct Node {
         parent: usize,
-        choice: usize,
+        step: Option<PendingEvent>,
     }
-    let mut nodes: Vec<Node> = vec![Node { parent: usize::MAX, choice: usize::MAX }];
+    let mut nodes: Vec<Node> = vec![Node { parent: usize::MAX, step: None }];
     let mut visited: HashSet<u64> = HashSet::new();
     let mut frontier: Vec<usize> = vec![0];
     let mut expanded: u64 = 0;
 
     let path_of = |nodes: &[Node], mut idx: usize| {
         let mut p = Vec::new();
-        while nodes[idx].parent != usize::MAX {
-            p.push(nodes[idx].choice);
+        while let Some(ev) = &nodes[idx].step {
+            p.push(ev.clone());
             idx = nodes[idx].parent;
         }
         p.reverse();
@@ -482,24 +467,25 @@ fn minimize(start: &System, cfg: &CheckConfig<'_>) -> Option<Counterexample> {
     while !frontier.is_empty() {
         let mut next = Vec::new();
         for &idx in &frontier {
-            let choices = path_of(&nodes, idx);
+            let steps = path_of(&nodes, idx);
             let mut sys = start.clone();
-            for &i in &choices {
-                sys.step_choice(i).expect("replayed step cannot fail");
+            for ev in &steps {
+                sys.step_choice(ev).expect("replayed step cannot fail");
             }
-            let n = sys.choice_count();
-            if let Some((kind, detail)) = classify(&sys, n, cfg) {
-                return Some(render_path(start, kind, detail, &choices, true));
+            let pending = sys.pending_events();
+            if let Some((kind, detail)) = classify(&sys, &pending, cfg) {
+                let flight = sys.flight_tail();
+                return Some(Counterexample { kind, detail, steps, minimized: true, flight });
             }
             expanded += 1;
-            if expanded >= MAX_STATES || choices.len() >= MAX_DEPTH {
+            if expanded >= MAX_STATES || steps.len() >= MAX_DEPTH {
                 continue;
             }
-            for i in 0..n {
+            for ev in pending {
                 let mut child = sys.clone();
-                child.step_choice(i).expect("minimizer step cannot fail");
+                child.step_choice(&ev).expect("minimizer step cannot fail");
                 if visited.insert(child.state_hash()) {
-                    nodes.push(Node { parent: idx, choice: i });
+                    nodes.push(Node { parent: idx, step: Some(ev) });
                     next.push(nodes.len() - 1);
                 }
             }

@@ -407,11 +407,11 @@ fn dup_first_resp() -> FaultPlan {
 /// value means it saw a torn or stale-after-probe line.
 fn dma_read_saw_no_torn_line(sys: &System) -> Result<(), String> {
     let read = sys
-        .dma_read_data()
-        .into_iter()
-        .find(|(la, _)| *la == A.line())
+        .dma()
+        .read_data()
+        .get(&A.line())
         .ok_or_else(|| "DMA read returned no data for line A".to_owned())?;
-    let got = read.1.word_at(A);
+    let got = read.word_at(A);
     if got == 0 || got == 5 {
         Ok(())
     } else {
@@ -501,13 +501,32 @@ mod tests {
             rendered.contains("RdBlkM"),
             "counterexample must name the protocol events:\n{rendered}"
         );
-        // And it replays: the choices drive a fresh system into the same
-        // violation (render_path already did; spot-check the Perfetto export).
+        // The Perfetto export holds every step, the verdict and the tail.
         assert_eq!(cx.to_perfetto().len(), cx.steps.len() + 1 + cx.flight.len());
-        // The replayed flight tail names the deliveries leading to the
-        // violation, so the rendering ends with a post-mortem.
+        // The flight tail names the deliveries leading to the violation,
+        // so the rendering ends with a post-mortem.
         assert!(!cx.flight.is_empty(), "deliveries happened, so the tail must too");
         assert!(rendered.contains("flight recorder ("), "rendering carries the tail:\n{rendered}");
+    }
+
+    /// A step names its event by `seq`, which is the same on every replay
+    /// of one path from one start, so the steps alone lead a fresh build
+    /// to the state the search reported.
+    #[test]
+    fn a_counterexample_replays_from_its_steps_alone() {
+        let two_writers = Litmus::by_name("two_writers").unwrap();
+        let l = Litmus { mutant: Mutant::DropDirtyProbeData, ..two_writers };
+        let report = l.check_exhaustive();
+        let cx = report.counterexample().expect("the lost dirty forward must be caught");
+        let mut sys = l.build(None, None);
+        sys.enable_choice_mode();
+        for ev in &cx.steps {
+            assert!(sys.pending_events().contains(ev), "{ev} is pending as recorded");
+            sys.step_choice(ev).expect("a replayed step cannot fail");
+        }
+        assert!(sys.pending_events().is_empty(), "nothing is left to deliver");
+        assert_eq!(l.check_final(&sys), Err(cx.detail.clone()));
+        assert_eq!(sys.flight_tail(), cx.flight);
     }
 
     #[test]

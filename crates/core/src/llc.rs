@@ -181,11 +181,6 @@ impl Llc {
         s
     }
 
-    /// All dirty lines (for end-of-run memory reconstruction).
-    pub fn dirty_lines(&self) -> Vec<(LineAddr, LineData)> {
-        self.lines.iter().filter(|(_, l)| l.dirty).map(|(la, l)| (la, l.data)).collect()
-    }
-
     /// All valid lines in set/way order (for state fingerprints and
     /// whole-cache coherence checks).
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &LlcLine)> + '_ {
@@ -241,8 +236,8 @@ mod tests {
         let mut llc = tiny_llc();
         llc.write(LineAddr(0), data(1), true);
         llc.write(LineAddr(0), data(2), false); // clean rewrite keeps dirty
-        assert!(llc.peek(LineAddr(0)).unwrap().dirty);
-        assert_eq!(llc.dirty_lines().len(), 1);
+        let line = llc.peek(LineAddr(0)).expect("the line stays resident");
+        assert_eq!((line.data.word(0), line.dirty), (2, true));
     }
 
     #[test]

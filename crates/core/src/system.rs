@@ -1,8 +1,8 @@
 use hsc_cluster::{
-    CorePair, CoreProgram, DmaCommand, DmaEngine, GpuCluster, MoesiState, Mutant, WavefrontProgram,
+    CorePair, CoreProgram, DmaCommand, DmaEngine, GpuCluster, Mutant, WavefrontProgram,
     TICKS_PER_GPU_CYCLE,
 };
-use hsc_mem::{Addr, LineAddr, LineData, MainMemory, VictimEntry};
+use hsc_mem::{Addr, LineAddr, MainMemory};
 use hsc_noc::{
     Action, AgentId, DeadlockSnapshot, Delivery, Event, FlightRecord, FlightRecorder, Message,
     Network, Outbox, PendingEvent, SimError,
@@ -174,7 +174,9 @@ impl SystemBuilder {
         self
     }
 
-    /// Builds the system.
+    /// Builds the system, with every requester's first wake-up queued at
+    /// tick 0: [`System::run`] and [`System::pending_events`] both start
+    /// from there.
     #[must_use]
     pub fn build(self) -> System {
         let cfg = self.config;
@@ -213,7 +215,7 @@ impl SystemBuilder {
             directory.enable_analytics();
         }
 
-        System {
+        let mut sys = System {
             config: cfg,
             corepairs,
             gpus,
@@ -228,12 +230,23 @@ impl SystemBuilder {
             queue: WheelQueue::new(),
             now: Tick::ZERO,
             events_processed: 0,
-            started: false,
             trace_line: self.trace.traced_line(),
             observer: Observer::new(self.obs),
             flight: FlightRecorder::default(),
             gauge_labels: GaugeLabels::new(cfg.corepairs, n_gpus),
+        };
+        let mut out = Outbox::new(Tick::ZERO);
+        let agents = (0..cfg.corepairs).map(AgentId::CorePairL2);
+        for agent in agents.chain((0..n_gpus).map(AgentId::Tcc)).chain([AgentId::Dma]) {
+            out.reset(Tick::ZERO);
+            match agent {
+                AgentId::CorePairL2(i) => sys.corepairs[i].start(&mut out),
+                AgentId::Tcc(g) => sys.gpus[g].start(&mut out),
+                _ => sys.dma.start(&mut out),
+            }
+            sys.apply(agent, &out).expect("a controller's start only schedules wake-ups");
         }
+        sys
     }
 }
 
@@ -254,7 +267,6 @@ pub struct System {
     queue: WheelQueue<Event>,
     now: Tick,
     events_processed: u64,
-    started: bool,
     trace_line: Option<u64>,
     observer: Observer,
     /// Always-on post-mortem ring of the last delivered events: one plain
@@ -315,8 +327,6 @@ impl System {
         // while keeping its buffer, so staging actions never allocates on
         // the steady-state path.
         let mut out = Outbox::new(self.now);
-        self.start(&mut out)?;
-
         loop {
             // Both stop conditions are judged against the next event while
             // it is still queued, so a stopped run can be resumed and its
@@ -346,31 +356,6 @@ impl System {
             return Err(self.deadlock());
         }
         Ok(self.metrics())
-    }
-
-    /// Delivers the initial wake-ups exactly once. Both [`System::run`]
-    /// and the model checker's choice-stepping path call this; a second
-    /// call is a no-op, so a partially stepped system may be handed back
-    /// to [`System::run`].
-    fn start(&mut self, out: &mut Outbox) -> Result<(), SimError> {
-        if self.started {
-            return Ok(());
-        }
-        self.started = true;
-        for i in 0..self.corepairs.len() {
-            out.reset(self.now);
-            self.corepairs[i].start(out);
-            self.apply(AgentId::CorePairL2(i), out)?;
-        }
-        for g in 0..self.gpus.len() {
-            out.reset(self.now);
-            self.gpus[g].start(out);
-            self.apply(AgentId::Tcc(g), out)?;
-        }
-        out.reset(self.now);
-        self.dma.start(out);
-        self.apply(AgentId::Dma, out)?;
-        Ok(())
     }
 
     /// Processes one unlinked event at time `t`: advances the clock, counts
@@ -520,8 +505,8 @@ impl System {
     }
 
     /// The undelivered events in the queue, in deterministic `(tick, seq)`
-    /// order. This is the model checker's "choice set" view — index `i`
-    /// here is the `i` for [`System::step_choice`] — and also what
+    /// order. This is the model checker's choice set — it steps one of
+    /// them with [`System::step_choice`] — and also what
     /// [`DeadlockSnapshot`] carries so stall reports can name in-flight
     /// traffic.
     #[must_use]
@@ -533,33 +518,20 @@ impl System {
             .collect()
     }
 
-    /// Switches this system into model-checking mode: delivers the initial
-    /// wake-ups (if [`System::run`] has not already) and gives the network
+    /// Switches this system into model-checking mode: gives the network
     /// a zero-latency map, so every undelivered message is immediately
     /// choosable. Fault plans still apply — drops and duplicates survive —
     /// only the topology latency is removed, because the explorer subsumes
     /// timing by enumerating delivery orders.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SimError::Wiring`] from the initial wake-ups.
-    pub fn enable_choice_mode(&mut self) -> Result<(), SimError> {
-        let mut out = Outbox::new(self.now);
-        self.start(&mut out)?;
+    pub fn enable_choice_mode(&mut self) {
         self.network.set_immediate_delivery();
-        Ok(())
     }
 
-    /// Number of deliverable events the explorer can pick from (the length
-    /// of [`System::pending_events`]).
-    #[must_use]
-    pub fn choice_count(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Delivers the `i`-th pending event (in `(tick, seq)` order) out of
-    /// turn, advancing time to `max(now, its tick)` so time never runs
-    /// backwards even when the explorer picks a late wake-up first.
+    /// Delivers `ev`, one of [`System::pending_events`], out of turn,
+    /// advancing time to `max(now, its tick)` so time never runs backwards
+    /// even when the explorer picks a late wake-up first. The event is
+    /// found by its `seq`, which is the same on every replay of one path
+    /// from one start.
     ///
     /// # Errors
     ///
@@ -567,13 +539,10 @@ impl System {
     ///
     /// # Panics
     ///
-    /// If `i >= choice_count()` — the explorer owns the indices.
-    pub fn step_choice(&mut self, i: usize) -> Result<(), SimError> {
-        let seq = {
-            let snap = self.queue.snapshot();
-            snap.get(i).unwrap_or_else(|| panic!("choice index {i} out of range")).1
-        };
-        let (t, held) = self.queue.unlink_seq(seq).expect("snapshot seq must be removable");
+    /// If `ev` is not pending — the explorer owns the choice set.
+    pub fn step_choice(&mut self, ev: &PendingEvent) -> Result<(), SimError> {
+        let (t, held) =
+            self.queue.unlink_seq(ev.seq).unwrap_or_else(|| panic!("{ev} is not pending"));
         let mut out = Outbox::new(self.now);
         self.step(self.now.max(t), held, &mut out)
     }
@@ -632,56 +601,28 @@ impl System {
         h.finish()
     }
 
-    /// Number of CorePairs in this system.
+    /// The CorePairs, in `AgentId::CorePairL2` order.
     #[must_use]
-    pub fn corepair_count(&self) -> usize {
-        self.corepairs.len()
+    pub fn corepairs(&self) -> &[CorePair] {
+        &self.corepairs
     }
 
-    /// CorePair `cp`'s valid L2 lines as `(line, MOESI state, data)`, for
-    /// whole-cache invariant checks.
+    /// The directory, and through it the LLC.
     #[must_use]
-    pub fn l2_snapshot(&self, cp: usize) -> Vec<(LineAddr, MoesiState, LineData)> {
-        self.corepairs[cp].l2_snapshot()
+    pub fn directory(&self) -> &Directory {
+        &self.directory
     }
 
-    /// CorePair `cp`'s in-flight victim-buffer entries.
+    /// Main memory.
     #[must_use]
-    pub fn victim_snapshot(&self, cp: usize) -> Vec<(LineAddr, VictimEntry)> {
-        self.corepairs[cp].victim_snapshot()
+    pub fn memory(&self) -> &MainMemory {
+        self.memctl.memory()
     }
 
-    /// Lines CorePair `cp` has outstanding L2 transactions for; the
-    /// checker treats these lines as unsettled.
+    /// The DMA engine.
     #[must_use]
-    pub fn mshr_lines(&self, cp: usize) -> Vec<LineAddr> {
-        self.corepairs[cp].mshr_lines()
-    }
-
-    /// Valid LLC lines as `(line, data, dirty)`.
-    #[must_use]
-    pub fn llc_snapshot(&self) -> Vec<(LineAddr, LineData, bool)> {
-        self.directory.llc().iter().map(|(la, l)| (la, l.data, l.dirty)).collect()
-    }
-
-    /// Main-memory contents of `la` (zeroed if never written).
-    #[must_use]
-    pub fn memory_line(&self, la: LineAddr) -> LineData {
-        self.memctl.memory().read_line(la)
-    }
-
-    /// Whether the directory has an in-flight transaction on `la`; the
-    /// checker only asserts coherence on settled lines.
-    #[must_use]
-    pub fn dir_busy(&self, la: LineAddr) -> bool {
-        self.directory.has_active_txn(la)
-    }
-
-    /// Data the DMA engine has read so far, keyed by line (for litmus
-    /// final-state checks on DMA-vs-cache races).
-    #[must_use]
-    pub fn dma_read_data(&self) -> Vec<(LineAddr, LineData)> {
-        self.dma.read_data().iter().map(|(la, d)| (*la, *d)).collect()
+    pub fn dma(&self) -> &DmaEngine {
+        &self.dma
     }
 
     fn deadlock(&self) -> SimError {
@@ -802,5 +743,23 @@ mod tests {
         let mut sys = builder.build();
         sys.run(u64::MAX).expect("an empty system completes");
         assert_eq!((sys.final_word(a), sys.final_word(b)), (2, 6));
+    }
+
+    #[test]
+    fn a_built_system_starts_with_its_wake_ups_queued() {
+        let cfg = SystemConfig::default();
+        let mut sys = SystemBuilder::new(cfg).build();
+        let woken: Vec<(Tick, Event)> =
+            sys.pending_events().into_iter().map(|p| (p.at, p.event)).collect();
+        let expected: Vec<(Tick, Event)> = (0..cfg.corepairs)
+            .map(AgentId::CorePairL2)
+            .chain((0..cfg.gpu_clusters).map(AgentId::Tcc))
+            .chain([AgentId::Dma])
+            .map(|agent| (Tick::ZERO, Event::Wake(agent)))
+            .collect();
+        assert_eq!(woken, expected, "one wake per CorePair, then the TCC's, then DMA's");
+        let before = sys.pending_events();
+        sys.enable_choice_mode();
+        assert_eq!(sys.pending_events(), before, "choice mode queues nothing");
     }
 }

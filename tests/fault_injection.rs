@@ -105,9 +105,9 @@ fn dropped_dma_read_recovers_only_with_retry() {
         FaultPlan::drop_first("DmaRd"),
         "dma.retries",
     );
-    let read = sys.dma_read_data();
+    let read = sys.dma().read_data();
     assert_eq!(read.len(), 1);
-    assert_eq!(read[0].1.word_at(TARGET), 42);
+    assert_eq!(read[&TARGET.line()].word_at(TARGET), 42);
 }
 
 /// The one `SystemConfig::retry` reaches the TCC: a dropped GPU fill
@@ -243,9 +243,8 @@ fn watchdog_snapshot_still_holds_the_event_that_tripped_it() {
 #[test]
 fn pending_events_render_wakes_and_deliveries() {
     let mut sys = one_load_system(SystemConfig::default());
-    sys.enable_choice_mode().expect("choice mode on a fresh system");
+    sys.enable_choice_mode();
     let pend = sys.pending_events();
-    assert_eq!(pend.len(), sys.choice_count());
     assert!(
         pend.iter().any(|p| p.to_string().contains("wake")),
         "initial agent wake-ups must be pending: {pend:?}"
@@ -262,8 +261,9 @@ fn pending_events_render_wakes_and_deliveries() {
             assert!(s.contains("line 0x1000"), "{s}");
             return;
         }
-        assert!(sys.choice_count() > 0, "queue drained before the load's request appeared");
-        sys.step_choice(0).expect("fault-free stepping cannot fail");
+        let next = sys.pending_events().first().cloned();
+        let next = next.expect("queue drained before the load's request appeared");
+        sys.step_choice(&next).expect("fault-free stepping cannot fail");
     }
     panic!("the load's RdBlk never became a pending delivery");
 }

@@ -16,10 +16,10 @@ fn no_requester_ever_has_two_wakes_pending_at_one_tick() {
     let mut b = SystemBuilder::new(SystemConfig::scaled(CoherenceConfig::baseline()));
     bench.build(&mut b);
     let mut sys = b.build();
-    sys.enable_choice_mode().expect("the scaled topology is fully wired");
+    sys.enable_choice_mode();
     let mut steps = 0u64;
-    while sys.choice_count() > 0 {
-        sys.step_choice(0).expect("serial-order stepping cannot fail");
+    while let Some(next) = sys.pending_events().first().cloned() {
+        sys.step_choice(&next).expect("serial-order stepping cannot fail");
         steps += 1;
         assert!(steps < 1_000_000, "the run must terminate");
         let mut seen = BTreeSet::new();
