@@ -113,11 +113,9 @@ pub fn analyze(
 
     let run = run_workload_observed(w, cfg, obs);
     match &run.outcome {
-        Ok(r) => writeln!(
-            out,
-            "run completed: {} tick(s), {} event(s) handled",
-            r.metrics.ticks, r.metrics.events
-        )?,
+        Ok(m) => {
+            writeln!(out, "run completed: {} tick(s), {} event(s) handled", m.ticks, m.events)?
+        }
         Err(e) => {
             writeln!(out, "run FAILED ({e}) — analytics below cover the run up to the failure")?
         }

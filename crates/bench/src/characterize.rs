@@ -6,9 +6,10 @@
 
 use std::io::{self, Write};
 
-use hsc_core::{CoherenceConfig, ObsConfig, SystemConfig};
+use hsc_cluster::TICKS_PER_GPU_CYCLE;
+use hsc_core::{CoherenceConfig, Metrics, ObsConfig, SystemConfig};
 use hsc_obs::RunRecord;
-use hsc_workloads::{run_workload_observed, RunResult, Workload};
+use hsc_workloads::{run_workload_observed, Workload};
 
 use crate::cli::OutFile;
 use crate::par::{expect_all, Campaign, Parallelism};
@@ -34,7 +35,7 @@ pub fn characterize(
     let obs =
         if report.is_some() { ObsConfig::report(REPORT_EPOCH_TICKS) } else { ObsConfig::off() };
 
-    let mut campaign: Campaign<'_, Result<(RunResult, RunRecord), String>> =
+    let mut campaign: Campaign<'_, Result<(Metrics, RunRecord), String>> =
         Campaign::new("characterize");
     for w in workloads {
         let w = w.as_ref();
@@ -42,7 +43,7 @@ pub fn characterize(
             let run = run_workload_observed(w, cfg, obs);
             let record = run_record(w.name(), "baseline", &run);
             match run.outcome {
-                Ok(result) => Ok((result, record)),
+                Ok(metrics) => Ok((metrics, record)),
                 Err(e) => Err(format!("workload {}: {e}", w.name())),
             }
         });
@@ -68,13 +69,13 @@ pub fn characterize(
         "DmaRW",
         "Flush"
     )?;
-    for (r, _) in &rows {
-        let s = &r.metrics.stats;
+    for (w, (m, _)) in workloads.iter().zip(&rows) {
+        let s = &m.stats;
         writeln!(
             out,
             "{:8} {:>9} {:>8} {:>8} {:>8} {:>9} {:>9} {:>7} {:>7} {:>7} {:>7}",
-            r.workload,
-            r.metrics.gpu_cycles,
+            w.name(),
+            m.gpu_cycles,
             s.get("dir.requests.RdBlk"),
             s.get("dir.requests.RdBlkS"),
             s.get("dir.requests.RdBlkM"),
@@ -92,8 +93,8 @@ pub fn characterize(
         "{:8} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
         "bench", "cpu ops", "wf ops", "l2 hit%", "tcp hit%", "llc hit%", "upgrades"
     )?;
-    for (r, _) in &rows {
-        let s = &r.metrics.stats;
+    for (w, (m, _)) in workloads.iter().zip(&rows) {
+        let s = &m.stats;
         let pct = |h: u64, m: u64| {
             if h + m == 0 {
                 0.0
@@ -101,7 +102,12 @@ pub fn characterize(
                 100.0 * h as f64 / (h + m) as f64
             }
         };
-        let per_cp = |key: &str| (0..4).map(|i| s.get(&format!("cp{i}.{key}"))).sum::<u64>();
+        // Every CorePair's `cp{i}.<key>`, however many the run had.
+        let per_cp = |key: &str| {
+            let of_key =
+                |k: &str| k.starts_with("cp") && k.split_once('.').is_some_and(|p| p.1 == key);
+            s.iter().filter(|(k, _)| of_key(k)).map(|(_, v)| v).sum::<u64>()
+        };
         let cpu_ops = per_cp("core.loads")
             + per_cp("core.stores")
             + per_cp("core.atomics")
@@ -114,7 +120,7 @@ pub fn characterize(
         writeln!(
             out,
             "{:8} {:>10} {:>10} {:>10.1} {:>10.1} {:>10.1} {:>10}",
-            r.workload,
+            w.name(),
             cpu_ops,
             wf_ops,
             pct(per_cp("l2.hits"), per_cp("l2.misses")),
@@ -129,15 +135,15 @@ pub fn characterize(
         "{:8} {:>14} {:>16} {:>15}",
         "bench", "dir txns", "mean lat (GPUcy)", "max lat (GPUcy)"
     )?;
-    for (r, _) in &rows {
-        let s = &r.metrics.stats;
+    for (w, (m, _)) in workloads.iter().zip(&rows) {
+        let s = &m.stats;
         writeln!(
             out,
             "{:8} {:>14} {:>16} {:>15}",
-            r.workload,
+            w.name(),
             s.get("dir.txn_latency_count"),
-            s.get("dir.txn_latency_mean_ticks") / 35,
-            s.get("dir.txn_latency_max_ticks") / 35,
+            s.get("dir.txn_latency_mean_ticks") / TICKS_PER_GPU_CYCLE,
+            s.get("dir.txn_latency_max_ticks") / TICKS_PER_GPU_CYCLE,
         )?;
     }
 

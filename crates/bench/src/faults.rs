@@ -35,9 +35,7 @@ use std::process::ExitCode;
 
 use hsc_core::{CoherenceConfig, ObsConfig, SystemConfig};
 use hsc_noc::{FaultPlan, FaultTargets, RetryPolicy, SimError};
-use hsc_workloads::{
-    run_workload_observed, try_run_workload_on, ObservedRun, Workload, WorkloadError,
-};
+use hsc_workloads::{run_workload_observed, ObservedRun, Workload, WorkloadError};
 
 use crate::cli::OutFile;
 use crate::par::{Campaign, Parallelism};
@@ -109,7 +107,9 @@ pub fn faults(
     let mut goldens = Campaign::new("faults/golden");
     for w in workloads {
         let w = w.as_ref();
-        goldens.push(format!("{}/golden", w.name()), move || try_run_workload_on(w, base));
+        goldens.push(format!("{}/golden", w.name()), move || {
+            run_workload_observed(w, base, ObsConfig::off()).outcome
+        });
     }
     let golden_results = goldens.run(par);
 
@@ -162,8 +162,8 @@ pub fn faults(
                 records.push(run_record(w.name(), &config, &run));
             }
             match &run.outcome {
-                Ok(r) => {
-                    let stats = &r.metrics.stats;
+                Ok(m) => {
+                    let stats = &m.stats;
                     // Every requester's re-sends: `cp{i}.l2.retries`,
                     // `tcc.retries` and `dma.retries`.
                     let retries =

@@ -11,8 +11,8 @@ use std::io::{self, Write};
 
 use hsc_core::{CoherenceConfig, DirReplacementPolicy, Metrics, SystemConfig};
 use hsc_workloads::{
-    all_workloads, collaborative_workloads, extension_workloads, run_workload_on, Cedd, RunResult,
-    Sc, Tq, Trns, Workload,
+    all_workloads, collaborative_workloads, extension_workloads, run_workload_on, Cedd, Sc, Tq,
+    Trns, Workload,
 };
 
 use crate::par::{expect_all, Campaign, Parallelism};
@@ -268,7 +268,7 @@ pub fn ablation(par: Parallelism, out: &mut dyn Write) -> io::Result<()> {
     ];
     let policies =
         [("plru", DirReplacementPolicy::TreePlru), ("aware", DirReplacementPolicy::StateAware)];
-    let mut campaign: Campaign<'_, RunResult> = Campaign::new("ablation");
+    let mut campaign: Campaign<'_, Metrics> = Campaign::new("ablation");
     for w in &workloads {
         for (label, policy) in policies {
             let w = w.as_ref();
@@ -288,18 +288,18 @@ pub fn ablation(par: Parallelism, out: &mut dyn Write) -> io::Result<()> {
         "bench", "plru cyc", "aware cyc", "saved%", "plru bInv", "aware bInv"
     )?;
     let mut savings = Vec::new();
-    for pair in results.chunks(policies.len()) {
+    for (w, pair) in workloads.iter().zip(results.chunks(policies.len())) {
         let (plru, aware) = (&pair[0], &pair[1]);
-        let saved = pct_saved(plru.metrics.gpu_cycles, aware.metrics.gpu_cycles);
+        let saved = pct_saved(plru.gpu_cycles, aware.gpu_cycles);
         writeln!(
             out,
             "{:8} {:>12} {:>12} {:>10.2} {:>12} {:>12}",
-            plru.workload,
-            plru.metrics.gpu_cycles,
-            aware.metrics.gpu_cycles,
+            w.name(),
+            plru.gpu_cycles,
+            aware.gpu_cycles,
             saved,
-            plru.metrics.stats.get("dir.backinval_probes"),
-            aware.metrics.stats.get("dir.backinval_probes"),
+            plru.stats.get("dir.backinval_probes"),
+            aware.stats.get("dir.backinval_probes"),
         )?;
         savings.push(saved);
     }

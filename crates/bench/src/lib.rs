@@ -75,8 +75,8 @@ pub fn sweep(
         for (name, cfg) in configs {
             let w = w.as_ref();
             campaign.push(format!("{}/{name}", w.name()), move || {
-                let r = run_workload_on(w, SystemConfig::scaled(*cfg));
-                Cell { workload: r.workload, config: name, metrics: r.metrics }
+                let metrics = run_workload_on(w, SystemConfig::scaled(*cfg));
+                Cell { workload: w.name(), config: name, metrics }
             });
         }
     }
@@ -131,8 +131,8 @@ pub mod reporting {
     use crate::cli::OutFile;
     use hsc_core::SystemConfig;
     use hsc_noc::SimError;
-    use hsc_obs::{ObsConfig, RunRecord, RunReport};
-    use hsc_workloads::{run_workload_observed, ObservedRun, Workload, WorkloadError};
+    use hsc_obs::{RunRecord, RunReport};
+    use hsc_workloads::{ObservedRun, WorkloadError};
 
     /// Epoch width (ticks) used by report runs: fine enough to show
     /// bursts on the scaled evaluation system (runs are a few million
@@ -162,30 +162,19 @@ pub mod reporting {
             outcome: outcome.to_owned(),
             ..RunRecord::default()
         };
-        if let Ok(r) = &run.outcome {
-            rec.ticks = r.metrics.ticks;
-            rec.gpu_cycles = r.metrics.gpu_cycles;
-            rec.counters = r.metrics.stats.iter().map(|(k, v)| (k.to_owned(), v)).collect();
+        if let Ok(m) = &run.outcome {
+            rec.ticks = m.ticks;
+            rec.gpu_cycles = m.gpu_cycles;
+            rec.counters = m.stats.iter().map(|(k, v)| (k.to_owned(), v)).collect();
         }
         rec.attach_obs(&run.obs);
         if run.outcome.is_err() {
             // Failed runs carry their post-mortem: the last deliveries
-            // the engine made before the failure.
+            // the engine made before the failure (the same rule
+            // `run_workload_observed` applies to the Perfetto trace).
             rec.attach_flight(&run.obs.flight);
         }
         rec
-    }
-
-    /// Runs `w` once with observability on and turns the outcome into a
-    /// report record (see [`run_record`]).
-    #[must_use]
-    pub fn observed_record(
-        w: &dyn Workload,
-        config_label: &str,
-        cfg: SystemConfig,
-        obs: ObsConfig,
-    ) -> RunRecord {
-        run_record(w.name(), config_label, &run_workload_observed(w, cfg, obs))
     }
 
     /// Writes the run report of `command` — `runs` measured on `config` —

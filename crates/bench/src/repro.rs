@@ -14,7 +14,7 @@ use crate::figures::{
     ablation, extension, fig4, fig5, fig6, fig7, optimization_sweep, tracking_sweep,
 };
 use crate::par::{expect_all, Campaign, Parallelism};
-use crate::reporting::{observed_record, write_report, REPORT_EPOCH_TICKS};
+use crate::reporting::{run_record, write_report, REPORT_EPOCH_TICKS};
 use crate::tables::{table1, table2, table3};
 use crate::Cell;
 
@@ -92,7 +92,9 @@ pub fn repro(
         let mut campaign: Campaign<'_, RunRecord> = Campaign::new("repro/report");
         for w in &workloads {
             let w = w.as_ref();
-            campaign.push(w.name(), move || observed_record(w, "baseline", cfg, obs));
+            campaign.push(w.name(), move || {
+                run_record(w.name(), "baseline", &run_workload_observed(w, cfg, obs))
+            });
         }
         // Records land in submission order, so the report JSON is
         // byte-identical to a serial run's.

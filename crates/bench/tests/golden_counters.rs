@@ -24,7 +24,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use hsc_bench::reporting::{observed_record, REPORT_EPOCH_TICKS};
+use hsc_bench::reporting::{run_record, REPORT_EPOCH_TICKS};
 use hsc_core::{CoherenceConfig, SystemConfig};
 use hsc_obs::{ObsConfig, RunReport};
 use hsc_workloads::{run_workload_observed, run_workload_on, Cedd, Hsti, Pad, Tq, Tqh, Workload};
@@ -81,12 +81,8 @@ fn quick_report_json_matches_golden() {
     report.git = "golden".to_owned();
     report.fingerprint_config(&cfg);
     for w in &quick_workloads() {
-        report.runs.push(observed_record(
-            w.as_ref(),
-            "baseline",
-            cfg,
-            ObsConfig::report(REPORT_EPOCH_TICKS),
-        ));
+        let run = run_workload_observed(w.as_ref(), cfg, ObsConfig::report(REPORT_EPOCH_TICKS));
+        report.runs.push(run_record(w.name(), "baseline", &run));
     }
     check_golden("quick_report.golden.json", &report.to_json_string());
 }
@@ -101,14 +97,14 @@ fn quick_metrics_tables_match_golden() {
     let mut table = String::new();
     for w in &quick_workloads() {
         let run = run_workload_observed(w.as_ref(), cfg, ObsConfig::off());
-        let r = run.outcome.unwrap_or_else(|e| panic!("{} failed: {e}", w.name()));
+        let m = run.outcome.unwrap_or_else(|e| panic!("{} failed: {e}", w.name()));
         writeln!(table, "== {} ==", w.name()).unwrap();
-        writeln!(table, "ticks        {}", r.metrics.ticks).unwrap();
-        writeln!(table, "gpu_cycles   {}", r.metrics.gpu_cycles).unwrap();
-        writeln!(table, "probes_sent  {}", r.metrics.probes_sent).unwrap();
-        writeln!(table, "mem_reads    {}", r.metrics.mem_reads).unwrap();
-        writeln!(table, "mem_writes   {}", r.metrics.mem_writes).unwrap();
-        write!(table, "{}", r.metrics.stats).unwrap();
+        writeln!(table, "ticks        {}", m.ticks).unwrap();
+        writeln!(table, "gpu_cycles   {}", m.gpu_cycles).unwrap();
+        writeln!(table, "probes_sent  {}", m.probes_sent).unwrap();
+        writeln!(table, "mem_reads    {}", m.mem_reads).unwrap();
+        writeln!(table, "mem_writes   {}", m.mem_writes).unwrap();
+        write!(table, "{}", m.stats).unwrap();
     }
     check_golden("quick_metrics.golden.txt", &table);
 }
@@ -161,7 +157,7 @@ fn derived_counters_match_golden() {
         let mut cfg = SystemConfig::scaled(coherence);
         cfg.uncore.llc_bytes = 16 * 1024;
         cfg.uncore.dir_entries = 512;
-        let m = run_workload_on(w, cfg).metrics;
+        let m = run_workload_on(w, cfg);
         writeln!(table, "== {} / {config} ==", w.name()).unwrap();
         writeln!(table, "events       {}", m.events).unwrap();
         write!(table, "{}", m.stats).unwrap();

@@ -14,11 +14,11 @@
 use std::fmt::Write as _;
 
 use hsc_bench::par::{expect_all, Campaign, Parallelism};
-use hsc_bench::reporting::{observed_record, REPORT_EPOCH_TICKS};
+use hsc_bench::reporting::{run_record, REPORT_EPOCH_TICKS};
 use hsc_core::{CoherenceConfig, ObsConfig, SystemConfig};
 use hsc_obs::RunReport;
 use hsc_workloads::trace::{presets, TraceWorkload, TrafficSpec};
-use hsc_workloads::try_run_workload_on;
+use hsc_workloads::{run_workload_observed, Workload};
 
 fn preset_workload(name: &str) -> TraceWorkload {
     TraceWorkload::new(TrafficSpec::parse(name).expect("preset spec").generate())
@@ -39,7 +39,8 @@ fn traced_artifacts(jobs: usize) -> (String, String) {
     for _ in 0..2 {
         let w = &w;
         campaign.push("trace", move || {
-            observed_record(w, "baseline", cfg, ObsConfig::report(REPORT_EPOCH_TICKS))
+            let run = run_workload_observed(w, cfg, ObsConfig::report(REPORT_EPOCH_TICKS));
+            run_record(w.name(), "baseline", &run)
         });
     }
     let mut table = String::new();
@@ -74,8 +75,9 @@ fn all_presets_replay_and_verify() {
     let cfg = SystemConfig::scaled(CoherenceConfig::baseline());
     for (name, _, spec) in presets() {
         let w = TraceWorkload::new(spec.generate());
-        let r = try_run_workload_on(&w, cfg).unwrap_or_else(|e| panic!("preset {name}: {e}"));
-        assert!(r.metrics.ticks > 0, "preset {name} actually ran");
+        let run = run_workload_observed(&w, cfg, ObsConfig::off());
+        let m = run.outcome.unwrap_or_else(|e| panic!("preset {name}: {e}"));
+        assert!(m.ticks > 0, "preset {name} actually ran");
     }
 }
 

@@ -5,10 +5,10 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-use hsc_bench::reporting::{observed_record, REPORT_EPOCH_TICKS};
+use hsc_bench::reporting::{run_record, REPORT_EPOCH_TICKS};
 use hsc_core::{CoherenceConfig, ObsConfig, SystemConfig};
 use hsc_obs::RunReport;
-use hsc_workloads::Hsti;
+use hsc_workloads::{run_workload_observed, Hsti};
 
 fn validate(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_hsc"))
@@ -84,7 +84,8 @@ fn a_report_with_analytics_sections_is_valid_at_the_same_version() {
     let obs = ObsConfig { protocol_analytics: true, ..ObsConfig::report(REPORT_EPOCH_TICKS) };
     let mut report = RunReport::new("analyze");
     report.fingerprint_config(&cfg);
-    report.runs.push(observed_record(&Hsti::default(), "sharer_tracking", cfg, obs));
+    let run = run_workload_observed(&Hsti::default(), cfg, obs);
+    report.runs.push(run_record("hsti", "sharer_tracking", &run));
     let json = report.to_json_string();
     assert!(json.contains("\"transitions\"") && json.contains("\"sharing\""));
     let out = validate(&[&temp_report("analytics.json", &json)]);

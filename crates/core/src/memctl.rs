@@ -1,4 +1,4 @@
-use hsc_mem::{LineAddr, LineData, MainMemory};
+use hsc_mem::MainMemory;
 use hsc_noc::{AgentId, Message, MsgKind, Outbox};
 use hsc_sim::{StatSet, Tick};
 
@@ -55,11 +55,6 @@ impl MemoryController {
         &self.mem
     }
 
-    /// Mutable access to the backing store (pre-run initialization only).
-    pub fn memory_mut(&mut self) -> &mut MainMemory {
-        &mut self.mem
-    }
-
     /// Controller statistics (`mem.reads`, `mem.writes`,
     /// `mem.busy_ticks`), exported for reports. Every access holds the
     /// channel for `occupancy_ticks`, so busy time is derived from the
@@ -100,18 +95,12 @@ impl MemoryController {
             ref other => panic!("memory controller got {}", other.class_name()),
         }
     }
-
-    /// Direct functional read of a line (tests/verification).
-    #[must_use]
-    pub fn read_line(&self, la: LineAddr) -> LineData {
-        self.mem.read_line(la)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hsc_mem::Addr;
+    use hsc_mem::{Addr, LineAddr, LineData};
     use hsc_noc::Action;
 
     fn rd(la: u64) -> Message {
@@ -173,7 +162,7 @@ mod tests {
             &mut out,
         );
         assert!(out.is_empty(), "posted writes produce no response");
-        assert_eq!(mc.read_line(LineAddr(3)).word(0), 7);
+        assert_eq!(mc.memory().read_line(LineAddr(3)).word(0), 7);
         assert_eq!(mc.memory().read_word(Addr(3 * 64)), 7);
         assert_eq!(mc.stats().get("mem.writes"), 1);
         assert_eq!(mc.stats().get("mem.busy_ticks"), 5, "a posted write holds the channel too");

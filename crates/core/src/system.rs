@@ -216,7 +216,6 @@ impl SystemBuilder {
         }
 
         let mut sys = System {
-            config: cfg,
             corepairs,
             gpus,
             dma: DmaEngine::new(self.dma_commands, 8).with_retry(cfg.retry),
@@ -257,7 +256,6 @@ impl SystemBuilder {
 /// configured), and drives the deterministic event loop.
 #[derive(Debug, Clone)]
 pub struct System {
-    config: SystemConfig,
     corepairs: Vec<CorePair>,
     gpus: Vec<GpuCluster>,
     dma: DmaEngine,
@@ -299,12 +297,6 @@ impl GaugeLabels {
 }
 
 impl System {
-    /// The configuration this system was built with.
-    #[must_use]
-    pub fn config(&self) -> &SystemConfig {
-        &self.config
-    }
-
     /// Runs to completion (every program retired, every transaction
     /// drained) and returns the metrics.
     ///
@@ -697,12 +689,6 @@ impl System {
         }
     }
 
-    /// Total faults the network injected during the run (0 without a plan).
-    #[must_use]
-    pub fn faults_injected(&self) -> u64 {
-        self.network.faults_injected()
-    }
-
     /// The value of the 64-bit word at `a` as the *coherent* end-of-run
     /// state: the freshest of (dirty L2 copies, dirty LLC lines, memory).
     ///
@@ -722,12 +708,6 @@ impl System {
             }
         }
         self.memctl.memory().read_word(a)
-    }
-
-    /// Number of events the run processed (a determinism fingerprint).
-    #[must_use]
-    pub fn events_processed(&self) -> u64 {
-        self.events_processed
     }
 }
 

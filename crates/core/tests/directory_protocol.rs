@@ -25,6 +25,13 @@ struct Harness {
 
 impl Harness {
     fn new(cfg: CoherenceConfig) -> Self {
+        Harness::with_words(cfg, &[])
+    }
+
+    /// A harness whose memory starts with `words` (every other word 0).
+    fn with_words(cfg: CoherenceConfig, words: &[(Addr, u64)]) -> Self {
+        let mut mem = MainMemory::new();
+        mem.write_words(words.iter().copied());
         let uncore = UncoreConfig {
             llc_bytes: 8 * 1024, // 8 sets × 16 ways: evictable in tests
             dir_entries: 64,
@@ -33,7 +40,7 @@ impl Harness {
         };
         Harness {
             dir: Directory::new(cfg, uncore, N_L2, 1),
-            mem: MemoryController::new(MainMemory::new(), 50, 10),
+            mem: MemoryController::new(mem, 50, 10),
             now: Tick(0),
             to_caches: VecDeque::new(),
             in_flight: Vec::new(),
@@ -158,8 +165,7 @@ fn baseline_rdblk_broadcasts_and_grants_exclusive_when_alone() {
 
 #[test]
 fn baseline_rdblk_grants_shared_when_a_copy_exists() {
-    let mut h = Harness::new(CoherenceConfig::baseline());
-    h.mem.memory_mut().write_word(LINE.base(), 7);
+    let mut h = Harness::with_words(CoherenceConfig::baseline(), &[(LINE.base(), 7)]);
     h.send(L2_0, LINE, MsgKind::RdBlk);
     h.ack_all_probes(LINE, Some((L2_1, data(42))));
     let resp = h.drain_to(L2_0);
@@ -356,7 +362,7 @@ fn early_unblock_holds_the_line_until_its_probe_round_is_in() {
     }
     assert!(matches!(h.drain_to(TCC)[..], [Message { kind: MsgKind::WtAck, .. }]));
     assert!(h.dir.is_idle());
-    let mem = h.mem.read_line(LINE);
+    let mem = h.mem.memory().read_line(LINE);
     let stale = h.dir.stats().get("dir.stale_probe_acks");
     assert_eq!(
         (mem.word(0), mem.word(7), stale),
@@ -443,7 +449,7 @@ fn baseline_clean_victims_write_llc_and_memory() {
     let mut h = Harness::new(CoherenceConfig::baseline());
     h.send(L2_0, LINE, MsgKind::VicClean { data: data(3) });
     assert!(matches!(h.drain_to(L2_0)[0].kind, MsgKind::VicAck));
-    assert_eq!(h.mem.read_line(LINE).word(0), 3, "write-through to memory");
+    assert_eq!(h.mem.memory().read_line(LINE).word(0), 3, "write-through to memory");
     assert!(h.dir.llc().peek(LINE).is_some(), "and cached in the LLC");
     assert!(!h.dir.llc().peek(LINE).unwrap().dirty);
 }
@@ -452,7 +458,7 @@ fn baseline_clean_victims_write_llc_and_memory() {
 fn no_wb_clean_victims_skips_memory() {
     let mut h = Harness::new(CoherenceConfig::no_wb_clean_victims());
     h.send(L2_0, LINE, MsgKind::VicClean { data: data(3) });
-    assert_eq!(h.mem.read_line(LINE).word(0), 0, "§III-B: no memory write");
+    assert_eq!(h.mem.memory().read_line(LINE).word(0), 0, "§III-B: no memory write");
     assert!(h.dir.llc().peek(LINE).is_some(), "LLC still caches the victim");
 }
 
@@ -461,14 +467,14 @@ fn drop_clean_victims_loses_them_in_the_air() {
     let mut h = Harness::new(CoherenceConfig::drop_clean_victims());
     h.send(L2_0, LINE, MsgKind::VicClean { data: data(3) });
     assert!(h.dir.llc().peek(LINE).is_none(), "§III-B1: not even the LLC");
-    assert_eq!(h.mem.read_line(LINE).word(0), 0);
+    assert_eq!(h.mem.memory().read_line(LINE).word(0), 0);
 }
 
 #[test]
 fn write_back_llc_defers_dirty_victims_until_eviction() {
     let mut h = Harness::new(CoherenceConfig::llc_write_back());
     h.send(L2_0, LINE, MsgKind::VicDirty { data: data(11) });
-    assert_eq!(h.mem.read_line(LINE).word(0), 0, "§III-C: no immediate memory write");
+    assert_eq!(h.mem.memory().read_line(LINE).word(0), 0, "§III-C: no immediate memory write");
     let l = h.dir.llc().peek(LINE).unwrap();
     assert!(l.dirty, "the dirty bit defers the write-back");
     // Fill the LLC set (16 ways, 8 sets): 16 more dirty victims at the
@@ -477,7 +483,7 @@ fn write_back_llc_defers_dirty_victims_until_eviction() {
         let la = LineAddr(LINE.0 + i * 8); // same set (8 sets)
         h.send(L2_0, la, MsgKind::VicDirty { data: data(100 + i) });
     }
-    assert_eq!(h.mem.read_line(LINE).word(0), 11, "LLC eviction wrote it back");
+    assert_eq!(h.mem.memory().read_line(LINE).word(0), 11, "LLC eviction wrote it back");
 }
 
 #[test]
@@ -506,11 +512,11 @@ fn stale_victim_after_parked_invalidation_is_dropped() {
     }
     h.to_caches.clear();
     // Atomic completed on the forwarded dirty data: 7 + 5 = 12 in memory.
-    assert_eq!(h.mem.read_line(LINE).word(0), 12);
+    assert_eq!(h.mem.memory().read_line(LINE).word(0), 12);
     // The stale VicDirty arrives late and must be ACKed but NOT written.
     h.send(L2_0, LINE, MsgKind::VicDirty { data: data(7) });
     assert!(matches!(h.drain_to(L2_0)[0].kind, MsgKind::VicAck));
-    assert_eq!(h.mem.read_line(LINE).word(0), 12, "stale write-back clobbered the atomic");
+    assert_eq!(h.mem.memory().read_line(LINE).word(0), 12, "stale write-back clobbered the atomic");
     assert!(h.dir.is_idle());
 }
 
@@ -518,21 +524,19 @@ fn stale_victim_after_parked_invalidation_is_dropped() {
 
 #[test]
 fn atomic_returns_old_value_and_applies_op() {
-    let mut h = Harness::new(CoherenceConfig::baseline());
-    h.mem.memory_mut().write_word(LINE.base(), 40);
+    let mut h = Harness::with_words(CoherenceConfig::baseline(), &[(LINE.base(), 40)]);
     h.send(TCC, LINE, MsgKind::AtomicReq { word: 0, op: AtomicKind::FetchAdd(2) });
     h.ack_all_probes(LINE, None);
     let resp = h.drain_to(TCC);
     assert!(matches!(resp[0].kind, MsgKind::AtomicResp { old: 40 }));
-    assert_eq!(h.mem.read_line(LINE).word(0), 42);
+    assert_eq!(h.mem.memory().read_line(LINE).word(0), 42);
     assert!(h.dir.is_idle(), "TCC transactions unblock implicitly");
 }
 
 #[test]
 fn write_through_merges_masked_words_into_memory() {
-    let mut h = Harness::new(CoherenceConfig::baseline());
-    h.mem.memory_mut().write_word(LINE.base(), 1);
-    h.mem.memory_mut().write_word(Addr(LINE.base().0 + 8), 2);
+    let words = [(LINE.base(), 1), (Addr(LINE.base().0 + 8), 2)];
+    let mut h = Harness::with_words(CoherenceConfig::baseline(), &words);
     let mut wt = LineData::zeroed();
     wt.set_word(1, 99);
     h.send(
@@ -542,8 +546,8 @@ fn write_through_merges_masked_words_into_memory() {
     );
     h.ack_all_probes(LINE, None);
     assert!(matches!(h.drain_to(TCC)[0].kind, MsgKind::WtAck));
-    assert_eq!(h.mem.read_line(LINE).word(0), 1, "unmasked word untouched");
-    assert_eq!(h.mem.read_line(LINE).word(1), 99, "masked word written");
+    assert_eq!(h.mem.memory().read_line(LINE).word(0), 1, "unmasked word untouched");
+    assert_eq!(h.mem.memory().read_line(LINE).word(1), 99, "masked word written");
 }
 
 #[test]
@@ -581,7 +585,7 @@ fn bypassing_write_through_with_a_dirty_ack_keeps_the_clean_llc_copy_equal_to_me
     }
     let llc = h.dir.llc().peek(LINE).expect("the victim's LLC copy is still resident");
     assert!(!llc.dirty);
-    assert_eq!(llc.data, h.mem.read_line(LINE), "a clean LLC line equals memory");
+    assert_eq!(llc.data, h.mem.memory().read_line(LINE), "a clean LLC line equals memory");
 }
 
 #[test]
@@ -594,7 +598,7 @@ fn use_l3_on_wt_fills_the_llc_and_skips_memory() {
     let l = h.dir.llc().peek(LINE).expect("full-line WT allocates in the LLC");
     assert_eq!(l.data.word(0), 77);
     assert!(l.dirty, "write-back LLC defers the memory write");
-    assert_eq!(h.mem.read_line(LINE).word(0), 0);
+    assert_eq!(h.mem.memory().read_line(LINE).word(0), 0);
 }
 
 #[test]
@@ -632,7 +636,7 @@ fn dma_write_invalidates_the_llc_copy() {
     h.ack_all_probes(LINE, None);
     assert!(matches!(h.drain_to(AgentId::Dma)[0].kind, MsgKind::DmaWrAck));
     assert!(h.dir.llc().peek(LINE).is_none(), "DMA accesses do not update the L3");
-    assert_eq!(h.mem.read_line(LINE).word(0), 123);
+    assert_eq!(h.mem.memory().read_line(LINE).word(0), 123);
 }
 
 #[test]
@@ -768,7 +772,7 @@ fn directory_eviction_back_invalidates_and_makes_room() {
     // The reconciled dirty data is in the LLC (write-back) or memory.
     let in_llc = h.dir.llc().peek(victim_line).map(|l| l.data.word(0));
     assert!(
-        in_llc == Some(55) || h.mem.read_line(victim_line).word(0) == 55,
+        in_llc == Some(55) || h.mem.memory().read_line(victim_line).word(0) == 55,
         "backward invalidation lost the owner's dirty data"
     );
 }

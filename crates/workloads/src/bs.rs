@@ -219,15 +219,16 @@ impl Workload for Bs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_workload;
-    use hsc_core::CoherenceConfig;
+    use crate::runner::run_workload_on;
+    use hsc_core::{CoherenceConfig, SystemConfig};
 
     #[test]
     fn bs_verifies_on_baseline_and_tracking() {
         let w = Bs { surface_points: 1024, cpu_threads: 4, wavefronts: 4, ..Bs::default() };
-        let base = run_workload(&w, CoherenceConfig::baseline());
-        let trk = run_workload(&w, CoherenceConfig::owner_tracking());
+        let base = run_workload_on(&w, SystemConfig::with_coherence(CoherenceConfig::baseline()));
+        let trk =
+            run_workload_on(&w, SystemConfig::with_coherence(CoherenceConfig::owner_tracking()));
         // Data-parallel: tracking helps via elided compulsory-miss probes.
-        assert!(trk.metrics.probes_sent < base.metrics.probes_sent);
+        assert!(trk.probes_sent < base.probes_sent);
     }
 }

@@ -426,8 +426,8 @@ impl Workload for Cedd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_workload;
-    use hsc_core::CoherenceConfig;
+    use crate::runner::run_workload_on;
+    use hsc_core::{CoherenceConfig, SystemConfig};
 
     fn small() -> Cedd {
         Cedd {
@@ -442,12 +442,16 @@ mod tests {
 
     #[test]
     fn cedd_verifies_on_baseline() {
-        let r = run_workload(&small(), CoherenceConfig::baseline());
-        assert!(r.metrics.stats.get("dma.writes") > 0, "frames arrive by DMA");
+        let r =
+            run_workload_on(&small(), SystemConfig::with_coherence(CoherenceConfig::baseline()));
+        assert!(r.stats.get("dma.writes") > 0, "frames arrive by DMA");
     }
 
     #[test]
     fn cedd_verifies_on_tracking() {
-        let _ = run_workload(&small(), CoherenceConfig::sharer_tracking());
+        let _ = run_workload_on(
+            &small(),
+            SystemConfig::with_coherence(CoherenceConfig::sharer_tracking()),
+        );
     }
 }

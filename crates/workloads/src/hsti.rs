@@ -210,27 +210,28 @@ impl Workload for Hsti {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_workload;
-    use hsc_core::CoherenceConfig;
+    use crate::runner::run_workload_on;
+    use hsc_core::{CoherenceConfig, SystemConfig};
 
     #[test]
     fn hsti_verifies_on_baseline() {
         let w = Hsti { elements: 512, bins: 16, cpu_threads: 4, wavefronts: 4, seed: 3 };
-        let r = run_workload(&w, CoherenceConfig::baseline());
-        assert!(r.metrics.probes_sent > 0, "atomics must probe");
-        assert!(r.metrics.gpu_cycles > 0);
+        let r = run_workload_on(&w, SystemConfig::with_coherence(CoherenceConfig::baseline()));
+        assert!(r.probes_sent > 0, "atomics must probe");
+        assert!(r.gpu_cycles > 0);
     }
 
     #[test]
     fn hsti_verifies_on_sharer_tracking() {
         let w = Hsti { elements: 512, bins: 16, cpu_threads: 4, wavefronts: 4, seed: 3 };
-        let base = run_workload(&w, CoherenceConfig::baseline());
-        let trk = run_workload(&w, CoherenceConfig::sharer_tracking());
+        let base = run_workload_on(&w, SystemConfig::with_coherence(CoherenceConfig::baseline()));
+        let trk =
+            run_workload_on(&w, SystemConfig::with_coherence(CoherenceConfig::sharer_tracking()));
         assert!(
-            trk.metrics.probes_sent < base.metrics.probes_sent,
+            trk.probes_sent < base.probes_sent,
             "tracking must reduce probes ({} vs {})",
-            trk.metrics.probes_sent,
-            base.metrics.probes_sent
+            trk.probes_sent,
+            base.probes_sent
         );
     }
 }

@@ -194,16 +194,16 @@ impl Workload for Hsto {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_workload;
-    use hsc_core::CoherenceConfig;
+    use crate::runner::run_workload_on;
+    use hsc_core::{CoherenceConfig, SystemConfig};
 
     #[test]
     fn hsto_verifies_and_is_read_share_heavy() {
         let w = Hsto { elements: 512, bins: 24, cpu_threads: 4, wavefronts: 4, seed: 2 };
-        let r = run_workload(&w, CoherenceConfig::baseline());
+        let r = run_workload_on(&w, SystemConfig::with_coherence(CoherenceConfig::baseline()));
         // Reads dominate: many RdBlk requests, few RdBlkM upgrades.
-        let rdblk = r.metrics.stats.get("dir.requests.RdBlk");
-        let rdblkm = r.metrics.stats.get("dir.requests.RdBlkM");
+        let rdblk = r.stats.get("dir.requests.RdBlk");
+        let rdblkm = r.stats.get("dir.requests.RdBlkM");
         assert!(rdblk > rdblkm, "read-shared scan should dominate ({rdblk} vs {rdblkm})");
     }
 }

@@ -47,8 +47,8 @@ pub use pad::Pad;
 pub use rscd::Rscd;
 pub use rsct::Rsct;
 pub use runner::{
-    run_workload, run_workload_observed, run_workload_on, try_run_workload_on, ObservedRun,
-    RunResult, Workload, WorkloadError, DEFAULT_EVENT_BUDGET,
+    run_workload_observed, run_workload_on, ObservedRun, Workload, WorkloadError,
+    DEFAULT_EVENT_BUDGET,
 };
 pub use sc::Sc;
 pub use tq::Tq;

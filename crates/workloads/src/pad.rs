@@ -302,8 +302,8 @@ impl Workload for Pad {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_workload;
-    use hsc_core::CoherenceConfig;
+    use crate::runner::run_workload_on;
+    use hsc_core::{CoherenceConfig, SystemConfig};
 
     fn small() -> Pad {
         Pad { rows: 32, cols: 12, pad: 4, cpu_threads: 4, wavefronts: 4, seed: 3 }
@@ -311,11 +311,15 @@ mod tests {
 
     #[test]
     fn pad_verifies_on_baseline() {
-        let _ = run_workload(&small(), CoherenceConfig::baseline());
+        let _ =
+            run_workload_on(&small(), SystemConfig::with_coherence(CoherenceConfig::baseline()));
     }
 
     #[test]
     fn pad_verifies_on_llc_write_back() {
-        let _ = run_workload(&small(), CoherenceConfig::llc_write_back_l3_on_wt());
+        let _ = run_workload_on(
+            &small(),
+            SystemConfig::with_coherence(CoherenceConfig::llc_write_back_l3_on_wt()),
+        );
     }
 }

@@ -307,8 +307,8 @@ impl Workload for Rscd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_workload;
-    use hsc_core::CoherenceConfig;
+    use crate::runner::run_workload_on;
+    use hsc_core::{CoherenceConfig, SystemConfig};
 
     fn small() -> Rscd {
         Rscd { iterations: 4, points: 256, cpu_threads: 4, wavefronts: 4, seed: 3 }
@@ -316,11 +316,15 @@ mod tests {
 
     #[test]
     fn rscd_verifies_on_baseline() {
-        let _ = run_workload(&small(), CoherenceConfig::baseline());
+        let _ =
+            run_workload_on(&small(), SystemConfig::with_coherence(CoherenceConfig::baseline()));
     }
 
     #[test]
     fn rscd_verifies_on_tracking() {
-        let _ = run_workload(&small(), CoherenceConfig::sharer_tracking());
+        let _ = run_workload_on(
+            &small(),
+            SystemConfig::with_coherence(CoherenceConfig::sharer_tracking()),
+        );
     }
 }

@@ -264,8 +264,8 @@ impl Workload for Rsct {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_workload;
-    use hsc_core::CoherenceConfig;
+    use crate::runner::run_workload_on;
+    use hsc_core::{CoherenceConfig, SystemConfig};
 
     fn small() -> Rsct {
         Rsct { iterations: 10, points: 128, cpu_threads: 4, wavefronts: 4, seed: 3 }
@@ -273,11 +273,15 @@ mod tests {
 
     #[test]
     fn rsct_verifies_on_baseline() {
-        let _ = run_workload(&small(), CoherenceConfig::baseline());
+        let _ =
+            run_workload_on(&small(), SystemConfig::with_coherence(CoherenceConfig::baseline()));
     }
 
     #[test]
     fn rsct_verifies_on_early_response() {
-        let _ = run_workload(&small(), CoherenceConfig::early_response());
+        let _ = run_workload_on(
+            &small(),
+            SystemConfig::with_coherence(CoherenceConfig::early_response()),
+        );
     }
 }

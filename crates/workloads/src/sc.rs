@@ -330,19 +330,22 @@ impl Workload for Sc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_workload;
-    use hsc_core::CoherenceConfig;
+    use crate::runner::run_workload_on;
+    use hsc_core::{CoherenceConfig, SystemConfig};
 
     #[test]
     fn sc_verifies_on_baseline_and_llcwb() {
         let w = Sc { elements: 1024, cpu_threads: 4, wavefronts: 4, ..Sc::default() };
-        let base = run_workload(&w, CoherenceConfig::baseline());
-        let wb = run_workload(&w, CoherenceConfig::llc_write_back_l3_on_wt());
+        let base = run_workload_on(&w, SystemConfig::with_coherence(CoherenceConfig::baseline()));
+        let wb = run_workload_on(
+            &w,
+            SystemConfig::with_coherence(CoherenceConfig::llc_write_back_l3_on_wt()),
+        );
         assert!(
-            wb.metrics.mem_writes < base.metrics.mem_writes,
+            wb.mem_writes < base.mem_writes,
             "write-back LLC must cut memory writes ({} vs {})",
-            wb.metrics.mem_writes,
-            base.metrics.mem_writes
+            wb.mem_writes,
+            base.mem_writes
         );
     }
 }

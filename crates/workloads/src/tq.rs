@@ -314,8 +314,8 @@ impl Workload for Tq {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_workload;
-    use hsc_core::CoherenceConfig;
+    use crate::runner::run_workload_on;
+    use hsc_core::{CoherenceConfig, SystemConfig};
 
     fn small() -> Tq {
         Tq { tasks: 96, producers: 2, cpu_consumers: 2, wavefronts: 4, compute: 10, seed: 9 }
@@ -323,8 +323,9 @@ mod tests {
 
     #[test]
     fn tq_verifies_on_baseline() {
-        let r = run_workload(&small(), CoherenceConfig::baseline());
-        assert!(r.metrics.stats.get("dir.requests.Atomic") > 0, "GPU claims use SLC atomics");
+        let r =
+            run_workload_on(&small(), SystemConfig::with_coherence(CoherenceConfig::baseline()));
+        assert!(r.stats.get("dir.requests.Atomic") > 0, "GPU claims use SLC atomics");
     }
 
     #[test]
@@ -338,7 +339,7 @@ mod tests {
             CoherenceConfig::owner_tracking(),
             CoherenceConfig::sharer_tracking(),
         ] {
-            let _ = run_workload(&small(), cfg);
+            let _ = run_workload_on(&small(), SystemConfig::with_coherence(cfg));
         }
     }
 }

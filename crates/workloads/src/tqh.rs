@@ -238,8 +238,8 @@ impl Workload for Tqh {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_workload;
-    use hsc_core::CoherenceConfig;
+    use crate::runner::run_workload_on;
+    use hsc_core::{CoherenceConfig, SystemConfig};
 
     fn small() -> Tqh {
         Tqh { blocks: 12, block_pixels: 48, bins: 8, producers: 2, wavefronts: 4, seed: 5 }
@@ -247,15 +247,23 @@ mod tests {
 
     #[test]
     fn tqh_verifies_on_baseline() {
-        let r = run_workload(&small(), CoherenceConfig::baseline());
-        assert!(r.metrics.stats.get("dir.requests.Atomic") > 0);
+        let r =
+            run_workload_on(&small(), SystemConfig::with_coherence(CoherenceConfig::baseline()));
+        assert!(r.stats.get("dir.requests.Atomic") > 0);
     }
 
     #[test]
     fn tqh_verifies_on_tracking_and_llc_wb() {
-        let base = run_workload(&small(), CoherenceConfig::baseline());
-        let trk = run_workload(&small(), CoherenceConfig::sharer_tracking());
-        assert!(trk.metrics.probes_sent < base.metrics.probes_sent);
-        let _ = run_workload(&small(), CoherenceConfig::llc_write_back_l3_on_wt());
+        let base =
+            run_workload_on(&small(), SystemConfig::with_coherence(CoherenceConfig::baseline()));
+        let trk = run_workload_on(
+            &small(),
+            SystemConfig::with_coherence(CoherenceConfig::sharer_tracking()),
+        );
+        assert!(trk.probes_sent < base.probes_sent);
+        let _ = run_workload_on(
+            &small(),
+            SystemConfig::with_coherence(CoherenceConfig::llc_write_back_l3_on_wt()),
+        );
     }
 }

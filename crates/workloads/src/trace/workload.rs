@@ -253,14 +253,14 @@ impl WavefrontProgram for TraceGpu {
 mod tests {
     use super::*;
     use crate::trace::{TraceError, TrafficSpec};
-    use crate::{try_run_workload_on, WorkloadError};
-    use hsc_core::{CoherenceConfig, SystemConfig};
+    use crate::{run_workload_observed, WorkloadError};
+    use hsc_core::{CoherenceConfig, ObsConfig, SystemConfig};
 
     fn run(text: &str) -> Result<(), WorkloadError> {
         let program = TraceProgram::parse(text).expect("test trace parses");
         let w = TraceWorkload::new(program);
-        try_run_workload_on(&w, SystemConfig::with_coherence(CoherenceConfig::baseline()))
-            .map(|_| ())
+        let cfg = SystemConfig::with_coherence(CoherenceConfig::baseline());
+        run_workload_observed(&w, cfg, ObsConfig::off()).outcome.map(|_| ())
     }
 
     #[test]

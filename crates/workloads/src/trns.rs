@@ -335,8 +335,8 @@ impl Workload for Trns {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_workload;
-    use hsc_core::CoherenceConfig;
+    use crate::runner::run_workload_on;
+    use hsc_core::{CoherenceConfig, SystemConfig};
 
     fn small() -> Trns {
         Trns { rows: 8, cols: 9, cpu_threads: 4, wavefronts: 4, seed: 3 }
@@ -361,11 +361,15 @@ mod tests {
 
     #[test]
     fn trns_verifies_on_baseline() {
-        let _ = run_workload(&small(), CoherenceConfig::baseline());
+        let _ =
+            run_workload_on(&small(), SystemConfig::with_coherence(CoherenceConfig::baseline()));
     }
 
     #[test]
     fn trns_verifies_on_tracking() {
-        let _ = run_workload(&small(), CoherenceConfig::owner_tracking());
+        let _ = run_workload_on(
+            &small(),
+            SystemConfig::with_coherence(CoherenceConfig::owner_tracking()),
+        );
     }
 }

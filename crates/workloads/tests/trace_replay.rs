@@ -5,9 +5,9 @@
 //! the LLC and lost the store (`word 0x1000bd0: got 88209, trace expects
 //! exactly 88212`).
 
-use hsc_core::{CoherenceConfig, SystemConfig};
+use hsc_core::{CoherenceConfig, ObsConfig, SystemConfig};
+use hsc_workloads::run_workload_observed;
 use hsc_workloads::trace::{TraceWorkload, TrafficSpec};
-use hsc_workloads::try_run_workload_on;
 
 #[test]
 fn a_mixed_footprint_over_the_l2_keeps_every_update() {
@@ -16,10 +16,8 @@ fn a_mixed_footprint_over_the_l2_keeps_every_update() {
     let no_atomics = format!("{all},atomics=0,reads=60,writes=40");
     for spec in [all, &one_each, &no_atomics] {
         let program = TrafficSpec::parse(spec).expect("a valid spec").generate();
-        let run = try_run_workload_on(
-            &TraceWorkload::new(program),
-            SystemConfig::scaled(CoherenceConfig::baseline()),
-        );
-        run.unwrap_or_else(|e| panic!("{spec}: {e}"));
+        let cfg = SystemConfig::scaled(CoherenceConfig::baseline());
+        let run = run_workload_observed(&TraceWorkload::new(program), cfg, ObsConfig::off());
+        run.outcome.unwrap_or_else(|e| panic!("{spec}: {e}"));
     }
 }

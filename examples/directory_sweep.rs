@@ -24,14 +24,14 @@ fn main() {
     for entries in [128u64, 256, 512, 1024, 2048, 4096] {
         let mut cfg = SystemConfig::scaled(CoherenceConfig::sharer_tracking());
         cfg.uncore.dir_entries = entries;
-        let r = run_workload_on(&bench, cfg);
+        let m = run_workload_on(&bench, cfg);
         println!(
             "{:>10} {:>10} {:>9} {:>12} {:>14}",
             entries,
-            r.metrics.gpu_cycles,
-            r.metrics.probes_sent,
-            r.metrics.stats.get("dir.entry_evictions"),
-            r.metrics.stats.get("dir.backinval_probes"),
+            m.gpu_cycles,
+            m.probes_sent,
+            m.stats.get("dir.entry_evictions"),
+            m.stats.get("dir.backinval_probes"),
         );
     }
     println!("\nAs the directory shrinks, backward invalidations climb and the probe");

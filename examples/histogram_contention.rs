@@ -15,16 +15,16 @@ fn run(name: &str, w: &dyn Workload) {
     let trk = run_workload_on(w, SystemConfig::scaled(CoherenceConfig::sharer_tracking()));
     println!(
         "baseline : {:>9} cycles, {:>8} probes, {:>6} atomics at the directory",
-        base.metrics.gpu_cycles,
-        base.metrics.probes_sent,
-        base.metrics.stats.get("dir.requests.Atomic"),
+        base.gpu_cycles,
+        base.probes_sent,
+        base.stats.get("dir.requests.Atomic"),
     );
     println!(
         "tracking : {:>9} cycles, {:>8} probes   → {:+.1}% cycles, {:+.1}% probes",
-        trk.metrics.gpu_cycles,
-        trk.metrics.probes_sent,
-        100.0 * (1.0 - trk.metrics.gpu_cycles as f64 / base.metrics.gpu_cycles as f64),
-        100.0 * (1.0 - trk.metrics.probes_sent as f64 / base.metrics.probes_sent as f64),
+        trk.gpu_cycles,
+        trk.probes_sent,
+        100.0 * (1.0 - trk.gpu_cycles as f64 / base.gpu_cycles as f64),
+        100.0 * (1.0 - trk.probes_sent as f64 / base.probes_sent as f64),
     );
     println!();
 }

@@ -28,16 +28,16 @@ fn main() {
     );
     let mut base_cycles = None;
     for (name, cfg) in tiers {
-        let r = run_workload_on(&bench, SystemConfig::scaled(cfg));
-        let base = *base_cycles.get_or_insert(r.metrics.gpu_cycles);
+        let m = run_workload_on(&bench, SystemConfig::scaled(cfg));
+        let base = *base_cycles.get_or_insert(m.gpu_cycles);
         println!(
             "{:<36} {:>10} {:>9} {:>8} {:>8}   ({:+.1}% vs baseline)",
             name,
-            r.metrics.gpu_cycles,
-            r.metrics.probes_sent,
-            r.metrics.mem_reads,
-            r.metrics.mem_writes,
-            100.0 * (1.0 - r.metrics.gpu_cycles as f64 / base as f64),
+            m.gpu_cycles,
+            m.probes_sent,
+            m.mem_reads,
+            m.mem_writes,
+            100.0 * (1.0 - m.gpu_cycles as f64 / base as f64),
         );
     }
     println!("\nEvery run is functionally verified: all 512 tasks were produced,");

@@ -13,9 +13,10 @@
 //! // Run the input-partitioned histogram on the baseline protocol and on
 //! // the paper's sharer-tracking directory, both functionally verified.
 //! let bench = Hsti { elements: 256, bins: 8, cpu_threads: 2, wavefronts: 2, seed: 1 };
-//! let base = run_workload(&bench, CoherenceConfig::baseline());
-//! let trk = run_workload(&bench, CoherenceConfig::sharer_tracking());
-//! assert!(trk.metrics.probes_sent < base.metrics.probes_sent);
+//! let base = run_workload_on(&bench, SystemConfig::with_coherence(CoherenceConfig::baseline()));
+//! let trk =
+//!     run_workload_on(&bench, SystemConfig::with_coherence(CoherenceConfig::sharer_tracking()));
+//! assert!(trk.probes_sent < base.probes_sent);
 //! ```
 
 #![warn(missing_docs)]
@@ -46,9 +47,8 @@ pub mod prelude {
     };
     pub use hsc_obs::{ObsConfig, ObsData, RunReport};
     pub use hsc_workloads::{
-        all_workloads, collaborative_workloads, extension_workloads, run_workload,
-        run_workload_observed, run_workload_on, try_run_workload_on, workload_by_name, Bs, Cedd,
-        Hsti, Hsto, ObservedRun, Pad, Rscd, Rsct, RunResult, Sc, Tq, Tqh, Trns, Workload,
-        WorkloadError,
+        all_workloads, collaborative_workloads, extension_workloads, run_workload_observed,
+        run_workload_on, workload_by_name, Bs, Cedd, Hsti, Hsto, ObservedRun, Pad, Rscd, Rsct, Sc,
+        Tq, Tqh, Trns, Workload, WorkloadError,
     };
 }

@@ -15,7 +15,7 @@ use hsc_repro::workloads::trace::{TraceWorkload, TrafficSpec};
 type Pin = (u64, u64, u64, u64, u64, u64);
 
 fn simulate(workload: &dyn Workload, coherence: CoherenceConfig) -> Pin {
-    let m = run_workload_on(workload, SystemConfig::scaled(coherence)).metrics;
+    let m = run_workload_on(workload, SystemConfig::scaled(coherence));
     (m.events, m.ticks, m.gpu_cycles, m.probes_sent, m.mem_reads, m.mem_writes)
 }
 

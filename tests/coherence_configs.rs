@@ -78,7 +78,7 @@ fn every_workload_verifies_under_every_config() {
             // run_workload_on panics with the benchmark's own diagnostic
             // if functional verification fails.
             let r = run_workload_on(w.as_ref(), SystemConfig::scaled(cfg));
-            assert!(r.metrics.gpu_cycles > 0, "{}/{name} took no time", w.name());
+            assert!(r.gpu_cycles > 0, "{}/{name} took no time", w.name());
         }
     }
 }
@@ -86,8 +86,9 @@ fn every_workload_verifies_under_every_config() {
 #[test]
 fn every_workload_verifies_on_the_full_table_ii_system() {
     for w in small_suite() {
-        let r = run_workload(w.as_ref(), CoherenceConfig::baseline());
-        assert!(r.metrics.gpu_cycles > 0);
+        let r =
+            run_workload_on(w.as_ref(), SystemConfig::with_coherence(CoherenceConfig::baseline()));
+        assert!(r.gpu_cycles > 0);
     }
 }
 
@@ -100,14 +101,14 @@ fn tracking_reduces_probes_on_every_collaborative_benchmark() {
         let shr =
             run_workload_on(w.as_ref(), SystemConfig::scaled(CoherenceConfig::sharer_tracking()));
         assert!(
-            own.metrics.probes_sent < base.metrics.probes_sent,
+            own.probes_sent < base.probes_sent,
             "{}: owner tracking must cut probes ({} vs {})",
             w.name(),
-            own.metrics.probes_sent,
-            base.metrics.probes_sent
+            own.probes_sent,
+            base.probes_sent
         );
         assert!(
-            shr.metrics.probes_sent <= own.metrics.probes_sent,
+            shr.probes_sent <= own.probes_sent,
             "{}: sharer multicast can only tighten the probe set",
             w.name()
         );
@@ -121,11 +122,11 @@ fn write_back_llc_never_increases_memory_writes() {
         let wb =
             run_workload_on(w.as_ref(), SystemConfig::scaled(CoherenceConfig::llc_write_back()));
         assert!(
-            wb.metrics.mem_writes <= base.metrics.mem_writes,
+            wb.mem_writes <= base.mem_writes,
             "{}: llcWB must not add memory writes ({} vs {})",
             w.name(),
-            wb.metrics.mem_writes,
-            base.metrics.mem_writes
+            wb.mem_writes,
+            base.mem_writes
         );
     }
 }
@@ -150,7 +151,7 @@ fn two_gpu_clusters_stay_coherent() {
         sys_cfg.gpu_clusters = 2;
         let w = Hsti { elements: 2048, bins: 32, cpu_threads: 4, wavefronts: 8, ..Hsti::default() };
         let r = run_workload_on(&w, sys_cfg);
-        assert!(r.metrics.gpu_cycles > 0);
+        assert!(r.gpu_cycles > 0);
         let w = Tq { tasks: 256, producers: 2, cpu_consumers: 2, wavefronts: 8, ..Tq::default() };
         let _ = run_workload_on(&w, sys_cfg);
         let w =

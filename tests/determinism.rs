@@ -7,8 +7,8 @@ use hsc_repro::sim::Tick;
 
 fn run_once(cfg: CoherenceConfig) -> (u64, u64, u64, u64) {
     let w = Tq { tasks: 128, producers: 2, cpu_consumers: 2, wavefronts: 4, compute: 10, seed: 5 };
-    let r = run_workload_on(&w, SystemConfig::scaled(cfg));
-    (r.metrics.gpu_cycles, r.metrics.probes_sent, r.metrics.mem_reads, r.metrics.mem_writes)
+    let m = run_workload_on(&w, SystemConfig::scaled(cfg));
+    (m.gpu_cycles, m.probes_sent, m.mem_reads, m.mem_writes)
 }
 
 #[test]
@@ -28,7 +28,7 @@ fn identical_runs_are_bit_identical() {
 fn different_seeds_change_the_execution() {
     let mk = |seed| {
         let w = Hsti { elements: 512, bins: 16, cpu_threads: 4, wavefronts: 4, seed };
-        run_workload_on(&w, SystemConfig::scaled(CoherenceConfig::baseline())).metrics.gpu_cycles
+        run_workload_on(&w, SystemConfig::scaled(CoherenceConfig::baseline())).gpu_cycles
     };
     assert_ne!(mk(1), mk(2), "the seed must actually steer the workload");
 }
@@ -38,7 +38,7 @@ fn full_stats_are_reproducible() {
     let w = Sc { elements: 1024, cpu_threads: 4, wavefronts: 4, ..Sc::default() };
     let a = run_workload_on(&w, SystemConfig::scaled(CoherenceConfig::owner_tracking()));
     let b = run_workload_on(&w, SystemConfig::scaled(CoherenceConfig::owner_tracking()));
-    assert_eq!(a.metrics.stats, b.metrics.stats, "stat sets diverged");
+    assert_eq!(a.stats, b.stats, "stat sets diverged");
 }
 
 /// A run that stops on its event budget has consumed nothing it did not
@@ -66,7 +66,7 @@ fn a_run_stopped_by_its_event_budget_resumes_where_it_stopped() {
             Err(SimError::EventBudgetExceeded { budget: b, now }) if b == budget => now,
             other => panic!("expected the budget of {budget} to run out, got {other:?}"),
         };
-        assert_eq!(sys.events_processed(), budget, "the budget counts dispatched events");
+        assert_eq!(sys.metrics().events, budget, "the budget counts dispatched events");
         let pending = sys.pending_events();
         assert_eq!(
             pending.first().map(|p| p.at),
@@ -125,6 +125,6 @@ fn the_run_loop_never_schedules_into_its_past() {
                 Err(e) => panic!("{name}: event {} failed: {e}", k + 1),
             }
         }
-        assert!(sys.events_processed() > 1_000, "{name}: the walk ended early");
+        assert!(sys.metrics().events > 1_000, "{name}: the walk ended early");
     }
 }

@@ -56,7 +56,7 @@ fn lost_request_recovers_only_with_retry(
     let cfg = SystemConfig::default().with_retry(RetryPolicy::default()).with_faults(plan);
     let mut sys = build(cfg);
     let m = sys.run(10_000_000).expect("one with_retry must recover every requester kind");
-    assert_eq!(sys.faults_injected(), 1);
+    assert_eq!(m.stats.get("faults.dropped"), 1);
     assert_eq!(m.stats.get(retries_key), 1, "{retries_key}");
     sys
 }
@@ -78,7 +78,7 @@ fn dropped_request_without_retries_is_a_diagnosed_deadlock() {
         }
         other => panic!("expected a diagnosed deadlock, got {other:?}"),
     }
-    assert_eq!(sys.faults_injected(), 1);
+    assert_eq!(sys.metrics().stats.get("faults.dropped"), 1);
 }
 
 /// The same loss with retries enabled must recover: the request is
@@ -90,7 +90,7 @@ fn dropped_request_with_retries_recovers() {
         .with_faults(FaultPlan::drop_first("RdBlk"));
     let mut sys = one_load_system(cfg);
     let m = sys.run(10_000_000).expect("retry must recover a dropped request");
-    assert_eq!(sys.faults_injected(), 1);
+    assert_eq!(m.stats.get("faults.dropped"), 1);
     assert_eq!(m.stats.get("faults.dropped.RdBlk"), 1);
     assert_eq!(m.stats.get("cp0.l2.retries"), 1);
     assert_eq!(sys.final_word(TARGET), 42);
@@ -140,8 +140,8 @@ fn dropped_flush_behind_a_same_line_write_through_recovers() {
         b.add_wavefront(Box::new(GpuScript::new(vec![store, GpuOp::Release])));
     }
     let mut sys = b.build();
-    sys.run(10_000_000).expect("retry must recover the dropped Flush");
-    assert_eq!(sys.faults_injected(), 1);
+    let m = sys.run(10_000_000).expect("retry must recover the dropped Flush");
+    assert_eq!(m.stats.get("faults.dropped"), 1);
     assert_eq!((sys.final_word(TARGET), sys.final_word(shared)), (1, 2));
 }
 
@@ -291,7 +291,7 @@ fn slc_atomics_are_never_retried() {
         }
         other => panic!("a lost SLC atomic must deadlock, not be retried: {other:?}"),
     }
-    assert_eq!(sys.faults_injected(), 1);
+    assert_eq!(sys.metrics().stats.get("faults.dropped"), 1);
     assert_eq!(
         sys.metrics().stats.get("tcc.retries"),
         0,

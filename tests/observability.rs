@@ -28,7 +28,7 @@ fn observed(obs: ObsConfig) -> ObservedRun {
 fn full_observability_leaves_metrics_byte_identical() {
     let golden = observed(ObsConfig::off()).outcome.expect("golden run completes");
     let watched = observed(ObsConfig::full(EPOCH)).outcome.expect("observed run completes");
-    assert_eq!(golden.metrics, watched.metrics);
+    assert_eq!(golden, watched);
 }
 
 /// Seeded observed runs are fully deterministic: epoch boundaries,
@@ -65,9 +65,9 @@ fn run_report_json_has_the_documented_schema() {
         workload: "hsti".to_owned(),
         config: "baseline".to_owned(),
         outcome: "completed".to_owned(),
-        ticks: r.metrics.ticks,
-        gpu_cycles: r.metrics.gpu_cycles,
-        counters: r.metrics.stats.iter().map(|(k, v)| (k.to_owned(), v)).collect(),
+        ticks: r.ticks,
+        gpu_cycles: r.gpu_cycles,
+        counters: r.stats.iter().map(|(k, v)| (k.to_owned(), v)).collect(),
         ..RunRecord::default()
     };
     rec.attach_obs(&run.obs);
@@ -109,8 +109,8 @@ fn protocol_analytics_are_zero_cost_off_and_purely_additive_on() {
     let golden = observed(ObsConfig::report(EPOCH));
     let analytics = observed(ObsConfig { protocol_analytics: true, ..ObsConfig::report(EPOCH) });
     assert_eq!(
-        golden.outcome.as_ref().expect("golden run completes").metrics,
-        analytics.outcome.as_ref().expect("analytics run completes").metrics,
+        golden.outcome.as_ref().expect("golden run completes"),
+        analytics.outcome.as_ref().expect("analytics run completes"),
         "analytics must not perturb the simulated machine"
     );
 

@@ -7,7 +7,7 @@
 
 use hsc_repro::bench::figures::{fig6, tracking_sweep};
 use hsc_repro::bench::par::{expect_all, Campaign, Parallelism};
-use hsc_repro::bench::reporting::{observed_record, REPORT_EPOCH_TICKS};
+use hsc_repro::bench::reporting::{run_record, REPORT_EPOCH_TICKS};
 use hsc_repro::prelude::*;
 use hsc_repro::sim::StatSet;
 
@@ -53,7 +53,8 @@ fn report_json_is_byte_identical_across_worker_counts() {
         for w in &workloads {
             let w = w.as_ref();
             campaign.push(w.name(), move || {
-                observed_record(w, "baseline", cfg, ObsConfig::report(REPORT_EPOCH_TICKS))
+                let run = run_workload_observed(w, cfg, ObsConfig::report(REPORT_EPOCH_TICKS));
+                run_record(w.name(), "baseline", &run)
             });
         }
         report.runs = expect_all("report", campaign.run(par)).unwrap();
@@ -70,13 +71,11 @@ fn panicking_job_is_a_named_error_and_siblings_still_run() {
     let w = Tq { tasks: 64, producers: 2, cpu_consumers: 2, wavefronts: 4, compute: 10, seed: 5 };
     let mut campaign = Campaign::new("mixed");
     campaign.push("tq/before", || {
-        run_workload_on(&w, SystemConfig::scaled(CoherenceConfig::baseline())).metrics.gpu_cycles
+        run_workload_on(&w, SystemConfig::scaled(CoherenceConfig::baseline())).gpu_cycles
     });
     campaign.push("doomed", || panic!("injected campaign failure"));
     campaign.push("tq/after", || {
-        run_workload_on(&w, SystemConfig::scaled(CoherenceConfig::sharer_tracking()))
-            .metrics
-            .gpu_cycles
+        run_workload_on(&w, SystemConfig::scaled(CoherenceConfig::sharer_tracking())).gpu_cycles
     });
     let results = campaign.run(Parallelism::of(3));
     assert_eq!(results.len(), 3);
@@ -94,7 +93,7 @@ fn simulation_panics_are_captured_per_job() {
     let w = Hsti { elements: 256, bins: 8, cpu_threads: 2, wavefronts: 2, seed: 1 };
     let mut campaign = Campaign::new("budget");
     campaign.push("hsti/ok", || {
-        run_workload_on(&w, SystemConfig::scaled(CoherenceConfig::baseline())).metrics.ticks
+        run_workload_on(&w, SystemConfig::scaled(CoherenceConfig::baseline())).ticks
     });
     campaign.push("hsti/starved", || {
         let mut b = SystemBuilder::new(SystemConfig::scaled(CoherenceConfig::baseline()));
@@ -150,12 +149,12 @@ fn campaign_results_preserve_submission_order_with_real_runs() {
         Tq { tasks: 128, producers: 2, cpu_consumers: 2, wavefronts: 4, compute: 10, seed: 5 };
     let light = Hsti { elements: 128, bins: 8, cpu_threads: 2, wavefronts: 2, seed: 1 };
     let mut campaign = Campaign::new("order");
-    campaign.push("heavy", || {
-        run_workload_on(&heavy, SystemConfig::scaled(CoherenceConfig::baseline())).workload
-    });
-    campaign.push("light", || {
-        run_workload_on(&light, SystemConfig::scaled(CoherenceConfig::baseline())).workload
-    });
+    for w in [&heavy as &dyn Workload, &light] {
+        campaign.push(w.name(), move || {
+            let _ = run_workload_on(w, SystemConfig::scaled(CoherenceConfig::baseline()));
+            w.name()
+        });
+    }
     let names: Vec<&str> =
         expect_all("order", campaign.run(Parallelism::of(2))).unwrap().into_iter().collect();
     assert_eq!(names, ["tq", "hsti"]);

@@ -49,7 +49,7 @@ fn tcc_events_are_bounded_by_ops_and_messages() {
     let obs = ObsConfig { profile_agents: true, ..ObsConfig::off() };
     let config = SystemConfig::scaled(CoherenceConfig::baseline());
     let run = run_workload_observed(&Cedd::default(), config, obs);
-    let stats = run.outcome.expect("cedd verifies").metrics.stats;
+    let stats = run.outcome.expect("cedd verifies").stats;
     let sum = |keys: &[&str]| keys.iter().map(|k| stats.get(k)).sum::<u64>();
     let ops = sum(&[
         "wf.vec_loads",
