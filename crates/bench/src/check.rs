@@ -15,10 +15,11 @@
 //! across runs to pin down state-hash determinism.
 
 use std::io::{self, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use hsc_check::litmus::{Litmus, LitmusReport, SweepSummary};
+use hsc_obs::PerfettoTrace;
 
 use crate::par::{Campaign, Parallelism};
 
@@ -92,12 +93,9 @@ pub fn check(
                 if let Some(cx) = rep.counterexample() {
                     failed = true;
                     writeln!(out, "{cx}")?;
-                    if std::fs::create_dir_all(trace_dir).is_ok() {
-                        let path = trace_dir.join(format!("counterexample_{}.json", rep.name));
-                        match cx.to_perfetto().write_to(&path) {
-                            Ok(()) => writeln!(out, "  trace written to {}", path.display())?,
-                            Err(e) => eprintln!("  trace write failed: {e}"),
-                        }
+                    match write_trace(&cx.to_perfetto(), rep.name, trace_dir) {
+                        Ok(path) => writeln!(out, "  trace written to {}", path.display())?,
+                        Err(e) => eprintln!("  {e}"),
                     }
                 }
             }
@@ -127,5 +125,29 @@ pub fn check(
     } else {
         writeln!(out, "model_check: all scenarios passed")?;
         Ok(ExitCode::SUCCESS)
+    }
+}
+
+/// Writes `trace` to `counterexample_<name>.json` under `dir`, creating
+/// `dir` first. Returns the path written, or what went wrong.
+fn write_trace(trace: &PerfettoTrace, name: &str, dir: &Path) -> Result<PathBuf, String> {
+    std::fs::create_dir_all(dir)
+        .map_err(|e| format!("cannot create trace directory {}: {e}", dir.display()))?;
+    let path = dir.join(format!("counterexample_{name}.json"));
+    trace.write_to(&path).map_err(|e| format!("trace write failed: {e}"))?;
+    Ok(path)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_trace_directory_that_cannot_be_created_is_reported() {
+        // Nothing can be created under a regular file.
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("Cargo.toml/check");
+        let err = write_trace(&PerfettoTrace::new(), "two_writers", &dir).unwrap_err();
+        assert!(err.starts_with("cannot create trace directory"), "{err}");
+        assert!(!dir.exists());
     }
 }

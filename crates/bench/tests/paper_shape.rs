@@ -5,7 +5,9 @@
 //! one of these verdicts without failing here.
 //!
 //! Each sweep runs once per test binary and is shared by the figures that
-//! read it, and by the test that `hsc repro` is its ten sections in order.
+//! read it, by the test that `hsc repro` is its ten sections in order, and
+//! by the test that EXPERIMENTS.md's Fig. 4, 6 and 7 tables are the
+//! figures' own output.
 
 use std::io::Write;
 use std::sync::OnceLock;
@@ -118,4 +120,27 @@ fn repro_is_the_ten_sections_joined_by_blank_lines() {
     assert!(ten.iter().all(|section| section.ends_with('\n') && section.len() > 100));
     let want = ten.join("\n") + "\nAll experiments regenerated.\n";
     assert_eq!(rendered(|out| sections(opt, trk, par(), out)), want);
+}
+
+/// EXPERIMENTS.md's Fig. 4, 6 and 7 blocks are `hsc fig 4|6|7`'s output
+/// below its five-line header, so a change that moves a figure must update
+/// its table.
+#[test]
+fn experiments_md_tables_are_the_figures_output() {
+    const DOC: &str = include_str!("../../../EXPERIMENTS.md");
+    let block = |heading: &str| {
+        let at = DOC.find(heading).unwrap_or_else(|| panic!("EXPERIMENTS.md lacks {heading:?}"));
+        let body = &DOC[at..];
+        let body = &body[body.find("```\n").expect("a fenced block") + 4..];
+        &body[..body.find("```\n").expect("a closed block")]
+    };
+    let (opt, trk) = (optimizations(), tracking());
+    for (heading, section) in [
+        ("### Figure 4 ", rendered(|out| fig4(opt, out))),
+        ("### Figure 6 ", rendered(|out| fig6(trk, out))),
+        ("### Figure 7 ", rendered(|out| fig7(trk, out))),
+    ] {
+        let below_header = section.splitn(6, '\n').nth(5).expect("a five-line header");
+        assert_eq!(block(heading), below_header, "EXPERIMENTS.md {heading}block");
+    }
 }

@@ -276,128 +276,3 @@ impl DmaEngine {
         }
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use hsc_mem::MainMemory;
-    use hsc_noc::Action;
-    use hsc_sim::WheelQueue;
-
-    fn run_dma(dma: &mut DmaEngine, mem: &mut MainMemory, limit: u64) {
-        #[derive(Debug)]
-        enum Ev {
-            Wake,
-            Msg(Message),
-        }
-        let mut q: WheelQueue<Ev> = WheelQueue::new();
-        q.schedule(Tick(0), Ev::Wake);
-        let mut steps = 0u64;
-        while let Some((now, ev)) = q.pop() {
-            steps += 1;
-            assert!(steps < limit);
-            let mut out = Outbox::new(now);
-            match ev {
-                Ev::Wake => dma.on_wake(now, &mut out),
-                Ev::Msg(m) if m.dst == AgentId::Dma => dma.on_message(now, &m, &mut out),
-                Ev::Msg(m) => {
-                    let resp = match m.kind {
-                        MsgKind::DmaRd => MsgKind::DmaRdResp { data: mem.read_line(m.line) },
-                        MsgKind::DmaWr { data, mask } => {
-                            let mut line = mem.read_line(m.line);
-                            mask.apply(&mut line, &data);
-                            mem.write_line(m.line, line);
-                            MsgKind::DmaWrAck
-                        }
-                        ref k => panic!("fake directory got {}", k.class_name()),
-                    };
-                    q.schedule(
-                        now + 5,
-                        Ev::Msg(Message::new(AgentId::Directory, m.src, m.line, resp)),
-                    );
-                }
-            }
-            for act in out.into_actions() {
-                match act {
-                    Action::Send(m) => q.schedule(now + 5, Ev::Msg(m)),
-                    Action::SendLater(t, m) => q.schedule(t + 5, Ev::Msg(m)),
-                    Action::Wake(t) => q.schedule(t, Ev::Wake),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn write_then_read_round_trips() {
-        let words: Vec<u64> = (0..20).collect();
-        let mut dma = DmaEngine::new(
-            vec![
-                DmaCommand::Write { base: Addr(0x1000), words: words.clone(), at: Tick(0) },
-                DmaCommand::Read { base: Addr(0x1000), lines: 3, at: Tick(100) },
-            ],
-            4,
-        );
-        let mut mem = MainMemory::new();
-        run_dma(&mut dma, &mut mem, 10_000);
-        assert!(dma.is_done());
-        for (i, w) in words.iter().enumerate() {
-            assert_eq!(mem.read_word(Addr(0x1000 + (i as u64) * 8)), *w);
-        }
-        // 20 words = 3 lines (8+8+4).
-        assert_eq!(dma.stats().get("dma.writes"), 3);
-        assert_eq!(dma.stats().get("dma.reads"), 3);
-        let first = dma.read_data().get(&Addr(0x1000).line()).unwrap();
-        assert_eq!(first.word(0), 0);
-        assert_eq!(first.word(7), 7);
-    }
-
-    #[test]
-    fn unaligned_start_uses_partial_masks() {
-        // Start mid-line: 4 words into line 0.
-        let mut dma = DmaEngine::new(
-            vec![DmaCommand::Write {
-                base: Addr(0x1020),
-                words: vec![9, 9, 9, 9, 9, 9],
-                at: Tick(0),
-            }],
-            8,
-        );
-        let mut mem = MainMemory::new();
-        mem.write_word(Addr(0x1000), 77); // must survive the partial write
-        run_dma(&mut dma, &mut mem, 10_000);
-        assert!(dma.is_done());
-        assert_eq!(mem.read_word(Addr(0x1000)), 77, "unwritten words preserved");
-        assert_eq!(mem.read_word(Addr(0x1020)), 9);
-        assert_eq!(mem.read_word(Addr(0x1048)), 9);
-        assert_eq!(dma.stats().get("dma.writes"), 2, "spans two lines");
-    }
-
-    #[test]
-    fn window_limits_in_flight_requests() {
-        let mut dma =
-            DmaEngine::new(vec![DmaCommand::Read { base: Addr(0), lines: 10, at: Tick(0) }], 2);
-        let mut out = Outbox::new(Tick(0));
-        dma.on_wake(Tick(0), &mut out);
-        let sends = out.actions().iter().filter(|a| matches!(a, Action::Send(_))).count();
-        assert_eq!(sends, 2, "window of 2 caps the initial burst");
-        assert!(!dma.is_done());
-    }
-
-    #[test]
-    fn commands_wait_for_their_issue_time() {
-        let mut dma =
-            DmaEngine::new(vec![DmaCommand::Read { base: Addr(0), lines: 1, at: Tick(500) }], 4);
-        let mut out = Outbox::new(Tick(0));
-        dma.on_wake(Tick(0), &mut out);
-        assert!(
-            out.actions().iter().all(|a| matches!(a, Action::Wake(Tick(500)))),
-            "nothing issued before the command time; wake scheduled instead"
-        );
-    }
-
-    #[test]
-    fn empty_engine_is_done() {
-        let dma = DmaEngine::new(vec![], 4);
-        assert!(dma.is_done());
-    }
-}

@@ -958,271 +958,3 @@ fn fill<S>(cache: &mut CacheArray<S>, la: LineAddr, line: S) -> bool {
         matches!(cache.insert(la, line), InsertOutcome::Evicted(_))
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::GpuScript;
-    use hsc_mem::{AtomicKind, MainMemory};
-    use hsc_noc::{Action, Grant};
-    use hsc_sim::WheelQueue;
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    fn small_cfg() -> GpuConfig {
-        GpuConfig {
-            cus: 2,
-            tcp_bytes: 1024,
-            tcc_bytes: 4096,
-            sqc_bytes: 1024,
-            ifetch_interval: 1000,
-            ..GpuConfig::default()
-        }
-    }
-
-    /// Runs the cluster against a trivially coherent fake directory.
-    fn run_gpu(gpu: &mut GpuCluster, mem: &mut MainMemory, limit: u64) {
-        #[derive(Debug)]
-        enum Ev {
-            Wake,
-            Msg(Message),
-        }
-        let mut q: WheelQueue<Ev> = WheelQueue::new();
-        q.schedule(Tick(0), Ev::Wake);
-        let hop = 10u64;
-        let mut steps = 0u64;
-        while let Some((now, ev)) = q.pop() {
-            steps += 1;
-            assert!(steps < limit, "fake-directory GPU run exceeded {limit} events");
-            let mut out = Outbox::new(now);
-            match ev {
-                Ev::Wake => gpu.on_wake(now, &mut out),
-                Ev::Msg(m) if m.dst == gpu.agent() => gpu.on_message(now, &m, &mut out),
-                Ev::Msg(m) => {
-                    let resp = match m.kind {
-                        MsgKind::RdBlk => Some(MsgKind::Resp {
-                            data: mem.read_line(m.line),
-                            grant: Grant::Shared,
-                        }),
-                        MsgKind::WriteThrough { data, mask, .. } => {
-                            let mut line = mem.read_line(m.line);
-                            mask.apply(&mut line, &data);
-                            mem.write_line(m.line, line);
-                            Some(MsgKind::WtAck)
-                        }
-                        MsgKind::AtomicReq { word, op } => {
-                            let mut line = mem.read_line(m.line);
-                            let old = line.apply_atomic(m.line.word_addr(word as usize), op);
-                            mem.write_line(m.line, line);
-                            Some(MsgKind::AtomicResp { old })
-                        }
-                        MsgKind::Flush => Some(MsgKind::FlushAck),
-                        ref k => panic!("fake directory got {}", k.class_name()),
-                    };
-                    if let Some(kind) = resp {
-                        q.schedule(
-                            now + hop,
-                            Ev::Msg(Message::new(AgentId::Directory, m.src, m.line, kind)),
-                        );
-                    }
-                }
-            }
-            for act in out.into_actions() {
-                match act {
-                    Action::Send(m) => q.schedule(now + hop, Ev::Msg(m)),
-                    Action::SendLater(t, m) => q.schedule(t + 5, Ev::Msg(m)),
-                    Action::Wake(t) => q.schedule(t, Ev::Wake),
-                }
-            }
-        }
-    }
-
-    fn one_wf(ops: Vec<GpuOp>, cfg: GpuConfig) -> GpuCluster {
-        one_wf_observed(ops, cfg).0
-    }
-
-    /// Also returns a handle to the script, for the values it was handed.
-    fn one_wf_observed(ops: Vec<GpuOp>, cfg: GpuConfig) -> (GpuCluster, Rc<RefCell<GpuScript>>) {
-        let script = Rc::new(RefCell::new(GpuScript::new(ops)));
-        let mut programs: Vec<Vec<Box<dyn WavefrontProgram>>> =
-            (0..cfg.cus).map(|_| Vec::new()).collect();
-        programs[0].push(Box::new(Rc::clone(&script)));
-        (GpuCluster::new(0, programs, cfg), script)
-    }
-
-    #[test]
-    fn vec_store_writes_through_to_memory() {
-        let stores: Vec<(Addr, u64)> = (0..16).map(|i| (Addr(0x1000 + i * 8), i)).collect();
-        let mut gpu =
-            one_wf(vec![GpuOp::VecStore(stores), GpuOp::Release, GpuOp::Done], small_cfg());
-        let mut mem = MainMemory::new();
-        run_gpu(&mut gpu, &mut mem, 100_000);
-        assert!(gpu.is_done());
-        for i in 0..16u64 {
-            assert_eq!(mem.read_word(Addr(0x1000 + i * 8)), i);
-        }
-        assert!(gpu.stats().get("tcc.req.WT") >= 2, "two lines written through");
-        assert_eq!(gpu.stats().get("tcc.req.Flush"), 1, "release sends the fence");
-    }
-
-    #[test]
-    fn vec_load_misses_then_hits_tcp() {
-        let addrs: Vec<Addr> = (0..16).map(|i| Addr(0x2000 + i * 8)).collect();
-        let mut gpu = one_wf(
-            vec![GpuOp::VecLoad(addrs.clone()), GpuOp::VecLoad(addrs), GpuOp::Done],
-            small_cfg(),
-        );
-        let mut mem = MainMemory::new();
-        mem.write_word(Addr(0x2000), 99);
-        run_gpu(&mut gpu, &mut mem, 100_000);
-        assert!(gpu.is_done());
-        assert!(gpu.stats().get("tcc.misses") >= 1);
-        assert!(gpu.stats().get("tcp.hits") >= 2, "second load hits the TCP");
-        assert_eq!(gpu.stats().get("tcc.req.RdBlk"), 2, "one fill per line");
-    }
-
-    #[test]
-    fn slc_atomic_executes_at_directory_and_returns_old() {
-        let a = Addr(0x3000);
-        let (mut gpu, seen) = one_wf_observed(
-            vec![
-                GpuOp::AtomicSlc(a, AtomicKind::FetchAdd(5)),
-                GpuOp::AtomicSlc(a, AtomicKind::FetchAdd(5)),
-                GpuOp::Done,
-            ],
-            small_cfg(),
-        );
-        let mut mem = MainMemory::new();
-        mem.write_word(a, 100);
-        run_gpu(&mut gpu, &mut mem, 100_000);
-        assert!(gpu.is_done());
-        assert_eq!(mem.read_word(a), 110);
-        assert_eq!(
-            seen.borrow().handed(),
-            [None, Some(100), Some(105)],
-            "each atomic returns the old value"
-        );
-        assert_eq!(gpu.stats().get("tcc.req.Atomic"), 2);
-    }
-
-    #[test]
-    fn glc_atomic_executes_at_tcc_and_writes_through() {
-        let a = Addr(0x4000);
-        let mut gpu = one_wf(
-            vec![
-                GpuOp::AtomicGlc(a, AtomicKind::FetchAdd(1)),
-                GpuOp::AtomicGlc(a, AtomicKind::FetchAdd(1)),
-                GpuOp::Release,
-                GpuOp::Done,
-            ],
-            small_cfg(),
-        );
-        let mut mem = MainMemory::new();
-        run_gpu(&mut gpu, &mut mem, 100_000);
-        assert!(gpu.is_done());
-        assert_eq!(mem.read_word(a), 2, "GLC atomics reach memory through WTs");
-        assert_eq!(gpu.stats().get("tcc.glc_atomics"), 2);
-        assert_eq!(gpu.stats().get("tcc.req.RdBlk"), 1, "one fill, second hits TCC");
-    }
-
-    #[test]
-    fn acquire_invalidates_the_tcp() {
-        let addrs = vec![Addr(0x6000)];
-        let mut gpu = one_wf(
-            vec![GpuOp::VecLoad(addrs.clone()), GpuOp::Acquire, GpuOp::VecLoad(addrs), GpuOp::Done],
-            small_cfg(),
-        );
-        let mut mem = MainMemory::new();
-        run_gpu(&mut gpu, &mut mem, 100_000);
-        assert!(gpu.is_done());
-        // Second load misses the TCP again (hits TCC).
-        assert_eq!(gpu.stats().get("tcp.misses"), 2);
-        assert!(gpu.stats().get("tcc.hits") >= 1);
-    }
-
-    #[test]
-    fn probe_invalidates_tcc_without_forwarding_data() {
-        let mut gpu = one_wf(vec![GpuOp::VecLoad(vec![Addr(0x7000)]), GpuOp::Done], small_cfg());
-        let mut mem = MainMemory::new();
-        run_gpu(&mut gpu, &mut mem, 100_000);
-        assert!(gpu.tcc.contains(Addr(0x7000).line()));
-        let mut out = Outbox::new(Tick(1_000_000));
-        gpu.on_probe(Addr(0x7000).line(), ProbeKind::Invalidate, &mut out);
-        match out.actions()[0] {
-            Action::Send(ref m) => {
-                assert!(matches!(m.kind, MsgKind::ProbeAck { dirty: None, had_copy: true, .. }));
-            }
-            ref other => panic!("expected send, got {other:?}"),
-        }
-        assert!(!gpu.tcc.contains(Addr(0x7000).line()), "TCC self-invalidated");
-    }
-
-    #[test]
-    fn transition_matrix_tracks_viper_write_through_lifecycle() {
-        let (a, b) = (Addr(0x5000), Addr(0x5040));
-        let mut gpu = one_wf(
-            vec![
-                GpuOp::VecLoad(vec![a]),
-                GpuOp::VecLoad(vec![b]),
-                GpuOp::AtomicSlc(b, AtomicKind::FetchAdd(1)),
-                GpuOp::Done,
-            ],
-            small_cfg(),
-        );
-        let mut mem = MainMemory::new();
-        run_gpu(&mut gpu, &mut mem, 100_000);
-        gpu.on_probe(a.line(), ProbeKind::Invalidate, &mut Outbox::new(Tick(1_000_000)));
-        let m = gpu.transitions();
-        assert_eq!(m.get(VT_I, VT_V, VC_FILL), 2, "each load fills its line");
-        assert_eq!(m.get(VT_V, VT_I, VC_ATOMIC_SELF_INVAL), 1, "the SLC atomic drops b");
-        assert_eq!(m.get(VT_V, VT_I, VC_PROBE_INV), 1, "the probe drops a");
-        assert_eq!(m.total(), 4);
-    }
-
-    #[test]
-    fn ifetch_goes_through_sqc() {
-        let mut cfg = small_cfg();
-        cfg.ifetch_interval = 2;
-        cfg.code_lines = 2; // wrap quickly so fetches revisit lines
-        let ops: Vec<GpuOp> = (0..16).map(|_| GpuOp::Compute(1)).chain([GpuOp::Done]).collect();
-        let mut gpu = one_wf(ops, cfg);
-        let mut mem = MainMemory::new();
-        run_gpu(&mut gpu, &mut mem, 100_000);
-        assert!(gpu.is_done());
-        assert!(gpu.stats().get("sqc.misses") >= 1);
-        assert!(gpu.stats().get("sqc.hits") >= 1);
-    }
-
-    #[test]
-    fn more_than_64_wavefronts_all_run_to_completion() {
-        const PER_CU: u64 = 40;
-        let cfg = small_cfg();
-        // Wavefront `g` stores its own word (eight to a line, so fills and
-        // write-through queues are shared), releases, and reads it back.
-        let word = |g: u64| (Addr(0x10_000 + g * 8), 1000 + g);
-        let scripts: Vec<Rc<RefCell<GpuScript>>> = (0..cfg.cus as u64 * PER_CU)
-            .map(|g| {
-                let (a, v) = word(g);
-                let ops =
-                    vec![GpuOp::VecStore(vec![(a, v)]), GpuOp::Release, GpuOp::VecLoad(vec![a])];
-                Rc::new(RefCell::new(GpuScript::new(ops)))
-            })
-            .collect();
-        let programs = scripts
-            .chunks(PER_CU as usize)
-            .map(|cu| {
-                cu.iter().map(|s| Box::new(Rc::clone(s)) as Box<dyn WavefrontProgram>).collect()
-            })
-            .collect();
-        let mut gpu = GpuCluster::new(0, programs, cfg);
-        let mut mem = MainMemory::new();
-        run_gpu(&mut gpu, &mut mem, 1_000_000);
-        assert!(gpu.is_done());
-        assert_eq!(gpu.stats().get("wf.done"), 2 * PER_CU);
-        for (g, s) in scripts.iter().enumerate() {
-            let (a, v) = word(g as u64);
-            assert_eq!(mem.read_word(a), v, "wavefront {g}'s store");
-            assert_eq!(s.borrow().handed(), [None, None, None, Some(v)], "wavefront {g}'s reload");
-        }
-    }
-}

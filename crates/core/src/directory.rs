@@ -1090,8 +1090,13 @@ impl Directory {
                 // Reserved at start for allocating requests; others (e.g.
                 // a WT that retains) may allocate here. The way is free
                 // because start_txn reserved it or the set has room
-                // (eviction handled at start).
-                let _ = self.entries.insert(line, e);
+                // (eviction handled at start): an eviction here would drop
+                // a tracked entry without its back-invalidation.
+                let outcome = self.entries.insert(line, e);
+                debug_assert!(
+                    matches!(outcome, hsc_mem::InsertOutcome::Inserted),
+                    "inserting {line}'s entry evicted another"
+                );
             }
             (None, None) => {}
         }

@@ -74,16 +74,10 @@ impl VictimBuffer {
         }
     }
 
-    /// Invalidates a parked line (an invalidating probe hit it), returning
-    /// the entry so the probe response can carry the dirty data.
-    pub fn invalidate(&mut self, la: LineAddr) -> Option<VictimEntry> {
-        self.entries.remove(la)
-    }
-
-    /// Removes a parked line after the directory acknowledged the victim
-    /// write-back.
-    ///
-    /// Returns the entry, or `None` if a probe already invalidated it.
+    /// Removes a parked line and returns its entry, or `None` if it is not
+    /// parked. Two events end a victim's stay: the directory's `VicAck` for
+    /// its write-back, and an invalidating probe, whose response carries the
+    /// entry's dirty data. Whichever comes second finds nothing.
     pub fn release(&mut self, la: LineAddr) -> Option<VictimEntry> {
         self.entries.remove(la)
     }
@@ -137,7 +131,7 @@ mod tests {
     fn probe_invalidate_removes_entry() {
         let mut vb = VictimBuffer::new();
         vb.park(LineAddr(2), data(7), true);
-        let e = vb.invalidate(LineAddr(2)).unwrap();
+        let e = vb.release(LineAddr(2)).unwrap();
         assert!(e.dirty);
         // The later VicDirty ack finds nothing — that is fine.
         assert_eq!(vb.release(LineAddr(2)), None);
