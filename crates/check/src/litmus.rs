@@ -19,7 +19,7 @@
 //! [`System`] costs microseconds — the explorer clones one at every
 //! branch point, thousands of times per scenario.
 
-use hsc_cluster::{CpuOp, CpuScript, DmaCommand, GpuOp, GpuScript, Mutant};
+use hsc_cluster::{CpuOp, CpuScript, DmaCommand, DmaScript, GpuOp, GpuScript, Mutant};
 use hsc_mem::{Addr, AtomicKind};
 use hsc_noc::{FaultPlan, FaultTargets, RetryPolicy, SimError};
 use hsc_sim::Tick;
@@ -213,9 +213,7 @@ impl Litmus {
         for script in &self.gpu {
             b.add_wavefront(Box::new(script.clone()));
         }
-        for command in &self.dma {
-            b.add_dma(command.clone());
-        }
+        b.with_dma(Box::new(DmaScript::new(self.dma.clone())));
         b.init_words(self.init.iter().copied());
         b.build()
     }

@@ -4,42 +4,7 @@ use hsc_mem::{Addr, LineAddr, LineData, LineMap, WORDS_PER_LINE};
 use hsc_noc::{AgentId, Message, MsgKind, Outbox, RetryPolicy, RetryTracker, WakeArm, WordMask};
 use hsc_sim::{StatSet, Tick};
 
-/// One DMA transfer, issued when simulated time reaches `at`.
-///
-/// Reads fetch whole lines; writes store consecutive 64-bit words starting
-/// at `base` (partial first/last lines use word masks, as a real engine's
-/// byte enables would).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum DmaCommand {
-    /// Read `lines` consecutive cache lines starting at the line
-    /// containing `base`.
-    Read {
-        /// Start address (its containing line is the first read).
-        base: Addr,
-        /// Number of lines.
-        lines: u64,
-        /// Issue time.
-        at: Tick,
-    },
-    /// Write `words` consecutive 64-bit values starting at `base`
-    /// (8-byte aligned).
-    Write {
-        /// Start address (must be 8-byte aligned).
-        base: Addr,
-        /// Values to store.
-        words: Vec<u64>,
-        /// Issue time.
-        at: Tick,
-    },
-}
-
-impl DmaCommand {
-    fn at(&self) -> Tick {
-        match self {
-            DmaCommand::Read { at, .. } | DmaCommand::Write { at, .. } => *at,
-        }
-    }
-}
+use crate::{DmaCommand, DmaProgram, DmaScript};
 
 /// The DMA engine of Fig. 1: issues `DMARd`/`DMAWr` line requests to the
 /// directory and never caches (so it never participates in coherence
@@ -48,10 +13,17 @@ impl DmaCommand {
 ///
 /// Used by workloads to stage inputs (e.g. `cedd` video frames) while the
 /// CPU and GPU are running, which exercises the Fig. 3 DMA paths of the
-/// directory.
+/// directory. It runs a [`DmaProgram`] as a descriptor ring: one command
+/// at a time, read from the program with one command of lookahead.
 #[derive(Debug, Clone)]
 pub struct DmaEngine {
-    commands: VecDeque<DmaCommand>,
+    program: Box<dyn DmaProgram>,
+    /// The program's next command, pulled one ahead so its issue time can
+    /// arm a wake; `None` once the program is finished.
+    next: Option<DmaCommand>,
+    /// Commands taken from the program so far. With `next`, the program's
+    /// position, which is what the state hash folds in.
+    taken: u64,
     in_flight: LineMap<()>,
     window: usize,
     pending_lines: VecDeque<(LineAddr, Option<(LineData, WordMask)>)>,
@@ -78,22 +50,30 @@ struct DmaCounts {
 
 impl DmaEngine {
     /// Creates an engine that will execute `commands` in order of their
-    /// issue times, keeping up to `window` line requests in flight.
+    /// issue times, keeping up to `window` line requests in flight: the
+    /// [`DmaScript`] shorthand for [`DmaEngine::from_program`].
     ///
     /// # Panics
     ///
     /// Panics if `window` is zero or a write base is not 8-byte aligned.
     #[must_use]
-    pub fn new(mut commands: Vec<DmaCommand>, window: usize) -> Self {
+    pub fn new(commands: Vec<DmaCommand>, window: usize) -> Self {
+        Self::from_program(Box::new(DmaScript::new(commands)), window)
+    }
+
+    /// Creates an engine that runs `program`, keeping up to `window` line
+    /// requests in flight.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` is zero.
+    #[must_use]
+    pub fn from_program(mut program: Box<dyn DmaProgram>, window: usize) -> Self {
         assert!(window > 0, "DMA window must be positive");
-        for c in &commands {
-            if let DmaCommand::Write { base, .. } = c {
-                assert_eq!(base.0 % 8, 0, "DMA write base must be 8-byte aligned");
-            }
-        }
-        commands.sort_by_key(DmaCommand::at);
         DmaEngine {
-            commands: commands.into(),
+            next: program.next_command(),
+            program,
+            taken: 0,
             in_flight: LineMap::new(),
             window,
             pending_lines: VecDeque::new(),
@@ -134,7 +114,7 @@ impl DmaEngine {
     /// Whether every command has fully completed.
     #[must_use]
     pub fn is_done(&self) -> bool {
-        self.commands.is_empty() && self.pending_lines.is_empty() && self.in_flight.is_empty()
+        self.next.is_none() && self.pending_lines.is_empty() && self.in_flight.is_empty()
     }
 
     /// Human-readable descriptions of everything still outstanding at the
@@ -172,14 +152,17 @@ impl DmaEngine {
     }
 
     /// Folds all protocol-relevant state into `h` for the system state
-    /// fingerprint: remaining commands, queued and in-flight lines, and
-    /// completed read data. Excludes retry deadlines and statistics —
-    /// same scoping rules as `CorePair::hash_state`. (Command issue times
-    /// are part of the scenario definition, identical in every explored
-    /// interleaving, so hashing them costs nothing.)
+    /// fingerprint: the program's position (the lookahead command and the
+    /// count taken, which together name the remaining commands of a
+    /// deterministic program), queued and in-flight lines, and completed
+    /// read data. Excludes retry deadlines and statistics — same scoping
+    /// rules as `CorePair::hash_state`. (Command issue times are part of
+    /// the scenario definition, identical in every explored interleaving,
+    /// so hashing them costs nothing.)
     pub fn hash_state<H: std::hash::Hasher>(&self, h: &mut H) {
         use std::hash::Hash;
-        self.commands.hash(h);
+        self.next.hash(h);
+        self.taken.hash(h);
         self.in_flight.hash(h);
         self.pending_lines.hash(h);
         self.read_data.hash(h);
@@ -216,11 +199,17 @@ impl DmaEngine {
         // next command is expanded only when the previous one has fully
         // completed. This lets workloads stage data and then a ready-flag
         // as two commands and rely on the flag implying the data landed.
-        while self.commands.front().is_some_and(|c| c.at() <= now)
+        while self.next.as_ref().is_some_and(|c| c.at() <= now)
             && self.pending_lines.is_empty()
             && self.in_flight.is_empty()
         {
-            let cmd = self.commands.pop_front().unwrap();
+            let cmd = self.next.take().unwrap();
+            self.next = self.program.next_command();
+            self.taken += 1;
+            debug_assert!(
+                self.next.as_ref().is_none_or(|n| n.at() >= cmd.at()),
+                "a DMA program's issue times never decrease"
+            );
             match cmd {
                 DmaCommand::Read { base, lines, .. } => {
                     let first = base.line();
@@ -270,7 +259,7 @@ impl DmaEngine {
         // If future commands remain and nothing is in flight to re-trigger
         // us, schedule a wake at the next command time.
         if self.in_flight.is_empty() && self.pending_lines.is_empty() {
-            if let Some(c) = self.commands.front() {
+            if let Some(c) = &self.next {
                 self.wakes.arm(c.at().max(now), out);
             }
         }

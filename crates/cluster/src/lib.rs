@@ -18,7 +18,8 @@
 //! Workloads drive the clusters through the [`CoreProgram`] /
 //! [`WavefrontProgram`] traits: tiny state machines that may branch on
 //! loaded values, which is how spin-loops, work-queues and CAS retry loops
-//! are expressed (see `hsc-workloads`).
+//! are expressed (see `hsc-workloads`). The DMA engine runs a
+//! [`DmaProgram`], its descriptor ring, the same way.
 //!
 //! Timing uses an exact common clock: 1 tick = 1/38.5 GHz ≈ 26 ps, so a
 //! 3.5 GHz CPU cycle is 11 ticks and a 1.1 GHz GPU cycle is 35 ticks
@@ -37,8 +38,11 @@ mod ops;
 
 pub use clocks::{cpu_cycles, gpu_cycles, TICKS_PER_CPU_CYCLE, TICKS_PER_GPU_CYCLE};
 pub use corepair::{CorePair, CpuConfig};
-pub use dma::{DmaCommand, DmaEngine};
+pub use dma::DmaEngine;
 pub use gpu::{GpuCluster, GpuConfig};
 pub use moesi::MoesiState;
 pub use mutant::Mutant;
-pub use ops::{CoreProgram, CpuOp, CpuScript, GpuOp, GpuScript, WavefrontProgram};
+pub use ops::{
+    CoreProgram, CpuOp, CpuScript, DmaCommand, DmaProgram, DmaScript, GpuOp, GpuScript,
+    WavefrontProgram,
+};

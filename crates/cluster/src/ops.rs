@@ -3,6 +3,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use hsc_mem::{Addr, AtomicKind};
+use hsc_sim::Tick;
 
 /// One operation of a CPU thread, produced on demand by a [`CoreProgram`].
 ///
@@ -229,6 +230,107 @@ impl WavefrontProgram for GpuScript {
     }
 }
 
+/// One DMA transfer, issued when simulated time reaches `at`.
+///
+/// Reads fetch whole lines; writes store consecutive 64-bit words starting
+/// at `base` (partial first/last lines use word masks, as a real engine's
+/// byte enables would).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum DmaCommand {
+    /// Read `lines` consecutive cache lines starting at the line
+    /// containing `base`.
+    Read {
+        /// Start address (its containing line is the first read).
+        base: Addr,
+        /// Number of lines.
+        lines: u64,
+        /// Issue time.
+        at: Tick,
+    },
+    /// Write `words` consecutive 64-bit values starting at `base`
+    /// (8-byte aligned).
+    Write {
+        /// Start address (must be 8-byte aligned).
+        base: Addr,
+        /// Values to store.
+        words: Vec<u64>,
+        /// Issue time.
+        at: Tick,
+    },
+}
+
+impl DmaCommand {
+    /// When the command may issue.
+    pub(crate) fn at(&self) -> Tick {
+        match self {
+            DmaCommand::Read { at, .. } | DmaCommand::Write { at, .. } => *at,
+        }
+    }
+}
+
+/// The DMA engine's descriptor ring: a deterministic source of
+/// [`DmaCommand`]s in issue order.
+///
+/// The engine runs the commands strictly one after another and pulls the
+/// next one only when it takes the current one, so a program is read in
+/// place rather than copied into the engine. Issue times must never
+/// decrease, and once `next_command` returns `None` the program is
+/// finished. Like a [`CoreProgram`], a DMA program must be `Clone`.
+pub trait DmaProgram: fmt::Debug + CloneDmaProgram {
+    /// The next command, or `None` once every command has been handed out.
+    fn next_command(&mut self) -> Option<DmaCommand>;
+}
+
+/// Makes `Box<dyn DmaProgram>` `Clone`; every `Clone` program has it.
+pub trait CloneDmaProgram {
+    /// A boxed copy of this program.
+    fn clone_box(&self) -> Box<dyn DmaProgram>;
+}
+
+impl<P: DmaProgram + Clone + 'static> CloneDmaProgram for P {
+    fn clone_box(&self) -> Box<dyn DmaProgram> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn DmaProgram> {
+    fn clone(&self) -> Self {
+        (**self).clone_box()
+    }
+}
+
+/// A scripted DMA program, the [`CpuScript`] counterpart: a fixed command
+/// list played in order of issue time.
+#[derive(Debug, Clone, Default)]
+pub struct DmaScript {
+    commands: std::vec::IntoIter<DmaCommand>,
+}
+
+impl DmaScript {
+    /// A program that issues `commands` in order of their issue times
+    /// (commands with equal times keep their list order).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a write base is not 8-byte aligned.
+    #[must_use]
+    pub fn new(mut commands: Vec<DmaCommand>) -> Self {
+        for c in &commands {
+            if let DmaCommand::Write { base, .. } = c {
+                assert_eq!(base.0 % 8, 0, "DMA write base must be 8-byte aligned");
+            }
+        }
+        commands.sort_by_key(DmaCommand::at);
+        DmaScript { commands: commands.into_iter() }
+    }
+}
+
+impl DmaProgram for DmaScript {
+    fn next_command(&mut self) -> Option<DmaCommand> {
+        self.commands.next()
+    }
+}
+
 /// A shared handle to a program is a program: a test keeps one clone and
 /// reads the program's state back after the run that owned the other.
 /// A clone of the system shares the program: never explore a system
@@ -255,6 +357,20 @@ mod tests {
         assert_eq!(g.next_op(None), GpuOp::Acquire);
         assert_eq!(g.next_op(Some(7)), GpuOp::Done);
         assert_eq!(shared.borrow().handed(), [None, Some(7)]);
+    }
+
+    #[test]
+    fn dma_scripts_issue_in_time_order_keeping_ties_in_list_order() {
+        let read = |base, at| DmaCommand::Read { base: Addr(base), lines: 1, at: Tick(at) };
+        let mut s = DmaScript::new(vec![read(0x40, 9), read(0x80, 3), read(0xc0, 3)]);
+        let order: Vec<u64> = std::iter::from_fn(|| s.next_command())
+            .map(|c| match c {
+                DmaCommand::Read { base, .. } => base.0,
+                DmaCommand::Write { .. } => unreachable!(),
+            })
+            .collect();
+        assert_eq!(order, [0x80, 0xc0, 0x40]);
+        assert_eq!(s.next_command(), None, "a finished script stays finished");
     }
 
     #[test]

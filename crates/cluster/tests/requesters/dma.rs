@@ -1,6 +1,9 @@
 //! The DMA engine against the stub directory.
 
-use hsc_cluster::{DmaCommand, DmaEngine};
+use std::cell::Cell;
+use std::rc::Rc;
+
+use hsc_cluster::{DmaCommand, DmaEngine, DmaProgram, DmaScript};
 use hsc_mem::{Addr, MainMemory};
 use hsc_noc::{Action, Outbox};
 use hsc_sim::Tick;
@@ -74,4 +77,51 @@ fn commands_wait_for_their_issue_time() {
 fn empty_engine_is_done() {
     let dma = DmaEngine::new(vec![], 4);
     assert!(dma.is_done());
+}
+
+#[test]
+#[should_panic(expected = "8-byte aligned")]
+fn unaligned_write_base_is_rejected() {
+    let _ =
+        DmaScript::new(vec![DmaCommand::Write { base: Addr(0x1004), words: vec![1], at: Tick(0) }]);
+}
+
+/// Reads one line per command, 100 ticks apart, counting every command it
+/// is asked for.
+#[derive(Debug, Clone)]
+struct CountingReads {
+    left: u64,
+    pulls: Rc<Cell<u64>>,
+}
+
+impl DmaProgram for CountingReads {
+    fn next_command(&mut self) -> Option<DmaCommand> {
+        self.pulls.set(self.pulls.get() + 1);
+        let i = self.left.checked_sub(1)?;
+        self.left = i;
+        Some(DmaCommand::Read { base: Addr(0x40 * i), lines: 1, at: Tick(100 * (4 - i)) })
+    }
+}
+
+#[test]
+fn the_engine_reads_its_program_one_command_ahead() {
+    let pulls = Rc::new(Cell::new(0));
+    let program = CountingReads { left: 4, pulls: Rc::clone(&pulls) };
+    let mut dma = DmaEngine::from_program(Box::new(program), 4);
+    assert_eq!(pulls.get(), 1, "the engine holds the first command before it starts");
+    let mut out = Outbox::new(Tick(0));
+    dma.on_wake(Tick(0), &mut out);
+    assert!(out.actions().iter().all(|a| matches!(a, Action::Wake(Tick(100)))));
+    assert_eq!(pulls.get(), 1, "a command not yet due is not taken");
+    let mut out = Outbox::new(Tick(100));
+    dma.on_wake(Tick(100), &mut out);
+    assert_eq!(pulls.get(), 2, "taking a command pulls exactly the next one");
+
+    let pulls = Rc::new(Cell::new(0));
+    let program = CountingReads { left: 4, pulls: Rc::clone(&pulls) };
+    let mut dma = DmaEngine::from_program(Box::new(program), 4);
+    let _ = pump(&mut dma, MainMemory::new(), 10_000);
+    assert!(dma.is_done());
+    assert_eq!(dma.stats().get("dma.reads"), 4);
+    assert_eq!(pulls.get(), 5, "four commands, then the one `None` that ends the program");
 }

@@ -1,5 +1,5 @@
 use hsc_cluster::{
-    CorePair, CoreProgram, DmaCommand, DmaEngine, GpuCluster, Mutant, WavefrontProgram,
+    CorePair, CoreProgram, DmaEngine, DmaProgram, DmaScript, GpuCluster, Mutant, WavefrontProgram,
     TICKS_PER_GPU_CYCLE,
 };
 use hsc_mem::{Addr, LineAddr, MainMemory};
@@ -72,8 +72,8 @@ pub struct Metrics {
     pub stats: StatSet,
 }
 
-/// Assembles a [`System`]: programs for the CPU cores and GPU wavefronts,
-/// DMA commands, and initial memory contents.
+/// Assembles a [`System`]: programs for the CPU cores, the GPU wavefronts
+/// and the DMA engine, and initial memory contents.
 ///
 /// CPU threads are placed round-robin two-per-CorePair; wavefronts
 /// round-robin across CUs.
@@ -95,7 +95,7 @@ pub struct SystemBuilder {
     cpu_threads: Vec<Box<dyn CoreProgram>>,
     wavefronts: Vec<Box<dyn WavefrontProgram>>,
     memory: MainMemory,
-    dma_commands: Vec<DmaCommand>,
+    dma: Box<dyn DmaProgram>,
     trace: TraceConfig,
     obs: ObsConfig,
     mutant: Mutant,
@@ -110,7 +110,7 @@ impl SystemBuilder {
             config,
             cpu_threads: Vec::new(),
             wavefronts: Vec::new(),
-            dma_commands: Vec::new(),
+            dma: Box::new(DmaScript::default()),
             memory: MainMemory::new(),
             trace: TraceConfig::off(),
             obs: ObsConfig::off(),
@@ -160,9 +160,10 @@ impl SystemBuilder {
         self
     }
 
-    /// Adds a DMA transfer.
-    pub fn add_dma(&mut self, cmd: DmaCommand) -> &mut Self {
-        self.dma_commands.push(cmd);
+    /// Sets the DMA engine's program, replacing any earlier one; without
+    /// one the engine idles. A fixed command list is a [`DmaScript`].
+    pub fn with_dma(&mut self, program: Box<dyn DmaProgram>) -> &mut Self {
+        self.dma = program;
         self
     }
 
@@ -218,7 +219,7 @@ impl SystemBuilder {
         let mut sys = System {
             corepairs,
             gpus,
-            dma: DmaEngine::new(self.dma_commands, 8).with_retry(cfg.retry),
+            dma: DmaEngine::from_program(self.dma, 8).with_retry(cfg.retry),
             directory,
             memctl: MemoryController::new(
                 self.memory,

@@ -7,7 +7,7 @@
 //! through flag and counter words — the coarse-grain task-parallel
 //! producer/consumer pattern of the paper.
 
-use hsc_cluster::{CoreProgram, CpuOp, DmaCommand, GpuOp, WavefrontProgram};
+use hsc_cluster::{CoreProgram, CpuOp, DmaCommand, DmaScript, GpuOp, WavefrontProgram};
 use hsc_core::{System, SystemBuilder};
 use hsc_mem::{Addr, AtomicKind};
 use hsc_sim::Tick;
@@ -341,16 +341,18 @@ impl Workload for Cedd {
     fn build(&self, b: &mut SystemBuilder) {
         // DMA: stage each frame, then its ready flag (commands execute in
         // order, so the flag implies the frame landed).
+        let mut dma = Vec::new();
         for f in 0..self.frames {
             let words: Vec<u64> = (0..self.pixels).map(|p| self.input(f, p)).collect();
             let at = Tick(f * self.frame_interval);
-            b.add_dma(DmaCommand::Write {
+            dma.push(DmaCommand::Write {
                 base: Cedd::frame_word(INPUT_BASE, f, self.pixels, 0),
                 words,
                 at,
             });
-            b.add_dma(DmaCommand::Write { base: self.input_ready(f), words: vec![1], at });
+            dma.push(DmaCommand::Write { base: self.input_ready(f), words: vec![1], at });
         }
+        b.with_dma(Box::new(DmaScript::new(dma)));
         // Stage 1 and stage 4 CPU threads, frames round-robin.
         for t in 0..self.cpu_per_stage {
             let frames: Vec<u64> =

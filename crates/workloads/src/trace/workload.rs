@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use hsc_cluster::{CoreProgram, CpuOp, DmaCommand, GpuOp, WavefrontProgram};
+use hsc_cluster::{CoreProgram, CpuOp, DmaCommand, DmaProgram, GpuOp, WavefrontProgram};
 use hsc_core::{System, SystemBuilder};
 use hsc_mem::{Addr, AtomicKind};
 use hsc_sim::Tick;
@@ -11,14 +11,16 @@ use hsc_sim::Tick;
 use super::format::{Expectation, FenceKind, StreamKind, TraceOp, TraceProgram, MISMATCH_BASE};
 use crate::Workload;
 
-/// Simulated-tick spacing between consecutive DMA command issue times;
-/// purely a deterministic ordering device (the engine sorts by issue
-/// time), not a modelled transfer rate.
+/// Simulated-tick spacing between consecutive DMA command issue times:
+/// command `seq` (counted across every DMA stream, in stream order) may
+/// issue at `seq × DMA_ISSUE_SPACING`. The engine runs its commands in
+/// order anyway; the spacing only paces them, it is not a modelled
+/// transfer rate.
 const DMA_ISSUE_SPACING: u64 = 64;
 
 /// A [`Workload`] that replays a trace: CPU streams become
-/// [`CoreProgram`]s, GPU streams become [`WavefrontProgram`]s, DMA
-/// streams become [`DmaCommand`]s, and `verify` checks the final coherent
+/// [`CoreProgram`]s, GPU streams become [`WavefrontProgram`]s, the DMA
+/// streams become one [`DmaProgram`], and `verify` checks the final coherent
 /// memory against [`TraceProgram::expected_final`] plus the per-stream
 /// expectation-mismatch flags.
 ///
@@ -63,7 +65,6 @@ impl Workload for TraceWorkload {
 
     fn build(&self, b: &mut SystemBuilder) {
         b.init_words(self.program.init.iter().copied());
-        let mut dma_seq = 0u64;
         for (si, stream) in self.program.streams.iter().enumerate() {
             let flag = Self::mismatch_flag(si);
             match stream.kind {
@@ -73,30 +74,10 @@ impl Workload for TraceWorkload {
                 StreamKind::Gpu => {
                     b.add_wavefront(Box::new(TraceGpu::new(Arc::clone(&self.program), si, flag)));
                 }
-                StreamKind::Dma => {
-                    for op in &stream.ops {
-                        let at = Tick(dma_seq * DMA_ISSUE_SPACING);
-                        dma_seq += 1;
-                        match op {
-                            TraceOp::Read { addr, .. } => {
-                                b.add_dma(DmaCommand::Read { base: *addr, lines: 1, at });
-                            }
-                            TraceOp::Write { addr, value } => {
-                                b.add_dma(DmaCommand::Write {
-                                    base: *addr,
-                                    words: vec![*value],
-                                    at,
-                                });
-                            }
-                            // The parser rejects atomics/fences in dma
-                            // streams; a hand-built program that smuggles
-                            // one in gets a loud failure, not silence.
-                            other => panic!("dma stream cannot replay {other:?}"),
-                        }
-                    }
-                }
+                StreamKind::Dma => {}
             }
         }
+        b.with_dma(Box::new(TraceDma::new(Arc::clone(&self.program))));
     }
 
     fn verify(&self, sys: &System) -> Result<(), String> {
@@ -249,10 +230,70 @@ impl WavefrontProgram for TraceGpu {
     }
 }
 
+/// Replays every DMA stream of the shared trace, in stream order, as the
+/// DMA engine's one program: each `read` is a one-line read and each
+/// `write` a one-word write, and command `seq` may issue at
+/// `seq × DMA_ISSUE_SPACING`.
+#[derive(Debug, Clone)]
+struct TraceDma {
+    program: Arc<TraceProgram>,
+    stream: usize,
+    idx: usize,
+    seq: u64,
+}
+
+impl TraceDma {
+    /// # Panics
+    ///
+    /// Panics if a DMA stream holds an atomic or a fence, or a write whose
+    /// address is not 8-byte aligned. The parser rejects both; a
+    /// hand-built program that smuggles one in fails here, at build,
+    /// rather than mid-run.
+    fn new(program: Arc<TraceProgram>) -> Self {
+        let dma = program.streams.iter().filter(|s| s.kind == StreamKind::Dma);
+        for op in dma.flat_map(|s| &s.ops) {
+            match op {
+                TraceOp::Read { .. } => {}
+                TraceOp::Write { addr, .. } => {
+                    assert_eq!(addr.0 % 8, 0, "DMA write base must be 8-byte aligned");
+                }
+                other => panic!("dma stream cannot replay {other:?}"),
+            }
+        }
+        TraceDma { program, stream: 0, idx: 0, seq: 0 }
+    }
+}
+
+impl DmaProgram for TraceDma {
+    fn next_command(&mut self) -> Option<DmaCommand> {
+        loop {
+            let stream = self.program.streams.get(self.stream)?;
+            if stream.kind == StreamKind::Dma {
+                if let Some(op) = stream.ops.get(self.idx) {
+                    self.idx += 1;
+                    let at = Tick(self.seq * DMA_ISSUE_SPACING);
+                    self.seq += 1;
+                    return Some(match *op {
+                        TraceOp::Read { addr, .. } => DmaCommand::Read { base: addr, lines: 1, at },
+                        TraceOp::Write { addr, value } => {
+                            DmaCommand::Write { base: addr, words: vec![value], at }
+                        }
+                        TraceOp::Atomic { .. } | TraceOp::Fence(_) => {
+                            unreachable!("rejected by TraceDma::new")
+                        }
+                    });
+                }
+            }
+            self.stream += 1;
+            self.idx = 0;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{TraceError, TrafficSpec};
+    use crate::trace::{TraceError, TraceStream, TrafficSpec};
     use crate::{run_workload_observed, WorkloadError};
     use hsc_core::{CoherenceConfig, ObsConfig, SystemConfig};
 
@@ -278,8 +319,9 @@ mod tests {
             .collect();
         let twin = w.clone();
         assert!(Arc::ptr_eq(&w.program, &twin.program), "a clone shares the program");
-        // The workload, its clone, and one handle per replayed stream per system.
-        assert_eq!(Arc::strong_count(&w.program), 2 + 3 * replayed);
+        // The workload, its clone, and per system one handle per replayed
+        // CPU/GPU stream plus the DMA replay's.
+        assert_eq!(Arc::strong_count(&w.program), 2 + 3 * (replayed + 1));
         drop(systems);
         assert_eq!(Arc::strong_count(&w.program), 2, "the streams held handles, not copies");
     }
@@ -375,6 +417,77 @@ stream cpu
 read 0x3000 expect 11
 ")
         .expect("dma trace verifies");
+    }
+
+    /// The DMA command list that `build` produced before DMA streams were
+    /// replayed in place: every DMA stream's ops, in stream order, one
+    /// command per op at `seq × DMA_ISSUE_SPACING`. Kept as the reference
+    /// that [`TraceDma`] must reproduce.
+    fn eager_dma_commands(program: &TraceProgram) -> Vec<DmaCommand> {
+        let mut commands = Vec::new();
+        let mut dma_seq = 0u64;
+        for stream in program.streams.iter().filter(|s| s.kind == StreamKind::Dma) {
+            for op in &stream.ops {
+                let at = Tick(dma_seq * DMA_ISSUE_SPACING);
+                dma_seq += 1;
+                match op {
+                    TraceOp::Read { addr, .. } => {
+                        commands.push(DmaCommand::Read { base: *addr, lines: 1, at });
+                    }
+                    TraceOp::Write { addr, value } => {
+                        commands.push(DmaCommand::Write { base: *addr, words: vec![*value], at });
+                    }
+                    other => panic!("dma stream cannot replay {other:?}"),
+                }
+            }
+        }
+        commands
+    }
+
+    fn replayed_dma_commands(program: &TraceProgram) -> Vec<DmaCommand> {
+        let mut dma = TraceDma::new(Arc::new(program.clone()));
+        std::iter::from_fn(|| dma.next_command()).collect()
+    }
+
+    #[test]
+    fn dma_replay_yields_the_eager_command_list() {
+        let spec = TrafficSpec::parse("atomics").expect("preset parses");
+        assert_eq!(spec.dma, 2, "the preset replays two DMA streams");
+        let generated = spec.generate();
+        let hand = TraceProgram::parse(
+            "\
+hsc-trace v1
+stream dma
+read 0x3000
+write 0x3040 4
+stream cpu
+write 0x3080 1
+stream dma
+stream dma
+write 0x30c0 5
+read 0x3040
+",
+        )
+        .expect("hand trace parses");
+        for program in [&generated, &hand] {
+            let eager = eager_dma_commands(program);
+            assert!(!eager.is_empty());
+            assert_eq!(replayed_dma_commands(program), eager);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "dma stream cannot replay")]
+    fn a_fence_in_a_dma_stream_fails_at_build() {
+        let program = TraceProgram {
+            init: Vec::new(),
+            streams: vec![TraceStream {
+                kind: StreamKind::Dma,
+                ops: vec![TraceOp::Fence(FenceKind::Acquire)],
+            }],
+        };
+        let mut b = SystemBuilder::new(SystemConfig::with_coherence(CoherenceConfig::baseline()));
+        TraceWorkload::new(program).build(&mut b);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! copies everywhere, and DMA reads must observe data dirty in CPU caches
 //! via downgrade probes — under every directory mode.
 
-use hsc_repro::cluster::DmaCommand;
+use hsc_repro::cluster::{DmaCommand, DmaScript};
 use hsc_repro::prelude::*;
 use hsc_repro::sim::Tick;
 
@@ -68,8 +68,10 @@ fn dma_write_invalidates_cpu_caches() {
         // DMA overwrites the region at t=50k, then raises the flag
         // (commands execute in order).
         let fresh: Vec<u64> = (0..LINES * 8).map(|i| 2000 + i).collect();
-        b.add_dma(DmaCommand::Write { base: REGION, words: fresh, at: Tick(50_000) });
-        b.add_dma(DmaCommand::Write { base: FLAG, words: vec![1], at: Tick(50_000) });
+        b.with_dma(Box::new(DmaScript::new(vec![
+            DmaCommand::Write { base: REGION, words: fresh, at: Tick(50_000) },
+            DmaCommand::Write { base: FLAG, words: vec![1], at: Tick(50_000) },
+        ])));
         b.add_cpu_thread(Box::new(ReadBeforeAndAfterDma { step: 0, polling: false }));
         let mut sys = b.build();
         let m = sys.run(50_000_000).expect("dma run completes");
@@ -99,7 +101,8 @@ fn dma_read_observes_cpu_dirty_data() {
         let ops = dirty_region.chain([CpuOp::Store(FLAG, 1)]).collect();
         b.add_cpu_thread(Box::new(CpuScript::new(ops)));
         // The DMA read starts well after the CPU finished dirtying.
-        b.add_dma(DmaCommand::Read { base: REGION, lines: LINES, at: Tick(2_000_000) });
+        let read = DmaCommand::Read { base: REGION, lines: LINES, at: Tick(2_000_000) };
+        b.with_dma(Box::new(DmaScript::new(vec![read])));
         let mut sys = b.build();
         let _ = sys.run(50_000_000).expect("dma run completes");
         // The CPU wrote but never evicted: the data is dirty in its L2.

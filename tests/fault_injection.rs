@@ -20,10 +20,11 @@ fn one_load_system(cfg: SystemConfig) -> System {
 /// The DMA engine reads `TARGET`'s line once: its `DmaRd` is the only
 /// request on the line.
 fn one_dma_read_system(cfg: SystemConfig) -> System {
-    use hsc_repro::cluster::DmaCommand;
+    use hsc_repro::cluster::{DmaCommand, DmaScript};
     let mut b = SystemBuilder::new(cfg);
     b.init_words([(TARGET, 42)]);
-    b.add_dma(DmaCommand::Read { base: TARGET, lines: 1, at: hsc_repro::sim::Tick(0) });
+    let read = DmaCommand::Read { base: TARGET, lines: 1, at: hsc_repro::sim::Tick(0) };
+    b.with_dma(Box::new(DmaScript::new(vec![read])));
     b.build()
 }
 
