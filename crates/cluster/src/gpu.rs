@@ -80,14 +80,22 @@ impl Default for GpuConfig {
     }
 }
 
+/// What a wavefront waits for: one thing at a time. Only
+/// `GpuCluster::block` and `GpuCluster::unblock` write it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum BlockKind {
-    /// Waiting for `pending_fills` TCC line fills.
-    Fill,
+enum Wait {
+    /// Runnable from `ready_at`.
+    Ready,
+    /// Waiting for this many TCC line fills (each MSHR entry that lists
+    /// the wavefront counts once).
+    Fill(u32),
     /// Waiting for an SLC atomic response.
     SlcAtomic,
-    /// Waiting for outstanding write-throughs (and the flush fence).
-    Release,
+    /// Waiting for its outstanding write-throughs and, while `flush`, the
+    /// flush fence's ack.
+    Release { flush: bool },
+    /// Retired (`GpuOp::Done`).
+    Done,
 }
 
 #[derive(Debug, Clone)]
@@ -96,32 +104,21 @@ struct WfCtx {
     cu: usize,
     program: Box<dyn WavefrontProgram>,
     ready_at: Tick,
-    blocked: Option<BlockKind>,
+    wait: Wait,
     last_value: Option<u64>,
     /// The op to re-attempt once unblocked; `None` while blocked on a
     /// fill is an instruction fetch.
     pending: Option<GpuOp>,
-    /// TCC MSHR entries that list this wavefront (each at most once).
-    pending_fills: u32,
     outstanding_wt: u64,
-    flush_pending: bool,
     last_wt_line: Option<LineAddr>,
-    done: bool,
     ops_since_ifetch: u64,
     next_code_line: u64,
     ops_retired: u64,
 }
 
-impl WfCtx {
-    fn is_runnable(&self) -> bool {
-        !self.done && self.blocked.is_none()
-    }
-}
-
-/// The wavefronts `step_all` visits: bit `i` is set iff `wfs[i]` is
-/// runnable (neither done nor blocked). Only `GpuOp::Done`, a block and
-/// an unblock move a bit, so a wavefront that cannot run costs nothing
-/// per event.
+/// The wavefronts `step_all` visits: bit `i` is set iff `wfs[i].wait` is
+/// `Wait::Ready`. Only a block and an unblock move a bit, so a
+/// wavefront that cannot run costs nothing per event.
 #[derive(Debug, Clone)]
 struct Runnable(Vec<u64>);
 
@@ -175,8 +172,7 @@ pub struct GpuCluster {
     /// Every wavefront, CU-major and wavefront-minor: the issue order.
     /// Everything else names a wavefront by its index here.
     wfs: Vec<WfCtx>,
-    /// Derived from `wfs` (their `done` and `blocked`): excluded from
-    /// `hash_state`.
+    /// Derived from `wfs` (their `wait`): excluded from `hash_state`.
     runnable: Runnable,
     tcc: CacheArray<LineData>,
     tcc_mshr: Mshr<TccTxn>,
@@ -253,14 +249,11 @@ impl GpuCluster {
                 cu,
                 program,
                 ready_at: Tick::ZERO,
-                blocked: None,
+                wait: Wait::Ready,
                 last_value: None,
                 pending: None,
-                pending_fills: 0,
                 outstanding_wt: 0,
-                flush_pending: false,
                 last_wt_line: None,
-                done: false,
                 ops_since_ifetch: 0,
                 next_code_line: 0,
                 ops_retired: 0,
@@ -335,7 +328,7 @@ impl GpuCluster {
     /// Whether every wavefront retired and nothing is outstanding.
     #[must_use]
     pub fn is_done(&self) -> bool {
-        self.wfs.iter().all(|w| w.done)
+        self.wfs.iter().all(|w| w.wait == Wait::Done)
             && self.tcc_mshr.is_empty()
             && self.wt_waiters.is_empty()
             && self.slc_waiters.is_empty()
@@ -413,13 +406,10 @@ impl GpuCluster {
     pub fn hash_state<H: std::hash::Hasher>(&self, h: &mut H) {
         use std::hash::Hash;
         for w in &self.wfs {
-            w.done.hash(h);
-            w.blocked.hash(h);
+            w.wait.hash(h);
             w.last_value.hash(h);
             w.pending.hash(h);
-            w.pending_fills.hash(h);
             w.outstanding_wt.hash(h);
-            w.flush_pending.hash(h);
             w.last_wt_line.hash(h);
             w.ops_since_ifetch.hash(h);
             w.next_code_line.hash(h);
@@ -468,7 +458,7 @@ impl GpuCluster {
 
     /// Steps every runnable wavefront that is ready by `now`, in index
     /// order, then arms a wake for the earliest one ready later. Stepping
-    /// a wavefront moves only its own `done`, `blocked` and `ready_at`
+    /// a wavefront moves only its own `wait` and `ready_at`
     /// (and its own bit), so one pass over a snapshot of each word sees
     /// what a scan of every wavefront would.
     fn step_all(&mut self, now: Tick, out: &mut Outbox) {
@@ -482,7 +472,7 @@ impl GpuCluster {
                     self.step_wf(i, now, out);
                 }
                 let w = &self.wfs[i];
-                if w.is_runnable() && w.ready_at > now {
+                if w.wait == Wait::Ready && w.ready_at > now {
                     next = Some(next.map_or(w.ready_at, |t| t.min(w.ready_at)));
                 }
             }
@@ -498,20 +488,22 @@ impl GpuCluster {
         let words = self.runnable.0.len();
         words == self.wfs.len().div_ceil(64)
             && (0..words * 64).all(|i| {
-                self.runnable.contains(i) == self.wfs.get(i).is_some_and(WfCtx::is_runnable)
+                self.runnable.contains(i) == self.wfs.get(i).is_some_and(|w| w.wait == Wait::Ready)
             })
     }
 
-    /// Parks wavefront `i` until `kind` resolves.
-    fn block(&mut self, i: usize, kind: BlockKind) {
-        self.wfs[i].blocked = Some(kind);
+    /// Parks wavefront `i` on `wait` (anything but `Ready`), or retires
+    /// it on `Wait::Done`.
+    fn block(&mut self, i: usize, wait: Wait) {
+        debug_assert_ne!(wait, Wait::Ready, "unblock makes a wavefront ready");
+        self.wfs[i].wait = wait;
         self.runnable.remove(i);
     }
 
-    /// Makes the blocked wavefront `i` runnable again from `ready_at`.
+    /// Makes the waiting wavefront `i` runnable again from `ready_at`.
     fn unblock(&mut self, i: usize, ready_at: Tick) {
         let w = &mut self.wfs[i];
-        w.blocked = None;
+        w.wait = Wait::Ready;
         w.ready_at = ready_at;
         self.runnable.insert(i);
     }
@@ -519,7 +511,7 @@ impl GpuCluster {
     fn step_wf(&mut self, i: usize, now: Tick, out: &mut Outbox) {
         loop {
             let w = &mut self.wfs[i];
-            if !w.is_runnable() || w.ready_at > now {
+            if w.wait != Wait::Ready || w.ready_at > now {
                 return;
             }
             if w.ops_since_ifetch >= self.cfg.ifetch_interval && w.pending.is_none() {
@@ -551,8 +543,7 @@ impl GpuCluster {
                     }
                 }
                 GpuOp::Done => {
-                    w.done = true;
-                    self.runnable.remove(i);
+                    self.block(i, Wait::Done);
                     self.n.done += 1;
                     return;
                 }
@@ -647,10 +638,8 @@ impl GpuCluster {
             let Some(v) = v else {
                 self.n.lane0_refetches += 1;
                 self.request_fill(l0, i, out);
-                let w = &mut self.wfs[i];
-                w.pending_fills += 1;
-                w.pending = Some(GpuOp::VecLoad(addrs));
-                self.block(i, BlockKind::Fill);
+                self.wfs[i].pending = Some(GpuOp::VecLoad(addrs));
+                self.block(i, Wait::Fill(1));
                 return true;
             };
             let w = &mut self.wfs[i];
@@ -658,13 +647,12 @@ impl GpuCluster {
             w.ready_at = now + lat;
             true
         } else {
-            self.wfs[i].pending_fills += lines.len() as u32;
+            self.block(i, Wait::Fill(lines.len() as u32));
             for la in lines.drain(..) {
                 self.request_fill(la, i, out);
             }
             self.line_scratch = lines;
             self.wfs[i].pending = Some(GpuOp::VecLoad(addrs));
-            self.block(i, BlockKind::Fill);
             true
         }
     }
@@ -765,10 +753,8 @@ impl GpuCluster {
             true
         } else {
             self.request_fill(la, i, out);
-            let w = &mut self.wfs[i];
-            w.pending_fills += 1;
-            w.pending = Some(GpuOp::AtomicGlc(a, k));
-            self.block(i, BlockKind::Fill);
+            self.wfs[i].pending = Some(GpuOp::AtomicGlc(a, k));
+            self.block(i, Wait::Fill(1));
             true
         }
     }
@@ -783,7 +769,7 @@ impl GpuCluster {
         self.tcps[self.wfs[i].cu].invalidate(la);
         self.slc_waiters.get_or_insert_with(la, VecDeque::new).push_back(i);
         self.wfs[i].pending = None;
-        self.block(i, BlockKind::SlcAtomic);
+        self.block(i, Wait::SlcAtomic);
         let msg = Message::new(
             self.agent,
             AgentId::Directory,
@@ -807,14 +793,13 @@ impl GpuCluster {
             // Per-line flush fence (§II-A "Flush request … for supporting
             // Store Release"); FIFO ordering guarantees the ack arrives
             // after all our write-through acks for that line.
-            w.flush_pending = true;
             self.flush_waiters.get_or_insert_with(la, VecDeque::new).push_back(i);
             let msg = Message::new(self.agent, AgentId::Directory, la, MsgKind::Flush);
             self.n.req.bump(&msg.kind);
             out.send(msg);
             self.retry.track_sent(msg, &mut self.wakes, out);
         }
-        self.block(i, BlockKind::Release);
+        self.block(i, Wait::Release { flush: fence_line.is_some() });
         true
     }
 
@@ -834,9 +819,7 @@ impl GpuCluster {
             return;
         }
         self.n.tcc_misses += 1;
-        let w = &mut self.wfs[i];
-        w.pending_fills += 1;
-        self.block(i, BlockKind::Fill);
+        self.block(i, Wait::Fill(1));
         self.request_fill(la, i, out);
     }
 
@@ -860,16 +843,18 @@ impl GpuCluster {
         for i in txn.waiters {
             let w = &mut self.wfs[i];
             fill(&mut self.tcps[w.cu], la, data);
-            w.pending_fills -= 1;
-            if w.pending_fills == 0 {
-                let ready_at = if w.pending.is_none() {
-                    fill(&mut self.sqc, la, ());
-                    now + gpu_cycles(self.cfg.sqc_cycles + self.cfg.tcc_cycles)
-                } else {
-                    now // re-attempt the pending op
-                };
-                self.unblock(i, ready_at);
+            let Wait::Fill(n) = w.wait else { unreachable!("a fill waiter waits on fills") };
+            if n > 1 {
+                self.block(i, Wait::Fill(n - 1));
+                continue;
             }
+            let ready_at = if w.pending.is_none() {
+                fill(&mut self.sqc, la, ());
+                now + gpu_cycles(self.cfg.sqc_cycles + self.cfg.tcc_cycles)
+            } else {
+                now // re-attempt the pending op
+            };
+            self.unblock(i, ready_at);
         }
         // TCC requests carry no Unblock: the directory unblocks implicitly
         // (§II-D, footnote 3).
@@ -884,7 +869,7 @@ impl GpuCluster {
         };
         let w = &mut self.wfs[i];
         w.outstanding_wt -= 1;
-        if w.blocked == Some(BlockKind::Release) && w.outstanding_wt == 0 && !w.flush_pending {
+        if w.wait == (Wait::Release { flush: false }) && w.outstanding_wt == 0 {
             self.unblock(i, now);
         }
         self.step_all(now, out);
@@ -896,7 +881,7 @@ impl GpuCluster {
             return;
         };
         let w = &mut self.wfs[i];
-        debug_assert_eq!(w.blocked, Some(BlockKind::SlcAtomic));
+        debug_assert_eq!(w.wait, Wait::SlcAtomic);
         w.last_value = Some(old);
         self.unblock(i, now);
         self.step_all(now, out);
@@ -909,10 +894,12 @@ impl GpuCluster {
             return;
         };
         let w = &mut self.wfs[i];
-        w.flush_pending = false;
+        debug_assert_eq!(w.wait, Wait::Release { flush: true });
         w.last_wt_line = None;
-        if w.blocked == Some(BlockKind::Release) && w.outstanding_wt == 0 {
+        if w.outstanding_wt == 0 {
             self.unblock(i, now);
+        } else {
+            self.block(i, Wait::Release { flush: false });
         }
         self.step_all(now, out);
     }

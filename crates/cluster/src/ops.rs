@@ -1,6 +1,4 @@
-use std::cell::RefCell;
 use std::fmt;
-use std::rc::Rc;
 
 use hsc_mem::{Addr, AtomicKind};
 use hsc_sim::Tick;
@@ -196,34 +194,23 @@ impl CoreProgram for CpuScript {
     }
 }
 
-/// A scripted GPU wavefront, the [`CpuScript`] counterpart. It also keeps
-/// every value it was handed back, for tests of what a load or an atomic
-/// returned.
+/// A scripted GPU wavefront, the [`CpuScript`] counterpart.
 #[derive(Debug, Clone)]
 pub struct GpuScript {
     ops: Vec<GpuOp>,
     cursor: usize,
-    handed: Vec<Option<u64>>,
 }
 
 impl GpuScript {
     /// A wavefront that executes `ops` in order and finishes.
     #[must_use]
     pub fn new(ops: Vec<GpuOp>) -> Self {
-        GpuScript { ops, cursor: 0, handed: Vec::new() }
-    }
-
-    /// The `last_value` of every `next_op` call so far, in call order:
-    /// entry `i + 1` is what op `i` returned.
-    #[must_use]
-    pub fn handed(&self) -> &[Option<u64>] {
-        &self.handed
+        GpuScript { ops, cursor: 0 }
     }
 }
 
 impl WavefrontProgram for GpuScript {
-    fn next_op(&mut self, last: Option<u64>) -> GpuOp {
-        self.handed.push(last);
+    fn next_op(&mut self, _last: Option<u64>) -> GpuOp {
         let op = self.ops.get(self.cursor).cloned().unwrap_or(GpuOp::Done);
         self.cursor += 1;
         op
@@ -331,16 +318,6 @@ impl DmaProgram for DmaScript {
     }
 }
 
-/// A shared handle to a program is a program: a test keeps one clone and
-/// reads the program's state back after the run that owned the other.
-/// A clone of the system shares the program: never explore a system
-/// that holds one.
-impl<P: WavefrontProgram + 'static> WavefrontProgram for Rc<RefCell<P>> {
-    fn next_op(&mut self, last_value: Option<u64>) -> GpuOp {
-        self.borrow_mut().next_op(last_value)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -352,11 +329,10 @@ mod tests {
         assert_eq!(s.next_op(None), CpuOp::Store(Addr(8), 1));
         assert_eq!(s.next_op(None), CpuOp::Done);
         assert_eq!(s.next_op(None), CpuOp::Done, "Done is sticky");
-        let shared = Rc::new(RefCell::new(GpuScript::new(vec![GpuOp::Acquire])));
-        let mut g = Rc::clone(&shared);
+        let mut g = GpuScript::new(vec![GpuOp::Acquire]);
         assert_eq!(g.next_op(None), GpuOp::Acquire);
         assert_eq!(g.next_op(Some(7)), GpuOp::Done);
-        assert_eq!(shared.borrow().handed(), [None, Some(7)]);
+        assert_eq!(g.next_op(None), GpuOp::Done, "Done is sticky");
     }
 
     #[test]

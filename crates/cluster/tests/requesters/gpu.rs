@@ -1,14 +1,11 @@
 //! The GPU cluster's VIPER TCC against the stub directory.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use hsc_cluster::{GpuCluster, GpuConfig, GpuOp, GpuScript, WavefrontProgram};
+use hsc_cluster::{GpuCluster, GpuConfig, GpuOp, WavefrontProgram};
 use hsc_mem::{Addr, AtomicKind, MainMemory};
 use hsc_noc::{Action, MsgKind, ProbeKind};
 use hsc_sim::Tick;
 
-use crate::stub::{probe, pump, transitions};
+use crate::stub::{probe, pump, recorded, transitions, Handed};
 
 fn small_cfg() -> GpuConfig {
     GpuConfig {
@@ -25,13 +22,13 @@ fn one_wf(ops: Vec<GpuOp>, cfg: GpuConfig) -> GpuCluster {
     one_wf_observed(ops, cfg).0
 }
 
-/// Also returns a handle to the script, for the values it was handed.
-fn one_wf_observed(ops: Vec<GpuOp>, cfg: GpuConfig) -> (GpuCluster, Rc<RefCell<GpuScript>>) {
-    let script = Rc::new(RefCell::new(GpuScript::new(ops)));
+/// Also returns the record of the values the wavefront was handed.
+fn one_wf_observed(ops: Vec<GpuOp>, cfg: GpuConfig) -> (GpuCluster, Handed) {
+    let (program, handed) = recorded(ops);
     let mut programs: Vec<Vec<Box<dyn WavefrontProgram>>> =
         (0..cfg.cus).map(|_| Vec::new()).collect();
-    programs[0].push(Box::new(Rc::clone(&script)));
-    (GpuCluster::new(0, programs, cfg), script)
+    programs[0].push(program);
+    (GpuCluster::new(0, programs, cfg), handed)
 }
 
 #[test]
@@ -79,11 +76,7 @@ fn slc_atomic_executes_at_directory_and_returns_old() {
     let mem = pump(&mut gpu, mem, 100_000).mem;
     assert!(gpu.is_done());
     assert_eq!(mem.read_word(a), 110);
-    assert_eq!(
-        seen.borrow().handed(),
-        [None, Some(100), Some(105)],
-        "each atomic returns the old value"
-    );
+    assert_eq!(*seen.borrow(), [None, Some(100), Some(105)], "each atomic returns the old value");
     assert_eq!(gpu.stats().get("tcc.req.Atomic"), 2);
 }
 
@@ -181,24 +174,20 @@ fn more_than_64_wavefronts_all_run_to_completion() {
     // Wavefront `g` stores its own word (eight to a line, so fills and
     // write-through queues are shared), releases, and reads it back.
     let word = |g: u64| (Addr(0x10_000 + g * 8), 1000 + g);
-    let scripts: Vec<Rc<RefCell<GpuScript>>> = (0..cfg.cus as u64 * PER_CU)
+    let (mut programs, logs): (Vec<_>, Vec<_>) = (0..cfg.cus as u64 * PER_CU)
         .map(|g| {
             let (a, v) = word(g);
-            let ops = vec![GpuOp::VecStore(vec![(a, v)]), GpuOp::Release, GpuOp::VecLoad(vec![a])];
-            Rc::new(RefCell::new(GpuScript::new(ops)))
+            recorded(vec![GpuOp::VecStore(vec![(a, v)]), GpuOp::Release, GpuOp::VecLoad(vec![a])])
         })
-        .collect();
-    let programs = scripts
-        .chunks(PER_CU as usize)
-        .map(|cu| cu.iter().map(|s| Box::new(Rc::clone(s)) as Box<dyn WavefrontProgram>).collect())
-        .collect();
+        .unzip();
+    let programs = (0..cfg.cus).map(|_| programs.drain(..PER_CU as usize).collect()).collect();
     let mut gpu = GpuCluster::new(0, programs, cfg);
     let mem = pump(&mut gpu, MainMemory::new(), 1_000_000).mem;
     assert!(gpu.is_done());
     assert_eq!(gpu.stats().get("wf.done"), 2 * PER_CU);
-    for (g, s) in scripts.iter().enumerate() {
+    for (g, log) in logs.iter().enumerate() {
         let (a, v) = word(g as u64);
         assert_eq!(mem.read_word(a), v, "wavefront {g}'s store");
-        assert_eq!(s.borrow().handed(), [None, None, None, Some(v)], "wavefront {g}'s reload");
+        assert_eq!(*log.borrow(), [None, None, None, Some(v)], "wavefront {g}'s reload");
     }
 }

@@ -2,9 +2,6 @@
 //! full-system runs only hit probabilistically are forced deterministically
 //! here, the test playing the directory by hand where the race needs it.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use hsc_cluster::{
     CorePair, CpuConfig, CpuOp, CpuScript, DmaCommand, DmaEngine, GpuCluster, GpuConfig, GpuOp,
     GpuScript,
@@ -13,7 +10,7 @@ use hsc_mem::{Addr, LineAddr, LineData, MainMemory};
 use hsc_noc::{Action, Grant, Message, MsgKind, Outbox, ProbeKind, WordMask};
 use hsc_sim::{Tick, WheelQueue};
 
-use crate::stub::{deliver, pump, sends};
+use crate::stub::{deliver, pump, recorded, sends};
 
 fn data(v: u64) -> LineData {
     let mut d = LineData::zeroed();
@@ -202,11 +199,11 @@ fn slc_atomic_self_invalidates_cached_copies() {
     // A TCC copy of a line must not survive an SLC atomic to that line
     // (the directory-side modification would make it stale).
     let a = Addr(0x7000);
-    let script = Rc::new(RefCell::new(GpuScript::new(vec![
+    let (program, handed) = recorded(vec![
         GpuOp::VecLoad(vec![a]),
         GpuOp::AtomicSlc(a, hsc_mem::AtomicKind::FetchAdd(1)),
         GpuOp::VecLoad(vec![a]), // must MISS and refetch
-    ])));
+    ]);
     let cfg = GpuConfig {
         cus: 1,
         tcp_bytes: 1024,
@@ -215,7 +212,7 @@ fn slc_atomic_self_invalidates_cached_copies() {
         ifetch_interval: 10_000,
         ..GpuConfig::default()
     };
-    let mut gpu = GpuCluster::new(0, vec![vec![Box::new(Rc::clone(&script))]], cfg);
+    let mut gpu = GpuCluster::new(0, vec![vec![program]], cfg);
     let run = pump(&mut gpu, MainMemory::new(), 10_000);
     for m in &run.requests {
         let class = m.kind.class_name();
@@ -224,7 +221,7 @@ fn slc_atomic_self_invalidates_cached_copies() {
     let rdblks = run.requests.iter().filter(|m| matches!(m.kind, MsgKind::RdBlk)).count();
     assert!(gpu.is_done());
     assert_eq!(
-        script.borrow().handed(),
+        *handed.borrow(),
         [None, Some(0), Some(0), Some(1)],
         "the atomic returns the directory's old value; the refetch sees its result"
     );

@@ -1,9 +1,11 @@
 //! The one stub directory the requester tests answer through, and the pump
 //! that runs a requester against it.
 
+use std::cell::RefCell;
 use std::hash::Hasher;
+use std::rc::Rc;
 
-use hsc_cluster::{CorePair, DmaEngine, GpuCluster};
+use hsc_cluster::{CorePair, DmaEngine, GpuCluster, GpuOp, GpuScript, WavefrontProgram};
 use hsc_mem::{LineAddr, LineData, MainMemory};
 use hsc_noc::{Action, AgentId, Grant, Message, MsgKind, Outbox, ProbeKind, WordMask};
 use hsc_sim::{Fnv1a, StatSet, Tick, TransitionMatrix, WheelQueue};
@@ -47,6 +49,33 @@ macro_rules! requester {
 requester!(CorePair);
 requester!(GpuCluster);
 requester!(DmaEngine);
+
+/// Every `last_value` a [`Recorded`] program was handed, in call order:
+/// entry `i + 1` is what op `i` returned.
+pub type Handed = Rc<RefCell<Vec<Option<u64>>>>;
+
+/// A [`GpuScript`] that logs what it is handed back into a log the test
+/// keeps a handle to. Its clones share the log, so a system holding one
+/// must not be explored.
+#[derive(Debug, Clone)]
+struct Recorded {
+    script: GpuScript,
+    handed: Handed,
+}
+
+impl WavefrontProgram for Recorded {
+    fn next_op(&mut self, last: Option<u64>) -> GpuOp {
+        self.handed.borrow_mut().push(last);
+        self.script.next_op(last)
+    }
+}
+
+/// A wavefront that runs `ops` and records what it was handed, and the
+/// handle to that record.
+pub fn recorded(ops: Vec<GpuOp>) -> (Box<dyn WavefrontProgram>, Handed) {
+    let handed = Handed::default();
+    (Box::new(Recorded { script: GpuScript::new(ops), handed: Rc::clone(&handed) }), handed)
+}
 
 /// What the stub directory answers `m` with, if anything: a trivially
 /// coherent directory over `mem` that sends no probes of its own. RdBlk

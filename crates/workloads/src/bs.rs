@@ -10,6 +10,7 @@ use hsc_cluster::{CoreProgram, CpuOp, GpuOp, WavefrontProgram};
 use hsc_core::{System, SystemBuilder};
 use hsc_mem::Addr;
 
+use crate::util::share;
 use crate::Workload;
 
 const CTRL_BASE: u64 = 0x0030_0000;
@@ -176,10 +177,8 @@ impl Workload for Bs {
     fn build(&self, b: &mut SystemBuilder) {
         b.init_words((0..self.control_points).map(|c| (Addr(CTRL_BASE).word(c), self.ctrl(c))));
         let cpu_share = self.cpu_share();
-        let per_thread = cpu_share.div_ceil((self.cpu_threads as u64).max(1));
         for t in 0..self.cpu_threads as u64 {
-            let lo = (t * per_thread).min(cpu_share);
-            let hi = ((t + 1) * per_thread).min(cpu_share);
+            let (lo, hi) = share(cpu_share, self.cpu_threads as u64, t);
             b.add_cpu_thread(Box::new(CpuWorker {
                 bench: *self,
                 lo,
@@ -188,10 +187,9 @@ impl Workload for Bs {
             }));
         }
         let gpu_share = self.surface_points - cpu_share;
-        let per_wf = gpu_share.div_ceil((self.wavefronts as u64).max(1));
         for w in 0..self.wavefronts as u64 {
-            let lo = cpu_share + (w * per_wf).min(gpu_share);
-            let hi = cpu_share + ((w + 1) * per_wf).min(gpu_share);
+            let (lo, hi) = share(gpu_share, self.wavefronts as u64, w);
+            let (lo, hi) = (cpu_share + lo, cpu_share + hi);
             b.add_wavefront(Box::new(GpuWorker {
                 bench: *self,
                 lo,

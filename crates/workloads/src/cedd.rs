@@ -12,7 +12,7 @@ use hsc_core::{System, SystemBuilder};
 use hsc_mem::{Addr, AtomicKind};
 use hsc_sim::Tick;
 
-use crate::util::{synth_value, CpuSpin, GpuSpin};
+use crate::util::{share, synth_value, CpuSpin, GpuSpin};
 use crate::Workload;
 
 const INPUT_BASE: u64 = 0x00A0_0000;
@@ -374,10 +374,8 @@ impl Workload for Cedd {
             }));
         }
         // GPU stages 2 and 3: wavefronts split the pixel range.
-        let per = self.pixels.div_ceil(self.wfs_per_stage as u64);
         for w in 0..self.wfs_per_stage as u64 {
-            let lo = (w * per).min(self.pixels);
-            let hi = ((w + 1) * per).min(self.pixels);
+            let (lo, hi) = share(self.pixels, self.wfs_per_stage as u64, w);
             b.add_wavefront(Box::new(GpuStage {
                 bench: *self,
                 lo,

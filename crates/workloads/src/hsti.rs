@@ -10,7 +10,7 @@ use hsc_cluster::{CoreProgram, CpuOp, GpuOp, WavefrontProgram};
 use hsc_core::{System, SystemBuilder};
 use hsc_mem::{Addr, AtomicKind};
 
-use crate::util::{lane_addrs_clipped, synth_value};
+use crate::util::{lane_addrs_clipped, share, synth_value};
 use crate::Workload;
 
 const INPUT_BASE: u64 = 0x0010_0000;
@@ -174,18 +174,14 @@ impl Workload for Hsti {
     fn build(&self, b: &mut SystemBuilder) {
         b.init_words((0..self.elements).map(|i| (Addr(INPUT_BASE).word(i), self.input(i))));
         let cpu_share = self.cpu_share();
-        let per_thread = cpu_share.div_ceil((self.cpu_threads as u64).max(1));
         for t in 0..self.cpu_threads as u64 {
-            let lo = (t * per_thread).min(cpu_share);
-            let hi = ((t + 1) * per_thread).min(cpu_share);
+            let (lo, hi) = share(cpu_share, self.cpu_threads as u64, t);
             b.add_cpu_thread(Box::new(CpuWorker::new(*self, lo, hi)));
         }
         let gpu_share = self.elements - cpu_share;
-        let per_wf = gpu_share.div_ceil((self.wavefronts as u64).max(1));
         for w in 0..self.wavefronts as u64 {
-            let lo = cpu_share + (w * per_wf).min(gpu_share);
-            let hi = cpu_share + ((w + 1) * per_wf).min(gpu_share);
-            b.add_wavefront(Box::new(GpuWorker::new(*self, lo, hi, 16)));
+            let (lo, hi) = share(gpu_share, self.wavefronts as u64, w);
+            b.add_wavefront(Box::new(GpuWorker::new(*self, cpu_share + lo, cpu_share + hi, 16)));
         }
     }
 

@@ -10,7 +10,7 @@ use hsc_cluster::{CoreProgram, CpuOp, GpuOp, WavefrontProgram};
 use hsc_core::{System, SystemBuilder};
 use hsc_mem::Addr;
 
-use crate::util::{lane_addrs_clipped, synth_value};
+use crate::util::{lane_addrs_clipped, share, synth_value};
 use crate::Workload;
 
 const INPUT_BASE: u64 = 0x0040_0000;
@@ -48,12 +48,6 @@ impl Hsto {
 
     fn workers(&self) -> u64 {
         (self.cpu_threads + self.wavefronts) as u64
-    }
-
-    /// Bin range `[lo, hi)` owned by worker `w`.
-    fn bin_range(&self, w: u64) -> (u64, u64) {
-        let per = self.bins.div_ceil(self.workers());
-        ((w * per).min(self.bins), ((w + 1) * per).min(self.bins))
     }
 
     fn count_range(&self, lo: u64, hi: u64) -> Vec<u64> {
@@ -155,7 +149,7 @@ impl Workload for Hsto {
     fn build(&self, b: &mut SystemBuilder) {
         b.init_words((0..self.elements).map(|i| (Addr(INPUT_BASE).word(i), self.input(i))));
         for t in 0..self.cpu_threads as u64 {
-            let (lo, hi) = self.bin_range(t);
+            let (lo, hi) = share(self.bins, self.workers(), t);
             b.add_cpu_thread(Box::new(CpuWorker {
                 bench: *self,
                 bin_lo: lo,
@@ -167,7 +161,7 @@ impl Workload for Hsto {
             }));
         }
         for w in 0..self.wavefronts as u64 {
-            let (lo, hi) = self.bin_range(self.cpu_threads as u64 + w);
+            let (lo, hi) = share(self.bins, self.workers(), self.cpu_threads as u64 + w);
             b.add_wavefront(Box::new(GpuWorker {
                 bench: *self,
                 bin_lo: lo,

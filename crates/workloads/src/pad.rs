@@ -12,7 +12,7 @@ use hsc_cluster::{CoreProgram, CpuOp, GpuOp, WavefrontProgram};
 use hsc_core::{System, SystemBuilder};
 use hsc_mem::{Addr, AtomicKind};
 
-use crate::util::{synth_value, CpuSpin, GpuSpin};
+use crate::util::{share, synth_value, CpuSpin, GpuSpin};
 use crate::Workload;
 
 const ARRAY_BASE: u64 = 0x0100_0000;
@@ -56,13 +56,6 @@ impl Pad {
 
     fn workers(&self) -> u64 {
         (self.cpu_threads + self.wavefronts) as u64
-    }
-
-    /// Row range `[lo, hi)` of worker `w`; higher workers own higher rows
-    /// and must finish first.
-    fn rows_of(&self, w: u64) -> (u64, u64) {
-        let per = self.rows.div_ceil(self.workers());
-        ((w * per).min(self.rows), ((w + 1) * per).min(self.rows))
     }
 
     fn flag_addr(&self, w: u64) -> Addr {
@@ -251,8 +244,9 @@ impl Workload for Pad {
         b.init_words((0..self.rows * self.cols).map(|i| (Addr(ARRAY_BASE).word(i), self.input(i))));
         let workers = self.workers();
         // Worker ids: 0..cpu_threads are CPU (bottom rows), then GPU (top).
+        // Higher workers own higher rows and must finish first.
         for t in 0..self.cpu_threads as u64 {
-            let (lo, hi) = self.rows_of(t);
+            let (lo, hi) = share(self.rows, workers, t);
             b.add_cpu_thread(Box::new(CpuWorker {
                 bench: *self,
                 w: t,
@@ -266,7 +260,7 @@ impl Workload for Pad {
         }
         for g in 0..self.wavefronts as u64 {
             let w = self.cpu_threads as u64 + g;
-            let (lo, hi) = self.rows_of(w);
+            let (lo, hi) = share(self.rows, workers, w);
             b.add_wavefront(Box::new(GpuWorker {
                 bench: *self,
                 w,

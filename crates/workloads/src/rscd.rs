@@ -14,7 +14,7 @@ use hsc_cluster::{CoreProgram, CpuOp, GpuOp, WavefrontProgram};
 use hsc_core::{System, SystemBuilder};
 use hsc_mem::{Addr, AtomicKind};
 
-use crate::util::synth_value;
+use crate::util::{share, synth_value};
 use crate::Workload;
 
 const POINTS_BASE: u64 = 0x0120_0000;
@@ -64,11 +64,6 @@ impl Rscd {
 
     fn workers(&self) -> u64 {
         (self.cpu_threads + self.wavefronts) as u64
-    }
-
-    fn slice_of(&self, w: u64) -> (u64, u64) {
-        let per = self.points.div_ceil(self.workers());
-        ((w * per).min(self.points), ((w + 1) * per).min(self.points))
     }
 
     fn err_addr(&self, i: u64) -> Addr {
@@ -263,7 +258,7 @@ impl Workload for Rscd {
         b.init_words((0..self.points).map(|p| (Addr(POINTS_BASE).word(p), self.point(p))));
         b.init_words([(Addr(BEST_ADDR), u64::MAX)]);
         for t in 0..self.cpu_threads as u64 {
-            let (lo, hi) = self.slice_of(t);
+            let (lo, hi) = share(self.points, self.workers(), t);
             b.add_cpu_thread(Box::new(CpuWorker {
                 bench: *self,
                 lo,
@@ -274,7 +269,7 @@ impl Workload for Rscd {
             }));
         }
         for g in 0..self.wavefronts as u64 {
-            let (lo, hi) = self.slice_of(self.cpu_threads as u64 + g);
+            let (lo, hi) = share(self.points, self.workers(), self.cpu_threads as u64 + g);
             b.add_wavefront(Box::new(GpuWorker {
                 bench: *self,
                 lo,

@@ -11,7 +11,7 @@ use hsc_cluster::{CoreProgram, CpuOp, GpuOp, WavefrontProgram};
 use hsc_core::{System, SystemBuilder};
 use hsc_mem::{Addr, AtomicKind};
 
-use crate::util::{synth_value, CpuSpin, GpuSpin};
+use crate::util::{share, synth_value, CpuSpin, GpuSpin};
 use crate::Workload;
 
 const TASKS_BASE: u64 = 0x0080_0000;
@@ -271,10 +271,8 @@ impl Workload for Tq {
     }
 
     fn build(&self, b: &mut SystemBuilder) {
-        let per = self.tasks.div_ceil(self.producers as u64);
         for p in 0..self.producers as u64 {
-            let lo = (p * per).min(self.tasks);
-            let hi = ((p + 1) * per).min(self.tasks);
+            let (lo, hi) = share(self.tasks, self.producers as u64, p);
             b.add_cpu_thread(Box::new(Producer {
                 bench: *self,
                 i: lo,

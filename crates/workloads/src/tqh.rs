@@ -12,7 +12,7 @@ use hsc_cluster::{CoreProgram, CpuOp, GpuOp, WavefrontProgram};
 use hsc_core::{System, SystemBuilder};
 use hsc_mem::{Addr, AtomicKind};
 
-use crate::util::{synth_value, GpuSpin};
+use crate::util::{share, synth_value, GpuSpin};
 use crate::Workload;
 
 const IMAGE_BASE: u64 = 0x0150_0000;
@@ -204,10 +204,9 @@ impl Workload for Tqh {
     }
 
     fn build(&self, b: &mut SystemBuilder) {
-        let per = self.blocks.div_ceil(self.producers as u64);
         for t in 0..self.producers as u64 {
-            let blocks: Vec<u64> =
-                ((t * per).min(self.blocks)..((t + 1) * per).min(self.blocks)).collect();
+            let (lo, hi) = share(self.blocks, self.producers as u64, t);
+            let blocks: Vec<u64> = (lo..hi).collect();
             b.add_cpu_thread(Box::new(Producer { bench: *self, blocks, bi: 0, p: 0 }));
         }
         for _ in 0..self.wavefronts {

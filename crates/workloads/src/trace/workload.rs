@@ -66,13 +66,13 @@ impl Workload for TraceWorkload {
     fn build(&self, b: &mut SystemBuilder) {
         b.init_words(self.program.init.iter().copied());
         for (si, stream) in self.program.streams.iter().enumerate() {
-            let flag = Self::mismatch_flag(si);
+            let cursor = || Cursor::new(Arc::clone(&self.program), si, Self::mismatch_flag(si));
             match stream.kind {
                 StreamKind::Cpu => {
-                    b.add_cpu_thread(Box::new(TraceCpu::new(Arc::clone(&self.program), si, flag)));
+                    b.add_cpu_thread(Box::new(TraceCpu(cursor())));
                 }
                 StreamKind::Gpu => {
-                    b.add_wavefront(Box::new(TraceGpu::new(Arc::clone(&self.program), si, flag)));
+                    b.add_wavefront(Box::new(TraceGpu(cursor())));
                 }
                 StreamKind::Dma => {}
             }
@@ -121,9 +121,11 @@ impl Workload for TraceWorkload {
     }
 }
 
-/// Replays stream `stream` of the shared trace as an in-order core program.
+/// Walks stream `stream` of the shared trace and latches its first failed
+/// `expect`: the one decision [`TraceCpu`] and [`TraceGpu`] share. Each
+/// maps the ops it yields to its own requester's ops.
 #[derive(Debug, Clone)]
-struct TraceCpu {
+struct Cursor {
     program: Arc<TraceProgram>,
     stream: usize,
     idx: usize,
@@ -133,99 +135,80 @@ struct TraceCpu {
     check: Option<(u64, u64)>,
 }
 
-impl TraceCpu {
+impl Cursor {
     fn new(program: Arc<TraceProgram>, stream: usize, flag: Addr) -> Self {
-        TraceCpu { program, stream, idx: 0, flag, flagged: false, check: None }
+        Cursor { program, stream, idx: 0, flag, flagged: false, check: None }
+    }
+
+    /// Checks `last` against the `expect` of the op just issued. The first
+    /// time one fails, returns the stream's mismatch flag and the code to
+    /// store there (`op_index + 1`).
+    fn failed_expect(&mut self, last: Option<u64>) -> Option<(Addr, u64)> {
+        let (want, code) = self.check.take()?;
+        if last == Some(want) || self.flagged {
+            return None;
+        }
+        self.flagged = true;
+        Some((self.flag, code))
+    }
+
+    /// The stream's next op, arming its `expect`; `None` once finished.
+    fn next_op(&mut self) -> Option<TraceOp> {
+        let op = *self.program.streams[self.stream].ops.get(self.idx)?;
+        self.idx += 1;
+        if let TraceOp::Read { expect: Some(want), .. }
+        | TraceOp::Atomic { expect: Some(want), .. } = op
+        {
+            self.check = Some((want, self.idx as u64));
+        }
+        Some(op)
     }
 }
 
+/// Replays one stream of the shared trace as an in-order core program.
+#[derive(Debug, Clone)]
+struct TraceCpu(Cursor);
+
 impl CoreProgram for TraceCpu {
     fn next_op(&mut self, last: Option<u64>) -> CpuOp {
-        if let Some((want, code)) = self.check.take() {
-            if last != Some(want) && !self.flagged {
-                self.flagged = true;
-                return CpuOp::Store(self.flag, code);
-            }
+        if let Some((flag, code)) = self.0.failed_expect(last) {
+            return CpuOp::Store(flag, code);
         }
-        loop {
-            let Some(op) = self.program.streams[self.stream].ops.get(self.idx) else {
-                return CpuOp::Done;
-            };
-            let code = self.idx as u64 + 1;
-            self.idx += 1;
-            match *op {
-                TraceOp::Read { addr, expect } => {
-                    if let Some(want) = expect {
-                        self.check = Some((want, code));
-                    }
-                    return CpuOp::Load(addr);
-                }
+        while let Some(op) = self.0.next_op() {
+            match op {
+                TraceOp::Read { addr, .. } => return CpuOp::Load(addr),
                 TraceOp::Write { addr, value } => return CpuOp::Store(addr, value),
-                TraceOp::Atomic { addr, kind, expect } => {
-                    if let Some(want) = expect {
-                        self.check = Some((want, code));
-                    }
-                    return CpuOp::Atomic(addr, kind);
-                }
+                TraceOp::Atomic { addr, kind, .. } => return CpuOp::Atomic(addr, kind),
                 // Parser-rejected on cpu streams; skip defensively so a
                 // hand-built program cannot wedge the core.
                 TraceOp::Fence(_) => {}
             }
         }
+        CpuOp::Done
     }
 }
 
-/// Replays stream `stream` of the shared trace as a single-lane wavefront
+/// Replays one stream of the shared trace as a single-lane wavefront
 /// program.
 #[derive(Debug, Clone)]
-struct TraceGpu {
-    program: Arc<TraceProgram>,
-    stream: usize,
-    idx: usize,
-    flag: Addr,
-    flagged: bool,
-    check: Option<(u64, u64)>,
-}
-
-impl TraceGpu {
-    fn new(program: Arc<TraceProgram>, stream: usize, flag: Addr) -> Self {
-        TraceGpu { program, stream, idx: 0, flag, flagged: false, check: None }
-    }
-}
+struct TraceGpu(Cursor);
 
 impl WavefrontProgram for TraceGpu {
     fn next_op(&mut self, last: Option<u64>) -> GpuOp {
-        if let Some((want, code)) = self.check.take() {
-            if last != Some(want) && !self.flagged {
-                self.flagged = true;
-                // A system-scope exchange is immediately globally visible
-                // (executes at the directory), so the flag needs no fence.
-                return GpuOp::AtomicSlc(self.flag, AtomicKind::Exchange(code));
-            }
+        if let Some((flag, code)) = self.0.failed_expect(last) {
+            // A system-scope exchange is immediately globally visible
+            // (executes at the directory), so the flag needs no fence.
+            return GpuOp::AtomicSlc(flag, AtomicKind::Exchange(code));
         }
-        let Some(op) = self.program.streams[self.stream].ops.get(self.idx) else {
-            return GpuOp::Done;
-        };
-        let code = self.idx as u64 + 1;
-        self.idx += 1;
-        match *op {
-            TraceOp::Read { addr, expect } => {
-                if let Some(want) = expect {
-                    self.check = Some((want, code));
-                }
-                GpuOp::VecLoad(vec![addr])
-            }
-            TraceOp::Write { addr, value } => GpuOp::VecStore(vec![(addr, value)]),
-            TraceOp::Atomic { addr, kind, expect } => {
-                if let Some(want) = expect {
-                    self.check = Some((want, code));
-                }
-                // System scope: traces assert on globally coherent values,
-                // so replayed atomics execute at the directory.
-                GpuOp::AtomicSlc(addr, kind)
-            }
-            TraceOp::Fence(FenceKind::Acquire) => GpuOp::Acquire,
-            TraceOp::Fence(FenceKind::Release) => GpuOp::Release,
+        match self.0.next_op() {
+            None => GpuOp::Done,
+            Some(TraceOp::Read { addr, .. }) => GpuOp::VecLoad(vec![addr]),
+            Some(TraceOp::Write { addr, value }) => GpuOp::VecStore(vec![(addr, value)]),
+            // System scope: traces assert on globally coherent values, so
+            // replayed atomics execute at the directory.
+            Some(TraceOp::Atomic { addr, kind, .. }) => GpuOp::AtomicSlc(addr, kind),
+            Some(TraceOp::Fence(FenceKind::Acquire)) => GpuOp::Acquire,
+            Some(TraceOp::Fence(FenceKind::Release)) => GpuOp::Release,
         }
     }
 }
@@ -372,6 +355,44 @@ read 0x1000 expect 1
 ")
         .expect_err("gpu mismatch must fail");
         assert!(err.to_string().contains("stream 0 (gpu)"), "{err}");
+    }
+
+    /// Each stream fails a read's and an atomic's `expect`; the latch
+    /// keeps the first, whichever stream `verify` reports.
+    #[test]
+    fn each_stream_latches_its_first_failed_expect() {
+        const CPU: &str = "\
+stream cpu
+read 0x1000 expect 5
+read 0x1000 expect 6
+atomic 0x1040 add 1 expect 9
+";
+        const GPU: &str = "\
+stream gpu
+atomic 0x2040 add 1 expect 9
+read 0x2000 expect 8
+";
+        let init = "hsc-trace v1\ninit 0x1000 5\ninit 0x1040 7\ninit 0x2000 3\ninit 0x2040 4\n";
+        // (streams, the message naming stream 0's first failure, each
+        // stream's flag: its first failing op's index + 1).
+        for (streams, first, flags) in [
+            ([CPU, GPU], "stream 0 (cpu) op 1 ", [2, 1]),
+            ([GPU, CPU], "stream 0 (gpu) op 0 ", [1, 2]),
+        ] {
+            let text = format!("{init}{}{}", streams[0], streams[1]);
+            let w = TraceWorkload::new(TraceProgram::parse(&text).expect("test trace parses"));
+            let mut b =
+                SystemBuilder::new(SystemConfig::with_coherence(CoherenceConfig::baseline()));
+            w.build(&mut b);
+            let mut sys = b.build();
+            sys.run(u64::MAX).expect("the trace runs to completion");
+            let err = w.verify(&sys).expect_err("failed expects must fail verification");
+            assert!(err.contains(first), "{err}");
+            for (si, want) in flags.into_iter().enumerate() {
+                let got = sys.final_word(TraceWorkload::mismatch_flag(si));
+                assert_eq!(got, want, "stream {si}'s flag");
+            }
+        }
     }
 
     #[test]

@@ -23,6 +23,24 @@ pub fn lane_addrs_clipped(base: Addr, idx: u64, lanes: usize, total: u64) -> Vec
     (start..end).map(|i| base.word(i)).collect()
 }
 
+/// Worker `w`'s share `[lo, hi)` of `n` items dealt to `parts` workers
+/// in contiguous runs of `⌈n / parts⌉`, in worker order; the last shares
+/// may be short or empty.
+///
+/// # Examples
+///
+/// ```
+/// use hsc_workloads::util::share;
+///
+/// let shares: Vec<_> = (0..3).map(|w| share(7, 3, w)).collect();
+/// assert_eq!(shares, [(0, 3), (3, 6), (6, 7)]);
+/// ```
+#[must_use]
+pub fn share(n: u64, parts: u64, w: u64) -> (u64, u64) {
+    let per = n.div_ceil(parts);
+    ((w * per).min(n), ((w + 1) * per).min(n))
+}
+
 /// A CPU-side spin-wait sub-machine: polls a flag word with a compute
 /// backoff between polls.
 ///
@@ -34,14 +52,13 @@ pub struct CpuSpin {
     addr: Addr,
     backoff: u64,
     awaiting_load: bool,
-    polls: u64,
 }
 
 impl CpuSpin {
     /// Spins on the word at `addr` with `backoff` CPU cycles between polls.
     #[must_use]
     pub fn new(addr: Addr, backoff: u64) -> Self {
-        CpuSpin { addr, backoff, awaiting_load: false, polls: 0 }
+        CpuSpin { addr, backoff, awaiting_load: false }
     }
 
     /// Advances the spin. Returns the op to issue next, or `None` once
@@ -60,7 +77,6 @@ impl CpuSpin {
             }
         }
         self.awaiting_load = true;
-        self.polls += 1;
         Some(CpuOp::Load(self.addr))
     }
 
@@ -68,12 +84,6 @@ impl CpuSpin {
     pub fn reset(&mut self, addr: Addr) {
         self.addr = addr;
         self.awaiting_load = false;
-    }
-
-    /// Number of loads issued so far (for traffic sanity checks).
-    #[must_use]
-    pub fn polls(&self) -> u64 {
-        self.polls
     }
 }
 
@@ -143,6 +153,37 @@ mod tests {
     }
 
     #[test]
+    fn shares_cover_every_item_once_in_worker_order() {
+        for n in 0..=40 {
+            for parts in 1..=12 {
+                let shares: Vec<(u64, u64)> = (0..parts).map(|w| share(n, parts, w)).collect();
+                assert_eq!(shares[0].0, 0, "n={n} parts={parts}: the first share starts at 0");
+                assert_eq!(
+                    shares[parts as usize - 1].1,
+                    n,
+                    "n={n} parts={parts}: the last ends at n"
+                );
+                for (w, &(lo, hi)) in shares.iter().enumerate() {
+                    assert!(lo <= hi, "n={n} parts={parts}: share {w} is [{lo}, {hi})");
+                    if let Some(&(next, _)) = shares.get(w + 1) {
+                        assert_eq!(
+                            hi,
+                            next,
+                            "n={n} parts={parts}: share {w} ends where {} starts",
+                            w + 1
+                        );
+                    }
+                }
+                for item in 0..n {
+                    let owners =
+                        shares.iter().filter(|&&(lo, hi)| (lo..hi).contains(&item)).count();
+                    assert_eq!(owners, 1, "n={n} parts={parts}: item {item} has {owners} owners");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn cpu_spin_polls_until_pred() {
         let mut s = CpuSpin::new(Addr(0x10), 5);
         // First call: issue the load.
@@ -152,7 +193,6 @@ mod tests {
         assert_eq!(s.step(None, |v| v == 1), Some(CpuOp::Load(Addr(0x10))));
         // Value 1: done.
         assert_eq!(s.step(Some(1), |v| v == 1), None);
-        assert_eq!(s.polls(), 2);
     }
 
     #[test]
