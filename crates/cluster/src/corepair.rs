@@ -130,16 +130,26 @@ impl Waiters {
     }
 }
 
+/// What a core waits for: one thing at a time, as a wavefront does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Wait {
+    /// Runnable from `ready_at`.
+    Ready,
+    /// Blocked on the L2 miss in flight for this line.
+    Miss(LineAddr),
+    /// Retired (`CpuOp::Done`).
+    Done,
+}
+
 #[derive(Debug, Clone)]
 struct CoreCtx {
     program: Box<dyn CoreProgram>,
     ready_at: Tick,
-    blocked_line: Option<LineAddr>,
+    wait: Wait,
     last_value: Option<u64>,
-    /// The data op to re-attempt once `blocked_line` fills; `None` while
+    /// The data op to re-attempt once the missed line fills; `None` while
     /// blocked is an instruction fetch.
     pending: Option<CpuOp>,
-    done: bool,
     ops_since_ifetch: u64,
     next_code_line: u64,
     code_base: LineAddr,
@@ -227,10 +237,9 @@ impl CorePair {
             .map(|(c, program)| CoreCtx {
                 program,
                 ready_at: Tick::ZERO,
-                blocked_line: None,
+                wait: Wait::Ready,
                 last_value: None,
                 pending: None,
-                done: false,
                 ops_since_ifetch: 0,
                 next_code_line: 0,
                 code_base: Addr(CODE_REGION_BASE + ((index * 2 + c) as u64) * cfg.code_lines * 64)
@@ -309,7 +318,9 @@ impl CorePair {
     /// victim write-back is outstanding.
     #[must_use]
     pub fn is_done(&self) -> bool {
-        self.cores.iter().all(|c| c.done) && self.mshr.is_empty() && self.victims.is_empty()
+        self.cores.iter().all(|c| c.wait == Wait::Done)
+            && self.mshr.is_empty()
+            && self.victims.is_empty()
     }
 
     /// Per-pair statistics (`l2.hits`, `l2.misses`, `core.loads`, …). The
@@ -400,8 +411,7 @@ impl CorePair {
     pub fn hash_state<H: std::hash::Hasher>(&self, h: &mut H) {
         use std::hash::Hash;
         for c in &self.cores {
-            c.done.hash(h);
-            c.blocked_line.hash(h);
+            c.wait.hash(h);
             c.last_value.hash(h);
             c.pending.hash(h);
             c.ops_since_ifetch.hash(h);
@@ -491,8 +501,8 @@ impl CorePair {
         let fill_lat = cpu_cycles(self.cfg.l1_cycles + self.cfg.l2_cycles);
         for &c in waiters {
             let core = &mut self.cores[c];
-            debug_assert_eq!(core.blocked_line, Some(la));
-            core.blocked_line = None;
+            debug_assert_eq!(core.wait, Wait::Miss(la));
+            core.wait = Wait::Ready;
             if core.pending.is_none() {
                 // Instruction fetch completes directly: fill the L1I tag.
                 core.ready_at = now + fill_lat;
@@ -513,7 +523,7 @@ impl CorePair {
         let next = self
             .cores
             .iter()
-            .filter(|c| !c.done && c.blocked_line.is_none())
+            .filter(|c| c.wait == Wait::Ready)
             .map(|c| c.ready_at)
             .filter(|&t| t > now)
             .min();
@@ -525,7 +535,7 @@ impl CorePair {
     fn step_core(&mut self, i: usize, now: Tick, out: &mut Outbox) {
         loop {
             let c = &mut self.cores[i];
-            if c.done || c.blocked_line.is_some() || c.ready_at > now {
+            if c.wait != Wait::Ready || c.ready_at > now {
                 return;
             }
             // Periodic synthetic instruction fetch (RdBlkS exerciser).
@@ -549,49 +559,44 @@ impl CorePair {
                 c.ops_retired += 1;
                 c.ops_since_ifetch += 1;
             }
+            // Only a zero-cycle compute op lets the core go on at once; a
+            // memory access ends its step with a hit latency or a miss.
             match op {
                 CpuOp::Compute(cy) => {
                     self.n.compute_ops += 1;
-                    if cy > 0 {
-                        c.ready_at = now + cpu_cycles(cy);
-                        return;
+                    if cy == 0 {
+                        continue;
                     }
+                    c.ready_at = now + cpu_cycles(cy);
                 }
                 CpuOp::Done => {
-                    c.done = true;
+                    c.wait = Wait::Done;
                     self.n.done += 1;
-                    return;
                 }
                 CpuOp::Load(a) => {
                     if first_attempt {
                         self.n.loads += 1;
                     }
-                    if self.access_load(i, a, now, out) {
-                        return; // hit with latency, or miss (blocked)
-                    }
+                    self.access_load(i, a, now, out);
                 }
-                CpuOp::Store(a, v) => {
+                CpuOp::Store(..) => {
                     if first_attempt {
                         self.n.stores += 1;
                     }
-                    if self.access_store(i, a, v, now, CpuOp::Store(a, v), out) {
-                        return;
-                    }
+                    self.access_store(i, op, now, out);
                 }
-                CpuOp::Atomic(a, k) => {
+                CpuOp::Atomic(..) => {
                     if first_attempt {
                         self.n.atomics += 1;
                     }
-                    if self.access_store(i, a, 0, now, CpuOp::Atomic(a, k), out) {
-                        return;
-                    }
+                    self.access_store(i, op, now, out);
                 }
             }
+            return;
         }
     }
 
-    /// Returns `true` if the core is now waiting (hit latency or miss).
-    fn access_load(&mut self, i: usize, a: Addr, now: Tick, out: &mut Outbox) -> bool {
+    fn access_load(&mut self, i: usize, a: Addr, now: Tick, out: &mut Outbox) {
         let la = a.line();
         if let Some(way) = self.l2.lookup(la) {
             let v = self.l2.meta(way).data.word_at(a);
@@ -607,24 +612,17 @@ impl CorePair {
             let c = &mut self.cores[i];
             c.last_value = Some(v);
             c.ready_at = now + lat;
-            true
         } else {
             self.n.l2_misses += 1;
             self.miss(i, la, TxnKind::Read, Some(CpuOp::Load(a)), out);
-            true
         }
     }
 
-    /// Store/atomic path; `true` if the core is now waiting.
-    fn access_store(
-        &mut self,
-        i: usize,
-        a: Addr,
-        v: u64,
-        now: Tick,
-        op: CpuOp,
-        out: &mut Outbox,
-    ) -> bool {
+    /// The store and atomic path.
+    fn access_store(&mut self, i: usize, op: CpuOp, now: Tick, out: &mut Outbox) {
+        let (CpuOp::Store(a, _) | CpuOp::Atomic(a, _)) = op else {
+            unreachable!("access_store only handles stores/atomics")
+        };
         let la = a.line();
         match self.l2.lookup(la).map(|w| (w, self.l2.meta(w).state.can_write())) {
             Some((way, true)) => {
@@ -633,18 +631,14 @@ impl CorePair {
                     line.state = MoesiState::Modified; // silent E→M (§II-B)
                     self.transitions.record(ST_E, ST_M, CAUSE_SILENT_EM);
                 }
-                let c = &mut self.cores[i];
-                match op {
-                    CpuOp::Store(_, _) => {
+                self.cores[i].last_value = match op {
+                    CpuOp::Store(_, v) => {
                         line.data.set_word_at(a, v);
-                        c.last_value = None;
+                        None
                     }
-                    CpuOp::Atomic(_, k) => {
-                        let old = line.data.apply_atomic(a, k);
-                        c.last_value = Some(old);
-                    }
-                    _ => unreachable!("access_store only handles stores/atomics"),
-                }
+                    CpuOp::Atomic(_, k) => Some(line.data.apply_atomic(a, k)),
+                    _ => unreachable!("matched above"),
+                };
                 self.n.l2_hits += 1;
                 let lat = if fill_tag(&mut self.l1d[i], la) {
                     cpu_cycles(self.cfg.l1_cycles)
@@ -653,18 +647,15 @@ impl CorePair {
                 };
                 self.l2.touch_way(way);
                 self.cores[i].ready_at = now + lat;
-                true
             }
             Some((_, false)) => {
                 // Present but S/O: upgrade.
                 self.n.upgrades += 1;
                 self.miss(i, la, TxnKind::Write, Some(op), out);
-                true
             }
             None => {
                 self.n.l2_misses += 1;
                 self.miss(i, la, TxnKind::Write, Some(op), out);
-                true
             }
         }
     }
@@ -696,7 +687,7 @@ impl CorePair {
     fn miss(&mut self, i: usize, la: LineAddr, kind: TxnKind, op: Option<CpuOp>, out: &mut Outbox) {
         let c = &mut self.cores[i];
         c.pending = op;
-        c.blocked_line = Some(la);
+        c.wait = Wait::Miss(la);
         if let Some(txn) = self.mshr.get_mut(la) {
             txn.waiters.push(i);
             return;

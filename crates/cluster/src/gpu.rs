@@ -143,13 +143,6 @@ impl Runnable {
     }
 }
 
-#[derive(Debug, Clone)]
-struct TccTxn {
-    /// Wavefronts (indices into `GpuCluster::wfs`) waiting on this fill
-    /// (an SQC miss waits as its wavefront, with no `WfCtx::pending` op).
-    waiters: Vec<usize>,
-}
-
 /// The GPU cluster: CUs with TCPs and a shared SQC in front of one TCC,
 /// implementing the VIPER VI protocol of §II-C.
 ///
@@ -175,7 +168,9 @@ pub struct GpuCluster {
     /// Derived from `wfs` (their `wait`): excluded from `hash_state`.
     runnable: Runnable,
     tcc: CacheArray<LineData>,
-    tcc_mshr: Mshr<TccTxn>,
+    /// Each fill in flight, with the wavefronts waiting on it (an SQC
+    /// miss waits as its wavefront, with no `WfCtx::pending` op).
+    tcc_mshr: Mshr<Vec<usize>>,
     wt_waiters: LineMap<VecDeque<usize>>,
     slc_waiters: LineMap<VecDeque<usize>>,
     flush_waiters: LineMap<VecDeque<usize>>,
@@ -382,7 +377,7 @@ impl GpuCluster {
         let mut v: Vec<(LineAddr, String)> = self
             .tcc_mshr
             .iter()
-            .map(|(la, txn)| (la, format!("fill, {} waiter(s)", txn.waiters.len())))
+            .map(|(la, waiters)| (la, format!("fill, {} waiter(s)", waiters.len())))
             .collect();
         v.extend(
             self.wt_waiters.iter().map(|(la, q)| (la, format!("{} write-through ack(s)", q.len()))),
@@ -420,8 +415,8 @@ impl GpuCluster {
         }
         self.tcc.hash_state(h);
         self.sqc.hash_state(h);
-        for (la, txn) in self.tcc_mshr.iter() {
-            (la, &txn.waiters).hash(h);
+        for (la, waiters) in self.tcc_mshr.iter() {
+            (la, waiters).hash(h);
         }
         self.wt_waiters.hash(h);
         self.slc_waiters.hash(h);
@@ -534,64 +529,56 @@ impl GpuCluster {
                 w.ops_retired += 1;
                 w.ops_since_ifetch += 1;
             }
+            // Only a zero-cycle compute op lets the wavefront go on at once;
+            // every other op ends its step.
             match op {
                 GpuOp::Compute(cy) => {
                     self.n.compute_ops += 1;
-                    if cy > 0 {
-                        w.ready_at = now + gpu_cycles(cy);
-                        return;
+                    if cy == 0 {
+                        continue;
                     }
+                    w.ready_at = now + gpu_cycles(cy);
                 }
                 GpuOp::Done => {
                     self.block(i, Wait::Done);
                     self.n.done += 1;
-                    return;
                 }
                 GpuOp::VecLoad(addrs) => {
                     if first_attempt {
                         self.n.vec_loads += 1;
                     }
-                    if self.access_vec_load(i, addrs, now, out) {
-                        return;
-                    }
+                    self.access_vec_load(i, addrs, now, out);
                 }
                 GpuOp::VecStore(stores) => {
                     self.n.vec_stores += 1;
                     self.access_vec_store(i, &stores, now, out);
-                    return;
                 }
                 GpuOp::AtomicGlc(a, k) => {
                     if first_attempt {
                         self.n.atomics_glc += 1;
                     }
-                    if self.access_glc_atomic(i, a, k, now, out) {
-                        return;
-                    }
+                    self.access_glc_atomic(i, a, k, now, out);
                 }
                 GpuOp::AtomicSlc(a, k) => {
                     self.n.atomics_slc += 1;
                     self.access_slc_atomic(i, a, k, out);
-                    return;
                 }
                 GpuOp::Acquire => {
                     self.n.acquires += 1;
                     // VIPER acquire: bulk-invalidate this CU's TCP.
                     w.ready_at = now + gpu_cycles(self.cfg.tcp_cycles);
                     self.tcps[w.cu].invalidate_all();
-                    return;
                 }
                 GpuOp::Release => {
                     self.n.releases += 1;
-                    if self.begin_release(i, now, out) {
-                        return;
-                    }
+                    self.begin_release(i, now, out);
                 }
             }
+            return;
         }
     }
 
-    /// Returns `true` if the wavefront is now waiting.
-    fn access_vec_load(&mut self, i: usize, addrs: Vec<Addr>, now: Tick, out: &mut Outbox) -> bool {
+    fn access_vec_load(&mut self, i: usize, addrs: Vec<Addr>, now: Tick, out: &mut Outbox) {
         assert!(!addrs.is_empty(), "VecLoad needs at least one lane");
         assert!(addrs.len() <= self.cfg.lanes, "more lanes than the SIMD width");
         let cu = self.wfs[i].cu;
@@ -640,12 +627,11 @@ impl GpuCluster {
                 self.request_fill(l0, i, out);
                 self.wfs[i].pending = Some(GpuOp::VecLoad(addrs));
                 self.block(i, Wait::Fill(1));
-                return true;
+                return;
             };
             let w = &mut self.wfs[i];
             w.last_value = Some(v);
             w.ready_at = now + lat;
-            true
         } else {
             self.block(i, Wait::Fill(lines.len() as u32));
             for la in lines.drain(..) {
@@ -653,18 +639,15 @@ impl GpuCluster {
             }
             self.line_scratch = lines;
             self.wfs[i].pending = Some(GpuOp::VecLoad(addrs));
-            true
         }
     }
 
     fn request_fill(&mut self, la: LineAddr, waiter: usize, out: &mut Outbox) {
-        if let Some(txn) = self.tcc_mshr.get_mut(la) {
-            txn.waiters.push(waiter);
+        if let Some(waiters) = self.tcc_mshr.get_mut(la) {
+            waiters.push(waiter);
             return;
         }
-        self.tcc_mshr
-            .alloc(la, TccTxn { waiters: vec![waiter] })
-            .expect("TCC MSHR capacity exceeded");
+        self.tcc_mshr.alloc(la, vec![waiter]).expect("TCC MSHR capacity exceeded");
         let msg = Message::new(self.agent, AgentId::Directory, la, MsgKind::RdBlk);
         self.n.req.bump(&msg.kind);
         out.send(msg);
@@ -727,7 +710,6 @@ impl GpuCluster {
         self.retry.track_sent(msg, &mut self.wakes, out);
     }
 
-    /// Returns `true` if the wavefront is now waiting.
     fn access_glc_atomic(
         &mut self,
         i: usize,
@@ -735,7 +717,7 @@ impl GpuCluster {
         k: hsc_mem::AtomicKind,
         now: Tick,
         out: &mut Outbox,
-    ) -> bool {
+    ) {
         let la = a.line();
         if let Some(way) = self.tcc.lookup(la) {
             let l = self.tcc.meta_mut(way);
@@ -750,12 +732,10 @@ impl GpuCluster {
             self.tcps[w.cu].invalidate(la);
             w.last_value = Some(old);
             w.ready_at = now + gpu_cycles(self.cfg.tcc_cycles);
-            true
         } else {
             self.request_fill(la, i, out);
             self.wfs[i].pending = Some(GpuOp::AtomicGlc(a, k));
             self.block(i, Wait::Fill(1));
-            true
         }
     }
 
@@ -780,14 +760,13 @@ impl GpuCluster {
         out.send(msg);
     }
 
-    /// Returns `true` if the wavefront is now waiting.
-    fn begin_release(&mut self, i: usize, now: Tick, out: &mut Outbox) -> bool {
+    fn begin_release(&mut self, i: usize, now: Tick, out: &mut Outbox) {
         let w = &mut self.wfs[i];
         let fence_line = w.last_wt_line;
         if w.outstanding_wt == 0 && fence_line.is_none() {
             // Nothing to wait for.
             w.ready_at = now + gpu_cycles(self.cfg.tcp_cycles);
-            return true;
+            return;
         }
         if let Some(la) = fence_line {
             // Per-line flush fence (§II-A "Flush request … for supporting
@@ -800,7 +779,6 @@ impl GpuCluster {
             self.retry.track_sent(msg, &mut self.wakes, out);
         }
         self.block(i, Wait::Release { flush: fence_line.is_some() });
-        true
     }
 
     fn access_ifetch(&mut self, i: usize, la: LineAddr, now: Tick, out: &mut Outbox) {
@@ -825,7 +803,7 @@ impl GpuCluster {
 
     fn on_fill(&mut self, now: Tick, la: LineAddr, data: LineData, out: &mut Outbox) {
         self.retry.acked(la);
-        let Some(txn) = self.tcc_mshr.remove(la) else {
+        let Some(waiters) = self.tcc_mshr.remove(la) else {
             // Stale or duplicate fill (a retried RdBlk that raced its
             // original, or a duplicated Resp under fault injection). TCC
             // requests carry no Unblock, so there is nothing to answer;
@@ -840,7 +818,7 @@ impl GpuCluster {
             self.transitions.record(VT_V, VT_I, VC_EVICT_CLEAN);
         }
         self.transitions.record(VT_I, VT_V, VC_FILL);
-        for i in txn.waiters {
+        for i in waiters {
             let w = &mut self.wfs[i];
             fill(&mut self.tcps[w.cu], la, data);
             let Wait::Fill(n) = w.wait else { unreachable!("a fill waiter waits on fills") };

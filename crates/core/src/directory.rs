@@ -70,16 +70,21 @@ enum Fetch {
     Mem(LineData),
 }
 
-/// Where a transaction stands with its requester's `Unblock`: a CPU L2
-/// sends one once it has installed a read's response.
+/// Where a transaction stands with its reply. A CPU read's reply asks
+/// for the requester's `Unblock`; every other reply ends the transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Unblock {
-    /// No response that asks for one has gone out.
-    NotAsked,
-    /// The response is out; the unblock is not in yet.
+enum Reply {
+    /// Nothing has gone out yet.
+    Owed,
+    /// §III-A: a TCC or DMA read was answered from a dirty probe ack. The
+    /// transaction still completes its probe round and LLC/memory read,
+    /// and sends nothing more.
+    Early,
+    /// A CPU read's response is out, its transition applied; the unblock
+    /// is not in yet.
     Awaiting,
     /// The unblock is in.
-    Arrived,
+    Unblocked,
 }
 
 #[derive(Debug, Clone)]
@@ -95,9 +100,7 @@ struct DirTxn {
     dirty_data: Option<LineData>,
     copies_found: u32,
     fetch: Fetch,
-    /// §III-A: a response has already been sent from a dirty probe ack.
-    responded: bool,
-    unblock: Unblock,
+    reply: Reply,
     /// When the transaction started: the origin of its latency and the
     /// age the watchdog and the deadlock dump report.
     arrived: Tick,
@@ -125,8 +128,7 @@ impl DirTxn {
             dirty_data: None,
             copies_found: 0,
             fetch,
-            responded: false,
-            unblock: Unblock::NotAsked,
+            reply: Reply::Owed,
             arrived,
             queued: VecDeque::new(),
             parked_allocs: Vec::new(),
@@ -330,7 +332,7 @@ impl Directory {
                     if t.origin.src == AgentId::Directory { "BackInval" } else { "Request" },
                     t.origin.kind.class_name(),
                     t.pending_acks,
-                    t.unblock != Unblock::NotAsked,
+                    matches!(t.reply, Reply::Awaiting | Reply::Unblocked),
                     match t.fetch {
                         Fetch::Deferred => "deferred",
                         Fetch::Pipeline => "pipeline",
@@ -339,7 +341,7 @@ impl Directory {
                         Fetch::Llc(_) => "llc",
                         Fetch::Mem(_) => "mem",
                     },
-                    t.responded,
+                    t.reply == Reply::Early,
                     t.queued.len(),
                     t.start_state,
                 ),
@@ -434,8 +436,7 @@ impl Directory {
             t.dirty_data.hash(h);
             t.copies_found.hash(h);
             t.fetch.hash(h);
-            t.responded.hash(h);
-            t.unblock.hash(h);
+            t.reply.hash(h);
             t.queued.hash(h);
             t.parked_allocs.hash(h);
             t.start_state.hash(h);
@@ -501,8 +502,8 @@ impl Directory {
                 txn.fetch = Fetch::Mem(*data);
                 id
             }
-            (MsgKind::Unblock, Some((id, txn))) if txn.unblock == Unblock::Awaiting => {
-                txn.unblock = Unblock::Arrived;
+            (MsgKind::Unblock, Some((id, txn))) if txn.reply == Reply::Awaiting => {
+                txn.reply = Reply::Unblocked;
                 id
             }
             // Nothing waits for it: a duplicate under fault injection (an
@@ -808,16 +809,13 @@ impl Directory {
         let txn = &mut self.txn_slab[id];
         let line = txn.origin.line;
         // §III-A: a read is answered on its first dirty probe ack, before
-        // the rest of the round is in.
+        // the rest of the round is in. A CPU read then ends as every CPU
+        // read does: its transition applied, its line awaiting the unblock.
         if self.cfg.early_dirty_response
-            && !txn.responded
+            && txn.reply == Reply::Owed
             && PlanReq::of(&txn.origin.kind).and_then(PlanReq::writes) == Some(false)
         {
             if let Some(data) = txn.dirty_data {
-                txn.responded = true;
-                if txn.origin.src.is_cpu_cache() {
-                    txn.unblock = Unblock::Awaiting;
-                }
                 self.n.early_responses += 1;
                 let kind = if txn.origin.kind == MsgKind::DmaRd {
                     MsgKind::DmaRdResp { data }
@@ -825,12 +823,19 @@ impl Directory {
                     MsgKind::Resp { data, grant: Grant::Shared }
                 };
                 out.send(Message::new(AgentId::Directory, txn.origin.src, line, kind));
+                if txn.origin.src.is_cpu_cache() {
+                    txn.reply = Reply::Awaiting;
+                    self.apply_transition(id);
+                } else {
+                    txn.reply = Reply::Early;
+                }
             }
         }
-        if txn.pending_acks > 0 || txn.unblock == Unblock::Awaiting {
+        let txn = &mut self.txn_slab[id];
+        if txn.pending_acks > 0 || txn.reply == Reply::Awaiting {
             return;
         }
-        if txn.unblock == Unblock::Arrived {
+        if txn.reply == Reply::Unblocked {
             // Only now, with its probe round in: a late ack would count
             // towards the next transaction's round (§III-A early response).
             self.finish_txn(now, id, out);
@@ -859,8 +864,8 @@ impl Directory {
         // (ROADMAP item 8). The read completes even when a probe ack
         // already forwarded dirty data — the dirty data only overrides the
         // *payload*. Only the tracked OwnerThenLlc plan elides the LLC read
-        // outright (§IV-A); §III-A's early response, sent above, does not
-        // cut the wait short.
+        // outright (§IV-A); §III-A's early answer to a TCC or DMA read,
+        // sent above, does not cut the wait short.
         let dirty_ack = txn.dirty_data;
         let data = match (txn.planned.data, txn.fetch) {
             // The slot (which data-less requests hold too) or memory.
@@ -898,7 +903,7 @@ impl Directory {
             MsgKind::RdBlk | MsgKind::RdBlkS | MsgKind::RdBlkM => {
                 if txn.planned.grant == GrantPlan::Upgrade {
                     Some(MsgKind::UpgradeAck)
-                } else if txn.responded {
+                } else if txn.reply == Reply::Early {
                     None // §III-A: the early response is already out
                 } else {
                     let data = data.expect("read requests resolve data");
@@ -939,7 +944,7 @@ impl Directory {
                 Some(MsgKind::AtomicResp { old })
             }
             MsgKind::Flush => Some(MsgKind::FlushAck),
-            MsgKind::DmaRd => (!txn.responded)
+            MsgKind::DmaRd => (txn.reply != Reply::Early)
                 .then(|| MsgKind::DmaRdResp { data: data.expect("DMA reads resolve data") }),
             MsgKind::DmaWr { data: dma_data, mask } => {
                 // "DMA accesses do not update the L3": merge over the
@@ -964,7 +969,7 @@ impl Directory {
         }
         let reads = matches!(origin.kind, MsgKind::RdBlk | MsgKind::RdBlkS | MsgKind::RdBlkM);
         if reads && origin.src.is_cpu_cache() {
-            self.txn_slab[id].unblock = Unblock::Awaiting;
+            self.txn_slab[id].reply = Reply::Awaiting;
         } else {
             self.finish_txn(now, id, out);
         }

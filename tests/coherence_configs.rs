@@ -83,6 +83,74 @@ fn every_workload_verifies_under_every_config() {
     }
 }
 
+/// Every setting of the knobs a configuration is built from, 72 in all
+/// (`dir_replacement` aside); the presets above are 8 of them.
+fn every_knob_combination() -> Vec<CoherenceConfig> {
+    let mut v = Vec::new();
+    for early_dirty_response in [false, true] {
+        for clean_victims in [
+            CleanVictimPolicy::WriteLlcAndMemory,
+            CleanVictimPolicy::WriteLlcOnly,
+            CleanVictimPolicy::Drop,
+        ] {
+            for llc_policy in [LlcWritePolicy::WriteThrough, LlcWritePolicy::WriteBack] {
+                for use_l3_on_wt in [false, true] {
+                    for directory in [
+                        DirectoryMode::Stateless,
+                        DirectoryMode::OwnerTracking,
+                        DirectoryMode::SharerTracking,
+                    ] {
+                        v.push(CoherenceConfig {
+                            early_dirty_response,
+                            clean_victims,
+                            llc_policy,
+                            use_l3_on_wt,
+                            directory,
+                            ..CoherenceConfig::default()
+                        });
+                    }
+                }
+            }
+        }
+    }
+    v
+}
+
+/// §III-A's early answer to a CPU read must record the reader as a sharer
+/// under §IV's tracking, as every other CPU read's reply does; no preset
+/// combines the two.
+#[test]
+fn trns_verifies_with_early_response_under_sharer_tracking() {
+    let cfg = CoherenceConfig { early_dirty_response: true, ..CoherenceConfig::sharer_tracking() };
+    let r = run_workload_on(&Trns::default(), SystemConfig::scaled(cfg));
+    assert!(r.gpu_cycles > 0);
+}
+
+#[test]
+#[ignore = "soak: 720 runs, about 20 s; run with --release -- --ignored"]
+fn every_knob_combination_verifies_every_workload() {
+    let configs = every_knob_combination();
+    assert_eq!(configs.len(), 72);
+    let mut failures = Vec::new();
+    let mut runs = 0;
+    for cfg in configs {
+        for w in all_workloads() {
+            runs += 1;
+            let run =
+                run_workload_observed(w.as_ref(), SystemConfig::scaled(cfg), ObsConfig::off());
+            if let Err(e) = run.outcome {
+                failures.push(format!("{} on {cfg:?}: {e}", w.name()));
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "{} of {runs} runs failed:\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
+}
+
 #[test]
 fn every_workload_verifies_on_the_full_table_ii_system() {
     for w in small_suite() {
