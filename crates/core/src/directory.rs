@@ -861,7 +861,8 @@ impl Directory {
         // Resolve the data. The LLC is read, and on a miss `MemRd` sent,
         // only once the probe round is in (`Fetch::Elapsed` is that wait),
         // not in parallel with the probes as in gem5's Fig. 2 `_PM` states
-        // (ROADMAP item 8). The read completes even when a probe ack
+        // (ROADMAP, "Fig. 2's overlapped LLC/memory read, under the
+        // checker"). The read completes even when a probe ack
         // already forwarded dirty data — the dirty data only overrides the
         // *payload*. Only the tracked OwnerThenLlc plan elides the LLC read
         // outright (§IV-A); §III-A's early answer to a TCC or DMA read,

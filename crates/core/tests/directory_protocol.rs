@@ -221,7 +221,8 @@ fn deliver(h: &mut Harness, src: AgentId, kind: MsgKind) -> usize {
 
 /// A stateless miss reads the LLC, and sends `MemRd`, only once its probe
 /// round is in: the slot elapses first and the read waits. (gem5's `_PM`
-/// states run that read in parallel with the probes; ROADMAP item 8.)
+/// states run that read in parallel with the probes; ROADMAP, "Fig. 2's
+/// overlapped LLC/memory read, under the checker".)
 #[test]
 fn a_miss_reads_the_llc_and_memory_after_its_probe_round() {
     let mut h = Harness::new(CoherenceConfig::baseline());

@@ -121,12 +121,18 @@ pub struct Way(usize);
 /// directory entry with a sharer bitmap, an LLC line with data and a dirty
 /// bit, …) and drive insert/evict decisions.
 ///
-/// Storage is *tag-major*: the tags of a set are contiguous `u64`s, one
-/// validity word per set says which ways hold a line, the Tree-PLRU bits
-/// of a set are one more word, and the metadata lives in a parallel slab
-/// that a lookup never reads. A lookup is a mask for the set index and a
-/// compare over `ways` adjacent words; "is the set full" and "which way is
-/// free" are tests of the validity word.
+/// Storage is *tag-major*: the tags of a set are contiguous `u64`s, and
+/// each set has a header of one validity word (bit `w` set iff way `w`
+/// holds a line) followed by a one-byte fingerprint per way, eight to a
+/// word. The Tree-PLRU bits of a set are one more word, and the metadata
+/// lives in a parallel slab that a lookup never reads. A lookup masks out
+/// the set index, tests the set's fingerprints eight at a time for the
+/// looked-up line's [`tag_fingerprint`], keeps the matches in valid ways
+/// and compares the full tag only there. The filter is exact: a way
+/// holding the line has its fingerprint, so it always survives, and the
+/// full compare rejects every other way whose byte happens to be equal.
+/// "Is the set full" and "which way is free" are tests of the validity
+/// word.
 ///
 /// Placement and replacement are simulated behaviour and are fixed:
 /// insertions fill the lowest-index invalid way if one exists, otherwise
@@ -165,12 +171,19 @@ pub struct CacheArray<S> {
     ways: usize,
     /// `log2(ways)`: a slot index is `set << way_shift | way`.
     way_shift: u32,
-    /// Tag of every slot, set-major; meaningful only where `valid` says so.
+    /// `log2` of the words per set header in `heads`: the validity word,
+    /// then `ceil(ways / 8)` fingerprint words, rounded up to a power of
+    /// two so that a header starts at `set << head_shift`.
+    head_shift: u32,
+    /// Tag of every slot, set-major; meaningful only where the validity
+    /// word says so.
     tags: Vec<u64>,
-    /// Per set, bit `w` is set iff way `w` holds a line.
-    valid: Vec<u64>,
-    /// Metadata of every slot; `Some` exactly where `valid` says so (the
-    /// mutators `debug_assert` that the two agree).
+    /// Set headers, `1 << head_shift` words each. Word 0 has bit `w` set iff way `w`
+    /// holds a line; byte `w % 8` of word `1 + w / 8` is way `w`'s
+    /// fingerprint, written by `place` and stale once the way is freed.
+    heads: Vec<u64>,
+    /// Metadata of every slot; `Some` exactly where the validity word says
+    /// so (the mutators `debug_assert` that the two agree).
     meta: Vec<Option<S>>,
     plru: TreePlru,
     len: usize,
@@ -200,13 +213,15 @@ impl<S> CacheArray<S> {
         let sets = geometry.sets();
         let ways = geometry.ways();
         assert!(ways <= MAX_WAYS, "associativity {ways} exceeds supported maximum {MAX_WAYS}");
+        let head_words = (1 + ways.div_ceil(8)).next_power_of_two();
         CacheArray {
             geometry,
             set_mask: sets as u64 - 1,
             ways,
             way_shift: ways.trailing_zeros(),
+            head_shift: head_words.trailing_zeros(),
             tags: vec![0; sets * ways],
-            valid: vec![0; sets],
+            heads: vec![0; sets * head_words],
             meta: std::iter::repeat_with(|| None).take(sets * ways).collect(),
             plru: TreePlru::new(sets, ways),
             len: 0,
@@ -236,22 +251,44 @@ impl<S> CacheArray<S> {
         (way.0 >> self.way_shift, way.0 & (self.ways - 1))
     }
 
-    /// The way of `set` holding `la`: the one scan behind every lookup,
-    /// over the set's contiguous tags. A freed way keeps its stale tag, so
-    /// a tag match counts only where the validity word agrees.
+    /// Index in `heads` of `set`'s validity word.
+    fn head(&self, set: usize) -> usize {
+        set << self.head_shift
+    }
+
+    /// The way of `set` holding `la`: the one scan behind every lookup.
+    /// Eight ways at a time, the fingerprints equal to `la`'s that sit in
+    /// valid ways become candidates, and only a candidate's full tag is
+    /// compared. A freed way keeps its stale tag and fingerprint, so the
+    /// validity word takes part before any tag is read.
     fn find(&self, set: usize, la: LineAddr) -> Option<usize> {
-        let valid = self.valid[set];
-        self.tags[self.slots(set)]
-            .iter()
-            .enumerate()
-            .find(|&(way, &tag)| tag == la.0 && valid >> way & 1 != 0)
-            .map(|(way, _)| way)
+        let head = self.head(set);
+        let valid = self.heads[head];
+        let probe = u64::from(tag_fingerprint(la)) * 0x0101_0101_0101_0101;
+        let base = set << self.way_shift;
+        // `first` is the lowest way of the fingerprint word being tested.
+        let mut first = 0;
+        loop {
+            let prints = self.heads[head + 1 + first / 8];
+            let mut ways = zero_bytes(prints ^ probe) & valid >> first;
+            while ways != 0 {
+                let way = first + ways.trailing_zeros() as usize;
+                if self.tags[base + way] == la.0 {
+                    return Some(way);
+                }
+                ways &= ways - 1;
+            }
+            first += 8;
+            if first >= self.ways {
+                return None;
+            }
+        }
     }
 
     /// Whether the validity word says the slot behind `way` holds a line.
     fn holds_line(&self, way: Way) -> bool {
         let (set, way) = self.set_and_way(way);
-        self.valid[set] >> way & 1 != 0
+        self.heads[self.head(set)] >> way & 1 != 0
     }
 
     /// The way holding `la`, if it is present: one scan of the set.
@@ -304,7 +341,8 @@ impl<S> CacheArray<S> {
         let meta = self.meta[way.0].take().expect("way handle outlived its line");
         debug_assert!(self.holds_line(way), "validity word out of step with metadata");
         let (set, way) = self.set_and_way(way);
-        self.valid[set] &= !(1 << way);
+        let head = self.head(set);
+        self.heads[head] &= !(1 << way);
         self.len -= 1;
         meta
     }
@@ -379,26 +417,30 @@ impl<S> CacheArray<S> {
 
     /// The lowest-index invalid way of `set`, if any.
     fn free_way(&self, set: usize) -> Option<usize> {
-        let free = !self.valid[set] & (u64::MAX >> (64 - self.ways));
+        let free = !self.heads[self.head(set)] & (u64::MAX >> (64 - self.ways));
         (free != 0).then(|| free.trailing_zeros() as usize)
     }
 
-    /// Writes `la` into `way` of `set` and makes it most-recently used,
-    /// handing back whatever the way held.
+    /// Writes `la` and its fingerprint into `way` of `set` and makes it
+    /// most-recently used, handing back whatever the way held.
     fn place(&mut self, set: usize, way: usize, la: LineAddr, meta: S) -> InsertOutcome<S> {
         let slot = self.slots(set).start + way;
         let old_tag = LineAddr(std::mem::replace(&mut self.tags[slot], la.0));
         let old = self.meta[slot].replace(meta);
+        let head = self.head(set);
         debug_assert_eq!(
             old.is_some(),
-            self.valid[set] >> way & 1 != 0,
+            self.heads[head] >> way & 1 != 0,
             "validity word out of step with metadata"
         );
+        let byte = 8 * (way % 8);
+        let prints = &mut self.heads[head + 1 + way / 8];
+        *prints = *prints & !(0xff << byte) | u64::from(tag_fingerprint(la)) << byte;
         self.plru.touch(set, way);
         match old {
             Some(meta) => InsertOutcome::Evicted(Eviction { tag: old_tag, meta }),
             None => {
-                self.valid[set] |= 1 << way;
+                self.heads[head] |= 1 << way;
                 self.len += 1;
                 InsertOutcome::Inserted
             }
@@ -466,8 +508,9 @@ impl<S> CacheArray<S> {
     /// Removes every line. Like [`CacheArray::invalidate`], leaves the
     /// replacement bits alone.
     pub fn invalidate_all(&mut self) {
-        for (word, meta) in self.valid.iter_mut().zip(self.meta.chunks_exact_mut(self.ways)) {
-            let mut ways = std::mem::take(word);
+        let sets = self.heads.chunks_exact_mut(1 << self.head_shift);
+        for (head, meta) in sets.zip(self.meta.chunks_exact_mut(self.ways)) {
+            let mut ways = std::mem::take(&mut head[0]);
             while ways != 0 {
                 meta[ways.trailing_zeros() as usize] = None;
                 ways &= ways - 1;
@@ -524,6 +567,36 @@ impl<S> CacheArray<S> {
         }
         self.plru.hash_state(h);
     }
+}
+
+/// The one-byte fingerprint that a [`CacheArray`] keeps per way and tests
+/// before it compares a tag: the top byte of the line number times an odd
+/// 64-bit constant (Fibonacci hashing), so every bit of the line takes
+/// part. Lines that share it cost a lookup one extra tag compare and never
+/// a wrong way. Public so that tests can build colliding tags.
+///
+/// # Examples
+///
+/// ```
+/// use hsc_mem::{tag_fingerprint, LineAddr};
+///
+/// let print = tag_fingerprint(LineAddr(0));
+/// let twin = (1..).map(LineAddr).find(|&la| tag_fingerprint(la) == print);
+/// assert!(twin.is_some());
+/// ```
+#[must_use]
+pub fn tag_fingerprint(la: LineAddr) -> u8 {
+    (la.0.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 56) as u8
+}
+
+/// Bit `i` set iff byte `i` of `x` is zero. Exact: no carry crosses a
+/// byte, so a zero byte does not flag its neighbour.
+fn zero_bytes(x: u64) -> u64 {
+    const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+    // Bit 7 of each byte is set iff the byte is zero.
+    let high = !(((x & LOW7) + LOW7) | x | LOW7);
+    // Gathers bit `8i + 7` to bit `56 + i`; no two partial products meet.
+    (high >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56
 }
 
 /// The valid lines among parallel tag/metadata slices, in slot order.
@@ -766,6 +839,22 @@ mod tests {
         c.invalidate(LineAddr(3));
         let set1: Vec<(LineAddr, u32)> = c.iter_set(LineAddr(7)).map(|(t, &m)| (t, m)).collect();
         assert_eq!(set1, vec![(LineAddr(1), 10), (LineAddr(5), 50)]);
+    }
+
+    #[test]
+    fn zero_bytes_flags_exactly_the_zero_bytes() {
+        // Every word whose bytes are drawn from values either side of the
+        // carry boundaries.
+        let values = [0x00u64, 0x01, 0x80, 0xff];
+        for pick in 0..4u32.pow(8) {
+            let (mut x, mut want) = (0u64, 0u64);
+            for byte in 0..8 {
+                let v = values[(pick / 4u32.pow(byte) % 4) as usize];
+                x |= v << (8 * byte);
+                want |= u64::from(v == 0) << byte;
+            }
+            assert_eq!(zero_bytes(x), want, "{x:#018x}");
+        }
     }
 
     #[test]

@@ -39,7 +39,7 @@ mod repl;
 mod victim;
 
 pub use addr::{Addr, LineAddr, BLOCK_BYTES, WORDS_PER_LINE};
-pub use array::{CacheArray, CacheGeometry, Eviction, InsertOutcome, Way};
+pub use array::{tag_fingerprint, CacheArray, CacheGeometry, Eviction, InsertOutcome, Way};
 pub use data::{AtomicKind, LineData};
 pub use linemap::LineMap;
 pub use memory::MainMemory;

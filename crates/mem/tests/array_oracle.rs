@@ -11,7 +11,7 @@
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
-use hsc_mem::{CacheArray, CacheGeometry, InsertOutcome, LineAddr, TreePlru};
+use hsc_mem::{tag_fingerprint, CacheArray, CacheGeometry, InsertOutcome, LineAddr, TreePlru};
 use hsc_sim::DetRng;
 
 /// Tree-PLRU over a bit vector: `sets * (ways - 1)` direction bits,
@@ -177,9 +177,31 @@ fn outcome(out: InsertOutcome<u32>) -> Option<(u64, u32)> {
     }
 }
 
+/// The first `2 * ways` lines of `set`.
+fn adjacent(set: usize, sets: usize, ways: usize) -> Vec<u64> {
+    (0..2 * ways as u64).map(|k| k * sets as u64 + set as u64).collect()
+}
+
+/// `2 * ways` lines of `set` on two fingerprints, `ways` on each.
+fn colliding(set: usize, sets: usize, ways: usize) -> Vec<u64> {
+    let line = move |k: u64| k * sets as u64 + set as u64;
+    let print = |la: u64| tag_fingerprint(LineAddr(la));
+    let first = print(line(0));
+    let second = (1..).map(|k| print(line(k))).find(|&p| p != first).unwrap();
+    let on = |p: u8| (0..).map(line).filter(move |&la| print(la) == p).take(ways);
+    on(first).chain(on(second)).collect()
+}
+
 /// Drives the real array and the reference in lock-step and compares
-/// every observable after every operation.
-fn lock_step(sets: usize, ways: usize, ops: usize, seed: u64) {
+/// every observable after every operation, on the lines that `pool`
+/// picks for each set it is given.
+fn lock_step(
+    sets: usize,
+    ways: usize,
+    ops: usize,
+    seed: u64,
+    pool: fn(usize, usize, usize) -> Vec<u64>,
+) {
     let mut rng = DetRng::new(seed);
     let mut arr: CacheArray<u32> =
         CacheArray::new(CacheGeometry::from_lines((sets * ways) as u64, ways));
@@ -187,10 +209,10 @@ fn lock_step(sets: usize, ways: usize, ops: usize, seed: u64) {
     // Four sets spread over the index range, twice as many tags as ways
     // in each: full sets, evictions and re-fills of freed ways all happen
     // within a few hundred operations whatever the geometry.
-    let used_sets = [0, 1 % sets, sets / 2, sets - 1];
+    let pools = [0, 1 % sets, sets / 2, sets - 1].map(|set| pool(set, sets, ways));
     for op in 0..ops {
-        let la = rng.next_below(2 * ways as u64) * sets as u64
-            + used_sets[rng.next_below(4) as usize] as u64;
+        let k = rng.next_below(2 * ways as u64) as usize;
+        let la = pools[rng.next_below(4) as usize][k];
         let ctx = format!("{sets}x{ways} seed {seed} op {op} line {la}");
         match rng.next_below(16) {
             0..=2 if reference.slot_of(la).is_none() => {
@@ -283,10 +305,24 @@ fn lock_step(sets: usize, ways: usize, ops: usize, seed: u64) {
 fn cache_array_matches_the_reference_model_op_for_op() {
     // sets × ways; the ≥ 10⁵ operations are split so that the debug-build
     // test stays in seconds (the per-op sweep is O(lines)).
-    lock_step(1, 2, 30_000, 0xa11a_0001);
-    lock_step(4, 4, 30_000, 0xa11a_0002);
-    lock_step(1, 64, 30_000, 0xa11a_0003);
-    lock_step(64, 32, 12_000, 0xa11a_0004);
+    lock_step(1, 2, 30_000, 0xa11a_0001, adjacent);
+    lock_step(4, 4, 30_000, 0xa11a_0002, adjacent);
+    lock_step(1, 64, 30_000, 0xa11a_0003, adjacent);
+    lock_step(64, 32, 12_000, 0xa11a_0004, adjacent);
+}
+
+/// A lookup trusts a way's one-byte fingerprint only as far as the full
+/// tag compare that follows it. Here the lines of a set share two
+/// fingerprints between them, so almost every lookup meets ways whose
+/// byte matches and whose tag does not, and stale bytes of freed ways
+/// that match too. Inserts, invalidations and `invalidate_all` free and
+/// re-fill those ways throughout.
+#[test]
+fn cache_array_matches_the_reference_model_when_fingerprints_collide() {
+    lock_step(16, 8, 20_000, 0xa11a_0008, colliding);
+    lock_step(8, 16, 20_000, 0xa11a_0010, colliding);
+    lock_step(4, 32, 20_000, 0xa11a_0020, colliding);
+    lock_step(2, 64, 20_000, 0xa11a_0040, colliding);
 }
 
 /// Hashes a `[bool]` the way the array's fingerprint used to.

@@ -29,10 +29,17 @@ impl std::error::Error for WiringError {}
 /// One-way hop latencies of the system interconnect, in ticks (35 per GPU cycle).
 ///
 /// The network is contention-free with constant per-pair latency. Constant
-/// latency plus the FIFO tie-breaking of `hsc_sim::WheelQueue` yields
-/// point-to-point ordering, which both the MOESI and VIPER protocol
-/// implementations rely on (e.g. a VicDirty is never overtaken by the
-/// probe-ack sent after it).
+/// latency plus the FIFO tie-breaking of `hsc_sim::WheelQueue` keeps the
+/// messages *toward the directory* in send order, which both the MOESI and
+/// VIPER protocol implementations rely on (e.g. a VicDirty is never
+/// overtaken by the probe-ack sent after it).
+///
+/// The other direction is not in send order. The directory sends probes
+/// and the stale-victim `VicAck` through `send_after(dir_cycles)`, after
+/// its lookup, and every other message at once, so a reply sent later can
+/// reach a cache before a probe sent earlier. ROADMAP, "Model-check under
+/// the ordering the timed network actually keeps", (ii), counts those
+/// overtakes: 39,473 of 1,818,482 sends in `hsc fig 6`/`7`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencyMap {
     /// Hop between any cache/DMA agent and the directory.

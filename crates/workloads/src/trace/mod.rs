@@ -1,5 +1,6 @@
 //! Trace-driven workloads: replayable access streams from files and a
-//! seeded traffic generator (ROADMAP item 3(a)).
+//! seeded traffic generator (the closed ROADMAP item "trace-driven
+//! workloads").
 //!
 //! The paper evaluates coherence on a fixed set of CHAI benchmarks; this
 //! module opens the scenario space to *unbounded* workloads the way the
