@@ -141,8 +141,14 @@ pub mod reporting {
 
     /// Every value a record's `outcome` can hold: how one run ended.
     /// `hsc report validate` rejects any other.
-    pub const RUN_OUTCOMES: [&str; 5] =
-        ["completed", "deadlock", "budget-exceeded", "wiring-error", "verification-failed"];
+    pub const RUN_OUTCOMES: [&str; 6] = [
+        "completed",
+        "deadlock",
+        "budget-exceeded",
+        "wiring-error",
+        "verification-failed",
+        "layout-error",
+    ];
 
     /// Turns one observed run into a report record. Failed runs keep
     /// their time series and agent profile; their counters are simply
@@ -155,6 +161,7 @@ pub mod reporting {
             Err(WorkloadError::Sim(SimError::EventBudgetExceeded { .. })) => 2,
             Err(WorkloadError::Sim(SimError::Wiring(_))) => 3,
             Err(WorkloadError::Verification(_)) => 4,
+            Err(WorkloadError::Layout(..)) => 5,
         }];
         let mut rec = RunRecord {
             workload: workload.to_owned(),

@@ -8,7 +8,7 @@ use std::process::{Command, Output};
 use hsc_bench::reporting::{run_record, REPORT_EPOCH_TICKS};
 use hsc_core::{CoherenceConfig, ObsConfig, SystemConfig};
 use hsc_obs::RunReport;
-use hsc_workloads::{run_workload_observed, Hsti};
+use hsc_workloads::{run_workload_observed, Hsti, Sc};
 
 fn validate(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_hsc"))
@@ -74,6 +74,25 @@ fn an_outcome_no_run_can_have_is_invalid() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("runs[0].outcome must be one of"), "names the field: {stderr}");
     assert!(stderr.contains("INVALID (1 error(s))"), "and nothing else is wrong: {stderr}");
+}
+
+/// A run refused for an overlapping memory map is reported as such, and
+/// its record is valid beside a run that completed (a report must hold
+/// sampled time series, which a refused run has none of).
+#[test]
+fn a_run_refused_for_its_memory_map_is_a_valid_layout_error_record() {
+    let cfg = SystemConfig::scaled(CoherenceConfig::baseline());
+    let obs = ObsConfig::report(REPORT_EPOCH_TICKS);
+    let mut report = RunReport::new("characterize");
+    report.fingerprint_config(&cfg);
+    let small = Hsti { elements: 512, bins: 16, cpu_threads: 4, wavefronts: 4, seed: 3 };
+    report.runs.push(run_record("hsti", "baseline", &run_workload_observed(&small, cfg, obs)));
+    let too_big = Sc { elements: 8 * Sc::default().elements, ..Sc::default() };
+    let record = run_record("sc", "baseline", &run_workload_observed(&too_big, cfg, obs));
+    assert_eq!(record.outcome, "layout-error");
+    report.runs.push(record);
+    let out = validate(&[&temp_report("layout_error.json", &report.to_json_string())]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
 }
 
 /// What `hsc report analyze --report` writes: the same version, with the optional

@@ -51,6 +51,19 @@ fn dt(s: DirState) -> usize {
     }
 }
 
+/// A write of `data`'s `mask` words as the one memory write it becomes:
+/// folded over `base`, the line's freshest copy, into a full line when
+/// there is one, else the masked words as they came.
+fn fold_write(data: LineData, mask: WordMask, base: Option<LineData>) -> (LineData, WordMask) {
+    match base {
+        Some(mut line) => {
+            mask.apply(&mut line, &data);
+            (line, WordMask::full())
+        }
+        None => (data, mask),
+    }
+}
+
 /// Where a transaction's LLC/memory read stands: the data half of the
 /// Fig. 2 `_PM`/`_P`/`_M` blocked states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -928,19 +941,19 @@ impl Directory {
                     }
                     CleanVictimPolicy::WriteLlcAndMemory => {
                         self.write_victim(line, data, false, out);
-                        self.mem_write(line, data, out);
+                        self.mem_write_masked(line, data, WordMask::full(), out);
                     }
                 }
                 Some(MsgKind::VicAck)
             }
             MsgKind::WriteThrough { data: wt_data, mask, .. } => {
-                self.perform_system_write(line, &wt_data, mask, dirty_ack, out);
+                self.perform_system_write(line, wt_data, mask, dirty_ack, out);
                 Some(MsgKind::WtAck)
             }
             MsgKind::AtomicReq { word, op } => {
                 let mut base = data.expect("atomics resolve data");
                 let old = base.apply_atomic(line.word_addr(word as usize), op);
-                self.perform_system_write(line, &base, WordMask::full(), None, out);
+                self.perform_system_write(line, base, WordMask::full(), None, out);
                 self.n.atomics += 1;
                 Some(MsgKind::AtomicResp { old })
             }
@@ -951,12 +964,8 @@ impl Directory {
                 // "DMA accesses do not update the L3": merge over the
                 // freshest base and write memory, dropping any LLC copy.
                 let base = dirty_ack.or_else(|| self.llc.peek(line).map(|l| l.data));
-                if let Some(mut full) = base {
-                    mask.apply(&mut full, &dma_data);
-                    self.mem_write(line, full, out);
-                } else {
-                    self.mem_write_masked(line, dma_data, mask, out);
-                }
+                let (data, mask) = fold_write(dma_data, mask, base);
+                self.mem_write_masked(line, data, mask, out);
                 self.llc.invalidate(line);
                 Some(MsgKind::DmaWrAck)
             }
@@ -1116,13 +1125,18 @@ impl Directory {
     fn write_victim(&mut self, line: LineAddr, data: LineData, dirty: bool, out: &mut Outbox) {
         let llc_dirty = dirty && self.cfg.llc_policy == LlcWritePolicy::WriteBack;
         if dirty && self.cfg.llc_policy == LlcWritePolicy::WriteThrough {
-            self.mem_write(line, data, out);
+            self.mem_write_masked(line, data, WordMask::full(), out);
         }
-        if let Some(ev) = self.llc.write(line, data, llc_dirty) {
+        self.llc_write(line, data, llc_dirty, out);
+    }
+
+    /// Writes a whole line into the LLC and sends the dirty line it
+    /// evicts, if any, to memory (§III-C: LLC evictions of dirty lines
+    /// are the deferred memory writes).
+    fn llc_write(&mut self, line: LineAddr, data: LineData, dirty: bool, out: &mut Outbox) {
+        if let Some(ev) = self.llc.write(line, data, dirty) {
             if ev.dirty {
-                // §III-C: LLC evictions of dirty lines are the deferred
-                // memory writes.
-                self.mem_write(ev.tag, ev.data, out);
+                self.mem_write_masked(ev.tag, ev.data, WordMask::full(), out);
             }
         }
     }
@@ -1132,57 +1146,35 @@ impl Directory {
     fn perform_system_write(
         &mut self,
         line: LineAddr,
-        data: &LineData,
+        data: LineData,
         mask: WordMask,
         dirty_base: Option<LineData>,
         out: &mut Outbox,
     ) {
-        let full = dirty_base
-            .map(|mut base| {
-                mask.apply(&mut base, data);
-                base
-            })
-            .or_else(|| (mask == WordMask::full()).then_some(*data));
+        let (data, mask) = fold_write(data, mask, dirty_base);
         if self.cfg.use_l3_on_wt {
             let as_dirty = self.cfg.llc_policy == LlcWritePolicy::WriteBack;
-            let wrote_llc = if let Some(full) = full {
-                if let Some(ev) = self.llc.write(line, full, as_dirty) {
-                    if ev.dirty {
-                        self.mem_write(ev.tag, ev.data, out);
-                    }
-                }
+            let wrote_llc = if mask == WordMask::full() {
+                self.llc_write(line, data, as_dirty, out);
                 true
             } else {
-                self.llc.merge(line, data, mask, as_dirty)
+                self.llc.merge(line, &data, mask, as_dirty)
             };
             match (wrote_llc, self.cfg.llc_policy) {
                 (true, LlcWritePolicy::WriteBack) => {} // deferred
                 (true, LlcWritePolicy::WriteThrough) | (false, _) => {
-                    if let Some(full) = full {
-                        self.mem_write(line, full, out);
-                    } else {
-                        self.mem_write_masked(line, *data, mask, out);
-                    }
+                    self.mem_write_masked(line, data, mask, out);
                 }
             }
         } else {
             // Bypass the LLC but keep any cached copy coherent by merging
-            // in place — the whole of `full` when there is one: a dirty
-            // probe ack is newer than the LLC copy in words the mask does
-            // not cover. Dirty LLC lines stay dirty (their unwritten words
-            // are still newer than memory).
-            if let Some(full) = full {
-                self.llc.merge(line, &full, WordMask::full(), false);
-                self.mem_write(line, full, out);
-            } else {
-                self.llc.merge(line, data, mask, false);
-                self.mem_write_masked(line, *data, mask, out);
-            }
+            // in place — the whole folded line when there is a base: a
+            // dirty probe ack is newer than the LLC copy in words the
+            // write does not cover. Dirty LLC lines stay dirty (their
+            // unwritten words are still newer than memory).
+            self.llc.merge(line, &data, mask, false);
+            self.mem_write_masked(line, data, mask, out);
         }
-    }
-
-    fn mem_write(&mut self, line: LineAddr, data: LineData, out: &mut Outbox) {
-        self.mem_write_masked(line, data, WordMask::full(), out);
     }
 
     fn mem_write_masked(

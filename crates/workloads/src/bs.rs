@@ -8,13 +8,14 @@
 
 use hsc_cluster::{CoreProgram, CpuOp, GpuOp, WavefrontProgram};
 use hsc_core::{System, SystemBuilder};
-use hsc_mem::Addr;
 
-use crate::util::share;
+use crate::util::{memory_map, share};
 use crate::Workload;
 
-const CTRL_BASE: u64 = 0x0030_0000;
-const OUT_BASE: u64 = 0x0038_0000;
+memory_map! { Bs as w:
+    ctrl at 0x0030_0000, w.control_points * 8;
+    out at 0x0038_0000, w.surface_points * 8;
+}
 
 /// Configuration of the `bs` benchmark.
 #[derive(Debug, Clone, Copy)]
@@ -103,7 +104,7 @@ impl CoreProgram for CpuWorker {
                         continue;
                     }
                     self.phase = CpuPhase::LoadCtrl(i + 1);
-                    return CpuOp::Load(Addr(CTRL_BASE).word(i));
+                    return CpuOp::Load(MAP.ctrl.word(i));
                 }
                 CpuPhase::Point { next, stored } => {
                     if next >= self.hi {
@@ -116,7 +117,7 @@ impl CoreProgram for CpuWorker {
                         return CpuOp::Compute(self.bench.compute_per_point);
                     }
                     self.phase = CpuPhase::Point { next: next + 1, stored: true };
-                    return CpuOp::Store(Addr(OUT_BASE).word(next), self.bench.expected(next));
+                    return CpuOp::Store(MAP.out.word(next), self.bench.expected(next));
                 }
                 CpuPhase::Done => return CpuOp::Done,
             }
@@ -143,7 +144,7 @@ impl WavefrontProgram for GpuWorker {
                 return GpuOp::Done;
             }
             let n = self.bench.control_points.min(16);
-            return GpuOp::VecLoad((0..n).map(|c| Addr(CTRL_BASE).word(c)).collect());
+            return GpuOp::VecLoad((0..n).map(|c| MAP.ctrl.word(c)).collect());
         }
         if self.i >= self.hi {
             if !self.released {
@@ -160,7 +161,7 @@ impl WavefrontProgram for GpuWorker {
         let lo = self.i;
         let hi = (lo + 16).min(self.hi);
         self.i = hi;
-        let stores = (lo..hi).map(|p| (Addr(OUT_BASE).word(p), self.bench.expected(p))).collect();
+        let stores = (lo..hi).map(|p| (MAP.out.word(p), self.bench.expected(p))).collect();
         GpuOp::VecStore(stores)
     }
 }
@@ -175,7 +176,7 @@ impl Workload for Bs {
     }
 
     fn build(&self, b: &mut SystemBuilder) {
-        b.init_words((0..self.control_points).map(|c| (Addr(CTRL_BASE).word(c), self.ctrl(c))));
+        b.init_words((0..self.control_points).map(|c| (MAP.ctrl.word(c), self.ctrl(c))));
         let cpu_share = self.cpu_share();
         for t in 0..self.cpu_threads as u64 {
             let (lo, hi) = share(cpu_share, self.cpu_threads as u64, t);
@@ -204,7 +205,7 @@ impl Workload for Bs {
 
     fn verify(&self, sys: &System) -> Result<(), String> {
         for p in 0..self.surface_points {
-            let got = sys.final_word(Addr(OUT_BASE).word(p));
+            let got = sys.final_word(MAP.out.word(p));
             let want = self.expected(p);
             if got != want {
                 return Err(format!("surface point {p}: got {got}, expected {want}"));

@@ -12,16 +12,18 @@ use hsc_core::{System, SystemBuilder};
 use hsc_mem::{Addr, AtomicKind};
 use hsc_sim::Tick;
 
-use crate::util::{share, synth_value, CpuSpin, GpuSpin};
+use crate::util::{memory_map, share, synth_value, CpuSpin, GpuSpin};
 use crate::Workload;
 
-const INPUT_BASE: u64 = 0x00A0_0000;
-const BUF1_BASE: u64 = 0x00B0_0000;
-const BUF2_BASE: u64 = 0x00C0_0000;
-const BUF3_BASE: u64 = 0x00D0_0000;
-const OUT_BASE: u64 = 0x00E0_0000;
-/// Per-frame words: input_ready, flag1, done2, done3 (one line apart each).
-const SYNC_BASE: u64 = 0x00F0_0000;
+memory_map! { Cedd as w:
+    input at 0x00A0_0000, w.frames * w.pixels * 8;
+    buf1 at 0x00B0_0000, w.frames * w.pixels * 8;
+    buf2 at 0x00C0_0000, w.frames * w.pixels * 8;
+    buf3 at 0x00D0_0000, w.frames * w.pixels * 8;
+    out at 0x00E0_0000, w.frames * w.pixels * 8;
+    // Per frame: input_ready, flag1, done2, done3, one line apart each.
+    sync at 0x00F0_0000, w.frames * 4 * 64;
+}
 
 /// Configuration of the `cedd` benchmark.
 #[derive(Debug, Clone, Copy)]
@@ -78,24 +80,24 @@ impl Cedd {
         Self::s4(Self::s3(Self::s2(Self::s1(self.input(f, p)))))
     }
 
-    fn frame_word(base: u64, f: u64, pixels: u64, p: u64) -> Addr {
-        Addr(base).word(f * pixels + p)
+    fn frame_word(base: Addr, f: u64, pixels: u64, p: u64) -> Addr {
+        base.word(f * pixels + p)
     }
 
     fn input_ready(&self, f: u64) -> Addr {
-        Addr(SYNC_BASE).word(f * 32)
+        MAP.sync.word(f * 32)
     }
 
     fn flag1(&self, f: u64) -> Addr {
-        Addr(SYNC_BASE).word(f * 32 + 8)
+        MAP.sync.word(f * 32 + 8)
     }
 
     fn done2(&self, f: u64) -> Addr {
-        Addr(SYNC_BASE).word(f * 32 + 16)
+        MAP.sync.word(f * 32 + 16)
     }
 
     fn done3(&self, f: u64) -> Addr {
-        Addr(SYNC_BASE).word(f * 32 + 24)
+        MAP.sync.word(f * 32 + 24)
     }
 }
 
@@ -145,13 +147,13 @@ impl CoreProgram for Stage1 {
                         continue;
                     }
                     self.state = S1State::Transform { f, p };
-                    return CpuOp::Load(Cedd::frame_word(INPUT_BASE, f, self.bench.pixels, p));
+                    return CpuOp::Load(Cedd::frame_word(MAP.input, f, self.bench.pixels, p));
                 }
                 S1State::Transform { f, p } => {
                     let v = last.expect("pixel load result");
                     self.state = S1State::Load { f, p: p + 1 };
                     return CpuOp::Store(
-                        Cedd::frame_word(BUF1_BASE, f, self.bench.pixels, p),
+                        Cedd::frame_word(MAP.buf1, f, self.bench.pixels, p),
                         Cedd::s1(v),
                     );
                 }
@@ -186,8 +188,8 @@ struct GpuStage {
     /// Pixel slice [lo, hi) this wavefront owns in every frame.
     lo: u64,
     hi: u64,
-    src: u64,
-    dst: u64,
+    src: Addr,
+    dst: Addr,
     wait_addr: fn(&Cedd, u64) -> Addr,
     wait_target: u64,
     bump_addr: fn(&Cedd, u64) -> Addr,
@@ -314,13 +316,13 @@ impl CoreProgram for Stage4 {
                         continue;
                     }
                     self.state = S4State::Transform { f, p };
-                    return CpuOp::Load(Cedd::frame_word(BUF3_BASE, f, self.bench.pixels, p));
+                    return CpuOp::Load(Cedd::frame_word(MAP.buf3, f, self.bench.pixels, p));
                 }
                 S4State::Transform { f, p } => {
                     let v = last.expect("pixel load result");
                     self.state = S4State::Load { f, p: p + 1 };
                     return CpuOp::Store(
-                        Cedd::frame_word(OUT_BASE, f, self.bench.pixels, p),
+                        Cedd::frame_word(MAP.out, f, self.bench.pixels, p),
                         Cedd::s4(v),
                     );
                 }
@@ -346,7 +348,7 @@ impl Workload for Cedd {
             let words: Vec<u64> = (0..self.pixels).map(|p| self.input(f, p)).collect();
             let at = Tick(f * self.frame_interval);
             dma.push(DmaCommand::Write {
-                base: Cedd::frame_word(INPUT_BASE, f, self.pixels, 0),
+                base: Cedd::frame_word(MAP.input, f, self.pixels, 0),
                 words,
                 at,
             });
@@ -362,7 +364,7 @@ impl Workload for Cedd {
                 frames: frames.clone(),
                 next: 0,
                 state: S1State::NextFrame,
-                spin: CpuSpin::new(Addr(SYNC_BASE), 50),
+                spin: CpuSpin::new(MAP.sync, 50),
             }));
             b.add_cpu_thread(Box::new(Stage4 {
                 bench: *self,
@@ -370,7 +372,7 @@ impl Workload for Cedd {
                 next: 0,
                 wfs: self.wfs_per_stage as u64,
                 state: S4State::NextFrame,
-                spin: CpuSpin::new(Addr(SYNC_BASE), 50),
+                spin: CpuSpin::new(MAP.sync, 50),
             }));
         }
         // GPU stages 2 and 3: wavefronts split the pixel range.
@@ -380,8 +382,8 @@ impl Workload for Cedd {
                 bench: *self,
                 lo,
                 hi,
-                src: BUF1_BASE,
-                dst: BUF2_BASE,
+                src: MAP.buf1,
+                dst: MAP.buf2,
                 wait_addr: Cedd::flag1,
                 wait_target: 1,
                 bump_addr: Cedd::done2,
@@ -389,14 +391,14 @@ impl Workload for Cedd {
                 values: |b, f, p| Cedd::s1(b.input(f, p)),
                 f: 0,
                 state: GsState::NextFrame,
-                spin: GpuSpin::new(Addr(SYNC_BASE), 200),
+                spin: GpuSpin::new(MAP.sync, 200),
             }));
             b.add_wavefront(Box::new(GpuStage {
                 bench: *self,
                 lo,
                 hi,
-                src: BUF2_BASE,
-                dst: BUF3_BASE,
+                src: MAP.buf2,
+                dst: MAP.buf3,
                 wait_addr: Cedd::done2,
                 wait_target: self.wfs_per_stage as u64,
                 bump_addr: Cedd::done3,
@@ -404,7 +406,7 @@ impl Workload for Cedd {
                 values: |b, f, p| Cedd::s2(Cedd::s1(b.input(f, p))),
                 f: 0,
                 state: GsState::NextFrame,
-                spin: GpuSpin::new(Addr(SYNC_BASE), 200),
+                spin: GpuSpin::new(MAP.sync, 200),
             }));
         }
     }
@@ -412,7 +414,7 @@ impl Workload for Cedd {
     fn verify(&self, sys: &System) -> Result<(), String> {
         for f in 0..self.frames {
             for p in 0..self.pixels {
-                let got = sys.final_word(Cedd::frame_word(OUT_BASE, f, self.pixels, p));
+                let got = sys.final_word(Cedd::frame_word(MAP.out, f, self.pixels, p));
                 let want = self.expected(f, p);
                 if got != want {
                     return Err(format!("frame {f} pixel {p}: got {got:#x}, expected {want:#x}"));

@@ -8,13 +8,15 @@
 
 use hsc_cluster::{CoreProgram, CpuOp, GpuOp, WavefrontProgram};
 use hsc_core::{System, SystemBuilder};
-use hsc_mem::{Addr, AtomicKind};
+use hsc_mem::AtomicKind;
 
-use crate::util::{lane_addrs_clipped, share, synth_value};
+use crate::util::{lane_addrs_clipped, memory_map, share, synth_value};
 use crate::Workload;
 
-const INPUT_BASE: u64 = 0x0010_0000;
-const BINS_BASE: u64 = 0x0020_0000;
+memory_map! { Hsti as w:
+    input at 0x0010_0000, w.elements * 8;
+    bins at 0x0020_0000, w.bins * 8;
+}
 
 /// Configuration of the `hsti` benchmark.
 #[derive(Debug, Clone, Copy)]
@@ -44,10 +46,6 @@ impl Hsti {
 
     fn bin_of(&self, v: u64) -> u64 {
         v % self.bins
-    }
-
-    fn bin_addr(&self, b: u64) -> Addr {
-        Addr(BINS_BASE).word(b)
     }
 
     /// Elements handled by the CPU side (the first half), split among
@@ -86,7 +84,7 @@ impl CoreProgram for CpuWorker {
                     let v = last.expect("a load result drives this transition");
                     self.state = CpuState::AwaitAtomic;
                     return CpuOp::Atomic(
-                        self.bench.bin_addr(self.bench.bin_of(v)),
+                        MAP.bins.word(self.bench.bin_of(v)),
                         AtomicKind::FetchAdd(1),
                     );
                 }
@@ -98,7 +96,7 @@ impl CoreProgram for CpuWorker {
                     if self.i >= self.hi {
                         return CpuOp::Done;
                     }
-                    let a = Addr(INPUT_BASE).word(self.i);
+                    let a = MAP.input.word(self.i);
                     self.i += 1;
                     self.state = CpuState::AwaitLoad;
                     return CpuOp::Load(a);
@@ -139,7 +137,7 @@ impl WavefrontProgram for GpuWorker {
             return GpuOp::Done;
         }
         if let Some(bin) = self.pending_bins.pop() {
-            return GpuOp::AtomicSlc(self.bench.bin_addr(bin), AtomicKind::FetchAdd(1));
+            return GpuOp::AtomicSlc(MAP.bins.word(bin), AtomicKind::FetchAdd(1));
         }
         if self.i >= self.hi {
             self.done = true;
@@ -148,8 +146,7 @@ impl WavefrontProgram for GpuWorker {
         // The wavefront knows which elements it loads; lane values are
         // deterministic, so the bins can be computed without reading the
         // lane results back (CHAI's kernels bin per-lane in registers).
-        let addrs =
-            lane_addrs_clipped(Addr(INPUT_BASE), self.i / self.lanes as u64, self.lanes, self.hi);
+        let addrs = lane_addrs_clipped(MAP.input, self.i / self.lanes as u64, self.lanes, self.hi);
         let lo = self.i;
         let hi = (self.i + self.lanes as u64).min(self.hi);
         self.i = hi;
@@ -172,7 +169,7 @@ impl Workload for Hsti {
     }
 
     fn build(&self, b: &mut SystemBuilder) {
-        b.init_words((0..self.elements).map(|i| (Addr(INPUT_BASE).word(i), self.input(i))));
+        b.init_words((0..self.elements).map(|i| (MAP.input.word(i), self.input(i))));
         let cpu_share = self.cpu_share();
         for t in 0..self.cpu_threads as u64 {
             let (lo, hi) = share(cpu_share, self.cpu_threads as u64, t);
@@ -191,7 +188,7 @@ impl Workload for Hsti {
             expected[self.bin_of(self.input(i)) as usize] += 1;
         }
         for b in 0..self.bins {
-            let got = sys.final_word(self.bin_addr(b));
+            let got = sys.final_word(MAP.bins.word(b));
             if got != expected[b as usize] {
                 return Err(format!(
                     "bin {b}: got {got}, expected {} (of {} elements)",

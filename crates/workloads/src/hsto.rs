@@ -8,13 +8,14 @@
 
 use hsc_cluster::{CoreProgram, CpuOp, GpuOp, WavefrontProgram};
 use hsc_core::{System, SystemBuilder};
-use hsc_mem::Addr;
 
-use crate::util::{lane_addrs_clipped, share, synth_value};
+use crate::util::{lane_addrs_clipped, memory_map, share, synth_value};
 use crate::Workload;
 
-const INPUT_BASE: u64 = 0x0040_0000;
-const BINS_BASE: u64 = 0x0050_0000;
+memory_map! { Hsto as w:
+    input at 0x0040_0000, w.elements * 8;
+    bins at 0x0050_0000, w.bins * 8;
+}
 
 /// Configuration of the `hsto` benchmark.
 #[derive(Debug, Clone, Copy)]
@@ -83,7 +84,7 @@ impl CoreProgram for CpuWorker {
                 }
             }
             if self.i < self.bench.elements {
-                let a = Addr(INPUT_BASE).word(self.i);
+                let a = MAP.input.word(self.i);
                 self.i += 1;
                 return CpuOp::Load(a);
             }
@@ -94,7 +95,7 @@ impl CoreProgram for CpuWorker {
             let b = self.bin_lo + self.store_idx;
             let v = self.counts[self.store_idx as usize];
             self.store_idx += 1;
-            return CpuOp::Store(Addr(BINS_BASE).word(b), v);
+            return CpuOp::Store(MAP.bins.word(b), v);
         }
         CpuOp::Done
     }
@@ -113,7 +114,7 @@ struct GpuWorker {
 impl WavefrontProgram for GpuWorker {
     fn next_op(&mut self, _last: Option<u64>) -> GpuOp {
         if self.i < self.bench.elements {
-            let addrs = lane_addrs_clipped(Addr(INPUT_BASE), self.i / 16, 16, self.bench.elements);
+            let addrs = lane_addrs_clipped(MAP.input, self.i / 16, 16, self.bench.elements);
             self.i = (self.i + 16).min(self.bench.elements);
             return GpuOp::VecLoad(addrs);
         }
@@ -125,7 +126,7 @@ impl WavefrontProgram for GpuWorker {
             // Counts were accumulated in registers; one vector store.
             let counts = self.bench.count_range(self.bin_lo, self.bin_hi);
             let stores = (self.bin_lo..self.bin_hi)
-                .map(|b| (Addr(BINS_BASE).word(b), counts[(b - self.bin_lo) as usize]))
+                .map(|b| (MAP.bins.word(b), counts[(b - self.bin_lo) as usize]))
                 .collect();
             return GpuOp::VecStore(stores);
         }
@@ -147,7 +148,7 @@ impl Workload for Hsto {
     }
 
     fn build(&self, b: &mut SystemBuilder) {
-        b.init_words((0..self.elements).map(|i| (Addr(INPUT_BASE).word(i), self.input(i))));
+        b.init_words((0..self.elements).map(|i| (MAP.input.word(i), self.input(i))));
         for t in 0..self.cpu_threads as u64 {
             let (lo, hi) = share(self.bins, self.workers(), t);
             b.add_cpu_thread(Box::new(CpuWorker {
@@ -176,7 +177,7 @@ impl Workload for Hsto {
     fn verify(&self, sys: &System) -> Result<(), String> {
         let all = self.count_range(0, self.bins);
         for b in 0..self.bins {
-            let got = sys.final_word(Addr(BINS_BASE).word(b));
+            let got = sys.final_word(MAP.bins.word(b));
             if got != all[b as usize] {
                 return Err(format!("bin {b}: got {got}, expected {}", all[b as usize]));
             }

@@ -105,6 +105,28 @@ pub fn workload_by_name(name: &str) -> Option<Box<dyn Workload>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::util::overlap;
+
+    /// Every workload's map holds at its default sizes and at the ×1, ×2
+    /// and ×4 sizes of the Fig. 6 scale sweep, all of which verify.
+    #[test]
+    fn default_and_scale_sweep_sizes_fit_their_memory_maps() {
+        let fits = |w: &dyn Workload| {
+            assert_eq!(overlap(&w.memory_map()), None, "{} at {w:?}", w.name());
+        };
+        for w in all_workloads().iter().chain(extension_workloads().iter()) {
+            fits(w.as_ref());
+        }
+        for k in [1, 2, 4] {
+            let (cedd, sc, tq, hsti, trns) =
+                (Cedd::default(), Sc::default(), Tq::default(), Hsti::default(), Trns::default());
+            fits(&Cedd { pixels: k * cedd.pixels, ..cedd });
+            fits(&Sc { elements: k * sc.elements, ..sc });
+            fits(&Tq { tasks: k * tq.tasks, ..tq });
+            fits(&Hsti { elements: k * hsti.elements, ..hsti });
+            fits(&Trns { rows: k * trns.rows, ..trns });
+        }
+    }
 
     #[test]
     fn workload_by_name_covers_both_suites() {

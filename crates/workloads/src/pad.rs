@@ -12,11 +12,13 @@ use hsc_cluster::{CoreProgram, CpuOp, GpuOp, WavefrontProgram};
 use hsc_core::{System, SystemBuilder};
 use hsc_mem::{Addr, AtomicKind};
 
-use crate::util::{share, synth_value, CpuSpin, GpuSpin};
+use crate::util::{memory_map, share, synth_value, CpuSpin, GpuSpin};
 use crate::Workload;
 
-const ARRAY_BASE: u64 = 0x0100_0000;
-const FLAGS_BASE: u64 = 0x010F_0000;
+memory_map! { Pad as w:
+    array at 0x0100_0000, w.rows * (w.cols + w.pad) * 8;
+    flags at 0x010F_0000, w.workers() * 64;
+}
 
 /// Configuration of the `pad` benchmark.
 #[derive(Debug, Clone, Copy)]
@@ -47,11 +49,11 @@ impl Pad {
     }
 
     fn src_word(&self, r: u64, c: u64) -> Addr {
-        Addr(ARRAY_BASE).word(r * self.cols + c)
+        MAP.array.word(r * self.cols + c)
     }
 
     fn dst_word(&self, r: u64, c: u64) -> Addr {
-        Addr(ARRAY_BASE).word(r * (self.cols + self.pad) + c)
+        MAP.array.word(r * (self.cols + self.pad) + c)
     }
 
     fn workers(&self) -> u64 {
@@ -59,7 +61,7 @@ impl Pad {
     }
 
     fn flag_addr(&self, w: u64) -> Addr {
-        Addr(FLAGS_BASE).word(w * 8)
+        MAP.flags.word(w * 8)
     }
 }
 
@@ -241,7 +243,7 @@ impl Workload for Pad {
     fn build(&self, b: &mut SystemBuilder) {
         assert!(self.cols <= 16, "a row must fit one vector op");
         assert!(self.pad <= 16, "padding must fit one vector op");
-        b.init_words((0..self.rows * self.cols).map(|i| (Addr(ARRAY_BASE).word(i), self.input(i))));
+        b.init_words((0..self.rows * self.cols).map(|i| (MAP.array.word(i), self.input(i))));
         let workers = self.workers();
         // Worker ids: 0..cpu_threads are CPU (bottom rows), then GPU (top).
         // Higher workers own higher rows and must finish first.

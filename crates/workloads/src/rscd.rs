@@ -14,13 +14,15 @@ use hsc_cluster::{CoreProgram, CpuOp, GpuOp, WavefrontProgram};
 use hsc_core::{System, SystemBuilder};
 use hsc_mem::{Addr, AtomicKind};
 
-use crate::util::{share, synth_value};
+use crate::util::{memory_map, share, synth_value};
 use crate::Workload;
 
-const POINTS_BASE: u64 = 0x0120_0000;
-const ERR_BASE: u64 = 0x0128_0000;
-const DONE_BASE: u64 = 0x0130_0000;
-const BEST_ADDR: u64 = 0x0138_0000;
+memory_map! { Rscd as w:
+    points at 0x0120_0000, w.points * 8;
+    err at 0x0128_0000, w.iterations * 64;
+    done at 0x0130_0000, w.iterations * 64;
+    best at 0x0138_0000, 8;
+}
 
 /// Configuration of the `rscd` benchmark.
 #[derive(Debug, Clone, Copy)]
@@ -67,11 +69,11 @@ impl Rscd {
     }
 
     fn err_addr(&self, i: u64) -> Addr {
-        Addr(ERR_BASE).word(i * 8)
+        MAP.err.word(i * 8)
     }
 
     fn done_addr(&self, i: u64) -> Addr {
-        Addr(DONE_BASE).word(i * 8)
+        MAP.done.word(i * 8)
     }
 
     /// Partial error of worker slice `[lo, hi)` for iteration `i`.
@@ -122,7 +124,7 @@ impl CoreProgram for CpuWorker {
                         continue;
                     }
                     self.state = CpuState::Accumulate { i, p };
-                    return CpuOp::Load(Addr(POINTS_BASE).word(p));
+                    return CpuOp::Load(MAP.points.word(p));
                 }
                 CpuState::Accumulate { i, p } => {
                     let v = last.expect("point load result");
@@ -157,7 +159,7 @@ impl CoreProgram for CpuWorker {
                     let err = last.expect("iteration error");
                     self.i = i + 1;
                     self.state = CpuState::AwaitFold;
-                    return CpuOp::Atomic(Addr(BEST_ADDR), AtomicKind::FetchMin(err));
+                    return CpuOp::Atomic(MAP.best, AtomicKind::FetchMin(err));
                 }
                 CpuState::AwaitFold => {
                     self.state = CpuState::NextIter;
@@ -207,7 +209,7 @@ impl WavefrontProgram for GpuWorker {
                     }
                     let hi = (p + 16).min(self.hi);
                     self.state = GpuState::LoadPoints { i, p: hi };
-                    return GpuOp::VecLoad((p..hi).map(|q| Addr(POINTS_BASE).word(q)).collect());
+                    return GpuOp::VecLoad((p..hi).map(|q| MAP.points.word(q)).collect());
                 }
                 GpuState::AddPartial { i } => {
                     // Lane errors reduce in registers; one atomic add.
@@ -234,7 +236,7 @@ impl WavefrontProgram for GpuWorker {
                     let err = self.bench.iter_err(i);
                     self.i = i + 1;
                     self.state = GpuState::AwaitFold;
-                    return GpuOp::AtomicSlc(Addr(BEST_ADDR), AtomicKind::FetchMin(err));
+                    return GpuOp::AtomicSlc(MAP.best, AtomicKind::FetchMin(err));
                 }
                 GpuState::AwaitFold => {
                     self.state = GpuState::NextIter;
@@ -255,8 +257,8 @@ impl Workload for Rscd {
     }
 
     fn build(&self, b: &mut SystemBuilder) {
-        b.init_words((0..self.points).map(|p| (Addr(POINTS_BASE).word(p), self.point(p))));
-        b.init_words([(Addr(BEST_ADDR), u64::MAX)]);
+        b.init_words((0..self.points).map(|p| (MAP.points.word(p), self.point(p))));
+        b.init_words([(MAP.best, u64::MAX)]);
         for t in 0..self.cpu_threads as u64 {
             let (lo, hi) = share(self.points, self.workers(), t);
             b.add_cpu_thread(Box::new(CpuWorker {
@@ -281,7 +283,7 @@ impl Workload for Rscd {
     }
 
     fn verify(&self, sys: &System) -> Result<(), String> {
-        let got = sys.final_word(Addr(BEST_ADDR));
+        let got = sys.final_word(MAP.best);
         let want = self.best_err();
         if got != want {
             return Err(format!("best error: got {got}, expected {want}"));

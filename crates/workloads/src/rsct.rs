@@ -11,14 +11,16 @@
 
 use hsc_cluster::{CoreProgram, CpuOp, GpuOp, WavefrontProgram};
 use hsc_core::{System, SystemBuilder};
-use hsc_mem::{Addr, AtomicKind};
+use hsc_mem::AtomicKind;
 
-use crate::util::synth_value;
+use crate::util::{memory_map, synth_value};
 use crate::Workload;
 
-const POINTS_BASE: u64 = 0x0140_0000;
-const NEXT_ITER_ADDR: u64 = 0x0148_0000;
-const BEST_ADDR: u64 = 0x0148_0040;
+memory_map! { Rsct as w:
+    points at 0x0140_0000, w.points * 8;
+    next_iter at 0x0148_0000, 8;
+    best at 0x0148_0040, 8; // a line apart from the counter
+}
 
 /// Configuration of the `rsct` benchmark.
 #[derive(Debug, Clone, Copy)]
@@ -84,7 +86,7 @@ impl CoreProgram for CpuWorker {
             match self.state {
                 CpuState::Claim => {
                     self.state = CpuState::AwaitClaim;
-                    return CpuOp::Atomic(Addr(NEXT_ITER_ADDR), AtomicKind::FetchAdd(1));
+                    return CpuOp::Atomic(MAP.next_iter, AtomicKind::FetchAdd(1));
                 }
                 CpuState::AwaitClaim => {
                     let i = last.expect("claim returns the old counter");
@@ -102,7 +104,7 @@ impl CoreProgram for CpuWorker {
                         continue;
                     }
                     self.state = CpuState::Accumulate { i, p };
-                    return CpuOp::Load(Addr(POINTS_BASE).word(p));
+                    return CpuOp::Load(MAP.points.word(p));
                 }
                 CpuState::Accumulate { i, p } => {
                     let v = last.expect("point load result");
@@ -112,7 +114,7 @@ impl CoreProgram for CpuWorker {
                 }
                 CpuState::ReadBest { err } => {
                     self.state = CpuState::TryCas { err };
-                    return CpuOp::Load(Addr(BEST_ADDR));
+                    return CpuOp::Load(MAP.best);
                 }
                 CpuState::TryCas { err } => {
                     let cur = last.expect("best load result");
@@ -122,7 +124,7 @@ impl CoreProgram for CpuWorker {
                     }
                     self.state = CpuState::AwaitCas { err, expect: cur };
                     return CpuOp::Atomic(
-                        Addr(BEST_ADDR),
+                        MAP.best,
                         AtomicKind::CompareSwap { expect: cur, new: err },
                     );
                 }
@@ -134,7 +136,7 @@ impl CoreProgram for CpuWorker {
                         // Lost the race to a worse value: retry.
                         self.state = CpuState::AwaitCas { err, expect: old };
                         return CpuOp::Atomic(
-                            Addr(BEST_ADDR),
+                            MAP.best,
                             AtomicKind::CompareSwap { expect: old, new: err },
                         );
                     } else {
@@ -170,7 +172,7 @@ impl WavefrontProgram for GpuWorker {
             match self.state {
                 GpuState::Claim => {
                     self.state = GpuState::AwaitClaim;
-                    return GpuOp::AtomicSlc(Addr(NEXT_ITER_ADDR), AtomicKind::FetchAdd(1));
+                    return GpuOp::AtomicSlc(MAP.next_iter, AtomicKind::FetchAdd(1));
                 }
                 GpuState::AwaitClaim => {
                     let i = last.expect("claim returns the old counter");
@@ -188,12 +190,12 @@ impl WavefrontProgram for GpuWorker {
                     }
                     let hi = (p + 16).min(self.bench.points);
                     self.state = GpuState::LoadPoints { i, p: hi };
-                    return GpuOp::VecLoad((p..hi).map(|q| Addr(POINTS_BASE).word(q)).collect());
+                    return GpuOp::VecLoad((p..hi).map(|q| MAP.points.word(q)).collect());
                 }
                 GpuState::ReadBest { err } => {
                     self.state = GpuState::TryCas { err };
                     // Coherent read of the best word through the directory.
-                    return GpuOp::AtomicSlc(Addr(BEST_ADDR), AtomicKind::FetchAdd(0));
+                    return GpuOp::AtomicSlc(MAP.best, AtomicKind::FetchAdd(0));
                 }
                 GpuState::TryCas { err } => {
                     let cur = last.expect("best read result");
@@ -203,7 +205,7 @@ impl WavefrontProgram for GpuWorker {
                     }
                     self.state = GpuState::AwaitCas { err, expect: cur };
                     return GpuOp::AtomicSlc(
-                        Addr(BEST_ADDR),
+                        MAP.best,
                         AtomicKind::CompareSwap { expect: cur, new: err },
                     );
                 }
@@ -214,7 +216,7 @@ impl WavefrontProgram for GpuWorker {
                     } else if err < old {
                         self.state = GpuState::AwaitCas { err, expect: old };
                         return GpuOp::AtomicSlc(
-                            Addr(BEST_ADDR),
+                            MAP.best,
                             AtomicKind::CompareSwap { expect: old, new: err },
                         );
                     } else {
@@ -237,8 +239,8 @@ impl Workload for Rsct {
     }
 
     fn build(&self, b: &mut SystemBuilder) {
-        b.init_words((0..self.points).map(|p| (Addr(POINTS_BASE).word(p), self.point(p))));
-        b.init_words([(Addr(BEST_ADDR), u64::MAX)]);
+        b.init_words((0..self.points).map(|p| (MAP.points.word(p), self.point(p))));
+        b.init_words([(MAP.best, u64::MAX)]);
         for _ in 0..self.cpu_threads {
             b.add_cpu_thread(Box::new(CpuWorker { bench: *self, acc: 0, state: CpuState::Claim }));
         }
@@ -248,11 +250,11 @@ impl Workload for Rsct {
     }
 
     fn verify(&self, sys: &System) -> Result<(), String> {
-        let claimed = sys.final_word(Addr(NEXT_ITER_ADDR));
+        let claimed = sys.final_word(MAP.next_iter);
         if claimed < self.iterations {
             return Err(format!("only {claimed} of {} iterations claimed", self.iterations));
         }
-        let got = sys.final_word(Addr(BEST_ADDR));
+        let got = sys.final_word(MAP.best);
         let want = self.best_err();
         if got != want {
             return Err(format!("best error: got {got}, expected {want}"));

@@ -5,6 +5,8 @@ use std::fmt;
 use hsc_core::{Metrics, ObsConfig, ObsData, System, SystemBuilder, SystemConfig};
 use hsc_noc::SimError;
 
+use crate::util::{overlap, MemoryMap, Region};
+
 /// A collaborative CPU/GPU benchmark: knows how to populate a system and
 /// how to verify its own results from the final coherent memory state.
 ///
@@ -13,7 +15,7 @@ use hsc_noc::SimError;
 /// builds its own `System` from the shared, immutable workload
 /// definition. Workloads are plain data, so this costs implementors
 /// nothing.
-pub trait Workload: fmt::Debug + Send + Sync {
+pub trait Workload: MemoryMap + fmt::Debug + Send + Sync {
     /// Short CHAI-style identifier (`bs`, `cedd`, `tq`, …).
     fn name(&self) -> &'static str;
 
@@ -42,9 +44,10 @@ pub const DEFAULT_EVENT_BUDGET: u64 = 200_000_000;
 ///
 /// # Panics
 ///
-/// Panics if verification fails, the run livelocks, or the protocol
-/// deadlocks. For a panic-free variant (fault-injection campaigns), use
-/// [`run_workload_observed`] and match its `outcome`.
+/// Panics if the memory map overlaps, verification fails, the run
+/// livelocks, or the protocol deadlocks. For a panic-free variant
+/// (fault-injection campaigns), use [`run_workload_observed`] and match
+/// its `outcome`.
 #[must_use]
 pub fn run_workload_on(w: &dyn Workload, config: SystemConfig) -> Metrics {
     match run_workload_observed(w, config, ObsConfig::off()).outcome {
@@ -56,6 +59,9 @@ pub fn run_workload_on(w: &dyn Workload, config: SystemConfig) -> Metrics {
 /// What went wrong in a [`run_workload_observed`] run.
 #[derive(Debug, Clone)]
 pub enum WorkloadError {
+    /// The workload's sizes overrun its memory map: the two regions
+    /// share bytes, so the run was refused before it was built.
+    Layout(Region, Region),
     /// The simulation itself failed (deadlock, budget, wiring).
     Sim(SimError),
     /// The run completed but the functional result was wrong.
@@ -65,6 +71,7 @@ pub enum WorkloadError {
 impl fmt::Display for WorkloadError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            WorkloadError::Layout(a, b) => write!(f, "memory map: region {a} overlaps {b}"),
             WorkloadError::Sim(e) => write!(f, "{e}"),
             WorkloadError::Verification(e) => write!(f, "verification failed: {e}"),
         }
@@ -88,10 +95,18 @@ pub struct ObservedRun {
     pub obs: ObsData,
 }
 
-/// Builds `w` on `config`, runs it, verifies the functional result and
-/// collects what `obs` asks for. Every failure — protocol deadlock,
+/// Checks `w`'s memory map, then builds `w` on `config`, runs it,
+/// verifies the functional result and collects what `obs` asks for.
+/// Every failure of the run — overlapping regions, protocol deadlock,
 /// livelock, mis-wired topology, or a wrong answer — is a typed
-/// [`WorkloadError`] in the outcome, never a panic.
+/// [`WorkloadError`] in the outcome.
+///
+/// A configuration the system cannot hold still panics while it is
+/// built: a workload that asks for more CPU threads than the CorePairs
+/// have cores (`SystemBuilder::add_cpu_thread`, e.g. `Hsti` with 9
+/// threads on the default 4 CorePairs), a system of more than 32
+/// CorePairs or TCCs (`Directory::new`), and a `Pad` row or padding
+/// wider than one vector op (16 words).
 ///
 /// A failed run's Perfetto trace ends with the flight-recorder tail on a
 /// `"flight"` track, so the viewer shows what was delivered just before
@@ -102,6 +117,9 @@ pub fn run_workload_observed(
     config: SystemConfig,
     obs: ObsConfig,
 ) -> ObservedRun {
+    if let Some((a, b)) = overlap(&w.memory_map()) {
+        return ObservedRun { outcome: Err(WorkloadError::Layout(a, b)), obs: ObsData::default() };
+    }
     let mut b = SystemBuilder::new(config);
     b.with_observability(obs);
     w.build(&mut b);
@@ -143,6 +161,13 @@ mod tests {
     #[derive(Debug)]
     struct StoreLoad {
         wrong_answer: bool,
+    }
+
+    impl MemoryMap for StoreLoad {
+        fn memory_map(&self) -> Vec<Region> {
+            let word = |name, base| Region { name, base, bytes: 8 };
+            vec![word("target", TARGET), word("stored", Addr(0x8_0000))]
+        }
     }
 
     impl Workload for StoreLoad {

@@ -10,12 +10,15 @@ use hsc_cluster::{CoreProgram, CpuOp, GpuOp, WavefrontProgram};
 use hsc_core::{System, SystemBuilder};
 use hsc_mem::{Addr, AtomicKind};
 
-use crate::util::synth_value;
+use crate::util::{memory_map, synth_value};
 use crate::Workload;
 
-const INPUT_BASE: u64 = 0x0060_0000;
-const OUTPUT_BASE: u64 = 0x0070_0000;
-const CURSORS_BASE: u64 = 0x007F_0000;
+memory_map! { Sc as w:
+    input at 0x0060_0000, w.elements * 8;
+    output at 0x0070_0000, w.expected_kept().len() as u64 * 8;
+    in_cursor at 0x007F_0000, 8;
+    out_cursor at 0x007F_0040, 8; // a line apart from the input cursor
+}
 
 /// Configuration of the `sc` benchmark.
 #[derive(Debug, Clone, Copy)]
@@ -47,14 +50,6 @@ impl Sc {
     /// The compaction predicate: keep values not divisible by 3.
     fn keeps(&self, v: u64) -> bool {
         !v.is_multiple_of(3)
-    }
-
-    fn in_cursor(&self) -> Addr {
-        Addr(CURSORS_BASE)
-    }
-
-    fn out_cursor(&self) -> Addr {
-        Addr(CURSORS_BASE).word(8) // separate line from the input cursor
     }
 
     fn expected_kept(&self) -> Vec<u64> {
@@ -100,7 +95,7 @@ impl Compactor {
         if let Some(at) = self.reserved_at.take() {
             let _ = last;
             let v = self.kept.remove(0);
-            return Step::Write(Addr(OUTPUT_BASE).word(at), v);
+            return Step::Write(MAP.output.word(at), v);
         }
         if !self.kept.is_empty() {
             // Need a slot for the next survivor.
@@ -153,7 +148,7 @@ impl CoreProgram for CpuWorker {
                             if self.c.chunk.is_none() {
                                 self.phase = CpuPhase::Claiming;
                                 return CpuOp::Atomic(
-                                    self.c.bench.in_cursor(),
+                                    MAP.in_cursor,
                                     AtomicKind::FetchAdd(self.c.bench.chunk),
                                 );
                             }
@@ -167,7 +162,7 @@ impl CoreProgram for CpuWorker {
                 CpuPhase::LoadingChunk { next, hi } => {
                     if next < hi {
                         self.phase = CpuPhase::LoadingChunk { next: next + 1, hi };
-                        return CpuOp::Load(Addr(INPUT_BASE).word(next));
+                        return CpuOp::Load(MAP.input.word(next));
                     }
                     self.phase = CpuPhase::Driving;
                 }
@@ -181,7 +176,7 @@ impl CoreProgram for CpuWorker {
                 CpuPhase::Driving => match self.c.step(None) {
                     Step::ReserveOutput => {
                         self.phase = CpuPhase::Reserving;
-                        return CpuOp::Atomic(self.c.bench.out_cursor(), AtomicKind::FetchAdd(1));
+                        return CpuOp::Atomic(MAP.out_cursor, AtomicKind::FetchAdd(1));
                     }
                     Step::Write(a, v) => {
                         self.phase = CpuPhase::Driving;
@@ -190,7 +185,7 @@ impl CoreProgram for CpuWorker {
                     Step::ClaimInput => {
                         self.phase = CpuPhase::Claiming;
                         return CpuOp::Atomic(
-                            self.c.bench.in_cursor(),
+                            MAP.in_cursor,
                             AtomicKind::FetchAdd(self.c.bench.chunk),
                         );
                     }
@@ -224,7 +219,7 @@ impl WavefrontProgram for GpuWorker {
                     Step::ClaimInput => {
                         if self.c.chunk.is_none() {
                             return GpuOp::AtomicSlc(
-                                self.c.bench.in_cursor(),
+                                MAP.in_cursor,
                                 AtomicKind::FetchAdd(self.c.bench.chunk),
                             );
                         }
@@ -243,7 +238,7 @@ impl WavefrontProgram for GpuWorker {
                 GpuPhase::LoadingChunk => {
                     let (lo, hi) = self.c.chunk.unwrap();
                     self.phase = GpuPhase::Driving;
-                    return GpuOp::VecLoad((lo..hi).map(|i| Addr(INPUT_BASE).word(i)).collect());
+                    return GpuOp::VecLoad((lo..hi).map(|i| MAP.input.word(i)).collect());
                 }
                 GpuPhase::Reserving => {
                     if let Some(old) = last {
@@ -254,10 +249,7 @@ impl WavefrontProgram for GpuWorker {
                 GpuPhase::Driving => match self.c.step(None) {
                     Step::ReserveOutput => {
                         self.phase = GpuPhase::Reserving;
-                        return GpuOp::AtomicSlc(
-                            self.c.bench.out_cursor(),
-                            AtomicKind::FetchAdd(1),
-                        );
+                        return GpuOp::AtomicSlc(MAP.out_cursor, AtomicKind::FetchAdd(1));
                     }
                     Step::Write(a, v) => {
                         return GpuOp::VecStore(vec![(a, v)]);
@@ -265,7 +257,7 @@ impl WavefrontProgram for GpuWorker {
                     Step::ClaimInput => {
                         self.phase = GpuPhase::Claiming;
                         return GpuOp::AtomicSlc(
-                            self.c.bench.in_cursor(),
+                            MAP.in_cursor,
                             AtomicKind::FetchAdd(self.c.bench.chunk),
                         );
                     }
@@ -292,7 +284,7 @@ impl Workload for Sc {
     }
 
     fn build(&self, b: &mut SystemBuilder) {
-        b.init_words((0..self.elements).map(|i| (Addr(INPUT_BASE).word(i), self.input(i))));
+        b.init_words((0..self.elements).map(|i| (MAP.input.word(i), self.input(i))));
         for _ in 0..self.cpu_threads {
             b.add_cpu_thread(Box::new(CpuWorker {
                 c: Compactor::new(*self),
@@ -310,13 +302,12 @@ impl Workload for Sc {
 
     fn verify(&self, sys: &System) -> Result<(), String> {
         let expected = self.expected_kept();
-        let count = sys.final_word(self.out_cursor());
+        let count = sys.final_word(MAP.out_cursor);
         if count != expected.len() as u64 {
             return Err(format!("kept {count}, expected {}", expected.len()));
         }
         // Order is nondeterministic across workers: compare multisets.
-        let mut got: Vec<u64> =
-            (0..count).map(|i| sys.final_word(Addr(OUTPUT_BASE).word(i))).collect();
+        let mut got: Vec<u64> = (0..count).map(|i| sys.final_word(MAP.output.word(i))).collect();
         let mut want = expected;
         got.sort_unstable();
         want.sort_unstable();
@@ -331,7 +322,23 @@ impl Workload for Sc {
 mod tests {
     use super::*;
     use crate::runner::run_workload_on;
-    use hsc_core::{CoherenceConfig, SystemConfig};
+    use crate::{run_workload_observed, WorkloadError};
+    use hsc_core::{CoherenceConfig, ObsConfig, SystemConfig};
+
+    /// Eight times the default input runs into the output: refused by
+    /// name, before a single event, instead of failing verification with
+    /// "kept 6004916486643563057".
+    #[test]
+    fn an_input_that_reaches_the_output_is_refused_before_the_run() {
+        let w = Sc { elements: 8 * 32_768, ..Sc::default() };
+        let run = run_workload_observed(&w, SystemConfig::default(), ObsConfig::off());
+        let Err(WorkloadError::Layout(input, output)) = run.outcome else {
+            panic!("expected a layout error, got {:?}", run.outcome);
+        };
+        assert_eq!((input.name, output.name), ("input", "output"));
+        assert_eq!((input.base.0, input.end()), (0x60_0000, 0x80_0000));
+        assert!(run.obs.flight.is_empty(), "nothing was delivered");
+    }
 
     #[test]
     fn sc_verifies_on_baseline_and_llcwb() {

@@ -11,14 +11,16 @@ use hsc_cluster::{CoreProgram, CpuOp, GpuOp, WavefrontProgram};
 use hsc_core::{System, SystemBuilder};
 use hsc_mem::{Addr, AtomicKind};
 
-use crate::util::{share, synth_value, CpuSpin, GpuSpin};
+use crate::util::{memory_map, share, synth_value, CpuSpin, GpuSpin};
 use crate::Workload;
 
-const TASKS_BASE: u64 = 0x0080_0000;
-const FLAGS_BASE: u64 = 0x0088_0000;
-const RESULTS_BASE: u64 = 0x0090_0000;
-const HEAD_ADDR: u64 = 0x009F_0000;
-const DONE_ADDR: u64 = 0x009F_0040; // separate line from the head
+memory_map! { Tq as w:
+    tasks at 0x0080_0000, w.tasks * 8;
+    flags at 0x0088_0000, w.tasks * 8;
+    results at 0x0090_0000, w.tasks * 8;
+    head at 0x009F_0000, 8;
+    done at 0x009F_0040, 8; // a line apart from the head
+}
 
 /// Configuration of the `tq` benchmark.
 #[derive(Debug, Clone, Copy)]
@@ -52,18 +54,6 @@ impl Tq {
     fn process(v: u64) -> u64 {
         v.rotate_left(7) ^ 0xABCD
     }
-
-    fn task_addr(&self, t: u64) -> Addr {
-        Addr(TASKS_BASE).word(t)
-    }
-
-    fn flag_addr(&self, t: u64) -> Addr {
-        Addr(FLAGS_BASE).word(t)
-    }
-
-    fn result_addr(&self, t: u64) -> Addr {
-        Addr(RESULTS_BASE).word(t)
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -89,7 +79,7 @@ impl CoreProgram for Producer {
         match self.state {
             ProducerState::WritePayload => {
                 self.state = ProducerState::PublishFlag;
-                CpuOp::Store(self.bench.task_addr(self.i), self.bench.payload(self.i))
+                CpuOp::Store(MAP.tasks.word(self.i), self.bench.payload(self.i))
             }
             ProducerState::PublishFlag => {
                 let t = self.i;
@@ -97,7 +87,7 @@ impl CoreProgram for Producer {
                 self.state = ProducerState::WritePayload;
                 // x86-TSO keeps the payload→flag order; our cores are
                 // in-order blocking, which is stronger.
-                CpuOp::Store(self.bench.flag_addr(t), 1)
+                CpuOp::Store(MAP.flags.word(t), 1)
             }
         }
     }
@@ -128,14 +118,14 @@ impl CoreProgram for CpuConsumer {
             match self.state {
                 CpuConsumerState::ClaimTask => {
                     self.state = CpuConsumerState::AwaitClaim;
-                    return CpuOp::Atomic(Addr(HEAD_ADDR), AtomicKind::FetchAdd(1));
+                    return CpuOp::Atomic(MAP.head, AtomicKind::FetchAdd(1));
                 }
                 CpuConsumerState::AwaitClaim => {
                     let t = last.expect("claim returns the old head");
                     if t >= self.bench.tasks {
                         return CpuOp::Done;
                     }
-                    self.spin.reset(self.bench.flag_addr(t));
+                    self.spin.reset(MAP.flags.word(t));
                     self.state = CpuConsumerState::Spin(t);
                 }
                 CpuConsumerState::Spin(t) => {
@@ -146,14 +136,14 @@ impl CoreProgram for CpuConsumer {
                 }
                 CpuConsumerState::LoadPayload(t) => {
                     self.state = CpuConsumerState::AwaitPayload(t);
-                    return CpuOp::Load(self.bench.task_addr(t));
+                    return CpuOp::Load(MAP.tasks.word(t));
                 }
                 CpuConsumerState::AwaitPayload(t) => {
                     let v = last.expect("payload load result");
                     self.state = CpuConsumerState::StoreResult;
                     let result = Tq::process(v);
                     // Charge the processing time, then store on re-entry.
-                    self.pending_store = Some((self.bench.result_addr(t), result));
+                    self.pending_store = Some((MAP.results.word(t), result));
                     return CpuOp::Compute(self.bench.compute);
                 }
                 CpuConsumerState::StoreResult => {
@@ -163,7 +153,7 @@ impl CoreProgram for CpuConsumer {
                 }
                 CpuConsumerState::BumpDone => {
                     self.state = CpuConsumerState::ClaimTask;
-                    return CpuOp::Atomic(Addr(DONE_ADDR), AtomicKind::FetchAdd(1));
+                    return CpuOp::Atomic(MAP.done, AtomicKind::FetchAdd(1));
                 }
             }
         }
@@ -197,14 +187,14 @@ impl WavefrontProgram for GpuConsumer {
             match self.state {
                 GpuConsumerState::ClaimTask => {
                     self.state = GpuConsumerState::AwaitClaim;
-                    return GpuOp::AtomicSlc(Addr(HEAD_ADDR), AtomicKind::FetchAdd(1));
+                    return GpuOp::AtomicSlc(MAP.head, AtomicKind::FetchAdd(1));
                 }
                 GpuConsumerState::AwaitClaim => {
                     let t = last.expect("claim returns the old head");
                     if t >= self.bench.tasks {
                         return GpuOp::Done;
                     }
-                    self.spin.reset(self.bench.flag_addr(t));
+                    self.spin.reset(MAP.flags.word(t));
                     self.state = GpuConsumerState::Spin(t);
                 }
                 GpuConsumerState::Spin(t) => {
@@ -221,11 +211,11 @@ impl WavefrontProgram for GpuConsumer {
                 }
                 GpuConsumerState::LoadPayload(t) => {
                     self.state = GpuConsumerState::AwaitPayload(t);
-                    return GpuOp::VecLoad(vec![self.bench.task_addr(t)]);
+                    return GpuOp::VecLoad(vec![MAP.tasks.word(t)]);
                 }
                 GpuConsumerState::AwaitPayload(t) => {
                     let v = last.expect("payload load result");
-                    self.pending_store = Some((self.bench.result_addr(t), Tq::process(v)));
+                    self.pending_store = Some((MAP.results.word(t), Tq::process(v)));
                     self.state = GpuConsumerState::StoreResult;
                     return GpuOp::Compute(self.bench.compute);
                 }
@@ -243,7 +233,7 @@ impl WavefrontProgram for GpuConsumer {
                 }
                 GpuConsumerState::BumpDone => {
                     self.state = GpuConsumerState::ClaimTask;
-                    return GpuOp::AtomicSlc(Addr(DONE_ADDR), AtomicKind::FetchAdd(1));
+                    return GpuOp::AtomicSlc(MAP.done, AtomicKind::FetchAdd(1));
                 }
             }
         }
@@ -255,7 +245,7 @@ impl CpuConsumer {
         CpuConsumer {
             bench,
             state: CpuConsumerState::ClaimTask,
-            spin: CpuSpin::new(Addr(FLAGS_BASE), 30),
+            spin: CpuSpin::new(MAP.flags, 30),
             pending_store: None,
         }
     }
@@ -287,19 +277,19 @@ impl Workload for Tq {
             b.add_wavefront(Box::new(GpuConsumer {
                 bench: *self,
                 state: GpuConsumerState::ClaimTask,
-                spin: GpuSpin::new(Addr(FLAGS_BASE), 100),
+                spin: GpuSpin::new(MAP.flags, 100),
                 pending_store: None,
             }));
         }
     }
 
     fn verify(&self, sys: &System) -> Result<(), String> {
-        let done = sys.final_word(Addr(DONE_ADDR));
+        let done = sys.final_word(MAP.done);
         if done != self.tasks {
             return Err(format!("done counter {done}, expected {}", self.tasks));
         }
         for t in 0..self.tasks {
-            let got = sys.final_word(self.result_addr(t));
+            let got = sys.final_word(MAP.results.word(t));
             let want = Tq::process(self.payload(t));
             if got != want {
                 return Err(format!("task {t}: result {got}, expected {want}"));

@@ -12,14 +12,16 @@ use hsc_cluster::{CoreProgram, CpuOp, GpuOp, WavefrontProgram};
 use hsc_core::{System, SystemBuilder};
 use hsc_mem::{Addr, AtomicKind};
 
-use crate::util::{share, synth_value, GpuSpin};
+use crate::util::{memory_map, share, synth_value, GpuSpin};
 use crate::Workload;
 
-const IMAGE_BASE: u64 = 0x0150_0000;
-const FLAGS_BASE: u64 = 0x0158_0000;
-const BINS_BASE: u64 = 0x015F_0000;
-const HEAD_ADDR: u64 = 0x015F_8000;
-const DONE_ADDR: u64 = 0x015F_8040;
+memory_map! { Tqh as w:
+    image at 0x0150_0000, w.blocks * w.block_pixels * 8;
+    flags at 0x0158_0000, w.blocks * 8;
+    bins at 0x015F_0000, w.bins * 8;
+    head at 0x015F_8000, 8;
+    done at 0x015F_8040, 8; // a line apart from the head
+}
 
 /// Configuration of the `tqh` benchmark.
 #[derive(Debug, Clone, Copy)]
@@ -54,15 +56,7 @@ impl Tqh {
     }
 
     fn pixel_addr(&self, b: u64, p: u64) -> Addr {
-        Addr(IMAGE_BASE).word(b * self.block_pixels + p)
-    }
-
-    fn flag_addr(&self, b: u64) -> Addr {
-        Addr(FLAGS_BASE).word(b)
-    }
-
-    fn bin_addr(&self, bin: u64) -> Addr {
-        Addr(BINS_BASE).word(bin)
+        MAP.image.word(b * self.block_pixels + p)
     }
 
     fn expected_bins(&self) -> Vec<u64> {
@@ -100,7 +94,7 @@ impl CoreProgram for Producer {
         }
         self.bi += 1;
         self.p = 0;
-        CpuOp::Store(self.bench.flag_addr(b), 1)
+        CpuOp::Store(MAP.flags.word(b), 1)
     }
 }
 
@@ -132,7 +126,7 @@ impl WavefrontProgram for Consumer {
             match &mut self.state {
                 GpuState::Claim => {
                     self.state = GpuState::AwaitClaim;
-                    return GpuOp::AtomicSlc(Addr(HEAD_ADDR), AtomicKind::FetchAdd(1));
+                    return GpuOp::AtomicSlc(MAP.head, AtomicKind::FetchAdd(1));
                 }
                 GpuState::AwaitClaim => {
                     let b = last.expect("claim returns the old head");
@@ -140,7 +134,7 @@ impl WavefrontProgram for Consumer {
                         self.state = GpuState::Finished;
                         continue;
                     }
-                    self.spin.reset(self.bench.flag_addr(b));
+                    self.spin.reset(MAP.flags.word(b));
                     self.state = GpuState::Spin(b);
                 }
                 GpuState::Spin(b) => {
@@ -182,11 +176,11 @@ impl WavefrontProgram for Consumer {
                     let bin = *i as u64;
                     let count = bins[*i];
                     *i += 1;
-                    return GpuOp::AtomicSlc(self.bench.bin_addr(bin), AtomicKind::FetchAdd(count));
+                    return GpuOp::AtomicSlc(MAP.bins.word(bin), AtomicKind::FetchAdd(count));
                 }
                 GpuState::BumpDone => {
                     self.state = GpuState::Claim;
-                    return GpuOp::AtomicSlc(Addr(DONE_ADDR), AtomicKind::FetchAdd(1));
+                    return GpuOp::AtomicSlc(MAP.done, AtomicKind::FetchAdd(1));
                 }
                 GpuState::Finished => return GpuOp::Done,
             }
@@ -213,19 +207,19 @@ impl Workload for Tqh {
             b.add_wavefront(Box::new(Consumer {
                 bench: *self,
                 state: GpuState::Claim,
-                spin: GpuSpin::new(Addr(FLAGS_BASE), 200),
+                spin: GpuSpin::new(MAP.flags, 200),
             }));
         }
     }
 
     fn verify(&self, sys: &System) -> Result<(), String> {
-        let done = sys.final_word(Addr(DONE_ADDR));
+        let done = sys.final_word(MAP.done);
         if done != self.blocks {
             return Err(format!("processed {done} blocks, expected {}", self.blocks));
         }
         let expected = self.expected_bins();
         for bin in 0..self.bins {
-            let got = sys.final_word(self.bin_addr(bin));
+            let got = sys.final_word(MAP.bins.word(bin));
             if got != expected[bin as usize] {
                 return Err(format!("bin {bin}: got {got}, expected {}", expected[bin as usize]));
             }
@@ -238,7 +232,8 @@ impl Workload for Tqh {
 mod tests {
     use super::*;
     use crate::runner::run_workload_on;
-    use hsc_core::{CoherenceConfig, SystemConfig};
+    use crate::{run_workload_observed, WorkloadError};
+    use hsc_core::{CoherenceConfig, ObsConfig, SystemConfig};
 
     fn small() -> Tqh {
         Tqh { blocks: 12, block_pixels: 48, bins: 8, producers: 2, wavefronts: 4, seed: 5 }
@@ -249,6 +244,23 @@ mod tests {
         let r =
             run_workload_on(&small(), SystemConfig::with_coherence(CoherenceConfig::baseline()));
         assert!(r.stats.get("dir.requests.Atomic") > 0);
+    }
+
+    /// 5000 bins reach the queue head: refused by name, before a single
+    /// event, instead of failing verification with "bin 4096: got 16".
+    #[test]
+    fn bins_that_reach_the_queue_head_are_refused_before_the_run() {
+        let w = Tqh { bins: 5000, ..small() };
+        let run = run_workload_observed(&w, SystemConfig::default(), ObsConfig::off());
+        let Err(WorkloadError::Layout(bins, head)) = run.outcome else {
+            panic!("expected a layout error, got {:?}", run.outcome);
+        };
+        assert_eq!((bins.name, head.name), ("bins", "head"));
+        assert_eq!(
+            WorkloadError::Layout(bins, head).to_string(),
+            "memory map: region `bins` [0x15f0000, 0x15f9c40) overlaps `head` [0x15f8000, 0x15f8008)"
+        );
+        assert!(run.obs.flight.is_empty(), "nothing was delivered");
     }
 
     #[test]

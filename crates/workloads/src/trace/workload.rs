@@ -9,6 +9,7 @@ use hsc_mem::{Addr, AtomicKind};
 use hsc_sim::Tick;
 
 use super::format::{Expectation, FenceKind, StreamKind, TraceOp, TraceProgram, MISMATCH_BASE};
+use crate::util::{MemoryMap, Region};
 use crate::Workload;
 
 /// Simulated-tick spacing between consecutive DMA command issue times:
@@ -118,6 +119,14 @@ impl Workload for TraceWorkload {
             }
         }
         Ok(())
+    }
+}
+
+/// The mismatch flags, one word per stream; the parser keeps a trace's own words out of them.
+impl MemoryMap for TraceWorkload {
+    fn memory_map(&self) -> Vec<Region> {
+        let bytes = self.program.streams.len() as u64 * 8;
+        vec![Region { name: "mismatch_flags", base: Self::mismatch_flag(0), bytes }]
     }
 }
 

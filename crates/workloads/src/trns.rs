@@ -11,11 +11,13 @@ use hsc_cluster::{CoreProgram, CpuOp, GpuOp, WavefrontProgram};
 use hsc_core::{System, SystemBuilder};
 use hsc_mem::{Addr, AtomicKind};
 
-use crate::util::synth_value;
+use crate::util::{memory_map, synth_value};
 use crate::Workload;
 
-const MATRIX_BASE: u64 = 0x0110_0000;
-const CLAIMS_BASE: u64 = 0x011F_0000;
+memory_map! { Trns as w:
+    matrix at 0x0110_0000, w.total() * 8;
+    claims at 0x011F_0000, w.cycle_reps().len() as u64 * 64;
+}
 
 /// Configuration of the `trns` benchmark.
 #[derive(Debug, Clone, Copy)]
@@ -95,14 +97,10 @@ impl Trns {
         cyc
     }
 
-    fn elem_addr(&self, k: u64) -> Addr {
-        Addr(MATRIX_BASE).word(k)
-    }
-
     /// One claim word per cycle, each on its own line to maximize the
     /// fine-grained flag traffic the benchmark is known for.
     fn claim_addr(&self, cycle_idx: u64) -> Addr {
-        Addr(CLAIMS_BASE).word(cycle_idx * 8)
+        MAP.claims.word(cycle_idx * 8)
     }
 }
 
@@ -179,7 +177,7 @@ impl CoreProgram for CpuWorker {
                         continue;
                     }
                     self.state = CpuState::CollectElem;
-                    return CpuOp::Load(self.bench.elem_addr(self.cycle[self.i]));
+                    return CpuOp::Load(MAP.matrix.word(self.cycle[self.i]));
                 }
                 CpuState::CollectElem => {
                     self.values.push(last.expect("element load result"));
@@ -194,7 +192,7 @@ impl CoreProgram for CpuWorker {
                     let k = self.cycle[self.i];
                     let v = self.values[self.i];
                     self.i += 1;
-                    return CpuOp::Store(self.bench.elem_addr(self.bench.sigma(k)), v);
+                    return CpuOp::Store(MAP.matrix.word(self.bench.sigma(k)), v);
                 }
                 CpuState::Finished => return CpuOp::Done,
             }
@@ -258,7 +256,7 @@ impl WavefrontProgram for GpuWorker {
                     }
                     let hi = (self.i + 16).min(self.cycle.len());
                     let addrs =
-                        self.cycle[self.i..hi].iter().map(|&k| self.bench.elem_addr(k)).collect();
+                        self.cycle[self.i..hi].iter().map(|&k| MAP.matrix.word(k)).collect();
                     self.i = hi;
                     return GpuOp::VecLoad(addrs);
                 }
@@ -272,7 +270,7 @@ impl WavefrontProgram for GpuWorker {
                     // untouched inside it: values are the initial inputs.
                     let stores = self.cycle[self.i..hi]
                         .iter()
-                        .map(|&k| (self.bench.elem_addr(self.bench.sigma(k)), self.bench.input(k)))
+                        .map(|&k| (MAP.matrix.word(self.bench.sigma(k)), self.bench.input(k)))
                         .collect();
                     self.i = hi;
                     return GpuOp::VecStore(stores);
@@ -297,7 +295,7 @@ impl Workload for Trns {
     }
 
     fn build(&self, b: &mut SystemBuilder) {
-        b.init_words((0..self.total()).map(|k| (self.elem_addr(k), self.input(k))));
+        b.init_words((0..self.total()).map(|k| (MAP.matrix.word(k), self.input(k))));
         let reps = self.cycle_reps();
         for _ in 0..self.cpu_threads {
             b.add_cpu_thread(Box::new(CpuWorker::new(*self, reps.clone())));
@@ -322,7 +320,7 @@ impl Workload for Trns {
             inv[self.sigma(k) as usize] = k;
         }
         for j in 0..t {
-            let got = sys.final_word(self.elem_addr(j));
+            let got = sys.final_word(MAP.matrix.word(j));
             let want = self.input(inv[j as usize]);
             if got != want {
                 return Err(format!("element {j}: got {got}, expected {want}"));

@@ -1,7 +1,80 @@
 //! Shared building blocks for the CHAI-like benchmark programs.
 
+use std::fmt;
+
 use hsc_cluster::{CpuOp, GpuOp};
 use hsc_mem::{Addr, AtomicKind};
+
+/// What a workload's run touches of memory, as named regions: a
+/// supertrait of [`Workload`](crate::Workload), implemented by each CHAI
+/// workload's one `memory_map!` table.
+/// [`run_workload_observed`](crate::run_workload_observed) refuses a map
+/// with an [`overlap`] before it builds anything.
+pub trait MemoryMap {
+    /// Every region the run touches, sized from the workload's fields.
+    fn memory_map(&self) -> Vec<Region>;
+}
+
+/// One named region of a workload's memory: the `bytes` bytes from
+/// `base` on that the run really touches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Region {
+    /// The region's name in its workload's memory map.
+    pub name: &'static str,
+    /// First byte.
+    pub base: Addr,
+    /// Size in bytes; an empty region overlaps nothing.
+    pub bytes: u64,
+}
+
+impl Region {
+    /// One past the region's last byte.
+    #[must_use]
+    pub fn end(&self) -> u64 {
+        self.base.0 + self.bytes
+    }
+}
+
+impl fmt::Display for Region {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "`{}` [{}, 0x{:x})", self.name, self.base, self.end())
+    }
+}
+
+/// The first two regions of `map` that share a byte, lower base first,
+/// or `None` when every region has its bytes to itself. The answer does
+/// not depend on the order `map` lists the regions in.
+#[must_use]
+pub fn overlap(map: &[Region]) -> Option<(Region, Region)> {
+    let mut sorted: Vec<Region> = map.iter().copied().filter(|r| r.bytes > 0).collect();
+    sorted.sort_by_key(|r| (r.base, r.end(), r.name));
+    // Sorted and disjoint so far, the previous region reaches furthest.
+    sorted.windows(2).find(|p| p[1].base.0 < p[0].end()).map(|p| (p[0], p[1]))
+}
+
+/// Declares a workload's memory map, the one place its addresses are
+/// decided: each region's name, base address and size in bytes, an
+/// expression in the workload `$s`'s fields. It defines `MAP`, a `const`
+/// whose fields are the base addresses (so an op's address stays a
+/// constant plus arithmetic), and implements [`MemoryMap`] from the sizes.
+macro_rules! memory_map {
+    ($w:ty as $s:ident: $($name:ident at $base:literal, $bytes:expr;)+) => {
+        struct Map {
+            $($name: hsc_mem::Addr,)+
+        }
+
+        const MAP: Map = Map { $($name: hsc_mem::Addr($base),)+ };
+
+        impl $crate::util::MemoryMap for $w {
+            fn memory_map(&self) -> Vec<$crate::util::Region> {
+                let $s = self;
+                let region = |name, base, bytes| $crate::util::Region { name, base, bytes };
+                vec![$(region(stringify!($name), MAP.$name, $bytes),)+]
+            }
+        }
+    };
+}
+pub(crate) use memory_map;
 
 /// Consecutive 64-bit word addresses for a coalesced vector op: lane `l`
 /// touches `base + (idx*lanes + l) * 8`, clipped to `total` elements (the
@@ -143,6 +216,48 @@ pub fn synth_value(seed: u64, i: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn region(name: &'static str, base: u64, bytes: u64) -> Region {
+        Region { name, base: Addr(base), bytes }
+    }
+
+    #[test]
+    fn adjacent_regions_are_accepted() {
+        let map = [region("a", 0x1000, 0x40), region("b", 0x1040, 8), region("c", 0x1048, 0x38)];
+        assert_eq!(overlap(&map), None);
+    }
+
+    #[test]
+    fn a_one_byte_overlap_is_refused_naming_both_regions() {
+        let (input, output) = (region("input", 0x1000, 0x41), region("output", 0x1040, 8));
+        assert_eq!(overlap(&[input, output]), Some((input, output)));
+        let err = crate::WorkloadError::Layout(input, output).to_string();
+        assert_eq!(
+            err,
+            "memory map: region `input` [0x1000, 0x1041) overlaps `output` [0x1040, 0x1048)"
+        );
+        // A region inside another, past a third that fits between.
+        let map = [region("all", 0, 0x100), region("low", 0x10, 8), region("high", 0xF8, 8)];
+        assert_eq!(overlap(&map), Some((map[0], map[1])));
+    }
+
+    #[test]
+    fn an_empty_region_overlaps_nothing() {
+        let map = [region("all", 0x1000, 0x100), region("none", 0x1080, 0), region("b", 0x1100, 8)];
+        assert_eq!(overlap(&map), None);
+        assert_eq!(overlap(&[region("x", 0x10, 0), region("y", 0x10, 0)]), None);
+    }
+
+    #[test]
+    fn declaration_order_does_not_matter() {
+        let ok = [region("a", 0x100, 0x10), region("b", 0x110, 0x10), region("c", 0x200, 8)];
+        let bad = [region("a", 0x100, 0x20), region("b", 0x110, 0x10), region("c", 0x200, 8)];
+        // Every permutation of three regions.
+        for order in [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]] {
+            assert_eq!(overlap(&order.map(|i| ok[i])), None, "{order:?}");
+            assert_eq!(overlap(&order.map(|i| bad[i])), Some((bad[0], bad[1])), "{order:?}");
+        }
+    }
 
     #[test]
     fn lane_addrs_clip_at_total() {
